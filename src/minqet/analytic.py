@@ -86,7 +86,8 @@ def max_over_omega(
 
     Q = X cos(2w) - G sin(2w) - X with G = h k q n_y, so the maximum is
     sqrt(X^2 + G^2) - X at 2w = atan2(-G, X).  The angle is reported in
-    [0, pi) since Q is pi-periodic.
+    [0, pi) since Q is pi-periodic.  This is the package's one formula for
+    the omega-maximum; the policy optimizer searches the axis over it.
     """
     x = X_of(params, p, q, n)
     g = params.h * params.k * q * n[1]
@@ -94,7 +95,9 @@ def max_over_omega(
     if radius == 0.0:
         return 0.0, 0.0
     omega = 0.5 * math.atan2(-g, x)
-    return radius - x, omega % math.pi
+    # For X > 0 the difference sqrt(X^2 + G^2) - X cancels when |G| << X.
+    value = g * g / (radius + x) if x > 0.0 else radius - x
+    return value, omega % math.pi
 
 
 def abc_constants(params: ModelParams, p: float, q: float) -> tuple[float, float, float]:
@@ -174,7 +177,9 @@ def f_E(params: ModelParams, x: float) -> float:
     s2 = params.sin_sigma**2
     c2 = params.cos_sigma**2
     lift = 1.0 + s2
-    return params.eps * lift * (math.sqrt(1.0 + (c2 * s2 / (lift * lift)) * x) - 1.0)
+    y = (c2 * s2 / (lift * lift)) * x
+    # sqrt(1 + y) - 1 written without its cancellation at small y
+    return params.eps * lift * y / (math.sqrt(1.0 + y) + 1.0)
 
 
 def f_I(params: ModelParams, x: float) -> float:

@@ -2,12 +2,13 @@
 
 Two searches, both deterministic (no RNG):
 
-* ``maximize_over_policy`` finds the best feedback rotation per outcome by
-  a coarse scan over rotation angles and a Fibonacci lattice of axes,
-  followed by compass refinement in spherical coordinates.  It evaluates
-  only the per-outcome energy gain Q (the same scalar the protocol uses as
-  its cross-check route) and never touches the closed-form maximization
-  chain, so it serves as an independent check of that chain's result.
+* ``maximize_over_policy`` finds the best feedback rotation per outcome.
+  It takes the maximum of Q over the rotation angle at a fixed axis from
+  ``analytic.max_over_omega`` (verify's ``omega-maximum`` check tests that
+  step on its own) and checks the rest of the closed-form chain: the
+  maximum over the rotation axis and the kernel f_E that follows from it.
+  It scans a Fibonacci axis lattice and polishes the best lattice point
+  with a simplex in spherical angles, never starting at the y axis.
 
 * ``maximize_over_weights`` searches the measurement design space itself:
   outcome weights (p, q) on the simplex with sum(q) = 0 and |q| <= p,
@@ -31,6 +32,11 @@ from .model import ModelParams
 from .protocol import FeedbackPolicy, LocalUnitary
 
 GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
+SPHERE_POINTS = 256
+REFINE_ITERS = 200
+TOL = 1e-10
+TIE_RTOL = 1e-8  # see maximize_over_policy
+Y_AXIS = (0.0, 1.0, 0.0)
 
 
 class NoConvergence(RuntimeWarning):
@@ -40,14 +46,6 @@ class NoConvergence(RuntimeWarning):
     exists so callers who care can promote it to an error with the warnings
     filter machinery.
     """
-
-
-@dataclass(frozen=True)
-class OptimizerOptions:
-    coarse_omega_points: int = 64
-    sphere_points: int = 256
-    refine_iters: int = 200
-    tol: float = 1e-10
 
 
 @dataclass(frozen=True)
@@ -75,120 +73,24 @@ def fibonacci_sphere(n: int) -> np.ndarray:
     return np.column_stack([r * np.cos(phi), r * np.sin(phi), z])
 
 
-def _coarse_scan(
-    params: ModelParams, p: float, q: float, opts: OptimizerOptions
-) -> tuple[float, float, np.ndarray, int]:
-    """Best (Q, omega, axis) over the angle grid times the axis lattice."""
-    h, k = params.h, params.k
-    axes = fibonacci_sphere(opts.sphere_points)
-    nx, ny, nz = axes[:, 0], axes[:, 1], axes[:, 2]
-    x = p * (h * h * (1.0 - nz * nz) + 2.0 * k * k * (1.0 - nx * nx)) - (
-        3.0 * h * k * q * nx * nz
-    )
-    omegas = np.linspace(0.0, math.pi, opts.coarse_omega_points, endpoint=False)
-    two_omega = 2.0 * omegas[:, None]
-    q_grid = x[None, :] * (np.cos(two_omega) - 1.0) - (
-        h * k * q * ny[None, :] * np.sin(two_omega)
-    )
-    flat = int(np.argmax(q_grid))
-    i, j = divmod(flat, opts.sphere_points)
-    return float(q_grid[i, j]), float(omegas[i]), axes[j], q_grid.size
-
-
 def _axis_from_angles(theta: float, phi: float) -> tuple[float, float, float]:
     sin_t = math.sin(theta)
     return (sin_t * math.cos(phi), sin_t * math.sin(phi), math.cos(theta))
 
 
-def _golden_max_omega(score, lo: float, hi: float, iters: int = 90):
-    """Golden-section maximum of a unimodal scalar function; (value, arg, evals)."""
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc, fd = score(c), score(d)
-    evals = 2
-    for _ in range(iters):
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = score(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = score(d)
-        evals += 1
-    mid = 0.5 * (a + b)
-    f_mid = score(mid)
-    evals += 1
-    if fc >= fd and fc >= f_mid:
-        return fc, c, evals
-    if fd >= f_mid:
-        return fd, d, evals
-    return f_mid, mid, evals
-
-
-def _pole_polish(params: ModelParams, p: float, q: float):
-    """Machine-precision maximum of Q over omega on the y axis.
-
-    Q at a fixed axis is a sinusoid in 2 omega, so each half-period bracket
-    is unimodal and golden-section search resolves the maximum exactly even
-    when the positive region is an arbitrarily narrow sliver.
-    """
-    axis = (0.0, 1.0, 0.0)
-
-    def score(omega: float) -> float:
-        return analytic.Q_of(params, p, q, omega, axis)
-
-    best_value, best_omega, evals = score(0.0), 0.0, 1
-    for lo, hi in ((-0.5 * math.pi, 0.0), (0.0, 0.5 * math.pi)):
-        value, omega, n = _golden_max_omega(score, lo, hi)
-        evals += n
-        if value > best_value:
-            best_value, best_omega = value, omega
-    return best_value, best_omega, evals
-
-
-def _pole_probes(
-    params: ModelParams, p: float, q: float
-) -> list[tuple[float, tuple[float, float, float]]]:
-    """Log-spaced rotation angles at the two n_y poles.
-
-    When |q|/p is small the region of positive Q is a sliver of width about
-    |q|/p around omega = 0 that any uniform angle grid can miss entirely.
-    A logarithmic ladder of angles at the poles lands inside the sliver no
-    matter how narrow it is.
-    """
-    probes = []
-    for phi in (0.5 * math.pi, -0.5 * math.pi):
-        for j in range(13):
-            magnitude = 0.5 * math.pi * 10.0 ** (-j)
-            for sign in (1.0, -1.0):
-                probes.append((sign * magnitude, (0.5 * math.pi, phi)))
-    return probes
-
-
-def _nelder_mead(
-    score,
-    start: tuple[float, float, float],
-    steps: tuple[float, float, float],
-    opts: OptimizerOptions,
-) -> tuple[float, tuple[float, float, float], int, bool]:
-    """Simplex maximization of a smooth 3-variable function.
+def _nelder_mead(score, start, steps) -> tuple[float, tuple[float, ...], int, bool]:
+    """Simplex maximization of a smooth function of len(start) variables.
 
     Standard reflect/expand/contract/shrink moves; converged when the
-    simplex diameter drops below opts.tol.
+    simplex diameter drops below TOL.
     """
-    dim = 3
-    points = [np.asarray(start, dtype=float)]
-    for i in range(dim):
-        vertex = np.asarray(start, dtype=float)
-        vertex[i] += steps[i]
-        points.append(vertex)
+    dim = len(start)
+    base = np.asarray(start, dtype=float)
+    points = [base] + [base + steps[i] * np.eye(dim)[i] for i in range(dim)]
     values = [score(tuple(pt)) for pt in points]
     evaluations = dim + 1
     converged = False
-    for _ in range(opts.refine_iters):
+    for _ in range(REFINE_ITERS):
         order = sorted(range(dim + 1), key=lambda i: -values[i])
         points = [points[i] for i in order]
         values = [values[i] for i in order]
@@ -198,7 +100,7 @@ def _nelder_mead(
         spread = values[0] - values[dim]
         # Flat directions (an outcome with q near 0 is axis-independent) keep
         # the diameter from ever shrinking, so converging in value counts too.
-        if diameter < opts.tol or spread <= 1e-9 * max(abs(values[0]), 1e-12):
+        if diameter < TOL or spread <= 1e-9 * max(abs(values[0]), 1e-12):
             converged = True
             break
         centroid = np.mean(points[:dim], axis=0)
@@ -234,37 +136,37 @@ def _nelder_mead(
     return values[top], tuple(points[top]), evaluations, converged
 
 
-def _refine(
-    params: ModelParams,
-    p: float,
-    q: float,
-    start: tuple[float, float, float],
-    opts: OptimizerOptions,
-) -> tuple[float, float, tuple[float, float, float], int, bool]:
-    """Polytope refinement over (omega, theta, phi) from one start."""
+def _best_axis(
+    params: ModelParams, p: float, q: float
+) -> tuple[tuple[float, float, float], int, bool]:
+    """The rotation axis maximizing the omega-maximum of Q.
 
-    def score(point: tuple[float, float, float]) -> float:
-        omega, theta, phi = point
-        return analytic.Q_of(params, p, q, omega, _axis_from_angles(theta, phi))
+    Scans the Fibonacci lattice, then polishes the best lattice point with a
+    simplex in (theta, phi); returns (axis, evaluations, converged).
+    """
 
-    angle_step = max(min(math.pi / opts.coarse_omega_points, abs(start[0]) / 2.0), 64.0 * opts.tol)
-    steps = (
-        angle_step,
-        math.pi / math.sqrt(opts.sphere_points),
-        math.pi / math.sqrt(opts.sphere_points),
-    )
-    best, point, evaluations, converged = _nelder_mead(score, start, steps, opts)
-    omega, theta, phi = point
-    return best, omega % math.pi, _axis_from_angles(theta, phi), evaluations, converged
+    def score(angles: tuple[float, float]) -> float:
+        return analytic.max_over_omega(params, p, q, _axis_from_angles(*angles))[0]
+
+    lattice = fibonacci_sphere(SPHERE_POINTS).tolist()
+    values = [analytic.max_over_omega(params, p, q, n)[0] for n in lattice]
+    nx, ny, nz = lattice[int(np.argmax(values))]
+    start = (math.acos(nz), math.atan2(ny, nx))
+    step = math.pi / math.sqrt(SPHERE_POINTS)
+    _, angles, evaluations, converged = _nelder_mead(score, start, (step, step))
+    return _axis_from_angles(*angles), SPHERE_POINTS + evaluations, converged
 
 
 def maximize_over_policy(
-    params: ModelParams,
-    meas: measurement.MeasurementModel,
-    opts: OptimizerOptions | None = None,
+    params: ModelParams, meas: measurement.MeasurementModel
 ) -> OptimizationResult:
-    """Numerically maximize E_B over per-outcome feedback rotations."""
-    opts = opts or OptimizerOptions()
+    """Numerically maximize E_B over per-outcome feedback rotations.
+
+    At |q| = p the maximizing axis is a whole degenerate family, so the
+    y-axis rotation is reported instead of the search's own axis whenever
+    the two values agree to TIE_RTOL relative; the y axis is never a start
+    point, and a search that falls short of it by more keeps its own answer.
+    """
     unitaries = []
     total = 0.0
     evaluations = 0
@@ -273,47 +175,12 @@ def maximize_over_policy(
         if w.p <= 1e-14:
             unitaries.append(LocalUnitary.identity())
             continue
-        coarse_q, omega0, axis0, n_coarse = _coarse_scan(params, w.p, w.q, opts)
-        theta0 = math.acos(max(-1.0, min(1.0, float(axis0[2]))))
-        phi0 = math.atan2(float(axis0[1]), float(axis0[0]))
-        starts = [(coarse_q, (omega0, theta0, phi0))]
-        evaluations += n_coarse
-        probe_best = -math.inf
-        probe_start = None
-        for omega_p, (theta_p, phi_p) in _pole_probes(params, w.p, w.q):
-            value = analytic.Q_of(
-                params, w.p, w.q, omega_p, _axis_from_angles(theta_p, phi_p)
-            )
-            evaluations += 1
-            if value > probe_best:
-                probe_best = value
-                probe_start = (omega_p, theta_p, phi_p)
-        starts.append((probe_best, probe_start))
-
-        candidates = []
-        for _, start in starts:
-            value, om, ax, n_refine, conv = _refine(params, w.p, w.q, start, opts)
-            evaluations += n_refine
-            candidates.append((value, om, ax, conv))
-        pole_value, pole_omega, n_pole = _pole_polish(params, w.p, w.q)
-        evaluations += n_pole
-        best = max(pole_value, max(c[0] for c in candidates))
-        # At |q| = p the maximizing axis is a whole degenerate family; among
-        # numerically tied candidates prefer the canonical y-axis one so the
-        # reported policy is stable.
-        tie = 1e-8 * max(1.0, abs(best))
-        if pole_value >= best - tie:
-            value, omega, axis, converged = (
-                pole_value,
-                pole_omega % math.pi,
-                (0.0, 1.0, 0.0),
-                True,
-            )
-        else:
-            value, omega, axis, converged = max(
-                (c for c in candidates if c[0] >= best - tie),
-                key=lambda c: abs(c[2][1]),
-            )
+        axis, n_evals, converged = _best_axis(params, w.p, w.q)
+        value, omega = analytic.max_over_omega(params, w.p, w.q, axis)
+        y_value, y_omega = analytic.max_over_omega(params, w.p, w.q, Y_AXIS)
+        evaluations += n_evals + 2
+        if abs(value - y_value) <= TIE_RTOL * max(abs(value), abs(y_value)):
+            value, omega, axis = y_value, y_omega, Y_AXIS
         all_converged = all_converged and converged
         total += value / params.eps
         unitaries.append(LocalUnitary.normalized(omega, axis))
@@ -329,7 +196,7 @@ def maximize_over_policy(
 
 def _project_weights(
     raw_p: np.ndarray, raw_u: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[measurement.OutcomeWeights, ...]:
     """Map unconstrained coordinates onto the feasible weight set."""
     p = np.clip(raw_p, 0.0, None)
     mass = float(np.sum(p))
@@ -339,22 +206,12 @@ def _project_weights(
         p = p / mass
     u = np.clip(raw_u, -1.0, 1.0)
     q = measurement.balance_weights(p, u)
-    return p, q
+    return tuple(
+        measurement.OutcomeWeights(float(pi), float(qi)) for pi, qi in zip(p, q)
+    )
 
 
-def _weights_value(params: ModelParams, p: np.ndarray, q: np.ndarray) -> float:
-    total = 0.0
-    for pi, qi in zip(p, q):
-        if pi > 1e-14:
-            total += pi * analytic.f_E(params, min((qi / pi) ** 2, 1.0))
-    return total
-
-
-def maximize_over_weights(
-    params: ModelParams,
-    n_outcomes: int = 2,
-    opts: OptimizerOptions | None = None,
-) -> WeightsResult:
+def maximize_over_weights(params: ModelParams, n_outcomes: int = 2) -> WeightsResult:
     """Numerically maximize the closed-form maxE_B over the weight space.
 
     Deterministic multi-start compass search in (p, u) coordinates, with u
@@ -363,7 +220,6 @@ def maximize_over_weights(
     """
     if n_outcomes < 2:
         raise ValueError(f"need at least 2 outcomes, got {n_outcomes}")
-    opts = opts or OptimizerOptions()
     n = n_outcomes
     signs = np.array([1.0 if i % 2 == 0 else -1.0 for i in range(n)])
     ramp = np.arange(1.0, n + 1.0)
@@ -373,19 +229,18 @@ def maximize_over_weights(
         (ramp / ramp.sum(), 0.7 * signs),
         (ramp[::-1] / ramp.sum(), 0.2 * signs),
     ]
-    best_value = -math.inf
-    best_pq = None
+    best_value, best_weights = -math.inf, None
     evaluations = 0
     converged = False
     for raw_p0, raw_u0 in starts:
         point = np.concatenate([raw_p0, raw_u0])
-        p, q = _project_weights(point[:n], point[n:])
-        value = _weights_value(params, p, q)
+        weights = _project_weights(point[:n], point[n:])
+        value = analytic.max_EB_closed(params, weights)
         evaluations += 1
         step = 0.25
         this_converged = False
-        for _ in range(opts.refine_iters):
-            if step < opts.tol:
+        for _ in range(REFINE_ITERS):
+            if step < TOL:
                 this_converged = True
                 break
             improved = False
@@ -393,26 +248,22 @@ def maximize_over_weights(
                 for sign in (1.0, -1.0):
                     candidate = point.copy()
                     candidate[idx] += sign * step
-                    cp, cq = _project_weights(candidate[:n], candidate[n:])
-                    cv = _weights_value(params, cp, cq)
+                    cw = _project_weights(candidate[:n], candidate[n:])
+                    cv = analytic.max_EB_closed(params, cw)
                     evaluations += 1
                     if cv > value:
-                        value, point, p, q = cv, candidate, cp, cq
+                        value, point, weights = cv, candidate, cw
                         improved = True
             if not improved:
                 step *= 0.5
         if value > best_value:
             best_value = value
-            best_pq = (p, q)
+            best_weights = weights
             converged = this_converged
-    p, q = best_pq
-    weights = tuple(
-        measurement.OutcomeWeights(float(pi), float(qi)) for pi, qi in zip(p, q)
-    )
     if not converged:
         warnings.warn("weight search exhausted its refinement budget", NoConvergence)
     return WeightsResult(
-        best_weights=weights,
+        best_weights=best_weights,
         best_value=best_value,
         evaluations=evaluations,
         converged=converged,

@@ -30,6 +30,14 @@ F_I_QUARTER = 0.08117383727836852
 
 Y_AXIS = (0.0, 1.0, 0.0)
 
+# A weak outcome (|q|/p ~ 2e-5) from verify's optimizer draws at seed 26.
+# Its omega-maximum on the y axis over eps, which equals p f_E((q/p)^2), from a
+# 50-digit mpmath evaluation of sqrt(a^2 + (hkq)^2) - a with a = p (h^2 + 2k^2).
+WEAK_P = 0.952626887361273
+WEAK_Q = 1.9144983737149932e-05
+WEAK_PARAMS = ModelParams(h=0.7468337987663782, k=3.2601258359281653)
+WEAK_MAX_OVER_EPS = 1.563095872966533e-11
+
 
 def unit_axis(rng):
     v = rng.normal(size=3)
@@ -70,6 +78,13 @@ def test_max_over_omega_off_axis():
     x = analytic.X_of(UNIT, 0.5, 0.3, n)
     value, _ = analytic.max_over_omega(UNIT, 0.5, 0.3, n)
     assert abs(value - (abs(x) - x)) <= 1e-14
+
+
+def test_weak_outcome_keeps_its_digits():
+    value, _ = analytic.max_over_omega(WEAK_PARAMS, WEAK_P, WEAK_Q, Y_AXIS)
+    term = WEAK_P * analytic.f_E(WEAK_PARAMS, (WEAK_Q / WEAK_P) ** 2)
+    for got in (value / WEAK_PARAMS.eps, term):
+        assert abs(got - WEAK_MAX_OVER_EPS) <= 1e-14 * WEAK_MAX_OVER_EPS
 
 
 @settings(max_examples=60, deadline=None)

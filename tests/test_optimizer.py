@@ -92,10 +92,10 @@ def test_weights_search_outcome_count_irrelevant():
     assert abs(two.best_value - four.best_value) <= 1e-8
 
 
-def test_weights_search_flags_exhausted_budget():
-    starved = optimizer.OptimizerOptions(refine_iters=1)
+def test_weights_search_flags_exhausted_budget(monkeypatch):
+    monkeypatch.setattr(optimizer, "REFINE_ITERS", 1)
     with pytest.warns(optimizer.NoConvergence):
-        res = optimizer.maximize_over_weights(UNIT, n_outcomes=2, opts=starved)
+        res = optimizer.maximize_over_weights(UNIT, n_outcomes=2)
     assert not res.converged
     assert np.isfinite(res.best_value)
 

@@ -73,9 +73,10 @@ def Q_of(
     sum(Q) / eps.
     """
     x = X_of(params, p, q, n)
-    two_omega = 2.0 * omega
-    return x * (math.cos(two_omega) - 1.0) - (
-        params.h * params.k * q * n[1] * math.sin(two_omega)
+    # cos 2w - 1 = -2 sin^2 w, which keeps its digits where w is near 0 or pi
+    sin_omega = math.sin(omega)
+    return -2.0 * x * sin_omega * sin_omega - (
+        params.h * params.k * q * n[1] * math.sin(2.0 * omega)
     )
 
 

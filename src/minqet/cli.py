@@ -1,6 +1,8 @@
 """Command-line front end: verify, report, sweep, evolve, optimize.
 
-Exit codes: 0 success, 1 verification failure, 2 usage or I/O error.
+Exit codes: 0 success; 1 no verified number (a failed verify check, or an
+arithmetic error or internal cross-check failure, reported as one
+``error:`` line on stderr); 2 usage or I/O error.
 All floats in CSV output are printed with 17 significant digits so that
 parsing them back gives bit-identical values.
 """
@@ -15,7 +17,7 @@ import json
 import math
 import re
 import sys
-from dataclasses import dataclass
+from collections import defaultdict
 from pathlib import Path
 
 import numpy as np
@@ -110,15 +112,6 @@ def parse_range(text: str) -> np.ndarray:
 # verify
 
 
-@dataclass
-class CheckOutcome:
-    name: str
-    status: str  # PASS | FAIL | SKIP
-    residual: float | None = None
-    budget: float | None = None
-    detail: str = ""
-
-
 def _golden_max(fun, lo: float, hi: float, iters: int = 80) -> float:
     """Golden-section maximum of a smooth unimodal function on [lo, hi]."""
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
@@ -153,21 +146,11 @@ def _random_axis(rng: np.random.Generator) -> tuple[float, float, float]:
 def _ensemble_residuals(seed: int, size: int) -> dict[str, float]:
     """One pass over `size` random measurements, accumulating per-check maxima."""
     rng = np.random.default_rng([seed, 1])
-    worst: dict[str, float] = {
-        "measurement-completeness": 0.0,
-        "input-energy": 0.0,
-        "post-measurement-passivity": 0.0,
-        "teleported-energy-routes": 0.0,
-        "entanglement-consumption": 0.0,
-        "reduced-eigenvalues": 0.0,
-        "mutual-information": 0.0,
-        "entanglement-nonnegative": 0.0,
-        "bound-32": 0.0,
-        "bound-770": 0.0,
-        "omega-maximum": 0.0,
-        "axis-minimum": 0.0,
-        "envelope-peak": 0.0,
-    }
+    worst: defaultdict[str, float] = defaultdict(float)
+
+    def note(name: str, *residuals: float) -> None:
+        worst[name] = max(worst[name], *residuals)
+
     two_omega_grid = 2.0 * np.linspace(0.0, math.pi, 256, endpoint=False)
     psi_grid = np.linspace(0.0, math.pi, 64, endpoint=False)
     for i in range(size):
@@ -178,8 +161,8 @@ def _ensemble_residuals(seed: int, size: int) -> dict[str, float]:
             params = _random_params(rng)
         meas = measurement.random_measurement(rng, n_outcomes=(2, 3, 4, 6)[i % 4])
 
-        worst["measurement-completeness"] = max(
-            worst["measurement-completeness"],
+        note(
+            "measurement-completeness",
             max(measurement.constraint_residuals(meas).values()),
         )
 
@@ -191,36 +174,25 @@ def _ensemble_residuals(seed: int, size: int) -> dict[str, float]:
             phi = measurement.kraus_on_full_space(meas, mu) @ g
             e_a_brute += float(np.real(phi.conj() @ parts.total @ phi))
             rho_post += np.outer(phi, phi.conj())
-        worst["input-energy"] = max(
-            worst["input-energy"],
+        note(
+            "input-energy",
             abs(e_a_brute - measurement.input_energy_closed(meas, params)),
         )
-        worst["post-measurement-passivity"] = max(
-            worst["post-measurement-passivity"],
+        note(
+            "post-measurement-passivity",
             abs(qmath.expectation(rho_post, parts.h_b)),
             abs(qmath.expectation(rho_post, parts.v)),
         )
 
         report = protocol.run(params, meas, protocol.optimal_policy(params, meas))
         max_eb = analytic.max_EB_closed(params, meas.weights)
-        worst["teleported-energy-routes"] = max(
-            worst["teleported-energy-routes"], abs(report.e_b - max_eb)
-        )
-
+        note("teleported-energy-routes", abs(report.e_b - max_eb))
         delta_closed = analytic.delta_S_closed(params, meas.weights)
-        worst["entanglement-consumption"] = max(
-            worst["entanglement-consumption"], abs(report.delta_s - delta_closed)
-        )
-        worst["mutual-information"] = max(
-            worst["mutual-information"], abs(report.mutual_info - report.delta_s)
-        )
-        worst["entanglement-nonnegative"] = max(
-            worst["entanglement-nonnegative"], -report.delta_s
-        )
-        worst["bound-32"] = max(
-            worst["bound-32"], report.bound32_rhs - report.delta_s
-        )
-        worst["bound-770"] = max(worst["bound-770"], report.bound770_rhs - max_eb)
+        note("entanglement-consumption", abs(report.delta_s - delta_closed))
+        note("mutual-information", abs(report.mutual_info - report.delta_s))
+        note("entanglement-nonnegative", -report.delta_s)
+        note("bound-32", report.bound32_rhs - report.delta_s)
+        note("bound-770", report.bound770_rhs - max_eb)
 
         for (prob, rho_b), w in zip(
             entanglement.reduced_post_states(params, meas), meas.weights
@@ -229,8 +201,8 @@ def _ensemble_residuals(seed: int, size: int) -> dict[str, float]:
                 continue
             vals, _ = qmath.hermitian_eig(rho_b)
             lam_plus, lam_minus = analytic.lambda_pm(params, w.p, w.q)
-            worst["reduced-eigenvalues"] = max(
-                worst["reduced-eigenvalues"],
+            note(
+                "reduced-eigenvalues",
                 abs(float(vals[1]) - lam_plus),
                 abs(float(vals[0]) - lam_minus),
             )
@@ -250,8 +222,8 @@ def _ensemble_residuals(seed: int, size: int) -> dict[str, float]:
             omega_star - 0.1,
             omega_star + 0.1,
         )
-        worst["omega-maximum"] = max(
-            worst["omega-maximum"],
+        note(
+            "omega-maximum",
             (float(np.max(q_grid)) - closed_max) / scale,
             abs(refined - closed_max) / scale,
             abs(analytic.Q_of(params, w.p, w.q, omega_star, axis) - closed_max)
@@ -261,22 +233,15 @@ def _ensemble_residuals(seed: int, size: int) -> dict[str, float]:
         for z in (0.0, 0.37, 1.0):
             closed_min = analytic.min_X_over_psi(params, w.p, w.q, z)
             root_z = math.sqrt(z)
-            nx = root_z * np.cos(psi_grid)
-            nz = root_z * np.sin(psi_grid)
-            x_vals = w.p * (
-                params.h**2 * (1.0 - nz**2) + 2.0 * params.k**2 * (1.0 - nx**2)
-            ) - 3.0 * params.h * params.k * w.q * nx * nz
-            worst["axis-minimum"] = max(
-                worst["axis-minimum"],
-                (closed_min - float(np.min(x_vals))) / scale,
-            )
+            axes = (root_z * np.cos(psi_grid), 0.0, root_z * np.sin(psi_grid))
+            x_vals = analytic.X_of(params, w.p, w.q, axes)
+            note("axis-minimum", (closed_min - float(np.min(x_vals))) / scale)
 
         a, _, c = analytic.abc_constants(params, w.p, w.q)
         t0 = analytic.T_profile(params, w.p, w.q, 0.0)
-        env_scale = max(1.0, a)
-        worst["envelope-peak"] = max(
-            worst["envelope-peak"],
-            abs(t0 - (math.hypot(a, math.sqrt(c)) - a)) / env_scale,
+        note(
+            "envelope-peak",
+            abs(t0 - (math.hypot(a, math.sqrt(c)) - a)) / max(1.0, a),
             (0.0 if analytic.t_sign_check(params, w.p, w.q) else 1.0),
         )
     return worst
@@ -379,7 +344,7 @@ def _check_time_evolution() -> float:
                 abs(sample.hb_bruteforce - sample.hb_closed),
                 abs(sample.v_expect),
             )
-        peak = protocol.evolve_HB(params, meas, t_peak)
+        peak = protocol.evolve_series(params, meas, [t_peak])[0].hb_bruteforce
         e_a = measurement.input_energy_closed(meas, params)
         worst = max(worst, abs(peak - e_a))
     return worst
@@ -413,7 +378,7 @@ def _check_weak_limit() -> float:
     return worst
 
 
-def _check_integrity(inject_fault: bool) -> float:
+def _check_integrity() -> float:
     worst = 0.0
     builtins = (
         measurement.projective_pair(),
@@ -423,115 +388,78 @@ def _check_integrity(inject_fault: bool) -> float:
     for m in builtins:
         measurement.validate(m)
         worst = max(worst, max(measurement.constraint_residuals(m).values()))
-    if inject_fault:
-        bad = object.__new__(measurement.KrausCoefficients)
-        for field, value in (("m", 0.9), ("l", 0.6), ("alpha", 0.0), ("delta", 0.0)):
-            object.__setattr__(bad, field, value)
-        broken = object.__new__(measurement.MeasurementModel)
-        object.__setattr__(broken, "coeffs", (bad,))
-        measurement.validate(broken)
-        raise RuntimeError("corrupted measurement slipped through validation")
     return worst
+
+
+# The verify checks in print order: (routine, {check name: budget}, ensemble
+# cap).  A routine with a cap draws random models and runs as
+# routine(seed, min(ensemble, cap)), or is skipped at --ensemble 0; one with
+# cap None runs as routine().  A routine returns one residual, or a
+# {check name: residual} map if it owns several names.
+CHECKS = (
+    (_check_integrity, {"builtin-measurement-integrity": 1e-12}, None),
+    (_check_ground_state, {"ground-state": 1e-9}, None),
+    (_check_time_evolution, {"time-evolution": 1e-9}, None),
+    (_check_kernel_shape, {"kernel-shape": 1e-12}, None),
+    (_check_weak_limit, {"weak-limit": 0.0}, None),
+    (
+        _ensemble_residuals,
+        {
+            "measurement-completeness": 1e-12,
+            "input-energy": 1e-10,
+            "post-measurement-passivity": 1e-10,
+            "teleported-energy-routes": 1e-10,
+            "entanglement-consumption": 1e-10,
+            "reduced-eigenvalues": 1e-10,
+            "mutual-information": 1e-10,
+            "entanglement-nonnegative": 1e-12,
+            "bound-32": 1e-10,
+            "bound-770": 1e-10,
+            "omega-maximum": 1e-9,
+            "axis-minimum": 1e-9,
+            "envelope-peak": 1e-9,
+        },
+        math.inf,
+    ),
+    (_check_eigensolver, {"eigensolver-reconstruction": 1e-12}, 200),
+    (_check_optimizer, {"optimizer-vs-closed": 1e-7}, 5),
+    (_check_no_go, {"no-go-passive": 1e-10}, 200),
+    (_check_bound770_equality, {"bound-770-equality": 1e-9}, 100),
+)
 
 
 def cmd_verify(args) -> int:
     seed, ensemble = args.seed, args.ensemble
-    results: list[CheckOutcome] = []
-
-    def record(name: str, budget: float, fn) -> None:
-        try:
-            residual = fn()
-        except Exception as exc:  # verify reports, never crashes
-            results.append(
-                CheckOutcome(
-                    name,
-                    "FAIL",
-                    detail=f"{type(exc).__name__}: {exc}",
-                )
-            )
-            return
-        status = "PASS" if residual <= budget else "FAIL"
-        results.append(CheckOutcome(name, status, residual, budget))
-
-    def skip(name: str) -> None:
-        results.append(CheckOutcome(name, "SKIP", detail="ensemble checks disabled"))
-
-    record("builtin-measurement-integrity", 1e-12, lambda: _check_integrity(args.self_test_fault))
-    record("ground-state", 1e-9, _check_ground_state)
-    record("time-evolution", 1e-9, _check_time_evolution)
-    record("kernel-shape", 1e-12, _check_kernel_shape)
-    record("weak-limit", 0.0, _check_weak_limit)
-
-    ensemble_budgets = {
-        "measurement-completeness": 1e-12,
-        "input-energy": 1e-10,
-        "post-measurement-passivity": 1e-10,
-        "teleported-energy-routes": 1e-10,
-        "entanglement-consumption": 1e-10,
-        "reduced-eigenvalues": 1e-10,
-        "mutual-information": 1e-10,
-        "entanglement-nonnegative": 1e-12,
-        "bound-32": 1e-10,
-        "bound-770": 1e-10,
-        "omega-maximum": 1e-9,
-        "axis-minimum": 1e-9,
-        "envelope-peak": 1e-9,
-    }
-    if ensemble > 0:
-        try:
-            pool = _ensemble_residuals(seed, ensemble)
-        except Exception as exc:
-            for name in ensemble_budgets:
-                results.append(
-                    CheckOutcome(name, "FAIL", detail=f"{type(exc).__name__}: {exc}")
-                )
-        else:
-            for name, budget in ensemble_budgets.items():
-                status = "PASS" if pool[name] <= budget else "FAIL"
-                results.append(CheckOutcome(name, status, pool[name], budget))
-        record("eigensolver-reconstruction", 1e-12, lambda: _check_eigensolver(seed, min(ensemble, 200)))
-        record("optimizer-vs-closed", 1e-7, lambda: _check_optimizer(seed, min(ensemble, 5)))
-        record("no-go-passive", 1e-10, lambda: _check_no_go(seed, min(ensemble, 200)))
-        record("bound-770-equality", 1e-9, lambda: _check_bound770_equality(seed, min(ensemble, 100)))
-    else:
-        for name in ensemble_budgets:
-            skip(name)
-        for name in (
-            "eigensolver-reconstruction",
-            "optimizer-vs-closed",
-            "no-go-passive",
-            "bound-770-equality",
-        ):
-            skip(name)
-
+    n_checks = n_skip = 0
     failures = []
-    for r in results:
-        if r.status == "SKIP":
-            print(f"SKIP {r.name:32s} {r.detail}")
+    for routine, budgets, cap in CHECKS:
+        n_checks += len(budgets)
+        if cap is not None and ensemble <= 0:
+            n_skip += len(budgets)
+            for name in budgets:
+                print(f"SKIP {name:32s} ensemble checks disabled")
             continue
-        tail = ""
-        if r.residual is not None:
-            tail = f"residual {r.residual:.3e}  budget {r.budget:.1e}"
-        elif r.detail:
-            tail = r.detail
-        print(f"{r.status} {r.name:32s} {tail}")
-        if r.status == "FAIL":
-            entry = {"check": r.name}
-            if r.residual is not None:
-                entry["residual"] = r.residual
-                entry["budget"] = r.budget
-            if r.detail:
-                error_class = r.detail.split(":", 1)[0]
-                entry["error"] = error_class
-                entry["message"] = r.detail
-            failures.append(entry)
+        try:
+            found = routine() if cap is None else routine(seed, min(ensemble, cap))
+        except Exception as exc:  # verify reports, never crashes
+            found = exc
+        for name, budget in budgets.items():
+            if isinstance(found, Exception):
+                tail = f"{type(found).__name__}: {found}"
+                failure = {"error": type(found).__name__, "message": tail}
+            else:
+                residual = found[name] if isinstance(found, dict) else found
+                tail = f"residual {residual:.3e}  budget {budget:.1e}"
+                failure = {"residual": residual, "budget": budget}
+                if residual <= budget:
+                    failure = None
+            print(f"{'PASS' if failure is None else 'FAIL'} {name:32s} {tail}")
+            if failure is not None:
+                failures.append({"check": name, **failure})
 
-    n_pass = sum(1 for r in results if r.status == "PASS")
-    n_fail = sum(1 for r in results if r.status == "FAIL")
-    n_skip = sum(1 for r in results if r.status == "SKIP")
     print(
-        f"verify: {len(results)} checks, {n_pass} passed, {n_fail} failed, "
-        f"{n_skip} skipped (seed {seed}, ensemble {ensemble})"
+        f"verify: {n_checks} checks, {n_checks - len(failures) - n_skip} passed, "
+        f"{len(failures)} failed, {n_skip} skipped (seed {seed}, ensemble {ensemble})"
     )
     if failures:
         print(json.dumps({"failures": failures}), file=sys.stderr)
@@ -551,8 +479,6 @@ def cmd_report(args) -> int:
     report = protocol.run(params, meas, policy)
     max_eb = analytic.max_EB_closed(params, meas.weights)
     coeffs = analytic.bounds(params)
-    bound32_rhs = coeffs.c32 * max_eb / params.eps
-    bound770_rhs = coeffs.c770 * report.delta_s
     payload = {
         "params": {"h": params.h, "k": params.k, "eps": params.eps},
         "povm": {
@@ -579,13 +505,13 @@ def cmd_report(args) -> int:
             "c770": coeffs.c770,
             "bound32": {
                 "lhs": report.delta_s,
-                "rhs": bound32_rhs,
-                "slack": report.delta_s - bound32_rhs,
+                "rhs": report.bound32_rhs,
+                "slack": report.delta_s - report.bound32_rhs,
             },
             "bound770": {
                 "lhs": max_eb,
-                "rhs": bound770_rhs,
-                "slack": max_eb - bound770_rhs,
+                "rhs": report.bound770_rhs,
+                "slack": max_eb - report.bound770_rhs,
             },
         },
         "policy": [
@@ -761,8 +687,6 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--seed", type=int, default=0)
     v.add_argument("--ensemble", type=int, default=1000,
                    help="random models per ensemble check (0 skips them)")
-    v.add_argument("--self-test-fault", action="store_true",
-                   help=argparse.SUPPRESS)
     v.set_defaults(func=cmd_verify)
 
     r = sub.add_parser("report", help="single-run JSON report")
@@ -812,6 +736,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (ArithmeticError, RuntimeError) as exc:  # no verified number
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
 
 
 def entry() -> None:

@@ -176,13 +176,6 @@ def kraus_on_full_space(model: MeasurementModel, mu: int) -> np.ndarray:
     return _kraus_matrix(model.coeffs[mu])
 
 
-def positive_operator(c: KrausCoefficients) -> np.ndarray:
-    """Pi_A(mu) = M^dag M = p + q sigma_A^x on the full space."""
-    return c.p * qmath.identity(4) + c.q * qmath.tensor(
-        qmath.pauli("x"), qmath.identity(2)
-    )
-
-
 def constraint_residuals(model: MeasurementModel) -> dict[str, float]:
     """All four POVM constraint residuals, without judging them.
 

@@ -72,11 +72,6 @@ class HamiltonianParts:
         return {"H_A": self.h_a, "H_B": self.h_b, "V": self.v, "H": self.total}
 
 
-def energy_observables(parts: HamiltonianParts) -> dict[str, np.ndarray]:
-    """The four named observables of a built Hamiltonian, keyed H_A, H_B, V, H."""
-    return parts.observables()
-
-
 def build_hamiltonian(params: ModelParams) -> HamiltonianParts:
     """Assemble H_A, H_B, V and their sum for the given parameters."""
     h, k, eps = params.h, params.k, params.eps

@@ -313,8 +313,3 @@ def evolve_series(
             raise RuntimeError(f"<V(t)> = {v!r} fails to vanish at t={t}")
         samples.append(EvolutionSample(t=t, hb_bruteforce=hb, hb_closed=closed, v_expect=v))
     return samples
-
-
-def evolve_HB(params: ModelParams, meas: measurement.MeasurementModel, t: float) -> float:
-    """Brute-force <H_B(t)> at a single time."""
-    return evolve_series(params, meas, [t])[0].hb_bruteforce

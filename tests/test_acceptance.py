@@ -219,7 +219,8 @@ def test_criterion_09_time_evolution():
             closed = amp * (1.0 - math.cos(4.0 * params.k * sample.t))
             assert abs(sample.hb_bruteforce - closed) <= 1e-9
             assert abs(sample.v_expect) <= 1e-9
-        peak = protocol.evolve_HB(params, model, math.pi / (4.0 * params.k))
+        t_peak = math.pi / (4.0 * params.k)
+        peak = protocol.evolve_series(params, model, [t_peak])[0].hb_bruteforce
         assert abs(peak - e_a) <= 1e-9
 
 

@@ -37,6 +37,10 @@ WEAK_P = 0.952626887361273
 WEAK_Q = 1.9144983737149932e-05
 WEAK_PARAMS = ModelParams(h=0.7468337987663782, k=3.2601258359281653)
 WEAK_MAX_OVER_EPS = 1.563095872966533e-11
+# Q on the y axis at max_over_omega's argmax for that outcome (omega near pi),
+# from a 50-digit mpmath evaluation of X (cos 2w - 1) - hkq sin 2w.
+WEAK_OMEGA = 3.1415915320538104
+WEAK_Q_AT_OMEGA = 5.2278912060423020941e-11
 
 
 def unit_axis(rng):
@@ -85,6 +89,11 @@ def test_weak_outcome_keeps_its_digits():
     term = WEAK_P * analytic.f_E(WEAK_PARAMS, (WEAK_Q / WEAK_P) ** 2)
     for got in (value / WEAK_PARAMS.eps, term):
         assert abs(got - WEAK_MAX_OVER_EPS) <= 1e-14 * WEAK_MAX_OVER_EPS
+
+
+def test_q_of_keeps_its_digits_near_pi():
+    got = analytic.Q_of(WEAK_PARAMS, WEAK_P, WEAK_Q, WEAK_OMEGA, Y_AXIS)
+    assert abs(got - WEAK_Q_AT_OMEGA) <= 1e-14 * WEAK_Q_AT_OMEGA
 
 
 @settings(max_examples=60, deadline=None)

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from minqet import cli
+from minqet import cli, measurement
 
 MAX_EB_UNIT = 0.11474763394014725
 GROUND_ENTROPY_UNIT = 0.4164955306996875
@@ -53,15 +53,54 @@ def test_verify_is_hermetic(capsys):
 def test_verify_skips_ensemble_checks(capsys):
     code, out, _ = run_cli(capsys, "verify", "--ensemble", "0")
     assert code == 0
-    assert "SKIP" in out
+    lines = out.splitlines()
+    assert sum(ln.startswith("PASS") for ln in lines) == 5
+    skipped = [ln.split()[1] for ln in lines if ln.startswith("SKIP")]
+    capped = [
+        name for _, budgets, cap in cli.CHECKS if cap is not None for name in budgets
+    ]
+    assert len(skipped) == 17
+    assert skipped == capped
 
 
-def test_verify_fault_hook(capsys):
-    code, out, err = run_cli(capsys, "verify", "--ensemble", "0", "--self-test-fault")
+def test_verify_reports_a_raising_routine_once_per_name(capsys, monkeypatch):
+    def boom(seed, size):
+        raise ZeroDivisionError("injected")
+
+    table = [
+        (boom if routine is cli._ensemble_residuals else routine, budgets, cap)
+        for routine, budgets, cap in cli.CHECKS
+    ]
+    monkeypatch.setattr(cli, "CHECKS", table)
+    code, out, err = run_cli(capsys, "verify", "--ensemble", "3")
     assert code == 1
-    assert "FAIL" in out
+    names = next(b for r, b, _ in table if r is boom)
+    assert len(names) == 13
+    failed = [ln.split()[1] for ln in out.splitlines() if ln.startswith("FAIL")]
+    assert failed == list(names)
+    failures = json.loads(err)["failures"]
+    assert [f["check"] for f in failures] == list(names)
+    assert all(f["error"] == "ZeroDivisionError" for f in failures)
+    # the other nine checks still ran
+    assert sum(ln.startswith("PASS") for ln in out.splitlines()) == 9
+
+
+def test_verify_fault_hook(capsys, monkeypatch):
+    def corrupted_measurement():
+        bad = object.__new__(measurement.KrausCoefficients)
+        for field, value in (("m", 0.9), ("l", 0.6), ("alpha", 0.0), ("delta", 0.0)):
+            object.__setattr__(bad, field, value)
+        broken = object.__new__(measurement.MeasurementModel)
+        object.__setattr__(broken, "coeffs", (bad,))
+        measurement.validate(broken)
+        return 0.0
+
+    budgets = {"corrupted-measurement": 1e-12}
+    monkeypatch.setattr(cli, "CHECKS", ((corrupted_measurement, budgets, None),))
+    code, out, err = run_cli(capsys, "verify", "--ensemble", "0")
+    assert code == 1
+    assert out.startswith("FAIL corrupted-measurement")
     payload = json.loads(err)
-    assert payload["failures"]
     assert payload["failures"][0]["error"] == "ConstraintViolation"
 
 
@@ -252,6 +291,23 @@ def test_optimize_weights_json(capsys):
     assert abs(payload["best_value"] - payload["projective_limit"]) <= 1e-8
     for w in payload["weights"]:
         assert abs(abs(w["q"]) - w["p"]) <= 1e-6
+
+
+# closed forms that overflow or divide by zero, and a brute-force route that
+# loses its phase accuracy at huge t, give no verified number: exit 1
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "report --h 1e8 --k 1 --povm builtin:projective",
+        "report --h 1e150 --k 1e150 --povm builtin:projective",
+        "evolve --h 1 --k 1 --povm builtin:projective --t-max 1e12 --points 4",
+    ],
+)
+def test_numeric_failure_exits_one_without_traceback(capsys, argv):
+    code, _, err = run_cli(capsys, *argv.split())
+    assert code == 1
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
 
 
 def test_unknown_subcommand(capsys):

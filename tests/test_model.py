@@ -10,7 +10,6 @@ from minqet.model import (
     InvalidParams,
     ModelParams,
     build_hamiltonian,
-    energy_observables,
     ground_state,
     spectrum_closed,
 )
@@ -111,7 +110,7 @@ def test_grid_ground_state_and_spectrum():
 def test_energy_observables_accessor():
     params = ModelParams(h=1.0, k=1.0)
     parts = build_hamiltonian(params)
-    obs = energy_observables(parts)
+    obs = parts.observables()
     assert set(obs) == {"H_A", "H_B", "V", "H"}
     g = ground_state(params)
     plus_plus = np.zeros(4)

@@ -181,16 +181,17 @@ def test_evolution_series_closed_form():
         assert abs(s.v_expect) <= 1e-9
     assert abs(samples[0].hb_bruteforce) <= 1e-12
     # peak at t = pi / (4k) equals the input energy; full period returns to 0
-    peak = protocol.evolve_HB(UNIT, model, math.pi / 4.0)
-    assert abs(peak - e_a) <= 1e-9
-    assert abs(protocol.evolve_HB(UNIT, model, math.pi / 2.0)) <= 1e-9
+    peak, period = protocol.evolve_series(UNIT, model, [math.pi / 4.0, math.pi / 2.0])
+    assert abs(peak.hb_bruteforce - e_a) <= 1e-9
+    assert abs(period.hb_bruteforce) <= 1e-9
 
 
 def test_evolution_other_parameters():
     params = ModelParams(h=2.0, k=0.5)
     model = measurement.weak_pair(0.3)
     e_a = measurement.input_energy_closed(model, params)
-    peak = protocol.evolve_HB(params, model, math.pi / (4.0 * params.k))
+    t_peak = math.pi / (4.0 * params.k)
+    peak = protocol.evolve_series(params, model, [t_peak])[0].hb_bruteforce
     assert abs(peak - e_a) <= 1e-9 * max(1.0, e_a)
 
 

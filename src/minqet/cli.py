@@ -151,7 +151,8 @@ def _ensemble_residuals(seed: int, size: int) -> dict[str, float]:
     def note(name: str, *residuals: float) -> None:
         worst[name] = max(worst[name], *residuals)
 
-    two_omega_grid = 2.0 * np.linspace(0.0, math.pi, 256, endpoint=False)
+    omega_grid = np.linspace(0.0, math.pi, 256, endpoint=False)
+    sin_sq_grid, sin_two_grid = np.sin(omega_grid) ** 2, np.sin(2.0 * omega_grid)
     psi_grid = np.linspace(0.0, math.pi, 64, endpoint=False)
     for i in range(size):
         if i % 3 == 0:
@@ -213,21 +214,21 @@ def _ensemble_residuals(seed: int, size: int) -> dict[str, float]:
         closed_max, omega_star = analytic.max_over_omega(params, w.p, w.q, axis)
         x_coef = analytic.X_of(params, w.p, w.q, axis)
         g_coef = params.h * params.k * w.q * axis[1]
-        q_grid = x_coef * (np.cos(two_omega_grid) - 1.0) - g_coef * np.sin(
-            two_omega_grid
-        )
+        q_grid = -2.0 * x_coef * sin_sq_grid - g_coef * sin_two_grid
         scale = max(1.0, abs(x_coef) + abs(g_coef))
         refined = _golden_max(
             lambda om: analytic.Q_of(params, w.p, w.q, om, axis),
             omega_star - 0.1,
             omega_star + 0.1,
         )
+        # relative to the maximum itself, so an error in a small Q shows
+        value_scale = max(closed_max, sys.float_info.min)
         note(
             "omega-maximum",
-            (float(np.max(q_grid)) - closed_max) / scale,
-            abs(refined - closed_max) / scale,
+            (float(np.max(q_grid)) - closed_max) / value_scale,
+            abs(refined - closed_max) / value_scale,
             abs(analytic.Q_of(params, w.p, w.q, omega_star, axis) - closed_max)
-            / scale,
+            / value_scale,
         )
 
         for z in (0.0, 0.37, 1.0):
@@ -255,10 +256,15 @@ def _check_eigensolver(seed: int, size: int) -> float:
         a = raw + raw.conj().T
         vals, vecs = qmath.hermitian_eig(a)
         recon = vecs @ np.diag(vals) @ vecs.conj().T
+        # LAPACK-free oracle on a 2x2 block: tr/2 -+ hypot((a-d)/2, |b|)
+        vals2, _ = qmath.hermitian_eig(a[:2, :2])
+        mid, half = 0.5 * (a[0, 0] + a[1, 1]).real, 0.5 * (a[0, 0] - a[1, 1]).real
+        radius = math.hypot(half, abs(a[0, 1]))
         worst = max(
             worst,
             float(np.max(np.abs(recon - a))),
             float(np.max(np.abs(vecs.conj().T @ vecs - np.eye(4)))),
+            float(np.max(np.abs(vals2 - (mid - radius, mid + radius)))),
         )
         if not np.all(np.diff(vals) >= -1e-12):
             worst = max(worst, 1.0)

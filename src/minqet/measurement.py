@@ -262,20 +262,18 @@ def input_energy_closed(model: MeasurementModel, params) -> float:
 def balance_weights(p: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Shift raw draws u so the balanced weights q = clip(u - s, -1, 1) * p sum to zero.
 
-    The residual R(s) = sum(clip(u - s, -1, 1) * p) is continuous and
-    nonincreasing with R(-2) = 1 and R(2) = -1, so bisection pins the root.
+    R(s) = sum(clip(u - s, -1, 1) * p) is nonincreasing and linear between
+    its 2n sorted knots u -+ 1.  The root is the first knot where R <= 0,
+    interpolated back toward the previous knot where R < 0 there.  R = 0 at
+    the knot takes the knot, also on a piece where R stays zero: only
+    zero-mass outcomes are unclipped there, so every s on it gives the same q.
     """
-    lo, hi = -2.0, 2.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        residual = float(np.sum(np.clip(u - mid, -1.0, 1.0) * p))
-        if residual > 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-16 and abs(residual) < 1e-15:
-            break
-    s = 0.5 * (lo + hi)
+    knots = np.sort(np.concatenate((u - 1.0, u + 1.0)))
+    r = (np.clip(u - knots[:, None], -1.0, 1.0) * p).sum(axis=1)
+    j = int(np.argmax(r <= 0.0))
+    s = knots[j]
+    if j > 0 and r[j] < 0.0:
+        s += r[j] * (knots[j] - knots[j - 1]) / (r[j - 1] - r[j])
     return np.clip(u - s, -1.0, 1.0) * p
 
 
@@ -287,13 +285,11 @@ def random_measurement(seed, n_outcomes: int = 2) -> MeasurementModel:
     """
     if n_outcomes < 2:
         raise ValueError(f"need at least 2 outcomes, got {n_outcomes}")
-    rng = np.random.default_rng(seed) if not isinstance(seed, np.random.Generator) else seed
+    rng = np.random.default_rng(seed)  # a Generator passes through unchanged
     p = rng.dirichlet(np.ones(n_outcomes))
     u = rng.uniform(-1.0, 1.0, size=n_outcomes)
     q = balance_weights(p, u)
-    return weights_to_coeffs(
-        OutcomeWeights(float(pi), float(qi)) for pi, qi in zip(p, q)
-    )
+    return weights_to_coeffs(map(OutcomeWeights, p.tolist(), q.tolist()))
 
 
 def projective_pair() -> MeasurementModel:

@@ -206,9 +206,7 @@ def _project_weights(
         p = p / mass
     u = np.clip(raw_u, -1.0, 1.0)
     q = measurement.balance_weights(p, u)
-    return tuple(
-        measurement.OutcomeWeights(float(pi), float(qi)) for pi, qi in zip(p, q)
-    )
+    return tuple(map(measurement.OutcomeWeights, p.tolist(), q.tolist()))
 
 
 def maximize_over_weights(params: ModelParams, n_outcomes: int = 2) -> WeightsResult:

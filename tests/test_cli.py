@@ -3,11 +3,12 @@
 import csv
 import json
 import math
+import types
 
 import numpy as np
 import pytest
 
-from minqet import cli, measurement
+from minqet import analytic, cli, measurement
 
 MAX_EB_UNIT = 0.11474763394014725
 GROUND_ENTROPY_UNIT = 0.4164955306996875
@@ -83,6 +84,22 @@ def test_verify_reports_a_raising_routine_once_per_name(capsys, monkeypatch):
     assert all(f["error"] == "ZeroDivisionError" for f in failures)
     # the other nine checks still ran
     assert sum(ln.startswith("PASS") for ln in out.splitlines()) == 9
+
+
+def test_omega_maximum_is_judged_relative_to_its_value(capsys, monkeypatch):
+    # every omega maximum seed 0 draws is below 0.1, so an absolute 1e-10
+    # error in Q is over the 1e-9 budget only relative to the value itself.
+    # Only verify's view of analytic is shifted: protocol.run's own
+    # cross-check would otherwise raise first and fail all 13 names.
+    shifted = types.SimpleNamespace(**vars(analytic))
+    shifted.Q_of = lambda *args: analytic.Q_of(*args) + 1e-10
+    monkeypatch.setattr(cli, "analytic", shifted)
+    code, out, err = run_cli(capsys, "verify", "--seed", "0", "--ensemble", "24")
+    assert code == 1
+    failed = [ln.split()[1] for ln in out.splitlines() if ln.startswith("FAIL")]
+    assert failed == ["omega-maximum"]
+    (failure,) = json.loads(err)["failures"]
+    assert failure["residual"] > failure["budget"] == 1e-9
 
 
 def test_verify_fault_hook(capsys, monkeypatch):

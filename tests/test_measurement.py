@@ -2,6 +2,7 @@
 
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -278,3 +279,77 @@ def test_balance_weights_pins_sum():
         q = measurement.balance_weights(p, u)
         assert abs(float(np.sum(q))) <= 1e-12
         assert np.all(np.abs(q) <= p + 1e-15)
+
+
+def _exact_balanced_q(p, u):
+    """q at the exact root of R(s) = sum(clip(u - s, -1, 1) * p), in fractions.
+
+    Between two adjacent knots the unclipped outcomes A are fixed, and
+    R(s) = 0 solves to s = (sum_A p u + sum_{u-s>=1} p - sum_{u-s<=-1} p) / sum_A p.
+    """
+    ps = [Fraction(x) for x in p]
+    us = [Fraction(x) for x in u]
+    knots = sorted({x + d for x in us for d in (-1, 1)})
+    for lo, hi in zip(knots, knots[1:]):
+        mid = (lo + hi) / 2
+        active = [abs(x - mid) < 1 for x in us]
+        slope = sum(y for y, a in zip(ps, active) if a)
+        clipped = sum(
+            y if x > mid else -y for x, y, a in zip(us, ps, active) if not a
+        )
+        if slope == 0:
+            if clipped == 0:
+                s = lo
+                break
+            continue
+        s = (sum(x * y for x, y, a in zip(us, ps, active) if a) + clipped) / slope
+        if lo <= s <= hi:
+            break
+    return np.array([float(max(-1, min(1, x - s)) * y) for x, y in zip(us, ps)])
+
+
+def _assert_exact_root(p, u):
+    p = np.asarray(p, dtype=float)
+    u = np.asarray(u, dtype=float)
+    q = measurement.balance_weights(p, u)
+    assert abs(float(np.sum(q))) <= 1e-15
+    assert np.all(np.abs(q) <= p)
+    eps = np.finfo(float).eps
+    assert float(np.max(np.abs(q - _exact_balanced_q(p, u)))) <= 4 * eps
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(min_value=2, max_value=8).flatmap(
+        lambda n: st.tuples(
+            st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n).filter(
+                lambda raw: sum(raw) > 1e-6
+            ),
+            st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n),
+        )
+    )
+)
+def test_balance_weights_exact_root(raw_and_u):
+    raw, u = raw_and_u
+    p = np.array(raw) / sum(raw)
+    _assert_exact_root(p, u)
+
+
+@pytest.mark.parametrize(
+    "p, u",
+    [
+        # zero-mass outcomes, as the weights search makes by clipping raw p
+        ([0.0, 0.6, 0.0, 0.4], [0.9, 0.2, -0.7, -0.5]),
+        ([0.5, 0.0, 0.5], [0.3, 0.3, -0.8]),
+        # all u equal: the root is that u and every q is zero
+        ([0.2, 0.3, 0.5], [0.4, 0.4, 0.4]),
+        # two outcomes at u = +-1: the projective pair
+        ([0.5, 0.5], [1.0, -1.0]),
+        ([0.3, 0.7], [-1.0, 1.0]),
+        # R is zero on the whole piece [-0.5, 0.5], where the outer outcomes
+        # are clipped to +-1 and only the zero-mass one is unclipped
+        ([0.5, 0.0, 0.5], [1.5, 0.3, -1.5]),
+    ],
+)
+def test_balance_weights_edge_cases(p, u):
+    _assert_exact_root(p, u)

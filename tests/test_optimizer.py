@@ -81,6 +81,16 @@ def test_weights_search_unit_point():
         assert abs(abs(w.q) - w.p) <= 1e-6
 
 
+@pytest.mark.parametrize("h, k", [(1.0, 1.0), (0.8, 2.1)])
+def test_weights_search_six_outcomes_reaches_projective_limit(h, k):
+    # the benchmark's design-search size, judged as the benchmark judges it
+    params = ModelParams(h=h, k=k)
+    res = optimizer.maximize_over_weights(params, n_outcomes=6)
+    limit = analytic.f_E(params, 1.0)
+    assert res.converged
+    assert abs(res.best_value - limit) <= 1e-7 * limit
+
+
 def test_weights_search_no_interaction_limit():
     res = optimizer.maximize_over_weights(ModelParams(h=1.0, k=1e-4), n_outcomes=2)
     assert res.best_value <= 1e-7

@@ -96,6 +96,20 @@ def test_eig_reconstruction_bulk():
     assert worst_vals <= 1e-10
 
 
+def test_eig_2x2_closed_form():
+    # independent of LAPACK: tr/2 -+ hypot((a - d)/2, |b|), on the 2x2 shape
+    # the reduced states of qubit B have
+    rng = np.random.default_rng(7)
+    worst = 0.0
+    for _ in range(1000):
+        m = random_hermitian(rng, dim=2)
+        vals, _ = qmath.hermitian_eig(m)
+        mean = 0.5 * (m[0, 0].real + m[1, 1].real)
+        radius = math.hypot(0.5 * (m[0, 0].real - m[1, 1].real), abs(m[0, 1]))
+        worst = max(worst, float(np.max(np.abs(vals - (mean - radius, mean + radius)))))
+    assert worst <= 1e-12
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(min_value=0, max_value=2**31 - 1))
 def test_eig_orthonormal_columns(seed):

@@ -169,15 +169,14 @@ def _ensemble_residuals(seed: int, size: int) -> dict[str, float]:
 
         parts = build_hamiltonian(params)
         g = ground_state(params)
-        e_a_brute = 0.0
-        rho_post = np.zeros((4, 4), dtype=complex)
-        for mu in range(meas.n_outcomes):
-            phi = measurement.kraus_on_full_space(meas, mu) @ g
-            e_a_brute += float(np.real(phi.conj() @ parts.total @ phi))
-            rho_post += np.outer(phi, phi.conj())
+        kets = meas.kraus @ g
+        rho_post = kets.T @ kets.conj()
         note(
             "input-energy",
-            abs(e_a_brute - measurement.input_energy_closed(meas, params)),
+            abs(
+                qmath.expectation(rho_post, parts.total)
+                - measurement.input_energy_closed(meas, params)
+            ),
         )
         note(
             "post-measurement-passivity",
@@ -221,8 +220,11 @@ def _ensemble_residuals(seed: int, size: int) -> dict[str, float]:
             omega_star - 0.1,
             omega_star + 0.1,
         )
-        # relative to the maximum itself, so an error in a small Q shows
-        value_scale = max(closed_max, sys.float_info.min)
+        # relative to the maximum itself, so an error in a small Q shows,
+        # floored at the rounding level of Q's parts (Q's maximum is 0 at q = 0)
+        value_scale = max(
+            closed_max, sys.float_info.epsilon * (abs(x_coef) + abs(g_coef))
+        )
         note(
             "omega-maximum",
             (float(np.max(q_grid)) - closed_max) / value_scale,

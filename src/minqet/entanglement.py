@@ -103,7 +103,7 @@ def consumption(
         s_post.append(0.0 if rho_b is None else von_neumann_entropy(rho_b))
     avg_post = sum(p * s for p, s in zip(probabilities, s_post))
     delta_s = s_ground - avg_post
-    mutual = _pointer_mutual_info(probabilities, rho_bs)
+    mutual = _pointer_mutual_info(probabilities, rho_bs, s_post)
     return EntanglementReport(
         s_ground=s_ground,
         probabilities=tuple(probabilities),
@@ -113,25 +113,20 @@ def consumption(
     )
 
 
-def _pointer_mutual_info(probabilities, rho_bs) -> float:
-    """I(pointer : B) = S(Phi_A) + S(Phi_B) - S(Phi), using the block structure."""
+def _pointer_mutual_info(probabilities, rho_bs, s_post) -> float:
+    """I(pointer : B) = S(Phi_A) + S(Phi_B) - S(Phi), using the block structure.
+
+    ``s_post`` holds S(rho_B(mu)) per outcome, already computed by the caller.
+    """
     s_pointer = shannon_entropy(probabilities)
     phi_b = np.zeros((2, 2), dtype=complex)
     joint = s_pointer
-    for prob, rho_b in zip(probabilities, rho_bs):
+    for prob, rho_b, s in zip(probabilities, rho_bs, s_post):
         if rho_b is None or prob == 0.0:
             continue
         phi_b += prob * rho_b
-        joint += prob * von_neumann_entropy(rho_b)
+        joint += prob * s
     return s_pointer + von_neumann_entropy(phi_b) - joint
-
-
-def mutual_information(
-    params: model.ModelParams, meas: measurement.MeasurementModel
-) -> float:
-    """Mutual information between the pointer record and qubit B."""
-    pairs = reduced_post_states(params, meas)
-    return _pointer_mutual_info([p for p, _ in pairs], [r for _, r in pairs])
 
 
 def pointer_state_dense(

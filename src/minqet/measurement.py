@@ -25,6 +25,7 @@ makes the post-measurement state carry no interaction energy.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -124,6 +125,17 @@ class MeasurementModel:
     def weights(self) -> tuple[OutcomeWeights, ...]:
         return tuple(OutcomeWeights(c.p, c.q) for c in self.coeffs)
 
+    @functools.cached_property
+    def kraus(self) -> np.ndarray:
+        """The read-only (n, 4, 4) stack of M_A(mu) tensored with identity on B."""
+        m, l, alpha, delta = np.array(
+            [(c.m, c.l, c.alpha, c.delta) for c in self.coeffs]
+        ).T[:, :, None, None]
+        on_a = m * qmath.EYE4 + l * np.exp(1j * alpha) * qmath.X_A
+        stack = np.exp(1j * delta) * on_a
+        stack.setflags(write=False)
+        return stack
+
     @classmethod
     def from_weights(cls, weights) -> "MeasurementModel":
         return cls(tuple(_coeffs_from_weight(w) for w in weights))
@@ -159,21 +171,13 @@ def weights_to_coeffs(weights) -> MeasurementModel:
     return validate(_coeffs_from_weight(OutcomeWeights(w.p, w.q)) for w in weights)
 
 
-def _kraus_matrix(c: KrausCoefficients) -> np.ndarray:
-    m2 = c.m * qmath.identity(2) + c.l * np.exp(1j * c.alpha) * qmath.pauli("x")
-    return np.exp(1j * c.delta) * qmath.tensor(m2, qmath.identity(2))
-
-
 def kraus_on_full_space(model: MeasurementModel, mu: int) -> np.ndarray:
     """The 4x4 operator M_A(mu) acting on qubit A tensored with identity on B.
 
-    Raises ``IndexError`` if ``mu`` is out of range.
+    A read-only view into ``model.kraus``.  Raises ``IndexError`` if ``mu``
+    is out of range.
     """
-    if not -len(model.coeffs) <= mu < len(model.coeffs):
-        raise IndexError(
-            f"outcome index {mu} out of range for {len(model.coeffs)} outcomes"
-        )
-    return _kraus_matrix(model.coeffs[mu])
+    return model.kraus[mu]
 
 
 def constraint_residuals(model: MeasurementModel) -> dict[str, float]:
@@ -187,21 +191,13 @@ def constraint_residuals(model: MeasurementModel) -> dict[str, float]:
     balance_residual = abs(
         sum(c.m * c.l * math.cos(c.alpha) for c in model.coeffs)
     )
-    total = np.zeros((4, 4), dtype=complex)
-    xx = qmath.tensor(qmath.pauli("x"), qmath.pauli("x"))
-    commutant_residual = 0.0
-    for c in model.coeffs:
-        m4 = _kraus_matrix(c)
-        total += qmath.dagger(m4) @ m4
-        commutant_residual = max(
-            commutant_residual, float(np.max(np.abs(m4 @ xx - xx @ m4)))
-        )
-    completeness_residual = float(np.max(np.abs(total - qmath.identity(4))))
+    ops = model.kraus
+    total = (ops.conj().transpose(0, 2, 1) @ ops).sum(axis=0)
     return {
         "normalization": norm_residual,
         "balance": balance_residual,
-        "completeness": completeness_residual,
-        "commutant": commutant_residual,
+        "completeness": float(np.max(np.abs(total - qmath.EYE4))),
+        "commutant": float(np.max(np.abs(ops @ qmath.XX - qmath.XX @ ops))),
     }
 
 
@@ -241,8 +237,7 @@ def measure(model: MeasurementModel, state: np.ndarray) -> list[MeasurementOutco
     if abs(qmath.norm(state) - 1.0) > 1e-10:
         raise NotNormalized(f"state norm is {qmath.norm(state)!r}, expected 1")
     outcomes = []
-    for c in model.coeffs:
-        phi = _kraus_matrix(c) @ state
+    for phi in model.kraus @ state:
         prob = float(np.real(phi.conj() @ phi))
         if prob < DEGENERATE_PROB:
             outcomes.append(MeasurementOutcome(probability=0.0, state=None))

@@ -75,13 +75,9 @@ class HamiltonianParts:
 def build_hamiltonian(params: ModelParams) -> HamiltonianParts:
     """Assemble H_A, H_B, V and their sum for the given parameters."""
     h, k, eps = params.h, params.k, params.eps
-    sz = qmath.pauli("z")
-    sx = qmath.pauli("x")
-    one = qmath.identity(2)
-    eye4 = qmath.identity(4)
-    h_a = h * qmath.tensor(sz, one) + (h * h / eps) * eye4
-    h_b = h * qmath.tensor(one, sz) + (h * h / eps) * eye4
-    v = 2.0 * k * qmath.tensor(sx, sx) + (2.0 * k * k / eps) * eye4
+    h_a = h * qmath.Z_A + (h * h / eps) * qmath.EYE4
+    h_b = h * qmath.Z_B + (h * h / eps) * qmath.EYE4
+    v = 2.0 * k * qmath.XX + (2.0 * k * k / eps) * qmath.EYE4
     return HamiltonianParts(h_a=h_a, h_b=h_b, v=v, total=h_a + h_b + v)
 
 

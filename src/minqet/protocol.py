@@ -135,26 +135,23 @@ def run(
         )
     parts = build_hamiltonian(params)
     g = ground_state(params)
-    outcomes = measurement.measure(meas, g)
 
     e_a = 0.0
     rho = np.zeros((4, 4), dtype=complex)
     per_outcome = []
-    for mu, (oc, unitary) in enumerate(zip(outcomes, policy.unitaries)):
-        psi = measurement.kraus_on_full_space(meas, mu) @ g  # unnormalized
+    for psi, unitary in zip(meas.kraus @ g, policy.unitaries):  # unnormalized kets
         e_a += float(np.real(psi.conj() @ parts.total @ psi))
-        if oc.state is None:
+        prob = float(np.real(psi.conj() @ psi))
+        if prob < measurement.DEGENERATE_PROB:
             per_outcome.append(OutcomeEnergies(0.0, 0.0, 0.0, 0.0, 0.0))
             continue
-        chi = unitary.matrix4() @ oc.state  # normalized post-feedback ket
-        rho += oc.probability * qmath.projector(chi)
+        chi = unitary.matrix4() @ (psi / math.sqrt(prob))  # normalized, after feedback
+        rho += prob * qmath.projector(chi)
         h_a = qmath.expectation(chi, parts.h_a)
         h_b = qmath.expectation(chi, parts.h_b)
         v = qmath.expectation(chi, parts.v)
         per_outcome.append(
-            OutcomeEnergies(
-                probability=oc.probability, h_a=h_a, h_b=h_b, v=v, total=h_a + h_b + v
-            )
+            OutcomeEnergies(probability=prob, h_a=h_a, h_b=h_b, v=v, total=h_a + h_b + v)
         )
 
     scale = max(1.0, abs(e_a), float(np.max(np.abs(parts.total))))
@@ -238,15 +235,10 @@ def passive_unitary_energy(
     parts = build_hamiltonian(params)
     g = ground_state(params)
 
-    e_a = 0.0
-    omega_state = np.zeros((4, 4), dtype=complex)
-    for mu in range(meas.n_outcomes):
-        psi = measurement.kraus_on_full_space(meas, mu) @ g
-        e_a += float(np.real(psi.conj() @ parts.total @ psi))
-        chi = w4 @ psi
-        omega_state += qmath.projector(chi)
-
-    cost = qmath.expectation(omega_state, parts.total) - e_a
+    kets = meas.kraus @ g
+    chis = kets @ w4.T
+    e_a = qmath.expectation(kets.T @ kets.conj(), parts.total)
+    cost = qmath.expectation(chis.T @ chis.conj(), parts.total) - e_a
     wg = w4 @ g
     direct = float(np.real(wg.conj() @ (parts.h_b + parts.v) @ wg))
     direct_total = float(np.real(wg.conj() @ parts.total @ wg))
@@ -283,10 +275,7 @@ def evolve_series(
     parts = build_hamiltonian(params)
     g = ground_state(params)
     vals, vecs = qmath.hermitian_eig(parts.total)
-    kets = []
-    for mu in range(meas.n_outcomes):
-        psi = measurement.kraus_on_full_space(meas, mu) @ g
-        kets.append(vecs.conj().T @ psi)  # in the energy eigenbasis
+    kets = (meas.kraus @ g) @ vecs.conj()  # in the energy eigenbasis
 
     amp = (
         params.h**2 / params.eps * sum(c.l * c.l for c in meas.coeffs)

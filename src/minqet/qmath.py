@@ -45,13 +45,24 @@ def identity(dim: int = 2) -> np.ndarray:
     return np.eye(dim, dtype=complex)
 
 
-def dagger(m: np.ndarray) -> np.ndarray:
-    return np.asarray(m).conj().T
-
-
 def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product with the A-major index convention."""
     return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
+
+
+def _two_qubit(a: str, b: str) -> np.ndarray:
+    m = tensor(_PAULI[a], _PAULI[b])
+    m.setflags(write=False)
+    return m
+
+
+# Read-only two-qubit operators, built once: I, sigma^x (x) I, sigma^z (x) I,
+# I (x) sigma^z and sigma^x (x) sigma^x.
+EYE4 = _two_qubit("i", "i")
+X_A = _two_qubit("x", "i")
+Z_A = _two_qubit("z", "i")
+Z_B = _two_qubit("i", "z")
+XX = _two_qubit("x", "x")
 
 
 def hermiticity_defect(m: np.ndarray) -> float:
@@ -80,13 +91,6 @@ def hermitian_eig(m: np.ndarray, tol: float = HERMITIAN_TOL) -> tuple[np.ndarray
     and symmetrized first.
     """
     return np.linalg.eigh(require_hermitian(m, tol))
-
-
-def matrix_exp_i(m: np.ndarray, t: float) -> np.ndarray:
-    """Unitary propagator exp(-i t m) for Hermitian ``m`` via eigendecomposition."""
-    vals, vecs = hermitian_eig(m)
-    phases = np.exp(-1j * t * vals)
-    return (vecs * phases) @ vecs.conj().T
 
 
 def projector(psi: np.ndarray) -> np.ndarray:

@@ -102,6 +102,21 @@ def test_omega_maximum_is_judged_relative_to_its_value(capsys, monkeypatch):
     assert failure["residual"] > failure["budget"] == 1e-9
 
 
+def test_omega_maximum_at_zero_q_is_not_a_false_fail(capsys, monkeypatch):
+    # with q = 0 every omega maximum is exactly 0; judged relative to the
+    # rounding level of Q's parts, the check still passes on correct code
+    def unbiased(seed, n_outcomes=2):
+        weights = [measurement.OutcomeWeights(1.0 / n_outcomes, 0.0)] * n_outcomes
+        return measurement.weights_to_coeffs(weights)
+
+    monkeypatch.setattr(measurement, "random_measurement", unbiased)
+    code, out, err = run_cli(capsys, "verify", "--seed", "0", "--ensemble", "24")
+    (line,) = [ln for ln in out.splitlines() if ln.split()[1:2] == ["omega-maximum"]]
+    assert line.startswith("PASS"), line
+    assert float(line.split()[3]) <= 1e-15
+    assert code == 0, err
+
+
 def test_verify_fault_hook(capsys, monkeypatch):
     def corrupted_measurement():
         bad = object.__new__(measurement.KrausCoefficients)

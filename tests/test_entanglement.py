@@ -95,11 +95,12 @@ def test_reduced_eigenvalues_match_closed_form(small_ensemble):
 
 
 def test_mutual_information_identity():
-    assert abs(entanglement.mutual_information(UNIT, measurement.identity_measurement())) <= 1e-12
+    report = entanglement.consumption(UNIT, measurement.identity_measurement())
+    assert abs(report.mutual_info) <= 1e-12
 
 
 def test_mutual_information_projective():
-    mi = entanglement.mutual_information(UNIT, measurement.projective_pair())
+    mi = entanglement.consumption(UNIT, measurement.projective_pair()).mutual_info
     assert abs(mi - GROUND_ENTROPY_UNIT) <= 1e-12
 
 

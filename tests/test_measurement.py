@@ -127,6 +127,40 @@ def test_kraus_commutes_with_interaction(small_ensemble):
             assert float(np.max(np.abs(comm))) <= 1e-12 * max(1.0, params.eps)
 
 
+def test_kraus_stack_matches_kron_oracle():
+    sx, one = np.array([[0.0, 1.0], [1.0, 0.0]]), np.eye(2)
+    models = [
+        measurement.validate(
+            [
+                KrausCoefficients(m=0.5, l=0.5, alpha=0.3, delta=1.1),
+                KrausCoefficients(m=0.5, l=-0.5, alpha=-0.3, delta=-2.4),
+            ]
+        ),
+        measurement.validate(
+            [
+                KrausCoefficients(m=0.6, l=0.0, alpha=0.0, delta=0.7),
+                KrausCoefficients(m=0.4, l=0.4, alpha=1.2, delta=0.2),
+                KrausCoefficients(m=0.4, l=-0.4, alpha=1.2, delta=-1.0),
+            ]
+        ),
+        measurement.random_measurement(seed=11, n_outcomes=5),
+    ]
+    for model in models:
+        assert model.kraus.shape == (model.n_outcomes, 4, 4)
+        for op, c in zip(model.kraus, model.coeffs):
+            m2 = c.m * one + c.l * np.exp(1j * c.alpha) * sx
+            oracle = np.exp(1j * c.delta) * np.kron(m2, one)
+            assert float(np.max(np.abs(op - oracle))) <= 1e-15
+
+
+def test_kraus_stack_is_read_only():
+    model = measurement.projective_pair()
+    assert model.kraus.flags.writeable is False
+    with pytest.raises(ValueError):
+        model.kraus[0, 0, 0] = 0.0
+    assert model.kraus[0, 0, 0] == 0.5
+
+
 def test_kraus_index_out_of_range():
     with pytest.raises(IndexError):
         measurement.kraus_on_full_space(measurement.projective_pair(), 2)

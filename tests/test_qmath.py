@@ -119,39 +119,6 @@ def test_eig_orthonormal_columns(seed):
     assert float(np.max(np.abs(gram - np.eye(4)))) <= 1e-10
 
 
-def test_exp_at_zero_time():
-    m = random_hermitian(RNG)
-    assert np.allclose(qmath.matrix_exp_i(m, 0.0), np.eye(4), atol=1e-14)
-
-
-def test_exp_of_zero_matrix():
-    assert np.allclose(qmath.matrix_exp_i(np.zeros((4, 4)), 1.7), np.eye(4), atol=1e-14)
-
-
-def test_exp_ground_state_stationary():
-    params = ModelParams(h=1.0, k=1.0)
-    g = ground_state(params)
-    u = qmath.matrix_exp_i(build_hamiltonian(params).total, 0.83)
-    # H|g> = 0, so the phase is exactly 1: the vector itself is unchanged.
-    assert float(np.max(np.abs(u @ g - g))) <= 1e-10
-
-
-def test_exp_is_unitary():
-    for _ in range(20):
-        m = random_hermitian(RNG)
-        u = qmath.matrix_exp_i(m, RNG.uniform(-10, 10))
-        assert float(np.max(np.abs(u @ u.conj().T - np.eye(4)))) <= 1e-10
-
-
-def test_exp_group_property():
-    for _ in range(20):
-        m = random_hermitian(RNG)
-        t1, t2 = RNG.uniform(-10, 10, size=2)
-        lhs = qmath.matrix_exp_i(m, t1) @ qmath.matrix_exp_i(m, t2)
-        rhs = qmath.matrix_exp_i(m, t1 + t2)
-        assert float(np.max(np.abs(lhs - rhs))) <= 1e-9
-
-
 def test_partial_trace_product_state():
     plus_plus = np.zeros(4)
     plus_plus[0] = 1.0

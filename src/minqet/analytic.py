@@ -1,9 +1,9 @@
 """Closed forms for teleported energy, its maximization, and the two bounds.
 
-Everything here is scalar arithmetic derived by hand from the model; no
-operator algebra happens in this module.  The brute-force counterparts live
-in ``protocol`` and ``entanglement``, and the test suite's job is to make
-the two routes agree.
+Everything here is arithmetic derived by hand from the model, on floats or,
+where a docstring says so, on NumPy arrays; no operator algebra happens in
+this module.  The brute-force counterparts live in ``protocol`` and
+``entanglement``, and the test suite's job is to make the two routes agree.
 
 Per outcome with weights (p, q), a feedback rotation of qubit B about the
 unit axis n by angle omega changes the B-side energy by -Q/eps, where
@@ -27,6 +27,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .model import ModelParams
 
 LN2 = math.log(2.0)
@@ -44,15 +46,23 @@ class BoundCoefficients:
     c770: float
 
 
-def _check_fraction(x: float) -> float:
-    """Clamp x to [0, 1], allowing 1e-12 of numerical slop outside."""
+def _check_fraction(x):
+    """Clamp x (a float or an array) to [0, 1], allowing 1e-12 of slop outside."""
+    if isinstance(x, np.ndarray):
+        bad = ~((x >= -1e-12) & (x <= 1.0 + 1e-12))  # NaN is bad too
+        if bad.any():
+            raise DomainError(f"expected values in [0, 1], got {float(x[bad][0])!r}")
+        return np.clip(x, 0.0, 1.0)
     if not math.isfinite(x) or x < -1e-12 or x > 1.0 + 1e-12:
         raise DomainError(f"expected a value in [0, 1], got {x!r}")
     return min(max(x, 0.0), 1.0)
 
 
 def X_of(params: ModelParams, p: float, q: float, n: tuple[float, float, float]) -> float:
-    """The omega-independent coefficient X for one outcome and one axis."""
+    """The omega-independent coefficient X for one outcome and one axis.
+
+    Like ``max_over_omega``, it also takes arrays that broadcast together.
+    """
     h, k = params.h, params.k
     nx, _, nz = n
     return p * (h * h * (1.0 - nz * nz) + 2.0 * k * k * (1.0 - nx * nx)) - (
@@ -89,16 +99,22 @@ def max_over_omega(
     sqrt(X^2 + G^2) - X at 2w = atan2(-G, X).  The angle is reported in
     [0, pi) since Q is pi-periodic.  This is the package's one formula for
     the omega-maximum; the policy optimizer searches the axis over it.
+
+    Array-valued: ``params.h``, ``params.k``, p, q and the three axis
+    components may be NumPy arrays that broadcast together (``params``
+    then only needs ``h`` and ``k`` attributes), and both results take
+    their shape.  Float inputs give floats.
     """
     x = X_of(params, p, q, n)
     g = params.h * params.k * q * n[1]
-    radius = math.hypot(x, g)
-    if radius == 0.0:
-        return 0.0, 0.0
-    omega = 0.5 * math.atan2(-g, x)
+    radius = np.hypot(x, g)
+    omega = np.where(radius == 0.0, 0.0, 0.5 * np.arctan2(-g, x) % math.pi)
     # For X > 0 the difference sqrt(X^2 + G^2) - X cancels when |G| << X.
-    value = g * g / (radius + x) if x > 0.0 else radius - x
-    return value, omega % math.pi
+    positive = x > 0.0
+    value = np.where(positive, g * g / np.where(positive, radius + x, 1.0), radius - x)
+    if value.ndim == 0:
+        return float(value), float(omega)
+    return value, omega
 
 
 def abc_constants(params: ModelParams, p: float, q: float) -> tuple[float, float, float]:
@@ -123,15 +139,18 @@ def min_X_over_psi(params: ModelParams, p: float, q: float, z: float) -> float:
     return a - b * z
 
 
-def T_profile(params: ModelParams, p: float, q: float, z: float) -> float:
-    """Envelope of max-over-omega Q along the X-minimizing axis family."""
+def T_profile(params: ModelParams, p: float, q: float, z):
+    """Envelope of max-over-omega Q along the X-minimizing axis family.
+
+    z may be a float or an array of values in [0, 1].
+    """
     z = _check_fraction(z)
     a, b, c = abc_constants(params, p, q)
     base = a - b * z
-    return math.hypot(base, math.sqrt(max(c * (1.0 - z), 0.0))) - base
+    return np.hypot(base, np.sqrt(np.maximum(c * (1.0 - z), 0.0))) - base
 
 
-def t_witness(params: ModelParams, p: float, q: float, z: float) -> float:
+def t_witness(params: ModelParams, p: float, q: float, z):
     """Sign witness of T'(z): t(z) = 2 b T(z) - c, nonpositive on [0, 1]."""
     _, b, c = abc_constants(params, p, q)
     return 2.0 * b * T_profile(params, p, q, z) - c
@@ -145,13 +164,11 @@ def t_sign_check(params: ModelParams, p: float, q: float, n_grid: int = 129) -> 
     a, _, c = abc_constants(params, p, q)
     scale = max(1.0, a, math.sqrt(c))
     t0 = T_profile(params, p, q, 0.0)
-    for i in range(n_grid):
-        z = i / (n_grid - 1)
-        if t_witness(params, p, q, z) > 1e-12 * scale * scale:
-            return False
-        if T_profile(params, p, q, z) > t0 + 1e-12 * scale:
-            return False
-    return True
+    z = np.arange(n_grid) / (n_grid - 1)
+    return not (
+        np.any(t_witness(params, p, q, z) > 1e-12 * scale * scale)
+        or np.any(T_profile(params, p, q, z) > t0 + 1e-12 * scale)
+    )
 
 
 def optimal_rotation(

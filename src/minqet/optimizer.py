@@ -2,13 +2,18 @@
 
 Two searches, both deterministic (no RNG):
 
-* ``maximize_over_policy`` finds the best feedback rotation per outcome.
-  It takes the maximum of Q over the rotation angle at a fixed axis from
-  ``analytic.max_over_omega`` (verify's ``omega-maximum`` check tests that
-  step on its own) and checks the rest of the closed-form chain: the
-  maximum over the rotation axis and the kernel f_E that follows from it.
-  It scans a Fibonacci axis lattice and polishes the best lattice point
-  with a simplex in spherical angles, never starting at the y axis.
+* ``maximize_over_policies`` finds the best feedback rotation per outcome
+  for a whole sequence of (params, measurement) cases at once;
+  ``maximize_over_policy`` is its one-case call.  It takes the maximum of Q
+  over the rotation angle at a fixed axis from ``analytic.max_over_omega``
+  (verify's ``omega-maximum`` check tests that step on its own) and checks
+  the rest of the closed-form chain: the maximum over the rotation axis and
+  the kernel f_E that follows from it.  Every outcome of every case is one
+  row of a single lockstep search: a Fibonacci axis lattice scan, then a
+  simplex in spherical angles polishing each row's best lattice point,
+  never starting at the y axis.  Both steps run over fixed blocks of rows,
+  so their temporary arrays keep one size however many rows there are.
+  ``minqet sweep`` runs it once per grid.
 
 * ``maximize_over_weights`` searches the measurement design space itself:
   outcome weights (p, q) on the simplex with sum(q) = 0 and |q| <= p,
@@ -24,6 +29,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -34,8 +40,11 @@ from .protocol import FeedbackPolicy, LocalUnitary
 GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
 SPHERE_POINTS = 256
 REFINE_ITERS = 200
+# rows per block, which bounds the search's arrays whatever the number of rows
+SCAN_BLOCK = 32  # (rows, 256) lattice values
+POLISH_BLOCK = 1024  # (rows, 6) simplex candidates
 TOL = 1e-10
-TIE_RTOL = 1e-8  # see maximize_over_policy
+TIE_RTOL = 1e-8  # see maximize_over_policies
 Y_AXIS = (0.0, 1.0, 0.0)
 
 
@@ -73,125 +82,172 @@ def fibonacci_sphere(n: int) -> np.ndarray:
     return np.column_stack([r * np.cos(phi), r * np.sin(phi), z])
 
 
-def _axis_from_angles(theta: float, phi: float) -> tuple[float, float, float]:
-    sin_t = math.sin(theta)
-    return (sin_t * math.cos(phi), sin_t * math.sin(phi), math.cos(theta))
+def _axis_from_angles(theta, phi):
+    sin_t = np.sin(theta)
+    return (sin_t * np.cos(phi), sin_t * np.sin(phi), np.cos(theta))
 
 
-def _nelder_mead(score, start, steps) -> tuple[float, tuple[float, ...], int, bool]:
-    """Simplex maximization of a smooth function of len(start) variables.
+def _omega_max(table: np.ndarray, axis) -> tuple[np.ndarray, np.ndarray]:
+    """``analytic.max_over_omega`` for rows (h, k, p, q) of table, broadcast on axis."""
+    h, k, p, q = (table[:, i, None] for i in range(4))
+    return analytic.max_over_omega(SimpleNamespace(h=h, k=k), p, q, axis)
 
-    Standard reflect/expand/contract/shrink moves; converged when the
-    simplex diameter drops below TOL.
+
+def _scan_lattice(table: np.ndarray) -> np.ndarray:
+    """Index of each row's best Fibonacci lattice axis, SCAN_BLOCK rows at a time."""
+    lattice = tuple(fibonacci_sphere(SPHERE_POINTS).T)
+    best = np.empty(len(table), dtype=int)
+    for first in range(0, len(table), SCAN_BLOCK):
+        block = slice(first, first + SCAN_BLOCK)
+        best[block] = np.argmax(_omega_max(table[block], lattice)[0], axis=1)
+    return best
+
+
+def _nelder_mead(
+    table: np.ndarray, start: np.ndarray, step: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Lockstep simplex maximization in (theta, phi), one simplex per row.
+
+    Every row takes the standard reflect/expand/contract/shrink moves on its
+    own (3, 2) simplex and stops when its diameter drops below TOL.  All six
+    candidate points of an iteration are scored in one call and each row
+    picks its move with np.where; stopped rows are masked, not removed.
+    Returns each row's best angles, its evaluation count and its flag.
     """
-    dim = len(start)
-    base = np.asarray(start, dtype=float)
-    points = [base] + [base + steps[i] * np.eye(dim)[i] for i in range(dim)]
-    values = [score(tuple(pt)) for pt in points]
-    evaluations = dim + 1
-    converged = False
+
+    def score(angles: np.ndarray) -> np.ndarray:
+        return _omega_max(table, _axis_from_angles(angles[..., 0], angles[..., 1]))[0]
+
+    points = start[:, None, :] + np.array([[0.0, 0.0], [step, 0.0], [0.0, step]])
+    values = score(points)
+    evaluations = np.full(len(start), 3)
+    active = np.ones(len(start), dtype=bool)
+    row = np.arange(len(start))[:, None]
     for _ in range(REFINE_ITERS):
-        order = sorted(range(dim + 1), key=lambda i: -values[i])
-        points = [points[i] for i in order]
-        values = [values[i] for i in order]
-        diameter = max(
-            float(np.max(np.abs(points[i] - points[0]))) for i in range(1, dim + 1)
-        )
-        spread = values[0] - values[dim]
+        order = np.argsort(-values, axis=1, kind="stable")
+        points, values = points[row, order], values[row, order]
+        diameter = np.abs(points[:, 1:] - points[:, :1]).max(axis=(1, 2))
+        spread = values[:, 0] - values[:, 2]
         # Flat directions (an outcome with q near 0 is axis-independent) keep
         # the diameter from ever shrinking, so converging in value counts too.
-        if diameter < TOL or spread <= 1e-9 * max(abs(values[0]), 1e-12):
-            converged = True
+        flat = spread <= 1e-9 * np.maximum(np.abs(values[:, 0]), 1e-12)
+        active &= ~((diameter < TOL) | flat)
+        if not active.any():
             break
-        centroid = np.mean(points[:dim], axis=0)
-        worst = points[dim]
+        best, worst = points[:, 0], points[:, 2]
+        centroid = (best + points[:, 1]) / 2.0
         reflected = centroid + (centroid - worst)
-        f_reflected = score(tuple(reflected))
-        evaluations += 1
-        if f_reflected > values[0]:
-            expanded = centroid + 2.0 * (centroid - worst)
-            f_expanded = score(tuple(expanded))
-            evaluations += 1
-            if f_expanded > f_reflected:
-                points[dim], values[dim] = expanded, f_expanded
-            else:
-                points[dim], values[dim] = reflected, f_reflected
-        elif f_reflected > values[dim - 1]:
-            points[dim], values[dim] = reflected, f_reflected
-        else:
-            if f_reflected > values[dim]:
-                contracted = centroid + 0.5 * (reflected - centroid)
-            else:
-                contracted = centroid - 0.5 * (centroid - worst)
-            f_contracted = score(tuple(contracted))
-            evaluations += 1
-            if f_contracted > min(f_reflected, values[dim]):
-                points[dim], values[dim] = contracted, f_contracted
-            else:
-                for i in range(1, dim + 1):
-                    points[i] = points[0] + 0.5 * (points[i] - points[0])
-                    values[i] = score(tuple(points[i]))
-                evaluations += dim
-    top = int(np.argmax(values))
-    return values[top], tuple(points[top]), evaluations, converged
+        candidates = np.stack(
+            [
+                reflected,
+                centroid + 2.0 * (centroid - worst),
+                centroid + 0.5 * (reflected - centroid),
+                centroid - 0.5 * (centroid - worst),
+                best + 0.5 * (points[:, 1] - best),
+                best + 0.5 * (worst - best),
+            ],
+            axis=1,
+        )
+        # vertices 0-2, then 3-8: reflected, expanded, outside and inside
+        # contraction, and the two shrunk vertices
+        values = np.concatenate([values, score(candidates)], axis=1)
+        points = np.concatenate([points, candidates], axis=1)
+        f_reflected = values[:, 3]
+        expand = f_reflected > values[:, 0]
+        keep_reflected = ~expand & (f_reflected > values[:, 1])
+        contract = ~expand & ~keep_reflected
+        move = np.where(
+            expand,
+            np.where(values[:, 4] > f_reflected, 4, 3),
+            np.where(keep_reflected, 3, np.where(f_reflected > values[:, 2], 5, 6)),
+        )
+        shrink = (
+            active
+            & contract
+            & ~(values[row[:, 0], move] > np.minimum(f_reflected, values[:, 2]))
+        )
+        evaluations += active * (1 + expand + contract + 2 * shrink)
+        # stopped rows keep vertices 0-2, a shrink takes 0, 7, 8
+        select = np.where(shrink[:, None], (0, 7, 8), (0, 1, 2))
+        select[:, 2] = np.where(active & ~shrink, move, select[:, 2])
+        points, values = points[row, select], values[row, select]
+    top = np.argmax(values, axis=1)
+    return points[row[:, 0], top], evaluations, ~active
 
 
-def _best_axis(
-    params: ModelParams, p: float, q: float
-) -> tuple[tuple[float, float, float], int, bool]:
-    """The rotation axis maximizing the omega-maximum of Q.
+def maximize_over_policies(cases) -> tuple[OptimizationResult, ...]:
+    """Numerically maximize E_B over per-outcome feedback rotations, per case.
 
-    Scans the Fibonacci lattice, then polishes the best lattice point with a
-    simplex in (theta, phi); returns (axis, evaluations, converged).
+    ``cases`` is a sequence of (params, meas) pairs.  Every outcome with
+    p > 1e-14 of every case becomes one row of a single lockstep search:
+    a lattice scan, a simplex polish, then the y-axis tie rule.  At |q| = p
+    the maximizing axis is a whole degenerate family, so the y-axis rotation
+    is reported instead of the search's own axis whenever the two values
+    agree to TIE_RTOL relative; the y axis is never a start point, and a
+    search that falls short of it by more keeps its own answer.
     """
-
-    def score(angles: tuple[float, float]) -> float:
-        return analytic.max_over_omega(params, p, q, _axis_from_angles(*angles))[0]
-
-    lattice = fibonacci_sphere(SPHERE_POINTS).tolist()
-    values = [analytic.max_over_omega(params, p, q, n)[0] for n in lattice]
-    nx, ny, nz = lattice[int(np.argmax(values))]
-    start = (math.acos(nz), math.atan2(ny, nx))
-    step = math.pi / math.sqrt(SPHERE_POINTS)
-    _, angles, evaluations, converged = _nelder_mead(score, start, (step, step))
-    return _axis_from_angles(*angles), SPHERE_POINTS + evaluations, converged
+    cases = list(cases)
+    table = np.fromiter(
+        (
+            x
+            for params, meas in cases
+            for w in meas.weights
+            if w.p > 1e-14
+            for x in (params.h, params.k, w.p, w.q)
+        ),
+        dtype=float,
+    ).reshape(-1, 4)
+    nx, ny, nz = fibonacci_sphere(SPHERE_POINTS)[_scan_lattice(table)].T
+    start = np.column_stack([np.arccos(nz), np.arctan2(ny, nx)])
+    angles = np.empty_like(start)
+    evaluations = np.empty(len(table), dtype=int)
+    converged = np.empty(len(table), dtype=bool)
+    for first in range(0, len(table), POLISH_BLOCK):
+        block = slice(first, first + POLISH_BLOCK)
+        angles[block], evaluations[block], converged[block] = _nelder_mead(
+            table[block], start[block], math.pi / math.sqrt(SPHERE_POINTS)
+        )
+    axes = np.column_stack(_axis_from_angles(angles[:, 0], angles[:, 1]))
+    value, omega = (v[:, 0] for v in _omega_max(table, tuple(axes.T[..., None])))
+    y_value, y_omega = (v[:, 0] for v in _omega_max(table, Y_AXIS))
+    scale = np.maximum(np.abs(value), np.abs(y_value))
+    tie = np.abs(value - y_value) <= TIE_RTOL * scale
+    value = np.where(tie, y_value, value)
+    omega = np.where(tie, y_omega, omega)
+    axes[tie] = Y_AXIS
+    evaluations += SPHERE_POINTS + 2
+    results = []
+    i = 0
+    for params, meas in cases:
+        unitaries = []
+        total = 0.0
+        span = 0
+        for w in meas.weights:
+            if w.p <= 1e-14:
+                unitaries.append(LocalUnitary.identity())
+                continue
+            total += float(value[i + span]) / params.eps
+            unitaries.append(LocalUnitary.normalized(omega[i + span], axes[i + span]))
+            span += 1
+        results.append(
+            OptimizationResult(
+                best_policy=FeedbackPolicy(tuple(unitaries)),
+                best_value=total,
+                evaluations=int(evaluations[i : i + span].sum()),
+                converged=bool(converged[i : i + span].all()),
+            )
+        )
+        i += span
+    if not converged.all():
+        warnings.warn("policy search exhausted its refinement budget", NoConvergence)
+    return tuple(results)
 
 
 def maximize_over_policy(
     params: ModelParams, meas: measurement.MeasurementModel
 ) -> OptimizationResult:
-    """Numerically maximize E_B over per-outcome feedback rotations.
-
-    At |q| = p the maximizing axis is a whole degenerate family, so the
-    y-axis rotation is reported instead of the search's own axis whenever
-    the two values agree to TIE_RTOL relative; the y axis is never a start
-    point, and a search that falls short of it by more keeps its own answer.
-    """
-    unitaries = []
-    total = 0.0
-    evaluations = 0
-    all_converged = True
-    for w in meas.weights:
-        if w.p <= 1e-14:
-            unitaries.append(LocalUnitary.identity())
-            continue
-        axis, n_evals, converged = _best_axis(params, w.p, w.q)
-        value, omega = analytic.max_over_omega(params, w.p, w.q, axis)
-        y_value, y_omega = analytic.max_over_omega(params, w.p, w.q, Y_AXIS)
-        evaluations += n_evals + 2
-        if abs(value - y_value) <= TIE_RTOL * max(abs(value), abs(y_value)):
-            value, omega, axis = y_value, y_omega, Y_AXIS
-        all_converged = all_converged and converged
-        total += value / params.eps
-        unitaries.append(LocalUnitary.normalized(omega, axis))
-    if not all_converged:
-        warnings.warn("policy search exhausted its refinement budget", NoConvergence)
-    return OptimizationResult(
-        best_policy=FeedbackPolicy(tuple(unitaries)),
-        best_value=total,
-        evaluations=evaluations,
-        converged=all_converged,
-    )
+    """``maximize_over_policies`` for one case."""
+    return maximize_over_policies([(params, meas)])[0]
 
 
 def _project_weights(

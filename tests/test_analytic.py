@@ -158,6 +158,22 @@ def test_min_x_domain_error():
         analytic.T_profile(UNIT, 0.5, 0.0, -0.1)
 
 
+def test_envelope_takes_an_array_of_z():
+    z = np.linspace(0.0, 1.0, 33)
+    for fn in (analytic.T_profile, analytic.t_witness):
+        values = fn(UNIT, 0.5, 0.3, z)
+        assert values.tolist() == [fn(UNIT, 0.5, 0.3, float(v)) for v in z]
+    # the scalar slack of 1e-12 outside [0, 1] holds element by element
+    ends = analytic.T_profile(UNIT, 0.5, 0.3, np.array([-5e-13, 1.0 + 5e-13]))
+    assert ends.tolist() == [
+        analytic.T_profile(UNIT, 0.5, 0.3, 0.0),
+        analytic.T_profile(UNIT, 0.5, 0.3, 1.0),
+    ]
+    for bad in (np.array([0.5, 1.0 + 1e-9]), np.array([-1e-9, 0.5]), np.array([np.nan])):
+        with pytest.raises(DomainError):
+            analytic.T_profile(UNIT, 0.5, 0.3, bad)
+
+
 def test_t_profile_at_origin():
     a, _, c = analytic.abc_constants(UNIT, 0.5, 0.3)
     expected = math.sqrt(a * a + c) - a

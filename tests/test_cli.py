@@ -232,6 +232,19 @@ def test_sweep_grid_contract(tmp_path, capsys):
                 assert math.isfinite(float(value))
         assert float(row["bound32_lhs"]) >= float(row["bound32_rhs"]) - 1e-10
         assert float(row["bound770_lhs"]) >= float(row["bound770_rhs"]) - 1e-10
+    meta = json.loads((out_dir / "metadata.json").read_text())
+    for key in ("minqet_version", "numpy_version", "wall_s"):
+        assert key in meta
+    assert meta["numpy_version"] == np.__version__
+    assert meta["wall_s"] > 0.0
+    gap = meta["worst_rel_gap_numeric_vs_closed"]
+    assert 0.0 <= gap <= 1e-7
+    worst = max(
+        abs(float(r["maxE_B_numeric"]) - float(r["maxE_B_closed"]))
+        / float(r["maxE_B_closed"])
+        for r in rows
+    )
+    assert gap == worst
 
 
 def test_sweep_csv_round_trip(tmp_path, capsys):

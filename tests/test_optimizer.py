@@ -1,5 +1,6 @@
 """Derivative-free search vs the closed forms it is meant to cross-check."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -71,6 +72,98 @@ def test_policy_search_deterministic():
     assert a.best_value == b.best_value
     assert a.evaluations == b.evaluations
     assert a.best_policy == b.best_policy
+
+
+def test_policy_batch_matches_one_call_per_case(monkeypatch):
+    mixed = measurement.weights_to_coeffs(
+        [
+            OutcomeWeights(0.3, 0.3),  # |q| = p: the tie rule reports the y axis
+            OutcomeWeights(0.0, 0.0),  # zero mass: identity, no search row
+            OutcomeWeights(0.4, 0.0),  # q = 0: flat in the axis
+            OutcomeWeights(0.3, -0.3),
+        ]
+    )
+    cases = [(UNIT, mixed), (ModelParams(h=0.3, k=2.7), measurement.projective_pair())]
+    for (h, k), n in zip([(0.5, 2.0), (2.0, 0.5), (1.0, 0.25), (4.0, 1.0)], (2, 3, 4, 6)):
+        model = measurement.random_measurement(seed=40 + n, n_outcomes=n)
+        cases.append((ModelParams(h=h, k=k), model))
+    with monkeypatch.context() as patch:
+        # blocks that split cases must not change any row's search
+        patch.setattr(optimizer, "SCAN_BLOCK", 3)
+        patch.setattr(optimizer, "POLISH_BLOCK", 2)
+        batch = optimizer.maximize_over_policies(cases)
+    assert len(batch) == len(cases)
+    assert batch[0].best_policy.unitaries[1] == protocol.LocalUnitary.identity()
+    assert batch[0].best_policy.unitaries[0].n == optimizer.Y_AXIS
+    for (params, model), got in zip(cases, batch):
+        alone = optimizer.maximize_over_policy(params, model)
+        assert got.best_value == alone.best_value
+        assert got.evaluations == alone.evaluations
+        assert got.converged == alone.converged
+        for u, v in zip(got.best_policy.unitaries, alone.best_policy.unitaries):
+            assert (u.omega, u.n) == (v.omega, v.n)
+
+
+# (h, k), measurement, then best_value and evaluations of the per-outcome
+# scalar simplex search this package used before the lockstep one: every row
+# must take the same path, so the counts match exactly
+SCALAR_SEARCH = [
+    ((1.0, 1.0), ("random", 5, 4), 0.014043657472302322, 1252),
+    ((0.3, 2.7), ("weak", 0.2), 0.0003292520586608376, 620),
+    ((2.0, 0.5), ("random", 77, 3), 4.030135056590231e-05, 933),
+    ((0.5, 2.0), ("projective",), 0.02929106104978076, 588),
+    ((4.0, 0.25), ("random", 9, 6), 0.003763339164224268, 1829),
+    # one simplex of this case takes a shrink step
+    (
+        (3.272494991822921, 0.9882143999710515),
+        ("random", 1032, 4),
+        0.03306968793429128,
+        1298,
+    ),
+]
+
+
+def test_policy_batch_follows_the_scalar_search():
+    builders = {
+        "random": lambda seed, n: measurement.random_measurement(seed=seed, n_outcomes=n),
+        "weak": measurement.weak_pair,
+        "projective": measurement.projective_pair,
+    }
+    cases = [
+        (ModelParams(h=h, k=k), builders[spec[0]](*spec[1:]))
+        for (h, k), spec, _, _ in SCALAR_SEARCH
+    ]
+    for got, (_, _, value, evaluations) in zip(
+        optimizer.maximize_over_policies(cases), SCALAR_SEARCH
+    ):
+        assert got.evaluations == evaluations
+        assert got.converged
+        assert abs(got.best_value - value) <= 4e-16 * value
+
+
+def test_policy_batch_memory_stays_bounded():
+    # the lattice scan runs in blocks of rows, never one (rows, lattice) array
+    model = measurement.weak_pair(0.6)
+    axis = np.geomspace(0.25, 4.0, 21)
+    cases = [(ModelParams(h=float(h), k=float(k)), model) for h in axis for k in axis]
+    tracemalloc.start()
+    try:
+        results = optimizer.maximize_over_policies(cases)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(results) == 441
+    assert peak < 1_000_000
+
+
+def test_policy_batch_warns_once_when_budget_runs_out(monkeypatch):
+    monkeypatch.setattr(optimizer, "REFINE_ITERS", 1)
+    cases = [(UNIT, measurement.projective_pair()), (UNIT, measurement.weak_pair(0.4))]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        results = optimizer.maximize_over_policies(cases)
+    assert [w.category for w in caught] == [optimizer.NoConvergence]
+    assert [r.converged for r in results] == [False, False]
 
 
 def test_weights_search_unit_point():

@@ -80,14 +80,16 @@ def Q_of(
     """Energy gain numerator Q for one outcome under rotation (omega, n).
 
     The caller guarantees |n| = 1; the teleported energy of a full policy is
-    sum(Q) / eps.
+    sum(Q) / eps.  Broadcasts like ``max_over_omega``; float inputs give a
+    float.
     """
     x = X_of(params, p, q, n)
     # cos 2w - 1 = -2 sin^2 w, which keeps its digits where w is near 0 or pi
-    sin_omega = math.sin(omega)
-    return -2.0 * x * sin_omega * sin_omega - (
-        params.h * params.k * q * n[1] * math.sin(2.0 * omega)
+    sin_omega = np.sin(omega)
+    value = -2.0 * x * sin_omega * sin_omega - (
+        params.h * params.k * q * n[1] * np.sin(2.0 * omega)
     )
+    return float(value) if np.ndim(value) == 0 else value
 
 
 def max_over_omega(
@@ -118,12 +120,18 @@ def max_over_omega(
 
 
 def abc_constants(params: ModelParams, p: float, q: float) -> tuple[float, float, float]:
-    """The per-outcome constants (a, b, c) of the envelope T(z)."""
+    """The per-outcome constants (a, b, c) of the envelope T(z).
+
+    h, k, p and q may be arrays that broadcast together; float inputs give
+    floats.
+    """
     h, k = params.h, params.k
     a = p * (h * h + 2.0 * k * k)
-    spread = math.hypot((h * h - 2.0 * k * k) * p, 3.0 * h * k * q)
+    spread = np.hypot((h * h - 2.0 * k * k) * p, 3.0 * h * k * q)
     b = 0.5 * (a + spread)
     c = (h * k * q) ** 2
+    if np.ndim(b) == 0:
+        return float(a), float(b), float(c)
     return a, b, c
 
 
@@ -142,7 +150,8 @@ def min_X_over_psi(params: ModelParams, p: float, q: float, z: float) -> float:
 def T_profile(params: ModelParams, p: float, q: float, z):
     """Envelope of max-over-omega Q along the X-minimizing axis family.
 
-    z may be a float or an array of values in [0, 1].
+    z may be a float or an array of values in [0, 1]; it broadcasts with
+    the arrays ``abc_constants`` takes.
     """
     z = _check_fraction(z)
     a, b, c = abc_constants(params, p, q)
@@ -160,15 +169,18 @@ def t_sign_check(params: ModelParams, p: float, q: float, n_grid: int = 129) -> 
     """Grid evidence that T peaks at z = 0: t(z) <= 0 and T(0) >= T(z).
 
     Slack of 1e-12 relative to the outcome's energy scale absorbs rounding.
+    Over arrays of outcomes (as ``abc_constants`` takes them) the verdict is
+    a bool array; float inputs give a bool.
     """
     a, _, c = abc_constants(params, p, q)
-    scale = max(1.0, a, math.sqrt(c))
+    scale = np.maximum(np.maximum(1.0, a), np.sqrt(c))
     t0 = T_profile(params, p, q, 0.0)
-    z = np.arange(n_grid) / (n_grid - 1)
-    return not (
-        np.any(t_witness(params, p, q, z) > 1e-12 * scale * scale)
-        or np.any(T_profile(params, p, q, z) > t0 + 1e-12 * scale)
+    # the grid runs along a leading axis, so the outcomes broadcast behind it
+    z = (np.arange(n_grid) / (n_grid - 1)).reshape((-1,) + (1,) * np.ndim(a))
+    bad = np.any(t_witness(params, p, q, z) > 1e-12 * scale * scale, axis=0) | np.any(
+        T_profile(params, p, q, z) > t0 + 1e-12 * scale, axis=0
     )
+    return bool(~bad) if np.ndim(bad) == 0 else ~bad
 
 
 def optimal_rotation(
@@ -226,14 +238,18 @@ def _bias_entropy(y: float) -> float:
 
 
 def shannon_entropy(probs) -> float:
-    """Shannon entropy in nats of a probability vector; 0 ln 0 = 0."""
-    total = 0.0
-    for pr in probs:
-        if pr < -1e-12 or pr > 1.0 + 1e-12:
-            raise DomainError(f"probability out of range: {pr!r}")
-        if pr > 0.0:
-            total -= pr * math.log(pr)
-    return total
+    """Shannon entropy in nats of a probability vector; 0 ln 0 = 0.
+
+    A stack of vectors (..., n) gives one entropy per vector.
+    """
+    probs = np.asarray(probs, dtype=float)
+    bad = (probs < -1e-12) | (probs > 1.0 + 1e-12)
+    if bad.any():
+        raise DomainError(f"probability out of range: {float(probs[bad][0])!r}")
+    positive = probs > 0.0
+    terms = np.where(positive, probs * np.log(np.where(positive, probs, 1.0)), 0.0)
+    total = -terms.sum(axis=-1)
+    return float(total) if total.ndim == 0 else total
 
 
 def max_EB_closed(params: ModelParams, weights) -> float:

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import __version__
 from . import analytic, entanglement, measurement, optimizer, protocol, qmath
-from .model import ModelParams, build_hamiltonian, ground_state, spectrum_closed
+from .model import ModelParams, ParamsBlock, build_hamiltonian, ground_state, spectrum_closed
 
 SWEEP_COLUMNS = [
     "h",
@@ -114,24 +114,30 @@ def parse_range(text: str) -> np.ndarray:
 # verify
 
 
-def _golden_max(fun, lo: float, hi: float, iters: int = 80) -> float:
-    """Golden-section maximum of a smooth unimodal function on [lo, hi]."""
+def _golden_max(fun, lo, hi, iters: int = 80):
+    """Golden-section maxima of smooth unimodal functions, one per element of lo, hi.
+
+    ``fun`` maps an array of points to an array of values; every bracket
+    shrinks in lockstep, each keeping the side ``np.where`` picks for it.
+    """
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - inv_phi * (b - a)
     d = a + inv_phi * (b - a)
     fc, fd = fun(c), fun(d)
     for _ in range(iters):
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = fun(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = fun(d)
+        left = fc > fd  # the maximum lies in [a, d]
+        a, b = np.where(left, a, c), np.where(left, d, b)
+        x = np.where(left, b - inv_phi * (b - a), a + inv_phi * (b - a))
+        fx = fun(x)
+        c, d, fc, fd = (
+            np.where(left, x, d),
+            np.where(left, c, x),
+            np.where(left, fx, fd),
+            np.where(left, fc, fx),
+        )
     mid = 0.5 * (a + b)
-    return max(fc, fd, fun(mid))
+    return np.maximum(np.maximum(fc, fd), fun(mid))
 
 
 def _random_params(rng: np.random.Generator) -> ModelParams:
@@ -145,110 +151,120 @@ def _random_axis(rng: np.random.Generator) -> tuple[float, float, float]:
     return (float(v[0]), float(v[1]), float(v[2]))
 
 
+def _draw_member(rng: np.random.Generator, i: int) -> tuple:
+    """Ensemble member i: params, measurement, and the spot checks' outcome and axis."""
+    if i % 3 == 0:
+        h, k = PAIR_GRID[(i // 3) % len(PAIR_GRID)]
+        params = ModelParams(h=h, k=k)
+    else:
+        params = _random_params(rng)
+    meas = measurement.random_measurement(rng, n_outcomes=(2, 3, 4, 6)[i % 4])
+    outcome = int(rng.integers(meas.n_outcomes))
+    return params, meas, outcome, _random_axis(rng)
+
+
+_OMEGA_GRID = np.linspace(0.0, math.pi, 256, endpoint=False)[:, None]
+_PSI_GRID = np.linspace(0.0, math.pi, 64, endpoint=False)[:, None]
+
+
+def _block_residuals(members) -> dict[str, list]:
+    """The ensemble checks' residuals over one block of drawn members.
+
+    Each name maps to a list of residual arrays (or floats); the check's
+    value is their maximum.
+    """
+    params, models, outcomes, axis_rows = zip(*members)
+    reports = protocol.run_many(
+        (p, meas, protocol.optimal_policy(p, meas)) for p, meas in zip(params, models)
+    )
+    block = ParamsBlock.of(params)
+    coeffs = measurement.coefficient_block(models)
+    weights = [meas.weights for meas in models]
+    found: dict[str, list] = {
+        "measurement-completeness": list(measurement.block_residuals(coeffs).values())
+    }
+
+    parts = build_hamiltonian(block)
+    kets = (measurement.kraus_operators(coeffs) @ ground_state(block)[:, None, :, None])[..., 0]
+    rho_post = np.einsum("bni,bnj->bij", kets, kets.conj())
+
+    def energy(op: np.ndarray) -> np.ndarray:
+        return qmath.real_part(np.einsum("bij,bji->b", rho_post, op))
+
+    e_a_closed = [measurement.input_energy_closed(m, p) for p, m in zip(params, models)]
+    found["input-energy"] = [np.abs(energy(parts.total) - e_a_closed)]
+    found["post-measurement-passivity"] = [np.abs(energy(parts.h_b)), np.abs(energy(parts.v))]
+
+    max_eb = np.array([analytic.max_EB_closed(p, w) for p, w in zip(params, weights)])
+    delta_closed = np.array([analytic.delta_S_closed(p, w) for p, w in zip(params, weights)])
+    e_b, delta_s, mutual, rhs32, rhs770 = np.array(
+        [(r.e_b, r.delta_s, r.mutual_info, r.bound32_rhs, r.bound770_rhs) for r in reports]
+    ).T
+    found["teleported-energy-routes"] = [np.abs(e_b - max_eb)]
+    found["entanglement-consumption"] = [np.abs(delta_s - delta_closed)]
+    found["mutual-information"] = [np.abs(mutual - delta_s)]
+    found["entanglement-nonnegative"] = [-delta_s]
+    found["bound-32"] = [rhs32 - delta_s]
+    found["bound-770"] = [rhs770 - max_eb]
+    eigen = found["reduced-eigenvalues"] = []
+    for p, outcome_weights, report in zip(params, weights, reports):
+        for w, vals in zip(outcome_weights, report.reduced_eigenvalues):
+            if vals is not None:
+                lam_plus, lam_minus = analytic.lambda_pm(p, w.p, w.q)
+                eigen += [abs(vals[1] - lam_plus), abs(vals[0] - lam_minus)]
+
+    # scalar objective spot checks, on one random outcome and axis per member
+    p, q = np.array([(w[mu].p, w[mu].q) for w, mu in zip(weights, outcomes)]).T
+    axis = tuple(np.array(axis_rows).T)
+    closed_max, omega_star = analytic.max_over_omega(block, p, q, axis)
+    x_coef = analytic.X_of(block, p, q, axis)
+    g_coef = block.h * block.k * q * axis[1]
+    q_grid = -2.0 * x_coef * np.sin(_OMEGA_GRID) ** 2 - g_coef * np.sin(2.0 * _OMEGA_GRID)
+    refined = _golden_max(
+        lambda om: analytic.Q_of(block, p, q, om, axis), omega_star - 0.1, omega_star + 0.1
+    )
+    # relative to the maximum itself, so an error in a small Q shows,
+    # floored at the rounding level of Q's parts (Q's maximum is 0 at q = 0)
+    value_scale = np.maximum(closed_max, sys.float_info.epsilon * (abs(x_coef) + abs(g_coef)))
+    found["omega-maximum"] = [
+        (q_grid.max(axis=0) - closed_max) / value_scale,
+        abs(refined - closed_max) / value_scale,
+        abs(analytic.Q_of(block, p, q, omega_star, axis) - closed_max) / value_scale,
+    ]
+
+    scale = np.maximum(1.0, abs(x_coef) + abs(g_coef))
+    found["axis-minimum"] = []
+    for z in (0.0, 0.37, 1.0):
+        closed_min = analytic.min_X_over_psi(block, p, q, z)
+        root_z = math.sqrt(z)
+        psi_axes = (root_z * np.cos(_PSI_GRID), 0.0, root_z * np.sin(_PSI_GRID))
+        x_vals = analytic.X_of(block, p, q, psi_axes)
+        found["axis-minimum"].append((closed_min - x_vals.min(axis=0)) / scale)
+
+    # T(0) against eps p f_E((q/p)^2): f_E reaches it through the sigma angles
+    a, _, _ = analytic.abc_constants(block, p, q)
+    kernel = [
+        analytic.f_E(one, (q_i / p_i) ** 2) if p_i > 0.0 else 0.0
+        for one, p_i, q_i in zip(params, p.tolist(), q.tolist())
+    ]
+    found["envelope-peak"] = [
+        abs(analytic.T_profile(block, p, q, 0.0) - block.eps * p * kernel) / np.maximum(1.0, a),
+        np.where(analytic.t_sign_check(block, p, q), 0.0, 1.0),
+    ]
+    return found
+
+
 def _ensemble_residuals(seed: int, size: int) -> dict[str, float]:
-    """One pass over `size` random measurements, accumulating per-check maxima."""
+    """Random measurements drawn and scored one block of protocol.BLOCK at a time.
+
+    Returns each check's maximum residual over all `size` members.
+    """
     rng = np.random.default_rng([seed, 1])
     worst: defaultdict[str, float] = defaultdict(float)
-
-    def note(name: str, *residuals: float) -> None:
-        worst[name] = max(worst[name], *residuals)
-
-    omega_grid = np.linspace(0.0, math.pi, 256, endpoint=False)
-    sin_sq_grid, sin_two_grid = np.sin(omega_grid) ** 2, np.sin(2.0 * omega_grid)
-    psi_grid = np.linspace(0.0, math.pi, 64, endpoint=False)
-    for i in range(size):
-        if i % 3 == 0:
-            h, k = PAIR_GRID[(i // 3) % len(PAIR_GRID)]
-            params = ModelParams(h=h, k=k)
-        else:
-            params = _random_params(rng)
-        meas = measurement.random_measurement(rng, n_outcomes=(2, 3, 4, 6)[i % 4])
-
-        note(
-            "measurement-completeness",
-            max(measurement.constraint_residuals(meas).values()),
-        )
-
-        parts = build_hamiltonian(params)
-        g = ground_state(params)
-        kets = meas.kraus @ g
-        rho_post = kets.T @ kets.conj()
-        note(
-            "input-energy",
-            abs(
-                qmath.expectation(rho_post, parts.total)
-                - measurement.input_energy_closed(meas, params)
-            ),
-        )
-        note(
-            "post-measurement-passivity",
-            abs(qmath.expectation(rho_post, parts.h_b)),
-            abs(qmath.expectation(rho_post, parts.v)),
-        )
-
-        report = protocol.run(params, meas, protocol.optimal_policy(params, meas))
-        max_eb = analytic.max_EB_closed(params, meas.weights)
-        note("teleported-energy-routes", abs(report.e_b - max_eb))
-        delta_closed = analytic.delta_S_closed(params, meas.weights)
-        note("entanglement-consumption", abs(report.delta_s - delta_closed))
-        note("mutual-information", abs(report.mutual_info - report.delta_s))
-        note("entanglement-nonnegative", -report.delta_s)
-        note("bound-32", report.bound32_rhs - report.delta_s)
-        note("bound-770", report.bound770_rhs - max_eb)
-
-        for (prob, rho_b), w in zip(
-            entanglement.reduced_post_states(params, meas), meas.weights
-        ):
-            if rho_b is None:
-                continue
-            vals, _ = qmath.hermitian_eig(rho_b)
-            lam_plus, lam_minus = analytic.lambda_pm(params, w.p, w.q)
-            note(
-                "reduced-eigenvalues",
-                abs(float(vals[1]) - lam_plus),
-                abs(float(vals[0]) - lam_minus),
-            )
-
-        # scalar objective spot checks on one random outcome of this model
-        w = meas.weights[int(rng.integers(meas.n_outcomes))]
-        axis = _random_axis(rng)
-        closed_max, omega_star = analytic.max_over_omega(params, w.p, w.q, axis)
-        x_coef = analytic.X_of(params, w.p, w.q, axis)
-        g_coef = params.h * params.k * w.q * axis[1]
-        q_grid = -2.0 * x_coef * sin_sq_grid - g_coef * sin_two_grid
-        scale = max(1.0, abs(x_coef) + abs(g_coef))
-        refined = _golden_max(
-            lambda om: analytic.Q_of(params, w.p, w.q, om, axis),
-            omega_star - 0.1,
-            omega_star + 0.1,
-        )
-        # relative to the maximum itself, so an error in a small Q shows,
-        # floored at the rounding level of Q's parts (Q's maximum is 0 at q = 0)
-        value_scale = max(
-            closed_max, sys.float_info.epsilon * (abs(x_coef) + abs(g_coef))
-        )
-        note(
-            "omega-maximum",
-            (float(np.max(q_grid)) - closed_max) / value_scale,
-            abs(refined - closed_max) / value_scale,
-            abs(analytic.Q_of(params, w.p, w.q, omega_star, axis) - closed_max)
-            / value_scale,
-        )
-
-        for z in (0.0, 0.37, 1.0):
-            closed_min = analytic.min_X_over_psi(params, w.p, w.q, z)
-            root_z = math.sqrt(z)
-            axes = (root_z * np.cos(psi_grid), 0.0, root_z * np.sin(psi_grid))
-            x_vals = analytic.X_of(params, w.p, w.q, axes)
-            note("axis-minimum", (closed_min - float(np.min(x_vals))) / scale)
-
-        a, _, c = analytic.abc_constants(params, w.p, w.q)
-        t0 = analytic.T_profile(params, w.p, w.q, 0.0)
-        note(
-            "envelope-peak",
-            abs(t0 - (math.hypot(a, math.sqrt(c)) - a)) / max(1.0, a),
-            (0.0 if analytic.t_sign_check(params, w.p, w.q) else 1.0),
-        )
+    for first in range(0, size, protocol.BLOCK):
+        members = [_draw_member(rng, i) for i in range(first, min(size, first + protocol.BLOCK))]
+        for name, residuals in _block_residuals(members).items():
+            worst[name] = max(worst[name], *(float(np.max(r)) for r in residuals))
     return worst
 
 

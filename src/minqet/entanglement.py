@@ -14,6 +14,12 @@ qubit B in the joint pointer-system state
 whose block structure makes S(Phi) = H(p) + sum_mu p_mu S(rho_B(mu)).
 Everything in this module is brute force over density matrices; the
 closed-form route lives in ``analytic`` and the two are compared in tests.
+
+The work is done on stacks: ``consumption_many`` takes the ground kets and
+post-measurement kets of N cases at once and diagonalizes every reduced
+state of the batch in one call.  ``protocol.run_many`` feeds it the kets it
+has already built; ``consumption`` and ``reduced_post_states`` are the
+one-case views.
 """
 
 from __future__ import annotations
@@ -30,33 +36,49 @@ EIGENVALUE_SLACK = 1e-12
 
 @dataclass(frozen=True)
 class EntanglementReport:
-    """Entropies around one measurement on the ground state."""
+    """Entropies around one measurement on the ground state.
+
+    ``reduced_eigenvalues`` holds, per outcome, the ascending eigenvalues of
+    rho_B(mu), or None for a degenerate outcome.
+    """
 
     s_ground: float
     probabilities: tuple[float, ...]
     s_post: tuple[float, ...]
     delta_s: float
     mutual_info: float
+    reduced_eigenvalues: tuple[tuple[float, float] | None, ...]
 
 
-def von_neumann_entropy(rho: np.ndarray) -> float:
+def _spectrum_entropy(vals: np.ndarray):
+    """Entropy in nats from the eigenvalues (..., d) of density matrices."""
+    outside = (vals < -EIGENVALUE_SLACK) | (vals > 1.0 + EIGENVALUE_SLACK)
+    if outside.any():
+        raise ValueError(
+            f"density matrix eigenvalue outside [0, 1]: {float(np.extract(outside, vals)[0])!r}"
+        )
+    trace = vals.sum(axis=-1)
+    off = np.abs(trace - 1.0) > 1e-10
+    if off.any():
+        raise measurement.NotNormalized(
+            f"density matrix trace is {float(np.extract(off, trace)[0])!r}, expected 1"
+        )
+    clamped = np.clip(vals, 0.0, 1.0)
+    positive = clamped > 0.0
+    terms = np.where(positive, clamped * np.log(np.where(positive, clamped, 1.0)), 0.0)
+    entropy = -terms.sum(axis=-1)
+    return float(entropy) if entropy.ndim == 0 else entropy
+
+
+def von_neumann_entropy(rho: np.ndarray):
     """Entropy in nats of a density matrix; eigenvalues clamped to [0, 1].
 
     Clamping absorbs rounding only: an eigenvalue outside [0, 1] by more
-    than 1e-12, or a trace away from 1 by more than 1e-10, is an error.
+    than 1e-12, or a trace away from 1 by more than 1e-10, is an error.  A
+    stack (..., d, d) gives an array of entropies, checked all at once.
     """
     vals, _ = qmath.hermitian_eig(rho)
-    if float(np.min(vals)) < -EIGENVALUE_SLACK or float(np.max(vals)) > 1.0 + EIGENVALUE_SLACK:
-        raise ValueError(
-            f"density matrix eigenvalues outside [0, 1]: {vals}"
-        )
-    if abs(float(np.sum(vals)) - 1.0) > 1e-10:
-        raise measurement.NotNormalized(
-            f"density matrix trace is {float(np.sum(vals))!r}, expected 1"
-        )
-    clamped = np.clip(vals, 0.0, 1.0)
-    positive = clamped[clamped > 0.0]
-    return float(-np.sum(positive * np.log(positive)))
+    return _spectrum_entropy(vals)
 
 
 def entropy_of_entanglement(psi: np.ndarray) -> float:
@@ -73,60 +95,78 @@ def ground_entropy(params: model.ModelParams) -> float:
     return entropy_of_entanglement(model.ground_state(params))
 
 
+def _post_states(kets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Born probabilities and normalized reduced states of B of post-measurement kets.
+
+    ``kets`` are the unnormalized M_A(mu)|g>, shape (..., n, 4); the results
+    have shapes (..., n) and (..., n, 2, 2).  A degenerate outcome
+    (probability below DEGENERATE_PROB) gets probability 0 and the zero
+    matrix.
+    """
+    prob = np.einsum("...i,...i->...", kets.conj(), kets).real
+    live = prob >= measurement.DEGENERATE_PROB
+    rho_b = qmath.partial_trace(qmath.projector(kets), keep="B")
+    rho_b /= np.where(live, prob, 1.0)[..., None, None]
+    rho_b[~live] = 0.0
+    return np.where(live, prob, 0.0), rho_b
+
+
+def consumption_many(ground: np.ndarray, kets: np.ndarray) -> tuple[EntanglementReport, ...]:
+    """Entropy reports of N cases from their stacks.
+
+    ``ground`` holds the ground kets (N, 4) and ``kets`` the unnormalized
+    post-measurement kets (N, n, 4), M_A(mu)|g>.  Every reduced state of
+    the batch, the ground states' and the pointer-averaged Phi_B's
+    included, is diagonalized in one call.  An all-zero ket (padding)
+    reads as a degenerate outcome.
+    """
+    size = len(ground)
+    prob, rho_b = _post_states(kets)
+    live = prob > 0.0
+    rho_ground = qmath.partial_trace(qmath.projector(ground), keep="B")
+    phi_b = np.einsum("...m,...mij->...ij", prob, rho_b)
+    vals, _ = qmath.hermitian_eig(np.concatenate([rho_ground, phi_b, rho_b[live]]))
+    entropies = _spectrum_entropy(vals)
+    s_ground, s_phi_b = entropies[:size], entropies[size : 2 * size]
+    post_vals = np.zeros(prob.shape + (2,))
+    post_vals[live] = vals[2 * size :]
+    s_post = np.zeros(prob.shape)
+    s_post[live] = entropies[2 * size :]
+    avg_post = (prob * s_post).sum(axis=-1)
+    # I(pointer : B) = S(Phi_A) + S(Phi_B) - S(Phi), using the block structure
+    s_pointer = shannon_entropy(prob)
+    mutual = s_pointer + s_phi_b - (s_pointer + avg_post)
+    delta_s = s_ground - avg_post
+    return tuple(
+        EntanglementReport(
+            s_ground=float(s_ground[i]),
+            probabilities=tuple(prob[i].tolist()),
+            s_post=tuple(s_post[i].tolist()),
+            delta_s=float(delta_s[i]),
+            mutual_info=float(mutual[i]),
+            reduced_eigenvalues=tuple(
+                tuple(v) if alive else None
+                for v, alive in zip(post_vals[i].tolist(), live[i].tolist())
+            ),
+        )
+        for i in range(size)
+    )
+
+
 def reduced_post_states(
     params: model.ModelParams, meas: measurement.MeasurementModel
 ) -> list[tuple[float, np.ndarray | None]]:
     """Per outcome, the Born probability and reduced state of B (None if degenerate)."""
-    g = model.ground_state(params)
-    out = []
-    for oc in measurement.measure(meas, g):
-        if oc.state is None:
-            out.append((0.0, None))
-        else:
-            out.append(
-                (oc.probability, qmath.partial_trace(qmath.projector(oc.state), keep="B"))
-            )
-    return out
+    prob, rho_b = _post_states(meas.kraus @ model.ground_state(params))
+    return [(p, rho) if p > 0.0 else (0.0, None) for p, rho in zip(prob.tolist(), rho_b)]
 
 
 def consumption(
     params: model.ModelParams, meas: measurement.MeasurementModel
 ) -> EntanglementReport:
     """Full entropy report for one measurement on the ground state."""
-    s_ground = ground_entropy(params)
-    probabilities = []
-    s_post = []
-    rho_bs = []
-    for prob, rho_b in reduced_post_states(params, meas):
-        probabilities.append(prob)
-        rho_bs.append(rho_b)
-        s_post.append(0.0 if rho_b is None else von_neumann_entropy(rho_b))
-    avg_post = sum(p * s for p, s in zip(probabilities, s_post))
-    delta_s = s_ground - avg_post
-    mutual = _pointer_mutual_info(probabilities, rho_bs, s_post)
-    return EntanglementReport(
-        s_ground=s_ground,
-        probabilities=tuple(probabilities),
-        s_post=tuple(s_post),
-        delta_s=delta_s,
-        mutual_info=mutual,
-    )
-
-
-def _pointer_mutual_info(probabilities, rho_bs, s_post) -> float:
-    """I(pointer : B) = S(Phi_A) + S(Phi_B) - S(Phi), using the block structure.
-
-    ``s_post`` holds S(rho_B(mu)) per outcome, already computed by the caller.
-    """
-    s_pointer = shannon_entropy(probabilities)
-    phi_b = np.zeros((2, 2), dtype=complex)
-    joint = s_pointer
-    for prob, rho_b, s in zip(probabilities, rho_bs, s_post):
-        if rho_b is None or prob == 0.0:
-            continue
-        phi_b += prob * rho_b
-        joint += prob * s
-    return s_pointer + von_neumann_entropy(phi_b) - joint
+    g = model.ground_state(params)
+    return consumption_many(g[None], (meas.kraus @ g)[None])[0]
 
 
 def pointer_state_dense(

@@ -99,10 +99,10 @@ class OutcomeWeights:
 class MeasurementModel:
     """A finite list of outcomes; the coefficients are the stored truth.
 
-    The weight view is derived on access, so the two parametrizations can
-    never drift apart.  Scalar constraints (normalization and balance) are
-    enforced at construction; the operator-level checks live in
-    :func:`validate`.
+    The weight view is derived from the frozen coefficients on first access
+    and cached, so the two parametrizations can never drift apart.  Scalar
+    constraints (normalization and balance) are enforced at construction;
+    the operator-level checks live in :func:`validate`.
     """
 
     coeffs: tuple[KrausCoefficients, ...]
@@ -121,18 +121,14 @@ class MeasurementModel:
     def n_outcomes(self) -> int:
         return len(self.coeffs)
 
-    @property
+    @functools.cached_property
     def weights(self) -> tuple[OutcomeWeights, ...]:
         return tuple(OutcomeWeights(c.p, c.q) for c in self.coeffs)
 
     @functools.cached_property
     def kraus(self) -> np.ndarray:
         """The read-only (n, 4, 4) stack of M_A(mu) tensored with identity on B."""
-        m, l, alpha, delta = np.array(
-            [(c.m, c.l, c.alpha, c.delta) for c in self.coeffs]
-        ).T[:, :, None, None]
-        on_a = m * qmath.EYE4 + l * np.exp(1j * alpha) * qmath.X_A
-        stack = np.exp(1j * delta) * on_a
+        stack = kraus_operators(coefficient_block([self])[0])
         stack.setflags(write=False)
         return stack
 
@@ -180,25 +176,48 @@ def kraus_on_full_space(model: MeasurementModel, mu: int) -> np.ndarray:
     return model.kraus[mu]
 
 
-def constraint_residuals(model: MeasurementModel) -> dict[str, float]:
-    """All four POVM constraint residuals, without judging them.
+def coefficient_block(models) -> np.ndarray:
+    """The (m, l, alpha, delta) rows of several models as one (N, n_max, 4) array.
+
+    A model with fewer than n_max outcomes is padded with zero rows.  A zero
+    row is the zero operator, an outcome of probability 0 that the Born rule
+    treats as degenerate (below DEGENERATE_PROB).
+    """
+    n_max = max(model.n_outcomes for model in models)
+    block = np.zeros((len(models), n_max, 4))
+    for i, model in enumerate(models):
+        block[i, : model.n_outcomes] = [(c.m, c.l, c.alpha, c.delta) for c in model.coeffs]
+    return block
+
+
+def kraus_operators(coeffs: np.ndarray) -> np.ndarray:
+    """M_A(mu) tensored with identity on B for coefficient rows (..., 4): shape (..., 4, 4)."""
+    m, l, alpha, delta = (coeffs[..., i, None, None] for i in range(4))
+    return np.exp(1j * delta) * (m * qmath.EYE4 + l * np.exp(1j * alpha) * qmath.X_A)
+
+
+def block_residuals(coeffs: np.ndarray) -> dict[str, np.ndarray]:
+    """The four POVM constraint residuals of coefficient stacks (..., n, 4), each of shape (...).
 
     The commutation check uses the bare coupling operator
     sigma_A^x sigma_B^x; constants and the coupling strength cannot
-    affect it.
+    affect it.  Zero padding rows change none of the four.
     """
-    norm_residual = abs(sum(c.p for c in model.coeffs) - 1.0)
-    balance_residual = abs(
-        sum(c.m * c.l * math.cos(c.alpha) for c in model.coeffs)
-    )
-    ops = model.kraus
-    total = (ops.conj().transpose(0, 2, 1) @ ops).sum(axis=0)
+    m, l, alpha = coeffs[..., 0], coeffs[..., 1], coeffs[..., 2]
+    ops = kraus_operators(coeffs)
+    total = (np.swapaxes(ops.conj(), -1, -2) @ ops).sum(axis=-3)
     return {
-        "normalization": norm_residual,
-        "balance": balance_residual,
-        "completeness": float(np.max(np.abs(total - qmath.EYE4))),
-        "commutant": float(np.max(np.abs(ops @ qmath.XX - qmath.XX @ ops))),
+        "normalization": np.abs((m * m + l * l).sum(axis=-1) - 1.0),
+        "balance": np.abs((m * l * np.cos(alpha)).sum(axis=-1)),
+        "completeness": np.abs(total - qmath.EYE4).max(axis=(-2, -1)),
+        "commutant": np.abs(ops @ qmath.XX - qmath.XX @ ops).max(axis=(-3, -2, -1)),
     }
+
+
+def constraint_residuals(model: MeasurementModel) -> dict[str, float]:
+    """All four POVM constraint residuals of one model, without judging them."""
+    residuals = block_residuals(coefficient_block([model])[0])
+    return {kind: float(value) for kind, value in residuals.items()}
 
 
 def validate(coeffs, tol: float = WEIGHT_TOL) -> MeasurementModel:

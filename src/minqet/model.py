@@ -56,8 +56,32 @@ class ModelParams:
 
 
 @dataclass(frozen=True)
+class ParamsBlock:
+    """Several ``ModelParams`` side by side: each attribute is an (N,) array.
+
+    The values are the cases' own (h, k, eps, cos_sigma, sin_sigma), so a
+    function of ``params`` that broadcasts gives each case the numbers it
+    would get alone.
+    """
+
+    h: np.ndarray
+    k: np.ndarray
+    eps: np.ndarray
+    cos_sigma: np.ndarray
+    sin_sigma: np.ndarray
+
+    @classmethod
+    def of(cls, params) -> "ParamsBlock":
+        rows = [(p.h, p.k, p.eps, p.cos_sigma, p.sin_sigma) for p in params]
+        return cls(*np.array(rows, dtype=float).reshape(-1, 5).T)
+
+
+@dataclass(frozen=True)
 class HamiltonianParts:
-    """The three commutation-checked summands and their total, as 4x4 arrays."""
+    """The three commutation-checked summands and their total, as 4x4 arrays.
+
+    Built from a ``ParamsBlock``, each is an (N, 4, 4) stack.
+    """
 
     h_a: np.ndarray
     h_b: np.ndarray
@@ -73,8 +97,8 @@ class HamiltonianParts:
 
 
 def build_hamiltonian(params: ModelParams) -> HamiltonianParts:
-    """Assemble H_A, H_B, V and their sum for the given parameters."""
-    h, k, eps = params.h, params.k, params.eps
+    """Assemble H_A, H_B, V and their sum for ``ModelParams`` or a ``ParamsBlock``."""
+    h, k, eps = (np.asarray(x)[..., None, None] for x in (params.h, params.k, params.eps))
     h_a = h * qmath.Z_A + (h * h / eps) * qmath.EYE4
     h_b = h * qmath.Z_B + (h * h / eps) * qmath.EYE4
     v = 2.0 * k * qmath.XX + (2.0 * k * k / eps) * qmath.EYE4
@@ -88,11 +112,13 @@ def ground_state(params: ModelParams) -> np.ndarray:
     lives in the even-parity block:
 
         |g> = (1/sqrt(2)) [ sqrt(1 - h/eps) |++>  -  sqrt(1 + h/eps) |--> ]
+
+    A ``ParamsBlock`` gives an (N, 4) stack of kets.
     """
-    c = params.cos_sigma
-    g = np.zeros(4, dtype=complex)
-    g[0] = math.sqrt(0.5 * (1.0 - c))
-    g[3] = -math.sqrt(0.5 * (1.0 + c))
+    c = np.asarray(params.cos_sigma)
+    g = np.zeros(c.shape + (4,), dtype=complex)
+    g[..., 0] = np.sqrt(0.5 * (1.0 - c))
+    g[..., 3] = -np.sqrt(0.5 * (1.0 + c))
     return g
 
 

@@ -9,10 +9,18 @@ rotation of qubit B chosen per outcome.  The energy the measurement pumps
 in is E_A = sum_mu <g| M^dag H M |g>; the energy extracted at B is
 E_B = E_A - Tr[rho H] = -Tr[rho (H_B + V)].
 
+Runs are batched: ``run_many`` takes a sequence of (params, measurement,
+policy) cases and computes them BLOCK at a time on stacks.  The kets
+M_A(mu)|g> of a block form one (B, n, 4) array, padded to the block's
+largest outcome count with zero kets; each rotation of B acts as a 2x2
+block on the ket read as an (a, b) matrix; every energy is one ``einsum``.
+``run`` is the one-case call.
+
 Every run cross-checks its own arithmetic: the density-matrix route must
 match the per-outcome scalar route (sum of Q / eps) and the closed form
 for E_A, and the final energy must respect H >= 0.  A failed cross-check
-is a bug, not a data error, so it raises RuntimeError.
+is a bug, not a data error, so it raises RuntimeError naming the check and
+the case.
 """
 
 from __future__ import annotations
@@ -23,10 +31,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analytic, entanglement, measurement, qmath
-from .model import HamiltonianParts, ModelParams, build_hamiltonian, ground_state
+from .model import ModelParams, ParamsBlock, build_hamiltonian, ground_state
 
 AXIS_TOL = 1e-12
 CROSS_CHECK_TOL = 1e-10
+# cases per block of run_many, which bounds its arrays whatever the number of cases
+BLOCK = 64
 
 
 class PolicyMismatch(ValueError):
@@ -60,15 +70,26 @@ class LocalUnitary:
         return cls(omega=float(omega), n=(nx / r, ny / r, nz / r))
 
     def matrix2(self) -> np.ndarray:
-        nx, ny, nz = self.n
-        axis_dot_sigma = nx * qmath.pauli("x") + ny * qmath.pauli("y") + nz * qmath.pauli("z")
-        return math.cos(self.omega) * qmath.identity(2) + (
-            1j * math.sin(self.omega)
-        ) * axis_dot_sigma
+        return _rotations(self.omega, self.n)
 
     def matrix4(self) -> np.ndarray:
         """The rotation acting on B, tensored with identity on A."""
-        return qmath.tensor(qmath.identity(2), self.matrix2())
+        return _on_b(self.matrix2())
+
+
+def _rotations(omega, axes) -> np.ndarray:
+    """cos(omega) + i sin(omega) n . sigma for angles (...) and axes (..., 3): (..., 2, 2)."""
+    nx, ny, nz = (np.asarray(axes, dtype=float)[..., i, None, None] for i in range(3))
+    axis_dot_sigma = nx * qmath.pauli("x") + ny * qmath.pauli("y") + nz * qmath.pauli("z")
+    omega = np.asarray(omega, dtype=float)[..., None, None]
+    return np.cos(omega) * qmath.identity(2) + (1j * np.sin(omega)) * axis_dot_sigma
+
+
+def _on_b(u: np.ndarray) -> np.ndarray:
+    """I (x) u for a 2x2 u on B: in the A-major basis, u fills both diagonal blocks."""
+    full = np.zeros((4, 4), dtype=complex)
+    full[:2, :2] = full[2:, 2:] = u
+    return full
 
 
 @dataclass(frozen=True)
@@ -98,7 +119,11 @@ class OutcomeEnergies:
 
 @dataclass(frozen=True)
 class ProtocolReport:
-    """Energies and entropies of one full protocol run."""
+    """Energies and entropies of one full protocol run.
+
+    ``reduced_eigenvalues`` holds, per outcome, the ascending eigenvalues of
+    B's reduced post-measurement state, or None for a degenerate outcome.
+    """
 
     e_a: float
     e_b: float
@@ -108,14 +133,48 @@ class ProtocolReport:
     mutual_info: float
     bound32_rhs: float
     bound770_rhs: float
+    reduced_eigenvalues: tuple[tuple[float, float] | None, ...]
 
 
-def _check(label: str, left: float, right: float, scale: float) -> None:
-    if abs(left - right) > CROSS_CHECK_TOL * scale:
+def _check(label: str, left, right, scale, first: int = 0) -> None:
+    """Raise unless |left - right| <= CROSS_CHECK_TOL * scale in every case.
+
+    The arguments are floats or (B,) arrays; ``first`` is the index of the
+    block's first case among all cases.
+    """
+    passed = np.abs(np.subtract(left, right)) <= CROSS_CHECK_TOL * np.asarray(scale)
+    if not passed.all():
+        i = int(np.argmin(passed))
+        left, right, scale = (
+            float(np.broadcast_to(x, passed.shape).flat[i]) for x in (left, right, scale)
+        )
         raise RuntimeError(
-            f"internal cross-check failed: {label} differs "
+            f"internal cross-check failed: {label} differs in case {first + i} "
             f"({left!r} vs {right!r}, scale {scale:g})"
         )
+
+
+def run_many(cases) -> tuple[ProtocolReport, ...]:
+    """Execute measure-communicate-operate on the ground state, once per case.
+
+    ``cases`` is a sequence of (params, meas, policy) triples; the result
+    has one ``ProtocolReport`` per case, in order.  Raises
+    ``PolicyMismatch`` if a policy has the wrong number of entries, and
+    ``RuntimeError`` naming the check and the case index if any internal
+    identity fails (which would mean the implementation, not the input, is
+    wrong).
+    """
+    cases = list(cases)
+    for i, (_, meas, policy) in enumerate(cases):
+        if len(policy) != meas.n_outcomes:
+            raise PolicyMismatch(
+                f"case {i}: policy has {len(policy)} unitaries for "
+                f"{meas.n_outcomes} outcomes"
+            )
+    reports: list[ProtocolReport] = []
+    for first in range(0, len(cases), BLOCK):
+        reports += _run_block(cases[first : first + BLOCK], first)
+    return tuple(reports)
 
 
 def run(
@@ -123,67 +182,88 @@ def run(
     meas: measurement.MeasurementModel,
     policy: FeedbackPolicy,
 ) -> ProtocolReport:
-    """Execute measure-communicate-operate on the ground state.
+    """One case of ``run_many``."""
+    return run_many([(params, meas, policy)])[0]
 
-    Raises ``PolicyMismatch`` if the policy has the wrong number of
-    entries, and ``RuntimeError`` if any internal identity fails (which
-    would mean the implementation, not the input, is wrong).
-    """
-    if len(policy) != meas.n_outcomes:
-        raise PolicyMismatch(
-            f"policy has {len(policy)} unitaries for {meas.n_outcomes} outcomes"
-        )
+
+def _run_block(cases: list, first: int) -> list[ProtocolReport]:
+    """``run_many`` on one block of cases; ``first`` numbers them in errors."""
+    params = ParamsBlock.of(c[0] for c in cases)
+    models = [c[1] for c in cases]
+    coeffs = measurement.coefficient_block(models)
+    size, n = coeffs.shape[:2]
     parts = build_hamiltonian(params)
     g = ground_state(params)
+    kets = (measurement.kraus_operators(coeffs) @ g[:, None, :, None])[..., 0]  # unnormalized
 
-    e_a = 0.0
-    rho = np.zeros((4, 4), dtype=complex)
-    per_outcome = []
-    for psi, unitary in zip(meas.kraus @ g, policy.unitaries):  # unnormalized kets
-        e_a += float(np.real(psi.conj() @ parts.total @ psi))
-        prob = float(np.real(psi.conj() @ psi))
-        if prob < measurement.DEGENERATE_PROB:
-            per_outcome.append(OutcomeEnergies(0.0, 0.0, 0.0, 0.0, 0.0))
-            continue
-        chi = unitary.matrix4() @ (psi / math.sqrt(prob))  # normalized, after feedback
-        rho += prob * qmath.projector(chi)
-        h_a = qmath.expectation(chi, parts.h_a)
-        h_b = qmath.expectation(chi, parts.h_b)
-        v = qmath.expectation(chi, parts.v)
-        per_outcome.append(
-            OutcomeEnergies(probability=prob, h_a=h_a, h_b=h_b, v=v, total=h_a + h_b + v)
+    e_a = np.einsum("bni,bij,bnj->b", kets.conj(), parts.total, kets).real
+    prob = np.einsum("bni,bni->bn", kets.conj(), kets).real
+    live = prob >= measurement.DEGENERATE_PROB
+    prob = np.where(live, prob, 0.0)
+
+    # padding outcomes rotate by 0 about the zero vector: the identity
+    table = np.array(
+        [
+            [(u.omega, *u.n) for u in policy.unitaries] + [(0.0,) * 4] * (n - len(policy))
+            for _, _, policy in cases
+        ]
+    )
+    omega, axes = table[..., 0], table[..., 1:]
+    rotations = _rotations(omega, axes)
+    # U acts on b of the ket read as psi[a, b]: psi -> psi U^T
+    phi = kets.reshape(size, n, 2, 2) @ np.swapaxes(rotations, -1, -2)
+    phi = np.where(live[..., None], phi.reshape(size, n, 4), 0.0)  # after feedback
+    chi = phi / np.sqrt(np.where(live, prob, 1.0))[..., None]  # normalized
+    local_ops = np.stack([parts.h_a, parts.h_b, parts.v], axis=1)
+    local = qmath.real_part(np.einsum("bni,boij,bnj->bno", chi.conj(), local_ops, chi))
+    rho = np.einsum("bni,bnj->bij", phi, phi.conj())
+    total_final = qmath.real_part(np.einsum("bij,bji->b", rho, parts.total))
+    e_b = e_a - total_final
+    e_b_local = -qmath.real_part(np.einsum("bij,bji->b", rho, parts.h_b + parts.v))
+
+    scale = np.maximum(1.0, np.maximum(np.abs(e_a), np.abs(parts.total).max(axis=(-2, -1))))
+    e_a_closed = [measurement.input_energy_closed(meas, p) for p, meas, _ in cases]
+    _check("E_A closed form", e_a, e_a_closed, scale, first)
+    _check("E_B local form", e_b, e_b_local, scale, first)
+    m, l, alpha = coeffs[..., 0], coeffs[..., 1], coeffs[..., 2]
+    # outcomes along the leading axis, so the (B,) parameters broadcast behind them
+    q_sum = analytic.Q_of(
+        params, (m * m + l * l).T, (2.0 * m * l * np.cos(alpha)).T, omega.T, tuple(axes.T)
+    ).sum(axis=0)
+    _check("E_B per-outcome route", e_b, q_sum / params.eps, scale, first)
+    negative = np.flatnonzero(total_final < -CROSS_CHECK_TOL * scale)
+    if negative.size:
+        i = negative[0]
+        raise RuntimeError(
+            f"final energy {float(total_final[i])!r} violates H >= 0 in case {first + i}"
         )
 
-    scale = max(1.0, abs(e_a), float(np.max(np.abs(parts.total))))
-    _check("E_A closed form", e_a, measurement.input_energy_closed(meas, params), scale)
-
-    total_final = qmath.expectation(rho, parts.total)
-    e_b = e_a - total_final
-    e_b_local = -qmath.expectation(rho, parts.h_b + parts.v)
-    _check("E_B local form", e_b, e_b_local, scale)
-
-    q_route = sum(
-        analytic.Q_of(params, w.p, w.q, u.omega, u.n)
-        for w, u in zip(meas.weights, policy.unitaries)
-    ) / params.eps
-    _check("E_B per-outcome route", e_b, q_route, scale)
-
-    if total_final < -CROSS_CHECK_TOL * scale:
-        raise RuntimeError(f"final energy {total_final!r} violates H >= 0")
-
-    ent = entanglement.consumption(params, meas)
-    coeffs = analytic.bounds(params)
-    max_eb = analytic.max_EB_closed(params, meas.weights)
-    return ProtocolReport(
-        e_a=e_a,
-        e_b=e_b,
-        total_final_energy=total_final,
-        per_outcome=tuple(per_outcome),
-        delta_s=ent.delta_s,
-        mutual_info=ent.mutual_info,
-        bound32_rhs=coeffs.c32 * max_eb / params.eps,
-        bound770_rhs=coeffs.c770 * ent.delta_s,
-    )
+    reports = []
+    for i, (ent, (p, meas, _)) in enumerate(
+        zip(entanglement.consumption_many(g, kets), cases)
+    ):
+        count = meas.n_outcomes
+        coeffs_i = analytic.bounds(p)
+        max_eb = analytic.max_EB_closed(p, meas.weights)
+        reports.append(
+            ProtocolReport(
+                e_a=float(e_a[i]),
+                e_b=float(e_b[i]),
+                total_final_energy=float(total_final[i]),
+                per_outcome=tuple(
+                    OutcomeEnergies(probability=pr, h_a=ha, h_b=hb, v=v, total=ha + hb + v)
+                    for pr, (ha, hb, v) in zip(
+                        prob[i, :count].tolist(), local[i, :count].tolist()
+                    )
+                ),
+                delta_s=ent.delta_s,
+                mutual_info=ent.mutual_info,
+                bound32_rhs=coeffs_i.c32 * max_eb / p.eps,
+                bound770_rhs=coeffs_i.c770 * ent.delta_s,
+                reduced_eigenvalues=ent.reduced_eigenvalues[:count],
+            )
+        )
+    return reports
 
 
 def optimal_policy(
@@ -231,7 +311,7 @@ def passive_unitary_energy(
         unitarity = float(np.max(np.abs(w2.conj().T @ w2 - np.eye(2))))
         if unitarity > 1e-10:
             raise ValueError(f"matrix is not unitary (defect {unitarity:.3e})")
-    w4 = qmath.tensor(qmath.identity(2), w2)
+    w4 = _on_b(w2)
     parts = build_hamiltonian(params)
     g = ground_state(params)
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 HERMITIAN_TOL = 1e-10
+IMAG_TOL = 1e-12
 
 
 class NonHermitianInput(ValueError):
@@ -66,53 +67,75 @@ XX = _two_qubit("x", "x")
 
 
 def hermiticity_defect(m: np.ndarray) -> float:
+    """Largest entry of |m - m^dag|, over every matrix of a stack (..., d, d)."""
     m = np.asarray(m)
-    return float(np.max(np.abs(m - m.conj().T)))
+    return float(np.max(np.abs(m - np.swapaxes(m, -1, -2).conj())))
 
 
 def require_hermitian(m: np.ndarray, tol: float = HERMITIAN_TOL) -> np.ndarray:
-    """Return the symmetrized copy (m + m^dag)/2, or raise ``NonHermitianInput``."""
+    """Return the symmetrized copy (m + m^dag)/2, or raise ``NonHermitianInput``.
+
+    ``m`` is a square matrix or a stack (..., d, d) of them; one defect over
+    tolerance anywhere in the stack rejects it.
+    """
     m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise NonHermitianInput(f"expected a square matrix, got shape {m.shape}")
     defect = hermiticity_defect(m)
     if defect > tol:
         raise NonHermitianInput(
             f"matrix deviates from Hermiticity by {defect:.3e} (tolerance {tol:.0e})"
         )
-    return 0.5 * (m + m.conj().T)
+    return 0.5 * (m + np.swapaxes(m, -1, -2).conj())
 
 
 def hermitian_eig(m: np.ndarray, tol: float = HERMITIAN_TOL) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix by LAPACK (``numpy.linalg.eigh``).
 
-    Returns ``(vals, vecs)`` with eigenvalues ascending and ``vecs[:, j]``
-    the eigenvector for ``vals[j]``.  The input is checked for Hermiticity
-    and symmetrized first.
+    Returns ``(vals, vecs)`` with eigenvalues ascending and ``vecs[..., :, j]``
+    the eigenvector for ``vals[..., j]``.  A stack (..., d, d) is solved
+    matrix by matrix in one call.  The input is checked for Hermiticity and
+    symmetrized first.
     """
     return np.linalg.eigh(require_hermitian(m, tol))
 
 
 def projector(psi: np.ndarray) -> np.ndarray:
-    """Rank-one density matrix |psi><psi| (the input need not be normalized)."""
+    """Rank-one density matrix |psi><psi| (the input need not be normalized).
+
+    A stack of kets (..., d) gives a stack of projectors (..., d, d).
+    """
     psi = np.asarray(psi, dtype=complex)
-    return np.outer(psi, psi.conj())
+    return psi[..., :, None] * psi.conj()[..., None, :]
 
 
 def partial_trace(rho: np.ndarray, keep: str) -> np.ndarray:
-    """Trace out one qubit of a 4x4 two-qubit density matrix.
+    """Trace out one qubit of a 4x4 two-qubit density matrix, or of a stack of them.
 
     ``keep`` names the subsystem that survives: ``"A"`` or ``"B"``.
     """
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (4, 4):
-        raise ValueError(f"expected a 4x4 density matrix, got shape {rho.shape}")
-    blocks = rho.reshape(2, 2, 2, 2)  # indices: a, b, a', b'
+    if rho.shape[-2:] != (4, 4):
+        raise ValueError(f"expected 4x4 density matrices, got shape {rho.shape}")
+    blocks = rho.reshape(rho.shape[:-2] + (2, 2, 2, 2))  # indices: a, b, a', b'
     if keep == "A":
-        return np.einsum("abcb->ac", blocks)
+        return np.einsum("...abcb->...ac", blocks)
     if keep == "B":
-        return np.einsum("abad->bd", blocks)
+        return np.einsum("...abad->...bd", blocks)
     raise ValueError(f"keep must be 'A' or 'B', got {keep!r}")
+
+
+def real_part(raw):
+    """Real part of expectation values whose imaginary residue is rounding only.
+
+    ``raw`` is a complex number or array; a residue above 1e-12 anywhere
+    raises ``NonHermitianInput``.
+    """
+    raw = np.asarray(raw)
+    residue = float(np.max(np.abs(raw.imag), initial=0.0))
+    if residue > IMAG_TOL:
+        raise NonHermitianInput(f"expectation value has imaginary residue {residue:.3e}")
+    return raw.real
 
 
 def expectation(state: np.ndarray, op: np.ndarray, tol: float = HERMITIAN_TOL) -> float:
@@ -130,11 +153,7 @@ def expectation(state: np.ndarray, op: np.ndarray, tol: float = HERMITIAN_TOL) -
         raw = complex(np.trace(state @ op))
     else:
         raise ValueError(f"state must be a ket or a density matrix, got ndim {state.ndim}")
-    if abs(raw.imag) > 1e-12:
-        raise NonHermitianInput(
-            f"expectation value has imaginary residue {raw.imag:.3e}"
-        )
-    return raw.real
+    return float(real_part(raw))
 
 
 def norm(psi: np.ndarray) -> float:

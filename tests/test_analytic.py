@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 from minqet import analytic, entanglement, measurement
 from minqet.analytic import DomainError
 from minqet.measurement import OutcomeWeights
-from minqet.model import ModelParams
+from minqet.model import ModelParams, ParamsBlock
 
 UNIT = ModelParams(h=1.0, k=1.0)
 
@@ -172,6 +172,37 @@ def test_envelope_takes_an_array_of_z():
     for bad in (np.array([0.5, 1.0 + 1e-9]), np.array([-1e-9, 0.5]), np.array([np.nan])):
         with pytest.raises(DomainError):
             analytic.T_profile(UNIT, 0.5, 0.3, bad)
+
+
+def test_closed_forms_broadcast_over_outcomes():
+    # one ParamsBlock row per outcome; each must give what a scalar call gives
+    rng = np.random.default_rng(9)
+    params = [ModelParams(h=rng.uniform(0.25, 4), k=rng.uniform(0.25, 4)) for _ in range(12)]
+    p = rng.uniform(0.05, 1.0, size=12)
+    q = p * rng.uniform(-1.0, 1.0, size=12)
+    q[3] = 0.0
+    omega, axis = rng.uniform(0.0, math.pi, size=12), tuple(rng.normal(size=(3, 12)))
+    block = ParamsBlock.of(params)
+    arrays = {
+        "abc": np.array(analytic.abc_constants(block, p, q)).T,
+        "Q": analytic.Q_of(block, p, q, omega, axis),
+        "T0": analytic.T_profile(block, p, q, 0.0),
+        "sign": analytic.t_sign_check(block, p, q),
+    }
+    for i, one in enumerate(params):
+        args = (one, float(p[i]), float(q[i]))
+        scalars = {
+            "abc": analytic.abc_constants(*args),
+            "Q": analytic.Q_of(*args, float(omega[i]), tuple(float(c[i]) for c in axis)),
+            "T0": analytic.T_profile(*args, 0.0),
+            "sign": analytic.t_sign_check(*args),
+        }
+        for name, value in scalars.items():
+            assert np.array_equal(arrays[name][i], value), (name, i)
+        assert all(type(x) is float for x in scalars["abc"])
+        assert type(scalars["Q"]) is float
+        assert type(scalars["sign"]) is bool
+    assert arrays["sign"].dtype == bool and arrays["sign"].all()
 
 
 def test_t_profile_at_origin():

@@ -117,6 +117,23 @@ def test_omega_maximum_at_zero_q_is_not_a_false_fail(capsys, monkeypatch):
     assert code == 0, err
 
 
+def test_envelope_peak_catches_a_fault_in_abc_constants(capsys, monkeypatch):
+    # T(0) is checked against eps p f_E((q/p)^2), which reaches it through
+    # the sigma angles; a relative error of 1e-6 in a moves T(0) only
+    original = analytic.abc_constants
+
+    def shifted(params, p, q):
+        a, b, c = original(params, p, q)
+        return a * (1.0 + 1e-6), b, c
+
+    monkeypatch.setattr(analytic, "abc_constants", shifted)
+    code, out, err = run_cli(capsys, "verify", "--seed", "0", "--ensemble", "24")
+    assert code == 1
+    (line,) = [ln for ln in out.splitlines() if ln.split()[1:2] == ["envelope-peak"]]
+    assert line.startswith("FAIL"), line
+    assert float(line.split()[3]) > 1e-9
+
+
 def test_verify_fault_hook(capsys, monkeypatch):
     def corrupted_measurement():
         bad = object.__new__(measurement.KrausCoefficients)

@@ -152,3 +152,38 @@ def test_consumption_monotone_in_correlation():
 def test_von_neumann_entropy_rejects_bad_trace():
     with pytest.raises(ValueError):
         entanglement.von_neumann_entropy(np.eye(2))
+
+
+def test_entropy_takes_a_stack_of_density_matrices():
+    rng = np.random.default_rng(10)
+    raw = rng.normal(size=(5, 2, 2)) + 1j * rng.normal(size=(5, 2, 2))
+    rhos = raw @ np.swapaxes(raw.conj(), -1, -2)
+    rhos /= np.trace(rhos, axis1=-2, axis2=-1).real[:, None, None]
+    stacked = entanglement.von_neumann_entropy(rhos)
+    assert stacked.shape == (5,)
+    for rho, s in zip(rhos, stacked):
+        assert abs(entanglement.von_neumann_entropy(rho) - s) <= 1e-15
+    # one bad member rejects the whole stack, with the same errors as alone
+    with pytest.raises(measurement.NotNormalized):
+        entanglement.von_neumann_entropy(np.concatenate([rhos, 0.5 * rhos[:1]]))
+    with pytest.raises(qmath.NonHermitianInput):
+        entanglement.von_neumann_entropy(rhos + np.array([[0.0, 1e-6], [0.0, 0.0]]))
+
+
+def test_consumption_many_equals_one_call_per_case(small_ensemble):
+    from minqet.model import ground_state
+
+    # the same kets padded to six outcomes: zero kets read as degenerate outcomes
+    cases = small_ensemble[:8]
+    kets = np.zeros((len(cases), 6, 4), dtype=complex)
+    ground = np.array([ground_state(params) for params, _ in cases])
+    for i, (params, model) in enumerate(cases):
+        kets[i, : model.n_outcomes] = model.kraus @ ground[i]
+    for (params, model), batch in zip(cases, entanglement.consumption_many(ground, kets)):
+        one = entanglement.consumption(params, model)
+        n = model.n_outcomes
+        assert batch.probabilities[n:] == (0.0,) * (6 - n)
+        assert batch.reduced_eigenvalues[n:] == (None,) * (6 - n)
+        for field in ("s_ground", "delta_s", "mutual_info"):
+            assert abs(getattr(batch, field) - getattr(one, field)) <= 1e-15
+        assert np.allclose(batch.s_post[:n], one.s_post, rtol=0.0, atol=1e-15)

@@ -1,6 +1,9 @@
 """Full protocol runs: feedback energetics, the no-go check, free evolution."""
 
+import dataclasses
 import math
+import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -204,3 +207,311 @@ def test_report_bound_fields():
     # the two inequalities at the unit projective point
     assert report.delta_s >= report.bound32_rhs - 1e-10
     assert MAX_EB_UNIT >= report.bound770_rhs - 1e-10
+
+
+# ---------------------------------------------------------------------------
+# batched runs
+
+# outcome weights and Haar rotations drawn once (random_measurement with
+# seeds 31, 41, 61 and random_local_unitary with seeds 0-4), written out so
+# that the frozen values below do not depend on the random generators
+W3 = (
+    (0.38267351301974595, 0.18895151574267774),
+    (0.03190641195346283, 0.02882849757467202),
+    (0.5854200750267912, -0.21778001331734972),
+)
+W4 = (
+    (0.7663708069559613, -0.005069266265153501),
+    (0.05575620876863364, 0.009788934052733183),
+    (0.07565532605991603, -0.026612614485262434),
+    (0.10221765821548891, 0.021892946697682877),
+)
+W6 = (
+    (0.23229851171308732, 0.030898897249136557),
+    (0.22031025877638571, 0.021669557741973367),
+    (0.23430416957227668, -0.006699001257808552),
+    (0.13024452774742992, -0.011935305148349775),
+    (0.1260304772235136, 0.009247824978388457),
+    (0.05681205496730684, -0.043181973563340074),
+)
+W_ZERO_MASS = ((0.0, 0.0), (0.5, 0.25), (0.5, -0.25))
+TURNS = tuple(
+    LocalUnitary(omega, n)
+    for omega, n in (
+        (1.3831807197071113, (-0.19947387607816813, 0.967016544504357, 0.15839562941320195)),
+        (1.3548782577208132, (0.5214690752420351, 0.2097236020236326, -0.8270949246129187)),
+        (1.4962320479109743, (-0.20655943272975893, -0.1632184133589924, -0.9647242871882792)),
+        (0.9147279317517318, (-0.9639838129186612, 0.15770475218982768, -0.2141597991396718)),
+        (1.9185625628567948, (-0.0971704964118125, 0.9252941365087376, 0.3665905830345778)),
+    )
+)
+
+
+def weights_model(pairs):
+    return measurement.weights_to_coeffs([OutcomeWeights(p, q) for p, q in pairs])
+
+
+def turns(n, start=0):
+    return FeedbackPolicy(tuple(TURNS[(start + mu) % len(TURNS)] for mu in range(n)))
+
+
+def optimal(params, model):
+    return (params, model, protocol.optimal_policy(params, model))
+
+
+def frozen_cases():
+    return [
+        optimal(UNIT, measurement.projective_pair()),
+        optimal(ModelParams(0.3, 2.7), measurement.weak_pair(0.3)),
+        (ModelParams(5.0, 0.2), weights_model(W3), turns(3)),
+        optimal(ModelParams(2.0, 0.5), weights_model(W4)),
+        (ModelParams(0.1, 10.0), weights_model(W6), turns(6, start=2)),
+        (ModelParams(1.5, 0.7), weights_model(W_ZERO_MASS), turns(3, start=4)),
+    ]
+
+
+# ProtocolReport values of frozen_cases() from the per-outcome loop that
+# run_many replaced: (e_a, e_b, total_final_energy, delta_s, mutual_info,
+# bound32_rhs, bound770_rhs), then per outcome (probability, h_a, h_b, v, total)
+FROZEN = [
+    (
+        (
+            0.7071067811865471, 0.11474763394014709, 0.5923591472464,
+            0.41649553069968737, 0.4164955306996875, 0.3034066011834987,
+            0.11474763394014709,
+        ),
+        (
+            (
+                0.5, 0.7071067811865475, 0.25989318568658976,
+                -0.374640819626737, 0.5923591472464003,
+            ),
+            (
+                0.5, 0.7071067811865474, 0.2598931856865895,
+                -0.3746408196267368, 0.5923591472464,
+            ),
+        ),
+    ),
+    (
+        (
+            0.0015259692839261877, 0.0007407889054220596, 0.0007851803785041281,
+            0.045326926116285415, 0.045326926116285415, 0.04463018812304425,
+            0.0005426591841718954,
+        ),
+        (
+            (
+                0.5, 0.0015259692839258731, 0.0014860202968040325,
+                -0.0022268092022259536, 0.000785180378503952,
+            ),
+            (
+                0.5, 0.0015259692839258731, 0.0014860202968040325,
+                -0.002226809202225898, 0.0007851803785040076,
+            ),
+        ),
+    ),
+    (
+        (
+            0.5503211015253466, -4.215011374908247, 4.765332476433594,
+            0.0006403142102200015, 0.0006403142102200388, 0.0006265480376824965,
+            0.0007232522213041038,
+        ),
+        (
+            (
+                0.38267351301974595, 0.6515075081068137, 9.373480292181863,
+                0.11161143519258253, 10.13659923548126,
+            ),
+            (
+                0.03190641195346283, 2.8551247203352834, 3.144481034922754,
+                0.3511203587994073, 6.350726114057444,
+            ),
+            (
+                0.585420075026791, 0.3585624376209395, 0.7163349387001365,
+                0.09297434944557076, 1.1678717257666469,
+            ),
+        ),
+    ),
+    (
+        (
+            0.01569687348495909, 0.0008507552232005482, 0.014846118261758542,
+            0.0010136620305811472, 0.001013662030581286, 0.001002424297885918,
+            0.0006956935771699143,
+        ),
+        (
+            (
+                0.7663708069559613, 4.244754543152978e-05, 6.812486008702867e-06,
+                -9.170655908322576e-06, 4.008937553191007e-05,
+            ),
+            (
+                0.05575620876863363, 0.030137405513850968, 0.004795093745772678,
+                -0.006455759340152191, 0.028476739919471458,
+            ),
+            (
+                0.07565532605991604, 0.12400411972393484, 0.019198334428915113,
+                -0.025857152983610656, 0.1173453011692393,
+            ),
+            (
+                0.10221765821548892, 0.04502571690253916, 0.007133185133500603,
+                -0.00960419149910156, 0.0425547105369382,
+            ),
+        ),
+    ),
+    (
+        (
+            2.400901781841951e-05, -27.938455592500127, 27.938479601517944,
+            0.022648128657645095, 0.022648128657645206, 0.020512161293148187,
+            8.168307064733765e-06,
+        ),
+        (
+            (
+                0.23229851171308732, 8.885364003952115e-06, -0.004811138948762293,
+                38.06772580757875, 38.062923553994,
+            ),
+            (
+                0.2203102587763857, 4.848787787681315e-06, -0.002851228011572177,
+                1.7743745959028403, 1.7715282166790558,
+            ),
+            (
+                0.23430416957227668, 4.0878707467605127e-07, -0.0003450953680340024,
+                35.021712883560475, 35.021368196979516,
+            ),
+            (
+                0.13024452774742987, 4.207372863522616e-06, 0.004570469571733288,
+                37.062768092242166, 37.067342769186766,
+            ),
+            (
+                0.1260304772235136, 2.6956413402198166e-06, 0.005997526313364796,
+                27.798022428278184, 27.804022650232888,
+            ),
+            (
+                0.05681205496730683, 0.0003501584748086189, 0.0284179329376136,
+                38.14284671872859, 38.171614810141016,
+            ),
+        ),
+    ),
+    (
+        (
+            0.1821082804173227, -2.3284939704767513, 2.510602250894074,
+            0.038466095188632005, 0.03846609518863198, 0.036902348202200015,
+            0.02042359827685772,
+        ),
+        (
+            (
+                0.0, 0.0, 0.0,
+                0.0, 0.0,
+            ),
+            (
+                0.5000000000000001, 0.1821082804173227, 2.465083694376974,
+                1.3609070468724431, 4.00809902166674,
+            ),
+            (
+                0.5000000000000001, 0.18210828041732266, 0.5862162672803738,
+                0.24478093242370938, 1.0131054801214059,
+            ),
+        ),
+    ),
+]
+
+
+def flat_values(value):
+    """Every number of a (nested) report, in field order; None stays None."""
+    if dataclasses.is_dataclass(value):
+        value = dataclasses.astuple(value)
+    if isinstance(value, (tuple, list)):
+        return [x for item in value for x in flat_values(item)]
+    return [value]
+
+
+def assert_close(got, want):
+    got, want = flat_values(got), flat_values(want)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        if w is None:
+            assert g is None
+        else:
+            assert abs(g - w) <= 1e-14 * max(1.0, abs(w)), (g, w)
+
+
+def mixed_batch():
+    """Outcome counts 1-6, a zero-mass outcome, off-y policies, several (h, k)."""
+    return [
+        (ModelParams(0.7, 1.3), measurement.identity_measurement(), identity_policy(1)),
+        *frozen_cases(),
+        (ModelParams(3.0, 0.4), measurement.random_measurement(5, n_outcomes=4), turns(4, 1)),
+        optimal(ModelParams(0.25, 4.0), measurement.random_measurement(6, n_outcomes=6)),
+        (ModelParams(1.1, 0.9), measurement.random_measurement(7, n_outcomes=2), turns(2, 3)),
+    ]
+
+
+def test_batch_equals_one_run_per_case(monkeypatch):
+    monkeypatch.setattr(protocol, "BLOCK", 2)  # blocks split the cases
+    cases = mixed_batch()
+    batch = protocol.run_many(cases)
+    assert len(batch) == len(cases)
+    for report, case in zip(batch, cases):
+        assert_close(report, protocol.run(*case))
+        assert len(report.per_outcome) == case[1].n_outcomes
+
+
+def test_batch_matches_frozen_values():
+    reports = protocol.run_many(frozen_cases())
+    for report, (scalars, per_outcome) in zip(reports, FROZEN):
+        assert_close(
+            (
+                report.e_a,
+                report.e_b,
+                report.total_final_energy,
+                report.delta_s,
+                report.mutual_info,
+                report.bound32_rhs,
+                report.bound770_rhs,
+            ),
+            scalars,
+        )
+        assert_close(report.per_outcome, per_outcome)
+
+
+def test_zero_mass_outcome_is_degenerate_in_a_batch():
+    report = protocol.run_many(frozen_cases())[-1]
+    assert report.per_outcome[0] == protocol.OutcomeEnergies(0.0, 0.0, 0.0, 0.0, 0.0)
+    assert report.reduced_eigenvalues[0] is None
+    params = ModelParams(1.5, 0.7)
+    for vals, (p, q) in zip(report.reduced_eigenvalues[1:], W_ZERO_MASS[1:]):
+        lam_plus, lam_minus = analytic.lambda_pm(params, p, q)
+        assert abs(vals[0] - lam_minus) <= 1e-12 and abs(vals[1] - lam_plus) <= 1e-12
+
+
+def test_batch_working_memory_is_bounded():
+    rng = np.random.default_rng(8)
+    cases = []
+    for i in range(1000):
+        params = ModelParams(*(float(x) for x in rng.uniform(0.3, 3.0, size=2)))
+        cases.append(optimal(params, measurement.random_measurement(rng, (2, 3, 4, 6)[i % 4])))
+    protocol.run_many(cases[:4])
+    tracemalloc.start()
+    try:
+        reports = protocol.run_many(cases)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(reports) == 1000
+    # the reports themselves hold ~1.8 MB; the arrays of one block come on top
+    assert peak - kept < 1_000_000, (kept, peak)
+
+
+def test_batch_rejects_a_wrong_length_policy():
+    cases = frozen_cases()
+    params, model, _ = cases[3]
+    cases[3] = (params, model, identity_policy(model.n_outcomes + 1))
+    with pytest.raises(PolicyMismatch, match="case 3"):
+        protocol.run_many(cases)
+
+
+def test_batch_names_the_failing_check_and_case(monkeypatch):
+    # only case 7 of the batch (h = 3.0) sees a shifted Q in protocol's view
+    shifted = types.SimpleNamespace(**vars(analytic))
+    shifted.Q_of = lambda params, *rest: analytic.Q_of(params, *rest) + 1e-6 * (
+        params.h == 3.0
+    )
+    monkeypatch.setattr(protocol, "analytic", shifted)
+    monkeypatch.setattr(protocol, "BLOCK", 2)
+    with pytest.raises(RuntimeError, match=r"E_B per-outcome route differs in case 7 "):
+        protocol.run_many(mixed_batch())

@@ -174,3 +174,22 @@ def test_expectation_accepts_density_matrix():
     rho = np.eye(4) / 4.0
     za = qmath.tensor(qmath.pauli("z"), np.eye(2))
     assert abs(qmath.expectation(rho, za)) <= 1e-14
+
+
+def test_eig_projector_and_partial_trace_take_stacks():
+    rng = np.random.default_rng(11)
+    raw = rng.normal(size=(3, 4, 4)) + 1j * rng.normal(size=(3, 4, 4))
+    herm = raw + np.swapaxes(raw.conj(), -1, -2)
+    vals, vecs = qmath.hermitian_eig(herm)
+    for m, v, u in zip(herm, vals, vecs):
+        one_vals, _ = qmath.hermitian_eig(m)
+        assert np.allclose(v, one_vals, rtol=0.0, atol=1e-13)
+        assert float(np.max(np.abs(u @ np.diag(v) @ u.conj().T - m))) <= 1e-12
+    with pytest.raises(qmath.NonHermitianInput):
+        qmath.hermitian_eig(np.concatenate([herm, raw[:1]]))
+    kets = rng.normal(size=(2, 3, 4)) + 1j * rng.normal(size=(2, 3, 4))
+    stacked = qmath.partial_trace(qmath.projector(kets), keep="B")
+    assert stacked.shape == (2, 3, 2, 2)
+    for ket, rho_b in zip(kets.reshape(-1, 4), stacked.reshape(-1, 2, 2)):
+        one = qmath.partial_trace(np.outer(ket, ket.conj()), keep="B")
+        assert np.allclose(rho_b, one, rtol=0.0, atol=1e-14)

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .measurement import DEGENERATE_PROB
 from .model import ModelParams
 
 LN2 = math.log(2.0)
@@ -256,7 +257,7 @@ def max_EB_closed(params: ModelParams, weights) -> float:
     """Maximum teleported energy over feedback policies, from the weights."""
     total = 0.0
     for w in weights:
-        if w.p > 1e-14:
+        if w.p > DEGENERATE_PROB:
             total += w.p * f_E(params, (w.q / w.p) ** 2)
     return total
 
@@ -265,7 +266,7 @@ def delta_S_closed(params: ModelParams, weights) -> float:
     """Entanglement consumption of the measurement, from the weights."""
     total = 0.0
     for w in weights:
-        if w.p > 1e-14:
+        if w.p > DEGENERATE_PROB:
             total += w.p * f_I(params, (w.q / w.p) ** 2)
     return total
 
@@ -294,15 +295,6 @@ def rescaled_f_I(params: ModelParams, x: float) -> float:
     s2 = params.sin_sigma**2
     log_ratio = math.log((1.0 + c) / (1.0 - c))
     return (4.0 * c / s2) / log_ratio * f_I(params, x)
-
-
-def rescaled_fbar(params: ModelParams, x: float, which: str) -> float:
-    """Dispatch to the rescaled kernel named by ``which`` ("E" or "I")."""
-    if which == "E":
-        return rescaled_f_E(params, x)
-    if which == "I":
-        return rescaled_f_I(params, x)
-    raise ValueError(f"which must be 'E' or 'I', got {which!r}")
 
 
 def bounds(params: ModelParams) -> BoundCoefficients:

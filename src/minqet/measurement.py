@@ -137,18 +137,6 @@ class MeasurementModel:
         return cls(tuple(_coeffs_from_weight(w) for w in weights))
 
 
-@dataclass(frozen=True)
-class MeasurementOutcome:
-    """Result of applying one Kraus operator: Born probability and post state.
-
-    ``state`` is None for a degenerate outcome (probability below 1e-14),
-    which is reported with probability 0.0 rather than raising.
-    """
-
-    probability: float
-    state: np.ndarray | None
-
-
 def _coeffs_from_weight(w: OutcomeWeights) -> KrausCoefficients:
     """Canonical Kraus coefficients for one outcome's weights (alpha = delta = 0)."""
     root_plus = math.sqrt(max(w.p + w.q, 0.0))
@@ -165,15 +153,6 @@ def weights_to_coeffs(weights) -> MeasurementModel:
     description (sum p = 1, sum q = 0, p >= |q|).
     """
     return validate(_coeffs_from_weight(OutcomeWeights(w.p, w.q)) for w in weights)
-
-
-def kraus_on_full_space(model: MeasurementModel, mu: int) -> np.ndarray:
-    """The 4x4 operator M_A(mu) acting on qubit A tensored with identity on B.
-
-    A read-only view into ``model.kraus``.  Raises ``IndexError`` if ``mu``
-    is out of range.
-    """
-    return model.kraus[mu]
 
 
 def coefficient_block(models) -> np.ndarray:
@@ -244,27 +223,6 @@ def validate(coeffs, tol: float = WEIGHT_TOL) -> MeasurementModel:
             "operator fails to commute with the coupling",
         )
     return model
-
-
-def measure(model: MeasurementModel, state: np.ndarray) -> list[MeasurementOutcome]:
-    """Apply every Kraus operator to a unit ket; Born probabilities and posts.
-
-    Post-measurement states are normalized kets.  Outcomes with probability
-    below 1e-14 come back with probability 0.0 and state None.
-    """
-    state = np.asarray(state, dtype=complex)
-    if abs(qmath.norm(state) - 1.0) > 1e-10:
-        raise NotNormalized(f"state norm is {qmath.norm(state)!r}, expected 1")
-    outcomes = []
-    for phi in model.kraus @ state:
-        prob = float(np.real(phi.conj() @ phi))
-        if prob < DEGENERATE_PROB:
-            outcomes.append(MeasurementOutcome(probability=0.0, state=None))
-        else:
-            outcomes.append(
-                MeasurementOutcome(probability=prob, state=phi / math.sqrt(prob))
-            )
-    return outcomes
 
 
 def input_energy_closed(model: MeasurementModel, params) -> float:

@@ -179,7 +179,7 @@ def maximize_over_policies(cases) -> tuple[OptimizationResult, ...]:
     """Numerically maximize E_B over per-outcome feedback rotations, per case.
 
     ``cases`` is a sequence of (params, meas) pairs.  Every outcome with
-    p > 1e-14 of every case becomes one row of a single lockstep search:
+    p > DEGENERATE_PROB of every case becomes one row of a single lockstep search:
     a lattice scan, a simplex polish, then the y-axis tie rule.  At |q| = p
     the maximizing axis is a whole degenerate family, so the y-axis rotation
     is reported instead of the search's own axis whenever the two values
@@ -192,7 +192,7 @@ def maximize_over_policies(cases) -> tuple[OptimizationResult, ...]:
             x
             for params, meas in cases
             for w in meas.weights
-            if w.p > 1e-14
+            if w.p > measurement.DEGENERATE_PROB
             for x in (params.h, params.k, w.p, w.q)
         ),
         dtype=float,
@@ -223,7 +223,7 @@ def maximize_over_policies(cases) -> tuple[OptimizationResult, ...]:
         total = 0.0
         span = 0
         for w in meas.weights:
-            if w.p <= 1e-14:
+            if w.p <= measurement.DEGENERATE_PROB:
                 unitaries.append(LocalUnitary.identity())
                 continue
             total += float(value[i + span]) / params.eps

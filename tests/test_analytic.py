@@ -338,13 +338,13 @@ def test_kernels_domain_errors():
 
 
 def test_rescaled_kernels_at_origin():
-    assert analytic.rescaled_fbar(UNIT, 0.0, "E") == 0.0
-    assert analytic.rescaled_fbar(UNIT, 0.0, "I") == 0.0
+    assert analytic.rescaled_f_E(UNIT, 0.0) == 0.0
+    assert analytic.rescaled_f_I(UNIT, 0.0) == 0.0
 
 
 def test_rescaled_kernels_first_order():
-    for which in ("E", "I"):
-        val = analytic.rescaled_fbar(UNIT, 1e-6, which)
+    for kernel in (analytic.rescaled_f_E, analytic.rescaled_f_I):
+        val = kernel(UNIT, 1e-6)
         assert abs(val - 1e-6) <= 1e-9
 
 
@@ -352,15 +352,10 @@ def test_rescaled_kernels_bracket_identity():
     for params in (UNIT, ModelParams(h=2.0, k=0.5), ModelParams(h=0.5, k=2.0)):
         for x in np.linspace(0.0, 1.0, 128):
             x = float(x)
-            lo = analytic.rescaled_fbar(params, x, "E")
-            hi = analytic.rescaled_fbar(params, x, "I")
+            lo = analytic.rescaled_f_E(params, x)
+            hi = analytic.rescaled_f_I(params, x)
             assert lo <= x + 1e-12
             assert x <= hi + 1e-12
-
-
-def test_rescaled_kernel_unknown_selector():
-    with pytest.raises(ValueError):
-        analytic.rescaled_fbar(UNIT, 0.5, "Q")
 
 
 def test_lambda_pm_saturated():

@@ -8,7 +8,7 @@ import types
 import numpy as np
 import pytest
 
-from minqet import analytic, cli, measurement
+from minqet import analytic, checks, cli, measurement, protocol
 
 MAX_EB_UNIT = 0.11474763394014725
 GROUND_ENTROPY_UNIT = 0.4164955306996875
@@ -58,7 +58,7 @@ def test_verify_skips_ensemble_checks(capsys):
     assert sum(ln.startswith("PASS") for ln in lines) == 5
     skipped = [ln.split()[1] for ln in lines if ln.startswith("SKIP")]
     capped = [
-        name for _, budgets, cap in cli.CHECKS if cap is not None for name in budgets
+        name for _, budgets, cap in checks.CHECKS if cap is not None for name in budgets
     ]
     assert len(skipped) == 17
     assert skipped == capped
@@ -69,10 +69,10 @@ def test_verify_reports_a_raising_routine_once_per_name(capsys, monkeypatch):
         raise ZeroDivisionError("injected")
 
     table = [
-        (boom if routine is cli._ensemble_residuals else routine, budgets, cap)
-        for routine, budgets, cap in cli.CHECKS
+        (boom if routine is checks.ensemble_residuals else routine, budgets, cap)
+        for routine, budgets, cap in checks.CHECKS
     ]
-    monkeypatch.setattr(cli, "CHECKS", table)
+    monkeypatch.setattr(checks, "CHECKS", table)
     code, out, err = run_cli(capsys, "verify", "--ensemble", "3")
     assert code == 1
     names = next(b for r, b, _ in table if r is boom)
@@ -93,7 +93,7 @@ def test_omega_maximum_is_judged_relative_to_its_value(capsys, monkeypatch):
     # cross-check would otherwise raise first and fail all 13 names.
     shifted = types.SimpleNamespace(**vars(analytic))
     shifted.Q_of = lambda *args: analytic.Q_of(*args) + 1e-10
-    monkeypatch.setattr(cli, "analytic", shifted)
+    monkeypatch.setattr(checks, "analytic", shifted)
     code, out, err = run_cli(capsys, "verify", "--seed", "0", "--ensemble", "24")
     assert code == 1
     failed = [ln.split()[1] for ln in out.splitlines() if ln.startswith("FAIL")]
@@ -145,7 +145,7 @@ def test_verify_fault_hook(capsys, monkeypatch):
         return 0.0
 
     budgets = {"corrupted-measurement": 1e-12}
-    monkeypatch.setattr(cli, "CHECKS", ((corrupted_measurement, budgets, None),))
+    monkeypatch.setattr(checks, "CHECKS", ((corrupted_measurement, budgets, None),))
     code, out, err = run_cli(capsys, "verify", "--ensemble", "0")
     assert code == 1
     assert out.startswith("FAIL corrupted-measurement")
@@ -289,6 +289,29 @@ def test_sweep_parallel_matches_serial(tmp_path, capsys):
     run_cli(capsys, *args, "--out", str(serial))
     run_cli(capsys, *args, "--out", str(parallel), "--jobs", "2")
     assert (serial / "sweep.csv").read_text() == (parallel / "sweep.csv").read_text()
+
+
+def test_sweep_rows_match_one_report_per_cell(tmp_path, capsys):
+    # 72 cells: more than one block of run_many, in three chunks with --jobs 3
+    povm = "builtin:weak(0.7)"
+    args = ["sweep", "--h", "0.3:3:9:log", "--k", "0.4:2.5:8:log", "--povm", povm]
+    run_cli(capsys, *args, "--out", str(tmp_path / "serial"))
+    run_cli(capsys, *args, "--out", str(tmp_path / "pool"), "--jobs", "3")
+    text = (tmp_path / "serial" / "sweep.csv").read_text()
+    assert (tmp_path / "pool" / "sweep.csv").read_text() == text
+    rows = list(csv.DictReader(text.splitlines()))
+    assert len(rows) == 72 > protocol.BLOCK
+    for row in rows:
+        code, out, _ = run_cli(capsys, "report", "--h", row["h"], "--k", row["k"], "--povm", povm)
+        assert code == 0
+        payload = json.loads(out)
+        energies, entropies, bounds = payload["energies"], payload["entanglement"], payload["bounds"]
+        assert float(row["E_A"]) == energies["E_A_bruteforce"]
+        assert float(row["maxE_B_closed"]) == energies["maxE_B_closed"]
+        assert float(row["delta_S"]) == entropies["delta_S"]
+        assert float(row["mutual_info"]) == entropies["mutual_info"]
+        assert float(row["bound32_rhs"]) == bounds["bound32"]["rhs"]
+        assert float(row["bound770_rhs"]) == bounds["bound770"]["rhs"]
 
 
 def test_sweep_unwritable_output(capsys):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from minqet import measurement, qmath
+from minqet import measurement, protocol, qmath
 from minqet.measurement import (
     ConstraintViolation,
     KrausCoefficients,
@@ -105,13 +105,13 @@ def test_weight_type_rejects_q_above_p():
 
 def test_kraus_identity_outcome():
     model = measurement.identity_measurement()
-    assert np.allclose(measurement.kraus_on_full_space(model, 0), np.eye(4), atol=1e-15)
+    assert np.allclose(model.kraus[0], np.eye(4), atol=1e-15)
 
 
 def test_kraus_projectors_idempotent():
     model = measurement.projective_pair()
     for mu in range(2):
-        op = measurement.kraus_on_full_space(model, mu)
+        op = model.kraus[mu]
         sx = qmath.tensor(qmath.pauli("x"), np.eye(2))
         sign = 1.0 if mu == 0 else -1.0
         assert np.allclose(op, (np.eye(4) + sign * sx) / 2.0, atol=1e-12)
@@ -122,7 +122,7 @@ def test_kraus_commutes_with_interaction(small_ensemble):
     for params, model in small_ensemble[:12]:
         v = build_hamiltonian(params).v
         for mu in range(model.n_outcomes):
-            op = measurement.kraus_on_full_space(model, mu)
+            op = model.kraus[mu]
             comm = op @ v - v @ op
             assert float(np.max(np.abs(comm))) <= 1e-12 * max(1.0, params.eps)
 
@@ -163,32 +163,34 @@ def test_kraus_stack_is_read_only():
 
 def test_kraus_index_out_of_range():
     with pytest.raises(IndexError):
-        measurement.kraus_on_full_space(measurement.projective_pair(), 2)
+        measurement.projective_pair().kraus[2]
 
 
 def test_measure_identity():
     params = ModelParams(h=1.0, k=1.0)
     g = ground_state(params)
-    (outcome,) = measurement.measure(measurement.identity_measurement(), g)
+    model = measurement.identity_measurement()
+    assert np.allclose(model.kraus[0] @ g, g, atol=1e-15)
+    (outcome,) = protocol.run(params, model, protocol.FeedbackPolicy.identity(1)).per_outcome
     assert abs(outcome.probability - 1.0) <= 1e-15
-    assert np.allclose(outcome.state, g, atol=1e-15)
 
 
 def test_measure_projective_probabilities():
-    g = ground_state(ModelParams(h=1.0, k=1.0))
-    outcomes = measurement.measure(measurement.projective_pair(), g)
-    for outcome in outcomes:
-        # <g|sigma_x^A|g> = 0 forces 1/2 each
+    params = ModelParams(h=1.0, k=1.0)
+    model = measurement.projective_pair()
+    # <g|sigma_x^A|g> = 0 forces 1/2 each
+    for outcome in protocol.run(params, model, protocol.FeedbackPolicy.identity(2)).per_outcome:
         assert abs(outcome.probability - 0.5) <= 1e-12
-        assert abs(np.linalg.norm(outcome.state) - 1.0) <= 1e-12
 
 
 def test_measure_probabilities_match_weights(small_ensemble):
-    for params, model in small_ensemble[:12]:
-        g = ground_state(params)
-        outcomes = measurement.measure(model, g)
+    cases = [
+        (params, model, protocol.FeedbackPolicy.identity(model.n_outcomes))
+        for params, model in small_ensemble[:12]
+    ]
+    for (_, model, _), report in zip(cases, protocol.run_many(cases)):
         total = 0.0
-        for w, outcome in zip(model.weights, outcomes):
+        for w, outcome in zip(model.weights, report.per_outcome):
             assert abs(outcome.probability - w.p) <= 1e-10
             total += outcome.probability
         assert abs(total - 1.0) <= 1e-12
@@ -199,11 +201,10 @@ def test_measure_degenerate_outcome():
     model = measurement.weights_to_coeffs(
         [OutcomeWeights(tiny, 0.0), OutcomeWeights(1.0 - tiny, 0.0)]
     )
-    g = ground_state(ModelParams(h=1.0, k=1.0))
-    outcomes = measurement.measure(model, g)
-    assert outcomes[0].probability == 0.0
-    assert outcomes[0].state is None
-    assert outcomes[1].state is not None
+    report = protocol.run(ModelParams(h=1.0, k=1.0), model, protocol.FeedbackPolicy.identity(2))
+    assert report.per_outcome[0].probability == 0.0
+    assert report.reduced_eigenvalues[0] is None
+    assert report.reduced_eigenvalues[1] is not None
 
 
 def test_input_energy_identity():
@@ -224,7 +225,7 @@ def test_input_energy_matches_brute_force(small_ensemble):
         g = ground_state(params)
         brute = 0.0
         for mu in range(model.n_outcomes):
-            psi = measurement.kraus_on_full_space(model, mu) @ g
+            psi = model.kraus[mu] @ g
             brute += float(np.real(np.vdot(psi, parts.total @ psi)))
         closed = measurement.input_energy_closed(model, params)
         assert abs(closed - brute) <= 1e-10 * max(1.0, params.eps)
@@ -237,7 +238,7 @@ def test_post_measurement_b_side_untouched(small_ensemble):
         g = ground_state(params)
         hb = v = 0.0
         for mu in range(model.n_outcomes):
-            psi = measurement.kraus_on_full_space(model, mu) @ g
+            psi = model.kraus[mu] @ g
             hb += float(np.real(np.vdot(psi, parts.h_b @ psi)))
             v += float(np.real(np.vdot(psi, parts.v @ psi)))
         scale = max(1.0, params.eps)

@@ -97,21 +97,18 @@ def block_residuals(members) -> dict[str, list]:
     parts = model.build_hamiltonian(block)
     g = model.ground_state(block)
     kets = (measurement.kraus_operators(coeffs) @ g[:, None, :, None])[..., 0]
-    rho_post = np.einsum("bni,bnj->bij", kets, kets.conj())
-
-    def energy(op: np.ndarray) -> np.ndarray:
-        return qmath.real_part(np.einsum("bij,bji->b", rho_post, op))
-
-    e_a_closed = [measurement.input_energy_closed(m, p) for p, m in zip(params, models)]
-    found["input-energy"] = [np.abs(energy(parts.total) - e_a_closed)]
-    found["post-measurement-passivity"] = [np.abs(energy(parts.h_b)), np.abs(energy(parts.v))]
+    # <H_B> and <V> of the post-measurement state sum over its kets: (B, 2)
+    passive = qmath.expectation(kets[..., None, :], np.stack([parts.h_b, parts.v], 1)[:, None])
+    found["post-measurement-passivity"] = [np.abs(passive.sum(axis=1))]
 
     max_eb = np.array([analytic.max_EB_closed(p, w) for p, w in zip(params, weights)])
     delta_closed = np.array([analytic.delta_S_closed(p, w) for p, w in zip(params, weights)])
     c770 = np.array([analytic.bounds(p).c770 for p in params])
-    e_b, delta_s, mutual, rhs32, rhs770 = np.array(
-        [(r.e_b, r.delta_s, r.mutual_info, r.bound32_rhs, r.bound770_rhs) for r in reports]
+    e_a, e_b, delta_s, mutual, rhs32, rhs770 = np.array(
+        [(r.e_a, r.e_b, r.delta_s, r.mutual_info, r.bound32_rhs, r.bound770_rhs) for r in reports]
     ).T
+    e_a_closed = [measurement.input_energy_closed(m, p) for p, m in zip(params, models)]
+    found["input-energy"] = [np.abs(e_a - e_a_closed)]
     found["teleported-energy-routes"] = [np.abs(e_b - max_eb)]
     found["entanglement-consumption"] = [np.abs(delta_s - delta_closed)]
     found["mutual-information"] = [np.abs(mutual - delta_s)]
@@ -183,25 +180,25 @@ def ensemble_residuals(seed: int, size: int) -> dict[str, float]:
 
 
 def _check_eigensolver(seed: int, size: int) -> float:
-    rng = np.random.default_rng([seed, 2])
-    worst = 0.0
-    for _ in range(size):
-        raw = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        a = raw + raw.conj().T
-        vals, vecs = qmath.hermitian_eig(a)
-        recon = vecs @ np.diag(vals) @ vecs.conj().T
-        # LAPACK-free oracle on a 2x2 block: tr/2 -+ hypot((a-d)/2, |b|)
-        vals2, _ = qmath.hermitian_eig(a[:2, :2])
-        mid, half = 0.5 * (a[0, 0] + a[1, 1]).real, 0.5 * (a[0, 0] - a[1, 1]).real
-        radius = math.hypot(half, abs(a[0, 1]))
-        worst = max(
-            worst,
-            float(np.max(np.abs(recon - a))),
-            float(np.max(np.abs(vecs.conj().T @ vecs - np.eye(4)))),
-            float(np.max(np.abs(vals2 - (mid - radius, mid + radius)))),
-        )
-        if not np.all(np.diff(vals) >= -1e-12):
-            worst = max(worst, 1.0)
+    # matrix i is drawn as its 16 real parts, then its 16 imaginary parts
+    raw = np.random.default_rng([seed, 2]).normal(size=(size, 2, 4, 4))
+    raw = raw[:, 0] + 1j * raw[:, 1]
+    a = raw + np.swapaxes(raw, -1, -2).conj()
+    vals, vecs = qmath.hermitian_eig(a)
+    vecs_dag = np.swapaxes(vecs, -1, -2).conj()
+    recon = (vecs * vals[:, None, :]) @ vecs_dag
+    # LAPACK-free oracle on the 2x2 blocks: tr/2 -+ hypot((a-d)/2, |b|)
+    vals2, _ = qmath.hermitian_eig(a[:, :2, :2])
+    mid, half = 0.5 * (a[:, 0, 0] + a[:, 1, 1]).real, 0.5 * (a[:, 0, 0] - a[:, 1, 1]).real
+    radius = np.hypot(half, abs(a[:, 0, 1]))
+    oracle = np.stack([mid - radius, mid + radius], axis=-1)
+    worst = max(
+        float(np.max(np.abs(recon - a))),
+        float(np.max(np.abs(vecs_dag @ vecs - np.eye(4)))),
+        float(np.max(np.abs(vals2 - oracle))),
+    )
+    if not np.all(np.diff(vals, axis=-1) >= -1e-12):
+        worst = max(worst, 1.0)
     return worst
 
 
@@ -213,9 +210,9 @@ def _check_ground_state() -> float:
     parts = model.build_hamiltonian(block)
     g = model.ground_state(block)
     vals, _ = qmath.hermitian_eig(parts.total)
-    residuals = [np.linalg.norm(np.einsum("bij,bj->bi", parts.total, g), axis=-1)]
+    residuals = [np.linalg.norm((parts.total @ g[..., None])[..., 0], axis=-1)]
     for op in (parts.h_a, parts.h_b, parts.v):
-        residuals.append(np.abs(qmath.real_part(np.einsum("bi,bij,bj->b", g.conj(), op, g))))
+        residuals.append(np.abs(qmath.expectation(g, op)))
     # the ground energy itself is held to a tenth of the budget
     residuals.append(10.0 * np.abs(vals[:, 0]))
     closed = np.array([model.spectrum_closed(p) for p in params])
@@ -242,25 +239,13 @@ def _check_optimizer(seed: int, size: int) -> float:
 def _check_no_go(seed: int, size: int) -> float:
     """Outcome-blind rotations of B: cost >= 0, equal through B's terms and through H."""
     rng = np.random.default_rng([seed, 4])
-    members, costs = [], []
+    cases = []
     for _ in range(size):
         params = _random_params(rng)
         meas = measurement.random_measurement(rng, n_outcomes=int(rng.integers(2, 5)))
-        unitary = protocol.random_local_unitary(rng)
-        costs.append(protocol.passive_unitary_energy(params, meas, unitary))
-        members.append((params, unitary.matrix2()))
-    params, w2 = zip(*members)
-    block = ParamsBlock.of(params)
-    parts = model.build_hamiltonian(block)
-    # W acts on b of the ground ket read as g[a, b]: g -> g W^T
-    wg = model.ground_state(block).reshape(-1, 2, 2) @ np.swapaxes(np.array(w2), -1, -2)
-    wg = wg.reshape(-1, 4)
-
-    def energy(op: np.ndarray) -> np.ndarray:
-        return qmath.real_part(np.einsum("bi,bij,bj->b", wg.conj(), op, wg))
-
-    local, total = energy(parts.h_b + parts.v), energy(parts.total)
-    return float(max(-min(costs), np.max(np.abs(local - total)), np.max(np.abs(costs - local))))
+        cases.append((params, meas, protocol.random_local_unitary(rng)))
+    cost, local, total = protocol.passive_costs(cases)
+    return float(max(-cost.min(), np.max(np.abs(local - total)), np.max(np.abs(cost - local))))
 
 
 def _check_bound770_equality(seed: int, size: int) -> float:
@@ -294,16 +279,16 @@ def _check_time_evolution() -> float:
     ]
     for params, meas in cases:
         t_peak = math.pi / (4.0 * params.k)
-        times = np.linspace(0.0, 2.0 * t_peak, 256)
-        for sample in protocol.evolve_series(params, meas, times):
+        times = np.append(np.linspace(0.0, 2.0 * t_peak, 256), t_peak)
+        samples = protocol.evolve_series(params, meas, times)
+        for sample in samples:
             worst = max(
                 worst,
                 abs(sample.hb_bruteforce - sample.hb_closed),
                 abs(sample.v_expect),
             )
-        peak = protocol.evolve_series(params, meas, [t_peak])[0].hb_bruteforce
         e_a = measurement.input_energy_closed(meas, params)
-        worst = max(worst, abs(peak - e_a))
+        worst = max(worst, abs(samples[-1].hb_bruteforce - e_a))
     return worst
 
 

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from . import analytic, checks, entanglement, measurement, optimizer, protocol
+from . import analytic, checks, measurement, optimizer, protocol
 # build_hamiltonian stays importable here: perfbench's tracer self-test reads cli.build_hamiltonian
 from .model import ModelParams, build_hamiltonian  # noqa: F401
 
@@ -178,7 +178,7 @@ def cmd_report(args) -> int:
             "total_final_energy": report.total_final_energy,
         },
         "entanglement": {
-            "ground_entropy": entanglement.ground_entropy(params),
+            "ground_entropy": report.s_ground,
             "delta_S": report.delta_s,
             "delta_S_closed": analytic.delta_S_closed(params, meas.weights),
             "mutual_info": report.mutual_info,

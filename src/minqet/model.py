@@ -14,6 +14,7 @@ cos(sigma) = h / eps and sin(sigma) = k / eps.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -42,15 +43,15 @@ class ModelParams:
         if h <= 0.0 or k <= 0.0:
             raise InvalidParams(f"h and k must be strictly positive, got h={h}, k={k}")
 
-    @property
+    @functools.cached_property
     def eps(self) -> float:
         return math.hypot(self.h, self.k)
 
-    @property
+    @functools.cached_property
     def cos_sigma(self) -> float:
         return self.h / self.eps
 
-    @property
+    @functools.cached_property
     def sin_sigma(self) -> float:
         return self.k / self.eps
 

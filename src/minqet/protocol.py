@@ -13,10 +13,13 @@ Runs are batched: ``run_many`` takes a sequence of (params, measurement,
 policy) cases and computes them BLOCK at a time on stacks.  The kets
 M_A(mu)|g> of a block form one (B, n, 4) array, padded to the block's
 largest outcome count with zero kets; each rotation of B acts as a 2x2
-block on the ket read as an (a, b) matrix; every energy is one ``einsum``.
-``run`` is the one-case call.
+block on the ket read as an (a, b) matrix.  Every energy is a stacked
+``qmath.expectation``, and Tr[rho O] is its sum over the kets of rho.
+``run`` is the one-case call.  The passive cost (``passive_costs``) is
+batched the same way, and ``evolve_series`` takes its times a block at a
+time.
 
-Every run cross-checks its own arithmetic: the density-matrix route must
+Every run cross-checks its own arithmetic: the Tr[rho H] route must
 match the per-outcome scalar route (sum of Q / eps) and the closed form
 for E_A, and the final energy must respect H >= 0.  A failed cross-check
 is a bug, not a data error, so it raises RuntimeError naming the check and
@@ -35,7 +38,8 @@ from .model import ModelParams, ParamsBlock, build_hamiltonian, ground_state
 
 AXIS_TOL = 1e-12
 CROSS_CHECK_TOL = 1e-10
-# cases per block of run_many, which bounds its arrays whatever the number of cases
+# cases (or times) per block of the batched routes, which bounds their arrays
+# whatever the number of cases
 BLOCK = 64
 
 
@@ -72,10 +76,6 @@ class LocalUnitary:
     def matrix2(self) -> np.ndarray:
         return _rotations(self.omega, self.n)
 
-    def matrix4(self) -> np.ndarray:
-        """The rotation acting on B, tensored with identity on A."""
-        return _on_b(self.matrix2())
-
 
 def _rotations(omega, axes) -> np.ndarray:
     """cos(omega) + i sin(omega) n . sigma for angles (...) and axes (..., 3): (..., 2, 2)."""
@@ -85,11 +85,9 @@ def _rotations(omega, axes) -> np.ndarray:
     return np.cos(omega) * qmath.identity(2) + (1j * np.sin(omega)) * axis_dot_sigma
 
 
-def _on_b(u: np.ndarray) -> np.ndarray:
-    """I (x) u for a 2x2 u on B: in the A-major basis, u fills both diagonal blocks."""
-    full = np.zeros((4, 4), dtype=complex)
-    full[:2, :2] = full[2:, 2:] = u
-    return full
+def _rotate_b(kets: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """(I (x) u) psi for kets (B, ..., 4) and u (B, ..., 2, 2) on B: psi[a, b] -> psi u^T."""
+    return (kets.reshape(kets.shape[:-1] + (2, 2)) @ np.swapaxes(u, -1, -2)).reshape(kets.shape)
 
 
 @dataclass(frozen=True)
@@ -129,6 +127,7 @@ class ProtocolReport:
     e_b: float
     total_final_energy: float
     per_outcome: tuple[OutcomeEnergies, ...]
+    s_ground: float
     delta_s: float
     mutual_info: float
     bound32_rhs: float
@@ -152,6 +151,14 @@ def _check(label: str, left, right, scale, first: int = 0) -> None:
             f"internal cross-check failed: {label} differs in case {first + i} "
             f"({left!r} vs {right!r}, scale {scale:g})"
         )
+
+
+def _check_nonnegative(label: str, values: np.ndarray, scale, first: int) -> None:
+    """Raise unless values >= -CROSS_CHECK_TOL * scale in every case of a (B,) array."""
+    negative = np.flatnonzero(values < -CROSS_CHECK_TOL * np.asarray(scale))
+    if negative.size:
+        i = negative[0]
+        raise RuntimeError(f"{label} in case {first + i}: {float(values[i])!r}")
 
 
 def run_many(cases) -> tuple[ProtocolReport, ...]:
@@ -191,12 +198,13 @@ def _run_block(cases: list, first: int) -> list[ProtocolReport]:
     params = ParamsBlock.of(c[0] for c in cases)
     models = [c[1] for c in cases]
     coeffs = measurement.coefficient_block(models)
-    size, n = coeffs.shape[:2]
+    n = coeffs.shape[1]
     parts = build_hamiltonian(params)
     g = ground_state(params)
     kets = (measurement.kraus_operators(coeffs) @ g[:, None, :, None])[..., 0]  # unnormalized
 
-    e_a = np.einsum("bni,bij,bnj->b", kets.conj(), parts.total, kets).real
+    total = parts.total[:, None]  # against the outcome axis of the kets
+    e_a = qmath.expectation(kets, total).sum(axis=-1)
     prob = np.einsum("bni,bni->bn", kets.conj(), kets).real
     live = prob >= measurement.DEGENERATE_PROB
     prob = np.where(live, prob, 0.0)
@@ -210,16 +218,14 @@ def _run_block(cases: list, first: int) -> list[ProtocolReport]:
     )
     omega, axes = table[..., 0], table[..., 1:]
     rotations = _rotations(omega, axes)
-    # U acts on b of the ket read as psi[a, b]: psi -> psi U^T
-    phi = kets.reshape(size, n, 2, 2) @ np.swapaxes(rotations, -1, -2)
-    phi = np.where(live[..., None], phi.reshape(size, n, 4), 0.0)  # after feedback
+    phi = np.where(live[..., None], _rotate_b(kets, rotations), 0.0)  # after feedback
     chi = phi / np.sqrt(np.where(live, prob, 1.0))[..., None]  # normalized
     local_ops = np.stack([parts.h_a, parts.h_b, parts.v], axis=1)
-    local = qmath.real_part(np.einsum("bni,boij,bnj->bno", chi.conj(), local_ops, chi))
-    rho = np.einsum("bni,bnj->bij", phi, phi.conj())
-    total_final = qmath.real_part(np.einsum("bij,bji->b", rho, parts.total))
+    local = qmath.expectation(chi[..., None, :], local_ops[:, None])  # (B, n, 3)
+    # rho = sum_mu |phi_mu><phi_mu|, so Tr[rho O] sums <phi_mu|O|phi_mu>
+    total_final = qmath.expectation(phi, total).sum(axis=-1)
     e_b = e_a - total_final
-    e_b_local = -qmath.real_part(np.einsum("bij,bji->b", rho, parts.h_b + parts.v))
+    e_b_local = -qmath.expectation(phi, (parts.h_b + parts.v)[:, None]).sum(axis=-1)
 
     scale = np.maximum(1.0, np.maximum(np.abs(e_a), np.abs(parts.total).max(axis=(-2, -1))))
     e_a_closed = [measurement.input_energy_closed(meas, p) for p, meas, _ in cases]
@@ -231,12 +237,7 @@ def _run_block(cases: list, first: int) -> list[ProtocolReport]:
         params, (m * m + l * l).T, (2.0 * m * l * np.cos(alpha)).T, omega.T, tuple(axes.T)
     ).sum(axis=0)
     _check("E_B per-outcome route", e_b, q_sum / params.eps, scale, first)
-    negative = np.flatnonzero(total_final < -CROSS_CHECK_TOL * scale)
-    if negative.size:
-        i = negative[0]
-        raise RuntimeError(
-            f"final energy {float(total_final[i])!r} violates H >= 0 in case {first + i}"
-        )
+    _check_nonnegative("final energy violates H >= 0", total_final, scale, first)
 
     reports = []
     for i, (ent, (p, meas, _)) in enumerate(
@@ -256,6 +257,7 @@ def _run_block(cases: list, first: int) -> list[ProtocolReport]:
                         prob[i, :count].tolist(), local[i, :count].tolist()
                     )
                 ),
+                s_ground=ent.s_ground,
                 delta_s=ent.delta_s,
                 mutual_info=ent.mutual_info,
                 bound32_rhs=coeffs_i.c32 * max_eb / p.eps,
@@ -292,42 +294,60 @@ def random_local_unitary(seed) -> LocalUnitary:
     return LocalUnitary.normalized(omega, quat[1:])
 
 
+def _unitary_b(unitary_b, case: int) -> np.ndarray:
+    """The 2x2 matrix of a ``LocalUnitary`` or a checked 2x2 unitary ndarray."""
+    if isinstance(unitary_b, LocalUnitary):
+        return unitary_b.matrix2()
+    w2 = np.asarray(unitary_b, dtype=complex)
+    if w2.shape != (2, 2):
+        raise ValueError(f"case {case}: expected a 2x2 unitary, got shape {w2.shape}")
+    unitarity = float(np.max(np.abs(w2.conj().T @ w2 - np.eye(2))))
+    if unitarity > 1e-10:
+        raise ValueError(f"case {case}: matrix is not unitary (defect {unitarity:.3e})")
+    return w2
+
+
+def passive_costs(cases) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Energy cost Tr[omega H] - E_A of replacing feedback with one fixed W on B.
+
+    ``cases`` is a sequence of (params, meas, W) triples, W a ``LocalUnitary``
+    or a 2x2 unitary ndarray; they are computed BLOCK at a time.  Returns
+    three (N,) arrays: the cost, and its two direct routes <Wg|H_B + V|Wg>
+    and <Wg|H|Wg>.  The cost equals both and is nonnegative: without the
+    measurement record, no local operation on B extracts energy.  Every
+    identity is enforced; a violation raises RuntimeError naming the case.
+    """
+    cases = list(cases)
+    routes = [_passive_block(cases[i : i + BLOCK], i) for i in range(0, len(cases), BLOCK)]
+    return tuple(np.concatenate(r) for r in zip(*routes))
+
+
+def _passive_block(cases: list, first: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``passive_costs`` on one block of cases; ``first`` numbers them in errors."""
+    w2 = np.array([_unitary_b(w, first + i) for i, (_, _, w) in enumerate(cases)])
+    params = ParamsBlock.of(c[0] for c in cases)
+    coeffs = measurement.coefficient_block([c[1] for c in cases])
+    parts = build_hamiltonian(params)
+    g = ground_state(params)
+    kets = (measurement.kraus_operators(coeffs) @ g[:, None, :, None])[..., 0]
+    total = parts.total[:, None]  # against the outcome axis of the kets
+    e_a = qmath.expectation(kets, total).sum(axis=-1)
+    cost = qmath.expectation(_rotate_b(kets, w2[:, None]), total).sum(axis=-1) - e_a
+    wg = _rotate_b(g, w2)
+    direct = qmath.expectation(wg, parts.h_b + parts.v)
+    direct_total = qmath.expectation(wg, parts.total)
+    scale = np.maximum(1.0, np.maximum(np.abs(e_a), np.abs(parts.total).max(axis=(-2, -1))))
+    _check("passive cost vs direct form", cost, direct, scale, first)
+    _check("passive cost vs total form", cost, direct_total, scale, first)
+    _check_nonnegative("passive operation extracted energy", cost, scale, first)
+    return cost, direct, direct_total
+
+
 def passive_unitary_energy(
     params: ModelParams, meas: measurement.MeasurementModel, unitary_b
 ) -> float:
-    """Energy cost Tr[omega H] - E_A of replacing feedback with one fixed W on B.
-
-    ``unitary_b`` is a ``LocalUnitary`` or a 2x2 unitary ndarray.  The cost
-    equals <g| W^dag (H_B + V) W |g> and is nonnegative: without the
-    measurement record, no local operation on B extracts energy.  Both
-    identities are enforced; violation raises RuntimeError.
-    """
-    if isinstance(unitary_b, LocalUnitary):
-        w2 = unitary_b.matrix2()
-    else:
-        w2 = np.asarray(unitary_b, dtype=complex)
-        if w2.shape != (2, 2):
-            raise ValueError(f"expected a 2x2 unitary, got shape {w2.shape}")
-        unitarity = float(np.max(np.abs(w2.conj().T @ w2 - np.eye(2))))
-        if unitarity > 1e-10:
-            raise ValueError(f"matrix is not unitary (defect {unitarity:.3e})")
-    w4 = _on_b(w2)
-    parts = build_hamiltonian(params)
-    g = ground_state(params)
-
-    kets = meas.kraus @ g
-    chis = kets @ w4.T
-    e_a = qmath.expectation(kets.T @ kets.conj(), parts.total)
-    cost = qmath.expectation(chis.T @ chis.conj(), parts.total) - e_a
-    wg = w4 @ g
-    direct = float(np.real(wg.conj() @ (parts.h_b + parts.v) @ wg))
-    direct_total = float(np.real(wg.conj() @ parts.total @ wg))
-    scale = max(1.0, abs(e_a), float(np.max(np.abs(parts.total))))
-    _check("passive cost vs direct form", cost, direct, scale)
-    _check("passive cost vs total form", cost, direct_total, scale)
-    if cost < -CROSS_CHECK_TOL * scale:
-        raise RuntimeError(f"passive operation extracted energy: {cost!r}")
-    return cost
+    """One case of ``passive_costs``: the cost alone."""
+    return float(passive_costs([(params, meas, unitary_b)])[0][0])
 
 
 @dataclass(frozen=True)
@@ -346,7 +366,8 @@ def evolve_series(
     """<H_B(t)> and <V(t)> in the freely evolving post-measurement ensemble.
 
     The brute-force route propagates each post-measurement ket with the
-    full Hamiltonian's eigendecomposition; the closed form is
+    full Hamiltonian's eigendecomposition, BLOCK times at a time; the
+    closed form is
 
         <H_B(t)> = (h^2 / eps) sum(l^2) (1 - cos 4 k t),    <V(t)> = 0.
 
@@ -356,29 +377,22 @@ def evolve_series(
     g = ground_state(params)
     vals, vecs = qmath.hermitian_eig(parts.total)
     kets = (meas.kraus @ g) @ vecs.conj()  # in the energy eigenbasis
-
-    amp = (
-        params.h**2 / params.eps * sum(c.l * c.l for c in meas.coeffs)
-    )
-    hb_eig = vecs.conj().T @ parts.h_b @ vecs
-    v_eig = vecs.conj().T @ parts.v @ vecs
+    # in units of eps, so that expectation's imaginary-residue budget is relative
+    ops = np.stack([parts.h_b, parts.v]) / params.eps
+    amp = params.h**2 / params.eps * sum(c.l * c.l for c in meas.coeffs)
+    times = np.asarray(times, dtype=float)
     samples = []
-    for t in times:
-        t = float(t)
-        phases = np.exp(-1j * vals * t)
-        hb = 0.0
-        v = 0.0
-        for ket in kets:
-            evolved = phases * ket
-            hb += float(np.real(evolved.conj() @ hb_eig @ evolved))
-            v += float(np.real(evolved.conj() @ v_eig @ evolved))
-        closed = amp * (1.0 - math.cos(4.0 * params.k * t))
-        scale = max(1.0, abs(closed))
-        if abs(hb - closed) > 1e-9 * scale:
-            raise RuntimeError(
-                f"<H_B(t)> brute force {hb!r} disagrees with closed form {closed!r} at t={t}"
-            )
-        if abs(v) > 1e-9 * scale:
-            raise RuntimeError(f"<V(t)> = {v!r} fails to vanish at t={t}")
-        samples.append(EvolutionSample(t=t, hb_bruteforce=hb, hb_closed=closed, v_expect=v))
+    for first in range(0, len(times), BLOCK):
+        t = times[first : first + BLOCK]
+        # back to the product basis after the phases: (times, outcomes, 4)
+        evolved = (np.exp(-1j * vals * t[:, None])[:, None, :] * kets) @ vecs.T
+        hb, v = params.eps * qmath.expectation(evolved[..., None, :], ops).sum(axis=1).T
+        closed = amp * (1.0 - np.cos(4.0 * params.k * t))
+        scale = np.maximum(1.0, np.abs(closed))
+        for label, residual in (("<H_B(t)> brute force - closed", hb - closed), ("<V(t)>", v)):
+            bad = np.flatnonzero(np.abs(residual) > 1e-9 * scale)
+            if bad.size:
+                i = bad[0]
+                raise RuntimeError(f"{label} is {float(residual[i])!r} at t={float(t[i])}")
+        samples += map(EvolutionSample, t.tolist(), hb.tolist(), closed.tolist(), v.tolist())
     return samples

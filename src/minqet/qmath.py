@@ -3,8 +3,10 @@
 Basis convention used throughout the package: qubit A is the major index,
 so a two-qubit basis vector has index ``2*a + b`` with ``a, b`` the
 single-qubit indices, and the sigma-z eigenstate ``|+>`` (eigenvalue +1)
-sits at single-qubit index 0.  Kets are one-dimensional complex ndarrays,
-operators are square complex ndarrays.
+sits at single-qubit index 0.  Kets are complex ndarrays whose last axis
+is the state index, so a stack (..., d) holds many kets; operators are
+square complex ndarrays (d, d) or stacks (..., d, d) of them.  Every
+brute-force energy of the package is ``expectation`` over such a stack.
 """
 
 from __future__ import annotations
@@ -125,36 +127,19 @@ def partial_trace(rho: np.ndarray, keep: str) -> np.ndarray:
     raise ValueError(f"keep must be 'A' or 'B', got {keep!r}")
 
 
-def real_part(raw):
-    """Real part of expectation values whose imaginary residue is rounding only.
+def expectation(kets: np.ndarray, op: np.ndarray, tol: float = HERMITIAN_TOL):
+    """Real <psi|op|psi> of every ket psi of a stack (..., d).
 
-    ``raw`` is a complex number or array; a residue above 1e-12 anywhere
-    raises ``NonHermitianInput``.
+    ``op`` is a Hermitian (d, d) matrix or a stack (..., d, d) that
+    broadcasts against the kets' leading axes.  The operator is checked for
+    Hermiticity; the imaginary residue of each raw value must be below
+    1e-12 (rounding only) and is then discarded.  A single ket gives a
+    float, a stack an array of the broadcast leading shape.
     """
-    raw = np.asarray(raw)
+    op = require_hermitian(op, tol)
+    kets = np.asarray(kets, dtype=complex)
+    raw = np.einsum("...i,...ij,...j->...", kets.conj(), op, kets)
     residue = float(np.max(np.abs(raw.imag), initial=0.0))
     if residue > IMAG_TOL:
         raise NonHermitianInput(f"expectation value has imaginary residue {residue:.3e}")
-    return raw.real
-
-
-def expectation(state: np.ndarray, op: np.ndarray, tol: float = HERMITIAN_TOL) -> float:
-    """Real expectation value of a Hermitian ``op`` in ``state``.
-
-    ``state`` may be a ket (1-d) or a density matrix (2-d).  The operator is
-    checked for Hermiticity; the imaginary residue of the raw value must be
-    below 1e-12 and is then discarded.
-    """
-    op = require_hermitian(op, tol)
-    state = np.asarray(state, dtype=complex)
-    if state.ndim == 1:
-        raw = complex(state.conj() @ op @ state)
-    elif state.ndim == 2:
-        raw = complex(np.trace(state @ op))
-    else:
-        raise ValueError(f"state must be a ket or a density matrix, got ndim {state.ndim}")
-    return float(real_part(raw))
-
-
-def norm(psi: np.ndarray) -> float:
-    return float(np.linalg.norm(np.asarray(psi)))
+    return float(raw.real) if raw.ndim == 0 else raw.real

@@ -1,6 +1,7 @@
 """Model construction: Hamiltonian parts, ground state, closed-form spectrum."""
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -28,6 +29,18 @@ def test_params_derived_quantities():
     assert abs(p.cos_sigma - 0.6) <= 1e-15
     assert abs(p.sin_sigma - 0.8) <= 1e-15
     assert abs(p.cos_sigma**2 + p.sin_sigma**2 - 1.0) <= 1e-14
+
+
+def test_params_derived_quantities_are_cached():
+    p, fresh = ModelParams(h=0.3, k=2.7), ModelParams(h=0.3, k=2.7)
+    assert p.eps is p.eps and p.cos_sigma is p.cos_sigma and p.sin_sigma is p.sin_sigma
+    assert (p.eps, p.cos_sigma, p.sin_sigma) == (
+        math.hypot(0.3, 2.7), 0.3 / math.hypot(0.3, 2.7), 2.7 / math.hypot(0.3, 2.7)
+    )
+    # a cached value changes neither equality nor hashing, and survives pickling
+    assert p == fresh and hash(p) == hash(fresh)
+    copy = pickle.loads(pickle.dumps(p))
+    assert copy == p and copy.eps == p.eps and copy.sin_sigma == p.sin_sigma
 
 
 def test_parts_sum_exactly():

@@ -32,13 +32,6 @@ def test_local_unitary_rejects_bad_axis():
         LocalUnitary(omega=0.1, n=(0.0, 2.0, 0.0)).matrix2()
 
 
-def test_local_unitary_acts_on_b_only():
-    u4 = LocalUnitary(omega=0.3, n=(0.0, 1.0, 0.0)).matrix4()
-    # block diagonal in the A index: no A-side mixing
-    assert float(np.max(np.abs(u4[:2, 2:]))) == 0.0
-    assert float(np.max(np.abs(u4[2:, :2]))) == 0.0
-
-
 def test_run_identity_policy_moves_nothing():
     model = measurement.projective_pair()
     report = protocol.run(UNIT, model, identity_policy(2))
@@ -187,6 +180,44 @@ def test_evolution_series_closed_form():
     peak, period = protocol.evolve_series(UNIT, model, [math.pi / 4.0, math.pi / 2.0])
     assert abs(peak.hb_bruteforce - e_a) <= 1e-9
     assert abs(period.hb_bruteforce) <= 1e-9
+
+
+# evolve_series at (2, 0.5), weak(0.3), 4096 times on [0, 2 pi] from the
+# per-time loop it replaced: (index, hb_bruteforce, hb_closed, v_expect),
+# then the exact sums of the two H_B columns
+EVOLVE_FROZEN = (
+    (0, 1.693071290138649e-17, 0.0, -1.1549166187806248e-16),
+    (512, 0.044702679169728914, 0.04470267916972892, -1.1752751549742868e-16),
+    (1024, 0.08937106344201425, 0.08937106344201427, -1.1313014395175798e-16),
+    (1536, 0.044634115685121406, 0.04463411568512146, -9.80118763926896e-17),
+    (2048, 5.2600374669694756e-08, 5.2600374665777645e-08, -9.235200223913637e-17),
+    (2560, 0.04477124261398251, 0.04477124261398254, -7.979727989493313e-17),
+    (3072, 0.08937095824129584, 0.0893709582412959, -6.446937168141931e-17),
+    (3584, 0.04456555232157552, 0.04456555232157548, -4.85722573273506e-17),
+    (4095, -2.449806877830751e-17, 0.0, -3.3520106745796435e-17),
+)
+EVOLVE_SUMS = (182.9872793223448, 182.987279322345)
+
+
+def test_evolution_matches_frozen_values():
+    times = np.linspace(0.0, 2.0 * math.pi, 4096)
+    samples = protocol.evolve_series(ModelParams(2.0, 0.5), measurement.weak_pair(0.3), times)
+    assert [s.t for s in samples] == times.tolist()
+    for i, *values in EVOLVE_FROZEN:
+        s = samples[i]
+        assert_close((s.hb_bruteforce, s.hb_closed, s.v_expect), values)
+    sums = [math.fsum(s.hb_bruteforce for s in samples), math.fsum(s.hb_closed for s in samples)]
+    assert_close(sums, EVOLVE_SUMS)
+
+
+def test_evolution_names_the_failing_time():
+    # the closed amplitude reads sum(l^2) from the coefficients: scale it by 1 + 1e-6
+    model = measurement.weak_pair(0.3)
+    coeffs = [types.SimpleNamespace(l=c.l * (1.0 + 5e-7)) for c in model.coeffs]
+    scaled = types.SimpleNamespace(coeffs=coeffs, kraus=model.kraus)
+    times = np.linspace(0.0, math.pi, 200)
+    with pytest.raises(RuntimeError, match=r"<H_B\(t\)> brute force - closed is .* at t="):
+        protocol.evolve_series(UNIT, scaled, times)
 
 
 def test_evolution_other_parameters():
@@ -515,3 +546,46 @@ def test_batch_names_the_failing_check_and_case(monkeypatch):
     monkeypatch.setattr(protocol, "BLOCK", 2)
     with pytest.raises(RuntimeError, match=r"E_B per-outcome route differs in case 7 "):
         protocol.run_many(mixed_batch())
+
+
+def passive_batch():
+    """2-4 outcomes, LocalUnitary and ndarray rotations, several (h, k)."""
+    return [
+        (UNIT, measurement.projective_pair(), TURNS[0]),
+        (ModelParams(5.0, 0.2), weights_model(W3), TURNS[1].matrix2()),
+        (ModelParams(2.0, 0.5), weights_model(W4), TURNS[2]),
+        (ModelParams(3.0, 0.4), measurement.random_measurement(5, n_outcomes=4), TURNS[3]),
+        (ModelParams(1.5, 0.7), weights_model(W_ZERO_MASS), TURNS[4].matrix2()),
+        (ModelParams(0.3, 2.7), measurement.weak_pair(0.3), LocalUnitary.identity()),
+        (ModelParams(1.1, 0.9), measurement.random_measurement(7, n_outcomes=2), TURNS[2]),
+    ]
+
+
+def test_passive_costs_equal_one_call_per_case(monkeypatch):
+    monkeypatch.setattr(protocol, "BLOCK", 3)  # blocks split the cases
+    cases = passive_batch()
+    cost, local, total = protocol.passive_costs(cases)
+    assert cost.shape == local.shape == total.shape == (len(cases),)
+    assert cost.tolist() == [protocol.passive_unitary_energy(*case) for case in cases]
+    assert np.all(cost >= 0.0) and cost[5] == 0.0
+    assert np.max(np.abs(cost - local)) <= 1e-12 and np.max(np.abs(local - total)) <= 1e-12
+
+
+def test_passive_costs_name_the_failing_route_and_case(monkeypatch):
+    # only case 3 of the batch (h = 3.0) sees H_B scaled by 1 + 1e-6
+    def faulty(params):
+        parts = build_hamiltonian(params)
+        scale = 1.0 + 1e-6 * (np.asarray(params.h)[..., None, None] == 3.0)
+        return dataclasses.replace(parts, h_b=parts.h_b * scale)
+
+    monkeypatch.setattr(protocol, "build_hamiltonian", faulty)
+    monkeypatch.setattr(protocol, "BLOCK", 2)
+    with pytest.raises(RuntimeError, match=r"passive cost vs direct form differs in case 3 "):
+        protocol.passive_costs(passive_batch())
+
+
+def test_passive_costs_name_a_bad_unitary():
+    cases = passive_batch()
+    cases[4] = (*cases[4][:2], 2.0 * np.eye(2))
+    with pytest.raises(ValueError, match="case 4: matrix is not unitary"):
+        protocol.passive_costs(cases)

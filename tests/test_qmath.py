@@ -170,10 +170,16 @@ def test_expectation_rejects_non_hermitian():
         qmath.expectation(np.array([1.0, 0, 0, 0]), m)
 
 
-def test_expectation_accepts_density_matrix():
-    rho = np.eye(4) / 4.0
-    za = qmath.tensor(qmath.pauli("z"), np.eye(2))
-    assert abs(qmath.expectation(rho, za)) <= 1e-14
+def test_expectation_on_a_ket_stack_equals_one_call_per_ket():
+    rng = np.random.default_rng(5)
+    kets = rng.normal(size=(3, 2, 4)) + 1j * rng.normal(size=(3, 2, 4))
+    ops = np.stack([random_hermitian(rng) for _ in range(3)])
+    stacked = qmath.expectation(kets, ops[:, None])  # one operator per row
+    assert stacked.shape == (3, 2)
+    for row, ket_row, op in zip(stacked, kets, ops):
+        assert row.tolist() == [qmath.expectation(ket, op) for ket in ket_row]
+    with pytest.raises(qmath.NonHermitianInput):
+        qmath.expectation(kets, np.concatenate([ops[:2], [ops[2] + np.triu(ops[2], 1)]])[:, None])
 
 
 def test_eig_projector_and_partial_trace_take_stacks():

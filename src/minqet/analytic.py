@@ -1,9 +1,17 @@
 """Closed forms for teleported energy, its maximization, and the two bounds.
 
-Everything here is arithmetic derived by hand from the model, on floats or,
-where a docstring says so, on NumPy arrays; no operator algebra happens in
-this module.  The brute-force counterparts live in ``protocol`` and
-``entanglement``, and the test suite's job is to make the two routes agree.
+Everything here is arithmetic derived by hand from the model; no operator
+algebra happens in this module.  The brute-force counterparts live in
+``protocol`` and ``entanglement``, and the test suite's job is to make the
+two routes agree.
+
+Every closed form is one array kernel.  ``params`` is a ``ModelParams``
+(floats) or a ``ParamsBlock`` (one (N,) array per attribute), and every
+other argument is a float or an array that broadcasts against its
+attributes.  Per-outcome arrays put the outcome axis first, (n,) for one
+case and (n, N) over a block, so the cases' parameters broadcast behind it
+and a sum over outcomes is a sum over axis 0.  A result without axes is a
+float.
 
 Per outcome with weights (p, q), a feedback rotation of qubit B about the
 unit axis n by angle omega changes the B-side energy by -Q/eps, where
@@ -41,29 +49,28 @@ class DomainError(ValueError):
 
 @dataclass(frozen=True)
 class BoundCoefficients:
-    """The two parameter-only constants relating delta-S and maxE_B."""
+    """The two parameter-only constants relating delta-S and maxE_B (arrays for a block)."""
 
     c32: float
     c770: float
 
 
+def _require(ok, values, what: str) -> None:
+    """Raise DomainError naming the first element of values where ok is False."""
+    if not ok.all():
+        first = np.broadcast_to(values, ok.shape)[~ok][0]
+        raise DomainError(f"{what}, got {float(first)!r}")
+
+
 def _check_fraction(x):
-    """Clamp x (a float or an array) to [0, 1], allowing 1e-12 of slop outside."""
-    if isinstance(x, np.ndarray):
-        bad = ~((x >= -1e-12) & (x <= 1.0 + 1e-12))  # NaN is bad too
-        if bad.any():
-            raise DomainError(f"expected values in [0, 1], got {float(x[bad][0])!r}")
-        return np.clip(x, 0.0, 1.0)
-    if not math.isfinite(x) or x < -1e-12 or x > 1.0 + 1e-12:
-        raise DomainError(f"expected a value in [0, 1], got {x!r}")
-    return min(max(x, 0.0), 1.0)
+    """Clamp x to [0, 1] element by element, allowing 1e-12 of slop outside."""
+    x = np.asarray(x, dtype=float)
+    _require((x >= -1e-12) & (x <= 1.0 + 1e-12), x, "expected values in [0, 1]")  # NaN fails
+    return np.minimum(np.maximum(x, 0.0), 1.0)
 
 
 def X_of(params: ModelParams, p: float, q: float, n: tuple[float, float, float]) -> float:
-    """The omega-independent coefficient X for one outcome and one axis.
-
-    Like ``max_over_omega``, it also takes arrays that broadcast together.
-    """
+    """The omega-independent coefficient X for one outcome and one axis."""
     h, k = params.h, params.k
     nx, _, nz = n
     return p * (h * h * (1.0 - nz * nz) + 2.0 * k * k * (1.0 - nx * nx)) - (
@@ -81,8 +88,7 @@ def Q_of(
     """Energy gain numerator Q for one outcome under rotation (omega, n).
 
     The caller guarantees |n| = 1; the teleported energy of a full policy is
-    sum(Q) / eps.  Broadcasts like ``max_over_omega``; float inputs give a
-    float.
+    sum(Q) / eps.
     """
     x = X_of(params, p, q, n)
     # cos 2w - 1 = -2 sin^2 w, which keeps its digits where w is near 0 or pi
@@ -103,10 +109,8 @@ def max_over_omega(
     [0, pi) since Q is pi-periodic.  This is the package's one formula for
     the omega-maximum; the policy optimizer searches the axis over it.
 
-    Array-valued: ``params.h``, ``params.k``, p, q and the three axis
-    components may be NumPy arrays that broadcast together (``params``
-    then only needs ``h`` and ``k`` attributes), and both results take
-    their shape.  Float inputs give floats.
+    It reads only ``params.h`` and ``params.k``, so any object with those
+    two attributes will do.
     """
     x = X_of(params, p, q, n)
     g = params.h * params.k * q * n[1]
@@ -121,11 +125,7 @@ def max_over_omega(
 
 
 def abc_constants(params: ModelParams, p: float, q: float) -> tuple[float, float, float]:
-    """The per-outcome constants (a, b, c) of the envelope T(z).
-
-    h, k, p and q may be arrays that broadcast together; float inputs give
-    floats.
-    """
+    """The per-outcome constants (a, b, c) of the envelope T(z)."""
     h, k = params.h, params.k
     a = p * (h * h + 2.0 * k * k)
     spread = np.hypot((h * h - 2.0 * k * k) * p, 3.0 * h * k * q)
@@ -149,11 +149,7 @@ def min_X_over_psi(params: ModelParams, p: float, q: float, z: float) -> float:
 
 
 def T_profile(params: ModelParams, p: float, q: float, z):
-    """Envelope of max-over-omega Q along the X-minimizing axis family.
-
-    z may be a float or an array of values in [0, 1]; it broadcasts with
-    the arrays ``abc_constants`` takes.
-    """
+    """Envelope of max-over-omega Q along the X-minimizing axis family, z in [0, 1]."""
     z = _check_fraction(z)
     a, b, c = abc_constants(params, p, q)
     base = a - b * z
@@ -170,8 +166,7 @@ def t_sign_check(params: ModelParams, p: float, q: float, n_grid: int = 129) -> 
     """Grid evidence that T peaks at z = 0: t(z) <= 0 and T(0) >= T(z).
 
     Slack of 1e-12 relative to the outcome's energy scale absorbs rounding.
-    Over arrays of outcomes (as ``abc_constants`` takes them) the verdict is
-    a bool array; float inputs give a bool.
+    The verdict is a bool, or a bool array over arrays of outcomes.
     """
     a, _, c = abc_constants(params, p, q)
     scale = np.maximum(np.maximum(1.0, a), np.sqrt(c))
@@ -199,7 +194,7 @@ def optimal_rotation(
     return omega % math.pi, (0.0, 1.0, 0.0)
 
 
-def f_E(params: ModelParams, x: float) -> float:
+def f_E(params: ModelParams, x):
     """Per-outcome teleported-energy kernel at x = (q/p)^2, in energy units.
 
     maxE_B = sum_mu p_mu f_E(x_mu); equals T(0) / (eps p) for one outcome.
@@ -210,32 +205,21 @@ def f_E(params: ModelParams, x: float) -> float:
     lift = 1.0 + s2
     y = (c2 * s2 / (lift * lift)) * x
     # sqrt(1 + y) - 1 written without its cancellation at small y
-    return params.eps * lift * y / (math.sqrt(1.0 + y) + 1.0)
+    return params.eps * lift * y / (np.sqrt(1.0 + y) + 1.0)
 
 
-def f_I(params: ModelParams, x: float) -> float:
+def f_I(params: ModelParams, x):
     """Per-outcome entanglement-consumption kernel at x = (q/p)^2, in nats.
 
     delta_S = sum_mu p_mu f_I(x_mu), the difference of the ground and
-    post-measurement entanglement entropies.
+    post-measurement entanglement entropies: each is the entropy of a qubit
+    state's eigenvalue pair (1 +- y)/2, with y = cos(sigma) for the ground state.
     """
     x = _check_fraction(x)
-    c2 = params.cos_sigma**2
-    s2 = params.sin_sigma**2
-    y = math.sqrt(min(c2 + x * s2, 1.0))
-    return _bias_entropy(params.cos_sigma) - _bias_entropy(y)
-
-
-def _bias_entropy(y: float) -> float:
-    """Entropy in nats of the eigenvalue pair (1 ± y)/2 of a qubit state."""
-    if y < 0.0 or y > 1.0 + 1e-12:
-        raise DomainError(f"bias must lie in [0, 1], got {y!r}")
-    y = min(y, 1.0)
-    total = 0.0
-    for lam in ((1.0 + y) / 2.0, (1.0 - y) / 2.0):
-        if lam > 0.0:
-            total -= lam * math.log(lam)
-    return total
+    y = np.sqrt(np.minimum(params.cos_sigma**2 + x * params.sin_sigma**2, 1.0))
+    bias = np.stack([np.broadcast_to(params.cos_sigma, y.shape), y])  # ground, post-measurement
+    entropy = shannon_entropy((1.0 + bias[..., None] * (1.0, -1.0)) / 2.0)  # of (1 +- bias)/2
+    return entropy[0] - entropy[1]
 
 
 def shannon_entropy(probs) -> float:
@@ -244,59 +228,63 @@ def shannon_entropy(probs) -> float:
     A stack of vectors (..., n) gives one entropy per vector.
     """
     probs = np.asarray(probs, dtype=float)
-    bad = (probs < -1e-12) | (probs > 1.0 + 1e-12)
-    if bad.any():
-        raise DomainError(f"probability out of range: {float(probs[bad][0])!r}")
+    _require(~((probs < -1e-12) | (probs > 1.0 + 1e-12)), probs, "probability out of range")
     positive = probs > 0.0
     terms = np.where(positive, probs * np.log(np.where(positive, probs, 1.0)), 0.0)
     total = -terms.sum(axis=-1)
     return float(total) if total.ndim == 0 else total
 
 
-def max_EB_closed(params: ModelParams, weights) -> float:
-    """Maximum teleported energy over feedback policies, from the weights."""
-    total = 0.0
-    for w in weights:
-        if w.p > DEGENERATE_PROB:
-            total += w.p * f_E(params, (w.q / w.p) ** 2)
-    return total
+def _outcome_sum(kernel, params: ModelParams, p, q):
+    """sum_mu p_mu kernel((q_mu / p_mu)^2) over the leading outcome axis of p and q.
+
+    An outcome with p <= DEGENERATE_PROB (padding too) adds exactly 0.  Terms
+    add in outcome order, so a case gives the same bits alone and in a block.
+    """
+    live = np.asarray(p) > DEGENERATE_PROB
+    x = (np.where(live, q, 0.0) / np.where(live, p, 1.0)) ** 2
+    terms = np.where(live, p * kernel(params, x), 0.0)
+    return np.add.accumulate(terms, axis=0)[-1]
 
 
-def delta_S_closed(params: ModelParams, weights) -> float:
-    """Entanglement consumption of the measurement, from the weights."""
-    total = 0.0
-    for w in weights:
-        if w.p > DEGENERATE_PROB:
-            total += w.p * f_I(params, (w.q / w.p) ** 2)
-    return total
+def max_EB_closed(params: ModelParams, p, q):
+    """Maximum teleported energy over feedback policies, from weights p, q of shape (n, ...)."""
+    return _outcome_sum(f_E, params, p, q)
 
 
-def lambda_pm(params: ModelParams, p: float, q: float) -> tuple[float, float]:
-    """Eigenvalue pair of either reduced post-measurement state for one outcome."""
-    if p <= 0.0:
-        raise DomainError(f"outcome weight p must be positive, got {p!r}")
-    if abs(q) > p * (1.0 + 1e-12):
-        raise DomainError(f"|q| = {abs(q)!r} exceeds p = {p!r}")
-    ratio2 = min((q / p) ** 2, 1.0)
-    y = math.sqrt(min(params.cos_sigma**2 + ratio2 * params.sin_sigma**2, 1.0))
+def delta_S_closed(params: ModelParams, p, q):
+    """Entanglement consumption of the measurement, from weights p, q of shape (n, ...)."""
+    return _outcome_sum(f_I, params, p, q)
+
+
+def lambda_pm(params: ModelParams, p, q):
+    """Eigenvalue pair of either reduced post-measurement state, per outcome (p, q)."""
+    p, q = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
+    _require(~(p <= 0.0), p, "outcome weight p must be positive")
+    _require(~(np.abs(q) > p * (1.0 + 1e-12)), np.abs(q) - p, "|q| exceeds p: |q| - p")
+    ratio2 = np.minimum((q / p) ** 2, 1.0)
+    y = np.sqrt(np.minimum(params.cos_sigma**2 + ratio2 * params.sin_sigma**2, 1.0))
     return (1.0 + y) / 2.0, (1.0 - y) / 2.0
 
 
-def rescaled_f_E(params: ModelParams, x: float) -> float:
+@np.errstate(divide="raise", invalid="raise")
+def rescaled_f_E(params: ModelParams, x):
     """f_E normalized to unit slope at the origin; satisfies fbar_E(x) <= x."""
     c2 = params.cos_sigma**2
     s2 = params.sin_sigma**2
     return (2.0 * (1.0 + s2) / (c2 * s2)) / params.eps * f_E(params, x)
 
 
-def rescaled_f_I(params: ModelParams, x: float) -> float:
+@np.errstate(divide="raise", invalid="raise")
+def rescaled_f_I(params: ModelParams, x):
     """f_I normalized to unit slope at the origin; satisfies fbar_I(x) >= x."""
     c = params.cos_sigma
     s2 = params.sin_sigma**2
-    log_ratio = math.log((1.0 + c) / (1.0 - c))
+    log_ratio = np.log((1.0 + c) / (1.0 - c))
     return (4.0 * c / s2) / log_ratio * f_I(params, x)
 
 
+@np.errstate(divide="raise", invalid="raise")
 def bounds(params: ModelParams) -> BoundCoefficients:
     """The two bound constants.
 
@@ -306,26 +294,27 @@ def bounds(params: ModelParams) -> BoundCoefficients:
         maxE_B >= c770 * delta_S,
     with equality when every outcome has |q| = p.  c770 equals
     f_E(1) / f_I(1), and the explicit form below is tested against that
-    quotient.
+    quotient.  A division by zero (cos(sigma) rounding to 1) raises.
     """
     c = params.cos_sigma
     c2 = c * c
     s2 = params.sin_sigma**2
-    c32 = (1.0 + s2) / (2.0 * c2 * c) * math.log((1.0 + c) / (1.0 - c))
-    numerator = 2.0 * params.eps * (math.sqrt(4.0 - 3.0 * c2) - 2.0 + c2)
-    denominator = (1.0 + c) * math.log(2.0 / (1.0 + c)) + (1.0 - c) * math.log(
+    c32 = (1.0 + s2) / (2.0 * c2 * c) * np.log((1.0 + c) / (1.0 - c))
+    numerator = 2.0 * params.eps * (np.sqrt(4.0 - 3.0 * c2) - 2.0 + c2)
+    denominator = (1.0 + c) * np.log(2.0 / (1.0 + c)) + (1.0 - c) * np.log(
         2.0 / (1.0 - c)
     )
     return BoundCoefficients(c32=c32, c770=numerator / denominator)
 
 
-def weak_limit_ratio(params: ModelParams, u: float) -> float:
-    """delta_S / (maxE_B / eps) for the symmetric pair with q = ±u/2.
+@np.errstate(divide="raise", invalid="raise")
+def weak_limit_ratio(params: ModelParams, u):
+    """delta_S / (maxE_B / eps) for the symmetric pair with q = +-u/2.
 
     Tends to c32 as u -> 0, with O(u^2) relative error.
     """
-    if not 0.0 < u <= 1.0:
-        raise DomainError(f"weak strength must lie in (0, 1], got {u!r}")
+    u = np.asarray(u, dtype=float)
+    _require((u > 0.0) & (u <= 1.0), u, "weak strength must lie in (0, 1]")
     x = u * u
     return params.eps * f_I(params, x) / f_E(params, x)
 

@@ -87,23 +87,18 @@ def block_residuals(members) -> dict[str, list]:
     reports = protocol.run_many(
         (p, meas, protocol.optimal_policy(p, meas)) for p, meas in zip(params, models)
     )
-    block = ParamsBlock.of(params)
-    coeffs = measurement.coefficient_block(models)
-    weights = [meas.weights for meas in models]
+    measured = protocol.measured_block(params, models)
+    block, parts, kets = measured.params, measured.parts, measured.kets
     found: dict[str, list] = {
-        "measurement-completeness": list(measurement.block_residuals(coeffs).values())
+        "measurement-completeness": list(measurement.block_residuals(measured.coeffs).values())
     }
-
-    parts = model.build_hamiltonian(block)
-    g = model.ground_state(block)
-    kets = (measurement.kraus_operators(coeffs) @ g[:, None, :, None])[..., 0]
     # <H_B> and <V> of the post-measurement state sum over its kets: (B, 2)
     passive = qmath.expectation(kets[..., None, :], np.stack([parts.h_b, parts.v], 1)[:, None])
     found["post-measurement-passivity"] = [np.abs(passive.sum(axis=1))]
 
-    max_eb = np.array([analytic.max_EB_closed(p, w) for p, w in zip(params, weights)])
-    delta_closed = np.array([analytic.delta_S_closed(p, w) for p, w in zip(params, weights)])
-    c770 = np.array([analytic.bounds(p).c770 for p in params])
+    max_eb = analytic.max_EB_closed(block, measured.p, measured.q)
+    delta_closed = analytic.delta_S_closed(block, measured.p, measured.q)
+    c770 = analytic.bounds(block).c770
     e_a, e_b, delta_s, mutual, rhs32, rhs770 = np.array(
         [(r.e_a, r.e_b, r.delta_s, r.mutual_info, r.bound32_rhs, r.bound770_rhs) for r in reports]
     ).T
@@ -117,15 +112,20 @@ def block_residuals(members) -> dict[str, list]:
     # (bound32_rhs is c32 maxE_B / eps from the closed maximum)
     found["bound-32"] = [rhs32 - delta_s, rhs32 - delta_closed]
     found["bound-770"] = [rhs770 - max_eb, c770 * delta_closed - max_eb]
-    eigen = found["reduced-eigenvalues"] = []
-    for p, outcome_weights, report in zip(params, weights, reports):
-        for w, vals in zip(outcome_weights, report.reduced_eigenvalues):
-            if vals is not None:
-                lam_plus, lam_minus = analytic.lambda_pm(p, w.p, w.q)
-                eigen += [abs(vals[1] - lam_plus), abs(vals[0] - lam_minus)]
+    # B's reduced eigenvalues (lambda_-, lambda_+) by brute force, (n, B, 2); NaN where
+    # an outcome is degenerate or padding
+    brute = np.full(measured.p.shape + (2,), np.nan)
+    for i, report in enumerate(reports):
+        rows = report.reduced_eigenvalues
+        brute[: len(rows), i] = [vals or (np.nan, np.nan) for vals in rows]
+    live = ~np.isnan(brute[..., 0])
+    lam_plus, lam_minus = analytic.lambda_pm(
+        block, np.where(live, measured.p, 1.0), np.where(live, measured.q, 0.0)
+    )
+    found["reduced-eigenvalues"] = [np.abs(brute - np.stack([lam_minus, lam_plus], -1))[live]]
 
     # scalar objective spot checks, on one random outcome and axis per member
-    p, q = np.array([(w[mu].p, w[mu].q) for w, mu in zip(weights, outcomes)]).T
+    p, q = (w[np.array(outcomes), np.arange(len(members))] for w in (measured.p, measured.q))
     axis = tuple(np.array(axis_rows).T)
     closed_max, omega_star = analytic.max_over_omega(block, p, q, axis)
     x_coef = analytic.X_of(block, p, q, axis)
@@ -154,10 +154,7 @@ def block_residuals(members) -> dict[str, list]:
 
     # T(0) against eps p f_E((q/p)^2): f_E reaches it through the sigma angles
     a, _, _ = analytic.abc_constants(block, p, q)
-    kernel = [
-        analytic.f_E(one, (q_i / p_i) ** 2) if p_i > 0.0 else 0.0
-        for one, p_i, q_i in zip(params, p.tolist(), q.tolist())
-    ]
+    kernel = analytic.f_E(block, (q / np.where(p > 0.0, p, 1.0)) ** 2)
     found["envelope-peak"] = [
         abs(analytic.T_profile(block, p, q, 0.0) - block.eps * p * kernel) / np.maximum(1.0, a),
         np.where(analytic.t_sign_check(block, p, q), 0.0, 1.0),
@@ -229,11 +226,12 @@ def _check_optimizer(seed: int, size: int) -> float:
         params = _random_params(rng)
         meas = measurement.random_measurement(rng, n_outcomes=int(rng.integers(2, 7)))
         cases.append((params, meas))
-    worst = 0.0
-    for (params, meas), result in zip(cases, optimizer.maximize_over_policies(cases)):
-        closed = analytic.max_EB_closed(params, meas.weights)
-        worst = max(worst, abs(result.best_value - closed) / max(closed, 1e-9))
-    return worst
+    params, models = zip(*cases)
+    closed = analytic.max_EB_closed(
+        ParamsBlock.of(params), *measurement.weight_block(measurement.coefficient_block(models))
+    )
+    found = np.array([result.best_value for result in optimizer.maximize_over_policies(cases)])
+    return float(np.max(np.abs(found - closed) / np.maximum(closed, 1e-9)))
 
 
 def _check_no_go(seed: int, size: int) -> float:
@@ -249,24 +247,26 @@ def _check_no_go(seed: int, size: int) -> float:
 
 
 def _check_bound770_equality(seed: int, size: int) -> float:
+    """c770 delta_S = maxE_B on saturated measurements: brute-force delta_S for the first 20."""
     rng = np.random.default_rng([seed, 5])
-    worst = 0.0
-    for i in range(size):
-        params = _random_params(rng)
+    params, models = [], []
+    for _ in range(size):
+        params.append(_random_params(rng))
         masses = rng.dirichlet(np.ones(int(rng.integers(1, 4))))
-        weights = []
-        for mass in masses:
-            weights.append(measurement.OutcomeWeights(mass / 2.0, mass / 2.0))
-            weights.append(measurement.OutcomeWeights(mass / 2.0, -mass / 2.0))
-        meas = measurement.weights_to_coeffs(weights)
-        max_eb = analytic.max_EB_closed(params, meas.weights)
-        if i < 20:
-            delta = entanglement.consumption(params, meas).delta_s
-        else:
-            delta = analytic.delta_S_closed(params, meas.weights)
-        rhs = analytic.bounds(params).c770 * delta
-        worst = max(worst, abs(max_eb - rhs) / max(max_eb, 1e-12))
-    return worst
+        models.append(
+            measurement.weights_to_coeffs(
+                measurement.OutcomeWeights(mass / 2.0, sign * mass / 2.0)
+                for mass in masses
+                for sign in (1.0, -1.0)
+            )
+        )
+    block = ParamsBlock.of(params)
+    weights = measurement.weight_block(measurement.coefficient_block(models))
+    max_eb = analytic.max_EB_closed(block, *weights)
+    delta = analytic.delta_S_closed(block, *weights)
+    delta[:20] = [entanglement.consumption(p, m).delta_s for p, m in zip(params, models[:20])]
+    rhs = analytic.bounds(block).c770 * delta
+    return float(np.max(np.abs(max_eb - rhs) / np.maximum(max_eb, 1e-12)))
 
 
 def _check_time_evolution() -> float:
@@ -281,44 +281,30 @@ def _check_time_evolution() -> float:
         t_peak = math.pi / (4.0 * params.k)
         times = np.append(np.linspace(0.0, 2.0 * t_peak, 256), t_peak)
         samples = protocol.evolve_series(params, meas, times)
-        for sample in samples:
-            worst = max(
-                worst,
-                abs(sample.hb_bruteforce - sample.hb_closed),
-                abs(sample.v_expect),
-            )
+        hb, closed, v = np.array([(s.hb_bruteforce, s.hb_closed, s.v_expect) for s in samples]).T
         e_a = measurement.input_energy_closed(meas, params)
-        worst = max(worst, abs(samples[-1].hb_bruteforce - e_a))
-    return worst
+        worst = max(worst, np.max(np.abs(hb - closed)), np.max(np.abs(v)), abs(hb[-1] - e_a))
+    return float(worst)
 
 
 def _check_kernel_shape() -> float:
-    worst = 0.0
-    xs = np.linspace(0.0, 1.0, 1024).tolist()
-    for h, k in PAIR_GRID:
-        params = ModelParams(h=h, k=k)
-        for x in xs:
-            fe = analytic.rescaled_f_E(params, x)
-            fi = analytic.rescaled_f_I(params, x)
-            worst = max(worst, fe - x, x - fi)
-    return worst
+    """fbar_E(x) <= x <= fbar_I(x) on a 1024-point grid of x, at every PAIR_GRID point."""
+    block = ParamsBlock.of(ModelParams(h=h, k=k) for h, k in PAIR_GRID)
+    x = np.linspace(0.0, 1.0, 1024)[:, None]
+    below = analytic.rescaled_f_E(block, x) - x
+    above = x - analytic.rescaled_f_I(block, x)
+    return float(max(np.max(below), np.max(above)))
 
 
 def _check_weak_limit() -> float:
     """The weak-limit ratio tends to c32: strictly, and inside a quadratic envelope."""
-    worst = 0.0
-    for h, k in PAIR_GRID:
-        params = ModelParams(h=h, k=k)
-        c32 = analytic.bounds(params).c32
-        errs = []
-        for u in (1e-1, 1e-2, 1e-3):
-            ratio = analytic.weak_limit_ratio(params, u)
-            errs.append(abs(ratio / c32 - 1.0))
-        curvature = 2.0 * errs[0] / 1e-2
-        for u, err in zip((1e-1, 1e-2, 1e-3), errs):
-            worst = max(worst, err - curvature * u * u)
-        if not errs[0] > errs[1] > errs[2]:
-            worst = max(worst, 1.0)
+    block = ParamsBlock.of(ModelParams(h=h, k=k) for h, k in PAIR_GRID)
+    u = np.array([1e-1, 1e-2, 1e-3])[:, None]
+    errs = np.abs(analytic.weak_limit_ratio(block, u) / analytic.bounds(block).c32 - 1.0)
+    curvature = 2.0 * errs[0] / 1e-2
+    worst = max(0.0, float(np.max(errs - curvature * u * u)))
+    if not np.all((errs[0] > errs[1]) & (errs[1] > errs[2])):
+        worst = max(worst, 1.0)
     return worst
 
 

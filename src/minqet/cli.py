@@ -160,7 +160,8 @@ def cmd_report(args) -> int:
     measurement.validate(meas)
     policy = protocol.optimal_policy(params, meas)
     report = protocol.run(params, meas, policy)
-    max_eb = analytic.max_EB_closed(params, meas.weights)
+    max_eb = report.max_eb_closed
+    weights = measurement.weight_block(measurement.coefficient_block([meas])[0])
     coeffs = analytic.bounds(params)
     payload = {
         "params": {"h": params.h, "k": params.k, "eps": params.eps},
@@ -180,7 +181,7 @@ def cmd_report(args) -> int:
         "entanglement": {
             "ground_entropy": report.s_ground,
             "delta_S": report.delta_s,
-            "delta_S_closed": analytic.delta_S_closed(params, meas.weights),
+            "delta_S_closed": analytic.delta_S_closed(params, *weights),
             "mutual_info": report.mutual_info,
         },
         "bounds": {
@@ -241,26 +242,15 @@ def cmd_sweep(args) -> int:
             reports = [r for chunk in pool.map(protocol.run_many, chunks) for r in chunk]
     else:
         reports = protocol.run_many(cases)
-    rows = []
-    for params, result, report in zip(cells, searched, reports):
-        max_eb = analytic.max_EB_closed(params, meas.weights)
-        rows.append(
-            [
-                fmt(params.h),
-                fmt(params.k),
-                fmt(report.e_a),
-                fmt(max_eb),
-                fmt(result.best_value),
-                fmt(report.delta_s),
-                fmt(report.mutual_info),
-                fmt(report.delta_s),
-                fmt(report.bound32_rhs),
-                fmt(max_eb),
-                fmt(report.bound770_rhs),
-                fmt(analytic.nats_to_bits(report.delta_s)),
-                sha,
-            ]
-        )
+    # one row per cell, in SWEEP_COLUMNS order
+    rows = [
+        [fmt(x) for x in (
+            params.h, params.k, report.e_a, report.max_eb_closed, result.best_value,
+            report.delta_s, report.mutual_info, report.delta_s, report.bound32_rhs,
+            report.max_eb_closed, report.bound770_rhs, analytic.nats_to_bits(report.delta_s),
+        )] + [sha]
+        for params, result, report in zip(cells, searched, reports)
+    ]
 
     csv_path = out_dir / "sweep.csv"
     with open(csv_path, "w", newline="", encoding="ascii") as fh:
@@ -268,14 +258,10 @@ def cmd_sweep(args) -> int:
         writer.writerow(SWEEP_COLUMNS)
         writer.writerows(rows)
 
-    closed_col = SWEEP_COLUMNS.index("maxE_B_closed")
-    numeric_col = SWEEP_COLUMNS.index("maxE_B_numeric")
-    worst_gap = 0.0
-    for row in rows:
-        closed, numeric = float(row[closed_col]), float(row[numeric_col])
-        # relative to the closed value; absolute where that is 0
-        gap = abs(numeric - closed) / closed if closed != 0.0 else abs(numeric)
-        worst_gap = max(worst_gap, gap)
+    numeric = np.array([result.best_value for result in searched])
+    closed = np.array([report.max_eb_closed for report in reports])
+    # relative to the closed value; absolute where that is 0
+    worst_gap = float(np.max(np.abs(numeric - closed) / np.where(closed != 0.0, closed, 1.0)))
     meta = {
         "h_range": args.h,
         "k_range": args.k,
@@ -350,12 +336,13 @@ def cmd_optimize(args) -> int:
         meas = resolve_povm(args.povm)
         measurement.validate(meas)
         result = optimizer.maximize_over_policy(params, meas)
+        weights = measurement.weight_block(measurement.coefficient_block([meas])[0])
         payload = {
             "over": "policy",
             "params": {"h": params.h, "k": params.k},
             "povm": {"source": args.povm, "sha256": povm_sha256(meas)},
             "best_value": result.best_value,
-            "closed_form_max": analytic.max_EB_closed(params, meas.weights),
+            "closed_form_max": analytic.max_EB_closed(params, *weights),
             "policy": [
                 {"omega": u.omega, "n": list(u.n)}
                 for u in result.best_policy.unitaries

@@ -169,6 +169,15 @@ def coefficient_block(models) -> np.ndarray:
     return block
 
 
+def weight_block(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Weights p, q (n,) or (n, N) of coefficient rows (n, 4) or a block (N, n, 4); padding is 0.
+
+    The outcome axis comes first, as ``analytic``'s closed forms take it.
+    """
+    m, l, alpha = coeffs[..., :3].T
+    return m * m + l * l, 2.0 * m * l * np.cos(alpha)
+
+
 def kraus_operators(coeffs: np.ndarray) -> np.ndarray:
     """M_A(mu) tensored with identity on B for coefficient rows (..., 4): shape (..., 4, 4)."""
     m, l, alpha, delta = (coeffs[..., i, None, None] for i in range(4))
@@ -234,18 +243,23 @@ def input_energy_closed(model: MeasurementModel, params) -> float:
 def balance_weights(p: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Shift raw draws u so the balanced weights q = clip(u - s, -1, 1) * p sum to zero.
 
-    R(s) = sum(clip(u - s, -1, 1) * p) is nonincreasing and linear between
-    its 2n sorted knots u -+ 1.  The root is the first knot where R <= 0,
+    p and u are rows (..., n), each row balanced on its own.  R(s) =
+    sum(clip(u - s, -1, 1) * p) is nonincreasing and linear between its 2n
+    sorted knots u -+ 1.  The root is the first knot where R <= 0,
     interpolated back toward the previous knot where R < 0 there.  R = 0 at
     the knot takes the knot, also on a piece where R stays zero: only
     zero-mass outcomes are unclipped there, so every s on it gives the same q.
     """
-    knots = np.sort(np.concatenate((u - 1.0, u + 1.0)))
-    r = (np.clip(u - knots[:, None], -1.0, 1.0) * p).sum(axis=1)
-    j = int(np.argmax(r <= 0.0))
-    s = knots[j]
-    if j > 0 and r[j] < 0.0:
-        s += r[j] * (knots[j] - knots[j - 1]) / (r[j - 1] - r[j])
+    knots = np.sort(np.concatenate((u - 1.0, u + 1.0), axis=-1), axis=-1)
+    r = (np.clip(u[..., None, :] - knots[..., None], -1.0, 1.0) * p[..., None, :]).sum(axis=-1)
+    j = np.argmax(r <= 0.0, axis=-1)[..., None]
+    # the knot and R at j, and at the knot before it (j itself where j = 0)
+    (s, s_before), (r_j, r_before) = (
+        (np.take_along_axis(a, j, -1), np.take_along_axis(a, np.maximum(j - 1, 0), -1))
+        for a in (knots, r)
+    )
+    back = (j > 0) & (r_j < 0.0)
+    s = np.where(back, s + r_j * (s - s_before) / np.where(back, r_before - r_j, 1.0), s)
     return np.clip(u - s, -1.0, 1.0) * p
 
 

@@ -10,14 +10,16 @@ in is E_A = sum_mu <g| M^dag H M |g>; the energy extracted at B is
 E_B = E_A - Tr[rho H] = -Tr[rho (H_B + V)].
 
 Runs are batched: ``run_many`` takes a sequence of (params, measurement,
-policy) cases and computes them BLOCK at a time on stacks.  The kets
-M_A(mu)|g> of a block form one (B, n, 4) array, padded to the block's
-largest outcome count with zero kets; each rotation of B acts as a 2x2
-block on the ket read as an (a, b) matrix.  Every energy is a stacked
+policy) cases and computes them BLOCK at a time on stacks.  Every block,
+of ``run_many``, of the passive cost (``passive_costs``) or of the
+ensemble checks, starts from ``measured_block``: the kets M_A(mu)|g> as
+one (B, n, 4) array, zero-padded to the block's largest outcome count,
+with the weights in the closed forms' (n, B) layout.  The rotations of B
+of a block come from one ``_rotations`` call; each acts as a 2x2 block on
+the ket read as an (a, b) matrix.  Every energy is a stacked
 ``qmath.expectation``, and Tr[rho O] is its sum over the kets of rho.
-``run`` is the one-case call.  The passive cost (``passive_costs``) is
-batched the same way, and ``evolve_series`` takes its times a block at a
-time.
+``run`` is the one-case call, and ``evolve_series`` takes its times a
+block at a time.
 
 Every run cross-checks its own arithmetic: the Tr[rho H] route must
 match the per-outcome scalar route (sum of Q / eps) and the closed form
@@ -34,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analytic, entanglement, measurement, qmath
-from .model import ModelParams, ParamsBlock, build_hamiltonian, ground_state
+from .model import HamiltonianParts, ModelParams, ParamsBlock, build_hamiltonian, ground_state
 
 AXIS_TOL = 1e-12
 CROSS_CHECK_TOL = 1e-10
@@ -119,8 +121,10 @@ class OutcomeEnergies:
 class ProtocolReport:
     """Energies and entropies of one full protocol run.
 
-    ``reduced_eigenvalues`` holds, per outcome, the ascending eigenvalues of
-    B's reduced post-measurement state, or None for a degenerate outcome.
+    ``max_eb_closed`` is ``analytic.max_EB_closed`` of the weights, the
+    closed form behind ``bound32_rhs``.  ``reduced_eigenvalues`` holds, per
+    outcome, the ascending eigenvalues of B's reduced post-measurement
+    state, or None for a degenerate outcome.
     """
 
     e_a: float
@@ -130,6 +134,7 @@ class ProtocolReport:
     s_ground: float
     delta_s: float
     mutual_info: float
+    max_eb_closed: float
     bound32_rhs: float
     bound770_rhs: float
     reduced_eigenvalues: tuple[tuple[float, float] | None, ...]
@@ -193,32 +198,58 @@ def run(
     return run_many([(params, meas, policy)])[0]
 
 
+@dataclass(frozen=True)
+class MeasuredBlock:
+    """A block of (params, meas) cases just after the measurement, as stacks.
+
+    ``kets`` are the unnormalized M_A(mu)|g>, (B, n, 4), and ``p``, ``q`` the
+    weights, (n, B), zero-padded to the block's largest outcome count; ``e_a``
+    is the brute-force E_A and ``scale`` max(1, |E_A|, max |H|), both (B,).
+    """
+
+    params: ParamsBlock
+    coeffs: np.ndarray
+    parts: HamiltonianParts
+    ground: np.ndarray
+    kets: np.ndarray
+    p: np.ndarray
+    q: np.ndarray
+    e_a: np.ndarray
+    scale: np.ndarray
+
+
+def measured_block(params, models) -> MeasuredBlock:
+    """The ``MeasuredBlock`` of parallel sequences of ``ModelParams`` and measurements."""
+    block = ParamsBlock.of(params)
+    coeffs = measurement.coefficient_block(models)
+    parts = build_hamiltonian(block)
+    g = ground_state(block)
+    kets = (measurement.kraus_operators(coeffs) @ g[:, None, :, None])[..., 0]
+    e_a = qmath.expectation(kets, parts.total[:, None]).sum(axis=-1)
+    scale = np.maximum(1.0, np.maximum(np.abs(e_a), np.abs(parts.total).max(axis=(-2, -1))))
+    p, q = measurement.weight_block(coeffs)
+    return MeasuredBlock(block, coeffs, parts, g, kets, p, q, e_a, scale)
+
+
+def _rotation_table(rows, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Angles (B, n) and axes (B, n, 3) of rows of ``LocalUnitary``, each padded to n."""
+    # a padding entry rotates by 0 about the zero vector: the identity
+    pad = [(0.0,) * 4]
+    table = np.array([[(u.omega, *u.n) for u in row] + pad * (n - len(row)) for row in rows])
+    return table[..., 0], table[..., 1:]
+
+
 def _run_block(cases: list, first: int) -> list[ProtocolReport]:
     """``run_many`` on one block of cases; ``first`` numbers them in errors."""
-    params = ParamsBlock.of(c[0] for c in cases)
-    models = [c[1] for c in cases]
-    coeffs = measurement.coefficient_block(models)
-    n = coeffs.shape[1]
-    parts = build_hamiltonian(params)
-    g = ground_state(params)
-    kets = (measurement.kraus_operators(coeffs) @ g[:, None, :, None])[..., 0]  # unnormalized
-
+    block = measured_block([c[0] for c in cases], [c[1] for c in cases])
+    params, parts, kets, e_a, scale = block.params, block.parts, block.kets, block.e_a, block.scale
     total = parts.total[:, None]  # against the outcome axis of the kets
-    e_a = qmath.expectation(kets, total).sum(axis=-1)
     prob = np.einsum("bni,bni->bn", kets.conj(), kets).real
     live = prob >= measurement.DEGENERATE_PROB
     prob = np.where(live, prob, 0.0)
 
-    # padding outcomes rotate by 0 about the zero vector: the identity
-    table = np.array(
-        [
-            [(u.omega, *u.n) for u in policy.unitaries] + [(0.0,) * 4] * (n - len(policy))
-            for _, _, policy in cases
-        ]
-    )
-    omega, axes = table[..., 0], table[..., 1:]
-    rotations = _rotations(omega, axes)
-    phi = np.where(live[..., None], _rotate_b(kets, rotations), 0.0)  # after feedback
+    omega, axes = _rotation_table([policy.unitaries for _, _, policy in cases], kets.shape[1])
+    phi = np.where(live[..., None], _rotate_b(kets, _rotations(omega, axes)), 0.0)  # fed back
     chi = phi / np.sqrt(np.where(live, prob, 1.0))[..., None]  # normalized
     local_ops = np.stack([parts.h_a, parts.h_b, parts.v], axis=1)
     local = qmath.expectation(chi[..., None, :], local_ops[:, None])  # (B, n, 3)
@@ -227,25 +258,21 @@ def _run_block(cases: list, first: int) -> list[ProtocolReport]:
     e_b = e_a - total_final
     e_b_local = -qmath.expectation(phi, (parts.h_b + parts.v)[:, None]).sum(axis=-1)
 
-    scale = np.maximum(1.0, np.maximum(np.abs(e_a), np.abs(parts.total).max(axis=(-2, -1))))
     e_a_closed = [measurement.input_energy_closed(meas, p) for p, meas, _ in cases]
     _check("E_A closed form", e_a, e_a_closed, scale, first)
     _check("E_B local form", e_b, e_b_local, scale, first)
-    m, l, alpha = coeffs[..., 0], coeffs[..., 1], coeffs[..., 2]
     # outcomes along the leading axis, so the (B,) parameters broadcast behind them
-    q_sum = analytic.Q_of(
-        params, (m * m + l * l).T, (2.0 * m * l * np.cos(alpha)).T, omega.T, tuple(axes.T)
-    ).sum(axis=0)
+    q_sum = analytic.Q_of(params, block.p, block.q, omega.T, tuple(axes.T)).sum(axis=0)
     _check("E_B per-outcome route", e_b, q_sum / params.eps, scale, first)
     _check_nonnegative("final energy violates H >= 0", total_final, scale, first)
 
+    bound = analytic.bounds(params)
+    max_eb = analytic.max_EB_closed(params, block.p, block.q)
     reports = []
-    for i, (ent, (p, meas, _)) in enumerate(
-        zip(entanglement.consumption_many(g, kets), cases)
+    for i, (ent, (_, meas, _)) in enumerate(
+        zip(entanglement.consumption_many(block.ground, kets), cases)
     ):
         count = meas.n_outcomes
-        coeffs_i = analytic.bounds(p)
-        max_eb = analytic.max_EB_closed(p, meas.weights)
         reports.append(
             ProtocolReport(
                 e_a=float(e_a[i]),
@@ -260,8 +287,9 @@ def _run_block(cases: list, first: int) -> list[ProtocolReport]:
                 s_ground=ent.s_ground,
                 delta_s=ent.delta_s,
                 mutual_info=ent.mutual_info,
-                bound32_rhs=coeffs_i.c32 * max_eb / p.eps,
-                bound770_rhs=coeffs_i.c770 * ent.delta_s,
+                max_eb_closed=float(max_eb[i]),
+                bound32_rhs=float(bound.c32[i] * max_eb[i] / params.eps[i]),
+                bound770_rhs=float(bound.c770[i]) * ent.delta_s,
                 reduced_eigenvalues=ent.reduced_eigenvalues[:count],
             )
         )
@@ -294,11 +322,9 @@ def random_local_unitary(seed) -> LocalUnitary:
     return LocalUnitary.normalized(omega, quat[1:])
 
 
-def _unitary_b(unitary_b, case: int) -> np.ndarray:
-    """The 2x2 matrix of a ``LocalUnitary`` or a checked 2x2 unitary ndarray."""
-    if isinstance(unitary_b, LocalUnitary):
-        return unitary_b.matrix2()
-    w2 = np.asarray(unitary_b, dtype=complex)
+def _unitary_b(w, case: int) -> np.ndarray:
+    """A 2x2 unitary ndarray W, checked; ``case`` numbers it in errors."""
+    w2 = np.asarray(w, dtype=complex)
     if w2.shape != (2, 2):
         raise ValueError(f"case {case}: expected a 2x2 unitary, got shape {w2.shape}")
     unitarity = float(np.max(np.abs(w2.conj().T @ w2 - np.eye(2))))
@@ -324,19 +350,18 @@ def passive_costs(cases) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def _passive_block(cases: list, first: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``passive_costs`` on one block of cases; ``first`` numbers them in errors."""
-    w2 = np.array([_unitary_b(w, first + i) for i, (_, _, w) in enumerate(cases)])
-    params = ParamsBlock.of(c[0] for c in cases)
-    coeffs = measurement.coefficient_block([c[1] for c in cases])
-    parts = build_hamiltonian(params)
-    g = ground_state(params)
-    kets = (measurement.kraus_operators(coeffs) @ g[:, None, :, None])[..., 0]
+    turns = [[w] if isinstance(w, LocalUnitary) else [] for _, _, w in cases]
+    w2 = _rotations(*_rotation_table(turns, 1))[:, 0]  # an ndarray W's row is the identity
+    for i, (_, _, w) in enumerate(cases):
+        if not turns[i]:
+            w2[i] = _unitary_b(w, first + i)
+    block = measured_block([c[0] for c in cases], [c[1] for c in cases])
+    parts, scale = block.parts, block.scale
     total = parts.total[:, None]  # against the outcome axis of the kets
-    e_a = qmath.expectation(kets, total).sum(axis=-1)
-    cost = qmath.expectation(_rotate_b(kets, w2[:, None]), total).sum(axis=-1) - e_a
-    wg = _rotate_b(g, w2)
+    cost = qmath.expectation(_rotate_b(block.kets, w2[:, None]), total).sum(axis=-1) - block.e_a
+    wg = _rotate_b(block.ground, w2)
     direct = qmath.expectation(wg, parts.h_b + parts.v)
     direct_total = qmath.expectation(wg, parts.total)
-    scale = np.maximum(1.0, np.maximum(np.abs(e_a), np.abs(parts.total).max(axis=(-2, -1))))
     _check("passive cost vs direct form", cost, direct, scale, first)
     _check("passive cost vs total form", cost, direct_total, scale, first)
     _check_nonnegative("passive operation extracted energy", cost, scale, first)

@@ -132,14 +132,14 @@ def expectation(kets: np.ndarray, op: np.ndarray, tol: float = HERMITIAN_TOL):
 
     ``op`` is a Hermitian (d, d) matrix or a stack (..., d, d) that
     broadcasts against the kets' leading axes.  The operator is checked for
-    Hermiticity; the imaginary residue of each raw value must be below
-    1e-12 (rounding only) and is then discarded.  A single ket gives a
-    float, a stack an array of the broadcast leading shape.
+    Hermiticity and symmetrized, so an imaginary residue is rounding only: one
+    above 1e-12 raises ArithmeticError, and a smaller one is discarded.  A
+    single ket gives a float, a stack an array of the broadcast leading shape.
     """
     op = require_hermitian(op, tol)
     kets = np.asarray(kets, dtype=complex)
     raw = np.einsum("...i,...ij,...j->...", kets.conj(), op, kets)
     residue = float(np.max(np.abs(raw.imag), initial=0.0))
     if residue > IMAG_TOL:
-        raise NonHermitianInput(f"expectation value has imaginary residue {residue:.3e}")
+        raise ArithmeticError(f"expectation value has imaginary residue {residue:.3e}")
     return float(raw.real) if raw.ndim == 0 else raw.real

@@ -1,5 +1,6 @@
 """Shared fixtures: the canonical parameter grid and model ensembles."""
 
+import numpy as np
 import pytest
 
 from minqet.measurement import random_measurement
@@ -9,6 +10,11 @@ from minqet.model import ModelParams
 PAIRS = [(h, k) for h in (0.5, 1.0, 2.0) for k in (0.5, 1.0, 2.0)]
 
 OUTCOME_CYCLE = (2, 3, 4, 6)
+
+
+def weight_arrays(weights):
+    """p and q of a sequence of OutcomeWeights as two (n,) arrays, the closed forms' layout."""
+    return np.array([(w.p, w.q) for w in weights]).T
 
 
 def model_ensemble(size, seed0=0):

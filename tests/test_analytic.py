@@ -16,6 +16,8 @@ from minqet.analytic import DomainError
 from minqet.measurement import OutcomeWeights
 from minqet.model import ModelParams, ParamsBlock
 
+from conftest import weight_arrays
+
 UNIT = ModelParams(h=1.0, k=1.0)
 
 # sqrt(X^2 + (hkq ny)^2) - X at X = 3/2, hkq ny = 1/2: (sqrt(10) - 3) / 2
@@ -205,6 +207,40 @@ def test_closed_forms_broadcast_over_outcomes():
     assert arrays["sign"].dtype == bool and arrays["sign"].all()
 
 
+def test_closed_forms_take_a_zero_padded_block():
+    # 2-, 3-, 4- and 6-outcome models zero-padded to six outcomes: each case of
+    # one stacked call gives the bits of one call per case
+    rng = np.random.default_rng(12)
+    params = [ModelParams(h=rng.uniform(0.25, 4), k=rng.uniform(0.25, 4)) for _ in range(8)]
+    models = [
+        measurement.random_measurement(seed=300 + i, n_outcomes=(2, 3, 4, 6)[i % 4])
+        for i in range(8)
+    ]
+    block = ParamsBlock.of(params)
+    p, q = measurement.weight_block(measurement.coefficient_block(models))
+    assert p.shape == q.shape == (6, 8)
+    live = p > 0.0
+    max_eb = analytic.max_EB_closed(block, p, q)
+    delta_s = analytic.delta_S_closed(block, p, q)
+    lam = analytic.lambda_pm(block, np.where(live, p, 1.0), np.where(live, q, 0.0))
+    coefficients = analytic.bounds(block)
+    for i, (one, model) in enumerate(zip(params, models)):
+        n = model.n_outcomes
+        assert live[:, i].tolist() == [mu < n for mu in range(6)]
+        p_i, q_i = weight_arrays(model.weights)
+        assert max_eb[i] == analytic.max_EB_closed(one, p_i, q_i)
+        assert delta_s[i] == analytic.delta_S_closed(one, p_i, q_i)
+        for stacked, alone in zip(lam, analytic.lambda_pm(one, p_i, q_i)):
+            assert stacked[:n, i].tolist() == alone.tolist()
+        alone = analytic.bounds(one)
+        assert (coefficients.c32[i], coefficients.c770[i]) == (alone.c32, alone.c770)
+        # padding outcomes add exactly 0, wherever they sit
+        for pad in ((0, 6 - n), (1, 1), (2, 0)):
+            padded = (np.pad(p_i, pad), np.pad(q_i, pad))
+            assert analytic.max_EB_closed(one, *padded) == max_eb[i]
+            assert analytic.delta_S_closed(one, *padded) == delta_s[i]
+
+
 def test_t_profile_at_origin():
     a, _, c = analytic.abc_constants(UNIT, 0.5, 0.3)
     expected = math.sqrt(a * a + c) - a
@@ -268,18 +304,18 @@ def test_optimal_rotation_no_correlation():
 
 def test_max_eb_closed_no_correlation():
     weights = [OutcomeWeights(0.5, 0.0), OutcomeWeights(0.5, 0.0)]
-    assert analytic.max_EB_closed(UNIT, weights) == pytest.approx(0.0, abs=1e-15)
+    assert analytic.max_EB_closed(UNIT, *weight_arrays(weights)) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_max_eb_closed_unit_projective():
     weights = [OutcomeWeights(0.5, 0.5), OutcomeWeights(0.5, -0.5)]
-    value = analytic.max_EB_closed(UNIT, weights)
+    value = analytic.max_EB_closed(UNIT, *weight_arrays(weights))
     assert abs(value - MAX_EB_UNIT) <= 1e-15
 
 
 def test_max_eb_closed_skips_zero_probability():
     weights = [OutcomeWeights(0.5, 0.5), OutcomeWeights(0.5, -0.5), OutcomeWeights(0.0, 0.0)]
-    value = analytic.max_EB_closed(UNIT, weights)
+    value = analytic.max_EB_closed(UNIT, *weight_arrays(weights))
     assert abs(value - MAX_EB_UNIT) <= 1e-15
 
 
@@ -289,7 +325,7 @@ def test_max_eb_equals_kernel_sum():
         model = measurement.random_measurement(seed=1000 + i, n_outcomes=2 + i % 4)
         params = ModelParams(h=rng.uniform(0.25, 4), k=rng.uniform(0.25, 4))
         ws = model.weights
-        direct = analytic.max_EB_closed(params, ws)
+        direct = analytic.max_EB_closed(params, *weight_arrays(ws))
         kernel = sum(
             w.p * analytic.f_E(params, (w.q / w.p) ** 2) for w in ws if w.p > 1e-14
         )
@@ -442,6 +478,6 @@ def test_shannon_entropy_and_units():
 def test_delta_s_closed_matches_brute_force():
     for i in range(10):
         model = measurement.random_measurement(seed=2000 + i, n_outcomes=2 + i % 3)
-        closed = analytic.delta_S_closed(UNIT, model.weights)
+        closed = analytic.delta_S_closed(UNIT, *weight_arrays(model.weights))
         brute = entanglement.consumption(UNIT, model).delta_s
         assert abs(closed - brute) <= 1e-10

@@ -378,18 +378,31 @@ def test_optimize_weights_json(capsys):
         assert abs(abs(w["q"]) - w["p"]) <= 1e-6
 
 
-# closed forms that overflow or divide by zero, and a brute-force route that
-# loses its phase accuracy at huge t, give no verified number: exit 1
+# a two-outcome POVM with phases (m, l and delta per outcome, alpha = pi/2)
+PHASED_POVM = {
+    "outcomes": [
+        {"m": 0.6, "l": 0.3, "alpha": math.pi / 2.0, "delta": 0.4},
+        {"m": 0.7, "l": math.sqrt(0.06), "alpha": math.pi / 2.0, "delta": 1.1},
+    ]
+}
+
+
+# closed forms that overflow or divide by zero, a brute-force route that
+# loses its phase accuracy at huge t, and an expectation whose rounding
+# leaves an imaginary residue above 1e-12 give no verified number: exit 1
 @pytest.mark.parametrize(
     "argv",
     [
         "report --h 1e8 --k 1 --povm builtin:projective",
         "report --h 1e150 --k 1e150 --povm builtin:projective",
         "evolve --h 1 --k 1 --povm builtin:projective --t-max 1e12 --points 4",
+        "report --h 1e6 --k 1e6 --povm {phased}",
     ],
 )
-def test_numeric_failure_exits_one_without_traceback(capsys, argv):
-    code, _, err = run_cli(capsys, *argv.split())
+def test_numeric_failure_exits_one_without_traceback(capsys, tmp_path, argv):
+    phased = tmp_path / "phased.json"
+    phased.write_text(json.dumps(PHASED_POVM))
+    code, _, err = run_cli(capsys, *argv.format(phased=phased).split())
     assert code == 1
     assert err.startswith("error: ")
     assert err.count("\n") == 1

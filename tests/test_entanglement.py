@@ -9,6 +9,8 @@ from minqet import analytic, entanglement, measurement, qmath
 from minqet.measurement import OutcomeWeights
 from minqet.model import ModelParams
 
+from conftest import weight_arrays
+
 UNIT = ModelParams(h=1.0, k=1.0)
 GROUND_ENTROPY_UNIT = 0.4164955306996875
 DELTA_S_QUARTER = 0.08117383727836852
@@ -71,7 +73,7 @@ def test_consumption_internal_bookkeeping(small_ensemble):
 def test_consumption_matches_kernel_sum(small_ensemble):
     for params, model in small_ensemble[:16]:
         report = entanglement.consumption(params, model)
-        closed = analytic.delta_S_closed(params, model.weights)
+        closed = analytic.delta_S_closed(params, *weight_arrays(model.weights))
         assert abs(report.delta_s - closed) <= 1e-10
 
 

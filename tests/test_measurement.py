@@ -370,21 +370,47 @@ def test_balance_weights_exact_root(raw_and_u):
     _assert_exact_root(p, u)
 
 
-@pytest.mark.parametrize(
-    "p, u",
-    [
-        # zero-mass outcomes, as the weights search makes by clipping raw p
-        ([0.0, 0.6, 0.0, 0.4], [0.9, 0.2, -0.7, -0.5]),
-        ([0.5, 0.0, 0.5], [0.3, 0.3, -0.8]),
-        # all u equal: the root is that u and every q is zero
-        ([0.2, 0.3, 0.5], [0.4, 0.4, 0.4]),
-        # two outcomes at u = +-1: the projective pair
-        ([0.5, 0.5], [1.0, -1.0]),
-        ([0.3, 0.7], [-1.0, 1.0]),
-        # R is zero on the whole piece [-0.5, 0.5], where the outer outcomes
-        # are clipped to +-1 and only the zero-mass one is unclipped
-        ([0.5, 0.0, 0.5], [1.5, 0.3, -1.5]),
-    ],
-)
+BALANCE_EDGE_CASES = [
+    # zero-mass outcomes, as the weights search makes by clipping raw p
+    ([0.0, 0.6, 0.0, 0.4], [0.9, 0.2, -0.7, -0.5]),
+    ([0.5, 0.0, 0.5], [0.3, 0.3, -0.8]),
+    # all u equal: the root is that u and every q is zero
+    ([0.2, 0.3, 0.5], [0.4, 0.4, 0.4]),
+    # two outcomes at u = +-1: the projective pair
+    ([0.5, 0.5], [1.0, -1.0]),
+    ([0.3, 0.7], [-1.0, 1.0]),
+    # R is zero on the whole piece [-0.5, 0.5], where the outer outcomes
+    # are clipped to +-1 and only the zero-mass one is unclipped
+    ([0.5, 0.0, 0.5], [1.5, 0.3, -1.5]),
+]
+
+
+@pytest.mark.parametrize("p, u", BALANCE_EDGE_CASES)
 def test_balance_weights_edge_cases(p, u):
     _assert_exact_root(p, u)
+
+
+def test_balance_weights_balances_a_stack_row_by_row():
+    # random rows, some with zero-mass outcomes, and every edge case among
+    # rows of its own size: the stack gives each row's bits
+    rng = np.random.default_rng(4)
+    for n in (2, 3, 4, 6):
+        p = rng.dirichlet(np.ones(n), size=60)
+        p[::7, 0] = 0.0
+        p /= p.sum(axis=1, keepdims=True)
+        u = rng.uniform(-1.0, 1.0, size=(60, n))
+        u[::5] = np.round(u[::5], 1)  # ties among the knots
+        edge = [case for case in BALANCE_EDGE_CASES if len(case[0]) == n]
+        if edge:
+            p = np.concatenate([p, [case[0] for case in edge]])
+            u = np.concatenate([u, [case[1] for case in edge]])
+        stacked = measurement.balance_weights(p, u)
+        assert stacked.shape == p.shape
+        rows = [measurement.balance_weights(p_row, u_row) for p_row, u_row in zip(p, u)]
+        assert stacked.tolist() == [row.tolist() for row in rows]
+        # a deeper stack (2, rows / 2, n) as well
+        half = len(p) // 2 * 2
+        deep = measurement.balance_weights(
+            p[:half].reshape(2, -1, n), u[:half].reshape(2, -1, n)
+        )
+        assert deep.reshape(-1, n).tolist() == stacked[:half].tolist()

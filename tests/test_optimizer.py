@@ -10,7 +10,7 @@ from minqet import analytic, measurement, optimizer, protocol
 from minqet.measurement import OutcomeWeights
 from minqet.model import ModelParams
 
-from conftest import model_ensemble
+from conftest import model_ensemble, weight_arrays
 
 UNIT = ModelParams(h=1.0, k=1.0)
 MAX_EB_UNIT = 0.11474763394014725
@@ -42,7 +42,7 @@ def test_policy_search_matches_closed_form_ensemble():
     members = model_ensemble(30, seed0=500)
     for params, model in members:
         res = optimizer.maximize_over_policy(params, model)
-        closed = analytic.max_EB_closed(params, model.weights)
+        closed = analytic.max_EB_closed(params, *weight_arrays(model.weights))
         rel = abs(res.best_value - closed) / max(closed, 1e-9)
         assert rel <= 1e-7
         assert res.best_value <= closed + 1e-9
@@ -174,14 +174,15 @@ def test_weights_search_unit_point():
         assert abs(abs(w.q) - w.p) <= 1e-6
 
 
-@pytest.mark.parametrize("h, k", [(1.0, 1.0), (0.8, 2.1)])
+@pytest.mark.parametrize("h, k", [(1.0, 1.0), (0.8, 2.1), (0.25, 4.0), (3.3, 0.4)])
 def test_weights_search_six_outcomes_reaches_projective_limit(h, k):
-    # the benchmark's design-search size, judged as the benchmark judges it
+    # up to the benchmark's design-search size, judged as the benchmark judges it
     params = ModelParams(h=h, k=k)
-    res = optimizer.maximize_over_weights(params, n_outcomes=6)
     limit = analytic.f_E(params, 1.0)
-    assert res.converged
-    assert abs(res.best_value - limit) <= 1e-7 * limit
+    for n in range(2, 7):
+        res = optimizer.maximize_over_weights(params, n_outcomes=n)
+        assert res.converged
+        assert abs(res.best_value - limit) <= 1e-7 * limit
 
 
 def test_weights_search_no_interaction_limit():

@@ -13,6 +13,8 @@ from minqet.measurement import KrausCoefficients, OutcomeWeights
 from minqet.model import ModelParams, build_hamiltonian, ground_state
 from minqet.protocol import FeedbackPolicy, LocalUnitary, PolicyMismatch
 
+from conftest import weight_arrays
+
 UNIT = ModelParams(h=1.0, k=1.0)
 MAX_EB_UNIT = 0.11474763394014725
 E_A_PROJECTIVE_UNIT = 0.7071067811865475
@@ -44,7 +46,8 @@ def test_run_optimal_projective_unit_point():
     policy = protocol.optimal_policy(UNIT, model)
     report = protocol.run(UNIT, model, policy)
     assert abs(report.e_b - MAX_EB_UNIT) <= 1e-10
-    assert abs(report.e_b - analytic.max_EB_closed(UNIT, model.weights)) <= 1e-10
+    assert abs(report.e_b - analytic.max_EB_closed(UNIT, *weight_arrays(model.weights))) <= 1e-10
+    assert report.max_eb_closed == analytic.max_EB_closed(UNIT, *weight_arrays(model.weights))
     assert abs(report.total_final_energy - (report.e_a - report.e_b)) <= 1e-10
     assert report.total_final_energy >= -1e-10
 

@@ -185,13 +185,13 @@ def optimal_rotation(
     """The (omega, axis) attaining the per-outcome maximum: axis y, z = 0.
 
     With n = (0, 1, 0) the coefficients are X = a and G = h k q, so
-    2 omega = atan2(-h k q, a); the angle is reported in [0, pi).
+    2 omega = atan2(-h k q, a); the angle is reported in [0, pi), and is 0
+    where a = G = 0.  The axis is the same for every outcome.
     """
-    a, _, c = abc_constants(params, p, q)
-    if a == 0.0 and c == 0.0:
-        return 0.0, (0.0, 1.0, 0.0)
-    omega = 0.5 * math.atan2(-params.h * params.k * q, a)
-    return omega % math.pi, (0.0, 1.0, 0.0)
+    a = p * (params.h * params.h + 2.0 * params.k * params.k)
+    g = params.h * params.k * q
+    omega = np.where((a == 0.0) & (g == 0.0), 0.0, 0.5 * np.arctan2(-g, a) % math.pi)
+    return (float(omega) if omega.ndim == 0 else omega), (0.0, 1.0, 0.0)
 
 
 def f_E(params: ModelParams, x):

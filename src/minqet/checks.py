@@ -8,6 +8,11 @@ sizes.  A routine with cap None runs as routine().  A routine returns one
 residual, or a {check name: residual} map if it owns several names; a check
 passes when its residual is at most its budget.  Each claim is written here
 once, so a check and its budget mean the same thing wherever they are run.
+
+The random checks draw and score their members a block at a time:
+``draw_members`` draws in the order one member at a time would, and
+``block_residuals`` scores a block on arrays, with one ``measured_block``
+and one ``run_block`` call and no per-member objects.
 """
 
 from __future__ import annotations
@@ -55,69 +60,65 @@ def _random_params(rng: np.random.Generator) -> ModelParams:
     return ModelParams(h=float(h), k=float(k))
 
 
-def _random_axis(rng: np.random.Generator) -> tuple[float, float, float]:
-    v = rng.normal(size=3)
-    v /= np.linalg.norm(v)
-    return (float(v[0]), float(v[1]), float(v[2]))
+def draw_members(rng: np.random.Generator, members: range) -> tuple:
+    """Ensemble members as blocks: params, coefficients, and the spot checks' outcome and axis.
 
-
-def _draw_member(rng: np.random.Generator, i: int) -> tuple:
-    """Ensemble member i: params, measurement, and the spot checks' outcome and axis."""
-    if i % 3 == 0:
-        h, k = PAIR_GRID[(i // 3) % len(PAIR_GRID)]
-        params = ModelParams(h=h, k=k)
-    else:
-        params = _random_params(rng)
-    meas = measurement.random_measurement(rng, n_outcomes=(2, 3, 4, 6)[i % 4])
-    outcome = int(rng.integers(meas.n_outcomes))
-    return params, meas, outcome, _random_axis(rng)
+    Member i draws its params (from PAIR_GRID every third member), its raw
+    weights, its outcome and its axis in that order, as one
+    ``random_measurement`` call per member would.  Returns a
+    ``ParamsBlock``, the checked coefficient block (N, n, 4), the (N,)
+    outcomes and the (N, 3) axes.
+    """
+    params, draws, outcomes, axes = [], [], [], []
+    for i in members:
+        if i % 3 == 0:
+            params.append(ModelParams(*PAIR_GRID[(i // 3) % len(PAIR_GRID)]))
+        else:
+            params.append(_random_params(rng))
+        n = (2, 3, 4, 6)[i % 4]
+        draws.append(measurement.raw_draw(rng, n))
+        outcomes.append(int(rng.integers(n)))
+        v = rng.normal(size=3)
+        axes.append(v / np.linalg.norm(v))
+    coeffs = measurement.draw_block(draws)
+    return ParamsBlock.of(params), coeffs, np.array(outcomes), np.array(axes)
 
 
 _OMEGA_GRID = np.linspace(0.0, math.pi, 256, endpoint=False)[:, None]
 _PSI_GRID = np.linspace(0.0, math.pi, 64, endpoint=False)[:, None]
 
 
-def block_residuals(members) -> dict[str, list]:
-    """The ensemble checks' residuals over one block of drawn members.
+def block_residuals(block: ParamsBlock, coeffs, outcomes, axis_rows) -> dict[str, list]:
+    """The ensemble checks' residuals over one block of ``draw_members``.
 
     Each name maps to a list of residual arrays (or floats); the check's
     value is their maximum.
     """
-    params, models, outcomes, axis_rows = zip(*members)
-    reports = protocol.run_many(
-        (p, meas, protocol.optimal_policy(p, meas)) for p, meas in zip(params, models)
-    )
-    measured = protocol.measured_block(params, models)
-    block, parts, kets = measured.params, measured.parts, measured.kets
+    measured = protocol.measured_block(block, coeffs)
+    run = protocol.run_block(measured, *protocol.optimal_table(block, measured.p, measured.q))
+    parts, kets = measured.parts, measured.kets
     found: dict[str, list] = {
-        "measurement-completeness": list(measurement.block_residuals(measured.coeffs).values())
+        "measurement-completeness": list(measurement.block_residuals(coeffs).values())
     }
     # <H_B> and <V> of the post-measurement state sum over its kets: (B, 2)
     passive = qmath.expectation(kets[..., None, :], np.stack([parts.h_b, parts.v], 1)[:, None])
     found["post-measurement-passivity"] = [np.abs(passive.sum(axis=1))]
 
-    max_eb = analytic.max_EB_closed(block, measured.p, measured.q)
+    max_eb, delta_s, rhs32 = run.max_eb_closed, run.delta_s, run.bound32_rhs
     delta_closed = analytic.delta_S_closed(block, measured.p, measured.q)
-    c770 = analytic.bounds(block).c770
-    e_a, e_b, delta_s, mutual, rhs32, rhs770 = np.array(
-        [(r.e_a, r.e_b, r.delta_s, r.mutual_info, r.bound32_rhs, r.bound770_rhs) for r in reports]
-    ).T
-    e_a_closed = [measurement.input_energy_closed(m, p) for p, m in zip(params, models)]
-    found["input-energy"] = [np.abs(e_a - e_a_closed)]
-    found["teleported-energy-routes"] = [np.abs(e_b - max_eb)]
+    found["input-energy"] = [np.abs(run.e_a - run.e_a_closed)]
+    found["teleported-energy-routes"] = [np.abs(run.e_b - max_eb)]
     found["entanglement-consumption"] = [np.abs(delta_s - delta_closed)]
-    found["mutual-information"] = [np.abs(mutual - delta_s)]
+    found["mutual-information"] = [np.abs(run.mutual_info - delta_s)]
     found["entanglement-nonnegative"] = [-delta_s]
     # each inequality on the brute-force delta_S and on the closed forms alone
     # (bound32_rhs is c32 maxE_B / eps from the closed maximum)
     found["bound-32"] = [rhs32 - delta_s, rhs32 - delta_closed]
-    found["bound-770"] = [rhs770 - max_eb, c770 * delta_closed - max_eb]
+    c770 = analytic.bounds(block).c770
+    found["bound-770"] = [run.bound770_rhs - max_eb, c770 * delta_closed - max_eb]
     # B's reduced eigenvalues (lambda_-, lambda_+) by brute force, (n, B, 2); NaN where
     # an outcome is degenerate or padding
-    brute = np.full(measured.p.shape + (2,), np.nan)
-    for i, report in enumerate(reports):
-        rows = report.reduced_eigenvalues
-        brute[: len(rows), i] = [vals or (np.nan, np.nan) for vals in rows]
+    brute = np.swapaxes(run.reduced_eigenvalues, 0, 1)
     live = ~np.isnan(brute[..., 0])
     lam_plus, lam_minus = analytic.lambda_pm(
         block, np.where(live, measured.p, 1.0), np.where(live, measured.q, 0.0)
@@ -125,8 +126,8 @@ def block_residuals(members) -> dict[str, list]:
     found["reduced-eigenvalues"] = [np.abs(brute - np.stack([lam_minus, lam_plus], -1))[live]]
 
     # scalar objective spot checks, on one random outcome and axis per member
-    p, q = (w[np.array(outcomes), np.arange(len(members))] for w in (measured.p, measured.q))
-    axis = tuple(np.array(axis_rows).T)
+    p, q = (w[outcomes, np.arange(len(outcomes))] for w in (measured.p, measured.q))
+    axis = tuple(axis_rows.T)
     closed_max, omega_star = analytic.max_over_omega(block, p, q, axis)
     x_coef = analytic.X_of(block, p, q, axis)
     g_coef = block.h * block.k * q * axis[1]
@@ -170,8 +171,8 @@ def ensemble_residuals(seed: int, size: int) -> dict[str, float]:
     rng = np.random.default_rng([seed, 1])
     worst: defaultdict[str, float] = defaultdict(float)
     for first in range(0, size, protocol.BLOCK):
-        members = [_draw_member(rng, i) for i in range(first, min(size, first + protocol.BLOCK))]
-        for name, residuals in block_residuals(members).items():
+        members = draw_members(rng, range(first, min(size, first + protocol.BLOCK)))
+        for name, residuals in block_residuals(*members).items():
             worst[name] = max(worst[name], *(float(np.max(r)) for r in residuals))
     return worst
 
@@ -219,52 +220,62 @@ def _check_ground_state() -> float:
     return max(float(np.max(r / scale)) for r in residuals)
 
 
-def _check_optimizer(seed: int, size: int) -> float:
-    rng = np.random.default_rng([seed, 3])
-    cases = []
+def _draw_cases(rng: np.random.Generator, size: int, max_outcomes: int, turn=None) -> tuple:
+    """size random cases, each drawing params, outcome count, raw weights, then turn(rng).
+
+    Returns the params, the models (one-row views of one ``draw_block`` per
+    protocol.BLOCK members) and the turns (None without ``turn``).
+    """
+    params, draws, turns = [], [], []
     for _ in range(size):
-        params = _random_params(rng)
-        meas = measurement.random_measurement(rng, n_outcomes=int(rng.integers(2, 7)))
-        cases.append((params, meas))
-    params, models = zip(*cases)
+        params.append(_random_params(rng))
+        draws.append(measurement.raw_draw(rng, int(rng.integers(2, max_outcomes + 1))))
+        turns.append(turn(rng) if turn else None)
+    models = []
+    for first in range(0, size, protocol.BLOCK):
+        block = draws[first : first + protocol.BLOCK]
+        rows = (c[: len(p)] for c, (p, _) in zip(measurement.draw_block(block), block))
+        models += map(measurement.MeasurementModel.of_rows, rows)
+    return params, models, turns
+
+
+def _check_optimizer(seed: int, size: int) -> float:
+    params, models, _ = _draw_cases(np.random.default_rng([seed, 3]), size, 6)
     closed = analytic.max_EB_closed(
         ParamsBlock.of(params), *measurement.weight_block(measurement.coefficient_block(models))
     )
-    found = np.array([result.best_value for result in optimizer.maximize_over_policies(cases)])
+    results = optimizer.maximize_over_policies(zip(params, models))
+    found = np.array([result.best_value for result in results])
     return float(np.max(np.abs(found - closed) / np.maximum(closed, 1e-9)))
 
 
 def _check_no_go(seed: int, size: int) -> float:
     """Outcome-blind rotations of B: cost >= 0, equal through B's terms and through H."""
     rng = np.random.default_rng([seed, 4])
-    cases = []
-    for _ in range(size):
-        params = _random_params(rng)
-        meas = measurement.random_measurement(rng, n_outcomes=int(rng.integers(2, 5)))
-        cases.append((params, meas, protocol.random_local_unitary(rng)))
-    cost, local, total = protocol.passive_costs(cases)
+    params, models, turns = _draw_cases(rng, size, 4, protocol.random_local_unitary)
+    cost, local, total = protocol.passive_costs(zip(params, models, turns))
     return float(max(-cost.min(), np.max(np.abs(local - total)), np.max(np.abs(cost - local))))
 
 
 def _check_bound770_equality(seed: int, size: int) -> float:
     """c770 delta_S = maxE_B on saturated measurements: brute-force delta_S for the first 20."""
     rng = np.random.default_rng([seed, 5])
-    params, models = [], []
+    params, halves = [], []
     for _ in range(size):
         params.append(_random_params(rng))
-        masses = rng.dirichlet(np.ones(int(rng.integers(1, 4))))
-        models.append(
-            measurement.weights_to_coeffs(
-                measurement.OutcomeWeights(mass / 2.0, sign * mass / 2.0)
-                for mass in masses
-                for sign in (1.0, -1.0)
-            )
-        )
+        halves.append(np.repeat(rng.dirichlet(np.ones(int(rng.integers(1, 4)))) / 2.0, 2))
+    # each mass splits into the outcome pair (mass/2, +-mass/2), zero-padded
+    p = np.zeros((size, max(map(len, halves))))
+    for i, row in enumerate(halves):
+        p[i, : len(row)] = row
+    coeffs = measurement.canonical_coeffs(p, p * np.resize((1.0, -1.0), p.shape[1]))
+    measurement.check_block(coeffs)
     block = ParamsBlock.of(params)
-    weights = measurement.weight_block(measurement.coefficient_block(models))
+    weights = measurement.weight_block(coeffs)
     max_eb = analytic.max_EB_closed(block, *weights)
     delta = analytic.delta_S_closed(block, *weights)
-    delta[:20] = [entanglement.consumption(p, m).delta_s for p, m in zip(params, models[:20])]
+    brute = protocol.measured_block(ParamsBlock.of(params[:20]), coeffs[:20])
+    delta[:20] = entanglement.consumption_block(brute.ground, brute.kets).delta_s
     rhs = analytic.bounds(block).c770 * delta
     return float(np.max(np.abs(max_eb - rhs) / np.maximum(max_eb, 1e-12)))
 
@@ -282,7 +293,7 @@ def _check_time_evolution() -> float:
         times = np.append(np.linspace(0.0, 2.0 * t_peak, 256), t_peak)
         samples = protocol.evolve_series(params, meas, times)
         hb, closed, v = np.array([(s.hb_bruteforce, s.hb_closed, s.v_expect) for s in samples]).T
-        e_a = measurement.input_energy_closed(meas, params)
+        e_a = measurement.input_energy_closed(params, meas.rows)
         worst = max(worst, np.max(np.abs(hb - closed)), np.max(np.abs(v)), abs(hb[-1] - e_a))
     return float(worst)
 
@@ -309,16 +320,14 @@ def _check_weak_limit() -> float:
 
 
 def _check_integrity() -> float:
-    worst = 0.0
     builtins = (
         measurement.projective_pair(),
         measurement.weak_pair(0.5),
         measurement.identity_measurement(),
     )
-    for m in builtins:
-        measurement.validate(m)
-        worst = max(worst, max(measurement.constraint_residuals(m).values()))
-    return worst
+    coeffs = measurement.coefficient_block(builtins)
+    measurement.check_block(coeffs)
+    return max(float(np.max(r)) for r in measurement.block_residuals(coeffs).values())
 
 
 CHECKS = (

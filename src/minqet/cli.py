@@ -161,7 +161,7 @@ def cmd_report(args) -> int:
     policy = protocol.optimal_policy(params, meas)
     report = protocol.run(params, meas, policy)
     max_eb = report.max_eb_closed
-    weights = measurement.weight_block(measurement.coefficient_block([meas])[0])
+    weights = measurement.weight_block(meas.rows)
     coeffs = analytic.bounds(params)
     payload = {
         "params": {"h": params.h, "k": params.k, "eps": params.eps},
@@ -172,7 +172,7 @@ def cmd_report(args) -> int:
             "weights": [{"p": w.p, "q": w.q} for w in meas.weights],
         },
         "energies": {
-            "E_A_closed": measurement.input_energy_closed(meas, params),
+            "E_A_closed": report.e_a_closed,
             "E_A_bruteforce": report.e_a,
             "maxE_B_closed": max_eb,
             "E_B_bruteforce": report.e_b,
@@ -336,7 +336,7 @@ def cmd_optimize(args) -> int:
         meas = resolve_povm(args.povm)
         measurement.validate(meas)
         result = optimizer.maximize_over_policy(params, meas)
-        weights = measurement.weight_block(measurement.coefficient_block([meas])[0])
+        weights = measurement.weight_block(meas.rows)
         payload = {
             "over": "policy",
             "params": {"h": params.h, "k": params.k},

@@ -15,15 +15,16 @@ whose block structure makes S(Phi) = H(p) + sum_mu p_mu S(rho_B(mu)).
 Everything in this module is brute force over density matrices; the
 closed-form route lives in ``analytic`` and the two are compared in tests.
 
-The work is done on stacks: ``consumption_many`` takes the ground kets and
-post-measurement kets of N cases at once and diagonalizes every reduced
-state of the batch in one call.  ``protocol.run_many`` feeds it the kets it
-has already built; ``consumption`` and ``reduced_post_states`` are the
-one-case views.
+The work is done on stacks: ``consumption_block`` takes the ground kets and
+post-measurement kets of N cases at once, diagonalizes every reduced state
+of the batch in one call, and returns its entropies as columns.
+``protocol.run_block`` feeds it the kets it has already built;
+``consumption`` and ``reduced_post_states`` are the one-case views.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,7 +40,9 @@ class EntanglementReport:
     """Entropies around one measurement on the ground state.
 
     ``reduced_eigenvalues`` holds, per outcome, the ascending eigenvalues of
-    rho_B(mu), or None for a degenerate outcome.
+    rho_B(mu), or None for a degenerate outcome.  From ``consumption_block``
+    every field is an array over N cases: (N,) entropies, (N, n)
+    probabilities and s_post, and (N, n, 2) eigenvalues, NaN where degenerate.
     """
 
     s_ground: float
@@ -111,8 +114,8 @@ def _post_states(kets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.where(live, prob, 0.0), rho_b
 
 
-def consumption_many(ground: np.ndarray, kets: np.ndarray) -> tuple[EntanglementReport, ...]:
-    """Entropy reports of N cases from their stacks.
+def consumption_block(ground: np.ndarray, kets: np.ndarray) -> EntanglementReport:
+    """The entropy columns of N cases from their stacks, as an ``EntanglementReport`` of arrays.
 
     ``ground`` holds the ground kets (N, 4) and ``kets`` the unnormalized
     post-measurement kets (N, n, 4), M_A(mu)|g>.  Every reduced state of
@@ -128,7 +131,7 @@ def consumption_many(ground: np.ndarray, kets: np.ndarray) -> tuple[Entanglement
     vals, _ = qmath.hermitian_eig(np.concatenate([rho_ground, phi_b, rho_b[live]]))
     entropies = _spectrum_entropy(vals)
     s_ground, s_phi_b = entropies[:size], entropies[size : 2 * size]
-    post_vals = np.zeros(prob.shape + (2,))
+    post_vals = np.full(prob.shape + (2,), np.nan)
     post_vals[live] = vals[2 * size :]
     s_post = np.zeros(prob.shape)
     s_post[live] = entropies[2 * size :]
@@ -136,21 +139,12 @@ def consumption_many(ground: np.ndarray, kets: np.ndarray) -> tuple[Entanglement
     # I(pointer : B) = S(Phi_A) + S(Phi_B) - S(Phi), using the block structure
     s_pointer = shannon_entropy(prob)
     mutual = s_pointer + s_phi_b - (s_pointer + avg_post)
-    delta_s = s_ground - avg_post
-    return tuple(
-        EntanglementReport(
-            s_ground=float(s_ground[i]),
-            probabilities=tuple(prob[i].tolist()),
-            s_post=tuple(s_post[i].tolist()),
-            delta_s=float(delta_s[i]),
-            mutual_info=float(mutual[i]),
-            reduced_eigenvalues=tuple(
-                tuple(v) if alive else None
-                for v, alive in zip(post_vals[i].tolist(), live[i].tolist())
-            ),
-        )
-        for i in range(size)
-    )
+    return EntanglementReport(s_ground, prob, s_post, s_ground - avg_post, mutual, post_vals)
+
+
+def eigenvalue_pairs(rows) -> tuple[tuple[float, float] | None, ...]:
+    """Eigenvalue rows [low, high] as pairs, None for a degenerate (NaN) row."""
+    return tuple(None if math.isnan(low) else (low, high) for low, high in rows)
 
 
 def reduced_post_states(
@@ -164,9 +158,14 @@ def reduced_post_states(
 def consumption(
     params: model.ModelParams, meas: measurement.MeasurementModel
 ) -> EntanglementReport:
-    """Full entropy report for one measurement on the ground state."""
+    """Full entropy report for one measurement on the ground state: one case of the block."""
     g = model.ground_state(params)
-    return consumption_many(g[None], (meas.kraus @ g)[None])[0]
+    b = consumption_block(g[None], (meas.kraus @ g)[None])
+    return EntanglementReport(
+        float(b.s_ground[0]), tuple(b.probabilities[0].tolist()), tuple(b.s_post[0].tolist()),
+        float(b.delta_s[0]), float(b.mutual_info[0]),
+        eigenvalue_pairs(b.reduced_eigenvalues[0].tolist()),
+    )
 
 
 def pointer_state_dense(

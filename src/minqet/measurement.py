@@ -21,6 +21,14 @@ measurement is given by weights alone is
 
 Every such Kraus operator commutes with the x-x coupling, which is what
 makes the post-measurement state carry no interaction energy.
+
+The batched data is the coefficient block: the (m, l, alpha, delta) rows
+of N models as one (N, n, 4) array, zero-padded to the largest outcome
+count.  ``draw_block`` balances, maps and checks a block of random draws
+at once, and ``check_block`` holds every POVM constraint once per block.
+``MeasurementModel`` is the one-model object of the JSON and CLI edge;
+``random_measurement``, ``weights_to_coeffs`` and ``validate`` are its
+one-row views of the same array path.
 """
 
 from __future__ import annotations
@@ -126,24 +134,40 @@ class MeasurementModel:
         return tuple(OutcomeWeights(c.p, c.q) for c in self.coeffs)
 
     @functools.cached_property
+    def rows(self) -> np.ndarray:
+        """The read-only (n, 4) coefficient rows (m, l, alpha, delta)."""
+        rows = np.array([(c.m, c.l, c.alpha, c.delta) for c in self.coeffs], dtype=float)
+        rows.setflags(write=False)
+        return rows
+
+    @functools.cached_property
     def kraus(self) -> np.ndarray:
         """The read-only (n, 4, 4) stack of M_A(mu) tensored with identity on B."""
-        stack = kraus_operators(coefficient_block([self])[0])
+        stack = kraus_operators(self.rows)
         stack.setflags(write=False)
         return stack
 
     @classmethod
+    def of_rows(cls, rows: np.ndarray) -> "MeasurementModel":
+        """The model of coefficient rows (n, 4)."""
+        return cls(tuple(KrausCoefficients(*row) for row in rows.tolist()))
+
+    @classmethod
     def from_weights(cls, weights) -> "MeasurementModel":
-        return cls(tuple(_coeffs_from_weight(w) for w in weights))
+        """The model of the canonical inverse map of weights (objects with p and q)."""
+        p, q = np.array([(w.p, w.q) for w in weights], dtype=float).reshape(-1, 2).T
+        return cls.of_rows(canonical_coeffs(p, q))
 
 
-def _coeffs_from_weight(w: OutcomeWeights) -> KrausCoefficients:
-    """Canonical Kraus coefficients for one outcome's weights (alpha = delta = 0)."""
-    root_plus = math.sqrt(max(w.p + w.q, 0.0))
-    root_minus = math.sqrt(max(w.p - w.q, 0.0))
-    return KrausCoefficients(
-        m=0.5 * (root_plus + root_minus), l=0.5 * (root_plus - root_minus)
-    )
+def canonical_coeffs(p, q) -> np.ndarray:
+    """Coefficient rows (..., 4) of weights p, q (...) by the canonical inverse map.
+
+    alpha = delta = 0; zero weights give a zero row, the padding of a block.
+    """
+    plus, minus = np.sqrt(np.maximum((p + q, p - q), 0.0))
+    coeffs = np.zeros(plus.shape + (4,))
+    coeffs[..., 0], coeffs[..., 1] = 0.5 * (plus + minus), 0.5 * (plus - minus)
+    return coeffs
 
 
 def weights_to_coeffs(weights) -> MeasurementModel:
@@ -152,7 +176,7 @@ def weights_to_coeffs(weights) -> MeasurementModel:
     Raises ``ConstraintViolation`` if the weights are not a valid POVM
     description (sum p = 1, sum q = 0, p >= |q|).
     """
-    return validate(_coeffs_from_weight(OutcomeWeights(w.p, w.q)) for w in weights)
+    return validate(MeasurementModel.from_weights(OutcomeWeights(w.p, w.q) for w in weights))
 
 
 def coefficient_block(models) -> np.ndarray:
@@ -165,7 +189,7 @@ def coefficient_block(models) -> np.ndarray:
     n_max = max(model.n_outcomes for model in models)
     block = np.zeros((len(models), n_max, 4))
     for i, model in enumerate(models):
-        block[i, : model.n_outcomes] = [(c.m, c.l, c.alpha, c.delta) for c in model.coeffs]
+        block[i, : model.n_outcomes] = model.rows
     return block
 
 
@@ -202,10 +226,25 @@ def block_residuals(coeffs: np.ndarray) -> dict[str, np.ndarray]:
     }
 
 
-def constraint_residuals(model: MeasurementModel) -> dict[str, float]:
-    """All four POVM constraint residuals of one model, without judging them."""
-    residuals = block_residuals(coefficient_block([model])[0])
-    return {kind: float(value) for kind, value in residuals.items()}
+def check_block(coeffs: np.ndarray, tol: float = WEIGHT_TOL) -> None:
+    """Raise ``ConstraintViolation`` unless coefficient rows meet every POVM constraint.
+
+    ``coeffs`` holds one model's rows (n, 4) or a block (N, n, 4), checked
+    in one ``block_residuals`` call; in a block the message names the first
+    failing member.  A NaN residual fails.  A commutant residual raises the
+    kind "completeness".
+    """
+    residuals = block_residuals(coeffs)
+    ok = np.array(list(residuals.values())) <= tol
+    if ok.all():
+        return
+    j, i = np.argwhere(~ok.reshape(len(residuals), -1))[0]
+    name = list(residuals)[j]
+    residual = float(residuals[name].flat[i])
+    detail = [f"member {i}"] * (coeffs.ndim == 3)
+    if name == "commutant":
+        name, detail = "completeness", detail + ["operator fails to commute with the coupling"]
+    raise ConstraintViolation(name, residual, ", ".join(detail))
 
 
 def validate(coeffs, tol: float = WEIGHT_TOL) -> MeasurementModel:
@@ -217,27 +256,20 @@ def validate(coeffs, tol: float = WEIGHT_TOL) -> MeasurementModel:
     identity and commute with the coupling.  Raises ``ConstraintViolation``
     with the offending residual.
     """
-    if isinstance(coeffs, MeasurementModel):
-        model = coeffs
-    else:
-        model = MeasurementModel(tuple(coeffs))
-    residuals = constraint_residuals(model)
-    for kind in ("normalization", "balance", "completeness"):
-        if residuals[kind] > tol:
-            raise ConstraintViolation(kind, residuals[kind])
-    if residuals["commutant"] > tol:
-        raise ConstraintViolation(
-            "completeness",
-            residuals["commutant"],
-            "operator fails to commute with the coupling",
-        )
+    model = coeffs if isinstance(coeffs, MeasurementModel) else MeasurementModel(tuple(coeffs))
+    check_block(model.rows, tol)
     return model
 
 
-def input_energy_closed(model: MeasurementModel, params) -> float:
-    """Energy deposited by the measurement on the ground state: (2 h^2 / eps) sum(l^2)."""
-    total_l2 = sum(c.l * c.l for c in model.coeffs)
-    return 2.0 * params.h * params.h / params.eps * total_l2
+def input_energy_closed(params, coeffs: np.ndarray):
+    """Energy deposited by the measurement on the ground state: (2 h^2 / eps) sum(l^2).
+
+    ``coeffs`` holds one model's rows (n, 4) with a ``ModelParams``, or a
+    block (N, n, 4) with a ``ParamsBlock``; the l^2 add in outcome order.
+    """
+    l = coeffs[..., 1]
+    value = 2.0 * params.h * params.h / params.eps * np.add.accumulate(l * l, axis=-1)[..., -1]
+    return float(value) if np.ndim(value) == 0 else value
 
 
 def balance_weights(p: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -263,19 +295,44 @@ def balance_weights(p: np.ndarray, u: np.ndarray) -> np.ndarray:
     return np.clip(u - s, -1.0, 1.0) * p
 
 
-def random_measurement(seed, n_outcomes: int = 2) -> MeasurementModel:
-    """Draw a valid measurement uniformly-ish: Dirichlet p, balanced bounded q.
+def raw_draw(rng: np.random.Generator, n_outcomes: int) -> tuple[np.ndarray, np.ndarray]:
+    """One member's raw draws, in this order: Dirichlet p and uniform u in [-1, 1], each (n,).
 
-    ``seed`` may be an integer or a ``numpy.random.Generator``.  Requires
-    ``n_outcomes >= 2`` (a single outcome admits only the identity).
+    Requires ``n_outcomes >= 2`` (a single outcome admits only the identity).
     """
     if n_outcomes < 2:
         raise ValueError(f"need at least 2 outcomes, got {n_outcomes}")
+    return rng.dirichlet(np.ones(n_outcomes)), rng.uniform(-1.0, 1.0, size=n_outcomes)
+
+
+def draw_block(draws) -> np.ndarray:
+    """The checked coefficient block (N, n_max, 4) of raw draws [(p, u), ...].
+
+    Each outcome count's draws are balanced in one ``balance_weights`` call,
+    the block is mapped by ``canonical_coeffs`` and checked by
+    ``check_block``; padding is zero, as in ``coefficient_block``.
+    """
+    counts = [len(p) for p, _ in draws]
+    p = np.zeros((len(draws), max(counts)))
+    q = np.zeros_like(p)
+    for n in sorted(set(counts)):
+        members = [i for i, count in enumerate(counts) if count == n]
+        p_n, u_n = (np.array([draws[i][j] for i in members]) for j in (0, 1))
+        p[members, :n], q[members, :n] = p_n, balance_weights(p_n, u_n)
+    coeffs = canonical_coeffs(p, q)
+    check_block(coeffs)
+    return coeffs
+
+
+def random_measurement(seed, n_outcomes: int = 2) -> MeasurementModel:
+    """Draw a valid measurement uniformly-ish: Dirichlet p, balanced bounded q.
+
+    ``seed`` may be an integer or a ``numpy.random.Generator``; the model is
+    the one-member ``draw_block`` of ``raw_draw``.  Requires
+    ``n_outcomes >= 2`` (a single outcome admits only the identity).
+    """
     rng = np.random.default_rng(seed)  # a Generator passes through unchanged
-    p = rng.dirichlet(np.ones(n_outcomes))
-    u = rng.uniform(-1.0, 1.0, size=n_outcomes)
-    q = balance_weights(p, u)
-    return weights_to_coeffs(map(OutcomeWeights, p.tolist(), q.tolist()))
+    return MeasurementModel.of_rows(draw_block([raw_draw(rng, n_outcomes)])[0])
 
 
 def projective_pair() -> MeasurementModel:

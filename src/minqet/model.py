@@ -98,12 +98,16 @@ class HamiltonianParts:
 
 
 def build_hamiltonian(params: ModelParams) -> HamiltonianParts:
-    """Assemble H_A, H_B, V and their sum for ``ModelParams`` or a ``ParamsBlock``."""
+    """Assemble H_A, H_B, V and their sum for ``ModelParams`` or a ``ParamsBlock``.
+
+    An entry that overflows raises ``FloatingPointError``.
+    """
     h, k, eps = (np.asarray(x)[..., None, None] for x in (params.h, params.k, params.eps))
-    h_a = h * qmath.Z_A + (h * h / eps) * qmath.EYE4
-    h_b = h * qmath.Z_B + (h * h / eps) * qmath.EYE4
-    v = 2.0 * k * qmath.XX + (2.0 * k * k / eps) * qmath.EYE4
-    return HamiltonianParts(h_a=h_a, h_b=h_b, v=v, total=h_a + h_b + v)
+    with np.errstate(over="raise"):
+        h_a = h * qmath.Z_A + (h * h / eps) * qmath.EYE4
+        h_b = h * qmath.Z_B + (h * h / eps) * qmath.EYE4
+        v = 2.0 * k * qmath.XX + (2.0 * k * k / eps) * qmath.EYE4
+        return HamiltonianParts(h_a=h_a, h_b=h_b, v=v, total=h_a + h_b + v)
 
 
 def ground_state(params: ModelParams) -> np.ndarray:

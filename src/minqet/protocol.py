@@ -9,17 +9,20 @@ rotation of qubit B chosen per outcome.  The energy the measurement pumps
 in is E_A = sum_mu <g| M^dag H M |g>; the energy extracted at B is
 E_B = E_A - Tr[rho H] = -Tr[rho (H_B + V)].
 
-Runs are batched: ``run_many`` takes a sequence of (params, measurement,
-policy) cases and computes them BLOCK at a time on stacks.  Every block,
-of ``run_many``, of the passive cost (``passive_costs``) or of the
-ensemble checks, starts from ``measured_block``: the kets M_A(mu)|g> as
-one (B, n, 4) array, zero-padded to the block's largest outcome count,
-with the weights in the closed forms' (n, B) layout.  The rotations of B
+Runs are batched.  Every block, of ``run_many``, of the passive cost
+(``passive_costs``) or of the ensemble checks, starts from
+``measured_block`` on a ``ParamsBlock`` and a coefficient block: the kets
+M_A(mu)|g> as one (B, n, 4) array, zero-padded to the block's largest
+outcome count, with the weights in the closed forms' (n, B) layout.
+``run_block`` is the array core: it takes that block and a policy table of
+angles (B, n) and axes (B, n, 3), such as ``optimal_table``'s, and returns
+per-case columns.  ``run_many`` is its object edge: it takes (params,
+measurement, policy) cases BLOCK at a time and turns the columns into
+``ProtocolReport``s, and ``run`` is the one-case call.  The rotations of B
 of a block come from one ``_rotations`` call; each acts as a 2x2 block on
 the ket read as an (a, b) matrix.  Every energy is a stacked
 ``qmath.expectation``, and Tr[rho O] is its sum over the kets of rho.
-``run`` is the one-case call, and ``evolve_series`` takes its times a
-block at a time.
+``evolve_series`` takes its times a block at a time.
 
 Every run cross-checks its own arithmetic: the Tr[rho H] route must
 match the per-outcome scalar route (sum of Q / eps) and the closed form
@@ -30,6 +33,7 @@ the case.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -121,13 +125,18 @@ class OutcomeEnergies:
 class ProtocolReport:
     """Energies and entropies of one full protocol run.
 
+    ``e_a_closed`` is ``measurement.input_energy_closed`` and
     ``max_eb_closed`` is ``analytic.max_EB_closed`` of the weights, the
     closed form behind ``bound32_rhs``.  ``reduced_eigenvalues`` holds, per
     outcome, the ascending eigenvalues of B's reduced post-measurement
-    state, or None for a degenerate outcome.
+    state, or None for a degenerate outcome.  From ``run_block`` every field
+    is an array over the block's B cases: (B,) numbers, (B, n, 5)
+    ``per_outcome`` rows in ``OutcomeEnergies`` order, and (B, n, 2)
+    eigenvalues, NaN where degenerate.
     """
 
     e_a: float
+    e_a_closed: float
     e_b: float
     total_final_energy: float
     per_outcome: tuple[OutcomeEnergies, ...]
@@ -185,8 +194,26 @@ def run_many(cases) -> tuple[ProtocolReport, ...]:
             )
     reports: list[ProtocolReport] = []
     for first in range(0, len(cases), BLOCK):
-        reports += _run_block(cases[first : first + BLOCK], first)
+        params, models, policies = zip(*cases[first : first + BLOCK])
+        block = measured_block(ParamsBlock.of(params), measurement.coefficient_block(models))
+        omega, axes = _rotation_table([pol.unitaries for pol in policies], block.kets.shape[1])
+        reports += _reports(run_block(block, omega, axes, first), models)
     return tuple(reports)
+
+
+_REPORT_FIELDS = [field.name for field in dataclasses.fields(ProtocolReport)]
+
+
+def _reports(columns: ProtocolReport, models) -> list[ProtocolReport]:
+    """``run_block``'s columns as one-case reports, each cut to its model's outcomes."""
+    reports = []
+    rows = zip(*(getattr(columns, name).tolist() for name in _REPORT_FIELDS))
+    for values, model in zip(rows, models):
+        case, n = dict(zip(_REPORT_FIELDS, values)), model.n_outcomes
+        per_outcome = tuple(OutcomeEnergies(*row) for row in case.pop("per_outcome")[:n])
+        pairs = entanglement.eigenvalue_pairs(case.pop("reduced_eigenvalues")[:n])
+        reports.append(ProtocolReport(**case, per_outcome=per_outcome, reduced_eigenvalues=pairs))
+    return reports
 
 
 def run(
@@ -218,17 +245,15 @@ class MeasuredBlock:
     scale: np.ndarray
 
 
-def measured_block(params, models) -> MeasuredBlock:
-    """The ``MeasuredBlock`` of parallel sequences of ``ModelParams`` and measurements."""
-    block = ParamsBlock.of(params)
-    coeffs = measurement.coefficient_block(models)
-    parts = build_hamiltonian(block)
-    g = ground_state(block)
+def measured_block(params: ParamsBlock, coeffs: np.ndarray) -> MeasuredBlock:
+    """The ``MeasuredBlock`` of a ``ParamsBlock`` and a coefficient block (B, n, 4)."""
+    parts = build_hamiltonian(params)
+    g = ground_state(params)
     kets = (measurement.kraus_operators(coeffs) @ g[:, None, :, None])[..., 0]
     e_a = qmath.expectation(kets, parts.total[:, None]).sum(axis=-1)
     scale = np.maximum(1.0, np.maximum(np.abs(e_a), np.abs(parts.total).max(axis=(-2, -1))))
     p, q = measurement.weight_block(coeffs)
-    return MeasuredBlock(block, coeffs, parts, g, kets, p, q, e_a, scale)
+    return MeasuredBlock(params, coeffs, parts, g, kets, p, q, e_a, scale)
 
 
 def _rotation_table(rows, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -239,16 +264,25 @@ def _rotation_table(rows, n: int) -> tuple[np.ndarray, np.ndarray]:
     return table[..., 0], table[..., 1:]
 
 
-def _run_block(cases: list, first: int) -> list[ProtocolReport]:
-    """``run_many`` on one block of cases; ``first`` numbers them in errors."""
-    block = measured_block([c[0] for c in cases], [c[1] for c in cases])
+def optimal_table(params, p, q) -> tuple[np.ndarray, np.ndarray]:
+    """The closed-form maximizing policy of weights p, q (n, B): angles (B, n), axes (B, n, 3)."""
+    omega, axis = analytic.optimal_rotation(params, p, q)
+    return omega.T, np.broadcast_to(axis, omega.T.shape + (3,))
+
+
+def run_block(
+    block: MeasuredBlock, omega: np.ndarray, axes: np.ndarray, first: int = 0
+) -> ProtocolReport:
+    """The ``ProtocolReport`` columns of rotating B by (omega, axes) after a ``MeasuredBlock``.
+
+    Every cross-check of the run holds; ``first`` numbers the block's cases in errors.
+    """
     params, parts, kets, e_a, scale = block.params, block.parts, block.kets, block.e_a, block.scale
     total = parts.total[:, None]  # against the outcome axis of the kets
     prob = np.einsum("bni,bni->bn", kets.conj(), kets).real
     live = prob >= measurement.DEGENERATE_PROB
     prob = np.where(live, prob, 0.0)
 
-    omega, axes = _rotation_table([policy.unitaries for _, _, policy in cases], kets.shape[1])
     phi = np.where(live[..., None], _rotate_b(kets, _rotations(omega, axes)), 0.0)  # fed back
     chi = phi / np.sqrt(np.where(live, prob, 1.0))[..., None]  # normalized
     local_ops = np.stack([parts.h_a, parts.h_b, parts.v], axis=1)
@@ -258,7 +292,7 @@ def _run_block(cases: list, first: int) -> list[ProtocolReport]:
     e_b = e_a - total_final
     e_b_local = -qmath.expectation(phi, (parts.h_b + parts.v)[:, None]).sum(axis=-1)
 
-    e_a_closed = [measurement.input_energy_closed(meas, p) for p, meas, _ in cases]
+    e_a_closed = measurement.input_energy_closed(params, block.coeffs)
     _check("E_A closed form", e_a, e_a_closed, scale, first)
     _check("E_B local form", e_b, e_b_local, scale, first)
     # outcomes along the leading axis, so the (B,) parameters broadcast behind them
@@ -268,32 +302,14 @@ def _run_block(cases: list, first: int) -> list[ProtocolReport]:
 
     bound = analytic.bounds(params)
     max_eb = analytic.max_EB_closed(params, block.p, block.q)
-    reports = []
-    for i, (ent, (_, meas, _)) in enumerate(
-        zip(entanglement.consumption_many(block.ground, kets), cases)
-    ):
-        count = meas.n_outcomes
-        reports.append(
-            ProtocolReport(
-                e_a=float(e_a[i]),
-                e_b=float(e_b[i]),
-                total_final_energy=float(total_final[i]),
-                per_outcome=tuple(
-                    OutcomeEnergies(probability=pr, h_a=ha, h_b=hb, v=v, total=ha + hb + v)
-                    for pr, (ha, hb, v) in zip(
-                        prob[i, :count].tolist(), local[i, :count].tolist()
-                    )
-                ),
-                s_ground=ent.s_ground,
-                delta_s=ent.delta_s,
-                mutual_info=ent.mutual_info,
-                max_eb_closed=float(max_eb[i]),
-                bound32_rhs=float(bound.c32[i] * max_eb[i] / params.eps[i]),
-                bound770_rhs=float(bound.c770[i]) * ent.delta_s,
-                reduced_eigenvalues=ent.reduced_eigenvalues[:count],
-            )
-        )
-    return reports
+    ent = entanglement.consumption_block(block.ground, kets)
+    total_local = (local[..., 0] + local[..., 1] + local[..., 2])[..., None]
+    per_outcome = np.concatenate([prob[..., None], local, total_local], axis=-1)
+    return ProtocolReport(
+        e_a, e_a_closed, e_b, total_final, per_outcome, ent.s_ground, ent.delta_s,
+        ent.mutual_info, max_eb, bound.c32 * max_eb / params.eps, bound.c770 * ent.delta_s,
+        ent.reduced_eigenvalues,
+    )
 
 
 def optimal_policy(
@@ -350,12 +366,13 @@ def passive_costs(cases) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def _passive_block(cases: list, first: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``passive_costs`` on one block of cases; ``first`` numbers them in errors."""
-    turns = [[w] if isinstance(w, LocalUnitary) else [] for _, _, w in cases]
-    w2 = _rotations(*_rotation_table(turns, 1))[:, 0]  # an ndarray W's row is the identity
-    for i, (_, _, w) in enumerate(cases):
-        if not turns[i]:
+    params, models, turns = zip(*cases)
+    rows = [[w] if isinstance(w, LocalUnitary) else [] for w in turns]
+    w2 = _rotations(*_rotation_table(rows, 1))[:, 0]  # an ndarray W's row is the identity
+    for i, w in enumerate(turns):
+        if not rows[i]:
             w2[i] = _unitary_b(w, first + i)
-    block = measured_block([c[0] for c in cases], [c[1] for c in cases])
+    block = measured_block(ParamsBlock.of(params), measurement.coefficient_block(models))
     parts, scale = block.parts, block.scale
     total = parts.total[:, None]  # against the outcome axis of the kets
     cost = qmath.expectation(_rotate_b(block.kets, w2[:, None]), total).sum(axis=-1) - block.e_a
@@ -404,7 +421,7 @@ def evolve_series(
     kets = (meas.kraus @ g) @ vecs.conj()  # in the energy eigenbasis
     # in units of eps, so that expectation's imaginary-residue budget is relative
     ops = np.stack([parts.h_b, parts.v]) / params.eps
-    amp = params.h**2 / params.eps * sum(c.l * c.l for c in meas.coeffs)
+    amp = 0.5 * measurement.input_energy_closed(params, meas.rows)  # E_A / 2
     times = np.asarray(times, dtype=float)
     samples = []
     for first in range(0, len(times), BLOCK):

@@ -20,7 +20,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from minqet import analytic, checks, entanglement, measurement, optimizer
+from minqet import analytic, checks, entanglement, measurement, optimizer, protocol
 from minqet.measurement import OutcomeWeights
 from minqet.model import ModelParams
 
@@ -107,6 +107,47 @@ def test_registry_is_complete():
     for _, budgets, cap in checks.CHECKS:
         if cap is not None:
             assert GATE_SIZES[next(iter(budgets))] >= min(cap, 10_000)
+
+
+@pytest.mark.parametrize("seed", (0, 7, 26, 33))
+def test_block_draws_equal_one_random_measurement_per_member(seed):
+    # 200 members: three full blocks and a partial one, every outcome count in each;
+    # the reference draws each member alone, in draw_members' order, on its own generator
+    block_rng, member_rng = np.random.default_rng([seed, 1]), np.random.default_rng([seed, 1])
+    for first in range(0, 200, protocol.BLOCK):
+        members = range(first, min(200, first + protocol.BLOCK))
+        params, coeffs, outcomes, axes = checks.draw_members(block_rng, members)
+        assert coeffs.shape == (len(members), 6, 4)
+        for j, i in enumerate(members):
+            if i % 3 == 0:
+                want = ModelParams(*checks.PAIR_GRID[(i // 3) % len(checks.PAIR_GRID)])
+            else:
+                want = checks._random_params(member_rng)
+            n = (2, 3, 4, 6)[i % 4]
+            model = measurement.random_measurement(member_rng, n_outcomes=n)
+            outcome = int(member_rng.integers(n))
+            axis = member_rng.normal(size=3)
+            axis /= np.linalg.norm(axis)
+            assert (params.h[j], params.k[j]) == (want.h, want.k)
+            assert coeffs[j, :n].tobytes() == model.rows.tobytes()
+            assert not coeffs[j, n:].any()
+            assert outcomes[j] == outcome
+            assert axes[j].tobytes() == axis.tobytes()
+
+
+def test_a_corrupted_member_of_a_drawn_block_is_named():
+    rng = np.random.default_rng(5)
+    coeffs = measurement.draw_block([measurement.raw_draw(rng, n) for n in (2, 3, 4, 6) * 5])
+    measurement.check_block(coeffs)  # the drawn block passes
+    # an l off by 1e-6 breaks normalization first; a phase alpha breaks only balance
+    faults = ((7, 1, coeffs[7, 0, 1] * (1.0 + 1e-6), "normalization"), (13, 2, 1e-3, "balance"))
+    for member, entry, value, kind in faults:
+        corrupted = coeffs.copy()
+        corrupted[member, 0, entry] = value
+        with pytest.raises(measurement.ConstraintViolation, match=f"member {member}$") as info:
+            measurement.check_block(corrupted)
+        assert info.value.kind == kind
+        assert info.value.residual > measurement.WEIGHT_TOL
 
 
 def test_frozen_unit_constants():

@@ -104,13 +104,20 @@ def test_omega_maximum_is_judged_relative_to_its_value(capsys, monkeypatch):
 
 def test_omega_maximum_at_zero_q_is_not_a_false_fail(capsys, monkeypatch):
     # with q = 0 every omega maximum is exactly 0; judged relative to the
-    # rounding level of Q's parts, the check still passes on correct code
-    def unbiased(seed, n_outcomes=2):
-        weights = [measurement.OutcomeWeights(1.0 / n_outcomes, 0.0)] * n_outcomes
-        return measurement.weights_to_coeffs(weights)
+    # rounding level of Q's parts, the check still passes on correct code.
+    # Raw u = 0 balances to q = 0, in every check that draws random models.
+    draw_block = measurement.draw_block
+    drawn = []
 
-    monkeypatch.setattr(measurement, "random_measurement", unbiased)
+    def unbiased(draws):
+        drawn.append(draw_block([(p, np.zeros_like(u)) for p, u in draws]))
+        return drawn[-1]
+
+    monkeypatch.setattr(measurement, "draw_block", unbiased)
     code, out, err = run_cli(capsys, "verify", "--seed", "0", "--ensemble", "24")
+    # drawn through the patch: the ensemble, optimizer-vs-closed and no-go-passive
+    assert [len(coeffs) for coeffs in drawn] == [24, 5, 24]
+    assert all(np.all(measurement.weight_block(coeffs)[1] == 0.0) for coeffs in drawn)
     (line,) = [ln for ln in out.splitlines() if ln.split()[1:2] == ["omega-maximum"]]
     assert line.startswith("PASS"), line
     assert float(line.split()[3]) <= 1e-15
@@ -387,14 +394,14 @@ PHASED_POVM = {
 }
 
 
-# closed forms that overflow or divide by zero, a brute-force route that
+# a Hamiltonian that overflows, a closed form that divides by zero, a brute-force route that
 # loses its phase accuracy at huge t, and an expectation whose rounding
 # leaves an imaginary residue above 1e-12 give no verified number: exit 1
 @pytest.mark.parametrize(
     "argv",
     [
         "report --h 1e8 --k 1 --povm builtin:projective",
-        "report --h 1e150 --k 1e150 --povm builtin:projective",
+        "report --h 1e160 --k 1e160 --povm builtin:projective",
         "evolve --h 1 --k 1 --povm builtin:projective --t-max 1e12 --points 4",
         "report --h 1e6 --k 1e6 --povm {phased}",
     ],

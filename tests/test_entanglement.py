@@ -172,7 +172,7 @@ def test_entropy_takes_a_stack_of_density_matrices():
         entanglement.von_neumann_entropy(rhos + np.array([[0.0, 1e-6], [0.0, 0.0]]))
 
 
-def test_consumption_many_equals_one_call_per_case(small_ensemble):
+def test_consumption_block_equals_one_call_per_case(small_ensemble):
     from minqet.model import ground_state
 
     # the same kets padded to six outcomes: zero kets read as degenerate outcomes
@@ -181,11 +181,14 @@ def test_consumption_many_equals_one_call_per_case(small_ensemble):
     ground = np.array([ground_state(params) for params, _ in cases])
     for i, (params, model) in enumerate(cases):
         kets[i, : model.n_outcomes] = model.kraus @ ground[i]
-    for (params, model), batch in zip(cases, entanglement.consumption_many(ground, kets)):
+    block = entanglement.consumption_block(ground, kets)
+    for i, (params, model) in enumerate(cases):
         one = entanglement.consumption(params, model)
         n = model.n_outcomes
-        assert batch.probabilities[n:] == (0.0,) * (6 - n)
-        assert batch.reduced_eigenvalues[n:] == (None,) * (6 - n)
+        assert block.probabilities[i, n:].tolist() == [0.0] * (6 - n)
+        assert np.isnan(block.reduced_eigenvalues[i, n:]).all()
+        pairs = entanglement.eigenvalue_pairs(block.reduced_eigenvalues[i, :n].tolist())
+        assert pairs == one.reduced_eigenvalues
         for field in ("s_ground", "delta_s", "mutual_info"):
-            assert abs(getattr(batch, field) - getattr(one, field)) <= 1e-15
-        assert np.allclose(batch.s_post[:n], one.s_post, rtol=0.0, atol=1e-15)
+            assert abs(getattr(block, field)[i] - getattr(one, field)) <= 1e-15
+        assert np.allclose(block.s_post[i, :n], one.s_post, rtol=0.0, atol=1e-15)

@@ -15,7 +15,7 @@ from minqet.measurement import (
     MeasurementModel,
     OutcomeWeights,
 )
-from minqet.model import ModelParams, build_hamiltonian, ground_state
+from minqet.model import ModelParams, ParamsBlock, build_hamiltonian, ground_state
 
 
 def test_identity_outcome_is_valid():
@@ -209,12 +209,12 @@ def test_measure_degenerate_outcome():
 
 def test_input_energy_identity():
     params = ModelParams(h=1.0, k=1.0)
-    assert measurement.input_energy_closed(measurement.identity_measurement(), params) == 0.0
+    assert measurement.input_energy_closed(params, measurement.identity_measurement().rows) == 0.0
 
 
 def test_input_energy_projective():
     params = ModelParams(h=1.0, k=1.0)
-    e_a = measurement.input_energy_closed(measurement.projective_pair(), params)
+    e_a = measurement.input_energy_closed(params, measurement.projective_pair().rows)
     assert abs(e_a - 1.0 / math.sqrt(2.0)) <= 1e-15
     assert abs(e_a - 0.707107) <= 1e-6
 
@@ -227,8 +227,20 @@ def test_input_energy_matches_brute_force(small_ensemble):
         for mu in range(model.n_outcomes):
             psi = model.kraus[mu] @ g
             brute += float(np.real(np.vdot(psi, parts.total @ psi)))
-        closed = measurement.input_energy_closed(model, params)
+        closed = measurement.input_energy_closed(params, model.rows)
         assert abs(closed - brute) <= 1e-10 * max(1.0, params.eps)
+
+
+def test_input_energy_on_a_block_equals_one_call_per_model(small_ensemble):
+    # outcome counts 2-6 padded to 6: a zero row adds exactly 0
+    params, models = zip(*small_ensemble[:12])
+    block = measurement.input_energy_closed(
+        ParamsBlock.of(params), measurement.coefficient_block(models)
+    )
+    assert block.shape == (12,)
+    assert block.tolist() == [
+        measurement.input_energy_closed(p, m.rows) for p, m in zip(params, models)
+    ]
 
 
 def test_post_measurement_b_side_untouched(small_ensemble):
@@ -266,7 +278,7 @@ def test_random_measurement_needs_two_outcomes():
 
 
 def test_constraint_residuals_structure():
-    res = measurement.constraint_residuals(measurement.projective_pair())
+    res = measurement.block_residuals(measurement.projective_pair().rows)
     assert set(res) == {"normalization", "balance", "completeness", "commutant"}
     assert all(v <= 1e-12 for v in res.values())
 

@@ -10,7 +10,7 @@ import pytest
 
 from minqet import analytic, entanglement, measurement, protocol, qmath
 from minqet.measurement import KrausCoefficients, OutcomeWeights
-from minqet.model import ModelParams, build_hamiltonian, ground_state
+from minqet.model import ModelParams, ParamsBlock, build_hamiltonian, ground_state
 from minqet.protocol import FeedbackPolicy, LocalUnitary, PolicyMismatch
 
 from conftest import weight_arrays
@@ -122,6 +122,19 @@ def test_optimal_policy_trivial_without_correlation():
         assert u.omega == 0.0
 
 
+def test_optimal_table_equals_optimal_policy_per_case(small_ensemble):
+    params, models = zip(*small_ensemble[:12])
+    coeffs = measurement.coefficient_block(models)
+    omega, axes = protocol.optimal_table(ParamsBlock.of(params), *measurement.weight_block(coeffs))
+    assert omega.shape == (12, 6) and axes.shape == (12, 6, 3)
+    for row, (p, model) in enumerate(zip(params, models)):
+        n = model.n_outcomes
+        policy = protocol.optimal_policy(p, model)
+        assert omega[row, :n].tolist() == [u.omega for u in policy.unitaries]
+        assert axes[row, :n].tolist() == [list(u.n) for u in policy.unitaries]
+        assert not omega[row, n:].any()  # padding: the identity
+
+
 def test_optimal_policy_beats_a_grid():
     model = measurement.projective_pair()
     best = protocol.run(UNIT, model, protocol.optimal_policy(UNIT, model)).e_b
@@ -170,7 +183,7 @@ def test_passive_quarter_rotation_positive():
 
 def test_evolution_series_closed_form():
     model = measurement.projective_pair()
-    e_a = measurement.input_energy_closed(model, UNIT)
+    e_a = measurement.input_energy_closed(UNIT, model.rows)
     times = np.linspace(0.0, math.pi / 2.0, 65)
     samples = protocol.evolve_series(UNIT, model, times)
     amp = UNIT.h**2 / UNIT.eps * 0.5
@@ -214,10 +227,10 @@ def test_evolution_matches_frozen_values():
 
 
 def test_evolution_names_the_failing_time():
-    # the closed amplitude reads sum(l^2) from the coefficients: scale it by 1 + 1e-6
+    # the closed amplitude reads sum(l^2) from the coefficient rows: scale it by 1 + 1e-6
     model = measurement.weak_pair(0.3)
-    coeffs = [types.SimpleNamespace(l=c.l * (1.0 + 5e-7)) for c in model.coeffs]
-    scaled = types.SimpleNamespace(coeffs=coeffs, kraus=model.kraus)
+    rows = model.rows * (1.0, 1.0 + 5e-7, 1.0, 1.0)
+    scaled = types.SimpleNamespace(rows=rows, kraus=model.kraus)
     times = np.linspace(0.0, math.pi, 200)
     with pytest.raises(RuntimeError, match=r"<H_B\(t\)> brute force - closed is .* at t="):
         protocol.evolve_series(UNIT, scaled, times)
@@ -226,7 +239,7 @@ def test_evolution_names_the_failing_time():
 def test_evolution_other_parameters():
     params = ModelParams(h=2.0, k=0.5)
     model = measurement.weak_pair(0.3)
-    e_a = measurement.input_energy_closed(model, params)
+    e_a = measurement.input_energy_closed(params, model.rows)
     t_peak = math.pi / (4.0 * params.k)
     peak = protocol.evolve_series(params, model, [t_peak])[0].hb_bruteforce
     assert abs(peak - e_a) <= 1e-9 * max(1.0, e_a)

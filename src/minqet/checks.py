@@ -9,10 +9,11 @@ residual, or a {check name: residual} map if it owns several names; a check
 passes when its residual is at most its budget.  Each claim is written here
 once, so a check and its budget mean the same thing wherever they are run.
 
-The random checks draw and score their members a block at a time:
-``draw_members`` draws in the order one member at a time would, and
-``block_residuals`` scores a block on arrays, with one ``measured_block``
-and one ``run_block`` call and no per-member objects.
+The random checks draw in the order one member at a time would, and score
+their members a block at a time on a ``ParamsBlock`` and a coefficient
+block, with no per-member objects.  ``block_residuals`` runs one
+``measured_block`` and one ``run_block`` call and reads the POVM residuals
+of the draw's own ``check_block``.
 """
 
 from __future__ import annotations
@@ -66,8 +67,8 @@ def draw_members(rng: np.random.Generator, members: range) -> tuple:
     Member i draws its params (from PAIR_GRID every third member), its raw
     weights, its outcome and its axis in that order, as one
     ``random_measurement`` call per member would.  Returns a
-    ``ParamsBlock``, the checked coefficient block (N, n, 4), the (N,)
-    outcomes and the (N, 3) axes.
+    ``ParamsBlock``, the checked coefficient block (N, n, 4) with the POVM
+    residuals its check computed, the (N,) outcomes and the (N, 3) axes.
     """
     params, draws, outcomes, axes = [], [], [], []
     for i in members:
@@ -80,15 +81,15 @@ def draw_members(rng: np.random.Generator, members: range) -> tuple:
         outcomes.append(int(rng.integers(n)))
         v = rng.normal(size=3)
         axes.append(v / np.linalg.norm(v))
-    coeffs = measurement.draw_block(draws)
-    return ParamsBlock.of(params), coeffs, np.array(outcomes), np.array(axes)
+    coeffs, povm = measurement.draw_block(draws)
+    return ParamsBlock.of(params), coeffs, povm, np.array(outcomes), np.array(axes)
 
 
 _OMEGA_GRID = np.linspace(0.0, math.pi, 256, endpoint=False)[:, None]
 _PSI_GRID = np.linspace(0.0, math.pi, 64, endpoint=False)[:, None]
 
 
-def block_residuals(block: ParamsBlock, coeffs, outcomes, axis_rows) -> dict[str, list]:
+def block_residuals(block: ParamsBlock, coeffs, povm, outcomes, axis_rows) -> dict[str, list]:
     """The ensemble checks' residuals over one block of ``draw_members``.
 
     Each name maps to a list of residual arrays (or floats); the check's
@@ -97,9 +98,7 @@ def block_residuals(block: ParamsBlock, coeffs, outcomes, axis_rows) -> dict[str
     measured = protocol.measured_block(block, coeffs)
     run = protocol.run_block(measured, *protocol.optimal_table(block, measured.p, measured.q))
     parts, kets = measured.parts, measured.kets
-    found: dict[str, list] = {
-        "measurement-completeness": list(measurement.block_residuals(coeffs).values())
-    }
+    found: dict[str, list] = {"measurement-completeness": list(povm.values())}
     # <H_B> and <V> of the post-measurement state sum over its kets: (B, 2)
     passive = qmath.expectation(kets[..., None, :], np.stack([parts.h_b, parts.v], 1)[:, None])
     found["post-measurement-passivity"] = [np.abs(passive.sum(axis=1))]
@@ -223,37 +222,36 @@ def _check_ground_state() -> float:
 def _draw_cases(rng: np.random.Generator, size: int, max_outcomes: int, turn=None) -> tuple:
     """size random cases, each drawing params, outcome count, raw weights, then turn(rng).
 
-    Returns the params, the models (one-row views of one ``draw_block`` per
-    protocol.BLOCK members) and the turns (None without ``turn``).
+    Returns a ``ParamsBlock``, the coefficient block (size, max_outcomes,
+    4), checked by one ``draw_block`` per protocol.BLOCK members, and the
+    turns (None without ``turn``).
     """
     params, draws, turns = [], [], []
     for _ in range(size):
         params.append(_random_params(rng))
         draws.append(measurement.raw_draw(rng, int(rng.integers(2, max_outcomes + 1))))
         turns.append(turn(rng) if turn else None)
-    models = []
+    coeffs = np.zeros((size, max_outcomes, 4))
     for first in range(0, size, protocol.BLOCK):
-        block = draws[first : first + protocol.BLOCK]
-        rows = (c[: len(p)] for c, (p, _) in zip(measurement.draw_block(block), block))
-        models += map(measurement.MeasurementModel.of_rows, rows)
-    return params, models, turns
+        block, _ = measurement.draw_block(draws[first : first + protocol.BLOCK])
+        coeffs[first : first + len(block), : block.shape[1]] = block
+    return ParamsBlock.of(params), coeffs, turns
 
 
 def _check_optimizer(seed: int, size: int) -> float:
-    params, models, _ = _draw_cases(np.random.default_rng([seed, 3]), size, 6)
-    closed = analytic.max_EB_closed(
-        ParamsBlock.of(params), *measurement.weight_block(measurement.coefficient_block(models))
-    )
-    results = optimizer.maximize_over_policies(zip(params, models))
-    found = np.array([result.best_value for result in results])
+    block, coeffs, _ = _draw_cases(np.random.default_rng([seed, 3]), size, 6)
+    weights = measurement.weight_block(coeffs)
+    closed = analytic.max_EB_closed(block, *weights)
+    found = optimizer.maximize_over_policies(block, *weights)[0]
     return float(np.max(np.abs(found - closed) / np.maximum(closed, 1e-9)))
 
 
 def _check_no_go(seed: int, size: int) -> float:
     """Outcome-blind rotations of B: cost >= 0, equal through B's terms and through H."""
     rng = np.random.default_rng([seed, 4])
-    params, models, turns = _draw_cases(rng, size, 4, protocol.random_local_unitary)
-    cost, local, total = protocol.passive_costs(zip(params, models, turns))
+    block, coeffs, turns = _draw_cases(rng, size, 4, protocol.random_local_unitary)
+    w = protocol.rotations([u.omega for u in turns], [u.n for u in turns])
+    cost, local, total = protocol.passive_costs(block, coeffs, w)
     return float(max(-cost.min(), np.max(np.abs(local - total)), np.max(np.abs(cost - local))))
 
 
@@ -325,9 +323,8 @@ def _check_integrity() -> float:
         measurement.weak_pair(0.5),
         measurement.identity_measurement(),
     )
-    coeffs = measurement.coefficient_block(builtins)
-    measurement.check_block(coeffs)
-    return max(float(np.max(r)) for r in measurement.block_residuals(coeffs).values())
+    residuals = measurement.check_block(measurement.coefficient_block(builtins))
+    return max(float(np.max(r)) for r in residuals.values())
 
 
 CHECKS = (

@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__
 from . import analytic, checks, measurement, optimizer, protocol
 # build_hamiltonian stays importable here: perfbench's tracer self-test reads cli.build_hamiltonian
-from .model import ModelParams, build_hamiltonian  # noqa: F401
+from .model import ModelParams, ParamsBlock, build_hamiltonian  # noqa: F401
 
 SWEEP_COLUMNS = [
     "h",
@@ -222,6 +222,8 @@ def cmd_report(args) -> int:
 
 def cmd_sweep(args) -> int:
     start = time.perf_counter()
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     h_values = parse_range(args.h)
     k_values = parse_range(args.k)
     meas = resolve_povm(args.povm)
@@ -230,27 +232,30 @@ def cmd_sweep(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    cells = [ModelParams(h=float(h), k=float(k)) for h in h_values for k in k_values]
+    block = ParamsBlock.of(ModelParams(h=float(h), k=float(k)) for h in h_values for k in k_values)
+    coeffs = np.broadcast_to(meas.rows, (len(block.h),) + meas.rows.shape)
+    weights = measurement.weight_block(coeffs)
     # one policy search and one batched run for the whole grid; with --jobs N
-    # the run is split into N contiguous chunks, one per worker
-    searched = optimizer.maximize_over_policies([(params, meas) for params in cells])
-    cases = [(params, meas, protocol.optimal_policy(params, meas)) for params in cells]
+    # the run is split into at most N contiguous chunks, one per worker
+    numeric = optimizer.maximize_over_policies(block, *weights)[0]
+    inputs = (block, coeffs, *protocol.optimal_table(block, *weights))
     if args.jobs > 1:
-        size = -(-len(cases) // args.jobs)
-        chunks = [cases[i : i + size] for i in range(0, len(cases), size)]
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            reports = [r for chunk in pool.map(protocol.run_many, chunks) for r in chunk]
+        size = -(-len(coeffs) // args.jobs)
+        chunks = [slice(i, i + size) for i in range(0, len(coeffs), size)]
+        with concurrent.futures.ProcessPoolExecutor(max_workers=len(chunks)) as pool:
+            runs = list(pool.map(protocol.run_many, *([x[c] for c in chunks] for x in inputs)))
     else:
-        reports = protocol.run_many(cases)
+        runs = [protocol.run_many(*inputs)]
+    names = ("e_a", "max_eb_closed", "delta_s", "mutual_info", "bound32_rhs", "bound770_rhs")
+    e_a, closed, delta_s, mutual, rhs32, rhs770 = (
+        np.concatenate([getattr(run, name) for run in runs]) for name in names
+    )
     # one row per cell, in SWEEP_COLUMNS order
-    rows = [
-        [fmt(x) for x in (
-            params.h, params.k, report.e_a, report.max_eb_closed, result.best_value,
-            report.delta_s, report.mutual_info, report.delta_s, report.bound32_rhs,
-            report.max_eb_closed, report.bound770_rhs, analytic.nats_to_bits(report.delta_s),
-        )] + [sha]
-        for params, result, report in zip(cells, searched, reports)
-    ]
+    columns = (
+        block.h, block.k, e_a, closed, numeric, delta_s, mutual, delta_s, rhs32, closed, rhs770,
+        analytic.nats_to_bits(delta_s),
+    )
+    rows = [[fmt(x) for x in row] + [sha] for row in zip(*(c.tolist() for c in columns))]
 
     csv_path = out_dir / "sweep.csv"
     with open(csv_path, "w", newline="", encoding="ascii") as fh:
@@ -258,8 +263,6 @@ def cmd_sweep(args) -> int:
         writer.writerow(SWEEP_COLUMNS)
         writer.writerows(rows)
 
-    numeric = np.array([result.best_value for result in searched])
-    closed = np.array([report.max_eb_closed for report in reports])
     # relative to the closed value; absolute where that is 0
     worst_gap = float(np.max(np.abs(numeric - closed) / np.where(closed != 0.0, closed, 1.0)))
     meta = {

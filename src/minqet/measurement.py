@@ -226,18 +226,18 @@ def block_residuals(coeffs: np.ndarray) -> dict[str, np.ndarray]:
     }
 
 
-def check_block(coeffs: np.ndarray, tol: float = WEIGHT_TOL) -> None:
+def check_block(coeffs: np.ndarray, tol: float = WEIGHT_TOL) -> dict[str, np.ndarray]:
     """Raise ``ConstraintViolation`` unless coefficient rows meet every POVM constraint.
 
     ``coeffs`` holds one model's rows (n, 4) or a block (N, n, 4), checked
-    in one ``block_residuals`` call; in a block the message names the first
-    failing member.  A NaN residual fails.  A commutant residual raises the
-    kind "completeness".
+    in one ``block_residuals`` call, whose residuals it returns; in a block
+    the message names the first failing member.  A NaN residual fails.  A
+    commutant residual raises the kind "completeness".
     """
     residuals = block_residuals(coeffs)
     ok = np.array(list(residuals.values())) <= tol
     if ok.all():
-        return
+        return residuals
     j, i = np.argwhere(~ok.reshape(len(residuals), -1))[0]
     name = list(residuals)[j]
     residual = float(residuals[name].flat[i])
@@ -305,12 +305,12 @@ def raw_draw(rng: np.random.Generator, n_outcomes: int) -> tuple[np.ndarray, np.
     return rng.dirichlet(np.ones(n_outcomes)), rng.uniform(-1.0, 1.0, size=n_outcomes)
 
 
-def draw_block(draws) -> np.ndarray:
-    """The checked coefficient block (N, n_max, 4) of raw draws [(p, u), ...].
+def draw_block(draws) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """The checked coefficient block (N, n_max, 4) of raw draws [(p, u), ...], and its residuals.
 
     Each outcome count's draws are balanced in one ``balance_weights`` call,
     the block is mapped by ``canonical_coeffs`` and checked by
-    ``check_block``; padding is zero, as in ``coefficient_block``.
+    ``check_block``, whose residuals come with it; padding is zero.
     """
     counts = [len(p) for p, _ in draws]
     p = np.zeros((len(draws), max(counts)))
@@ -320,8 +320,7 @@ def draw_block(draws) -> np.ndarray:
         p_n, u_n = (np.array([draws[i][j] for i in members]) for j in (0, 1))
         p[members, :n], q[members, :n] = p_n, balance_weights(p_n, u_n)
     coeffs = canonical_coeffs(p, q)
-    check_block(coeffs)
-    return coeffs
+    return coeffs, check_block(coeffs)
 
 
 def random_measurement(seed, n_outcomes: int = 2) -> MeasurementModel:
@@ -332,7 +331,7 @@ def random_measurement(seed, n_outcomes: int = 2) -> MeasurementModel:
     ``n_outcomes >= 2`` (a single outcome admits only the identity).
     """
     rng = np.random.default_rng(seed)  # a Generator passes through unchanged
-    return MeasurementModel.of_rows(draw_block([raw_draw(rng, n_outcomes)])[0])
+    return MeasurementModel.of_rows(draw_block([raw_draw(rng, n_outcomes)])[0][0])
 
 
 def projective_pair() -> MeasurementModel:

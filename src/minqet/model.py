@@ -76,6 +76,10 @@ class ParamsBlock:
         rows = [(p.h, p.k, p.eps, p.cos_sigma, p.sin_sigma) for p in params]
         return cls(*np.array(rows, dtype=float).reshape(-1, 5).T)
 
+    def __getitem__(self, index) -> "ParamsBlock":
+        """The cases at ``index`` (a slice or an index array), as a block."""
+        return ParamsBlock(*(x[index] for x in vars(self).values()))
+
 
 @dataclass(frozen=True)
 class HamiltonianParts:

@@ -3,8 +3,8 @@
 Two searches, both deterministic (no RNG):
 
 * ``maximize_over_policies`` finds the best feedback rotation per outcome
-  for a whole sequence of (params, measurement) cases at once;
-  ``maximize_over_policy`` is its one-case call.  It takes the maximum of Q
+  for a whole block of cases at once, as a policy table;
+  ``maximize_over_policy`` is its one-case view.  It takes the maximum of Q
   over the rotation angle at a fixed axis from ``analytic.max_over_omega``
   (verify's ``omega-maximum`` check tests that step on its own) and checks
   the rest of the closed-form chain: the maximum over the rotation axis and
@@ -35,7 +35,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import analytic, measurement
-from .model import ModelParams
+from .model import ModelParams, ParamsBlock
 from .protocol import FeedbackPolicy, LocalUnitary
 
 GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
@@ -176,28 +176,23 @@ def _nelder_mead(
     return points[row[:, 0], top], evaluations, ~active
 
 
-def maximize_over_policies(cases) -> tuple[OptimizationResult, ...]:
-    """Numerically maximize E_B over per-outcome feedback rotations, per case.
+def maximize_over_policies(params: ParamsBlock, p: np.ndarray, q: np.ndarray) -> tuple:
+    """Numerically maximize E_B over per-outcome feedback rotations, for N cases.
 
-    ``cases`` is a sequence of (params, meas) pairs.  Every outcome with
-    p > DEGENERATE_PROB of every case becomes one row of a single lockstep search:
-    a lattice scan, a simplex polish, then the y-axis tie rule.  At |q| = p
-    the maximizing axis is a whole degenerate family, so the y-axis rotation
-    is reported instead of the search's own axis whenever the two values
-    agree to TIE_RTOL relative; the y axis is never a start point, and a
-    search that falls short of it by more keeps its own answer.
+    p, q are the weights (n, N).  Every outcome with p > DEGENERATE_PROB
+    becomes one row of a single lockstep search: a lattice scan, a simplex
+    polish, then the y-axis tie rule.  At |q| = p the maximizing axis is a
+    whole degenerate family, so the y-axis rotation is reported instead of
+    the search's own axis whenever the two values agree to TIE_RTOL
+    relative; the y axis is never a start point, and a search that falls
+    short of it by more keeps its own answer.  Returns the columns
+    (best_value, omega, axes, evaluations, converged): values summed in
+    outcome order (N,), the policy table (N, n) and (N, n, 3) with the
+    identity at the other outcomes, and counts and flags (N,).
     """
-    cases = list(cases)
-    table = np.fromiter(
-        (
-            x
-            for params, meas in cases
-            for w in meas.weights
-            if w.p > measurement.DEGENERATE_PROB
-            for x in (params.h, params.k, w.p, w.q)
-        ),
-        dtype=float,
-    ).reshape(-1, 4)
+    live = (p > measurement.DEGENERATE_PROB).T  # (N, n)
+    case = np.nonzero(live)[0]  # rows case by case, outcomes in order
+    table = np.column_stack([params.h[case], params.k[case], p.T[live], q.T[live]])
     nx, ny, nz = fibonacci_sphere(SPHERE_POINTS)[_scan_lattice(table)].T
     start = np.column_stack([np.arccos(nz), np.arctan2(ny, nx)])
     angles = np.empty_like(start)
@@ -213,42 +208,36 @@ def maximize_over_policies(cases) -> tuple[OptimizationResult, ...]:
     y_value, y_omega = (v[:, 0] for v in _omega_max(table, Y_AXIS))
     scale = np.maximum(np.abs(value), np.abs(y_value))
     tie = np.abs(value - y_value) <= TIE_RTOL * scale
-    value = np.where(tie, y_value, value)
+    value = np.where(tie, y_value, value) / params.eps[case]
     omega = np.where(tie, y_omega, omega)
     axes[tie] = Y_AXIS
-    evaluations += SPHERE_POINTS + 2
-    results = []
-    i = 0
-    for params, meas in cases:
-        unitaries = []
-        total = 0.0
-        span = 0
-        for w in meas.weights:
-            if w.p <= measurement.DEGENERATE_PROB:
-                unitaries.append(LocalUnitary.identity())
-                continue
-            total += float(value[i + span]) / params.eps
-            unitaries.append(LocalUnitary.normalized(omega[i + span], axes[i + span]))
-            span += 1
-        results.append(
-            OptimizationResult(
-                best_policy=FeedbackPolicy(tuple(unitaries)),
-                best_value=total,
-                evaluations=int(evaluations[i : i + span].sum()),
-                converged=bool(converged[i : i + span].all()),
-            )
-        )
-        i += span
     if not converged.all():
         warnings.warn("policy search exhausted its refinement budget", NoConvergence)
-    return tuple(results)
+    return (
+        np.add.accumulate(_per_outcome(live, value, 0.0), axis=1)[:, -1],
+        _per_outcome(live, omega, 0.0),
+        _per_outcome(live, axes, Y_AXIS),
+        _per_outcome(live, evaluations + SPHERE_POINTS + 2, 0).sum(axis=1),
+        _per_outcome(live, converged, True).all(axis=1),
+    )
+
+
+def _per_outcome(live: np.ndarray, rows: np.ndarray, fill) -> np.ndarray:
+    """The search rows back on the (N, n) outcome grid of ``live``, ``fill`` elsewhere."""
+    table = np.full(live.shape + np.shape(fill), fill, dtype=rows.dtype)
+    table[live] = rows
+    return table
 
 
 def maximize_over_policy(
     params: ModelParams, meas: measurement.MeasurementModel
 ) -> OptimizationResult:
-    """``maximize_over_policies`` for one case."""
-    return maximize_over_policies([(params, meas)])[0]
+    """``maximize_over_policies`` for one case, its policy as ``LocalUnitary`` objects."""
+    value, omega, axes, evaluations, converged = maximize_over_policies(
+        ParamsBlock.of([params]), *measurement.weight_block(meas.rows[None])
+    )
+    policy = FeedbackPolicy(tuple(map(LocalUnitary.normalized, omega[0], axes[0].tolist())))
+    return OptimizationResult(policy, float(value[0]), int(evaluations[0]), bool(converged[0]))
 
 
 def _project_weights(raw_p: np.ndarray, raw_u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

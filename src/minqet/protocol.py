@@ -9,20 +9,18 @@ rotation of qubit B chosen per outcome.  The energy the measurement pumps
 in is E_A = sum_mu <g| M^dag H M |g>; the energy extracted at B is
 E_B = E_A - Tr[rho H] = -Tr[rho (H_B + V)].
 
-Runs are batched.  Every block, of ``run_many``, of the passive cost
-(``passive_costs``) or of the ensemble checks, starts from
-``measured_block`` on a ``ParamsBlock`` and a coefficient block: the kets
-M_A(mu)|g> as one (B, n, 4) array, zero-padded to the block's largest
-outcome count, with the weights in the closed forms' (n, B) layout.
-``run_block`` is the array core: it takes that block and a policy table of
-angles (B, n) and axes (B, n, 3), such as ``optimal_table``'s, and returns
-per-case columns.  ``run_many`` is its object edge: it takes (params,
-measurement, policy) cases BLOCK at a time and turns the columns into
-``ProtocolReport``s, and ``run`` is the one-case call.  The rotations of B
-of a block come from one ``_rotations`` call; each acts as a 2x2 block on
-the ket read as an (a, b) matrix.  Every energy is a stacked
-``qmath.expectation``, and Tr[rho O] is its sum over the kets of rho.
-``evolve_series`` takes its times a block at a time.
+A policy is a table: angles omega (N, n) and axes (N, n, 3), one row per
+case, such as ``optimal_table``'s.  Every run starts from ``measured_block``
+on a ``ParamsBlock`` and a coefficient block (N, n, 4): the kets M_A(mu)|g>
+as one (N, n, 4) array, zero-padded to the largest outcome count, with the
+weights in the closed forms' (n, N) layout.  ``run_block`` rotates B by a
+policy table and returns per-case columns, and ``run_many`` computes them
+BLOCK cases at a time; ``passive_costs`` and ``evolve_series`` run in
+blocks too.  Each rotation acts as a 2x2 block on the ket read as an (a, b)
+matrix, and every energy is a stacked ``qmath.expectation``: Tr[rho O] is
+its sum over the kets of rho.  ``LocalUnitary`` and ``FeedbackPolicy`` are
+objects of the one-case edge only: ``run``, ``optimal_policy`` and
+``passive_unitary_energy``.
 
 Every run cross-checks its own arithmetic: the Tr[rho H] route must
 match the per-outcome scalar route (sum of Q / eps) and the closed form
@@ -80,10 +78,10 @@ class LocalUnitary:
         return cls(omega=float(omega), n=(nx / r, ny / r, nz / r))
 
     def matrix2(self) -> np.ndarray:
-        return _rotations(self.omega, self.n)
+        return rotations(self.omega, self.n)
 
 
-def _rotations(omega, axes) -> np.ndarray:
+def rotations(omega, axes) -> np.ndarray:
     """cos(omega) + i sin(omega) n . sigma for angles (...) and axes (..., 3): (..., 2, 2)."""
     nx, ny, nz = (np.asarray(axes, dtype=float)[..., i, None, None] for i in range(3))
     axis_dot_sigma = nx * qmath.pauli("x") + ny * qmath.pauli("y") + nz * qmath.pauli("z")
@@ -175,45 +173,25 @@ def _check_nonnegative(label: str, values: np.ndarray, scale, first: int) -> Non
         raise RuntimeError(f"{label} in case {first + i}: {float(values[i])!r}")
 
 
-def run_many(cases) -> tuple[ProtocolReport, ...]:
-    """Execute measure-communicate-operate on the ground state, once per case.
-
-    ``cases`` is a sequence of (params, meas, policy) triples; the result
-    has one ``ProtocolReport`` per case, in order.  Raises
-    ``PolicyMismatch`` if a policy has the wrong number of entries, and
-    ``RuntimeError`` naming the check and the case index if any internal
-    identity fails (which would mean the implementation, not the input, is
-    wrong).
-    """
-    cases = list(cases)
-    for i, (_, meas, policy) in enumerate(cases):
-        if len(policy) != meas.n_outcomes:
-            raise PolicyMismatch(
-                f"case {i}: policy has {len(policy)} unitaries for "
-                f"{meas.n_outcomes} outcomes"
-            )
-    reports: list[ProtocolReport] = []
-    for first in range(0, len(cases), BLOCK):
-        params, models, policies = zip(*cases[first : first + BLOCK])
-        block = measured_block(ParamsBlock.of(params), measurement.coefficient_block(models))
-        omega, axes = _rotation_table([pol.unitaries for pol in policies], block.kets.shape[1])
-        reports += _reports(run_block(block, omega, axes, first), models)
-    return tuple(reports)
-
-
 _REPORT_FIELDS = [field.name for field in dataclasses.fields(ProtocolReport)]
 
 
-def _reports(columns: ProtocolReport, models) -> list[ProtocolReport]:
-    """``run_block``'s columns as one-case reports, each cut to its model's outcomes."""
-    reports = []
-    rows = zip(*(getattr(columns, name).tolist() for name in _REPORT_FIELDS))
-    for values, model in zip(rows, models):
-        case, n = dict(zip(_REPORT_FIELDS, values)), model.n_outcomes
-        per_outcome = tuple(OutcomeEnergies(*row) for row in case.pop("per_outcome")[:n])
-        pairs = entanglement.eigenvalue_pairs(case.pop("reduced_eigenvalues")[:n])
-        reports.append(ProtocolReport(**case, per_outcome=per_outcome, reduced_eigenvalues=pairs))
-    return reports
+def run_many(
+    params: ParamsBlock, coeffs: np.ndarray, omega: np.ndarray, axes: np.ndarray
+) -> ProtocolReport:
+    """``run_block``'s columns for N cases, computed BLOCK cases at a time.
+
+    ``coeffs`` is the coefficient block (N, n, 4) and (omega, axes) the
+    policy table.  A failed internal identity (a bug, not a data error)
+    raises ``RuntimeError`` naming the check and the case.
+    """
+    blocks = []
+    for i in range(0, len(coeffs), BLOCK):
+        block = measured_block(params[i : i + BLOCK], coeffs[i : i + BLOCK])
+        blocks.append(run_block(block, omega[i : i + BLOCK], axes[i : i + BLOCK], i))
+    return ProtocolReport(
+        *(np.concatenate([getattr(b, name) for b in blocks]) for name in _REPORT_FIELDS)
+    )
 
 
 def run(
@@ -221,8 +199,16 @@ def run(
     meas: measurement.MeasurementModel,
     policy: FeedbackPolicy,
 ) -> ProtocolReport:
-    """One case of ``run_many``."""
-    return run_many([(params, meas, policy)])[0]
+    """One case of ``run_many``; ``PolicyMismatch`` if the policy's length is wrong."""
+    if len(policy) != meas.n_outcomes:
+        raise PolicyMismatch(f"policy has {len(policy)} unitaries for {meas.n_outcomes} outcomes")
+    table = np.array([[(u.omega, *u.n) for u in policy.unitaries]])
+    block = measured_block(ParamsBlock.of([params]), meas.rows[None])
+    columns = run_block(block, table[..., 0], table[..., 1:])
+    case = {name: getattr(columns, name).tolist()[0] for name in _REPORT_FIELDS}
+    per_outcome = tuple(OutcomeEnergies(*row) for row in case.pop("per_outcome"))
+    pairs = entanglement.eigenvalue_pairs(case.pop("reduced_eigenvalues"))
+    return ProtocolReport(**case, per_outcome=per_outcome, reduced_eigenvalues=pairs)
 
 
 @dataclass(frozen=True)
@@ -256,14 +242,6 @@ def measured_block(params: ParamsBlock, coeffs: np.ndarray) -> MeasuredBlock:
     return MeasuredBlock(params, coeffs, parts, g, kets, p, q, e_a, scale)
 
 
-def _rotation_table(rows, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Angles (B, n) and axes (B, n, 3) of rows of ``LocalUnitary``, each padded to n."""
-    # a padding entry rotates by 0 about the zero vector: the identity
-    pad = [(0.0,) * 4]
-    table = np.array([[(u.omega, *u.n) for u in row] + pad * (n - len(row)) for row in rows])
-    return table[..., 0], table[..., 1:]
-
-
 def optimal_table(params, p, q) -> tuple[np.ndarray, np.ndarray]:
     """The closed-form maximizing policy of weights p, q (n, B): angles (B, n), axes (B, n, 3)."""
     omega, axis = analytic.optimal_rotation(params, p, q)
@@ -283,7 +261,7 @@ def run_block(
     live = prob >= measurement.DEGENERATE_PROB
     prob = np.where(live, prob, 0.0)
 
-    phi = np.where(live[..., None], _rotate_b(kets, _rotations(omega, axes)), 0.0)  # fed back
+    phi = np.where(live[..., None], _rotate_b(kets, rotations(omega, axes)), 0.0)  # fed back
     chi = phi / np.sqrt(np.where(live, prob, 1.0))[..., None]  # normalized
     local_ops = np.stack([parts.h_a, parts.h_b, parts.v], axis=1)
     local = qmath.expectation(chi[..., None, :], local_ops[:, None])  # (B, n, 3)
@@ -315,15 +293,9 @@ def run_block(
 def optimal_policy(
     params: ModelParams, meas: measurement.MeasurementModel
 ) -> FeedbackPolicy:
-    """The closed-form maximizing policy: rotate about y by the per-outcome angle."""
-    return FeedbackPolicy(
-        tuple(
-            LocalUnitary(omega=omega, n=axis)
-            for omega, axis in (
-                analytic.optimal_rotation(params, w.p, w.q) for w in meas.weights
-            )
-        )
-    )
+    """The closed-form maximizing policy of one case: a row of ``optimal_table``, as objects."""
+    omega, axis = analytic.optimal_rotation(params, *measurement.weight_block(meas.rows))
+    return FeedbackPolicy(tuple(LocalUnitary(w, axis) for w in omega.tolist()))
 
 
 def random_local_unitary(seed) -> LocalUnitary:
@@ -338,41 +310,36 @@ def random_local_unitary(seed) -> LocalUnitary:
     return LocalUnitary.normalized(omega, quat[1:])
 
 
-def _unitary_b(w, case: int) -> np.ndarray:
-    """A 2x2 unitary ndarray W, checked; ``case`` numbers it in errors."""
-    w2 = np.asarray(w, dtype=complex)
-    if w2.shape != (2, 2):
-        raise ValueError(f"case {case}: expected a 2x2 unitary, got shape {w2.shape}")
-    unitarity = float(np.max(np.abs(w2.conj().T @ w2 - np.eye(2))))
-    if unitarity > 1e-10:
-        raise ValueError(f"case {case}: matrix is not unitary (defect {unitarity:.3e})")
-    return w2
+def passive_costs(
+    params: ParamsBlock, coeffs: np.ndarray, w: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Energy cost Tr[omega H] - E_A of replacing feedback with one fixed W on B, per case.
 
-
-def passive_costs(cases) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Energy cost Tr[omega H] - E_A of replacing feedback with one fixed W on B.
-
-    ``cases`` is a sequence of (params, meas, W) triples, W a ``LocalUnitary``
-    or a 2x2 unitary ndarray; they are computed BLOCK at a time.  Returns
-    three (N,) arrays: the cost, and its two direct routes <Wg|H_B + V|Wg>
-    and <Wg|H|Wg>.  The cost equals both and is nonnegative: without the
-    measurement record, no local operation on B extracts energy.  Every
-    identity is enforced; a violation raises RuntimeError naming the case.
+    ``coeffs`` is the coefficient block (N, n, 4) and ``w`` the (N, 2, 2)
+    unitaries, checked once; the cases run BLOCK at a time.  Returns three
+    (N,) arrays: the cost, and its two direct routes <Wg|H_B + V|Wg> and
+    <Wg|H|Wg>.  The cost equals both and is nonnegative: without the
+    measurement record, no local operation on B extracts energy.  A W that
+    is not unitary, or a violated identity, raises naming the case.
     """
-    cases = list(cases)
-    routes = [_passive_block(cases[i : i + BLOCK], i) for i in range(0, len(cases), BLOCK)]
+    w = np.asarray(w, dtype=complex)
+    if w.shape != (len(coeffs), 2, 2):
+        raise ValueError(f"expected ({len(coeffs)}, 2, 2) unitaries, got shape {w.shape}")
+    defect = np.abs(np.swapaxes(w.conj(), -1, -2) @ w - np.eye(2)).max(axis=(-2, -1))
+    bad = np.flatnonzero(~(defect <= 1e-10))
+    if bad.size:
+        i = bad[0]
+        raise ValueError(f"case {i}: matrix is not unitary (defect {defect[i]:.3e})")
+    routes = [
+        _passive_block(params[i : i + BLOCK], coeffs[i : i + BLOCK], w[i : i + BLOCK], i)
+        for i in range(0, len(coeffs), BLOCK)
+    ]
     return tuple(np.concatenate(r) for r in zip(*routes))
 
 
-def _passive_block(cases: list, first: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _passive_block(params: ParamsBlock, coeffs: np.ndarray, w2: np.ndarray, first: int) -> tuple:
     """``passive_costs`` on one block of cases; ``first`` numbers them in errors."""
-    params, models, turns = zip(*cases)
-    rows = [[w] if isinstance(w, LocalUnitary) else [] for w in turns]
-    w2 = _rotations(*_rotation_table(rows, 1))[:, 0]  # an ndarray W's row is the identity
-    for i, w in enumerate(turns):
-        if not rows[i]:
-            w2[i] = _unitary_b(w, first + i)
-    block = measured_block(ParamsBlock.of(params), measurement.coefficient_block(models))
+    block = measured_block(params, coeffs)
     parts, scale = block.parts, block.scale
     total = parts.total[:, None]  # against the outcome axis of the kets
     cost = qmath.expectation(_rotate_b(block.kets, w2[:, None]), total).sum(axis=-1) - block.e_a
@@ -388,8 +355,9 @@ def _passive_block(cases: list, first: int) -> tuple[np.ndarray, np.ndarray, np.
 def passive_unitary_energy(
     params: ModelParams, meas: measurement.MeasurementModel, unitary_b
 ) -> float:
-    """One case of ``passive_costs``: the cost alone."""
-    return float(passive_costs([(params, meas, unitary_b)])[0][0])
+    """One case of ``passive_costs``, W a ``LocalUnitary`` or a 2x2 unitary: the cost alone."""
+    w = unitary_b.matrix2() if isinstance(unitary_b, LocalUnitary) else np.asarray(unitary_b)
+    return float(passive_costs(ParamsBlock.of([params]), meas.rows[None], w[None])[0][0])
 
 
 @dataclass(frozen=True)

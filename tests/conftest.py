@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from minqet.measurement import random_measurement
-from minqet.model import ModelParams
+from minqet.measurement import coefficient_block, random_measurement
+from minqet.model import ModelParams, ParamsBlock
 
 # Nine-point log grid used by every ensemble check.
 PAIRS = [(h, k) for h in (0.5, 1.0, 2.0) for k in (0.5, 1.0, 2.0)]
@@ -15,6 +15,12 @@ OUTCOME_CYCLE = (2, 3, 4, 6)
 def weight_arrays(weights):
     """p and q of a sequence of OutcomeWeights as two (n,) arrays, the closed forms' layout."""
     return np.array([(w.p, w.q) for w in weights]).T
+
+
+def case_block(cases):
+    """A ParamsBlock and the padded coefficient block (N, n, 4) of (params, model, ...) cases."""
+    params, models = zip(*(case[:2] for case in cases))
+    return ParamsBlock.of(params), coefficient_block(models)
 
 
 def model_ensemble(size, seed0=0):

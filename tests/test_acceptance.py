@@ -116,7 +116,7 @@ def test_block_draws_equal_one_random_measurement_per_member(seed):
     block_rng, member_rng = np.random.default_rng([seed, 1]), np.random.default_rng([seed, 1])
     for first in range(0, 200, protocol.BLOCK):
         members = range(first, min(200, first + protocol.BLOCK))
-        params, coeffs, outcomes, axes = checks.draw_members(block_rng, members)
+        params, coeffs, _, outcomes, axes = checks.draw_members(block_rng, members)
         assert coeffs.shape == (len(members), 6, 4)
         for j, i in enumerate(members):
             if i % 3 == 0:
@@ -135,10 +135,30 @@ def test_block_draws_equal_one_random_measurement_per_member(seed):
             assert axes[j].tobytes() == axis.tobytes()
 
 
+def test_ensemble_computes_each_blocks_povm_residuals_once(monkeypatch):
+    # measurement-completeness reads the residuals that the draw's check computed
+    computed = []
+    original = measurement.block_residuals
+
+    def recorded(coeffs):
+        computed.append(original(coeffs))
+        return computed[-1]
+
+    monkeypatch.setattr(measurement, "block_residuals", recorded)
+    worst = checks.ensemble_residuals(0, 100)
+    assert [len(r["balance"]) for r in computed] == [protocol.BLOCK, 100 - protocol.BLOCK]
+    want = max(float(np.max(r)) for residuals in computed for r in residuals.values())
+    assert worst["measurement-completeness"] == want > 0.0
+
+
 def test_a_corrupted_member_of_a_drawn_block_is_named():
     rng = np.random.default_rng(5)
-    coeffs = measurement.draw_block([measurement.raw_draw(rng, n) for n in (2, 3, 4, 6) * 5])
-    measurement.check_block(coeffs)  # the drawn block passes
+    coeffs, residuals = measurement.draw_block(
+        [measurement.raw_draw(rng, n) for n in (2, 3, 4, 6) * 5]
+    )
+    # the drawn block passes, and its residuals are the check's
+    for name, values in measurement.check_block(coeffs).items():
+        assert values.tobytes() == residuals[name].tobytes()
     # an l off by 1e-6 breaks normalization first; a phase alpha breaks only balance
     faults = ((7, 1, coeffs[7, 0, 1] * (1.0 + 1e-6), "normalization"), (13, 2, 1e-3, "balance"))
     for member, entry, value, kind in faults:

@@ -116,8 +116,8 @@ def test_omega_maximum_at_zero_q_is_not_a_false_fail(capsys, monkeypatch):
     monkeypatch.setattr(measurement, "draw_block", unbiased)
     code, out, err = run_cli(capsys, "verify", "--seed", "0", "--ensemble", "24")
     # drawn through the patch: the ensemble, optimizer-vs-closed and no-go-passive
-    assert [len(coeffs) for coeffs in drawn] == [24, 5, 24]
-    assert all(np.all(measurement.weight_block(coeffs)[1] == 0.0) for coeffs in drawn)
+    assert [len(coeffs) for coeffs, _ in drawn] == [24, 5, 24]
+    assert all(np.all(measurement.weight_block(coeffs)[1] == 0.0) for coeffs, _ in drawn)
     (line,) = [ln for ln in out.splitlines() if ln.split()[1:2] == ["omega-maximum"]]
     assert line.startswith("PASS"), line
     assert float(line.split()[3]) <= 1e-15
@@ -308,8 +308,9 @@ def test_sweep_rows_match_one_report_per_cell(tmp_path, capsys):
     assert (tmp_path / "pool" / "sweep.csv").read_text() == text
     rows = list(csv.DictReader(text.splitlines()))
     assert len(rows) == 72 > protocol.BLOCK
-    for row in rows:
-        code, out, _ = run_cli(capsys, "report", "--h", row["h"], "--k", row["k"], "--povm", povm)
+    for i, row in enumerate(rows):
+        cell = ("--h", row["h"], "--k", row["k"], "--povm", povm)
+        code, out, _ = run_cli(capsys, "report", *cell)
         assert code == 0
         payload = json.loads(out)
         energies, entropies, bounds = payload["energies"], payload["entanglement"], payload["bounds"]
@@ -317,8 +318,46 @@ def test_sweep_rows_match_one_report_per_cell(tmp_path, capsys):
         assert float(row["maxE_B_closed"]) == energies["maxE_B_closed"]
         assert float(row["delta_S"]) == entropies["delta_S"]
         assert float(row["mutual_info"]) == entropies["mutual_info"]
-        assert float(row["bound32_rhs"]) == bounds["bound32"]["rhs"]
-        assert float(row["bound770_rhs"]) == bounds["bound770"]["rhs"]
+        for name in ("bound32", "bound770"):
+            assert float(row[f"{name}_lhs"]) == bounds[name]["lhs"]
+            assert float(row[f"{name}_rhs"]) == bounds[name]["rhs"]
+        if i % 9 == 0:  # the grid's search column is the one-case search
+            code, out, _ = run_cli(capsys, "optimize", *cell)
+            assert code == 0
+            assert float(row["maxE_B_numeric"]) == json.loads(out)["best_value"]
+
+
+def test_sweep_pool_is_bounded(tmp_path, capsys, monkeypatch):
+    # never more workers than chunks, and no pool is started to test it;
+    # --jobs below 1 is a usage error
+    started = []
+
+    class Recorder:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", Recorder)
+    args = ["sweep", "--h", "1:2:2", "--k", "1", "--povm", "builtin:projective", "--out"]
+    assert run_cli(capsys, *args, str(tmp_path / "pool"), "--jobs", "50")[0] == 0
+    assert started == [2]
+    assert run_cli(capsys, *args, str(tmp_path / "serial"))[0] == 0
+    text = (tmp_path / "serial" / "sweep.csv").read_text()
+    assert (tmp_path / "pool" / "sweep.csv").read_text() == text
+    for jobs in ("0", "-3"):
+        code, out, err = run_cli(capsys, *args, str(tmp_path / jobs), "--jobs", jobs)
+        assert (code, out) == (2, "")
+        assert err == f"error: --jobs must be at least 1, got {jobs}\n"
+        assert not (tmp_path / jobs).exists()
+    assert started == [2]
 
 
 def test_sweep_unwritable_output(capsys):

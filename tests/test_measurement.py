@@ -17,6 +17,8 @@ from minqet.measurement import (
 )
 from minqet.model import ModelParams, ParamsBlock, build_hamiltonian, ground_state
 
+from conftest import case_block
+
 
 def test_identity_outcome_is_valid():
     model = measurement.validate([KrausCoefficients(m=1.0, l=0.0)])
@@ -184,15 +186,15 @@ def test_measure_projective_probabilities():
 
 
 def test_measure_probabilities_match_weights(small_ensemble):
-    cases = [
-        (params, model, protocol.FeedbackPolicy.identity(model.n_outcomes))
-        for params, model in small_ensemble[:12]
-    ]
-    for (_, model, _), report in zip(cases, protocol.run_many(cases)):
+    block, coeffs = case_block(small_ensemble[:12])
+    omega = np.zeros(coeffs.shape[:2])  # the identity: no turn about the y axis
+    axes = np.broadcast_to((0.0, 1.0, 0.0), omega.shape + (3,))
+    columns = protocol.run_many(block, coeffs, omega, axes)
+    for (_, model), probabilities in zip(small_ensemble, columns.per_outcome[..., 0].tolist()):
         total = 0.0
-        for w, outcome in zip(model.weights, report.per_outcome):
-            assert abs(outcome.probability - w.p) <= 1e-10
-            total += outcome.probability
+        for w, probability in zip(model.weights, probabilities):
+            assert abs(probability - w.p) <= 1e-10
+            total += probability
         assert abs(total - 1.0) <= 1e-12
 
 

@@ -10,7 +10,7 @@ from minqet import analytic, measurement, optimizer, protocol
 from minqet.measurement import OutcomeWeights
 from minqet.model import ModelParams
 
-from conftest import model_ensemble, weight_arrays
+from conftest import case_block, model_ensemble, weight_arrays
 
 UNIT = ModelParams(h=1.0, k=1.0)
 MAX_EB_UNIT = 0.11474763394014725
@@ -74,6 +74,12 @@ def test_policy_search_deterministic():
     assert a.best_policy == b.best_policy
 
 
+def search(cases):
+    """``maximize_over_policies`` on the arrays of (params, model) cases."""
+    block, coeffs = case_block(cases)
+    return optimizer.maximize_over_policies(block, *measurement.weight_block(coeffs))
+
+
 def test_policy_batch_matches_one_call_per_case(monkeypatch):
     mixed = measurement.weights_to_coeffs(
         [
@@ -91,17 +97,20 @@ def test_policy_batch_matches_one_call_per_case(monkeypatch):
         # blocks that split cases must not change any row's search
         patch.setattr(optimizer, "SCAN_BLOCK", 3)
         patch.setattr(optimizer, "POLISH_BLOCK", 2)
-        batch = optimizer.maximize_over_policies(cases)
-    assert len(batch) == len(cases)
-    assert batch[0].best_policy.unitaries[1] == protocol.LocalUnitary.identity()
-    assert batch[0].best_policy.unitaries[0].n == optimizer.Y_AXIS
-    for (params, model), got in zip(cases, batch):
+        value, omega, axes, evaluations, converged = search(cases)
+    assert value.shape == evaluations.shape == converged.shape == (len(cases),)
+    assert omega.shape == (len(cases), 6) and axes.shape == (len(cases), 6, 3)
+    assert (omega[0, 1], tuple(axes[0, 1])) == (0.0, optimizer.Y_AXIS)  # the identity
+    assert tuple(axes[0, 0]) == optimizer.Y_AXIS
+    for i, (params, model) in enumerate(cases):
         alone = optimizer.maximize_over_policy(params, model)
-        assert got.best_value == alone.best_value
-        assert got.evaluations == alone.evaluations
-        assert got.converged == alone.converged
-        for u, v in zip(got.best_policy.unitaries, alone.best_policy.unitaries):
-            assert (u.omega, u.n) == (v.omega, v.n)
+        assert value[i] == alone.best_value
+        assert evaluations[i] == alone.evaluations
+        assert converged[i] == alone.converged
+        n = model.n_outcomes
+        turns = map(protocol.LocalUnitary.normalized, omega[i, :n], axes[i, :n])
+        assert tuple(turns) == alone.best_policy.unitaries
+        assert not omega[i, n:].any()  # padding: the identity
 
 
 # (h, k), measurement, then best_value and evaluations of the per-outcome
@@ -133,26 +142,26 @@ def test_policy_batch_follows_the_scalar_search():
         (ModelParams(h=h, k=k), builders[spec[0]](*spec[1:]))
         for (h, k), spec, _, _ in SCALAR_SEARCH
     ]
-    for got, (_, _, value, evaluations) in zip(
-        optimizer.maximize_over_policies(cases), SCALAR_SEARCH
-    ):
-        assert got.evaluations == evaluations
-        assert got.converged
-        assert abs(got.best_value - value) <= 4e-16 * value
+    value, _, _, evaluations, converged = search(cases)
+    assert evaluations.tolist() == [count for _, _, _, count in SCALAR_SEARCH]
+    assert converged.all()
+    for got, (_, _, want, _) in zip(value, SCALAR_SEARCH):
+        assert abs(got - want) <= 4e-16 * want
 
 
 def test_policy_batch_memory_stays_bounded():
     # the lattice scan runs in blocks of rows, never one (rows, lattice) array
     model = measurement.weak_pair(0.6)
-    axis = np.geomspace(0.25, 4.0, 21)
-    cases = [(ModelParams(h=float(h), k=float(k)), model) for h in axis for k in axis]
+    axis = np.geomspace(0.25, 4.0, 21).tolist()
+    block, coeffs = case_block([(ModelParams(h=h, k=k), model) for h in axis for k in axis])
+    weights = measurement.weight_block(coeffs)
     tracemalloc.start()
     try:
-        results = optimizer.maximize_over_policies(cases)
+        value = optimizer.maximize_over_policies(block, *weights)[0]
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(results) == 441
+    assert value.shape == (441,)
     assert peak < 1_000_000
 
 
@@ -161,9 +170,9 @@ def test_policy_batch_warns_once_when_budget_runs_out(monkeypatch):
     cases = [(UNIT, measurement.projective_pair()), (UNIT, measurement.weak_pair(0.4))]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        results = optimizer.maximize_over_policies(cases)
+        converged = search(cases)[4]
     assert [w.category for w in caught] == [optimizer.NoConvergence]
-    assert [r.converged for r in results] == [False, False]
+    assert converged.tolist() == [False, False]
 
 
 def test_weights_search_unit_point():

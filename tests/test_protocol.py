@@ -13,7 +13,7 @@ from minqet.measurement import KrausCoefficients, OutcomeWeights
 from minqet.model import ModelParams, ParamsBlock, build_hamiltonian, ground_state
 from minqet.protocol import FeedbackPolicy, LocalUnitary, PolicyMismatch
 
-from conftest import weight_arrays
+from conftest import case_block, weight_arrays
 
 UNIT = ModelParams(h=1.0, k=1.0)
 MAX_EB_UNIT = 0.11474763394014725
@@ -488,18 +488,43 @@ def mixed_batch():
     ]
 
 
+def policy_table(policies, n):
+    """Angles (N, n) and axes (N, n, 3) of ``FeedbackPolicy`` objects, padded with identities."""
+    pad = [(0.0, 0.0, 1.0, 0.0)]  # no turn about the y axis
+    rows = [[(u.omega, *u.n) for u in policy.unitaries] for policy in policies]
+    table = np.array([row + pad * (n - len(row)) for row in rows])
+    return table[..., 0], table[..., 1:]
+
+
+def run_batch(cases):
+    """``run_many``'s columns for (params, model, policy) cases."""
+    block, coeffs = case_block(cases)
+    return protocol.run_many(block, coeffs, *policy_table([c[2] for c in cases], coeffs.shape[1]))
+
+
+def case_report(columns, i, n):
+    """Case i of ``run_many``'s columns as the ``ProtocolReport`` of its n outcomes."""
+    case = {f.name: getattr(columns, f.name)[i].tolist() for f in dataclasses.fields(columns)}
+    case["per_outcome"] = tuple(protocol.OutcomeEnergies(*row) for row in case["per_outcome"][:n])
+    case["reduced_eigenvalues"] = entanglement.eigenvalue_pairs(case["reduced_eigenvalues"][:n])
+    return protocol.ProtocolReport(**case)
+
+
 def test_batch_equals_one_run_per_case(monkeypatch):
     monkeypatch.setattr(protocol, "BLOCK", 2)  # blocks split the cases
     cases = mixed_batch()
-    batch = protocol.run_many(cases)
-    assert len(batch) == len(cases)
-    for report, case in zip(batch, cases):
-        assert_close(report, protocol.run(*case))
-        assert len(report.per_outcome) == case[1].n_outcomes
+    batch = run_batch(cases)
+    assert batch.e_b.shape == (len(cases),) and batch.per_outcome.shape == (len(cases), 6, 5)
+    for i, case in enumerate(cases):
+        n = case[1].n_outcomes
+        assert_close(case_report(batch, i, n), protocol.run(*case))
+        assert not batch.per_outcome[i, n:].any()  # padding: degenerate outcomes
 
 
 def test_batch_matches_frozen_values():
-    reports = protocol.run_many(frozen_cases())
+    cases = frozen_cases()
+    batch = run_batch(cases)
+    reports = [case_report(batch, i, case[1].n_outcomes) for i, case in enumerate(cases)]
     for report, (scalars, per_outcome) in zip(reports, FROZEN):
         assert_close(
             (
@@ -517,7 +542,7 @@ def test_batch_matches_frozen_values():
 
 
 def test_zero_mass_outcome_is_degenerate_in_a_batch():
-    report = protocol.run_many(frozen_cases())[-1]
+    report = case_report(run_batch(frozen_cases()), -1, len(W_ZERO_MASS))
     assert report.per_outcome[0] == protocol.OutcomeEnergies(0.0, 0.0, 0.0, 0.0, 0.0)
     assert report.reduced_eigenvalues[0] is None
     params = ModelParams(1.5, 0.7)
@@ -531,25 +556,19 @@ def test_batch_working_memory_is_bounded():
     cases = []
     for i in range(1000):
         params = ModelParams(*(float(x) for x in rng.uniform(0.3, 3.0, size=2)))
-        cases.append(optimal(params, measurement.random_measurement(rng, (2, 3, 4, 6)[i % 4])))
-    protocol.run_many(cases[:4])
+        cases.append((params, measurement.random_measurement(rng, (2, 3, 4, 6)[i % 4])))
+    block, coeffs = case_block(cases)
+    table = protocol.optimal_table(block, *measurement.weight_block(coeffs))
+    protocol.run_many(block[:4], coeffs[:4], *(x[:4] for x in table))
     tracemalloc.start()
     try:
-        reports = protocol.run_many(cases)
+        columns = protocol.run_many(block, coeffs, *table)
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(reports) == 1000
-    # the reports themselves hold ~1.8 MB; the arrays of one block come on top
+    assert columns.e_b.shape == (1000,)
+    # the columns themselves hold ~0.4 MB; the arrays of one block come on top
     assert peak - kept < 1_000_000, (kept, peak)
-
-
-def test_batch_rejects_a_wrong_length_policy():
-    cases = frozen_cases()
-    params, model, _ = cases[3]
-    cases[3] = (params, model, identity_policy(model.n_outcomes + 1))
-    with pytest.raises(PolicyMismatch, match="case 3"):
-        protocol.run_many(cases)
 
 
 def test_batch_names_the_failing_check_and_case(monkeypatch):
@@ -561,7 +580,7 @@ def test_batch_names_the_failing_check_and_case(monkeypatch):
     monkeypatch.setattr(protocol, "analytic", shifted)
     monkeypatch.setattr(protocol, "BLOCK", 2)
     with pytest.raises(RuntimeError, match=r"E_B per-outcome route differs in case 7 "):
-        protocol.run_many(mixed_batch())
+        run_batch(mixed_batch())
 
 
 def passive_batch():
@@ -577,10 +596,16 @@ def passive_batch():
     ]
 
 
+def passive_arrays(cases):
+    """``passive_costs``' arguments for (params, model, W) cases, W objects or matrices."""
+    turns = [w.matrix2() if isinstance(w, LocalUnitary) else w for _, _, w in cases]
+    return *case_block(cases), np.stack(turns)
+
+
 def test_passive_costs_equal_one_call_per_case(monkeypatch):
     monkeypatch.setattr(protocol, "BLOCK", 3)  # blocks split the cases
     cases = passive_batch()
-    cost, local, total = protocol.passive_costs(cases)
+    cost, local, total = protocol.passive_costs(*passive_arrays(cases))
     assert cost.shape == local.shape == total.shape == (len(cases),)
     assert cost.tolist() == [protocol.passive_unitary_energy(*case) for case in cases]
     assert np.all(cost >= 0.0) and cost[5] == 0.0
@@ -597,11 +622,14 @@ def test_passive_costs_name_the_failing_route_and_case(monkeypatch):
     monkeypatch.setattr(protocol, "build_hamiltonian", faulty)
     monkeypatch.setattr(protocol, "BLOCK", 2)
     with pytest.raises(RuntimeError, match=r"passive cost vs direct form differs in case 3 "):
-        protocol.passive_costs(passive_batch())
+        protocol.passive_costs(*passive_arrays(passive_batch()))
 
 
 def test_passive_costs_name_a_bad_unitary():
     cases = passive_batch()
     cases[4] = (*cases[4][:2], 2.0 * np.eye(2))
+    block, coeffs, w = passive_arrays(cases)
     with pytest.raises(ValueError, match="case 4: matrix is not unitary"):
-        protocol.passive_costs(cases)
+        protocol.passive_costs(block, coeffs, w)
+    with pytest.raises(ValueError, match=r"expected \(7, 2, 2\) unitaries, got shape \(6, 2, 2\)"):
+        protocol.passive_costs(block, coeffs, w[:6])

@@ -202,8 +202,7 @@ def _check_eigensolver(seed: int, size: int) -> float:
 def _check_ground_state() -> float:
     """20x20 log grid over [0.1, 10]^2: H|g> = 0, zero part-wise energies, closed spectrum."""
     grid = np.geomspace(0.1, 10.0, 20).tolist()
-    params = [ModelParams(h=h, k=k) for h in grid for k in grid]
-    block = ParamsBlock.of(params)
+    block = ParamsBlock.of(ModelParams(h=h, k=k) for h in grid for k in grid)
     parts = model.build_hamiltonian(block)
     g = model.ground_state(block)
     vals, _ = qmath.hermitian_eig(parts.total)
@@ -212,7 +211,7 @@ def _check_ground_state() -> float:
         residuals.append(np.abs(qmath.expectation(g, op)))
     # the ground energy itself is held to a tenth of the budget
     residuals.append(10.0 * np.abs(vals[:, 0]))
-    closed = np.array([model.spectrum_closed(p) for p in params])
+    closed = model.spectrum_closed(block)
     residuals.append(np.abs(vals - closed).max(axis=-1))
     # absolute, and relative to the spectrum's width 4 eps where that is below 1
     scale = np.minimum(1.0, 4.0 * block.eps)
@@ -289,8 +288,7 @@ def _check_time_evolution() -> float:
     for params, meas in cases:
         t_peak = math.pi / (4.0 * params.k)
         times = np.append(np.linspace(0.0, 2.0 * t_peak, 256), t_peak)
-        samples = protocol.evolve_series(params, meas, times)
-        hb, closed, v = np.array([(s.hb_bruteforce, s.hb_closed, s.v_expect) for s in samples]).T
+        _, hb, closed, v = protocol.evolve_series(params, meas, times)
         e_a = measurement.input_energy_closed(params, meas.rows)
         worst = max(worst, np.max(np.abs(hb - closed)), np.max(np.abs(v)), abs(hb[-1] - e_a))
     return float(worst)

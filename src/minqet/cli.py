@@ -157,7 +157,6 @@ def cmd_verify(args) -> int:
 def cmd_report(args) -> int:
     params = ModelParams(h=args.h, k=args.k)
     meas = resolve_povm(args.povm)
-    measurement.validate(meas)
     policy = protocol.optimal_policy(params, meas)
     report = protocol.run(params, meas, policy)
     max_eb = report.max_eb_closed
@@ -169,7 +168,7 @@ def cmd_report(args) -> int:
             "source": args.povm,
             "sha256": povm_sha256(meas),
             "outcomes": measurement.to_json_obj(meas)["outcomes"],
-            "weights": [{"p": w.p, "q": w.q} for w in meas.weights],
+            "weights": [{"p": p, "q": q} for p, q in zip(*(w.tolist() for w in weights))],
         },
         "energies": {
             "E_A_closed": report.e_a_closed,
@@ -227,7 +226,6 @@ def cmd_sweep(args) -> int:
     h_values = parse_range(args.h)
     k_values = parse_range(args.k)
     meas = resolve_povm(args.povm)
-    measurement.validate(meas)
     sha = povm_sha256(meas)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -296,13 +294,10 @@ def cmd_evolve(args) -> int:
         raise ValueError(f"--points must be at least 2, got {args.points}")
     params = ModelParams(h=args.h, k=args.k)
     meas = resolve_povm(args.povm)
-    measurement.validate(meas)
     times = np.linspace(0.0, args.t_max, args.points)
-    samples = protocol.evolve_series(params, meas, times)
-    rows = [
-        [fmt(s.t), fmt(s.hb_bruteforce), fmt(s.hb_closed), fmt(s.v_expect)]
-        for s in samples
-    ]
+    # one row per time, in EVOLVE_COLUMNS order
+    columns = protocol.evolve_series(params, meas, times)
+    rows = [[fmt(x) for x in row] for row in zip(*(c.tolist() for c in columns))]
     if args.out:
         with open(args.out, "w", newline="", encoding="ascii") as fh:
             writer = csv.writer(fh)
@@ -329,7 +324,9 @@ def cmd_optimize(args) -> int:
             "params": {"h": params.h, "k": params.k},
             "best_value": result.best_value,
             "projective_limit": analytic.f_E(params, 1.0),
-            "weights": [{"p": w.p, "q": w.q} for w in result.best_weights],
+            "weights": [
+                {"p": p, "q": q} for p, q in zip(*(w.tolist() for w in result.best_weights))
+            ],
             "evaluations": result.evaluations,
             "converged": result.converged,
         }
@@ -337,7 +334,6 @@ def cmd_optimize(args) -> int:
         if not args.povm:
             raise ValueError("optimize --over policy needs --povm")
         meas = resolve_povm(args.povm)
-        measurement.validate(meas)
         result = optimizer.maximize_over_policy(params, meas)
         weights = measurement.weight_block(meas.rows)
         payload = {

@@ -66,11 +66,7 @@ def _spectrum_entropy(vals: np.ndarray):
         raise measurement.NotNormalized(
             f"density matrix trace is {float(np.extract(off, trace)[0])!r}, expected 1"
         )
-    clamped = np.clip(vals, 0.0, 1.0)
-    positive = clamped > 0.0
-    terms = np.where(positive, clamped * np.log(np.where(positive, clamped, 1.0)), 0.0)
-    entropy = -terms.sum(axis=-1)
-    return float(entropy) if entropy.ndim == 0 else entropy
+    return shannon_entropy(np.clip(vals, 0.0, 1.0))
 
 
 def von_neumann_entropy(rho: np.ndarray):

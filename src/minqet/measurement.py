@@ -26,9 +26,12 @@ The batched data is the coefficient block: the (m, l, alpha, delta) rows
 of N models as one (N, n, 4) array, zero-padded to the largest outcome
 count.  ``draw_block`` balances, maps and checks a block of random draws
 at once, and ``check_block`` holds every POVM constraint once per block.
-``MeasurementModel`` is the one-model object of the JSON and CLI edge;
-``random_measurement``, ``weights_to_coeffs`` and ``validate`` are its
-one-row views of the same array path.
+``MeasurementModel`` is one model's (n, 4) rows, checked once by
+``check_block`` when it is built, and is the object of the JSON and CLI
+edge; ``MeasurementModel.from_weights`` (weights p, q through
+``canonical_coeffs``) and ``random_measurement`` (a one-member
+``draw_block``) build it by the same array path, and ``weight_block``
+reads its weights back.
 """
 
 from __future__ import annotations
@@ -67,78 +70,31 @@ class NotNormalized(ValueError):
     """A state vector passed where a unit-norm ket is required."""
 
 
-@dataclass(frozen=True)
-class KrausCoefficients:
-    """One outcome's operator coefficients (m, l, alpha, delta)."""
-
-    m: float
-    l: float
-    alpha: float = 0.0
-    delta: float = 0.0
-
-    @property
-    def p(self) -> float:
-        return self.m * self.m + self.l * self.l
-
-    @property
-    def q(self) -> float:
-        return 2.0 * self.m * self.l * math.cos(self.alpha)
-
-
-@dataclass(frozen=True)
-class OutcomeWeights:
-    """One outcome's positive-operator weights (p, q) with p >= |q| >= 0."""
-
-    p: float
-    q: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.p) and math.isfinite(self.q)):
-            raise ConstraintViolation("balance", math.inf, "weights must be finite")
-        if self.p < -1e-12:
-            raise ConstraintViolation("balance", -self.p, "p must be nonnegative")
-        if abs(self.q) > self.p + 1e-12:
-            raise ConstraintViolation(
-                "balance", abs(self.q) - self.p, "|q| may not exceed p"
-            )
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MeasurementModel:
-    """A finite list of outcomes; the coefficients are the stored truth.
+    """A measurement as its read-only (n, 4) coefficient rows (m, l, alpha, delta).
 
-    The weight view is derived from the frozen coefficients on first access
-    and cached, so the two parametrizations can never drift apart.  Scalar
-    constraints (normalization and balance) are enforced at construction;
-    the operator-level checks live in :func:`validate`.
+    Construction checks every POVM constraint once, with ``check_block`` at
+    WEIGHT_TOL, so any model that exists is a valid measurement.  Two models
+    are equal when their rows are.
     """
 
-    coeffs: tuple[KrausCoefficients, ...]
+    rows: np.ndarray
 
     def __post_init__(self) -> None:
-        if len(self.coeffs) == 0:
+        rows = np.array(self.rows, dtype=float)
+        if len(rows) == 0:
             raise ConstraintViolation("normalization", 1.0, "no outcomes")
-        norm_residual = abs(sum(c.p for c in self.coeffs) - 1.0)
-        if norm_residual > WEIGHT_TOL:
-            raise ConstraintViolation("normalization", norm_residual)
-        balance_residual = abs(sum(c.m * c.l * math.cos(c.alpha) for c in self.coeffs))
-        if balance_residual > WEIGHT_TOL:
-            raise ConstraintViolation("balance", balance_residual)
+        check_block(rows)
+        rows.setflags(write=False)
+        object.__setattr__(self, "rows", rows)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, MeasurementModel) and np.array_equal(self.rows, other.rows)
 
     @property
     def n_outcomes(self) -> int:
-        return len(self.coeffs)
-
-    @functools.cached_property
-    def weights(self) -> tuple[OutcomeWeights, ...]:
-        return tuple(OutcomeWeights(c.p, c.q) for c in self.coeffs)
-
-    @functools.cached_property
-    def rows(self) -> np.ndarray:
-        """The read-only (n, 4) coefficient rows (m, l, alpha, delta)."""
-        rows = np.array([(c.m, c.l, c.alpha, c.delta) for c in self.coeffs], dtype=float)
-        rows.setflags(write=False)
-        return rows
+        return len(self.rows)
 
     @functools.cached_property
     def kraus(self) -> np.ndarray:
@@ -148,15 +104,24 @@ class MeasurementModel:
         return stack
 
     @classmethod
-    def of_rows(cls, rows: np.ndarray) -> "MeasurementModel":
-        """The model of coefficient rows (n, 4)."""
-        return cls(tuple(KrausCoefficients(*row) for row in rows.tolist()))
+    def from_weights(cls, p, q) -> "MeasurementModel":
+        """The model of weights p, q (n,) by the canonical inverse map.
 
-    @classmethod
-    def from_weights(cls, weights) -> "MeasurementModel":
-        """The model of the canonical inverse map of weights (objects with p and q)."""
-        p, q = np.array([(w.p, w.q) for w in weights], dtype=float).reshape(-1, 2).T
-        return cls.of_rows(canonical_coeffs(p, q))
+        Weights come from outside the package, so each outcome must first
+        have finite p >= 0 and |q| <= p; the first outcome that breaks one
+        raises ``ConstraintViolation`` of kind "balance".
+        """
+        p, q = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
+        bad = np.array([~(np.isfinite(p) & np.isfinite(q)), p < -1e-12, np.abs(q) > p + 1e-12])
+        if bad.any():
+            i, check = np.argwhere(bad.T)[0]
+            residual, detail = (
+                (math.inf, "weights must be finite"),
+                (-p[i], "p must be nonnegative"),
+                (abs(q[i]) - p[i], "|q| may not exceed p"),
+            )[check]
+            raise ConstraintViolation("balance", float(residual), detail)
+        return cls(canonical_coeffs(p, q))
 
 
 def canonical_coeffs(p, q) -> np.ndarray:
@@ -168,15 +133,6 @@ def canonical_coeffs(p, q) -> np.ndarray:
     coeffs = np.zeros(plus.shape + (4,))
     coeffs[..., 0], coeffs[..., 1] = 0.5 * (plus + minus), 0.5 * (plus - minus)
     return coeffs
-
-
-def weights_to_coeffs(weights) -> MeasurementModel:
-    """Model realizing the given weights canonically; validates and round-trips.
-
-    Raises ``ConstraintViolation`` if the weights are not a valid POVM
-    description (sum p = 1, sum q = 0, p >= |q|).
-    """
-    return validate(MeasurementModel.from_weights(OutcomeWeights(w.p, w.q) for w in weights))
 
 
 def coefficient_block(models) -> np.ndarray:
@@ -234,7 +190,8 @@ def check_block(coeffs: np.ndarray, tol: float = WEIGHT_TOL) -> dict[str, np.nda
     the message names the first failing member.  A NaN residual fails.  A
     commutant residual raises the kind "completeness".
     """
-    residuals = block_residuals(coeffs)
+    with np.errstate(over="ignore", invalid="ignore"):  # an inf or NaN residual fails below
+        residuals = block_residuals(coeffs)
     ok = np.array(list(residuals.values())) <= tol
     if ok.all():
         return residuals
@@ -247,16 +204,8 @@ def check_block(coeffs: np.ndarray, tol: float = WEIGHT_TOL) -> dict[str, np.nda
     raise ConstraintViolation(name, residual, ", ".join(detail))
 
 
-def validate(coeffs, tol: float = WEIGHT_TOL) -> MeasurementModel:
-    """Build a model from Kraus coefficients and check every POVM constraint.
-
-    ``coeffs`` is an iterable of ``KrausCoefficients`` (or an existing
-    ``MeasurementModel``, which is re-checked).  Beyond the scalar
-    constraints, this verifies numerically that the operators sum to the
-    identity and commute with the coupling.  Raises ``ConstraintViolation``
-    with the offending residual.
-    """
-    model = coeffs if isinstance(coeffs, MeasurementModel) else MeasurementModel(tuple(coeffs))
+def validate(model: MeasurementModel, tol: float = WEIGHT_TOL) -> MeasurementModel:
+    """Re-check every POVM constraint of a model at ``tol`` and return it."""
     check_block(model.rows, tol)
     return model
 
@@ -331,38 +280,30 @@ def random_measurement(seed, n_outcomes: int = 2) -> MeasurementModel:
     ``n_outcomes >= 2`` (a single outcome admits only the identity).
     """
     rng = np.random.default_rng(seed)  # a Generator passes through unchanged
-    return MeasurementModel.of_rows(draw_block([raw_draw(rng, n_outcomes)])[0][0])
+    return MeasurementModel(draw_block([raw_draw(rng, n_outcomes)])[0][0])
 
 
 def projective_pair() -> MeasurementModel:
     """The two sigma_A^x eigenprojectors: weights (1/2, +1/2) and (1/2, -1/2)."""
-    return MeasurementModel.from_weights(
-        [OutcomeWeights(0.5, 0.5), OutcomeWeights(0.5, -0.5)]
-    )
+    return MeasurementModel.from_weights([0.5, 0.5], [0.5, -0.5])
 
 
 def weak_pair(u: float) -> MeasurementModel:
     """Two outcomes with p = 1/2 each and q = ±u/2; u in [0, 1]."""
     if not 0.0 <= u <= 1.0:
         raise ValueError(f"weak-measurement strength must lie in [0, 1], got {u}")
-    return MeasurementModel.from_weights(
-        [OutcomeWeights(0.5, 0.5 * u), OutcomeWeights(0.5, -0.5 * u)]
-    )
+    return MeasurementModel.from_weights([0.5, 0.5], [0.5 * u, -0.5 * u])
 
 
 def identity_measurement() -> MeasurementModel:
     """The trivial single-outcome measurement (no disturbance, no information)."""
-    return MeasurementModel((KrausCoefficients(m=1.0, l=0.0),))
+    return MeasurementModel([[1.0, 0.0, 0.0, 0.0]])
 
 
 def to_json_obj(model: MeasurementModel) -> dict:
     """JSON-ready description using the coefficient parametrization."""
-    return {
-        "outcomes": [
-            {"m": c.m, "l": c.l, "alpha": c.alpha, "delta": c.delta}
-            for c in model.coeffs
-        ]
-    }
+    keys = ("m", "l", "alpha", "delta")
+    return {"outcomes": [dict(zip(keys, row)) for row in model.rows.tolist()]}
 
 
 def from_json_obj(obj: dict) -> MeasurementModel:
@@ -374,39 +315,24 @@ def from_json_obj(obj: dict) -> MeasurementModel:
     """
     if not isinstance(obj, dict):
         raise ValueError("measurement description must be a JSON object")
-    has_outcomes = "outcomes" in obj
-    has_weights = "weights" in obj
-    if has_outcomes == has_weights:
+    if ("outcomes" in obj) == ("weights" in obj):
         raise ValueError(
             "measurement description needs exactly one of 'outcomes' or 'weights'"
         )
-    if has_outcomes:
-        entries = obj["outcomes"]
-        if not isinstance(entries, list) or not entries:
-            raise ValueError("'outcomes' must be a non-empty list")
-        coeffs = []
-        for i, e in enumerate(entries):
-            try:
-                coeffs.append(
-                    KrausCoefficients(
-                        m=float(e["m"]),
-                        l=float(e["l"]),
-                        alpha=float(e.get("alpha", 0.0)),
-                        delta=float(e.get("delta", 0.0)),
-                    )
-                )
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ValueError(f"bad outcome entry at index {i}: {exc}") from exc
-        return MeasurementModel(tuple(coeffs))
-    entries = obj["weights"]
+    key = "outcomes" if "outcomes" in obj else "weights"
+    entries = obj[key]
     if not isinstance(entries, list) or not entries:
-        raise ValueError("'weights' must be a non-empty list")
-    weights = []
+        raise ValueError(f"'{key}' must be a non-empty list")
+    rows = []
     for i, e in enumerate(entries):
         try:
-            weights.append(OutcomeWeights(p=float(e["p"]), q=float(e["q"])))
-        except ConstraintViolation:
-            raise
+            if key == "outcomes":
+                m, l = float(e["m"]), float(e["l"])
+                rows.append([m, l, float(e.get("alpha", 0.0)), float(e.get("delta", 0.0))])
+            else:
+                rows.append([float(e["p"]), float(e["q"])])
         except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"bad weight entry at index {i}: {exc}") from exc
-    return MeasurementModel.from_weights(weights)
+            raise ValueError(f"bad {key[:-1]} entry at index {i}: {exc}") from exc
+    if key == "outcomes":
+        return MeasurementModel(rows)
+    return MeasurementModel.from_weights(*np.array(rows).T)

@@ -132,12 +132,13 @@ def ground_state(params: ModelParams) -> np.ndarray:
 
 
 def spectrum_closed(params: ModelParams) -> np.ndarray:
-    """The four eigenvalues of H in ascending order, in closed form.
+    """The four eigenvalues of H in ascending order, in closed form; (N, 4) on a ``ParamsBlock``.
 
     H is block diagonal in the parity grading of the product basis; both
     2x2 blocks diagonalize by hand, giving {0, 2 eps - 2k, 2 eps + 2k, 4 eps}.
     Intended for documentation and cross-checks; the package's runtime
     spectra always come from the dense eigensolver.
     """
-    eps, k = params.eps, params.k
-    return np.sort(np.array([0.0, 2.0 * eps - 2.0 * k, 2.0 * eps + 2.0 * k, 4.0 * eps]))
+    eps, k = np.asarray(params.eps), np.asarray(params.k)
+    vals = [np.zeros_like(eps), 2.0 * eps - 2.0 * k, 2.0 * eps + 2.0 * k, 4.0 * eps]
+    return np.sort(np.stack(vals, -1), -1)

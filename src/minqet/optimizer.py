@@ -68,7 +68,7 @@ class OptimizationResult:
 
 @dataclass(frozen=True)
 class WeightsResult:
-    best_weights: tuple[measurement.OutcomeWeights, ...]
+    best_weights: tuple[np.ndarray, np.ndarray]  # p and q, each (n,)
     best_value: float
     evaluations: int
     converged: bool
@@ -299,7 +299,7 @@ def maximize_over_weights(params: ModelParams, n_outcomes: int = 2) -> WeightsRe
                 step *= 0.5
         if value > best_value:
             best_value = float(value)
-            best_weights = tuple(map(measurement.OutcomeWeights, p.tolist(), q.tolist()))
+            best_weights = (p, q)
             converged = this_converged
     if not converged:
         warnings.warn("weight search exhausted its refinement budget", NoConvergence)

@@ -15,10 +15,11 @@ on a ``ParamsBlock`` and a coefficient block (N, n, 4): the kets M_A(mu)|g>
 as one (N, n, 4) array, zero-padded to the largest outcome count, with the
 weights in the closed forms' (n, N) layout.  ``run_block`` rotates B by a
 policy table and returns per-case columns, and ``run_many`` computes them
-BLOCK cases at a time; ``passive_costs`` and ``evolve_series`` run in
-blocks too.  Each rotation acts as a 2x2 block on the ket read as an (a, b)
-matrix, and every energy is a stacked ``qmath.expectation``: Tr[rho O] is
-its sum over the kets of rho.  ``LocalUnitary`` and ``FeedbackPolicy`` are
+BLOCK cases at a time; ``passive_costs`` runs in blocks too, and
+``evolve_series`` computes its (T,) columns BLOCK times at a time.  Each
+rotation acts as a 2x2 block on the ket read as an (a, b) matrix, and
+every energy is a stacked ``qmath.expectation``: Tr[rho O] is its sum
+over the kets of rho.  ``LocalUnitary`` and ``FeedbackPolicy`` are
 objects of the one-case edge only: ``run``, ``optimal_policy`` and
 ``passive_unitary_energy``.
 
@@ -360,24 +361,15 @@ def passive_unitary_energy(
     return float(passive_costs(ParamsBlock.of([params]), meas.rows[None], w[None])[0][0])
 
 
-@dataclass(frozen=True)
-class EvolutionSample:
-    """B-side energy at one time after the measurement (no feedback applied)."""
-
-    t: float
-    hb_bruteforce: float
-    hb_closed: float
-    v_expect: float
-
-
 def evolve_series(
     params: ModelParams, meas: measurement.MeasurementModel, times
-) -> list[EvolutionSample]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """<H_B(t)> and <V(t)> in the freely evolving post-measurement ensemble.
 
-    The brute-force route propagates each post-measurement ket with the
-    full Hamiltonian's eigendecomposition, BLOCK times at a time; the
-    closed form is
+    Returns the columns t, <H_B(t)> by brute force, <H_B(t)> in closed form
+    and <V(t)>, each (T,), with no feedback applied.  The brute-force route
+    propagates each post-measurement ket with the full Hamiltonian's
+    eigendecomposition, BLOCK times at a time; the closed form is
 
         <H_B(t)> = (h^2 / eps) sum(l^2) (1 - cos 4 k t),    <V(t)> = 0.
 
@@ -391,18 +383,22 @@ def evolve_series(
     ops = np.stack([parts.h_b, parts.v]) / params.eps
     amp = 0.5 * measurement.input_energy_closed(params, meas.rows)  # E_A / 2
     times = np.asarray(times, dtype=float)
-    samples = []
+    hb, closed, v = np.empty((3,) + times.shape)
     for first in range(0, len(times), BLOCK):
-        t = times[first : first + BLOCK]
+        part = slice(first, first + BLOCK)
+        t = times[part]
         # back to the product basis after the phases: (times, outcomes, 4)
         evolved = (np.exp(-1j * vals * t[:, None])[:, None, :] * kets) @ vecs.T
-        hb, v = params.eps * qmath.expectation(evolved[..., None, :], ops).sum(axis=1).T
-        closed = amp * (1.0 - np.cos(4.0 * params.k * t))
-        scale = np.maximum(1.0, np.abs(closed))
-        for label, residual in (("<H_B(t)> brute force - closed", hb - closed), ("<V(t)>", v)):
+        expect = params.eps * qmath.expectation(evolved[..., None, :], ops).sum(axis=1)
+        hb[part], v[part] = expect.T
+        closed[part] = amp * (1.0 - np.cos(4.0 * params.k * t))
+        scale = np.maximum(1.0, np.abs(closed[part]))
+        for label, residual in (
+            ("<H_B(t)> brute force - closed", hb[part] - closed[part]),
+            ("<V(t)>", v[part]),
+        ):
             bad = np.flatnonzero(np.abs(residual) > 1e-9 * scale)
             if bad.size:
                 i = bad[0]
                 raise RuntimeError(f"{label} is {float(residual[i])!r} at t={float(t[i])}")
-        samples += map(EvolutionSample, t.tolist(), hb.tolist(), closed.tolist(), v.tolist())
-    return samples
+    return times, hb, closed, v

@@ -1,6 +1,5 @@
 """Shared fixtures: the canonical parameter grid and model ensembles."""
 
-import numpy as np
 import pytest
 
 from minqet.measurement import coefficient_block, random_measurement
@@ -10,11 +9,6 @@ from minqet.model import ModelParams, ParamsBlock
 PAIRS = [(h, k) for h in (0.5, 1.0, 2.0) for k in (0.5, 1.0, 2.0)]
 
 OUTCOME_CYCLE = (2, 3, 4, 6)
-
-
-def weight_arrays(weights):
-    """p and q of a sequence of OutcomeWeights as two (n,) arrays, the closed forms' layout."""
-    return np.array([(w.p, w.q) for w in weights]).T
 
 
 def case_block(cases):

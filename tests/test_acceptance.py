@@ -21,10 +21,8 @@ import numpy as np
 import pytest
 
 from minqet import analytic, checks, entanglement, measurement, optimizer, protocol
-from minqet.measurement import OutcomeWeights
 from minqet.model import ModelParams
 
-from conftest import weight_arrays
 
 UNIT = ModelParams(h=1.0, k=1.0)
 
@@ -171,8 +169,8 @@ def test_a_corrupted_member_of_a_drawn_block_is_named():
 
 
 def test_frozen_unit_constants():
-    projective = [OutcomeWeights(0.5, 0.5), OutcomeWeights(0.5, -0.5)]
-    closed_unit = analytic.max_EB_closed(UNIT, *weight_arrays(projective))
+    projective = np.array([0.5, 0.5]), np.array([0.5, -0.5])
+    closed_unit = analytic.max_EB_closed(UNIT, *projective)
     numeric_unit = optimizer.maximize_over_policy(UNIT, measurement.projective_pair()).best_value
     assert abs(closed_unit - MAX_EB_UNIT) <= 1e-6
     assert abs(numeric_unit - MAX_EB_UNIT) <= 1e-6
@@ -181,7 +179,7 @@ def test_frozen_unit_constants():
     coefficients = analytic.bounds(UNIT)
     assert abs(coefficients.c32 - C32_UNIT) <= 1e-6
     assert abs(coefficients.c770 - C770_UNIT) <= 1e-6
-    lhs_unit = analytic.delta_S_closed(UNIT, *weight_arrays(projective))
+    lhs_unit = analytic.delta_S_closed(UNIT, *projective)
     rhs_unit = C32_UNIT * MAX_EB_UNIT / UNIT.eps
     assert abs(lhs_unit - GROUND_ENTROPY_UNIT) <= 1e-6
     assert abs(rhs_unit - BOUND32_RHS_UNIT) <= 1e-6

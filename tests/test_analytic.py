@@ -13,10 +13,9 @@ from hypothesis import given, settings, strategies as st
 
 from minqet import analytic, entanglement, measurement
 from minqet.analytic import DomainError
-from minqet.measurement import OutcomeWeights
+from minqet.measurement import weight_block
 from minqet.model import ModelParams, ParamsBlock
 
-from conftest import weight_arrays
 
 UNIT = ModelParams(h=1.0, k=1.0)
 
@@ -227,7 +226,7 @@ def test_closed_forms_take_a_zero_padded_block():
     for i, (one, model) in enumerate(zip(params, models)):
         n = model.n_outcomes
         assert live[:, i].tolist() == [mu < n for mu in range(6)]
-        p_i, q_i = weight_arrays(model.weights)
+        p_i, q_i = weight_block(model.rows)
         assert max_eb[i] == analytic.max_EB_closed(one, p_i, q_i)
         assert delta_s[i] == analytic.delta_S_closed(one, p_i, q_i)
         for stacked, alone in zip(lam, analytic.lambda_pm(one, p_i, q_i)):
@@ -303,19 +302,19 @@ def test_optimal_rotation_no_correlation():
 
 
 def test_max_eb_closed_no_correlation():
-    weights = [OutcomeWeights(0.5, 0.0), OutcomeWeights(0.5, 0.0)]
-    assert analytic.max_EB_closed(UNIT, *weight_arrays(weights)) == pytest.approx(0.0, abs=1e-15)
+    p, q = np.array([0.5, 0.5]), np.array([0.0, 0.0])
+    assert analytic.max_EB_closed(UNIT, p, q) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_max_eb_closed_unit_projective():
-    weights = [OutcomeWeights(0.5, 0.5), OutcomeWeights(0.5, -0.5)]
-    value = analytic.max_EB_closed(UNIT, *weight_arrays(weights))
+    p, q = np.array([0.5, 0.5]), np.array([0.5, -0.5])
+    value = analytic.max_EB_closed(UNIT, p, q)
     assert abs(value - MAX_EB_UNIT) <= 1e-15
 
 
 def test_max_eb_closed_skips_zero_probability():
-    weights = [OutcomeWeights(0.5, 0.5), OutcomeWeights(0.5, -0.5), OutcomeWeights(0.0, 0.0)]
-    value = analytic.max_EB_closed(UNIT, *weight_arrays(weights))
+    p, q = np.array([0.5, 0.5, 0.0]), np.array([0.5, -0.5, 0.0])
+    value = analytic.max_EB_closed(UNIT, p, q)
     assert abs(value - MAX_EB_UNIT) <= 1e-15
 
 
@@ -324,10 +323,12 @@ def test_max_eb_equals_kernel_sum():
     for i in range(25):
         model = measurement.random_measurement(seed=1000 + i, n_outcomes=2 + i % 4)
         params = ModelParams(h=rng.uniform(0.25, 4), k=rng.uniform(0.25, 4))
-        ws = model.weights
-        direct = analytic.max_EB_closed(params, *weight_arrays(ws))
+        p, q = weight_block(model.rows)
+        direct = analytic.max_EB_closed(params, p, q)
         kernel = sum(
-            w.p * analytic.f_E(params, (w.q / w.p) ** 2) for w in ws if w.p > 1e-14
+            p_mu * analytic.f_E(params, (q_mu / p_mu) ** 2)
+            for p_mu, q_mu in zip(p.tolist(), q.tolist())
+            if p_mu > 1e-14
         )
         assert abs(direct - kernel) <= 1e-12 * max(1.0, direct)
 
@@ -478,6 +479,6 @@ def test_shannon_entropy_and_units():
 def test_delta_s_closed_matches_brute_force():
     for i in range(10):
         model = measurement.random_measurement(seed=2000 + i, n_outcomes=2 + i % 3)
-        closed = analytic.delta_S_closed(UNIT, *weight_arrays(model.weights))
+        closed = analytic.delta_S_closed(UNIT, *weight_block(model.rows))
         brute = entanglement.consumption(UNIT, model).delta_s
         assert abs(closed - brute) <= 1e-10

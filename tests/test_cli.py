@@ -143,11 +143,8 @@ def test_envelope_peak_catches_a_fault_in_abc_constants(capsys, monkeypatch):
 
 def test_verify_fault_hook(capsys, monkeypatch):
     def corrupted_measurement():
-        bad = object.__new__(measurement.KrausCoefficients)
-        for field, value in (("m", 0.9), ("l", 0.6), ("alpha", 0.0), ("delta", 0.0)):
-            object.__setattr__(bad, field, value)
         broken = object.__new__(measurement.MeasurementModel)
-        object.__setattr__(broken, "coeffs", (bad,))
+        object.__setattr__(broken, "rows", np.array([[0.9, 0.6, 0.0, 0.0]]))
         measurement.validate(broken)
         return 0.0
 

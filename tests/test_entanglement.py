@@ -6,10 +6,9 @@ import numpy as np
 import pytest
 
 from minqet import analytic, entanglement, measurement, qmath
-from minqet.measurement import OutcomeWeights
+from minqet.measurement import MeasurementModel, weight_block
 from minqet.model import ModelParams
 
-from conftest import weight_arrays
 
 UNIT = ModelParams(h=1.0, k=1.0)
 GROUND_ENTROPY_UNIT = 0.4164955306996875
@@ -54,9 +53,7 @@ def test_consumption_projective_exhausts_ground_entropy():
 
 
 def test_consumption_quarter_pair():
-    model = measurement.weights_to_coeffs(
-        [OutcomeWeights(0.5, 0.25), OutcomeWeights(0.5, -0.25)]
-    )
+    model = MeasurementModel.from_weights([0.5, 0.5], [0.25, -0.25])
     report = entanglement.consumption(UNIT, model)
     assert abs(report.delta_s - DELTA_S_QUARTER) <= 1e-12
 
@@ -73,7 +70,7 @@ def test_consumption_internal_bookkeeping(small_ensemble):
 def test_consumption_matches_kernel_sum(small_ensemble):
     for params, model in small_ensemble[:16]:
         report = entanglement.consumption(params, model)
-        closed = analytic.delta_S_closed(params, *weight_arrays(model.weights))
+        closed = analytic.delta_S_closed(params, *weight_block(model.rows))
         assert abs(report.delta_s - closed) <= 1e-10
 
 
@@ -84,16 +81,17 @@ def test_consumption_nonnegative(small_ensemble):
 
 def test_reduced_eigenvalues_match_closed_form(small_ensemble):
     for params, model in small_ensemble[:16]:
-        for w, (prob, rho_b) in zip(
-            model.weights, entanglement.reduced_post_states(params, model)
+        p, q = weight_block(model.rows)
+        for p_mu, q_mu, (prob, rho_b) in zip(
+            p.tolist(), q.tolist(), entanglement.reduced_post_states(params, model)
         ):
             if rho_b is None:
                 continue
             vals = np.sort(np.linalg.eigvalsh(rho_b))[::-1]
-            lam_plus, lam_minus = analytic.lambda_pm(params, w.p, w.q)
+            lam_plus, lam_minus = analytic.lambda_pm(params, p_mu, q_mu)
             assert abs(vals[0] - lam_plus) <= 1e-10
             assert abs(vals[1] - lam_minus) <= 1e-10
-            assert abs(prob - w.p) <= 1e-10
+            assert abs(prob - p_mu) <= 1e-10
 
 
 def test_mutual_information_identity():
@@ -126,7 +124,7 @@ def test_dense_pointer_state_agrees_with_block_form():
         # joint entropy from the dense matrix vs the block shortcut
         joint_vals = np.clip(np.linalg.eigvalsh(dense), 0.0, 1.0)
         s_joint = float(-np.sum(joint_vals[joint_vals > 1e-14] * np.log(joint_vals[joint_vals > 1e-14])))
-        probs = [w.p for w in model.weights]
+        probs = weight_block(model.rows)[0].tolist()
         block = analytic.shannon_entropy(probs) + sum(
             p * s
             for p, s in zip(
@@ -144,9 +142,7 @@ def test_consumption_monotone_in_correlation():
     # symmetric pair (1/2, +/- q): delta_S nondecreasing in q
     values = []
     for q in np.linspace(0.0, 0.5, 64):
-        model = measurement.weights_to_coeffs(
-            [OutcomeWeights(0.5, float(q)), OutcomeWeights(0.5, -float(q))]
-        )
+        model = MeasurementModel.from_weights([0.5, 0.5], [float(q), -float(q)])
         values.append(entanglement.consumption(UNIT, model).delta_s)
     assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
 

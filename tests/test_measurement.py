@@ -9,75 +9,66 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from minqet import measurement, protocol, qmath
-from minqet.measurement import (
-    ConstraintViolation,
-    KrausCoefficients,
-    MeasurementModel,
-    OutcomeWeights,
-)
+from minqet.measurement import ConstraintViolation, MeasurementModel, weight_block
 from minqet.model import ModelParams, ParamsBlock, build_hamiltonian, ground_state
 
 from conftest import case_block
 
 
 def test_identity_outcome_is_valid():
-    model = measurement.validate([KrausCoefficients(m=1.0, l=0.0)])
-    (w,) = model.weights
-    assert abs(w.p - 1.0) <= 1e-15
-    assert abs(w.q) <= 1e-15
+    model = MeasurementModel([[1.0, 0.0, 0.0, 0.0]])
+    (p,), (q,) = weight_block(model.rows)
+    assert abs(p - 1.0) <= 1e-15
+    assert abs(q) <= 1e-15
 
 
 def test_projective_pair_weights():
     # two sigma_x projectors written with alpha: (m, l, 0) and (m, l, pi)
-    model = measurement.validate(
-        [
-            KrausCoefficients(m=0.5, l=0.5, alpha=0.0),
-            KrausCoefficients(m=0.5, l=0.5, alpha=math.pi),
-        ]
-    )
-    w0, w1 = model.weights
-    assert abs(w0.p - 0.5) <= 1e-15 and abs(w0.q - 0.5) <= 1e-15
-    assert abs(w1.p - 0.5) <= 1e-15 and abs(w1.q + 0.5) <= 1e-15
+    model = MeasurementModel([[0.5, 0.5, 0.0, 0.0], [0.5, 0.5, math.pi, 0.0]])
+    (p0, p1), (q0, q1) = weight_block(model.rows)
+    assert abs(p0 - 0.5) <= 1e-15 and abs(q0 - 0.5) <= 1e-15
+    assert abs(p1 - 0.5) <= 1e-15 and abs(q1 + 0.5) <= 1e-15
 
 
 def test_normalization_violation():
     with pytest.raises(ConstraintViolation) as info:
-        measurement.validate(
-            [KrausCoefficients(m=0.6, l=0.3), KrausCoefficients(m=0.6, l=-0.3)]
-        )
+        MeasurementModel([[0.6, 0.3, 0.0, 0.0], [0.6, -0.3, 0.0, 0.0]])
     assert info.value.kind == "normalization"
     assert abs(info.value.residual - 0.1) <= 1e-12
+
+
+def test_model_needs_an_outcome():
+    with pytest.raises(ConstraintViolation, match="no outcomes") as info:
+        MeasurementModel(np.zeros((0, 4)))
+    assert info.value.kind == "normalization"
 
 
 def test_balance_violation():
     root_half = math.sqrt(0.5)
     with pytest.raises(ConstraintViolation) as info:
-        measurement.validate([KrausCoefficients(m=root_half, l=root_half)])
+        MeasurementModel([[root_half, root_half, 0.0, 0.0]])
     assert info.value.kind == "balance"
 
 
 def test_weights_to_coeffs_identity():
-    model = measurement.weights_to_coeffs([OutcomeWeights(1.0, 0.0)])
-    (c,) = model.coeffs
-    assert abs(c.m - 1.0) <= 1e-15
-    assert abs(c.l) <= 1e-15
+    model = MeasurementModel.from_weights([1.0], [0.0])
+    ((m, l, _, _),) = model.rows
+    assert abs(m - 1.0) <= 1e-15
+    assert abs(l) <= 1e-15
 
 
 def test_weights_to_coeffs_projective():
-    model = measurement.weights_to_coeffs(
-        [OutcomeWeights(0.5, 0.5), OutcomeWeights(0.5, -0.5)]
-    )
-    c0, c1 = model.coeffs
-    assert abs(c0.m - 0.5) <= 1e-15 and abs(c0.l - 0.5) <= 1e-15
-    assert abs(c1.m - 0.5) <= 1e-15 and abs(c1.l + 0.5) <= 1e-15
+    model = MeasurementModel.from_weights([0.5, 0.5], [0.5, -0.5])
+    (m0, l0, _, _), (m1, l1, _, _) = model.rows
+    assert abs(m0 - 0.5) <= 1e-15 and abs(l0 - 0.5) <= 1e-15
+    assert abs(m1 - 0.5) <= 1e-15 and abs(l1 + 0.5) <= 1e-15
 
 
 def test_weights_round_trip():
-    given_weights = [OutcomeWeights(0.5, 0.25), OutcomeWeights(0.5, -0.25)]
-    model = measurement.weights_to_coeffs(given_weights)
-    for w_in, w_out in zip(given_weights, model.weights):
-        assert abs(w_in.p - w_out.p) <= 1e-12
-        assert abs(w_in.q - w_out.q) <= 1e-12
+    given_p, given_q = np.array([0.5, 0.5]), np.array([0.25, -0.25])
+    p, q = weight_block(MeasurementModel.from_weights(given_p, given_q).rows)
+    assert np.all(np.abs(p - given_p) <= 1e-12)
+    assert np.all(np.abs(q - given_q) <= 1e-12)
 
 
 @settings(max_examples=60, deadline=None)
@@ -88,21 +79,22 @@ def test_weights_round_trip():
 def test_weights_round_trip_property(p0, u0):
     # symmetric two-outcome family keeps the constraints satisfiable by hand
     q0 = u0 * min(p0, 1.0 - p0)
-    ws = [OutcomeWeights(p0, q0), OutcomeWeights(1.0 - p0, -q0)]
-    model = measurement.weights_to_coeffs(ws)
-    for w_in, w_out in zip(ws, model.weights):
-        assert abs(w_in.p - w_out.p) <= 1e-12
-        assert abs(w_in.q - w_out.q) <= 1e-12
+    given_p, given_q = np.array([p0, 1.0 - p0]), np.array([q0, -q0])
+    p, q = weight_block(MeasurementModel.from_weights(given_p, given_q).rows)
+    assert np.all(np.abs(p - given_p) <= 1e-12)
+    assert np.all(np.abs(q - given_q) <= 1e-12)
 
 
 def test_weights_to_coeffs_rejects_unnormalized():
     with pytest.raises(ConstraintViolation):
-        measurement.weights_to_coeffs([OutcomeWeights(0.7, 0.0)])
+        MeasurementModel.from_weights([0.7], [0.0])
 
 
 def test_weight_type_rejects_q_above_p():
-    with pytest.raises(ConstraintViolation):
-        OutcomeWeights(0.3, 0.5)
+    # the outcome check runs before the canonical map and its normalization
+    with pytest.raises(ConstraintViolation) as info:
+        MeasurementModel.from_weights([0.3], [0.5])
+    assert info.value.kind == "balance"
 
 
 def test_kraus_identity_outcome():
@@ -132,26 +124,17 @@ def test_kraus_commutes_with_interaction(small_ensemble):
 def test_kraus_stack_matches_kron_oracle():
     sx, one = np.array([[0.0, 1.0], [1.0, 0.0]]), np.eye(2)
     models = [
-        measurement.validate(
-            [
-                KrausCoefficients(m=0.5, l=0.5, alpha=0.3, delta=1.1),
-                KrausCoefficients(m=0.5, l=-0.5, alpha=-0.3, delta=-2.4),
-            ]
-        ),
-        measurement.validate(
-            [
-                KrausCoefficients(m=0.6, l=0.0, alpha=0.0, delta=0.7),
-                KrausCoefficients(m=0.4, l=0.4, alpha=1.2, delta=0.2),
-                KrausCoefficients(m=0.4, l=-0.4, alpha=1.2, delta=-1.0),
-            ]
+        MeasurementModel([[0.5, 0.5, 0.3, 1.1], [0.5, -0.5, -0.3, -2.4]]),
+        MeasurementModel(
+            [[0.6, 0.0, 0.0, 0.7], [0.4, 0.4, 1.2, 0.2], [0.4, -0.4, 1.2, -1.0]]
         ),
         measurement.random_measurement(seed=11, n_outcomes=5),
     ]
     for model in models:
         assert model.kraus.shape == (model.n_outcomes, 4, 4)
-        for op, c in zip(model.kraus, model.coeffs):
-            m2 = c.m * one + c.l * np.exp(1j * c.alpha) * sx
-            oracle = np.exp(1j * c.delta) * np.kron(m2, one)
+        for op, (m, l, alpha, delta) in zip(model.kraus, model.rows.tolist()):
+            m2 = m * one + l * np.exp(1j * alpha) * sx
+            oracle = np.exp(1j * delta) * np.kron(m2, one)
             assert float(np.max(np.abs(op - oracle))) <= 1e-15
 
 
@@ -192,17 +175,15 @@ def test_measure_probabilities_match_weights(small_ensemble):
     columns = protocol.run_many(block, coeffs, omega, axes)
     for (_, model), probabilities in zip(small_ensemble, columns.per_outcome[..., 0].tolist()):
         total = 0.0
-        for w, probability in zip(model.weights, probabilities):
-            assert abs(probability - w.p) <= 1e-10
+        for p, probability in zip(weight_block(model.rows)[0].tolist(), probabilities):
+            assert abs(probability - p) <= 1e-10
             total += probability
         assert abs(total - 1.0) <= 1e-12
 
 
 def test_measure_degenerate_outcome():
     tiny = 1e-16
-    model = measurement.weights_to_coeffs(
-        [OutcomeWeights(tiny, 0.0), OutcomeWeights(1.0 - tiny, 0.0)]
-    )
+    model = MeasurementModel.from_weights([tiny, 1.0 - tiny], [0.0, 0.0])
     report = protocol.run(ModelParams(h=1.0, k=1.0), model, protocol.FeedbackPolicy.identity(2))
     assert report.per_outcome[0].probability == 0.0
     assert report.reduced_eigenvalues[0] is None
@@ -270,8 +251,9 @@ def test_random_measurement_bulk_validity():
     for i in range(1000):
         model = measurement.random_measurement(seed=i, n_outcomes=2 + i % 4)
         measurement.validate(model)  # does not raise
-        assert abs(sum(w.q for w in model.weights)) <= 1e-12
-        assert abs(sum(w.p for w in model.weights) - 1.0) <= 1e-12
+        p, q = weight_block(model.rows)
+        assert abs(sum(q.tolist())) <= 1e-12
+        assert abs(sum(p.tolist()) - 1.0) <= 1e-12
 
 
 def test_random_measurement_needs_two_outcomes():
@@ -287,9 +269,9 @@ def test_constraint_residuals_structure():
 
 def test_weak_pair_and_limits():
     model = measurement.weak_pair(0.3)
-    w0, w1 = model.weights
-    assert abs(w0.p - 0.5) <= 1e-15 and abs(w0.q - 0.15) <= 1e-15
-    assert abs(w1.q + 0.15) <= 1e-15
+    (p0, _), (q0, q1) = weight_block(model.rows)
+    assert abs(p0 - 0.5) <= 1e-15 and abs(q0 - 0.15) <= 1e-15
+    assert abs(q1 + 0.15) <= 1e-15
     # u = 1 is exactly the projective pair
     strong = measurement.weak_pair(1.0)
     assert strong == measurement.projective_pair()
@@ -299,15 +281,15 @@ def test_json_round_trip_outcomes():
     model = measurement.random_measurement(seed=7, n_outcomes=3)
     obj = measurement.to_json_obj(model)
     clone = measurement.from_json_obj(json.loads(json.dumps(obj)))
-    for c_in, c_out in zip(model.coeffs, clone.coeffs):
-        assert abs(c_in.m - c_out.m) <= 1e-15
-        assert abs(c_in.l - c_out.l) <= 1e-15
+    for (m_in, l_in, _, _), (m_out, l_out, _, _) in zip(model.rows, clone.rows):
+        assert abs(m_in - m_out) <= 1e-15
+        assert abs(l_in - l_out) <= 1e-15
 
 
 def test_json_weights_variant():
     obj = {"weights": [{"p": 0.5, "q": 0.25}, {"p": 0.5, "q": -0.25}]}
     model = measurement.from_json_obj(obj)
-    assert abs(model.weights[0].q - 0.25) <= 1e-12
+    assert abs(weight_block(model.rows)[1][0] - 0.25) <= 1e-12
 
 
 def test_json_rejects_ambiguous_payload():
@@ -317,6 +299,47 @@ def test_json_rejects_ambiguous_payload():
         measurement.from_json_obj(
             {"outcomes": [{"m": 1.0, "l": 0.0}], "weights": [{"p": 1.0, "q": 0.0}]}
         )
+
+
+@pytest.mark.parametrize(
+    "obj, error, message",
+    [
+        (
+            {"weights": [{"p": 0.5, "q": 0.0}, {"p": math.nan, "q": 0.0}]},
+            ConstraintViolation,
+            "balance constraint violated (residual inf): weights must be finite",
+        ),
+        (
+            {"weights": [{"p": -0.5, "q": 0.0}, {"p": 1.5, "q": 0.0}]},
+            ConstraintViolation,
+            "balance constraint violated (residual 5.000e-01): p must be nonnegative",
+        ),
+        (
+            {"weights": [{"p": 0.3, "q": 0.1}, {"p": 0.7, "q": -0.9}]},
+            ConstraintViolation,
+            "balance constraint violated (residual 2.000e-01): |q| may not exceed p",
+        ),
+        ({"weights": []}, ValueError, "'weights' must be a non-empty list"),
+        ({"outcomes": []}, ValueError, "'outcomes' must be a non-empty list"),
+        ({"weights": [{"p": 0.5}, {"p": 0.5, "q": 0.0}]}, ValueError,
+         "bad weight entry at index 0: 'q'"),
+        ({"outcomes": [{"m": 1.0}]}, ValueError, "bad outcome entry at index 0: 'l'"),
+        (
+            {"outcomes": [{"m": 1.0, "l": 0.0}], "weights": [{"p": 1.0, "q": 0.0}]},
+            ValueError,
+            "measurement description needs exactly one of 'outcomes' or 'weights'",
+        ),
+        ({"weights": [0.5, 0.5]}, ValueError,
+         "bad weight entry at index 0: 'float' object is not subscriptable"),
+        ({"outcomes": ["abc"]}, ValueError,
+         "bad outcome entry at index 0: string indices must be integers, not 'str'"),
+    ],
+)
+def test_json_rejects_malformed_input_with_its_message(obj, error, message):
+    with pytest.raises(ValueError) as info:
+        measurement.from_json_obj(obj)
+    assert type(info.value) is error
+    assert str(info.value) == message
 
 
 def test_balance_weights_pins_sum():

@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 from minqet import analytic, measurement, optimizer, protocol
-from minqet.measurement import OutcomeWeights
+from minqet.measurement import MeasurementModel, weight_block
 from minqet.model import ModelParams
 
-from conftest import case_block, model_ensemble, weight_arrays
+from conftest import case_block, model_ensemble
 
 UNIT = ModelParams(h=1.0, k=1.0)
 MAX_EB_UNIT = 0.11474763394014725
@@ -23,9 +23,7 @@ def test_fibonacci_sphere_is_unit():
 
 
 def test_policy_search_trivial_model():
-    model = measurement.weights_to_coeffs(
-        [OutcomeWeights(0.5, 0.0), OutcomeWeights(0.5, 0.0)]
-    )
+    model = MeasurementModel.from_weights([0.5, 0.5], [0.0, 0.0])
     res = optimizer.maximize_over_policy(UNIT, model)
     assert abs(res.best_value) <= 1e-10
     assert res.converged
@@ -42,7 +40,7 @@ def test_policy_search_matches_closed_form_ensemble():
     members = model_ensemble(30, seed0=500)
     for params, model in members:
         res = optimizer.maximize_over_policy(params, model)
-        closed = analytic.max_EB_closed(params, *weight_arrays(model.weights))
+        closed = analytic.max_EB_closed(params, *weight_block(model.rows))
         rel = abs(res.best_value - closed) / max(closed, 1e-9)
         assert rel <= 1e-7
         assert res.best_value <= closed + 1e-9
@@ -53,8 +51,8 @@ def test_policy_search_canonical_axis():
     members = model_ensemble(20, seed0=900)
     for params, model in members:
         res = optimizer.maximize_over_policy(params, model)
-        for w, u in zip(model.weights, res.best_policy.unitaries):
-            if abs(w.q) > 1e-12:
+        for q, u in zip(weight_block(model.rows)[1].tolist(), res.best_policy.unitaries):
+            if abs(q) > 1e-12:
                 assert abs(u.n[1]) >= 1.0 - 1e-4
 
 
@@ -81,13 +79,11 @@ def search(cases):
 
 
 def test_policy_batch_matches_one_call_per_case(monkeypatch):
-    mixed = measurement.weights_to_coeffs(
-        [
-            OutcomeWeights(0.3, 0.3),  # |q| = p: the tie rule reports the y axis
-            OutcomeWeights(0.0, 0.0),  # zero mass: identity, no search row
-            OutcomeWeights(0.4, 0.0),  # q = 0: flat in the axis
-            OutcomeWeights(0.3, -0.3),
-        ]
+    mixed = MeasurementModel.from_weights(
+        # |q| = p: the tie rule reports the y axis; zero mass: identity, no
+        # search row; q = 0: flat in the axis
+        [0.3, 0.0, 0.4, 0.3],
+        [0.3, 0.0, 0.0, -0.3],
     )
     cases = [(UNIT, mixed), (ModelParams(h=0.3, k=2.7), measurement.projective_pair())]
     for (h, k), n in zip([(0.5, 2.0), (2.0, 0.5), (1.0, 0.25), (4.0, 1.0)], (2, 3, 4, 6)):
@@ -179,8 +175,8 @@ def test_weights_search_unit_point():
     res = optimizer.maximize_over_weights(UNIT, n_outcomes=2)
     limit = analytic.f_E(UNIT, 1.0)
     assert abs(res.best_value - limit) <= 1e-8
-    for w in res.best_weights:
-        assert abs(abs(w.q) - w.p) <= 1e-6
+    for p, q in zip(*res.best_weights):
+        assert abs(abs(q) - p) <= 1e-6
 
 
 @pytest.mark.parametrize("h, k", [(1.0, 1.0), (0.8, 2.1), (0.25, 4.0), (3.3, 0.4)])

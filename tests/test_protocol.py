@@ -9,11 +9,11 @@ import numpy as np
 import pytest
 
 from minqet import analytic, entanglement, measurement, protocol, qmath
-from minqet.measurement import KrausCoefficients, OutcomeWeights
+from minqet.measurement import MeasurementModel, weight_block
 from minqet.model import ModelParams, ParamsBlock, build_hamiltonian, ground_state
 from minqet.protocol import FeedbackPolicy, LocalUnitary, PolicyMismatch
 
-from conftest import case_block, weight_arrays
+from conftest import case_block
 
 UNIT = ModelParams(h=1.0, k=1.0)
 MAX_EB_UNIT = 0.11474763394014725
@@ -46,8 +46,8 @@ def test_run_optimal_projective_unit_point():
     policy = protocol.optimal_policy(UNIT, model)
     report = protocol.run(UNIT, model, policy)
     assert abs(report.e_b - MAX_EB_UNIT) <= 1e-10
-    assert abs(report.e_b - analytic.max_EB_closed(UNIT, *weight_arrays(model.weights))) <= 1e-10
-    assert report.max_eb_closed == analytic.max_EB_closed(UNIT, *weight_arrays(model.weights))
+    assert abs(report.e_b - analytic.max_EB_closed(UNIT, *weight_block(model.rows))) <= 1e-10
+    assert report.max_eb_closed == analytic.max_EB_closed(UNIT, *weight_block(model.rows))
     assert abs(report.total_final_energy - (report.e_a - report.e_b)) <= 1e-10
     assert report.total_final_energy >= -1e-10
 
@@ -87,15 +87,10 @@ def test_run_negative_energy_density_at_b():
 
 
 def test_run_is_phase_independent():
-    base = measurement.weights_to_coeffs(
-        [OutcomeWeights(0.5, 0.25), OutcomeWeights(0.5, -0.25)]
-    )
-    shifted = measurement.MeasurementModel(
-        tuple(
-            KrausCoefficients(m=c.m, l=c.l, alpha=c.alpha, delta=0.41 * (i + 1))
-            for i, c in enumerate(base.coeffs)
-        )
-    )
+    base = MeasurementModel.from_weights([0.5, 0.5], [0.25, -0.25])
+    rows = base.rows.copy()
+    rows[:, 3] = 0.41 * np.arange(1, 3)
+    shifted = MeasurementModel(rows)
     policy = protocol.optimal_policy(UNIT, base)
     r0 = protocol.run(UNIT, base, policy)
     r1 = protocol.run(UNIT, shifted, policy)
@@ -115,9 +110,7 @@ def test_optimal_policy_angles():
 
 
 def test_optimal_policy_trivial_without_correlation():
-    model = measurement.weights_to_coeffs(
-        [OutcomeWeights(0.5, 0.0), OutcomeWeights(0.5, 0.0)]
-    )
+    model = MeasurementModel.from_weights([0.5, 0.5], [0.0, 0.0])
     for u in protocol.optimal_policy(UNIT, model).unitaries:
         assert u.omega == 0.0
 
@@ -185,21 +178,21 @@ def test_evolution_series_closed_form():
     model = measurement.projective_pair()
     e_a = measurement.input_energy_closed(UNIT, model.rows)
     times = np.linspace(0.0, math.pi / 2.0, 65)
-    samples = protocol.evolve_series(UNIT, model, times)
+    t, hb, _, v = protocol.evolve_series(UNIT, model, times)
     amp = UNIT.h**2 / UNIT.eps * 0.5
-    for s in samples:
-        closed = amp * (1.0 - math.cos(4.0 * UNIT.k * s.t))
-        assert abs(s.hb_bruteforce - closed) <= 1e-9 * max(1.0, closed)
-        assert abs(s.v_expect) <= 1e-9
-    assert abs(samples[0].hb_bruteforce) <= 1e-12
+    for t_i, hb_i, v_i in zip(t.tolist(), hb.tolist(), v.tolist()):
+        closed = amp * (1.0 - math.cos(4.0 * UNIT.k * t_i))
+        assert abs(hb_i - closed) <= 1e-9 * max(1.0, closed)
+        assert abs(v_i) <= 1e-9
+    assert abs(hb[0]) <= 1e-12
     # peak at t = pi / (4k) equals the input energy; full period returns to 0
-    peak, period = protocol.evolve_series(UNIT, model, [math.pi / 4.0, math.pi / 2.0])
-    assert abs(peak.hb_bruteforce - e_a) <= 1e-9
-    assert abs(period.hb_bruteforce) <= 1e-9
+    _, (peak, period), _, _ = protocol.evolve_series(UNIT, model, [math.pi / 4.0, math.pi / 2.0])
+    assert abs(peak - e_a) <= 1e-9
+    assert abs(period) <= 1e-9
 
 
 # evolve_series at (2, 0.5), weak(0.3), 4096 times on [0, 2 pi] from the
-# per-time loop it replaced: (index, hb_bruteforce, hb_closed, v_expect),
+# per-time loop it replaced: (index, H_B brute force, H_B closed, V),
 # then the exact sums of the two H_B columns
 EVOLVE_FROZEN = (
     (0, 1.693071290138649e-17, 0.0, -1.1549166187806248e-16),
@@ -217,12 +210,13 @@ EVOLVE_SUMS = (182.9872793223448, 182.987279322345)
 
 def test_evolution_matches_frozen_values():
     times = np.linspace(0.0, 2.0 * math.pi, 4096)
-    samples = protocol.evolve_series(ModelParams(2.0, 0.5), measurement.weak_pair(0.3), times)
-    assert [s.t for s in samples] == times.tolist()
+    t, hb, closed, v = protocol.evolve_series(
+        ModelParams(2.0, 0.5), measurement.weak_pair(0.3), times
+    )
+    assert t.tolist() == times.tolist()
     for i, *values in EVOLVE_FROZEN:
-        s = samples[i]
-        assert_close((s.hb_bruteforce, s.hb_closed, s.v_expect), values)
-    sums = [math.fsum(s.hb_bruteforce for s in samples), math.fsum(s.hb_closed for s in samples)]
+        assert_close((hb[i], closed[i], v[i]), values)
+    sums = [math.fsum(hb.tolist()), math.fsum(closed.tolist())]
     assert_close(sums, EVOLVE_SUMS)
 
 
@@ -241,7 +235,7 @@ def test_evolution_other_parameters():
     model = measurement.weak_pair(0.3)
     e_a = measurement.input_energy_closed(params, model.rows)
     t_peak = math.pi / (4.0 * params.k)
-    peak = protocol.evolve_series(params, model, [t_peak])[0].hb_bruteforce
+    peak = protocol.evolve_series(params, model, [t_peak])[1][0]
     assert abs(peak - e_a) <= 1e-9 * max(1.0, e_a)
 
 
@@ -295,7 +289,7 @@ TURNS = tuple(
 
 
 def weights_model(pairs):
-    return measurement.weights_to_coeffs([OutcomeWeights(p, q) for p, q in pairs])
+    return MeasurementModel.from_weights(*np.transpose(pairs))
 
 
 def turns(n, start=0):

@@ -113,8 +113,7 @@ def block_residuals(block: ParamsBlock, coeffs, povm, outcomes, axis_rows) -> di
     # each inequality on the brute-force delta_S and on the closed forms alone
     # (bound32_rhs is c32 maxE_B / eps from the closed maximum)
     found["bound-32"] = [rhs32 - delta_s, rhs32 - delta_closed]
-    c770 = analytic.bounds(block).c770
-    found["bound-770"] = [run.bound770_rhs - max_eb, c770 * delta_closed - max_eb]
+    found["bound-770"] = [run.bound770_rhs - max_eb, run.c770 * delta_closed - max_eb]
     # B's reduced eigenvalues (lambda_-, lambda_+) by brute force, (n, B, 2); NaN where
     # an outcome is degenerate or padding
     brute = np.swapaxes(run.reduced_eigenvalues, 0, 1)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import csv
+import functools
 import hashlib
 import json
 import re
@@ -44,16 +45,17 @@ SWEEP_COLUMNS = [
 
 EVOLVE_COLUMNS = ["t", "HB_bruteforce", "HB_closed", "V_expect"]
 
+# report's per-outcome keys, in the order of run_block's per_outcome rows
+PER_OUTCOME_KEYS = ("probability", "H_A", "H_B", "V", "total")
+
 
 def fmt(x: float) -> str:
     return f"{x:.16e}"
 
 
-def povm_sha256(meas: measurement.MeasurementModel) -> str:
-    """Hash of the canonical JSON form, identifying the measurement."""
-    text = json.dumps(
-        measurement.to_json_obj(meas), sort_keys=True, separators=(",", ":")
-    )
+def povm_sha256(obj: dict) -> str:
+    """Hash identifying a measurement, of its canonical JSON form ``measurement.to_json_obj``."""
+    text = json.dumps(obj, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(text.encode("ascii")).hexdigest()
 
 
@@ -157,59 +159,51 @@ def cmd_verify(args) -> int:
 def cmd_report(args) -> int:
     params = ModelParams(h=args.h, k=args.k)
     meas = resolve_povm(args.povm)
-    policy = protocol.optimal_policy(params, meas)
-    report = protocol.run(params, meas, policy)
-    max_eb = report.max_eb_closed
-    weights = measurement.weight_block(meas.rows)
-    coeffs = analytic.bounds(params)
+    povm = measurement.to_json_obj(meas)
+    # the case as a block of one: its weights serve the policy, the run and the payload
+    block = protocol.measured_block(ParamsBlock.of([params]), meas.rows[None])
+    omega, axes = protocol.optimal_table(params, block.p, block.q)
+    report = protocol.run_block(block, omega, axes)
+    case = {name: value.tolist()[0] for name, value in vars(report).items()}
+    p, q = block.p[:, 0], block.q[:, 0]
+    max_eb = case["max_eb_closed"]
     payload = {
         "params": {"h": params.h, "k": params.k, "eps": params.eps},
         "povm": {
             "source": args.povm,
-            "sha256": povm_sha256(meas),
-            "outcomes": measurement.to_json_obj(meas)["outcomes"],
-            "weights": [{"p": p, "q": q} for p, q in zip(*(w.tolist() for w in weights))],
+            "sha256": povm_sha256(povm),
+            "outcomes": povm["outcomes"],
+            "weights": [{"p": p_mu, "q": q_mu} for p_mu, q_mu in zip(p.tolist(), q.tolist())],
         },
         "energies": {
-            "E_A_closed": report.e_a_closed,
-            "E_A_bruteforce": report.e_a,
+            "E_A_closed": case["e_a_closed"],
+            "E_A_bruteforce": case["e_a"],
             "maxE_B_closed": max_eb,
-            "E_B_bruteforce": report.e_b,
-            "total_final_energy": report.total_final_energy,
+            "E_B_bruteforce": case["e_b"],
+            "total_final_energy": case["total_final_energy"],
         },
         "entanglement": {
-            "ground_entropy": report.s_ground,
-            "delta_S": report.delta_s,
-            "delta_S_closed": analytic.delta_S_closed(params, *weights),
-            "mutual_info": report.mutual_info,
+            "ground_entropy": case["s_ground"],
+            "delta_S": case["delta_s"],
+            "delta_S_closed": analytic.delta_S_closed(params, p, q),
+            "mutual_info": case["mutual_info"],
         },
         "bounds": {
-            "c32": coeffs.c32,
-            "c770": coeffs.c770,
+            "c32": case["c32"],
+            "c770": case["c770"],
             "bound32": {
-                "lhs": report.delta_s,
-                "rhs": report.bound32_rhs,
-                "slack": report.delta_s - report.bound32_rhs,
+                "lhs": case["delta_s"],
+                "rhs": case["bound32_rhs"],
+                "slack": case["delta_s"] - case["bound32_rhs"],
             },
             "bound770": {
                 "lhs": max_eb,
-                "rhs": report.bound770_rhs,
-                "slack": max_eb - report.bound770_rhs,
+                "rhs": case["bound770_rhs"],
+                "slack": max_eb - case["bound770_rhs"],
             },
         },
-        "policy": [
-            {"omega": u.omega, "n": list(u.n)} for u in policy.unitaries
-        ],
-        "per_outcome": [
-            {
-                "probability": oc.probability,
-                "H_A": oc.h_a,
-                "H_B": oc.h_b,
-                "V": oc.v,
-                "total": oc.total,
-            }
-            for oc in report.per_outcome
-        ],
+        "policy": [{"omega": w, "n": n} for w, n in zip(omega[0].tolist(), axes[0].tolist())],
+        "per_outcome": [dict(zip(PER_OUTCOME_KEYS, row)) for row in case["per_outcome"]],
     }
     print(json.dumps(payload, indent=2))
     return 0
@@ -226,7 +220,7 @@ def cmd_sweep(args) -> int:
     h_values = parse_range(args.h)
     k_values = parse_range(args.k)
     meas = resolve_povm(args.povm)
-    sha = povm_sha256(meas)
+    sha = povm_sha256(measurement.to_json_obj(meas))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -339,7 +333,7 @@ def cmd_optimize(args) -> int:
         payload = {
             "over": "policy",
             "params": {"h": params.h, "k": params.k},
-            "povm": {"source": args.povm, "sha256": povm_sha256(meas)},
+            "povm": {"source": args.povm, "sha256": povm_sha256(measurement.to_json_obj(meas))},
             "best_value": result.best_value,
             "closed_form_max": analytic.max_EB_closed(params, *weights),
             "policy": [
@@ -368,14 +362,12 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--seed", type=int, default=0)
     v.add_argument("--ensemble", type=int, default=1000,
                    help="random models per ensemble check (0 skips them)")
-    v.set_defaults(func=cmd_verify)
 
     r = sub.add_parser("report", help="single-run JSON report")
     r.add_argument("--h", type=float, required=True)
     r.add_argument("--k", type=float, required=True)
     r.add_argument("--povm", required=True,
                    help="JSON file or builtin:projective|weak(U)|identity")
-    r.set_defaults(func=cmd_report)
 
     s = sub.add_parser("sweep", help="CSV over an (h, k) grid")
     s.add_argument("--h", required=True, help="MIN:MAX:N[:log] or a single value")
@@ -383,7 +375,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--povm", required=True)
     s.add_argument("--out", required=True, help="output directory")
     s.add_argument("--jobs", type=int, default=1)
-    s.set_defaults(func=cmd_sweep)
 
     e = sub.add_parser("evolve", help="post-measurement energy vs time, CSV")
     e.add_argument("--h", type=float, required=True)
@@ -392,7 +383,6 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--t-max", type=float, required=True)
     e.add_argument("--points", type=int, default=256)
     e.add_argument("--out", default="", help="CSV path (default: stdout)")
-    e.set_defaults(func=cmd_evolve)
 
     o = sub.add_parser("optimize", help="numeric maximization, JSON report")
     o.add_argument("--h", type=float, required=True)
@@ -402,18 +392,25 @@ def build_parser() -> argparse.ArgumentParser:
     o.add_argument("--over", choices=("policy", "weights"), default="policy")
     o.add_argument("--n-outcomes", type=int, default=2,
                    help="outcome count for --over weights")
-    o.set_defaults(func=cmd_optimize)
     return ap
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser: ``build_parser``'s, built on first use."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    """Run one command; every call in a process parses with the same parser."""
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
+    # looked up by name at call time, so a rebound cmd_* attribute is the one that runs
+    command = globals()[f"cmd_{args.command}"]
     try:
-        return args.func(args)
+        return command(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

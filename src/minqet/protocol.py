@@ -126,7 +126,9 @@ class ProtocolReport:
 
     ``e_a_closed`` is ``measurement.input_energy_closed`` and
     ``max_eb_closed`` is ``analytic.max_EB_closed`` of the weights, the
-    closed form behind ``bound32_rhs``.  ``reduced_eigenvalues`` holds, per
+    closed form behind ``bound32_rhs``; ``c32`` and ``c770`` are
+    ``analytic.bounds``, the coefficients of ``bound32_rhs`` and
+    ``bound770_rhs``.  ``reduced_eigenvalues`` holds, per
     outcome, the ascending eigenvalues of B's reduced post-measurement
     state, or None for a degenerate outcome.  From ``run_block`` every field
     is an array over the block's B cases: (B,) numbers, (B, n, 5)
@@ -145,6 +147,8 @@ class ProtocolReport:
     max_eb_closed: float
     bound32_rhs: float
     bound770_rhs: float
+    c32: float
+    c770: float
     reduced_eigenvalues: tuple[tuple[float, float] | None, ...]
 
 
@@ -287,7 +291,7 @@ def run_block(
     return ProtocolReport(
         e_a, e_a_closed, e_b, total_final, per_outcome, ent.s_ground, ent.delta_s,
         ent.mutual_info, max_eb, bound.c32 * max_eb / params.eps, bound.c770 * ent.delta_s,
-        ent.reduced_eigenvalues,
+        bound.c32, bound.c770, ent.reduced_eigenvalues,
     )
 
 

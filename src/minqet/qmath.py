@@ -78,17 +78,22 @@ def require_hermitian(m: np.ndarray, tol: float = HERMITIAN_TOL) -> np.ndarray:
     """Return the symmetrized copy (m + m^dag)/2, or raise ``NonHermitianInput``.
 
     ``m`` is a square matrix or a stack (..., d, d) of them; one defect over
-    tolerance anywhere in the stack rejects it.
+    tolerance anywhere in the stack rejects it.  A stack that equals its own
+    conjugate transpose exactly, such as every ``build_hamiltonian`` operator,
+    is returned as it is: symmetrizing it would give the same values.
     """
     m = np.asarray(m, dtype=complex)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise NonHermitianInput(f"expected a square matrix, got shape {m.shape}")
+    adjoint = np.swapaxes(m, -1, -2).conj()
+    if (m == adjoint).all():
+        return m
     defect = hermiticity_defect(m)
     if defect > tol:
         raise NonHermitianInput(
             f"matrix deviates from Hermiticity by {defect:.3e} (tolerance {tol:.0e})"
         )
-    return 0.5 * (m + np.swapaxes(m, -1, -2).conj())
+    return 0.5 * (m + adjoint)
 
 
 def hermitian_eig(m: np.ndarray, tol: float = HERMITIAN_TOL) -> tuple[np.ndarray, np.ndarray]:

@@ -3,7 +3,11 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -454,3 +458,48 @@ def test_numeric_failure_exits_one_without_traceback(capsys, tmp_path, argv):
 def test_unknown_subcommand(capsys):
     code, _, _ = run_cli(capsys, "frobnicate")
     assert code == 2
+
+
+# in this order in one process, each call prints what it prints as the first
+# call of a fresh interpreter: a report, a usage error, a 6-outcome weights
+# search, the default 2 outcomes back, a policy search with no --povm, a verify
+REUSE_CALLS = [
+    "report --h 0.8 --k 2.1 --povm builtin:weak(0.3)",
+    "report --h 0.8 --k 2.1",
+    "optimize --h 0.8 --k 2.1 --over weights --n-outcomes 6",
+    "optimize --h 0.8 --k 2.1 --over weights",
+    "optimize --h 0.8 --k 2.1 --over policy",
+    "verify --ensemble 0",
+]
+
+
+def test_one_parser_serves_every_call_of_a_process(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage lines to the terminal width
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    procs = [
+        subprocess.Popen(
+            [sys.executable, "-m", "minqet.cli", *argv.split()],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+        for argv in REUSE_CALLS
+    ]
+    fresh = []
+    for proc in procs:
+        out, err = proc.communicate(timeout=120)
+        fresh.append((proc.returncode, out, err))
+    assert [code for code, _, _ in fresh] == [0, 2, 0, 0, 2, 0]
+    assert [len(json.loads(fresh[i][1])["weights"]) for i in (2, 3)] == [6, 2]
+    assert fresh[4][2] == "error: optimize --over policy needs --povm\n"
+
+    assert run_cli(capsys, *REUSE_CALLS[0].split()) == fresh[0]
+    # the parser is built by now, and reused: a rebuild would fail from here on
+    monkeypatch.setattr(cli, "build_parser", None)
+    for argv, expected in zip(REUSE_CALLS[1:], fresh[1:]):
+        assert run_cli(capsys, *argv.split()) == expected, argv
+
+    # a command runs by its name at call time, so a rebound cmd_* is the one that runs
+    seen = []
+    monkeypatch.setattr(cli, "cmd_report", lambda args: seen.append(args.povm) or 0)
+    assert run_cli(capsys, *REUSE_CALLS[0].split()) == (0, "", "")
+    assert seen == ["builtin:weak(0.3)"]

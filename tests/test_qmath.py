@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from minqet import qmath
-from minqet.model import ModelParams, build_hamiltonian, ground_state
+from minqet.model import ModelParams, ParamsBlock, build_hamiltonian, ground_state
 
 RNG = np.random.default_rng(20240811)
 
@@ -168,6 +168,18 @@ def test_expectation_rejects_non_hermitian():
     m[2, 0] = 3.0
     with pytest.raises(qmath.NonHermitianInput):
         qmath.expectation(np.array([1.0, 0, 0, 0]), m)
+
+
+def test_require_hermitian_keeps_an_exact_stack_and_symmetrizes_a_near_one():
+    block = ParamsBlock.of([ModelParams(h=0.7, k=1.3), ModelParams(h=2.0, k=0.4)])
+    parts = build_hamiltonian(block)
+    ops = np.stack([parts.h_a, parts.h_b, parts.v, parts.total], axis=1).astype(complex)
+    assert qmath.require_hermitian(ops).tobytes() == ops.tobytes()  # bit for bit
+    near = ops + 1e-12 * np.triu(np.ones((4, 4)), 1)  # within tolerance, not exact
+    symmetrized = qmath.require_hermitian(near)
+    assert np.array_equal(symmetrized, 0.5 * (near + np.swapaxes(near, -1, -2).conj()))
+    assert np.array_equal(symmetrized, np.swapaxes(symmetrized, -1, -2).conj())
+    assert not np.array_equal(symmetrized, near)
 
 
 def test_expectation_on_a_ket_stack_equals_one_call_per_ket():

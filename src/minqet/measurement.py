@@ -232,16 +232,19 @@ def balance_weights(p: np.ndarray, u: np.ndarray) -> np.ndarray:
     zero-mass outcomes are unclipped there, so every s on it gives the same q.
     """
     knots = np.sort(np.concatenate((u - 1.0, u + 1.0), axis=-1), axis=-1)
-    r = (np.clip(u[..., None, :] - knots[..., None], -1.0, 1.0) * p[..., None, :]).sum(axis=-1)
+    # R at every knot from one (..., 2n, n) temporary, clipped and weighted in place
+    terms = u[..., None, :] - knots[..., None]
+    np.minimum(np.maximum(terms, -1.0, out=terms), 1.0, out=terms)
+    terms *= p[..., None, :]
+    r = terms.sum(axis=-1)
     j = np.argmax(r <= 0.0, axis=-1)[..., None]
-    # the knot and R at j, and at the knot before it (j itself where j = 0)
-    (s, s_before), (r_j, r_before) = (
-        (np.take_along_axis(a, j, -1), np.take_along_axis(a, np.maximum(j - 1, 0), -1))
-        for a in (knots, r)
-    )
+    # the knot and R at j, and at the knot before it (j itself where j = 0), in one gather
+    at = np.concatenate((j, np.maximum(j - 1, 0)), axis=-1)[..., None, :]
+    found = np.take_along_axis(np.stack((knots, r), axis=-2), at, -1)
+    s, s_before, r_j, r_before = (found[..., a, b, None] for a in (0, 1) for b in (0, 1))
     back = (j > 0) & (r_j < 0.0)
     s = np.where(back, s + r_j * (s - s_before) / np.where(back, r_before - r_j, 1.0), s)
-    return np.clip(u - s, -1.0, 1.0) * p
+    return np.minimum(np.maximum(u - s, -1.0), 1.0) * p
 
 
 def raw_draw(rng: np.random.Generator, n_outcomes: int) -> tuple[np.ndarray, np.ndarray]:

@@ -17,9 +17,10 @@ Two searches, both deterministic (no RNG):
 
 * ``maximize_over_weights`` searches the measurement design space itself:
   outcome weights (p, q) on the simplex with sum(q) = 0 and |q| <= p,
-  scoring each candidate by the closed-form maximum teleported energy, a
-  whole compass poll per call.  The optimum saturates |q| = p on every
-  outcome.
+  scoring each candidate by the closed-form maximum teleported energy.  Its
+  four starts run in one lockstep poll, every live start's compass points
+  scored in one call, each start on the path it takes alone.  The optimum
+  saturates |q| = p on every outcome.
 
 A search that runs out of refinement iterations reports converged=False on
 its result rather than raising.
@@ -44,6 +45,7 @@ REFINE_ITERS = 200
 # rows per block, which bounds the search's arrays whatever the number of rows
 SCAN_BLOCK = 32  # (rows, 256) lattice values
 POLISH_BLOCK = 1024  # (rows, 6) simplex candidates
+POLL_BLOCK = 128  # (rows, 2n, n) weight-balancing temporaries of a compass poll
 TOL = 1e-10
 TIE_RTOL = 1e-8  # see maximize_over_policies
 Y_AXIS = (0.0, 1.0, 0.0)
@@ -242,70 +244,68 @@ def maximize_over_policy(
 
 def _project_weights(raw_p: np.ndarray, raw_u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Map unconstrained rows (..., n) onto the feasible weight set: p and q, each (..., n)."""
-    p = np.clip(raw_p, 0.0, None)
+    p = np.maximum(raw_p, 0.0)
     mass = p.sum(axis=-1, keepdims=True)
     empty = mass < 1e-12
     p = np.where(empty, 1.0 / p.shape[-1], p / np.where(empty, 1.0, mass))
-    return p, measurement.balance_weights(p, np.clip(raw_u, -1.0, 1.0))
+    return p, measurement.balance_weights(p, np.minimum(np.maximum(raw_u, -1.0), 1.0))
 
 
 def maximize_over_weights(params: ModelParams, n_outcomes: int = 2) -> WeightsResult:
     """Numerically maximize the closed-form maxE_B over the weight space.
 
-    Deterministic multi-start compass search in 2n coordinates (raw p, raw
-    u), with every point projected onto balanced weights (p, q).  Each step
-    polls all 4n points one step away along a coordinate, both ways, and
-    scores them as one (4n, n) batch of ``analytic.max_EB_closed``.  It
-    moves to the best poll point if that beats the current value, and halves
-    the step otherwise.  A start converges once its step falls below TOL
-    within REFINE_ITERS steps, and the best of the four starts is reported.
-    The maximum saturates |q| = p on every outcome, where the value equals
-    the projective pair's.
+    Deterministic compass search in 2n coordinates (raw p, raw u), with
+    every point projected onto balanced weights (p, q): four starts in one
+    lockstep poll.  Each round polls, for every start whose step is not yet
+    below TOL, all 4n points one step away along a coordinate, both ways;
+    they are projected POLL_BLOCK rows at a time and scored in one
+    ``analytic.max_EB_closed`` call.  Each start moves to its first best
+    poll point if that beats its value and halves its step otherwise, the
+    path it takes alone.  A start converges once it sees its step below TOL
+    within REFINE_ITERS rounds; the first start with the largest value is
+    reported.  The maximum saturates |q| = p on every outcome, where the
+    value equals the projective pair's.
     """
     if n_outcomes < 2:
         raise ValueError(f"need at least 2 outcomes, got {n_outcomes}")
     n = n_outcomes
     signs = np.array([1.0 if i % 2 == 0 else -1.0 for i in range(n)])
     ramp = np.arange(1.0, n + 1.0)
-    starts = [
-        (np.full(n, 1.0 / n), 0.5 * signs),
-        (np.full(n, 1.0 / n), -0.95 * signs),
-        (ramp / ramp.sum(), 0.7 * signs),
-        (ramp[::-1] / ramp.sum(), 0.2 * signs),
-    ]
+    even = np.full(n, 1.0 / n)
+    raw_p = np.stack([even, even, ramp / ramp.sum(), ramp[::-1] / ramp.sum()])
+    raw_u = np.outer([0.5, -0.95, 0.7, 0.2], signs)
+    point = np.concatenate([raw_p, raw_u], axis=1)  # (4, 2n), one row per start
+    p, q = _project_weights(raw_p, raw_u)
+    value = analytic.max_EB_closed(params, p.T, q.T)  # outcome axis first
+    step = np.full(len(point), 0.25)
+    evaluations = len(point)
     poll = np.concatenate([np.eye(2 * n), -np.eye(2 * n)])  # (4n, 2n) unit moves
-    best_value, best_weights = -math.inf, None
-    evaluations = 0
-    converged = False
-    for raw_p0, raw_u0 in starts:
-        point = np.concatenate([raw_p0, raw_u0])
-        p, q = _project_weights(point[:n], point[n:])
-        value = analytic.max_EB_closed(params, p, q)
-        evaluations += 1
-        step = 0.25
-        this_converged = False
-        for _ in range(REFINE_ITERS):
-            if step < TOL:
-                this_converged = True
-                break
-            candidates = point + step * poll
-            cp, cq = _project_weights(candidates[:, :n], candidates[:, n:])
-            values = analytic.max_EB_closed(params, cp.T, cq.T)  # outcome axis first
-            evaluations += len(values)
-            best = int(np.argmax(values))
-            if values[best] > value:
-                value, point, p, q = values[best], candidates[best], cp[best], cq[best]
-            else:
-                step *= 0.5
-        if value > best_value:
-            best_value = float(value)
-            best_weights = (p, q)
-            converged = this_converged
-    if not converged:
+    live = np.ones(len(point), dtype=bool)
+    for _ in range(REFINE_ITERS):
+        live = step >= TOL
+        if not live.any():
+            break
+        starts = np.flatnonzero(live)
+        candidates = (point[starts, None] + step[starts, None, None] * poll).reshape(-1, 2 * n)
+        cp, cq = np.empty((2, len(candidates), n))
+        for first in range(0, len(candidates), POLL_BLOCK):
+            block = slice(first, first + POLL_BLOCK)
+            cp[block], cq[block] = _project_weights(candidates[block, :n], candidates[block, n:])
+        values = analytic.max_EB_closed(params, cp.T, cq.T).reshape(len(starts), 4 * n)
+        evaluations += values.size
+        best = np.argmax(values, axis=1)  # ties go to the first poll point
+        top = values[np.arange(len(starts)), best]
+        better = top > value[starts]
+        moved, row = starts[better], (np.arange(len(starts)) * 4 * n + best)[better]
+        value[moved], point[moved] = top[better], candidates[row]
+        p[moved], q[moved] = cp[row], cq[row]
+        step[starts[~better]] *= 0.5
+    best = int(np.argmax(value))  # the first start with the largest value
+    if live[best]:
         warnings.warn("weight search exhausted its refinement budget", NoConvergence)
     return WeightsResult(
-        best_weights=best_weights,
-        best_value=best_value,
+        best_weights=(p[best], q[best]),
+        best_value=float(value[best]),
         evaluations=evaluations,
-        converged=converged,
+        converged=not live[best],
     )

@@ -209,6 +209,111 @@ def test_weights_search_flags_exhausted_budget(monkeypatch):
     assert np.isfinite(res.best_value)
 
 
+# Frozen outputs of maximize_over_weights as its four starts ran one after
+# another (commit fac021b), captured before they ran in one lockstep poll:
+# (h, k), n, best_value, evaluations, converged, then the weights (p, q).
+# Lockstep must leave every start's path, and so every bit, as it was.
+SIXTH = 0.16666666666666669
+HALVES = ([0.5, 0.5], [0.5, -0.5])
+QUARTERS = ([0.25] * 4, [0.25, -0.25] * 2)
+QUARTERS_AND_EMPTY = ([0.0] + [0.25] * 4, [-0.0] + [0.25, -0.25] * 2)
+SIXTHS = ([SIXTH] * 6, [-SIXTH, SIXTH] * 3)
+SEQUENTIAL_WEIGHTS_SEARCH = [
+    ((1.0, 1.0), 2, 0.11474763394014707, 1684, True, HALVES),
+    (
+        (1.0, 1.0), 3, 0.11474763393411086, 3148, True,
+        ([0.27626811595075834, 0.5000000000134974, 0.2237318840357443],
+         [-0.27626811595075834, 0.4999999999865026, -0.2237318840357443]),
+    ),
+    ((1.0, 1.0), 4, 0.11474763394014707, 2564, True, QUARTERS),
+    ((1.0, 1.0), 5, 0.11474763394014707, 3764, True, QUARTERS_AND_EMPTY),
+    ((1.0, 1.0), 6, 0.11474763394014707, 5572, True, SIXTHS),
+    ((0.8, 2.1), 2, 0.06586691651113394, 1684, True, HALVES),
+    (
+        (0.8, 2.1), 3, 0.06586691650760519, 3112, True,
+        ([0.2789854961330049, 0.5000000000134974, 0.22101450385349775],
+         [-0.2789854961330049, 0.4999999999865026, -0.22101450385349775]),
+    ),
+    ((0.8, 2.1), 4, 0.06586691651113394, 2564, True, QUARTERS),
+    ((0.8, 2.1), 5, 0.06586691651113394, 3764, True, QUARTERS_AND_EMPTY),
+    ((0.8, 2.1), 6, 0.06586691651113395, 5500, True, SIXTHS),
+    ((0.25, 4.0), 2, 0.0038900973891573083, 1684, True, HALVES),
+    (
+        (0.25, 4.0), 3, 0.0038900973889473348, 3148, True,
+        ([0.2753757930150291, 0.5000000000134974, 0.22462420697147348],
+         [-0.2753757930150291, 0.4999999999865026, -0.22462420697147348]),
+    ),
+    ((0.25, 4.0), 4, 0.0038900973891573083, 2564, True, QUARTERS),
+    ((0.25, 4.0), 5, 0.0038900973891573083, 4244, True, QUARTERS_AND_EMPTY),
+    ((0.25, 4.0), 6, 0.0038900973891573087, 5548, True, SIXTHS),
+    ((3.3, 0.4), 2, 0.023298794543301773, 1684, True, HALVES),
+    (
+        (3.3, 0.4), 3, 0.023298794542048192, 3148, True,
+        ([0.27881500386868097, 0.5000000000134974, 0.22118499611782164],
+         [-0.27881500386868097, 0.4999999999865026, -0.22118499611782164]),
+    ),
+    ((3.3, 0.4), 4, 0.023298794543301773, 2564, True, QUARTERS),
+    ((3.3, 0.4), 5, 0.023298794543301773, 3724, True, QUARTERS_AND_EMPTY),
+    ((3.3, 0.4), 6, 0.023298794543301776, 5548, True, SIXTHS),
+]
+
+
+@pytest.mark.parametrize(
+    "hk, n, value, evaluations, converged, weights", SEQUENTIAL_WEIGHTS_SEARCH
+)
+def test_weights_search_keeps_the_sequential_bits(hk, n, value, evaluations, converged, weights):
+    res = optimizer.maximize_over_weights(ModelParams(*hk), n_outcomes=n)
+    assert repr(res.best_value) == repr(value)
+    assert (res.evaluations, res.converged) == (evaluations, converged)
+    # repr tells -0.0 from 0.0
+    assert repr(tuple(w.tolist() for w in res.best_weights)) == repr(weights)
+
+
+# At UNIT with two outcomes the four starts need 36, 34, 68 and 72 polls and
+# start 0 is reported.  A start converges only if it sees step < TOL within
+# its REFINE_ITERS checks: budgets around start 0's and the slowest start's
+# needs, with the sequential search's frozen evaluations and flags.
+@pytest.mark.parametrize(
+    "budget, converged, evaluations",
+    [
+        (35, False, 1116), (36, False, 1140), (37, True, 1156),
+        (71, True, 1676), (72, True, 1684), (73, True, 1684),
+    ],
+)
+def test_weights_search_budget_edge(monkeypatch, budget, converged, evaluations):
+    monkeypatch.setattr(optimizer, "REFINE_ITERS", budget)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        res = optimizer.maximize_over_weights(UNIT, n_outcomes=2)
+    assert (res.converged, res.evaluations) == (converged, evaluations)
+    assert [w.category for w in caught] == [optimizer.NoConvergence] * (not converged)
+    assert repr(res.best_value) == "0.11474763394014707"
+
+
+def test_weights_search_ties_go_to_the_first_start():
+    # no coupling to speak of: every start and every poll point scores 0.0,
+    # so no start moves and each halves its step 32 times, 4 * (1 + 8 * 32)
+    res = optimizer.maximize_over_weights(ModelParams(h=1.0, k=1e-320), n_outcomes=2)
+    assert res.best_value == 0.0
+    assert (res.evaluations, res.converged) == (1028, True)
+    assert [w.tolist() for w in res.best_weights] == [[0.5, 0.5], [0.25, -0.25]]  # start 0
+
+
+def test_weights_search_memory_stays_bounded():
+    # the lockstep poll balances POLL_BLOCK rows at a time, so its peak stays
+    # under the 2_156_216 bytes tracemalloc measured for the sequential
+    # starts (commit fac021b, NumPy 2.4.6) at 24 outcomes, where one start's
+    # poll makes (96, 48, 24) temporaries
+    tracemalloc.start()
+    try:
+        res = optimizer.maximize_over_weights(UNIT, n_outcomes=24)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert res.converged
+    assert peak <= 2_156_216
+
+
 def test_nonconvergence_is_a_warning_not_an_error():
     # callers opt into strictness with simplefilter("error", NoConvergence)
     assert issubclass(optimizer.NoConvergence, RuntimeWarning)

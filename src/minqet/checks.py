@@ -11,9 +11,14 @@ once, so a check and its budget mean the same thing wherever they are run.
 
 The random checks draw in the order one member at a time would, and score
 their members a block at a time on a ``ParamsBlock`` and a coefficient
-block, with no per-member objects.  ``block_residuals`` runs one
-``measured_block`` and one ``run_block`` call and reads the POVM residuals
-of the draw's own ``check_block``.
+block, with no per-member objects: the per-member loop makes only the RNG
+calls, and params are ``params_row`` rows.  The ensemble's block is
+``ENSEMBLE_BLOCK`` (256) members, four times ``protocol.BLOCK``, because
+its fixed costs per block (an 80-iteration golden-section refinement, one
+``measured_block`` and one ``run_block`` call) outweigh its arrays; each
+residual is its member's own, so the block size changes no bit.
+``block_residuals`` reads the POVM residuals of the draw's own
+``check_block``.
 """
 
 from __future__ import annotations
@@ -25,9 +30,13 @@ from collections import defaultdict
 import numpy as np
 
 from . import analytic, entanglement, measurement, model, optimizer, protocol, qmath
-from .model import ModelParams, ParamsBlock
+from .model import ModelParams, ParamsBlock, params_row
 
 PAIR_GRID = [(hh, kk) for hh in (0.5, 1.0, 2.0) for kk in (0.5, 1.0, 2.0)]
+_PAIR_ROWS = [params_row(h, k) for h, k in PAIR_GRID]
+# ensemble members drawn and scored per block: the checks' fixed NumPy-call
+# costs are paid per block, while its arrays stay bounded whatever the size
+ENSEMBLE_BLOCK = 256
 
 
 def _golden_max(fun, lo, hi, iters: int = 80):
@@ -56,9 +65,10 @@ def _golden_max(fun, lo, hi, iters: int = 80):
     return np.maximum(np.maximum(fc, fd), fun(mid))
 
 
-def _random_params(rng: np.random.Generator) -> ModelParams:
-    h, k = np.exp(rng.uniform(math.log(0.25), math.log(4.0), size=2))
-    return ModelParams(h=float(h), k=float(k))
+def _random_params(rng: np.random.Generator) -> tuple:
+    """h and k log-uniform over [0.25, 4], as their ``params_row``."""
+    h, k = np.exp(rng.uniform(math.log(0.25), math.log(4.0), size=2)).tolist()
+    return params_row(h, k)
 
 
 def draw_members(rng: np.random.Generator, members: range) -> tuple:
@@ -66,23 +76,21 @@ def draw_members(rng: np.random.Generator, members: range) -> tuple:
 
     Member i draws its params (from PAIR_GRID every third member), its raw
     weights, its outcome and its axis in that order, as one
-    ``random_measurement`` call per member would.  Returns a
+    ``random_measurement`` call per member would; the loop makes only those
+    RNG calls, and its params are ``params_row`` rows.  Returns a
     ``ParamsBlock``, the checked coefficient block (N, n, 4) with the POVM
     residuals its check computed, the (N,) outcomes and the (N, 3) axes.
     """
-    params, draws, outcomes, axes = [], [], [], []
+    rows, draws, outcomes, axes = [], [], [], []
     for i in members:
-        if i % 3 == 0:
-            params.append(ModelParams(*PAIR_GRID[(i // 3) % len(PAIR_GRID)]))
-        else:
-            params.append(_random_params(rng))
+        rows.append(_PAIR_ROWS[(i // 3) % len(PAIR_GRID)] if i % 3 == 0 else _random_params(rng))
         n = (2, 3, 4, 6)[i % 4]
         draws.append(measurement.raw_draw(rng, n))
         outcomes.append(int(rng.integers(n)))
         v = rng.normal(size=3)
         axes.append(v / np.linalg.norm(v))
     coeffs, povm = measurement.draw_block(draws)
-    return ParamsBlock.of(params), coeffs, povm, np.array(outcomes), np.array(axes)
+    return ParamsBlock.of_rows(rows), coeffs, povm, np.array(outcomes), np.array(axes)
 
 
 _OMEGA_GRID = np.linspace(0.0, math.pi, 256, endpoint=False)[:, None]
@@ -162,14 +170,14 @@ def block_residuals(block: ParamsBlock, coeffs, povm, outcomes, axis_rows) -> di
 
 
 def ensemble_residuals(seed: int, size: int) -> dict[str, float]:
-    """Random measurements drawn and scored one block of protocol.BLOCK at a time.
+    """Random measurements drawn and scored one block of ENSEMBLE_BLOCK members at a time.
 
     Returns each check's maximum residual over all `size` members.
     """
     rng = np.random.default_rng([seed, 1])
     worst: defaultdict[str, float] = defaultdict(float)
-    for first in range(0, size, protocol.BLOCK):
-        members = draw_members(rng, range(first, min(size, first + protocol.BLOCK)))
+    for first in range(0, size, ENSEMBLE_BLOCK):
+        members = draw_members(rng, range(first, min(size, first + ENSEMBLE_BLOCK)))
         for name, residuals in block_residuals(*members).items():
             worst[name] = max(worst[name], *(float(np.max(r)) for r in residuals))
     return worst
@@ -222,18 +230,19 @@ def _draw_cases(rng: np.random.Generator, size: int, max_outcomes: int, turn=Non
 
     Returns a ``ParamsBlock``, the coefficient block (size, max_outcomes,
     4), checked by one ``draw_block`` per protocol.BLOCK members, and the
-    turns (None without ``turn``).
+    array of the turns' rows (empty without ``turn``).
     """
-    params, draws, turns = [], [], []
+    rows, draws, turns = [], [], []
     for _ in range(size):
-        params.append(_random_params(rng))
+        rows.append(_random_params(rng))
         draws.append(measurement.raw_draw(rng, int(rng.integers(2, max_outcomes + 1))))
-        turns.append(turn(rng) if turn else None)
+        if turn:
+            turns.append(turn(rng))
     coeffs = np.zeros((size, max_outcomes, 4))
     for first in range(0, size, protocol.BLOCK):
         block, _ = measurement.draw_block(draws[first : first + protocol.BLOCK])
         coeffs[first : first + len(block), : block.shape[1]] = block
-    return ParamsBlock.of(params), coeffs, turns
+    return ParamsBlock.of_rows(rows), coeffs, np.array(turns)
 
 
 def _check_optimizer(seed: int, size: int) -> float:
@@ -247,8 +256,8 @@ def _check_optimizer(seed: int, size: int) -> float:
 def _check_no_go(seed: int, size: int) -> float:
     """Outcome-blind rotations of B: cost >= 0, equal through B's terms and through H."""
     rng = np.random.default_rng([seed, 4])
-    block, coeffs, turns = _draw_cases(rng, size, 4, protocol.random_local_unitary)
-    w = protocol.rotations([u.omega for u in turns], [u.n for u in turns])
+    block, coeffs, turns = _draw_cases(rng, size, 4, protocol.random_turn)
+    w = protocol.rotations(turns[:, 0], turns[:, 1:])
     cost, local, total = protocol.passive_costs(block, coeffs, w)
     return float(max(-cost.min(), np.max(np.abs(local - total)), np.max(np.abs(cost - local))))
 
@@ -256,9 +265,9 @@ def _check_no_go(seed: int, size: int) -> float:
 def _check_bound770_equality(seed: int, size: int) -> float:
     """c770 delta_S = maxE_B on saturated measurements: brute-force delta_S for the first 20."""
     rng = np.random.default_rng([seed, 5])
-    params, halves = [], []
+    rows, halves = [], []
     for _ in range(size):
-        params.append(_random_params(rng))
+        rows.append(_random_params(rng))
         halves.append(np.repeat(rng.dirichlet(np.ones(int(rng.integers(1, 4)))) / 2.0, 2))
     # each mass splits into the outcome pair (mass/2, +-mass/2), zero-padded
     p = np.zeros((size, max(map(len, halves))))
@@ -266,11 +275,11 @@ def _check_bound770_equality(seed: int, size: int) -> float:
         p[i, : len(row)] = row
     coeffs = measurement.canonical_coeffs(p, p * np.resize((1.0, -1.0), p.shape[1]))
     measurement.check_block(coeffs)
-    block = ParamsBlock.of(params)
+    block = ParamsBlock.of_rows(rows)
     weights = measurement.weight_block(coeffs)
     max_eb = analytic.max_EB_closed(block, *weights)
     delta = analytic.delta_S_closed(block, *weights)
-    brute = protocol.measured_block(ParamsBlock.of(params[:20]), coeffs[:20])
+    brute = protocol.measured_block(block[:20], coeffs[:20])
     delta[:20] = entanglement.consumption_block(brute.ground, brute.kets).delta_s
     rhs = analytic.bounds(block).c770 * delta
     return float(np.max(np.abs(max_eb - rhs) / np.maximum(max_eb, 1e-12)))
@@ -295,7 +304,7 @@ def _check_time_evolution() -> float:
 
 def _check_kernel_shape() -> float:
     """fbar_E(x) <= x <= fbar_I(x) on a 1024-point grid of x, at every PAIR_GRID point."""
-    block = ParamsBlock.of(ModelParams(h=h, k=k) for h, k in PAIR_GRID)
+    block = ParamsBlock.of_rows(_PAIR_ROWS)
     x = np.linspace(0.0, 1.0, 1024)[:, None]
     below = analytic.rescaled_f_E(block, x) - x
     above = x - analytic.rescaled_f_I(block, x)
@@ -304,7 +313,7 @@ def _check_kernel_shape() -> float:
 
 def _check_weak_limit() -> float:
     """The weak-limit ratio tends to c32: strictly, and inside a quadratic envelope."""
-    block = ParamsBlock.of(ModelParams(h=h, k=k) for h, k in PAIR_GRID)
+    block = ParamsBlock.of_rows(_PAIR_ROWS)
     u = np.array([1e-1, 1e-2, 1e-3])[:, None]
     errs = np.abs(analytic.weak_limit_ratio(block, u) / analytic.bounds(block).c32 - 1.0)
     curvature = 2.0 * errs[0] / 1e-2

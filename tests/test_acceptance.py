@@ -15,12 +15,13 @@ are frozen from independent oracle routes:
   BOUND32_RHS_UNIT   C32_UNIT * MAX_EB_UNIT / sqrt(2)
 """
 
+import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from minqet import analytic, checks, entanglement, measurement, optimizer, protocol
+from minqet import analytic, checks, entanglement, measurement, optimizer
 from minqet.model import ModelParams
 
 
@@ -109,24 +110,27 @@ def test_registry_is_complete():
 
 @pytest.mark.parametrize("seed", (0, 7, 26, 33))
 def test_block_draws_equal_one_random_measurement_per_member(seed):
-    # 200 members: three full blocks and a partial one, every outcome count in each;
-    # the reference draws each member alone, in draw_members' order, on its own generator
+    # two full ensemble blocks and a partial one, every outcome count in each; the
+    # reference draws each member alone, in draw_members' order, on its own generator
+    size = 2 * checks.ENSEMBLE_BLOCK + 40
     block_rng, member_rng = np.random.default_rng([seed, 1]), np.random.default_rng([seed, 1])
-    for first in range(0, 200, protocol.BLOCK):
-        members = range(first, min(200, first + protocol.BLOCK))
+    for first in range(0, size, checks.ENSEMBLE_BLOCK):
+        members = range(first, min(size, first + checks.ENSEMBLE_BLOCK))
         params, coeffs, _, outcomes, axes = checks.draw_members(block_rng, members)
         assert coeffs.shape == (len(members), 6, 4)
         for j, i in enumerate(members):
             if i % 3 == 0:
                 want = ModelParams(*checks.PAIR_GRID[(i // 3) % len(checks.PAIR_GRID)])
             else:
-                want = checks._random_params(member_rng)
+                want = ModelParams(*checks._random_params(member_rng)[:2])
             n = (2, 3, 4, 6)[i % 4]
             model = measurement.random_measurement(member_rng, n_outcomes=n)
             outcome = int(member_rng.integers(n))
             axis = member_rng.normal(size=3)
             axis /= np.linalg.norm(axis)
-            assert (params.h[j], params.k[j]) == (want.h, want.k)
+            # the block's row has the bits of the member's own ModelParams
+            row = (want.h, want.k, want.eps, want.cos_sigma, want.sin_sigma)
+            assert tuple(x[j] for x in vars(params).values()) == row
             assert coeffs[j, :n].tobytes() == model.rows.tobytes()
             assert not coeffs[j, n:].any()
             assert outcomes[j] == outcome
@@ -143,10 +147,37 @@ def test_ensemble_computes_each_blocks_povm_residuals_once(monkeypatch):
         return computed[-1]
 
     monkeypatch.setattr(measurement, "block_residuals", recorded)
-    worst = checks.ensemble_residuals(0, 100)
-    assert [len(r["balance"]) for r in computed] == [protocol.BLOCK, 100 - protocol.BLOCK]
+    # a full block and a partial one
+    worst = checks.ensemble_residuals(0, 300)
+    block = checks.ENSEMBLE_BLOCK
+    assert [len(r["balance"]) for r in computed] == [block, 300 - block]
     want = max(float(np.max(r)) for residuals in computed for r in residuals.values())
     assert worst["measurement-completeness"] == want > 0.0
+
+
+@pytest.mark.parametrize("seed", (0, 33))
+def test_ensemble_residuals_do_not_depend_on_the_block_size(monkeypatch, seed):
+    # every residual is a member's own, so any block size gives the same maxima, bit for bit
+    want = {name: repr(value) for name, value in checks.ensemble_residuals(seed, 300).items()}
+    for block in (64, 7):
+        monkeypatch.setattr(checks, "ENSEMBLE_BLOCK", block)
+        found = checks.ensemble_residuals(seed, 300)
+        assert {name: repr(value) for name, value in found.items()} == want
+
+
+def test_ensemble_working_memory_does_not_grow_with_its_size():
+    checks.ensemble_residuals(0, 10)
+    peaks = []
+    for size in (1000, 4000):
+        tracemalloc.start()
+        try:
+            checks.ensemble_residuals(0, size)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    # ~2.3 MB for one block's arrays at either size
+    assert peaks[1] < 3_000_000, peaks
+    assert peaks[1] <= peaks[0] + 50_000, peaks
 
 
 def test_a_corrupted_member_of_a_drawn_block_is_named():

@@ -256,6 +256,17 @@ def test_random_measurement_bulk_validity():
         assert abs(sum(p.tolist()) - 1.0) <= 1e-12
 
 
+def test_raw_draw_equals_numpys_dirichlet_and_uniform():
+    # the running-sum draw has the bits of rng.dirichlet, past 8 outcomes too, where
+    # a pairwise sum would round differently; a NumPy that draws otherwise fails here
+    for seed in range(200):
+        rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+        for n in range(2, 31):
+            p, u = measurement.raw_draw(rng, n)
+            assert p.tobytes() == twin.dirichlet(np.ones(n)).tobytes()
+            assert u.tobytes() == twin.uniform(-1.0, 1.0, n).tobytes()
+
+
 def test_random_measurement_needs_two_outcomes():
     with pytest.raises(ValueError):
         measurement.random_measurement(seed=0, n_outcomes=1)

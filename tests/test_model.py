@@ -12,6 +12,7 @@ from minqet.model import (
     ModelParams,
     build_hamiltonian,
     ground_state,
+    params_row,
     spectrum_closed,
 )
 
@@ -37,6 +38,7 @@ def test_params_derived_quantities_are_cached():
     assert (p.eps, p.cos_sigma, p.sin_sigma) == (
         math.hypot(0.3, 2.7), 0.3 / math.hypot(0.3, 2.7), 2.7 / math.hypot(0.3, 2.7)
     )
+    assert params_row(0.3, 2.7) == (p.h, p.k, p.eps, p.cos_sigma, p.sin_sigma)
     # a cached value changes neither equality nor hashing, and survives pickling
     assert p == fresh and hash(p) == hash(fresh)
     copy = pickle.loads(pickle.dumps(p))

@@ -288,6 +288,13 @@ TURNS = tuple(
 )
 
 
+def test_random_turn_draws_the_frozen_turns():
+    # the (omega, axis) row and its one-case view keep the draw's bits
+    for seed, turn in enumerate(TURNS):
+        assert protocol.random_turn(np.random.default_rng(seed)) == (turn.omega, *turn.n)
+        assert protocol.random_local_unitary(seed) == turn
+
+
 def weights_model(pairs):
     return MeasurementModel.from_weights(*np.transpose(pairs))
 

@@ -97,14 +97,14 @@ _OMEGA_GRID = np.linspace(0.0, math.pi, 256, endpoint=False)[:, None]
 _PSI_GRID = np.linspace(0.0, math.pi, 64, endpoint=False)[:, None]
 
 
-def block_residuals(block: ParamsBlock, coeffs, povm, outcomes, axis_rows) -> dict[str, list]:
-    """The ensemble checks' residuals over one block of ``draw_members``.
+def block_residuals(block, coeffs, povm, outcomes, axis_rows, first: int = 0) -> dict[str, list]:
+    """The ensemble checks' residuals over one block of ``draw_members``, from member ``first``.
 
-    Each name maps to a list of residual arrays (or floats); the check's
-    value is their maximum.
+    Each name maps to a list of residual arrays (or floats) whose maximum is the check's value.
     """
     measured = protocol.measured_block(block, coeffs)
-    run = protocol.run_block(measured, *protocol.optimal_table(block, measured.p, measured.q))
+    omega, axes = protocol.optimal_table(block, measured.p, measured.q)
+    run = protocol.run_block(measured, omega, axes, first)
     parts, kets = measured.parts, measured.kets
     found: dict[str, list] = {"measurement-completeness": list(povm.values())}
     # <H_B> and <V> of the post-measurement state sum over its kets: (B, 2)
@@ -178,7 +178,7 @@ def ensemble_residuals(seed: int, size: int) -> dict[str, float]:
     worst: defaultdict[str, float] = defaultdict(float)
     for first in range(0, size, ENSEMBLE_BLOCK):
         members = draw_members(rng, range(first, min(size, first + ENSEMBLE_BLOCK)))
-        for name, residuals in block_residuals(*members).items():
+        for name, residuals in block_residuals(*members, first).items():
             worst[name] = max(worst[name], *(float(np.max(r)) for r in residuals))
     return worst
 

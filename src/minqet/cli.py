@@ -328,20 +328,23 @@ def cmd_optimize(args) -> int:
         if not args.povm:
             raise ValueError("optimize --over policy needs --povm")
         meas = resolve_povm(args.povm)
-        result = optimizer.maximize_over_policy(params, meas)
-        weights = measurement.weight_block(meas.rows)
+        # the case as a block of one, its axes divided by their lengths row by row
+        p, q = measurement.weight_block(meas.rows[None])
+        value, omega, axes, evaluations, converged = (
+            column.tolist()[0]
+            for column in optimizer.maximize_over_policies(ParamsBlock.of([params]), p, q)
+        )
         payload = {
             "over": "policy",
             "params": {"h": params.h, "k": params.k},
             "povm": {"source": args.povm, "sha256": povm_sha256(measurement.to_json_obj(meas))},
-            "best_value": result.best_value,
-            "closed_form_max": analytic.max_EB_closed(params, *weights),
+            "best_value": value,
+            "closed_form_max": analytic.max_EB_closed(params, p[:, 0], q[:, 0]),
             "policy": [
-                {"omega": u.omega, "n": list(u.n)}
-                for u in result.best_policy.unitaries
+                {"omega": w, "n": list(protocol.unit_axis(n))} for w, n in zip(omega, axes)
             ],
-            "evaluations": result.evaluations,
-            "converged": result.converged,
+            "evaluations": evaluations,
+            "converged": converged,
         }
     print(json.dumps(payload, indent=2))
     return 0

@@ -18,13 +18,13 @@ closed-form route lives in ``analytic`` and the two are compared in tests.
 The work is done on stacks: ``consumption_block`` takes the ground kets and
 post-measurement kets of N cases at once, diagonalizes every reduced state
 of the batch in one call, and returns its entropies as columns.
-``protocol.run_block`` feeds it the kets it has already built;
-``consumption`` and ``reduced_post_states`` are the one-case views.
+``protocol.run_block`` feeds it the kets it has already built, and one
+case is a block of one.  ``reduced_post_states``, ``pointer_state_dense``
+and the scalar entropies are reference routes the tests compare it with.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,20 +37,20 @@ EIGENVALUE_SLACK = 1e-12
 
 @dataclass(frozen=True)
 class EntanglementReport:
-    """Entropies around one measurement on the ground state.
+    """Entropies around one measurement on the ground state, for N cases at once.
 
-    ``reduced_eigenvalues`` holds, per outcome, the ascending eigenvalues of
-    rho_B(mu), or None for a degenerate outcome.  From ``consumption_block``
-    every field is an array over N cases: (N,) entropies, (N, n)
-    probabilities and s_post, and (N, n, 2) eigenvalues, NaN where degenerate.
+    Every field is an array: (N,) ``s_ground``, ``delta_s`` and
+    ``mutual_info``, (N, n) ``probabilities`` and ``s_post``, and (N, n, 2)
+    ``reduced_eigenvalues``, the ascending eigenvalues of rho_B(mu), NaN
+    where an outcome is degenerate.
     """
 
-    s_ground: float
-    probabilities: tuple[float, ...]
-    s_post: tuple[float, ...]
-    delta_s: float
-    mutual_info: float
-    reduced_eigenvalues: tuple[tuple[float, float] | None, ...]
+    s_ground: np.ndarray
+    probabilities: np.ndarray
+    s_post: np.ndarray
+    delta_s: np.ndarray
+    mutual_info: np.ndarray
+    reduced_eigenvalues: np.ndarray
 
 
 def _spectrum_entropy(vals: np.ndarray):
@@ -138,30 +138,12 @@ def consumption_block(ground: np.ndarray, kets: np.ndarray) -> EntanglementRepor
     return EntanglementReport(s_ground, prob, s_post, s_ground - avg_post, mutual, post_vals)
 
 
-def eigenvalue_pairs(rows) -> tuple[tuple[float, float] | None, ...]:
-    """Eigenvalue rows [low, high] as pairs, None for a degenerate (NaN) row."""
-    return tuple(None if math.isnan(low) else (low, high) for low, high in rows)
-
-
 def reduced_post_states(
     params: model.ModelParams, meas: measurement.MeasurementModel
 ) -> list[tuple[float, np.ndarray | None]]:
     """Per outcome, the Born probability and reduced state of B (None if degenerate)."""
     prob, rho_b = _post_states(meas.kraus @ model.ground_state(params))
     return [(p, rho) if p > 0.0 else (0.0, None) for p, rho in zip(prob.tolist(), rho_b)]
-
-
-def consumption(
-    params: model.ModelParams, meas: measurement.MeasurementModel
-) -> EntanglementReport:
-    """Full entropy report for one measurement on the ground state: one case of the block."""
-    g = model.ground_state(params)
-    b = consumption_block(g[None], (meas.kraus @ g)[None])
-    return EntanglementReport(
-        float(b.s_ground[0]), tuple(b.probabilities[0].tolist()), tuple(b.s_post[0].tolist()),
-        float(b.delta_s[0]), float(b.mutual_info[0]),
-        eigenvalue_pairs(b.reduced_eigenvalues[0].tolist()),
-    )
 
 
 def pointer_state_dense(

@@ -3,17 +3,17 @@
 Two searches, both deterministic (no RNG):
 
 * ``maximize_over_policies`` finds the best feedback rotation per outcome
-  for a whole block of cases at once, as a policy table;
-  ``maximize_over_policy`` is its one-case view.  It takes the maximum of Q
-  over the rotation angle at a fixed axis from ``analytic.max_over_omega``
-  (verify's ``omega-maximum`` check tests that step on its own) and checks
-  the rest of the closed-form chain: the maximum over the rotation axis and
-  the kernel f_E that follows from it.  Every outcome of every case is one
-  row of a single lockstep search: a Fibonacci axis lattice scan, then a
-  simplex in spherical angles polishing each row's best lattice point,
-  never starting at the y axis.  Both steps run over fixed blocks of rows,
-  so their temporary arrays keep one size however many rows there are.
-  ``minqet sweep`` runs it once per grid.
+  for a whole block of cases at once, as a policy table.  It takes the
+  maximum of Q over the rotation angle at a fixed axis from
+  ``analytic.max_over_omega`` (verify's ``omega-maximum`` check tests that
+  step on its own) and checks the rest of the closed-form chain: the
+  maximum over the rotation axis and the kernel f_E that follows from it.
+  Every outcome of every case is one row of a single lockstep search: a
+  Fibonacci axis lattice scan, then a simplex in spherical angles polishing
+  each row's best lattice point, never starting at the y axis.  Both steps
+  run over fixed blocks of rows, so their temporary arrays keep one size
+  however many rows there are.  ``minqet sweep`` runs it once per grid, and
+  ``minqet optimize --over policy`` on a block of one.
 
 * ``maximize_over_weights`` searches the measurement design space itself:
   outcome weights (p, q) on the simplex with sum(q) = 0 and |q| <= p,
@@ -37,7 +37,6 @@ import numpy as np
 
 from . import analytic, measurement
 from .model import ModelParams, ParamsBlock
-from .protocol import FeedbackPolicy, LocalUnitary
 
 GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
 SPHERE_POINTS = 256
@@ -58,14 +57,6 @@ class NoConvergence(RuntimeWarning):
     exists so callers who care can promote it to an error with the warnings
     filter machinery.
     """
-
-
-@dataclass(frozen=True)
-class OptimizationResult:
-    best_policy: FeedbackPolicy
-    best_value: float
-    evaluations: int
-    converged: bool
 
 
 @dataclass(frozen=True)
@@ -229,17 +220,6 @@ def _per_outcome(live: np.ndarray, rows: np.ndarray, fill) -> np.ndarray:
     table = np.full(live.shape + np.shape(fill), fill, dtype=rows.dtype)
     table[live] = rows
     return table
-
-
-def maximize_over_policy(
-    params: ModelParams, meas: measurement.MeasurementModel
-) -> OptimizationResult:
-    """``maximize_over_policies`` for one case, its policy as ``LocalUnitary`` objects."""
-    value, omega, axes, evaluations, converged = maximize_over_policies(
-        ParamsBlock.of([params]), *measurement.weight_block(meas.rows[None])
-    )
-    policy = FeedbackPolicy(tuple(map(LocalUnitary.normalized, omega[0], axes[0].tolist())))
-    return OptimizationResult(policy, float(value[0]), int(evaluations[0]), bool(converged[0]))
 
 
 def _project_weights(raw_p: np.ndarray, raw_u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -16,12 +16,10 @@ as one (N, n, 4) array, zero-padded to the largest outcome count, with the
 weights in the closed forms' (n, N) layout.  ``run_block`` rotates B by a
 policy table and returns per-case columns, and ``run_many`` computes them
 BLOCK cases at a time; ``passive_costs`` runs in blocks too, and
-``evolve_series`` computes its (T,) columns BLOCK times at a time.  Each
-rotation acts as a 2x2 block on the ket read as an (a, b) matrix, and
-every energy is a stacked ``qmath.expectation``: Tr[rho O] is its sum
-over the kets of rho.  ``LocalUnitary`` and ``FeedbackPolicy`` are
-objects of the one-case edge only: ``run``, ``optimal_policy`` and
-``passive_unitary_energy``.
+``evolve_series`` computes its (T,) columns BLOCK times at a time.  One
+case is a block of one.  Each rotation acts as a 2x2 block on the ket
+read as an (a, b) matrix, and every energy is a stacked
+``qmath.expectation``: Tr[rho O] is its sum over the kets of rho.
 
 Every run cross-checks its own arithmetic: the Tr[rho H] route must
 match the per-outcome scalar route (sum of Q / eps) and the closed form
@@ -41,44 +39,13 @@ import numpy as np
 from . import analytic, entanglement, measurement, qmath
 from .model import HamiltonianParts, ModelParams, ParamsBlock, build_hamiltonian, ground_state
 
-AXIS_TOL = 1e-12
 CROSS_CHECK_TOL = 1e-10
 # cases (or times) per block of the batched routes, which bounds their arrays
 # whatever the number of cases
 BLOCK = 64
 
 
-class PolicyMismatch(ValueError):
-    """Feedback policy and measurement disagree on the number of outcomes."""
-
-
-@dataclass(frozen=True)
-class LocalUnitary:
-    """A rotation of qubit B: cos(omega) + i sin(omega) n . sigma, |n| = 1."""
-
-    omega: float
-    n: tuple[float, float, float]
-
-    def __post_init__(self) -> None:
-        if len(self.n) != 3 or not all(math.isfinite(c) for c in self.n):
-            raise ValueError(f"axis must be three finite components, got {self.n!r}")
-        defect = abs(math.sqrt(sum(c * c for c in self.n)) - 1.0)
-        if defect > AXIS_TOL:
-            raise ValueError(f"axis must be unit length, off by {defect:.3e}")
-
-    @classmethod
-    def identity(cls) -> "LocalUnitary":
-        return cls(omega=0.0, n=(0.0, 1.0, 0.0))
-
-    @classmethod
-    def normalized(cls, omega: float, n) -> "LocalUnitary":
-        return cls(omega=float(omega), n=_unit_axis(n))
-
-    def matrix2(self) -> np.ndarray:
-        return rotations(self.omega, self.n)
-
-
-def _unit_axis(n) -> tuple[float, float, float]:
+def unit_axis(n) -> tuple[float, float, float]:
     """The three components of a nonzero axis n, divided by its length in float arithmetic."""
     nx, ny, nz = (float(c) for c in n)
     r = math.sqrt(nx * nx + ny * ny + nz * nz)
@@ -101,60 +68,34 @@ def _rotate_b(kets: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class FeedbackPolicy:
-    """One local rotation of B per measurement outcome."""
-
-    unitaries: tuple[LocalUnitary, ...]
-
-    def __len__(self) -> int:
-        return len(self.unitaries)
-
-    @classmethod
-    def identity(cls, n_outcomes: int) -> "FeedbackPolicy":
-        return cls(tuple(LocalUnitary.identity() for _ in range(n_outcomes)))
-
-
-@dataclass(frozen=True)
-class OutcomeEnergies:
-    """Energy expectations in one normalized post-feedback state."""
-
-    probability: float
-    h_a: float
-    h_b: float
-    v: float
-    total: float
-
-
-@dataclass(frozen=True)
 class ProtocolReport:
-    """Energies and entropies of one full protocol run.
+    """Energies and entropies of a block of B protocol runs, as per-case columns.
 
     ``e_a_closed`` is ``measurement.input_energy_closed`` and
     ``max_eb_closed`` is ``analytic.max_EB_closed`` of the weights, the
     closed form behind ``bound32_rhs``; ``c32`` and ``c770`` are
     ``analytic.bounds``, the coefficients of ``bound32_rhs`` and
-    ``bound770_rhs``.  ``reduced_eigenvalues`` holds, per
-    outcome, the ascending eigenvalues of B's reduced post-measurement
-    state, or None for a degenerate outcome.  From ``run_block`` every field
-    is an array over the block's B cases: (B,) numbers, (B, n, 5)
-    ``per_outcome`` rows in ``OutcomeEnergies`` order, and (B, n, 2)
-    eigenvalues, NaN where degenerate.
+    ``bound770_rhs``.  Every field is an array: (B,) numbers, (B, n, 5)
+    ``per_outcome`` rows (probability, <H_A>, <H_B>, <V>, <H>) of each
+    outcome's normalized post-feedback state, and (B, n, 2)
+    ``reduced_eigenvalues``, the ascending eigenvalues of B's reduced
+    post-measurement state per outcome, NaN where degenerate.
     """
 
-    e_a: float
-    e_a_closed: float
-    e_b: float
-    total_final_energy: float
-    per_outcome: tuple[OutcomeEnergies, ...]
-    s_ground: float
-    delta_s: float
-    mutual_info: float
-    max_eb_closed: float
-    bound32_rhs: float
-    bound770_rhs: float
-    c32: float
-    c770: float
-    reduced_eigenvalues: tuple[tuple[float, float] | None, ...]
+    e_a: np.ndarray
+    e_a_closed: np.ndarray
+    e_b: np.ndarray
+    total_final_energy: np.ndarray
+    per_outcome: np.ndarray
+    s_ground: np.ndarray
+    delta_s: np.ndarray
+    mutual_info: np.ndarray
+    max_eb_closed: np.ndarray
+    bound32_rhs: np.ndarray
+    bound770_rhs: np.ndarray
+    c32: np.ndarray
+    c770: np.ndarray
+    reduced_eigenvalues: np.ndarray
 
 
 def _check(label: str, left, right, scale, first: int = 0) -> None:
@@ -202,23 +143,6 @@ def run_many(
     return ProtocolReport(
         *(np.concatenate([getattr(b, name) for b in blocks]) for name in _REPORT_FIELDS)
     )
-
-
-def run(
-    params: ModelParams,
-    meas: measurement.MeasurementModel,
-    policy: FeedbackPolicy,
-) -> ProtocolReport:
-    """One case of ``run_many``; ``PolicyMismatch`` if the policy's length is wrong."""
-    if len(policy) != meas.n_outcomes:
-        raise PolicyMismatch(f"policy has {len(policy)} unitaries for {meas.n_outcomes} outcomes")
-    table = np.array([[(u.omega, *u.n) for u in policy.unitaries]])
-    block = measured_block(ParamsBlock.of([params]), meas.rows[None])
-    columns = run_block(block, table[..., 0], table[..., 1:])
-    case = {name: getattr(columns, name).tolist()[0] for name in _REPORT_FIELDS}
-    per_outcome = tuple(OutcomeEnergies(*row) for row in case.pop("per_outcome"))
-    pairs = entanglement.eigenvalue_pairs(case.pop("reduced_eigenvalues"))
-    return ProtocolReport(**case, per_outcome=per_outcome, reduced_eigenvalues=pairs)
 
 
 @dataclass(frozen=True)
@@ -300,32 +224,14 @@ def run_block(
     )
 
 
-def optimal_policy(
-    params: ModelParams, meas: measurement.MeasurementModel
-) -> FeedbackPolicy:
-    """The closed-form maximizing policy of one case: a row of ``optimal_table``, as objects."""
-    omega, axis = analytic.optimal_rotation(params, *measurement.weight_block(meas.rows))
-    return FeedbackPolicy(tuple(LocalUnitary(w, axis) for w in omega.tolist()))
-
-
 def random_turn(rng: np.random.Generator) -> tuple[float, float, float, float]:
-    """A Haar-distributed rotation of qubit B (uniform over SU(2)) as its (omega, nx, ny, nz) row.
-
-    The row is one case's row of a policy table; ``random_local_unitary``
-    is its one-case view.
-    """
+    """A Haar-distributed rotation of B (uniform over SU(2)) as its (omega, nx, ny, nz) row."""
     quat = rng.normal(size=4)
     quat /= np.linalg.norm(quat)
     vec_norm = float(np.linalg.norm(quat[1:]))
     if vec_norm == 0.0:
         return 0.0, 0.0, 1.0, 0.0  # the identity
-    return (math.atan2(vec_norm, float(quat[0])), *_unit_axis(quat[1:]))
-
-
-def random_local_unitary(seed) -> LocalUnitary:
-    """``random_turn`` as a ``LocalUnitary``; ``seed`` is an integer or a Generator."""
-    omega, *axis = random_turn(np.random.default_rng(seed))
-    return LocalUnitary(omega, tuple(axis))
+    return (math.atan2(vec_norm, float(quat[0])), *unit_axis(quat[1:]))
 
 
 def passive_costs(
@@ -368,14 +274,6 @@ def _passive_block(params: ParamsBlock, coeffs: np.ndarray, w2: np.ndarray, firs
     _check("passive cost vs total form", cost, direct_total, scale, first)
     _check_nonnegative("passive operation extracted energy", cost, scale, first)
     return cost, direct, direct_total
-
-
-def passive_unitary_energy(
-    params: ModelParams, meas: measurement.MeasurementModel, unitary_b
-) -> float:
-    """One case of ``passive_costs``, W a ``LocalUnitary`` or a 2x2 unitary: the cost alone."""
-    w = unitary_b.matrix2() if isinstance(unitary_b, LocalUnitary) else np.asarray(unitary_b)
-    return float(passive_costs(ParamsBlock.of([params]), meas.rows[None], w[None])[0][0])
 
 
 def evolve_series(

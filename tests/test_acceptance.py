@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 
 from minqet import analytic, checks, entanglement, measurement, optimizer
-from minqet.model import ModelParams
+from minqet.model import ModelParams, ParamsBlock
 
 
 UNIT = ModelParams(h=1.0, k=1.0)
@@ -165,6 +165,21 @@ def test_ensemble_residuals_do_not_depend_on_the_block_size(monkeypatch, seed):
         assert {name: repr(value) for name, value in found.items()} == want
 
 
+def test_a_failed_cross_check_names_its_ensemble_member(monkeypatch):
+    # member 266 is case 10 of the second block; the error counts from the ensemble's start
+    rng = np.random.default_rng([0, 1])
+    checks.draw_members(rng, range(checks.ENSEMBLE_BLOCK))
+    second = checks.draw_members(rng, range(checks.ENSEMBLE_BLOCK, 300))[0]
+    h = second.h[266 - checks.ENSEMBLE_BLOCK]
+    assert np.count_nonzero(second.h == h) == 1
+    original = analytic.Q_of
+    monkeypatch.setattr(
+        analytic, "Q_of", lambda params, *rest: original(params, *rest) + 1e-6 * (params.h == h)
+    )
+    with pytest.raises(RuntimeError, match=r"E_B per-outcome route differs in case 266 "):
+        checks.ensemble_residuals(0, 300)
+
+
 def test_ensemble_working_memory_does_not_grow_with_its_size():
     checks.ensemble_residuals(0, 10)
     peaks = []
@@ -202,7 +217,8 @@ def test_a_corrupted_member_of_a_drawn_block_is_named():
 def test_frozen_unit_constants():
     projective = np.array([0.5, 0.5]), np.array([0.5, -0.5])
     closed_unit = analytic.max_EB_closed(UNIT, *projective)
-    numeric_unit = optimizer.maximize_over_policy(UNIT, measurement.projective_pair()).best_value
+    weights = measurement.weight_block(measurement.projective_pair().rows[None])
+    numeric_unit = optimizer.maximize_over_policies(ParamsBlock.of([UNIT]), *weights)[0][0]
     assert abs(closed_unit - MAX_EB_UNIT) <= 1e-6
     assert abs(numeric_unit - MAX_EB_UNIT) <= 1e-6
     assert abs(closed_unit - numeric_unit) <= 1e-8

@@ -11,11 +11,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from minqet import analytic, entanglement, measurement
+from minqet import analytic, measurement
 from minqet.analytic import DomainError
 from minqet.measurement import weight_block
 from minqet.model import ModelParams, ParamsBlock
 
+from conftest import consumption_columns
 
 UNIT = ModelParams(h=1.0, k=1.0)
 
@@ -477,8 +478,10 @@ def test_shannon_entropy_and_units():
 
 
 def test_delta_s_closed_matches_brute_force():
-    for i in range(10):
-        model = measurement.random_measurement(seed=2000 + i, n_outcomes=2 + i % 3)
+    models = [
+        measurement.random_measurement(seed=2000 + i, n_outcomes=2 + i % 3) for i in range(10)
+    ]
+    brute = consumption_columns([(UNIT, model) for model in models]).delta_s.tolist()
+    for model, brute_s in zip(models, brute):
         closed = analytic.delta_S_closed(UNIT, *weight_block(model.rows))
-        brute = entanglement.consumption(UNIT, model).delta_s
-        assert abs(closed - brute) <= 1e-10
+        assert abs(closed - brute_s) <= 1e-10

@@ -93,7 +93,7 @@ def test_verify_reports_a_raising_routine_once_per_name(capsys, monkeypatch):
 def test_omega_maximum_is_judged_relative_to_its_value(capsys, monkeypatch):
     # every omega maximum seed 0 draws is below 0.1, so an absolute 1e-10
     # error in Q is over the 1e-9 budget only relative to the value itself.
-    # Only verify's view of analytic is shifted: protocol.run's own
+    # Only verify's view of analytic is shifted: protocol.run_block's own
     # cross-check would otherwise raise first and fail all 13 names.
     shifted = types.SimpleNamespace(**vars(analytic))
     shifted.Q_of = lambda *args: analytic.Q_of(*args) + 1e-10
@@ -411,6 +411,89 @@ def test_optimize_policy_json(capsys):
     assert abs(payload["closed_form_max"] - MAX_EB_UNIT) <= 1e-12
     assert payload["converged"] is True
     assert len(payload["policy"]) == 2
+
+
+def y_turns(*omegas):
+    """A policy payload of turns about the y axis."""
+    return [{"omega": w, "n": [0.0, 1.0, 0.0]} for w in omegas]
+
+
+# optimize --over policy payloads frozen from the object-based search it
+# replaced (commit 9a5f913): (POVM, h, k, payload without povm.source); a
+# "weights" POVM is written to a file first
+OPTIMIZE_POLICY_FROZEN = (
+    (
+        "builtin:projective", "1", "1",
+        {
+            "over": "policy", "params": {"h": 1.0, "k": 1.0},
+            "povm": {"sha256": "72aba9966ce12bababec98dc8cd14dd151ff6c128776230690fecb77d98e9642"},
+            "best_value": 0.11474763394014711, "closed_form_max": 0.11474763394014707,
+            "policy": y_turns(2.980717376391472, 0.1608752771983211),
+            "evaluations": 602, "converged": True,
+        },
+    ),
+    (
+        "builtin:weak(0.3)", "0.8", "2.1",
+        {
+            "over": "policy", "params": {"h": 0.8, "k": 2.1},
+            "povm": {"sha256": "578b88be729304c8272efacea5f6bcce341b293f8c90587e8569922706665c89"},
+            "best_value": 0.005970165909301643, "closed_form_max": 0.005970165909301644,
+            "policy": y_turns(3.114979336805358, 0.026613316784435077),
+            "evaluations": 619, "converged": True,
+        },
+    ),
+    (
+        # |q| = p, zero mass and q = 0
+        {"p": [0.3, 0.0, 0.4, 0.3], "q": [0.3, 0.0, 0.0, -0.3]}, "1", "1",
+        {
+            "over": "policy", "params": {"h": 1.0, "k": 1.0},
+            "povm": {"sha256": "31c45ee21a93a7d14f08f8aba77d910f631b472b3d11bb91f0fe4f61ec089398"},
+            "best_value": 0.06884858036408827, "closed_form_max": 0.06884858036408825,
+            "policy": y_turns(2.980717376391472, 0.0, 0.0, 0.1608752771983211),
+            "evaluations": 863, "converged": True,
+        },
+    ),
+    (
+        # the weights of random_measurement(6, n_outcomes=6)
+        {
+            "p": [
+                0.16691859037504, 0.04429754868489803, 0.1455367602416561,
+                0.1293993984265705, 0.17741464618227862, 0.3364330560895567,
+            ],
+            "q": [
+                0.028382950618235488, 0.03853661223828597, -0.035502452827362266,
+                -0.050003520554855053, 0.17741464618227862, -0.15882823565658274,
+            ],
+        },
+        "0.8", "2.1",
+        {
+            "over": "policy", "params": {"h": 0.8, "k": 2.1},
+            "povm": {"sha256": "e01696ca25911ddb65738f1915719163a3062175f6c88187c5837f8532477795"},
+            "best_value": 0.021042960957275023, "closed_form_max": 0.021042960957275026,
+            "policy": y_turns(
+                3.126498490939776, 3.0649515230194027, 0.021647230338661366,
+                0.034259111466404236, 3.0537139279873564, 0.041821801145413104,
+            ),
+            "evaluations": 1843, "converged": True,
+        },
+    ),
+)
+
+
+@pytest.mark.parametrize("povm, h, k, frozen", OPTIMIZE_POLICY_FROZEN)
+def test_optimize_policy_payload_is_frozen(capsys, tmp_path, povm, h, k, frozen):
+    if isinstance(povm, dict):
+        path = tmp_path / "povm.json"
+        weights = [{"p": p, "q": q} for p, q in zip(povm["p"], povm["q"])]
+        path.write_text(json.dumps({"weights": weights}))
+        povm = str(path)
+    code, out, err = run_cli(capsys, "optimize", "--h", h, "--k", k, "--povm", povm)
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert payload["povm"].pop("source") == povm
+    assert payload == frozen
+    for turn in payload["policy"]:
+        assert abs(math.sqrt(sum(c * c for c in turn["n"])) - 1.0) <= 1e-12
 
 
 def test_optimize_weights_json(capsys):

@@ -9,6 +9,7 @@ from minqet import analytic, entanglement, measurement, qmath
 from minqet.measurement import MeasurementModel, weight_block
 from minqet.model import ModelParams
 
+from conftest import case_block, consumption_columns
 
 UNIT = ModelParams(h=1.0, k=1.0)
 GROUND_ENTROPY_UNIT = 0.4164955306996875
@@ -39,44 +40,43 @@ def test_entropy_rejects_unnormalized():
 
 
 def test_consumption_identity_measurement():
-    report = entanglement.consumption(UNIT, measurement.identity_measurement())
-    assert abs(report.delta_s) <= 1e-12
-    assert abs(report.mutual_info) <= 1e-12
+    report = consumption_columns([(UNIT, measurement.identity_measurement())])
+    assert abs(report.delta_s[0]) <= 1e-12
+    assert abs(report.mutual_info[0]) <= 1e-12
 
 
 def test_consumption_projective_exhausts_ground_entropy():
-    report = entanglement.consumption(UNIT, measurement.projective_pair())
-    assert abs(report.delta_s - report.s_ground) <= 1e-12
-    assert abs(report.delta_s - GROUND_ENTROPY_UNIT) <= 1e-12
+    report = consumption_columns([(UNIT, measurement.projective_pair())])
+    assert abs(report.delta_s[0] - report.s_ground[0]) <= 1e-12
+    assert abs(report.delta_s[0] - GROUND_ENTROPY_UNIT) <= 1e-12
     # every post state is a product state
-    assert all(abs(s) <= 1e-12 for s in report.s_post)
+    assert np.all(np.abs(report.s_post[0]) <= 1e-12)
 
 
 def test_consumption_quarter_pair():
     model = MeasurementModel.from_weights([0.5, 0.5], [0.25, -0.25])
-    report = entanglement.consumption(UNIT, model)
-    assert abs(report.delta_s - DELTA_S_QUARTER) <= 1e-12
+    report = consumption_columns([(UNIT, model)])
+    assert abs(report.delta_s[0] - DELTA_S_QUARTER) <= 1e-12
 
 
 def test_consumption_internal_bookkeeping(small_ensemble):
-    for params, model in small_ensemble[:16]:
-        report = entanglement.consumption(params, model)
-        avg_post = sum(p * s for p, s in zip(report.probabilities, report.s_post))
-        assert abs(report.delta_s - (report.s_ground - avg_post)) <= 1e-12
-        assert -1e-12 <= report.s_ground <= math.log(2.0) + 1e-12
-        assert all(-1e-12 <= s <= math.log(2.0) + 1e-12 for s in report.s_post)
+    report = consumption_columns(small_ensemble[:16])
+    avg_post = (report.probabilities * report.s_post).sum(axis=1)
+    assert np.all(np.abs(report.delta_s - (report.s_ground - avg_post)) <= 1e-12)
+    # padding outcomes have s_post 0
+    for s in (report.s_ground, report.s_post):
+        assert np.all((-1e-12 <= s) & (s <= math.log(2.0) + 1e-12))
 
 
 def test_consumption_matches_kernel_sum(small_ensemble):
-    for params, model in small_ensemble[:16]:
-        report = entanglement.consumption(params, model)
-        closed = analytic.delta_S_closed(params, *weight_block(model.rows))
-        assert abs(report.delta_s - closed) <= 1e-10
+    cases = small_ensemble[:16]
+    block, coeffs = case_block(cases)
+    closed = analytic.delta_S_closed(block, *weight_block(coeffs))
+    assert np.all(np.abs(consumption_columns(cases).delta_s - closed) <= 1e-10)
 
 
 def test_consumption_nonnegative(small_ensemble):
-    for params, model in small_ensemble:
-        assert entanglement.consumption(params, model).delta_s >= -1e-12
+    assert np.all(consumption_columns(small_ensemble).delta_s >= -1e-12)
 
 
 def test_reduced_eigenvalues_match_closed_form(small_ensemble):
@@ -95,19 +95,18 @@ def test_reduced_eigenvalues_match_closed_form(small_ensemble):
 
 
 def test_mutual_information_identity():
-    report = entanglement.consumption(UNIT, measurement.identity_measurement())
-    assert abs(report.mutual_info) <= 1e-12
+    report = consumption_columns([(UNIT, measurement.identity_measurement())])
+    assert abs(report.mutual_info[0]) <= 1e-12
 
 
 def test_mutual_information_projective():
-    mi = entanglement.consumption(UNIT, measurement.projective_pair()).mutual_info
+    mi = consumption_columns([(UNIT, measurement.projective_pair())]).mutual_info[0]
     assert abs(mi - GROUND_ENTROPY_UNIT) <= 1e-12
 
 
 def test_mutual_information_equals_consumption(small_ensemble):
-    for params, model in small_ensemble:
-        report = entanglement.consumption(params, model)
-        assert abs(report.mutual_info - report.delta_s) <= 1e-10
+    report = consumption_columns(small_ensemble)
+    assert np.all(np.abs(report.mutual_info - report.delta_s) <= 1e-10)
 
 
 def test_dense_pointer_state_agrees_with_block_form():
@@ -140,10 +139,11 @@ def test_dense_pointer_state_agrees_with_block_form():
 
 def test_consumption_monotone_in_correlation():
     # symmetric pair (1/2, +/- q): delta_S nondecreasing in q
-    values = []
-    for q in np.linspace(0.0, 0.5, 64):
-        model = MeasurementModel.from_weights([0.5, 0.5], [float(q), -float(q)])
-        values.append(entanglement.consumption(UNIT, model).delta_s)
+    cases = [
+        (UNIT, MeasurementModel.from_weights([0.5, 0.5], [float(q), -float(q)]))
+        for q in np.linspace(0.0, 0.5, 64)
+    ]
+    values = consumption_columns(cases).delta_s.tolist()
     assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
 
 
@@ -169,22 +169,16 @@ def test_entropy_takes_a_stack_of_density_matrices():
 
 
 def test_consumption_block_equals_one_call_per_case(small_ensemble):
-    from minqet.model import ground_state
-
     # the same kets padded to six outcomes: zero kets read as degenerate outcomes
     cases = small_ensemble[:8]
-    kets = np.zeros((len(cases), 6, 4), dtype=complex)
-    ground = np.array([ground_state(params) for params, _ in cases])
-    for i, (params, model) in enumerate(cases):
-        kets[i, : model.n_outcomes] = model.kraus @ ground[i]
-    block = entanglement.consumption_block(ground, kets)
-    for i, (params, model) in enumerate(cases):
-        one = entanglement.consumption(params, model)
-        n = model.n_outcomes
+    block = consumption_columns(cases)
+    for i, case in enumerate(cases):
+        one = consumption_columns([case])
+        n = case[1].n_outcomes
         assert block.probabilities[i, n:].tolist() == [0.0] * (6 - n)
         assert np.isnan(block.reduced_eigenvalues[i, n:]).all()
-        pairs = entanglement.eigenvalue_pairs(block.reduced_eigenvalues[i, :n].tolist())
-        assert pairs == one.reduced_eigenvalues
+        # a block of N is N blocks of one, bit for bit, NaN eigenvalues included
         for field in ("s_ground", "delta_s", "mutual_info"):
-            assert abs(getattr(block, field)[i] - getattr(one, field)) <= 1e-15
-        assert np.allclose(block.s_post[i, :n], one.s_post, rtol=0.0, atol=1e-15)
+            assert getattr(block, field)[i] == getattr(one, field)[0]
+        for field in ("probabilities", "s_post", "reduced_eigenvalues"):
+            assert getattr(block, field)[i, :n].tobytes() == getattr(one, field)[0].tobytes()

@@ -12,7 +12,7 @@ from minqet import measurement, protocol, qmath
 from minqet.measurement import ConstraintViolation, MeasurementModel, weight_block
 from minqet.model import ModelParams, ParamsBlock, build_hamiltonian, ground_state
 
-from conftest import case_block
+from conftest import case_block, case_report, run_batch
 
 
 def test_identity_outcome_is_valid():
@@ -156,16 +156,17 @@ def test_measure_identity():
     g = ground_state(params)
     model = measurement.identity_measurement()
     assert np.allclose(model.kraus[0] @ g, g, atol=1e-15)
-    (outcome,) = protocol.run(params, model, protocol.FeedbackPolicy.identity(1)).per_outcome
-    assert abs(outcome.probability - 1.0) <= 1e-15
+    # an empty policy is padded with the identity
+    ((probability, *_),) = run_batch([(params, model, ())]).per_outcome[0].tolist()
+    assert abs(probability - 1.0) <= 1e-15
 
 
 def test_measure_projective_probabilities():
     params = ModelParams(h=1.0, k=1.0)
     model = measurement.projective_pair()
     # <g|sigma_x^A|g> = 0 forces 1/2 each
-    for outcome in protocol.run(params, model, protocol.FeedbackPolicy.identity(2)).per_outcome:
-        assert abs(outcome.probability - 0.5) <= 1e-12
+    for probability in run_batch([(params, model, ())]).per_outcome[0, :, 0].tolist():
+        assert abs(probability - 0.5) <= 1e-12
 
 
 def test_measure_probabilities_match_weights(small_ensemble):
@@ -184,10 +185,11 @@ def test_measure_probabilities_match_weights(small_ensemble):
 def test_measure_degenerate_outcome():
     tiny = 1e-16
     model = MeasurementModel.from_weights([tiny, 1.0 - tiny], [0.0, 0.0])
-    report = protocol.run(ModelParams(h=1.0, k=1.0), model, protocol.FeedbackPolicy.identity(2))
-    assert report.per_outcome[0].probability == 0.0
-    assert report.reduced_eigenvalues[0] is None
-    assert report.reduced_eigenvalues[1] is not None
+    report = case_report(run_batch([(ModelParams(h=1.0, k=1.0), model, ())]), 0, 2)
+    assert report.per_outcome[0][0] == 0.0
+    # NaN eigenvalues mark the degenerate outcome
+    assert all(math.isnan(x) for x in report.reduced_eigenvalues[0])
+    assert not any(math.isnan(x) for x in report.reduced_eigenvalues[1])
 
 
 def test_input_energy_identity():

@@ -22,60 +22,58 @@ def test_fibonacci_sphere_is_unit():
     assert float(np.max(np.abs(np.linalg.norm(pts, axis=1) - 1.0))) <= 1e-12
 
 
-def test_policy_search_trivial_model():
-    model = MeasurementModel.from_weights([0.5, 0.5], [0.0, 0.0])
-    res = optimizer.maximize_over_policy(UNIT, model)
-    assert abs(res.best_value) <= 1e-10
-    assert res.converged
-
-
-def test_policy_search_projective_unit_point():
-    res = optimizer.maximize_over_policy(UNIT, measurement.projective_pair())
-    assert abs(res.best_value - MAX_EB_UNIT) <= 1e-8
-    for u in res.best_policy.unitaries:
-        assert abs(u.n[1]) >= 1.0 - 1e-4
-
-
-def test_policy_search_matches_closed_form_ensemble():
-    members = model_ensemble(30, seed0=500)
-    for params, model in members:
-        res = optimizer.maximize_over_policy(params, model)
-        closed = analytic.max_EB_closed(params, *weight_block(model.rows))
-        rel = abs(res.best_value - closed) / max(closed, 1e-9)
-        assert rel <= 1e-7
-        assert res.best_value <= closed + 1e-9
-        assert res.converged
-
-
-def test_policy_search_canonical_axis():
-    members = model_ensemble(20, seed0=900)
-    for params, model in members:
-        res = optimizer.maximize_over_policy(params, model)
-        for q, u in zip(weight_block(model.rows)[1].tolist(), res.best_policy.unitaries):
-            if abs(q) > 1e-12:
-                assert abs(u.n[1]) >= 1.0 - 1e-4
-
-
-def test_policy_search_result_replays():
-    model = measurement.random_measurement(seed=77, n_outcomes=3)
-    res = optimizer.maximize_over_policy(UNIT, model)
-    replay = protocol.run(UNIT, model, res.best_policy).e_b
-    assert abs(replay - res.best_value) <= 1e-12
-
-
-def test_policy_search_deterministic():
-    model = measurement.random_measurement(seed=5, n_outcomes=4)
-    a = optimizer.maximize_over_policy(UNIT, model)
-    b = optimizer.maximize_over_policy(UNIT, model)
-    assert a.best_value == b.best_value
-    assert a.evaluations == b.evaluations
-    assert a.best_policy == b.best_policy
-
-
 def search(cases):
     """``maximize_over_policies`` on the arrays of (params, model) cases."""
     block, coeffs = case_block(cases)
     return optimizer.maximize_over_policies(block, *measurement.weight_block(coeffs))
+
+
+def test_policy_search_trivial_model():
+    model = MeasurementModel.from_weights([0.5, 0.5], [0.0, 0.0])
+    value, _, _, _, converged = search([(UNIT, model)])
+    assert abs(value[0]) <= 1e-10
+    assert converged[0]
+
+
+def test_policy_search_projective_unit_point():
+    value, _, axes, _, _ = search([(UNIT, measurement.projective_pair())])
+    assert abs(value[0] - MAX_EB_UNIT) <= 1e-8
+    assert np.all(np.abs(axes[0, :, 1]) >= 1.0 - 1e-4)
+
+
+def test_policy_search_matches_closed_form_ensemble():
+    members = model_ensemble(30, seed0=500)
+    block, coeffs = case_block(members)
+    closed = analytic.max_EB_closed(block, *weight_block(coeffs))
+    value, _, _, _, converged = search(members)
+    rel = np.abs(value - closed) / np.maximum(closed, 1e-9)
+    assert np.all(rel <= 1e-7)
+    assert np.all(value <= closed + 1e-9)
+    assert converged.all()
+
+
+def test_policy_search_canonical_axis():
+    members = model_ensemble(20, seed0=900)
+    _, _, axes, _, _ = search(members)
+    for (_, model), case_axes in zip(members, axes):
+        for q, axis in zip(weight_block(model.rows)[1].tolist(), case_axes):
+            if abs(q) > 1e-12:
+                assert abs(axis[1]) >= 1.0 - 1e-4
+
+
+def test_policy_search_result_replays():
+    model = measurement.random_measurement(seed=77, n_outcomes=3)
+    block, coeffs = case_block([(UNIT, model)])
+    value, omega, axes, _, _ = optimizer.maximize_over_policies(block, *weight_block(coeffs))
+    replay = protocol.run_many(block, coeffs, omega, axes).e_b
+    assert abs(replay[0] - value[0]) <= 1e-12
+
+
+def test_policy_search_deterministic():
+    model = measurement.random_measurement(seed=5, n_outcomes=4)
+    a, b = search([(UNIT, model)]), search([(UNIT, model)])
+    # value, policy table, evaluations and flag, bit for bit
+    assert [column.tobytes() for column in a] == [column.tobytes() for column in b]
 
 
 def test_policy_batch_matches_one_call_per_case(monkeypatch):
@@ -98,15 +96,20 @@ def test_policy_batch_matches_one_call_per_case(monkeypatch):
     assert omega.shape == (len(cases), 6) and axes.shape == (len(cases), 6, 3)
     assert (omega[0, 1], tuple(axes[0, 1])) == (0.0, optimizer.Y_AXIS)  # the identity
     assert tuple(axes[0, 0]) == optimizer.Y_AXIS
-    for i, (params, model) in enumerate(cases):
-        alone = optimizer.maximize_over_policy(params, model)
-        assert value[i] == alone.best_value
-        assert evaluations[i] == alone.evaluations
-        assert converged[i] == alone.converged
-        n = model.n_outcomes
-        turns = map(protocol.LocalUnitary.normalized, omega[i, :n], axes[i, :n])
-        assert tuple(turns) == alone.best_policy.unitaries
+    for i, case in enumerate(cases):
+        # a block of N is N blocks of one, bit for bit
+        alone = search([case])
+        n = case[1].n_outcomes
+        assert value[i] == alone[0][0]
+        assert evaluations[i] == alone[3][0]
+        assert converged[i] == alone[4][0]
+        assert omega[i, :n].tobytes() == alone[1][0].tobytes()
+        assert axes[i, :n].tobytes() == alone[2][0].tobytes()
         assert not omega[i, n:].any()  # padding: the identity
+    # every axis row of an outcome the search ran has unit length
+    live = (weight_block(case_block(cases)[1])[0] > measurement.DEGENERATE_PROB).T
+    lengths = np.sqrt(np.sum(axes[live] ** 2, axis=-1))
+    assert live.sum() == 20 and np.all(np.abs(lengths - 1.0) <= 1e-12)
 
 
 # (h, k), measurement, then best_value and evaluations of the per-outcome
@@ -319,5 +322,5 @@ def test_nonconvergence_is_a_warning_not_an_error():
     assert issubclass(optimizer.NoConvergence, RuntimeWarning)
     with warnings.catch_warnings():
         warnings.simplefilter("error", optimizer.NoConvergence)
-        res = optimizer.maximize_over_policy(UNIT, measurement.projective_pair())
-    assert res.converged
+        converged = search([(UNIT, measurement.projective_pair())])[4]
+    assert converged[0]

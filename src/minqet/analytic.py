@@ -41,6 +41,8 @@ from .measurement import DEGENERATE_PROB
 from .model import ModelParams
 
 LN2 = math.log(2.0)
+# the rotation axis of every outcome's closed-form maximum (z = 0)
+Y_AXIS = (0.0, 1.0, 0.0)
 
 
 class DomainError(ValueError):
@@ -106,8 +108,10 @@ def max_over_omega(
 
     Q = X cos(2w) - G sin(2w) - X with G = h k q n_y, so the maximum is
     sqrt(X^2 + G^2) - X at 2w = atan2(-G, X).  The angle is reported in
-    [0, pi) since Q is pi-periodic.  This is the package's one formula for
-    the omega-maximum; the policy optimizer searches the axis over it.
+    [0, pi) since Q is pi-periodic, and is 0 where X = G = 0.  This is the
+    package's one formula for the omega-maximum: at ``Y_AXIS`` it gives
+    ``protocol.optimal_table``'s angles, and the policy optimizer searches
+    the axis over it.
 
     It reads only ``params.h`` and ``params.k``, so any object with those
     two attributes will do.
@@ -177,21 +181,6 @@ def t_sign_check(params: ModelParams, p: float, q: float, n_grid: int = 129) -> 
         T_profile(params, p, q, z) > t0 + 1e-12 * scale, axis=0
     )
     return bool(~bad) if np.ndim(bad) == 0 else ~bad
-
-
-def optimal_rotation(
-    params: ModelParams, p: float, q: float
-) -> tuple[float, tuple[float, float, float]]:
-    """The (omega, axis) attaining the per-outcome maximum: axis y, z = 0.
-
-    With n = (0, 1, 0) the coefficients are X = a and G = h k q, so
-    2 omega = atan2(-h k q, a); the angle is reported in [0, pi), and is 0
-    where a = G = 0.  The axis is the same for every outcome.
-    """
-    a = p * (params.h * params.h + 2.0 * params.k * params.k)
-    g = params.h * params.k * q
-    omega = np.where((a == 0.0) & (g == 0.0), 0.0, 0.5 * np.arctan2(-g, a) % math.pi)
-    return (float(omega) if omega.ndim == 0 else omega), (0.0, 1.0, 0.0)
 
 
 def f_E(params: ModelParams, x):

@@ -12,7 +12,8 @@ once, so a check and its budget mean the same thing wherever they are run.
 The random checks draw in the order one member at a time would, and score
 their members a block at a time on a ``ParamsBlock`` and a coefficient
 block, with no per-member objects: the per-member loop makes only the RNG
-calls, and params are ``params_row`` rows.  The ensemble's block is
+calls, params are ``params_row`` rows, and a draw of many members is
+checked by one ``measurement.draw_block`` call.  The ensemble's block is
 ``ENSEMBLE_BLOCK`` (256) members, four times ``protocol.BLOCK``, because
 its fixed costs per block (an 80-iteration golden-section refinement, one
 ``measured_block`` and one ``run_block`` call) outweigh its arrays; each
@@ -229,8 +230,8 @@ def _draw_cases(rng: np.random.Generator, size: int, max_outcomes: int, turn=Non
     """size random cases, each drawing params, outcome count, raw weights, then turn(rng).
 
     Returns a ``ParamsBlock``, the coefficient block (size, max_outcomes,
-    4), checked by one ``draw_block`` per protocol.BLOCK members, and the
-    array of the turns' rows (empty without ``turn``).
+    4), checked by one ``draw_block`` call, and the array of the turns'
+    rows (empty without ``turn``).
     """
     rows, draws, turns = [], [], []
     for _ in range(size):
@@ -238,10 +239,9 @@ def _draw_cases(rng: np.random.Generator, size: int, max_outcomes: int, turn=Non
         draws.append(measurement.raw_draw(rng, int(rng.integers(2, max_outcomes + 1))))
         if turn:
             turns.append(turn(rng))
+    block, _ = measurement.draw_block(draws)
     coeffs = np.zeros((size, max_outcomes, 4))
-    for first in range(0, size, protocol.BLOCK):
-        block, _ = measurement.draw_block(draws[first : first + protocol.BLOCK])
-        coeffs[first : first + len(block), : block.shape[1]] = block
+    coeffs[:, : block.shape[1]] = block
     return ParamsBlock.of_rows(rows), coeffs, np.array(turns)
 
 

@@ -1,8 +1,8 @@
 """Command-line front end: verify, report, sweep, evolve, optimize.
 
 Exit codes: 0 success; 1 no verified number (a failed verify check, or an
-arithmetic error or internal cross-check failure, reported as one
-``error:`` line on stderr); 2 usage or I/O error.
+arithmetic error, internal cross-check failure or running out of memory,
+reported as one ``error:`` line on stderr); 2 usage or I/O error.
 All floats in CSV output are printed with 17 significant digits so that
 parsing them back gives bit-identical values.
 """
@@ -10,7 +10,6 @@ parsing them back gives bit-identical values.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import csv
 import functools
 import hashlib
@@ -115,6 +114,8 @@ def parse_range(text: str) -> np.ndarray:
 
 def cmd_verify(args) -> int:
     seed, ensemble = args.seed, args.ensemble
+    if seed < 0:
+        raise ValueError(f"--seed must be nonnegative, got {seed}")
     n_checks = n_skip = 0
     failures = []
     for routine, budgets, cap in checks.CHECKS:
@@ -227,25 +228,14 @@ def cmd_sweep(args) -> int:
     block = ParamsBlock.of(ModelParams(h=float(h), k=float(k)) for h in h_values for k in k_values)
     coeffs = np.broadcast_to(meas.rows, (len(block.h),) + meas.rows.shape)
     weights = measurement.weight_block(coeffs)
-    # one policy search and one batched run for the whole grid; with --jobs N
-    # the run is split into at most N contiguous chunks, one per worker
+    # one policy search and one batched run for the whole grid
     numeric = optimizer.maximize_over_policies(block, *weights)[0]
-    inputs = (block, coeffs, *protocol.optimal_table(block, *weights))
-    if args.jobs > 1:
-        size = -(-len(coeffs) // args.jobs)
-        chunks = [slice(i, i + size) for i in range(0, len(coeffs), size)]
-        with concurrent.futures.ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-            runs = list(pool.map(protocol.run_many, *([x[c] for c in chunks] for x in inputs)))
-    else:
-        runs = [protocol.run_many(*inputs)]
-    names = ("e_a", "max_eb_closed", "delta_s", "mutual_info", "bound32_rhs", "bound770_rhs")
-    e_a, closed, delta_s, mutual, rhs32, rhs770 = (
-        np.concatenate([getattr(run, name) for run in runs]) for name in names
-    )
+    run = protocol.run_many(block, coeffs, *protocol.optimal_table(block, *weights))
+    closed, delta_s = run.max_eb_closed, run.delta_s
     # one row per cell, in SWEEP_COLUMNS order
     columns = (
-        block.h, block.k, e_a, closed, numeric, delta_s, mutual, delta_s, rhs32, closed, rhs770,
-        analytic.nats_to_bits(delta_s),
+        block.h, block.k, run.e_a, closed, numeric, delta_s, run.mutual_info, delta_s,
+        run.bound32_rhs, closed, run.bound770_rhs, analytic.nats_to_bits(delta_s),
     )
     rows = [[fmt(x) for x in row] + [sha] for row in zip(*(c.tolist() for c in columns))]
 
@@ -377,7 +367,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--k", required=True, help="MIN:MAX:N[:log] or a single value")
     s.add_argument("--povm", required=True)
     s.add_argument("--out", required=True, help="output directory")
-    s.add_argument("--jobs", type=int, default=1)
+    s.add_argument("--jobs", type=int, default=1,
+                   help="accepted for compatibility (at least 1); the grid runs in one process")
 
     e = sub.add_parser("evolve", help="post-measurement energy vs time, CSV")
     e.add_argument("--h", type=float, required=True)
@@ -419,6 +410,9 @@ def main(argv=None) -> int:
         return 2
     except (ArithmeticError, RuntimeError) as exc:  # no verified number
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # no verified number either
+        print(f"error: out of memory ({exc})", file=sys.stderr)
         return 1
 
 

@@ -142,7 +142,7 @@ def reduced_post_states(
     params: model.ModelParams, meas: measurement.MeasurementModel
 ) -> list[tuple[float, np.ndarray | None]]:
     """Per outcome, the Born probability and reduced state of B (None if degenerate)."""
-    prob, rho_b = _post_states(meas.kraus @ model.ground_state(params))
+    prob, rho_b = _post_states(measurement.kraus_operators(meas.rows) @ model.ground_state(params))
     return [(p, rho) if p > 0.0 else (0.0, None) for p, rho in zip(prob.tolist(), rho_b)]
 
 

@@ -36,7 +36,6 @@ reads its weights back.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -76,7 +75,8 @@ class MeasurementModel:
 
     Construction checks every POVM constraint once, with ``check_block`` at
     WEIGHT_TOL, so any model that exists is a valid measurement.  Two models
-    are equal when their rows are.
+    are equal when their rows are.  The rows are its only representation:
+    ``weight_block`` reads its weights and ``kraus_operators`` its operators.
     """
 
     rows: np.ndarray
@@ -95,13 +95,6 @@ class MeasurementModel:
     @property
     def n_outcomes(self) -> int:
         return len(self.rows)
-
-    @functools.cached_property
-    def kraus(self) -> np.ndarray:
-        """The read-only (n, 4, 4) stack of M_A(mu) tensored with identity on B."""
-        stack = kraus_operators(self.rows)
-        stack.setflags(write=False)
-        return stack
 
     @classmethod
     def from_weights(cls, p, q) -> "MeasurementModel":

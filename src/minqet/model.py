@@ -107,9 +107,6 @@ class HamiltonianParts:
         for m in (self.h_a, self.h_b, self.v, self.total):
             m.setflags(write=False)
 
-    def observables(self) -> dict[str, np.ndarray]:
-        return {"H_A": self.h_a, "H_B": self.h_b, "V": self.v, "H": self.total}
-
 
 def build_hamiltonian(params: ModelParams) -> HamiltonianParts:
     """Assemble H_A, H_B, V and their sum for ``ModelParams`` or a ``ParamsBlock``.

@@ -47,7 +47,6 @@ POLISH_BLOCK = 1024  # (rows, 6) simplex candidates
 POLL_BLOCK = 128  # (rows, 2n, n) weight-balancing temporaries of a compass poll
 TOL = 1e-10
 TIE_RTOL = 1e-8  # see maximize_over_policies
-Y_AXIS = (0.0, 1.0, 0.0)
 
 
 class NoConvergence(RuntimeWarning):
@@ -198,18 +197,18 @@ def maximize_over_policies(params: ParamsBlock, p: np.ndarray, q: np.ndarray) ->
         )
     axes = np.column_stack(_axis_from_angles(angles[:, 0], angles[:, 1]))
     value, omega = (v[:, 0] for v in _omega_max(table, tuple(axes.T[..., None])))
-    y_value, y_omega = (v[:, 0] for v in _omega_max(table, Y_AXIS))
+    y_value, y_omega = (v[:, 0] for v in _omega_max(table, analytic.Y_AXIS))
     scale = np.maximum(np.abs(value), np.abs(y_value))
     tie = np.abs(value - y_value) <= TIE_RTOL * scale
     value = np.where(tie, y_value, value) / params.eps[case]
     omega = np.where(tie, y_omega, omega)
-    axes[tie] = Y_AXIS
+    axes[tie] = analytic.Y_AXIS
     if not converged.all():
         warnings.warn("policy search exhausted its refinement budget", NoConvergence)
     return (
         np.add.accumulate(_per_outcome(live, value, 0.0), axis=1)[:, -1],
         _per_outcome(live, omega, 0.0),
-        _per_outcome(live, axes, Y_AXIS),
+        _per_outcome(live, axes, analytic.Y_AXIS),
         _per_outcome(live, evaluations + SPHERE_POINTS + 2, 0).sum(axis=1),
         _per_outcome(live, converged, True).all(axis=1),
     )

@@ -30,7 +30,6 @@ the case.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -124,9 +123,6 @@ def _check_nonnegative(label: str, values: np.ndarray, scale, first: int) -> Non
         raise RuntimeError(f"{label} in case {first + i}: {float(values[i])!r}")
 
 
-_REPORT_FIELDS = [field.name for field in dataclasses.fields(ProtocolReport)]
-
-
 def run_many(
     params: ParamsBlock, coeffs: np.ndarray, omega: np.ndarray, axes: np.ndarray
 ) -> ProtocolReport:
@@ -140,9 +136,7 @@ def run_many(
     for i in range(0, len(coeffs), BLOCK):
         block = measured_block(params[i : i + BLOCK], coeffs[i : i + BLOCK])
         blocks.append(run_block(block, omega[i : i + BLOCK], axes[i : i + BLOCK], i))
-    return ProtocolReport(
-        *(np.concatenate([getattr(b, name) for b in blocks]) for name in _REPORT_FIELDS)
-    )
+    return ProtocolReport(*map(np.concatenate, zip(*(vars(b).values() for b in blocks))))
 
 
 @dataclass(frozen=True)
@@ -177,9 +171,12 @@ def measured_block(params: ParamsBlock, coeffs: np.ndarray) -> MeasuredBlock:
 
 
 def optimal_table(params, p, q) -> tuple[np.ndarray, np.ndarray]:
-    """The closed-form maximizing policy of weights p, q (n, B): angles (B, n), axes (B, n, 3)."""
-    omega, axis = analytic.optimal_rotation(params, p, q)
-    return omega.T, np.broadcast_to(axis, omega.T.shape + (3,))
+    """The closed-form maximizing policy of weights p, q (n, B): angles (B, n), axes (B, n, 3).
+
+    Every axis is ``analytic.Y_AXIS`` and every angle ``analytic.max_over_omega``'s there.
+    """
+    omega = analytic.max_over_omega(params, p, q, analytic.Y_AXIS)[1].T
+    return omega, np.broadcast_to(analytic.Y_AXIS, omega.shape + (3,))
 
 
 def run_block(
@@ -283,8 +280,10 @@ def evolve_series(
 
     Returns the columns t, <H_B(t)> by brute force, <H_B(t)> in closed form
     and <V(t)>, each (T,), with no feedback applied.  The brute-force route
-    propagates each post-measurement ket with the full Hamiltonian's
-    eigendecomposition, BLOCK times at a time; the closed form is
+    propagates each post-measurement ket, ``measurement.kraus_operators`` of
+    the rows on |g>, with the full Hamiltonian's eigendecomposition, BLOCK
+    times at a time, in units of eps (not through ``measured_block``, whose
+    E_A has an absolute residue budget); the closed form is
 
         <H_B(t)> = (h^2 / eps) sum(l^2) (1 - cos 4 k t),    <V(t)> = 0.
 
@@ -293,7 +292,7 @@ def evolve_series(
     parts = build_hamiltonian(params)
     g = ground_state(params)
     vals, vecs = qmath.hermitian_eig(parts.total)
-    kets = (meas.kraus @ g) @ vecs.conj()  # in the energy eigenbasis
+    kets = (measurement.kraus_operators(meas.rows) @ g) @ vecs.conj()  # in the energy eigenbasis
     # in units of eps, so that expectation's imaginary-residue budget is relative
     ops = np.stack([parts.h_b, parts.v]) / params.eps
     amp = 0.5 * measurement.input_energy_closed(params, meas.rows)  # E_A / 2

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from minqet import entanglement, protocol
-from minqet.measurement import coefficient_block, random_measurement
+from minqet.measurement import coefficient_block, kraus_operators, random_measurement
 from minqet.model import ModelParams, ParamsBlock, ground_state
 
 # Nine-point log grid used by every ensemble check.
@@ -52,7 +52,7 @@ def consumption_columns(cases):
     ground = np.array([ground_state(params) for params, _ in cases])
     kets = np.zeros((len(cases), max(model.n_outcomes for _, model in cases), 4), dtype=complex)
     for i, (_, model) in enumerate(cases):
-        kets[i, : model.n_outcomes] = model.kraus @ ground[i]
+        kets[i, : model.n_outcomes] = kraus_operators(model.rows) @ ground[i]
     return entanglement.consumption_block(ground, kets)
 
 

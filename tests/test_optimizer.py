@@ -94,8 +94,8 @@ def test_policy_batch_matches_one_call_per_case(monkeypatch):
         value, omega, axes, evaluations, converged = search(cases)
     assert value.shape == evaluations.shape == converged.shape == (len(cases),)
     assert omega.shape == (len(cases), 6) and axes.shape == (len(cases), 6, 3)
-    assert (omega[0, 1], tuple(axes[0, 1])) == (0.0, optimizer.Y_AXIS)  # the identity
-    assert tuple(axes[0, 0]) == optimizer.Y_AXIS
+    assert (omega[0, 1], tuple(axes[0, 1])) == (0.0, analytic.Y_AXIS)  # the identity
+    assert tuple(axes[0, 0]) == analytic.Y_AXIS
     for i, case in enumerate(cases):
         # a block of N is N blocks of one, bit for bit
         alone = search([case])

@@ -62,7 +62,8 @@ def test_run_entropy_fields_delegate():
     model = measurement.projective_pair()
     report = run_batch([(UNIT, model, [Y_TURN] * 2)])
     g = ground_state(UNIT)
-    reference = entanglement.consumption_block(g[None], (model.kraus @ g)[None])
+    kets = measurement.kraus_operators(model.rows) @ g
+    reference = entanglement.consumption_block(g[None], kets[None])
     assert abs(report.delta_s[0] - reference.delta_s[0]) <= 1e-12
     assert abs(report.mutual_info[0] - reference.mutual_info[0]) <= 1e-12
 
@@ -124,6 +125,46 @@ def test_optimal_table_equals_one_call_per_case(small_ensemble):
         n = model.n_outcomes
         assert np.column_stack([omega[row, :n], axes[row, :n]]).tolist() == optimal_rows(p, model)
         assert not omega[row, n:].any()  # padding: the identity
+
+
+# optimal_table's angles on edge weights, frozen bit for bit: (h, k) from
+# 1e-8 to 1e8, each with the outcomes |q| = p, q = +0.0, q = -0.0 and a
+# zero-padding row, then a generic pair padded by three zero rows
+EDGE_HK = [
+    (1e-8, 1e-8), (1e-8, 1e8), (1e8, 1e-8), (1e8, 1e8), (1e-8, 1.0), (1.0, 1e-8), (0.8, 2.1)
+]
+EDGE_WEIGHTS = [
+    [(0.3, 0.3), (0.3, -0.3), (0.2, 0.0), (0.2, -0.0), (0.0, 0.0)],
+    [(0.43, 0.21), (0.57, -0.21), (0.0, 0.0), (0.0, 0.0), (0.0, 0.0)],
+]
+EDGE_OMEGA = [
+    [2.980717376391472, 0.1608752771983211],
+    [3.0609050983794472, 0.061097585345677524],
+    [3.141592653589793, 2.5e-17],
+    [3.141592653589793, 9.210526315789473e-18],
+    [3.141592653589793, 5e-17],
+    [3.141592653589793, 1.8421052631578946e-17],
+    [2.980717376391472, 0.1608752771983211],
+    [3.0609050983794472, 0.06109758534567753],
+    [3.141592651089793, 2.5e-09],
+    [3.141592652368863, 9.210526315789473e-10],
+    [3.141592648589793, 4.999999999999999e-09],
+    [3.1415926511479326, 1.8421052631578943e-09],
+    [3.0537139279873564, 0.08787872560243666],
+    [3.098335933197022, 0.03266735903182121],
+]
+
+
+def test_optimal_table_edge_weights_are_frozen():
+    cases = [(hk, weights) for hk in EDGE_HK for weights in EDGE_WEIGHTS]
+    block = ParamsBlock.of([ModelParams(*hk) for hk, _ in cases])
+    p, q = np.array([weights for _, weights in cases]).transpose(2, 1, 0)
+    omega, axes = protocol.optimal_table(block, p, q)
+    frozen = np.zeros((len(cases), 5))
+    frozen[:, :2] = EDGE_OMEGA
+    assert omega.tobytes() == frozen.tobytes()  # the zeros' signs too
+    assert axes.shape == (len(cases), 5, 3)
+    assert (axes == (0.0, 1.0, 0.0)).all()
 
 
 def test_optimal_policy_beats_a_grid():
@@ -217,14 +258,15 @@ def test_evolution_matches_frozen_values():
     assert_close(sums, EVOLVE_SUMS)
 
 
-def test_evolution_names_the_failing_time():
-    # the closed amplitude reads sum(l^2) from the coefficient rows: scale it by 1 + 1e-6
-    model = measurement.weak_pair(0.3)
-    rows = model.rows * (1.0, 1.0 + 5e-7, 1.0, 1.0)
-    scaled = types.SimpleNamespace(rows=rows, kraus=model.kraus)
+def test_evolution_names_the_failing_time(monkeypatch):
+    # the closed amplitude is E_A / 2: scale E_A by 1 + 1e-6
+    input_energy = measurement.input_energy_closed
+    monkeypatch.setattr(
+        measurement, "input_energy_closed", lambda *args: input_energy(*args) * (1.0 + 1e-6)
+    )
     times = np.linspace(0.0, math.pi, 200)
     with pytest.raises(RuntimeError, match=r"<H_B\(t\)> brute force - closed is .* at t="):
-        protocol.evolve_series(UNIT, scaled, times)
+        protocol.evolve_series(UNIT, measurement.weak_pair(0.3), times)
 
 
 def test_evolution_other_parameters():

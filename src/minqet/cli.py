@@ -114,8 +114,9 @@ def parse_range(text: str) -> np.ndarray:
 
 def cmd_verify(args) -> int:
     seed, ensemble = args.seed, args.ensemble
-    if seed < 0:
-        raise ValueError(f"--seed must be nonnegative, got {seed}")
+    for flag, value in (("--seed", seed), ("--ensemble", ensemble)):
+        if value < 0:
+            raise ValueError(f"{flag} must be nonnegative, got {value}")
     n_checks = n_skip = 0
     failures = []
     for routine, budgets, cap in checks.CHECKS:
@@ -272,8 +273,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_evolve(args) -> int:
-    if args.t_max <= 0.0:
-        raise ValueError(f"--t-max must be positive, got {args.t_max}")
+    if not 0.0 < args.t_max < np.inf:
+        raise ValueError(f"--t-max must be positive and finite, got {args.t_max}")
     if args.points < 2:
         raise ValueError(f"--points must be at least 2, got {args.points}")
     params = ModelParams(h=args.h, k=args.k)
@@ -374,7 +375,8 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--h", type=float, required=True)
     e.add_argument("--k", type=float, required=True)
     e.add_argument("--povm", required=True)
-    e.add_argument("--t-max", type=float, required=True)
+    e.add_argument("--t-max", type=float, required=True,
+                   help="last time sampled, positive and finite; a phase that overflows exits 1")
     e.add_argument("--points", type=int, default=256)
     e.add_argument("--out", default="", help="CSV path (default: stdout)")
 

@@ -15,11 +15,12 @@ on a ``ParamsBlock`` and a coefficient block (N, n, 4): the kets M_A(mu)|g>
 as one (N, n, 4) array, zero-padded to the largest outcome count, with the
 weights in the closed forms' (n, N) layout.  ``run_block`` rotates B by a
 policy table and returns per-case columns, and ``run_many`` computes them
-BLOCK cases at a time; ``passive_costs`` runs in blocks too, and
-``evolve_series`` computes its (T,) columns BLOCK times at a time.  One
-case is a block of one.  Each rotation acts as a 2x2 block on the ket
-read as an (a, b) matrix, and every energy is a stacked
-``qmath.expectation``: Tr[rho O] is its sum over the kets of rho.
+BLOCK cases at a time; ``evolve_series`` computes its (T,) columns BLOCK
+times at a time.  One case is a block of one, and an outcome-blind
+rotation W of B is the policy that applies W at every outcome.  Each
+rotation acts as a 2x2 block on the ket read as an (a, b) matrix, and
+every energy is a stacked ``qmath.expectation``: Tr[rho O] is its sum over
+the kets of rho.  Born's rule is ``entanglement.consumption_block``'s.
 
 Every run cross-checks its own arithmetic: the Tr[rho H] route must
 match the per-outcome scalar route (sum of Q / eps) and the closed form
@@ -61,7 +62,7 @@ def rotations(omega, axes) -> np.ndarray:
     return np.cos(omega) * qmath.identity(2) + (1j * np.sin(omega)) * axis_dot_sigma
 
 
-def _rotate_b(kets: np.ndarray, u: np.ndarray) -> np.ndarray:
+def rotate_b(kets: np.ndarray, u: np.ndarray) -> np.ndarray:
     """(I (x) u) psi for kets (B, ..., 4) and u (B, ..., 2, 2) on B: psi[a, b] -> psi u^T."""
     return (kets.reshape(kets.shape[:-1] + (2, 2)) @ np.swapaxes(u, -1, -2)).reshape(kets.shape)
 
@@ -116,8 +117,8 @@ def _check(label: str, left, right, scale, first: int = 0) -> None:
 
 
 def _check_nonnegative(label: str, values: np.ndarray, scale, first: int) -> None:
-    """Raise unless values >= -CROSS_CHECK_TOL * scale in every case of a (B,) array."""
-    negative = np.flatnonzero(values < -CROSS_CHECK_TOL * np.asarray(scale))
+    """Raise unless values >= -CROSS_CHECK_TOL * scale in every case of a (B,) array (NaN fails)."""
+    negative = np.flatnonzero(~(values >= -CROSS_CHECK_TOL * np.asarray(scale)))
     if negative.size:
         i = negative[0]
         raise RuntimeError(f"{label} in case {first + i}: {float(values[i])!r}")
@@ -188,11 +189,11 @@ def run_block(
     """
     params, parts, kets, e_a, scale = block.params, block.parts, block.kets, block.e_a, block.scale
     total = parts.total[:, None]  # against the outcome axis of the kets
-    prob = np.einsum("bni,bni->bn", kets.conj(), kets).real
-    live = prob >= measurement.DEGENERATE_PROB
-    prob = np.where(live, prob, 0.0)
+    ent = entanglement.consumption_block(block.ground, kets)
+    prob = ent.probabilities  # Born's rule, 0 where an outcome is degenerate
+    live = prob > 0.0
 
-    phi = np.where(live[..., None], _rotate_b(kets, rotations(omega, axes)), 0.0)  # fed back
+    phi = np.where(live[..., None], rotate_b(kets, rotations(omega, axes)), 0.0)  # fed back
     chi = phi / np.sqrt(np.where(live, prob, 1.0))[..., None]  # normalized
     local_ops = np.stack([parts.h_a, parts.h_b, parts.v], axis=1)
     local = qmath.expectation(chi[..., None, :], local_ops[:, None])  # (B, n, 3)
@@ -211,7 +212,6 @@ def run_block(
 
     bound = analytic.bounds(params)
     max_eb = analytic.max_EB_closed(params, block.p, block.q)
-    ent = entanglement.consumption_block(block.ground, kets)
     total_local = (local[..., 0] + local[..., 1] + local[..., 2])[..., None]
     per_outcome = np.concatenate([prob[..., None], local, total_local], axis=-1)
     return ProtocolReport(
@@ -231,48 +231,6 @@ def random_turn(rng: np.random.Generator) -> tuple[float, float, float, float]:
     return (math.atan2(vec_norm, float(quat[0])), *unit_axis(quat[1:]))
 
 
-def passive_costs(
-    params: ParamsBlock, coeffs: np.ndarray, w: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Energy cost Tr[omega H] - E_A of replacing feedback with one fixed W on B, per case.
-
-    ``coeffs`` is the coefficient block (N, n, 4) and ``w`` the (N, 2, 2)
-    unitaries, checked once; the cases run BLOCK at a time.  Returns three
-    (N,) arrays: the cost, and its two direct routes <Wg|H_B + V|Wg> and
-    <Wg|H|Wg>.  The cost equals both and is nonnegative: without the
-    measurement record, no local operation on B extracts energy.  A W that
-    is not unitary, or a violated identity, raises naming the case.
-    """
-    w = np.asarray(w, dtype=complex)
-    if w.shape != (len(coeffs), 2, 2):
-        raise ValueError(f"expected ({len(coeffs)}, 2, 2) unitaries, got shape {w.shape}")
-    defect = np.abs(np.swapaxes(w.conj(), -1, -2) @ w - np.eye(2)).max(axis=(-2, -1))
-    bad = np.flatnonzero(~(defect <= 1e-10))
-    if bad.size:
-        i = bad[0]
-        raise ValueError(f"case {i}: matrix is not unitary (defect {defect[i]:.3e})")
-    routes = [
-        _passive_block(params[i : i + BLOCK], coeffs[i : i + BLOCK], w[i : i + BLOCK], i)
-        for i in range(0, len(coeffs), BLOCK)
-    ]
-    return tuple(np.concatenate(r) for r in zip(*routes))
-
-
-def _passive_block(params: ParamsBlock, coeffs: np.ndarray, w2: np.ndarray, first: int) -> tuple:
-    """``passive_costs`` on one block of cases; ``first`` numbers them in errors."""
-    block = measured_block(params, coeffs)
-    parts, scale = block.parts, block.scale
-    total = parts.total[:, None]  # against the outcome axis of the kets
-    cost = qmath.expectation(_rotate_b(block.kets, w2[:, None]), total).sum(axis=-1) - block.e_a
-    wg = _rotate_b(block.ground, w2)
-    direct = qmath.expectation(wg, parts.h_b + parts.v)
-    direct_total = qmath.expectation(wg, parts.total)
-    _check("passive cost vs direct form", cost, direct, scale, first)
-    _check("passive cost vs total form", cost, direct_total, scale, first)
-    _check_nonnegative("passive operation extracted energy", cost, scale, first)
-    return cost, direct, direct_total
-
-
 def evolve_series(
     params: ModelParams, meas: measurement.MeasurementModel, times
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -287,7 +245,8 @@ def evolve_series(
 
         <H_B(t)> = (h^2 / eps) sum(l^2) (1 - cos 4 k t),    <V(t)> = 0.
 
-    Both identities are enforced to 1e-9 at every sample.
+    Both identities are enforced to 1e-9 at every sample, and a NaN fails
+    them; a phase that overflows raises ``FloatingPointError``.
     """
     parts = build_hamiltonian(params)
     g = ground_state(params)
@@ -301,17 +260,20 @@ def evolve_series(
     for first in range(0, len(times), BLOCK):
         part = slice(first, first + BLOCK)
         t = times[part]
+        # a phase that overflows has no digits left: it raises FloatingPointError
+        with np.errstate(over="raise", invalid="raise"):
+            phases = np.exp(-1j * vals * t[:, None])
+            closed[part] = amp * (1.0 - np.cos(4.0 * params.k * t))
         # back to the product basis after the phases: (times, outcomes, 4)
-        evolved = (np.exp(-1j * vals * t[:, None])[:, None, :] * kets) @ vecs.T
+        evolved = (phases[:, None, :] * kets) @ vecs.T
         expect = params.eps * qmath.expectation(evolved[..., None, :], ops).sum(axis=1)
         hb[part], v[part] = expect.T
-        closed[part] = amp * (1.0 - np.cos(4.0 * params.k * t))
         scale = np.maximum(1.0, np.abs(closed[part]))
         for label, residual in (
             ("<H_B(t)> brute force - closed", hb[part] - closed[part]),
             ("<V(t)>", v[part]),
         ):
-            bad = np.flatnonzero(np.abs(residual) > 1e-9 * scale)
+            bad = np.flatnonzero(~(np.abs(residual) <= 1e-9 * scale))  # NaN fails too
             if bad.size:
                 i = bad[0]
                 raise RuntimeError(f"{label} is {float(residual[i])!r} at t={float(t[i])}")

@@ -214,6 +214,20 @@ def test_a_corrupted_member_of_a_drawn_block_is_named():
         assert info.value.residual > measurement.WEIGHT_TOL
 
 
+@pytest.mark.parametrize(
+    "seed, frozen",
+    [
+        (0, ("5.329070518200751e-15", "7.105427357601002e-15")),
+        (7, ("3.552713678800501e-15", "4.440892098500626e-15")),
+        (26, ("5.329070518200751e-15", "5.329070518200751e-15")),
+        (33, ("3.552713678800501e-15", "7.105427357601002e-15")),
+    ],
+)
+def test_no_go_residuals_are_frozen(seed, frozen):
+    # the outcome-blind rotations' residuals at verify's cap and at the gate's size, bit for bit
+    assert tuple(repr(checks._check_no_go(seed, size)) for size in (200, 1000)) == frozen
+
+
 def test_frozen_unit_constants():
     projective = np.array([0.5, 0.5]), np.array([0.5, -0.5])
     closed_unit = analytic.max_EB_closed(UNIT, *projective)

@@ -54,6 +54,30 @@ def test_verify_rejects_a_negative_seed(capsys):
     assert (code, out, err) == (2, "", "error: --seed must be nonnegative, got -1\n")
 
 
+def test_verify_rejects_a_negative_ensemble(capsys):
+    # --ensemble 0 skips the ensemble checks; a negative size is a usage error
+    code, out, err = run_cli(capsys, "verify", "--ensemble", "-3")
+    assert (code, out, err) == (2, "", "error: --ensemble must be nonnegative, got -3\n")
+
+
+def test_a_nan_residual_fails_its_checks(capsys, monkeypatch):
+    # the closed delta_S reads NaN at the first member of every call, so of every
+    # ensemble block; bound-770-equality overwrites its first 20 with brute force
+    closed = analytic.delta_S_closed
+
+    def nan_first(*args):
+        delta = np.array(closed(*args))
+        delta[0] = math.nan
+        return delta
+
+    monkeypatch.setattr(analytic, "delta_S_closed", nan_first)
+    code, out, _ = run_cli(capsys, "verify", "--ensemble", "300")
+    failed = [line.split() for line in out.splitlines() if line.startswith("FAIL")]
+    assert code == 1
+    assert [words[1] for words in failed] == ["entanglement-consumption", "bound-32", "bound-770"]
+    assert all(words[2:4] == ["residual", "nan"] for words in failed)
+
+
 def test_verify_is_hermetic(capsys):
     code1, out1, _ = run_cli(capsys, "verify", "--seed", "3", "--ensemble", "12")
     code2, out2, _ = run_cli(capsys, "verify", "--seed", "3", "--ensemble", "12")
@@ -377,11 +401,13 @@ def test_evolve_stdout_contract(capsys):
 
 
 def test_evolve_rejects_bad_time_axis(capsys):
-    code, _, _ = run_cli(
-        capsys, "evolve", "--h", "1", "--k", "1", "--povm", "builtin:projective",
-        "--t-max", "-1.0",
-    )
-    assert code == 2
+    for t_max in ("-1.0", "nan", "inf"):
+        code, out, err = run_cli(
+            capsys, "evolve", "--h", "1", "--k", "1", "--povm", "builtin:projective",
+            "--t-max", t_max,
+        )
+        message = f"error: --t-max must be positive and finite, got {float(t_max)}\n"
+        assert (code, out, err) == (2, "", message)
     code, _, _ = run_cli(
         capsys, "evolve", "--h", "1", "--k", "1", "--povm", "builtin:projective",
         "--t-max", "1.0", "--points", "1",
@@ -506,8 +532,8 @@ PHASED_POVM = {
 
 
 # a Hamiltonian that overflows, a closed form that divides by zero, a brute-force route that
-# loses its phase accuracy at huge t, and an expectation whose rounding
-# leaves an imaginary residue above 1e-12 give no verified number: exit 1
+# loses its phase accuracy at huge t or whose phases overflow, and an expectation whose
+# rounding leaves an imaginary residue above 1e-12 give no verified number: exit 1
 @pytest.mark.parametrize(
     "argv",
     [
@@ -515,15 +541,18 @@ PHASED_POVM = {
         "report --h 1e160 --k 1e160 --povm builtin:projective",
         "evolve --h 1 --k 1 --povm builtin:projective --t-max 1e12 --points 4",
         "report --h 1e6 --k 1e6 --povm {phased}",
+        "evolve --h 1 --k 1 --povm builtin:projective --t-max 1e308 --points 4",
     ],
 )
-def test_numeric_failure_exits_one_without_traceback(capsys, tmp_path, argv):
+def test_numeric_failure_exits_one_without_traceback(capsys, recwarn, tmp_path, argv):
     phased = tmp_path / "phased.json"
     phased.write_text(json.dumps(PHASED_POVM))
-    code, _, err = run_cli(capsys, *argv.format(phased=phased).split())
+    code, out, err = run_cli(capsys, *argv.format(phased=phased).split())
     assert code == 1
+    assert out == ""
     assert err.startswith("error: ")
     assert err.count("\n") == 1
+    assert not recwarn.list, [str(w.message) for w in recwarn.list]
 
 
 def test_running_out_of_memory_exits_one_without_traceback(capsys, monkeypatch):

@@ -13,7 +13,7 @@ import types
 import numpy as np
 import pytest
 
-from minqet import analytic, entanglement, measurement, protocol
+from minqet import analytic, entanglement, measurement, protocol, qmath
 from minqet.measurement import MeasurementModel, weight_block
 from minqet.model import ModelParams, ParamsBlock, build_hamiltonian, ground_state
 
@@ -190,26 +190,26 @@ def test_policy_shuffling_never_helps(small_ensemble):
     assert np.all(e_b[1::2] <= e_b[::2] + 1e-10)
 
 
-def passive_cost(cases, w):
-    """``passive_costs``' cost column for (params, model) cases and (N, 2, 2) unitaries."""
-    return protocol.passive_costs(*case_block(cases), w)[0]
+def passive_cost(cases):
+    """The cost -E_B of (params, model, turn) cases, each turning B by its row at every outcome."""
+    n = max(model.n_outcomes for _, model, _ in cases)
+    return -run_batch([(params, model, [turn] * n) for params, model, turn in cases]).e_b
 
 
 def test_passive_identity_is_zero():
-    cost = passive_cost([(UNIT, measurement.projective_pair())], matrix(Y_TURN)[None])
+    cost = passive_cost([(UNIT, measurement.projective_pair(), Y_TURN)])
     assert abs(cost[0]) <= 1e-12
 
 
 def test_passive_random_unitaries_nonnegative():
-    turns = np.array([protocol.random_turn(np.random.default_rng(seed)) for seed in range(200)])
-    w = protocol.rotations(turns[:, 0], turns[:, 1:])
-    cost = passive_cost([(UNIT, measurement.projective_pair())] * 200, w)
+    turns = [protocol.random_turn(np.random.default_rng(seed)) for seed in range(200)]
+    cost = passive_cost([(UNIT, measurement.projective_pair(), turn) for turn in turns])
     assert np.all(cost >= -1e-10)
 
 
 def test_passive_quarter_rotation_positive():
-    w = matrix((math.pi / 2.0, 0.0, 1.0, 0.0))
-    assert passive_cost([(UNIT, measurement.projective_pair())], w[None])[0] > 1e-3
+    turn = (math.pi / 2.0, 0.0, 1.0, 0.0)
+    assert passive_cost([(UNIT, measurement.projective_pair(), turn)])[0] > 1e-3
 
 
 def test_evolution_series_closed_form():
@@ -597,37 +597,47 @@ def test_batch_names_the_failing_check_and_case(monkeypatch):
         run_batch(mixed_batch())
 
 
+def test_a_nan_final_energy_fails_the_energy_floor():
+    values = np.array([0.0, math.nan, -1.0])
+    with pytest.raises(RuntimeError, match=r"^final energy violates H >= 0 in case 6: nan$"):
+        protocol._check_nonnegative("final energy violates H >= 0", values, 1.0, 5)
+
+
 def passive_batch():
-    """2-4 outcomes, rotations as (omega, axis) rows and as matrices, several (h, k)."""
+    """2-4 outcomes, rotations as (omega, axis) rows, several (h, k)."""
     return [
         (UNIT, measurement.projective_pair(), TURNS[0]),
-        (ModelParams(5.0, 0.2), weights_model(W3), matrix(TURNS[1])),
+        (ModelParams(5.0, 0.2), weights_model(W3), TURNS[1]),
         (ModelParams(2.0, 0.5), weights_model(W4), TURNS[2]),
         (ModelParams(3.0, 0.4), measurement.random_measurement(5, n_outcomes=4), TURNS[3]),
-        (ModelParams(1.5, 0.7), weights_model(W_ZERO_MASS), matrix(TURNS[4])),
+        (ModelParams(1.5, 0.7), weights_model(W_ZERO_MASS), TURNS[4]),
         (ModelParams(0.3, 2.7), measurement.weak_pair(0.3), Y_TURN),
         (ModelParams(1.1, 0.9), measurement.random_measurement(7, n_outcomes=2), TURNS[2]),
     ]
 
 
-def passive_arrays(cases):
-    """``passive_costs``' arguments for (params, model, W) cases, W a row or a matrix."""
-    return *case_block(cases), np.stack([matrix(w) if len(w) == 4 else w for _, _, w in cases])
+def passive_routes(cases):
+    """The direct routes <Wg|H_B + V|Wg> and <Wg|H|Wg> of (params, model, turn) cases."""
+    params = ParamsBlock.of([case[0] for case in cases])
+    parts = build_hamiltonian(params)
+    wg = protocol.rotate_b(ground_state(params), np.stack([matrix(case[2]) for case in cases]))
+    return qmath.expectation(wg, parts.h_b + parts.v), qmath.expectation(wg, parts.total)
 
 
-def test_passive_costs_equal_one_call_per_case(monkeypatch):
+def test_passive_runs_equal_one_run_per_case(monkeypatch):
     monkeypatch.setattr(protocol, "BLOCK", 3)  # blocks split the cases
     cases = passive_batch()
-    cost, local, total = protocol.passive_costs(*passive_arrays(cases))
+    cost = passive_cost(cases)
+    local, total = passive_routes(cases)
     assert cost.shape == local.shape == total.shape == (len(cases),)
     # a block of N is N blocks of one, bit for bit
-    alone = [protocol.passive_costs(*passive_arrays([case]))[0][0] for case in cases]
+    alone = [passive_cost([case])[0] for case in cases]
     assert cost.tolist() == alone
     assert np.all(cost >= 0.0) and cost[5] == 0.0
     assert np.max(np.abs(cost - local)) <= 1e-12 and np.max(np.abs(local - total)) <= 1e-12
 
 
-def test_passive_costs_name_the_failing_route_and_case(monkeypatch):
+def test_passive_runs_name_the_failing_route_and_case(monkeypatch):
     # only case 3 of the batch (h = 3.0) sees H_B scaled by 1 + 1e-6
     def faulty(params):
         parts = build_hamiltonian(params)
@@ -636,15 +646,6 @@ def test_passive_costs_name_the_failing_route_and_case(monkeypatch):
 
     monkeypatch.setattr(protocol, "build_hamiltonian", faulty)
     monkeypatch.setattr(protocol, "BLOCK", 2)
-    with pytest.raises(RuntimeError, match=r"passive cost vs direct form differs in case 3 "):
-        protocol.passive_costs(*passive_arrays(passive_batch()))
+    with pytest.raises(RuntimeError, match=r"E_B local form differs in case 3 "):
+        passive_cost(passive_batch())
 
-
-def test_passive_costs_name_a_bad_unitary():
-    cases = passive_batch()
-    cases[4] = (*cases[4][:2], 2.0 * np.eye(2))
-    block, coeffs, w = passive_arrays(cases)
-    with pytest.raises(ValueError, match="case 4: matrix is not unitary"):
-        protocol.passive_costs(block, coeffs, w)
-    with pytest.raises(ValueError, match=r"expected \(7, 2, 2\) unitaries, got shape \(6, 2, 2\)"):
-        protocol.passive_costs(block, coeffs, w[:6])

@@ -101,6 +101,25 @@ def Q_of(
     return float(value) if np.ndim(value) == 0 else value
 
 
+def _omega_peak(params: ModelParams, p, q, n) -> tuple:
+    """X, G = h k q n_y and the maximum of Q over omega, sqrt(X^2 + G^2) - X."""
+    x = X_of(params, p, q, n)
+    g = params.h * params.k * q * n[1]
+    radius = np.hypot(x, g)
+    # For X > 0 the difference sqrt(X^2 + G^2) - X cancels when |G| << X.
+    positive = x > 0.0
+    return x, g, np.where(positive, g * g / np.where(positive, radius + x, 1.0), radius - x)
+
+
+def max_value_over_omega(params: ModelParams, p, q, n: tuple[float, float, float]):
+    """``max_over_omega``'s value without its argmax, from the same code.
+
+    The policy optimizer scores candidate axes by it and computes angles
+    only for the axes it reports.  Arrays in, an array out.
+    """
+    return _omega_peak(params, p, q, n)[2]
+
+
 def max_over_omega(
     params: ModelParams, p: float, q: float, n: tuple[float, float, float]
 ) -> tuple[float, float]:
@@ -109,20 +128,16 @@ def max_over_omega(
     Q = X cos(2w) - G sin(2w) - X with G = h k q n_y, so the maximum is
     sqrt(X^2 + G^2) - X at 2w = atan2(-G, X).  The angle is reported in
     [0, pi) since Q is pi-periodic, and is 0 where X = G = 0.  This is the
-    package's one formula for the omega-maximum: at ``Y_AXIS`` it gives
+    package's one formula for the omega-maximum, value and angle: the value
+    is ``max_value_over_omega``'s, the same code.  At ``Y_AXIS`` it gives
     ``protocol.optimal_table``'s angles, and the policy optimizer searches
-    the axis over it.
+    the axis over its value.
 
     It reads only ``params.h`` and ``params.k``, so any object with those
     two attributes will do.
     """
-    x = X_of(params, p, q, n)
-    g = params.h * params.k * q * n[1]
-    radius = np.hypot(x, g)
-    omega = np.where(radius == 0.0, 0.0, 0.5 * np.arctan2(-g, x) % math.pi)
-    # For X > 0 the difference sqrt(X^2 + G^2) - X cancels when |G| << X.
-    positive = x > 0.0
-    value = np.where(positive, g * g / np.where(positive, radius + x, 1.0), radius - x)
+    x, g, value = _omega_peak(params, p, q, n)
+    omega = np.where((x == 0.0) & (g == 0.0), 0.0, 0.5 * np.arctan2(-g, x) % math.pi)
     if value.ndim == 0:
         return float(value), float(omega)
     return value, omega
@@ -217,7 +232,8 @@ def shannon_entropy(probs) -> float:
     A stack of vectors (..., n) gives one entropy per vector.
     """
     probs = np.asarray(probs, dtype=float)
-    _require(~((probs < -1e-12) | (probs > 1.0 + 1e-12)), probs, "probability out of range")
+    # written so that NaN fails
+    _require((probs >= -1e-12) & (probs <= 1.0 + 1e-12), probs, "probability out of range")
     positive = probs > 0.0
     terms = np.where(positive, probs * np.log(np.where(positive, probs, 1.0)), 0.0)
     total = -terms.sum(axis=-1)

@@ -55,13 +55,14 @@ class EntanglementReport:
 
 def _spectrum_entropy(vals: np.ndarray):
     """Entropy in nats from the eigenvalues (..., d) of density matrices."""
-    outside = (vals < -EIGENVALUE_SLACK) | (vals > 1.0 + EIGENVALUE_SLACK)
+    # both tests are written so that NaN fails them
+    outside = ~((vals >= -EIGENVALUE_SLACK) & (vals <= 1.0 + EIGENVALUE_SLACK))
     if outside.any():
         raise ValueError(
             f"density matrix eigenvalue outside [0, 1]: {float(np.extract(outside, vals)[0])!r}"
         )
     trace = vals.sum(axis=-1)
-    off = np.abs(trace - 1.0) > 1e-10
+    off = ~(np.abs(trace - 1.0) <= 1e-10)
     if off.any():
         raise measurement.NotNormalized(
             f"density matrix trace is {float(np.extract(off, trace)[0])!r}, expected 1"

@@ -11,7 +11,10 @@ Two searches, both deterministic (no RNG):
   Every outcome of every case is one row of a single lockstep search: a
   Fibonacci axis lattice scan, then a simplex in spherical angles polishing
   each row's best lattice point, never starting at the y axis.  Both steps
-  run over fixed blocks of rows, so their temporary arrays keep one size
+  score candidate axes by ``analytic.max_value_over_omega``, the value
+  alone; angles are computed only for the axes reported.  A simplex
+  iteration scores only the points some row's move reads.  Both steps run
+  over fixed blocks of rows, so their temporary arrays keep one size
   however many rows there are.  ``minqet sweep`` runs it once per grid, and
   ``minqet optimize --over policy`` on a block of one.
 
@@ -43,7 +46,7 @@ SPHERE_POINTS = 256
 REFINE_ITERS = 200
 # rows per block, which bounds the search's arrays whatever the number of rows
 SCAN_BLOCK = 32  # (rows, 256) lattice values
-POLISH_BLOCK = 1024  # (rows, 6) simplex candidates
+POLISH_BLOCK = 1024  # (rows, 3) simplices and (rows, 1) candidates
 POLL_BLOCK = 128  # (rows, 2n, n) weight-balancing temporaries of a compass poll
 TOL = 1e-10
 TIE_RTOL = 1e-8  # see maximize_over_policies
@@ -80,10 +83,20 @@ def _axis_from_angles(theta, phi):
     return (sin_t * np.cos(phi), sin_t * np.sin(phi), np.cos(theta))
 
 
+def _rows(table: np.ndarray) -> tuple:
+    """The (params, p, q) arguments of ``analytic`` for rows (h, k, p, q), each (rows, 1)."""
+    h, k, p, q = (table[:, i, None] for i in range(4))
+    return SimpleNamespace(h=h, k=k), p, q
+
+
 def _omega_max(table: np.ndarray, axis) -> tuple[np.ndarray, np.ndarray]:
     """``analytic.max_over_omega`` for rows (h, k, p, q) of table, broadcast on axis."""
-    h, k, p, q = (table[:, i, None] for i in range(4))
-    return analytic.max_over_omega(SimpleNamespace(h=h, k=k), p, q, axis)
+    return analytic.max_over_omega(*_rows(table), axis)
+
+
+def _value(args: tuple, angles: np.ndarray) -> np.ndarray:
+    """``analytic.max_value_over_omega`` on ``_rows`` args at axes (theta, phi), (..., 2)."""
+    return analytic.max_value_over_omega(*args, _axis_from_angles(angles[..., 0], angles[..., 1]))
 
 
 def _scan_lattice(table: np.ndarray) -> np.ndarray:
@@ -92,7 +105,8 @@ def _scan_lattice(table: np.ndarray) -> np.ndarray:
     best = np.empty(len(table), dtype=int)
     for first in range(0, len(table), SCAN_BLOCK):
         block = slice(first, first + SCAN_BLOCK)
-        best[block] = np.argmax(_omega_max(table[block], lattice)[0], axis=1)
+        values = analytic.max_value_over_omega(*_rows(table[block]), lattice)
+        best[block] = np.argmax(values, axis=1)
     return best
 
 
@@ -102,17 +116,17 @@ def _nelder_mead(
     """Lockstep simplex maximization in (theta, phi), one simplex per row.
 
     Every row takes the standard reflect/expand/contract/shrink moves on its
-    own (3, 2) simplex and stops when its diameter drops below TOL.  All six
-    candidate points of an iteration are scored in one call and each row
-    picks its move with np.where; stopped rows are masked, not removed.
-    Returns each row's best angles, its evaluation count and its flag.
+    own (3, 2) simplex and stops when its diameter drops below TOL.  An
+    iteration scores, by value alone, only the points some row's move
+    reads: every row's reflected point, then one second point per row (the
+    expansion if the reflection beat the best vertex, else the outside or
+    the inside contraction), then the two shrunk vertices of the rows that
+    shrink.  Stopped rows are masked, not removed.  Returns each row's best
+    angles, its evaluation count and its flag.
     """
-
-    def score(angles: np.ndarray) -> np.ndarray:
-        return _omega_max(table, _axis_from_angles(angles[..., 0], angles[..., 1]))[0]
-
+    args = _rows(table)
     points = start[:, None, :] + np.array([[0.0, 0.0], [step, 0.0], [0.0, step]])
-    values = score(points)
+    values = _value(args, points)
     evaluations = np.full(len(start), 3)
     active = np.ones(len(start), dtype=bool)
     row = np.arange(len(start))[:, None]
@@ -130,40 +144,33 @@ def _nelder_mead(
         best, worst = points[:, 0], points[:, 2]
         centroid = (best + points[:, 1]) / 2.0
         reflected = centroid + (centroid - worst)
-        candidates = np.stack(
-            [
-                reflected,
-                centroid + 2.0 * (centroid - worst),
-                centroid + 0.5 * (reflected - centroid),
-                centroid - 0.5 * (centroid - worst),
-                best + 0.5 * (points[:, 1] - best),
-                best + 0.5 * (worst - best),
-            ],
-            axis=1,
-        )
-        # vertices 0-2, then 3-8: reflected, expanded, outside and inside
-        # contraction, and the two shrunk vertices
-        values = np.concatenate([values, score(candidates)], axis=1)
-        points = np.concatenate([points, candidates], axis=1)
-        f_reflected = values[:, 3]
+        f_reflected = _value(args, reflected[:, None])[:, 0]
         expand = f_reflected > values[:, 0]
-        keep_reflected = ~expand & (f_reflected > values[:, 1])
-        contract = ~expand & ~keep_reflected
-        move = np.where(
-            expand,
-            np.where(values[:, 4] > f_reflected, 4, 3),
-            np.where(keep_reflected, 3, np.where(f_reflected > values[:, 2], 5, 6)),
+        contract = ~expand & ~(f_reflected > values[:, 1])
+        second = np.where(
+            expand[:, None],
+            centroid + 2.0 * (centroid - worst),
+            np.where(
+                (f_reflected > values[:, 2])[:, None],
+                centroid + 0.5 * (reflected - centroid),  # outside contraction
+                centroid - 0.5 * (centroid - worst),  # inside contraction
+            ),
         )
-        shrink = (
-            active
-            & contract
-            & ~(values[row[:, 0], move] > np.minimum(f_reflected, values[:, 2]))
-        )
+        f_second = _value(args, second[:, None])[:, 0]
+        shrink = active & contract & ~(f_second > np.minimum(f_reflected, values[:, 2]))
         evaluations += active * (1 + expand + contract + 2 * shrink)
-        # stopped rows keep vertices 0-2, a shrink takes 0, 7, 8
-        select = np.where(shrink[:, None], (0, 7, 8), (0, 1, 2))
-        select[:, 2] = np.where(active & ~shrink, move, select[:, 2])
-        points, values = points[row, select], values[row, select]
+        # a live row that does not shrink replaces its worst vertex; the
+        # reflection stays unless the expansion beat it or the row contracted
+        take_second = np.where(expand, f_second > f_reflected, contract)
+        move = active & ~shrink
+        points[move, 2] = np.where(take_second[:, None], second, reflected)[move]
+        values[move, 2] = np.where(take_second, f_second, f_reflected)[move]
+        shrinking = np.flatnonzero(shrink)
+        if len(shrinking):
+            # a shrink keeps the best vertex and halves the way to the other two
+            toward = best[shrinking, None]
+            points[shrinking, 1:] = toward + 0.5 * (points[shrinking, 1:] - toward)
+            values[shrinking, 1:] = _value(_rows(table[shrinking]), points[shrinking, 1:])
     top = np.argmax(values, axis=1)
     return points[row[:, 0], top], evaluations, ~active
 

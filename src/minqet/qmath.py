@@ -89,7 +89,7 @@ def require_hermitian(m: np.ndarray, tol: float = HERMITIAN_TOL) -> np.ndarray:
     if (m == adjoint).all():
         return m
     defect = hermiticity_defect(m)
-    if defect > tol:
+    if not defect <= tol:  # NaN fails
         raise NonHermitianInput(
             f"matrix deviates from Hermiticity by {defect:.3e} (tolerance {tol:.0e})"
         )
@@ -145,6 +145,6 @@ def expectation(kets: np.ndarray, op: np.ndarray, tol: float = HERMITIAN_TOL):
     kets = np.asarray(kets, dtype=complex)
     raw = np.einsum("...i,...ij,...j->...", kets.conj(), op, kets)
     residue = float(np.max(np.abs(raw.imag), initial=0.0))
-    if residue > IMAG_TOL:
+    if not residue <= IMAG_TOL:  # NaN fails
         raise ArithmeticError(f"expectation value has imaginary residue {residue:.3e}")
     return float(raw.real) if raw.ndim == 0 else raw.real

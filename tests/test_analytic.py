@@ -6,12 +6,13 @@ and are asserted at tight tolerances.
 """
 
 import math
+import types
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from minqet import analytic, measurement
+from minqet import analytic, measurement, optimizer
 from minqet.analytic import Y_AXIS, DomainError
 from minqet.measurement import weight_block
 from minqet.model import ModelParams, ParamsBlock
@@ -94,6 +95,21 @@ def test_weak_outcome_keeps_its_digits():
 def test_q_of_keeps_its_digits_near_pi():
     got = analytic.Q_of(WEAK_PARAMS, WEAK_P, WEAK_Q, WEAK_OMEGA, Y_AXIS)
     assert abs(got - WEAK_Q_AT_OMEGA) <= 1e-14 * WEAK_Q_AT_OMEGA
+
+
+def test_max_value_over_omega_is_max_over_omega_value_bit_for_bit():
+    # rows (h, k, p, q) against 64 lattice axes and one in the x-z plane
+    params = types.SimpleNamespace(
+        h=np.array([[1.5], [0.8], [1.0]]),
+        k=np.array([[1.0], [2.1], [1.0]]),
+    )
+    p, q = np.array([[0.5], [0.43], [0.0]]), np.array([[0.5], [-0.21], [0.0]])
+    axes = np.vstack([optimizer.fibonacci_sphere(64), [[math.sqrt(0.5), 0.0, math.sqrt(0.5)]]])
+    n = tuple(axes.T)
+    x, g = analytic.X_of(params, p, q, n), params.h * params.k * q * n[1]
+    assert (x < 0.0).any() and (x > 0.0).any() and ((x == 0.0) & (g == 0.0)).any()
+    value = analytic.max_value_over_omega(params, p, q, n)
+    assert value.tobytes() == analytic.max_over_omega(params, p, q, n)[0].tobytes()
 
 
 @settings(max_examples=60, deadline=None)
@@ -472,6 +488,11 @@ def test_shannon_entropy_and_units():
     assert abs(analytic.shannon_entropy([0.5, 0.5]) - math.log(2.0)) <= 1e-15
     assert analytic.shannon_entropy([1.0, 0.0]) == 0.0
     assert abs(analytic.nats_to_bits(math.log(2.0)) - 1.0) <= 1e-15
+
+
+def test_shannon_entropy_rejects_nan():
+    with pytest.raises(DomainError):
+        analytic.shannon_entropy([np.nan, 0.5])
 
 
 def test_delta_s_closed_matches_brute_force():

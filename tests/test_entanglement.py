@@ -152,6 +152,12 @@ def test_von_neumann_entropy_rejects_bad_trace():
         entanglement.von_neumann_entropy(np.eye(2))
 
 
+def test_spectrum_entropy_rejects_a_nan_eigenvalue():
+    # a NaN eigenvalue fails the range test rather than dropping out of the sum
+    with pytest.raises(ValueError):
+        entanglement._spectrum_entropy(np.array([np.nan, 0.5]))
+
+
 def test_entropy_takes_a_stack_of_density_matrices():
     rng = np.random.default_rng(10)
     raw = rng.normal(size=(5, 2, 2)) + 1j * rng.normal(size=(5, 2, 2))

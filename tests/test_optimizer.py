@@ -1,14 +1,15 @@
 """Derivative-free search vs the closed forms it is meant to cross-check."""
 
+import hashlib
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from minqet import analytic, measurement, optimizer, protocol
+from minqet import analytic, checks, measurement, optimizer, protocol
 from minqet.measurement import MeasurementModel, weight_block
-from minqet.model import ModelParams
+from minqet.model import ModelParams, ParamsBlock
 
 from conftest import case_block, model_ensemble
 
@@ -146,6 +147,45 @@ def test_policy_batch_follows_the_scalar_search():
     assert converged.all()
     for got, (_, _, want, _) in zip(value, SCALAR_SEARCH):
         assert abs(got - want) <= 4e-16 * want
+
+
+# sha256 of each column of maximize_over_policies (value, omega, axes,
+# evaluations, converged), recorded when every iteration scored all six
+# candidate points with their angles (NumPy 2.4.6, x86-64): scoring fewer
+# points by value alone must leave every row's path, and so every bit, as it was
+FROZEN_SEARCH_DIGESTS = {
+    # the benchmark grid's shape: 21x21 log grid over [0.25, 4], weights (0.43, +-0.21)
+    "grid": [
+        "a8ff186309d237b0f216e2f98fa79fa7633f4a273851fcae0d9c41e5799b15d8",
+        "13a073efb6f4ae1a466420757268412572b4e92fb96ad2609ed7a5f41b7bdedb",
+        "6deec7856dc894d862cca2980d0006ff9a9e83b370a7a6da03de52d1fe081e95",
+        "074823e391a11da16d069fc147ec202a895f4a4779311bee30f71372a64a66ed",
+        "c6b3195f8e12dcca11628bdc4a7cac766ba1357f7198f99d0c6bebf6a791e4ef",
+    ],
+    # 16 drawn cases of 2-6 outcomes whose simplices expand, contract and shrink
+    "drawn": [
+        "34535cd7c6e9fe6a20326fd3ab3dedc8407076bbb6a651ae70a5ef0b7761cfdc",
+        "279dfdbabb240a82783685ab019bc484003d5bbeb1fd1499fd449300463c1207",
+        "5fa86114b68767bcf03503a4fac802cb530be43b62a12317efdd46c2c00ddbb7",
+        "5b1267b4419ee71ba84f1651e0c7c434d61c2dcf0f95439775a7c33970e620b6",
+        "cc8cd41cef907c4d216069122c4b89936211361f9050a717a1e37ad1862e952f",
+    ],
+}
+
+
+def test_policy_search_keeps_its_frozen_bits():
+    axis = np.geomspace(0.25, 4.0, 21)
+    grid = ParamsBlock.of(ModelParams(h=float(h), k=float(k)) for h in axis for k in axis)
+    rows = MeasurementModel.from_weights([0.43, 0.57], [0.21, -0.21]).rows
+    drawn, coeffs, _ = checks._draw_cases(np.random.default_rng([128, 3]), 16, 6)
+    blocks = {
+        "grid": (grid, np.broadcast_to(rows, (len(grid.h),) + rows.shape)),
+        "drawn": (drawn, coeffs),
+    }
+    for name, (params, coeffs) in blocks.items():
+        columns = optimizer.maximize_over_policies(params, *weight_block(coeffs))
+        digests = [hashlib.sha256(column.tobytes()).hexdigest() for column in columns]
+        assert digests == FROZEN_SEARCH_DIGESTS[name], name
 
 
 def test_policy_batch_memory_stays_bounded():

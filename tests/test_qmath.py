@@ -170,6 +170,17 @@ def test_expectation_rejects_non_hermitian():
         qmath.expectation(np.array([1.0, 0, 0, 0]), m)
 
 
+def test_require_hermitian_rejects_nan():
+    # a NaN defect is never within tolerance, nor equal to its own adjoint
+    with pytest.raises(qmath.NonHermitianInput):
+        qmath.require_hermitian(np.full((2, 2), np.nan))
+
+
+def test_expectation_rejects_a_nan_residue():
+    with pytest.raises(ArithmeticError):
+        qmath.expectation(np.array([np.nan, 0.0, 0.0, 0.0]), np.eye(4))
+
+
 def test_require_hermitian_keeps_an_exact_stack_and_symmetrizes_a_near_one():
     block = ParamsBlock.of([ModelParams(h=0.7, k=1.3), ModelParams(h=2.0, k=0.4)])
     parts = build_hamiltonian(block)

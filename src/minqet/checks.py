@@ -9,17 +9,19 @@ residual, or a {check name: residual} map if it owns several names; a check
 passes when its residual is at most its budget.  Each claim is written here
 once, so a check and its budget mean the same thing wherever they are run.
 
-The random checks draw in the order one member at a time would, and score
-their members a block at a time on a ``ParamsBlock`` and a coefficient
-block, with no per-member objects: the per-member loop makes only the RNG
-calls, params are ``params_row`` rows, and a draw of many members is
-checked by one ``measurement.draw_block`` call.  The ensemble's block is
-``ENSEMBLE_BLOCK`` (256) members, four times ``protocol.BLOCK``, because
-its fixed costs per block (an 80-iteration golden-section refinement, one
-``measured_block`` and one ``run_block`` call) outweigh its arrays; each
-residual is its member's own, so the block size changes no bit.
-``block_residuals`` reads the POVM residuals of the draw's own
-``check_block``.
+The random checks draw two streams: [seed, 2] for the eigensolver, and
+[seed, 1] for one ensemble of model members that every other random check
+scores, the policy search on its first members.  The ensemble draws in the
+order one member at a time would, with a per-member loop of RNG calls only,
+and scores ``ENSEMBLE_BLOCK`` (256) members at a time on a ``ParamsBlock``
+and a coefficient block checked by one ``measurement.draw_block`` call.
+The block is four times ``protocol.BLOCK`` because its fixed costs (an
+80-iteration golden-section refinement, one ``measured_block`` and two
+``run_block`` calls) outweigh its arrays; each residual is its member's
+own, so the block size changes no bit.  ``block_residuals`` reads the POVM
+residuals of the draw's own ``check_block``, runs each member's
+outcome-blind rotation as a second policy on the same ``MeasuredBlock``,
+and scores the equality case of bound-770 on the saturated members.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from collections import defaultdict
 
 import numpy as np
 
-from . import analytic, entanglement, measurement, model, optimizer, protocol, qmath
+from . import analytic, measurement, model, optimizer, protocol, qmath
 from .model import ModelParams, ParamsBlock, params_row
 
 PAIR_GRID = [(hh, kk) for hh in (0.5, 1.0, 2.0) for kk in (0.5, 1.0, 2.0)]
@@ -79,32 +81,37 @@ def _random_params(rng: np.random.Generator) -> tuple:
 
 
 def draw_members(rng: np.random.Generator, members: range) -> tuple:
-    """Ensemble members as blocks: params, coefficients, and the spot checks' outcome and axis.
+    """Ensemble members as blocks: params, coefficients, and the spot checks' outcome and turn.
 
     Member i draws its params (from PAIR_GRID every third member), its raw
-    weights, its outcome and its axis in that order, as one
-    ``random_measurement`` call per member would; the loop makes only those
-    RNG calls, and its params are ``params_row`` rows.  Returns a
+    weights, its outcome and its ``protocol.random_turn`` in that order;
+    the loop makes only those RNG calls, and its params are ``params_row``
+    rows.  Member i has 2 + i % 5 outcomes.  Where i % 4 = 0 and that count
+    is even the member is saturated: its p comes in equal pairs and its u
+    is +-1, so ``balance_weights`` returns q = +-p exactly.  Returns a
     ``ParamsBlock``, the checked coefficient block (N, n, 4) with the POVM
-    residuals its check computed, the (N,) outcomes and the (N, 3) axes.
+    residuals its check computed, the (N,) outcomes and the (N, 4) turns.
     """
-    rows, draws, outcomes, axes = [], [], [], []
+    rows, draws, outcomes, turns = [], [], [], []
     for i in members:
         rows.append(_PAIR_ROWS[(i // 3) % len(PAIR_GRID)] if i % 3 == 0 else _random_params(rng))
-        n = (2, 3, 4, 6)[i % 4]
-        draws.append(measurement.raw_draw(rng, n))
+        n = 2 + i % 5
+        if i % 4 == 0 and n % 2 == 0:
+            e = rng.standard_exponential(n // 2)
+            draws.append((np.repeat(e / (2.0 * e.sum()), 2), np.resize((1.0, -1.0), n)))
+        else:
+            draws.append(measurement.raw_draw(rng, n))
         outcomes.append(int(rng.integers(n)))
-        v = rng.normal(size=3)
-        axes.append(v / np.linalg.norm(v))
+        turns.append(protocol.random_turn(rng))
     coeffs, povm = measurement.draw_block(draws)
-    return ParamsBlock.of_rows(rows), coeffs, povm, np.array(outcomes), np.array(axes)
+    return ParamsBlock.of_rows(rows), coeffs, povm, np.array(outcomes), np.array(turns)
 
 
 _OMEGA_GRID = np.linspace(0.0, math.pi, 256, endpoint=False)[:, None]
 _PSI_GRID = np.linspace(0.0, math.pi, 64, endpoint=False)[:, None]
 
 
-def block_residuals(block, coeffs, povm, outcomes, axis_rows, first: int = 0) -> dict[str, list]:
+def block_residuals(block, coeffs, povm, outcomes, turns, first: int = 0) -> dict[str, list]:
     """The ensemble checks' residuals over one block of ``draw_members``, from member ``first``.
 
     Each name maps to a list of residual arrays (or floats) whose maximum is the check's value.
@@ -129,6 +136,12 @@ def block_residuals(block, coeffs, povm, outcomes, axis_rows, first: int = 0) ->
     # (bound32_rhs is c32 maxE_B / eps from the closed maximum)
     found["bound-32"] = [rhs32 - delta_s, rhs32 - delta_closed]
     found["bound-770"] = [run.bound770_rhs - max_eb, run.c770 * delta_closed - max_eb]
+    # its equality case, on the members whose every outcome has |q| = p (0 elsewhere)
+    saturated = (np.abs(measured.q) == measured.p).all(axis=0)
+    found["bound-770-equality"] = [
+        np.where(saturated, np.abs(max_eb - rhs) / np.maximum(max_eb, 1e-12), 0.0)
+        for rhs in (run.bound770_rhs, run.c770 * delta_closed)
+    ]
     # B's reduced eigenvalues (lambda_-, lambda_+) by brute force, (n, B, 2); NaN where
     # an outcome is degenerate or padding
     brute = np.swapaxes(run.reduced_eigenvalues, 0, 1)
@@ -138,9 +151,18 @@ def block_residuals(block, coeffs, povm, outcomes, axis_rows, first: int = 0) ->
     )
     found["reduced-eigenvalues"] = [np.abs(brute - np.stack([lam_minus, lam_plus], -1))[live]]
 
-    # scalar objective spot checks, on one random outcome and axis per member
+    # each member's turn W as the policy that applies it at every outcome: its cost
+    # -E_B equals the direct routes <Wg|H_B + V|Wg> and <Wg|H|Wg>, and is >= 0
+    n = coeffs.shape[1]
+    turn_omega, turn_axes = np.repeat(turns[:, :1], n, 1), np.repeat(turns[:, None, 1:], n, 1)
+    cost = -protocol.run_block(measured, turn_omega, turn_axes, first).e_b
+    wg = protocol.rotate_b(measured.ground, protocol.rotations(turns[:, 0], turns[:, 1:]))
+    local, total = (qmath.expectation(wg, op) for op in (parts.h_b + parts.v, parts.total))
+    found["no-go-passive"] = [-cost, np.abs(local - total), np.abs(cost - local)]
+
+    # scalar objective spot checks, on one random outcome and the turn's axis per member
     p, q = (w[outcomes, np.arange(len(outcomes))] for w in (measured.p, measured.q))
-    axis = tuple(axis_rows.T)
+    axis = tuple(turns[:, 1:].T)
     closed_max, omega_star = analytic.max_over_omega(block, p, q, axis)
     x_coef = analytic.X_of(block, p, q, axis)
     g_coef = block.h * block.k * q * axis[1]
@@ -228,73 +250,13 @@ def _check_ground_state() -> float:
     return _worst(*(r / scale for r in residuals))
 
 
-def _draw_cases(rng: np.random.Generator, size: int, max_outcomes: int, turn=None) -> tuple:
-    """size random cases, each drawing params, outcome count, raw weights, then turn(rng).
-
-    Returns a ``ParamsBlock``, the coefficient block (size, max_outcomes,
-    4), checked by one ``draw_block`` call, and the array of the turns'
-    rows (empty without ``turn``).
-    """
-    rows, draws, turns = [], [], []
-    for _ in range(size):
-        rows.append(_random_params(rng))
-        draws.append(measurement.raw_draw(rng, int(rng.integers(2, max_outcomes + 1))))
-        if turn:
-            turns.append(turn(rng))
-    block, _ = measurement.draw_block(draws)
-    coeffs = np.zeros((size, max_outcomes, 4))
-    coeffs[:, : block.shape[1]] = block
-    return ParamsBlock.of_rows(rows), coeffs, np.array(turns)
-
-
 def _check_optimizer(seed: int, size: int) -> float:
-    block, coeffs, _ = _draw_cases(np.random.default_rng([seed, 3]), size, 6)
+    """The policy search against the closed maximum, on the ensemble's first ``size`` members."""
+    block, coeffs = draw_members(np.random.default_rng([seed, 1]), range(size))[:2]
     weights = measurement.weight_block(coeffs)
     closed = analytic.max_EB_closed(block, *weights)
     found = optimizer.maximize_over_policies(block, *weights)[0]
     return float(np.max(np.abs(found - closed) / np.maximum(closed, 1e-9)))
-
-
-def _check_no_go(seed: int, size: int) -> float:
-    """Outcome-blind rotations W of B: cost >= 0, equal through B's terms and through H.
-
-    W runs as the policy that applies it at every outcome, so its cost is -E_B of
-    that run and ``run_block``'s cross-checks hold for it; <Wg|H_B + V|Wg> and
-    <Wg|H|Wg> are the two direct routes.
-    """
-    rng = np.random.default_rng([seed, 4])
-    block, coeffs, turns = _draw_cases(rng, size, 4, protocol.random_turn)
-    n = coeffs.shape[1]
-    omega, axes = np.repeat(turns[:, :1], n, axis=1), np.repeat(turns[:, None, 1:], n, axis=1)
-    cost = -protocol.run_many(block, coeffs, omega, axes).e_b
-    parts = model.build_hamiltonian(block)
-    wg = protocol.rotate_b(model.ground_state(block), protocol.rotations(turns[:, 0], turns[:, 1:]))
-    local = qmath.expectation(wg, parts.h_b + parts.v)
-    total = qmath.expectation(wg, parts.total)
-    return _worst(-cost.min(), np.abs(local - total), np.abs(cost - local))
-
-
-def _check_bound770_equality(seed: int, size: int) -> float:
-    """c770 delta_S = maxE_B on saturated measurements: brute-force delta_S for the first 20."""
-    rng = np.random.default_rng([seed, 5])
-    rows, halves = [], []
-    for _ in range(size):
-        rows.append(_random_params(rng))
-        halves.append(np.repeat(rng.dirichlet(np.ones(int(rng.integers(1, 4)))) / 2.0, 2))
-    # each mass splits into the outcome pair (mass/2, +-mass/2), zero-padded
-    p = np.zeros((size, max(map(len, halves))))
-    for i, row in enumerate(halves):
-        p[i, : len(row)] = row
-    coeffs = measurement.canonical_coeffs(p, p * np.resize((1.0, -1.0), p.shape[1]))
-    measurement.check_block(coeffs)
-    block = ParamsBlock.of_rows(rows)
-    weights = measurement.weight_block(coeffs)
-    max_eb = analytic.max_EB_closed(block, *weights)
-    delta = analytic.delta_S_closed(block, *weights)
-    brute = protocol.measured_block(block[:20], coeffs[:20])
-    delta[:20] = entanglement.consumption_block(brute.ground, brute.kets).delta_s
-    rhs = analytic.bounds(block).c770 * delta
-    return float(np.max(np.abs(max_eb - rhs) / np.maximum(max_eb, 1e-12)))
 
 
 def _check_time_evolution() -> float:
@@ -364,14 +326,14 @@ CHECKS = (
             "entanglement-nonnegative": 1e-12,
             "bound-32": 1e-10,
             "bound-770": 1e-10,
+            "bound-770-equality": 1e-9,
             "omega-maximum": 1e-9,
             "axis-minimum": 1e-9,
             "envelope-peak": 1e-9,
+            "no-go-passive": 1e-10,
         },
         math.inf,
     ),
     (_check_eigensolver, {"eigensolver-reconstruction": 1e-12}, 200),
     (_check_optimizer, {"optimizer-vs-closed": 1e-7}, 5),
-    (_check_no_go, {"no-go-passive": 1e-10}, 200),
-    (_check_bound770_equality, {"bound-770-equality": 1e-9}, 100),
 )

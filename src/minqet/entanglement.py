@@ -18,7 +18,7 @@ closed-form route lives in ``analytic`` and the two are compared in tests.
 The work is done on stacks: ``consumption_block`` takes the ground kets and
 post-measurement kets of N cases at once, diagonalizes every reduced state
 of the batch in one call, and returns its entropies as columns.
-``protocol.run_block`` feeds it the kets it has already built, and one
+``protocol.measured_block`` feeds it the kets it has just built, and one
 case is a block of one.  ``reduced_post_states``, ``pointer_state_dense``
 and the scalar entropies are reference routes the tests compare it with.
 """

@@ -20,7 +20,9 @@ times at a time.  One case is a block of one, and an outcome-blind
 rotation W of B is the policy that applies W at every outcome.  Each
 rotation acts as a 2x2 block on the ket read as an (a, b) matrix, and
 every energy is a stacked ``qmath.expectation``: Tr[rho O] is its sum over
-the kets of rho.  Born's rule is ``entanglement.consumption_block``'s.
+the kets of rho.  Born's rule is ``entanglement.consumption_block``'s,
+computed once per ``MeasuredBlock``, so a second policy run on the same
+block diagonalizes nothing.
 
 Every run cross-checks its own arithmetic: the Tr[rho H] route must
 match the per-outcome scalar route (sum of Q / eps) and the closed form
@@ -147,6 +149,8 @@ class MeasuredBlock:
     ``kets`` are the unnormalized M_A(mu)|g>, (B, n, 4), and ``p``, ``q`` the
     weights, (n, B), zero-padded to the block's largest outcome count; ``e_a``
     is the brute-force E_A and ``scale`` max(1, |E_A|, max |H|), both (B,).
+    ``ent`` is the kets' ``entanglement.consumption_block`` report: Born's
+    rule and the entropies, which every policy run on the block reads.
     """
 
     params: ParamsBlock
@@ -158,6 +162,7 @@ class MeasuredBlock:
     q: np.ndarray
     e_a: np.ndarray
     scale: np.ndarray
+    ent: entanglement.EntanglementReport
 
 
 def measured_block(params: ParamsBlock, coeffs: np.ndarray) -> MeasuredBlock:
@@ -168,7 +173,8 @@ def measured_block(params: ParamsBlock, coeffs: np.ndarray) -> MeasuredBlock:
     e_a = qmath.expectation(kets, parts.total[:, None]).sum(axis=-1)
     scale = np.maximum(1.0, np.maximum(np.abs(e_a), np.abs(parts.total).max(axis=(-2, -1))))
     p, q = measurement.weight_block(coeffs)
-    return MeasuredBlock(params, coeffs, parts, g, kets, p, q, e_a, scale)
+    ent = entanglement.consumption_block(g, kets)
+    return MeasuredBlock(params, coeffs, parts, g, kets, p, q, e_a, scale, ent)
 
 
 def optimal_table(params, p, q) -> tuple[np.ndarray, np.ndarray]:
@@ -189,7 +195,7 @@ def run_block(
     """
     params, parts, kets, e_a, scale = block.params, block.parts, block.kets, block.e_a, block.scale
     total = parts.total[:, None]  # against the outcome axis of the kets
-    ent = entanglement.consumption_block(block.ground, kets)
+    ent = block.ent
     prob = ent.probabilities  # Born's rule, 0 where an outcome is degenerate
     live = prob > 0.0
 
@@ -224,8 +230,8 @@ def run_block(
 def random_turn(rng: np.random.Generator) -> tuple[float, float, float, float]:
     """A Haar-distributed rotation of B (uniform over SU(2)) as its (omega, nx, ny, nz) row."""
     quat = rng.normal(size=4)
-    quat /= np.linalg.norm(quat)
-    vec_norm = float(np.linalg.norm(quat[1:]))
+    quat /= math.sqrt(quat.dot(quat))  # np.linalg.norm's own sum, without its overhead
+    vec_norm = math.sqrt(quat[1:].dot(quat[1:]))
     if vec_norm == 0.0:
         return 0.0, 0.0, 1.0, 0.0  # the identity
     return (math.atan2(vec_norm, float(quat[0])), *unit_axis(quat[1:]))

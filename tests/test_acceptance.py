@@ -2,8 +2,9 @@
 
 Each of the 22 names in ``checks.CHECKS`` is one test that asserts its
 residual is within the registry's budget.  The capped routines run once per
-module at sizes above verify's caps: 10^4 ensemble members, 100 policy
-searches, 1000 outcome-blind rotations and 200 saturated measurements.
+module at sizes above verify's caps: 10^4 ensemble members, each with its
+outcome-blind rotation and 1500 of them saturated, 100 policy searches on
+the ensemble's first members, and 200 random Hermitian matrices.
 
 Two claims verify does not make stay as hand-written tests: the frozen unit
 constants, and the curvature signs of the rescaled kernels.  The constants
@@ -15,13 +16,15 @@ are frozen from independent oracle routes:
   BOUND32_RHS_UNIT   C32_UNIT * MAX_EB_UNIT / sqrt(2)
 """
 
+import dataclasses
 import tracemalloc
+import types
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from minqet import analytic, checks, entanglement, measurement, optimizer
+from minqet import analytic, checks, entanglement, measurement, optimizer, protocol
 from minqet.model import ModelParams, ParamsBlock
 
 
@@ -39,8 +42,6 @@ GATE_SIZES = {
     "measurement-completeness": 10_000,
     "eigensolver-reconstruction": 200,
     "optimizer-vs-closed": 100,
-    "no-go-passive": 1000,
-    "bound-770-equality": 200,
 }
 
 NAMES = [name for _, budgets, _ in checks.CHECKS for name in budgets]
@@ -89,13 +90,13 @@ def test_registry_is_complete():
         "entanglement-nonnegative",
         "bound-32",
         "bound-770",
+        "bound-770-equality",
         "omega-maximum",
         "axis-minimum",
         "envelope-peak",
+        "no-go-passive",
         "eigensolver-reconstruction",
         "optimizer-vs-closed",
-        "no-go-passive",
-        "bound-770-equality",
     ]
     (mark,) = [m for m in test_check.pytestmark if m.name == "parametrize"]
     assert Counter(mark.args[1]) == Counter(NAMES)
@@ -110,31 +111,40 @@ def test_registry_is_complete():
 
 @pytest.mark.parametrize("seed", (0, 7, 26, 33))
 def test_block_draws_equal_one_random_measurement_per_member(seed):
-    # two full ensemble blocks and a partial one, every outcome count in each; the
-    # reference draws each member alone, in draw_members' order, on its own generator
+    # two full ensemble blocks and a partial one; member i of a block equals member i
+    # drawn alone, in draw_members' order, on its own generator, for every member kind
     size = 2 * checks.ENSEMBLE_BLOCK + 40
     block_rng, member_rng = np.random.default_rng([seed, 1]), np.random.default_rng([seed, 1])
+    kinds = set()
     for first in range(0, size, checks.ENSEMBLE_BLOCK):
         members = range(first, min(size, first + checks.ENSEMBLE_BLOCK))
-        params, coeffs, _, outcomes, axes = checks.draw_members(block_rng, members)
+        params, coeffs, _, outcomes, turns = checks.draw_members(block_rng, members)
         assert coeffs.shape == (len(members), 6, 4)
+        p, q = measurement.weight_block(coeffs)
+        saturated = (np.abs(q) == p).all(axis=0)
+        counts = []
         for j, i in enumerate(members):
-            if i % 3 == 0:
-                want = ModelParams(*checks.PAIR_GRID[(i // 3) % len(checks.PAIR_GRID)])
-            else:
-                want = ModelParams(*checks._random_params(member_rng)[:2])
-            n = (2, 3, 4, 6)[i % 4]
-            model = measurement.random_measurement(member_rng, n_outcomes=n)
-            outcome = int(member_rng.integers(n))
-            axis = member_rng.normal(size=3)
-            axis /= np.linalg.norm(axis)
-            # the block's row has the bits of the member's own ModelParams
-            row = (want.h, want.k, want.eps, want.cos_sigma, want.sin_sigma)
-            assert tuple(x[j] for x in vars(params).values()) == row
-            assert coeffs[j, :n].tobytes() == model.rows.tobytes()
+            alone, alone_coeffs, _, alone_outcomes, alone_turns = checks.draw_members(
+                member_rng, range(i, i + 1)
+            )
+            n = alone_coeffs.shape[1]
+            # the block's row has the bits of the member's own params row
+            assert [x[j] for x in vars(params).values()] == [x[0] for x in vars(alone).values()]
+            assert coeffs[j, :n].tobytes() == alone_coeffs[0].tobytes()
             assert not coeffs[j, n:].any()
-            assert outcomes[j] == outcome
-            assert axes[j].tobytes() == axis.tobytes()
+            assert outcomes[j] == alone_outcomes[0]
+            assert turns[j].tobytes() == alone_turns[0].tobytes()
+            kinds.add((i % 3 == 0, n, bool(saturated[j])))
+            counts.append(n)
+        # member 0 is saturated, so that an ensemble of one scores bound-770-equality
+        assert first > 0 or saturated[0]
+        # a full block holds every outcome count, and at least 1 in 10 saturated members
+        if len(members) == checks.ENSEMBLE_BLOCK:
+            assert sorted(set(counts)) == [2, 3, 4, 5, 6]
+            assert 10 * np.count_nonzero(saturated) >= len(members)
+    # PAIR_GRID or drawn params, 2-6 outcomes, and saturated ones of 2, 4 and 6
+    want = {(grid, n, False) for grid in (True, False) for n in range(2, 7)}
+    assert kinds == want | {(grid, n, True) for grid in (True, False) for n in (2, 4, 6)}
 
 
 def test_ensemble_computes_each_blocks_povm_residuals_once(monkeypatch):
@@ -217,15 +227,37 @@ def test_a_corrupted_member_of_a_drawn_block_is_named():
 @pytest.mark.parametrize(
     "seed, frozen",
     [
-        (0, ("5.329070518200751e-15", "7.105427357601002e-15")),
-        (7, ("3.552713678800501e-15", "4.440892098500626e-15")),
-        (26, ("5.329070518200751e-15", "5.329070518200751e-15")),
-        (33, ("3.552713678800501e-15", "7.105427357601002e-15")),
+        (0, ("5.329070518200751e-15", "1.145751370157183e-13")),
+        (7, ("5.329070518200751e-15", "1.2156222854562873e-13")),
+        (26, ("5.329070518200751e-15", "1.5129168090942347e-13")),
+        (33, ("6.217248937900877e-15", "7.857236095606436e-14")),
     ],
 )
 def test_no_go_residuals_are_frozen(seed, frozen):
-    # the outcome-blind rotations' residuals at verify's cap and at the gate's size, bit for bit
-    assert tuple(repr(checks._check_no_go(seed, size)) for size in (200, 1000)) == frozen
+    # the outcome-blind rotations' and the saturated members' residuals at 1000 members
+    worst = checks.ensemble_residuals(seed, 1000)
+    assert (repr(worst["no-go-passive"]), repr(worst["bound-770-equality"])) == frozen
+
+
+def test_a_c770_off_by_a_millionth_fails_the_equality_case(monkeypatch):
+    original = analytic.bounds
+
+    def shifted(params):
+        bounds = original(params)
+        return dataclasses.replace(bounds, c770=bounds.c770 * (1.0 + 1e-6))
+
+    monkeypatch.setattr(analytic, "bounds", shifted)
+    assert checks.ensemble_residuals(0, 300)["bound-770-equality"] > BUDGETS["bound-770-equality"]
+
+
+def test_a_fault_in_the_no_go_direct_route_alone_fails_no_go_passive(monkeypatch):
+    # only the ensemble's view of protocol turns B by 1e-6 more, so the runs, and the
+    # direct routes' agreement with each other, stay as they are
+    shifted = types.SimpleNamespace(**vars(protocol))
+    shifted.rotations = lambda omega, axes: protocol.rotations(omega * (1.0 + 1e-6), axes)
+    monkeypatch.setattr(checks, "protocol", shifted)
+    worst = checks.ensemble_residuals(0, 300)
+    assert [name for name in worst if not worst[name] <= BUDGETS[name]] == ["no-go-passive"]
 
 
 def test_frozen_unit_constants():

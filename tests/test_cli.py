@@ -48,6 +48,15 @@ def test_verify_passes(capsys, seed):
     assert all(ln.startswith("PASS") for ln in lines)
 
 
+# one member, two, and a last ensemble block of one 3-outcome member
+@pytest.mark.parametrize("size", ["1", "2", "257"])
+def test_verify_passes_on_small_ensembles(capsys, size):
+    code, out, err = run_cli(capsys, "verify", "--seed", "0", "--ensemble", size)
+    assert (code, err) == (0, "")
+    summary = out.splitlines()[-1]
+    assert summary.startswith("verify: 22 checks, 22 passed, 0 failed, 0 skipped"), summary
+
+
 def test_verify_rejects_a_negative_seed(capsys):
     # a usage error, before any check runs or any line is printed
     code, out, err = run_cli(capsys, "verify", "--seed", "-1")
@@ -62,7 +71,7 @@ def test_verify_rejects_a_negative_ensemble(capsys):
 
 def test_a_nan_residual_fails_its_checks(capsys, monkeypatch):
     # the closed delta_S reads NaN at the first member of every call, so of every
-    # ensemble block; bound-770-equality overwrites its first 20 with brute force
+    # ensemble block; member 0 is saturated, so bound-770-equality reads it too
     closed = analytic.delta_S_closed
 
     def nan_first(*args):
@@ -74,7 +83,9 @@ def test_a_nan_residual_fails_its_checks(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "verify", "--ensemble", "300")
     failed = [line.split() for line in out.splitlines() if line.startswith("FAIL")]
     assert code == 1
-    assert [words[1] for words in failed] == ["entanglement-consumption", "bound-32", "bound-770"]
+    assert [words[1] for words in failed] == [
+        "entanglement-consumption", "bound-32", "bound-770", "bound-770-equality"
+    ]
     assert all(words[2:4] == ["residual", "nan"] for words in failed)
 
 
@@ -110,21 +121,21 @@ def test_verify_reports_a_raising_routine_once_per_name(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "verify", "--ensemble", "3")
     assert code == 1
     names = next(b for r, b, _ in table if r is boom)
-    assert len(names) == 13
+    assert len(names) == 15
     failed = [ln.split()[1] for ln in out.splitlines() if ln.startswith("FAIL")]
     assert failed == list(names)
     failures = json.loads(err)["failures"]
     assert [f["check"] for f in failures] == list(names)
     assert all(f["error"] == "ZeroDivisionError" for f in failures)
-    # the other nine checks still ran
-    assert sum(ln.startswith("PASS") for ln in out.splitlines()) == 9
+    # the other seven checks still ran
+    assert sum(ln.startswith("PASS") for ln in out.splitlines()) == 7
 
 
 def test_omega_maximum_is_judged_relative_to_its_value(capsys, monkeypatch):
     # every omega maximum seed 0 draws is below 0.1, so an absolute 1e-10
     # error in Q is over the 1e-9 budget only relative to the value itself.
     # Only verify's view of analytic is shifted: protocol.run_block's own
-    # cross-check would otherwise raise first and fail all 13 names.
+    # cross-check would otherwise raise first and fail all 15 names.
     shifted = types.SimpleNamespace(**vars(analytic))
     shifted.Q_of = lambda *args: analytic.Q_of(*args) + 1e-10
     monkeypatch.setattr(checks, "analytic", shifted)
@@ -149,8 +160,9 @@ def test_omega_maximum_at_zero_q_is_not_a_false_fail(capsys, monkeypatch):
 
     monkeypatch.setattr(measurement, "draw_block", unbiased)
     code, out, err = run_cli(capsys, "verify", "--seed", "0", "--ensemble", "24")
-    # drawn through the patch: the ensemble, optimizer-vs-closed and no-go-passive
-    assert [len(coeffs) for coeffs, _ in drawn] == [24, 5, 24]
+    # drawn through the patch: the ensemble and optimizer-vs-closed; the
+    # saturated members get q = 0 too, so bound-770-equality scores none
+    assert [len(coeffs) for coeffs, _ in drawn] == [24, 5]
     assert all(np.all(measurement.weight_block(coeffs)[1] == 0.0) for coeffs, _ in drawn)
     (line,) = [ln for ln in out.splitlines() if ln.split()[1:2] == ["omega-maximum"]]
     assert line.startswith("PASS"), line

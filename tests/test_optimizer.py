@@ -177,10 +177,17 @@ def test_policy_search_keeps_its_frozen_bits():
     axis = np.geomspace(0.25, 4.0, 21)
     grid = ParamsBlock.of(ModelParams(h=float(h), k=float(k)) for h in axis for k in axis)
     rows = MeasurementModel.from_weights([0.43, 0.57], [0.21, -0.21]).rows
-    drawn, coeffs, _ = checks._draw_cases(np.random.default_rng([128, 3]), 16, 6)
+    # each drawn case draws its params, its outcome count and its raw weights in that order
+    rng, params_rows, draws = np.random.default_rng([128, 3]), [], []
+    for _ in range(16):
+        params_rows.append(checks._random_params(rng))
+        draws.append(measurement.raw_draw(rng, int(rng.integers(2, 7))))
+    drawn = np.zeros((16, 6, 4))
+    coeffs = measurement.draw_block(draws)[0]
+    drawn[:, : coeffs.shape[1]] = coeffs
     blocks = {
         "grid": (grid, np.broadcast_to(rows, (len(grid.h),) + rows.shape)),
-        "drawn": (drawn, coeffs),
+        "drawn": (ParamsBlock.of_rows(params_rows), drawn),
     }
     for name, (params, coeffs) in blocks.items():
         columns = optimizer.maximize_over_policies(params, *weight_block(coeffs))

@@ -11,10 +11,10 @@ once, so a check and its budget mean the same thing wherever they are run.
 
 The random checks draw two streams: [seed, 2] for the eigensolver, and
 [seed, 1] for one ensemble of model members that every other random check
-scores, the policy search on its first members.  The ensemble draws in the
-order one member at a time would, with a per-member loop of RNG calls only,
-and scores ``ENSEMBLE_BLOCK`` (256) members at a time on a ``ParamsBlock``
-and a coefficient block checked by one ``measurement.draw_block`` call.
+scores, the policy search on its first members.  Member i is row i of one
+matrix of uniforms (``draw_members``), whatever the blocking.  The ensemble
+scores ``ENSEMBLE_BLOCK`` (256) members at a time on a ``ParamsBlock`` and
+a coefficient block checked by one ``measurement.draw_block`` call.
 The block is four times ``protocol.BLOCK`` because its fixed costs (an
 80-iteration golden-section refinement, one ``measured_block`` and two
 ``run_block`` calls) outweigh its arrays; each residual is its member's
@@ -74,37 +74,33 @@ def _worst(*residuals) -> float:
     return math.nan if any(map(math.isnan, values)) else max(values)
 
 
-def _random_params(rng: np.random.Generator) -> tuple:
-    """h and k log-uniform over [0.25, 4], as their ``params_row``."""
-    h, k = np.exp(rng.uniform(math.log(0.25), math.log(4.0), size=2)).tolist()
-    return params_row(h, k)
-
-
-def draw_members(rng: np.random.Generator, members: range) -> tuple:
+def draw_members(seed: int, members: range) -> tuple:
     """Ensemble members as blocks: params, coefficients, and the spot checks' outcome and turn.
 
-    Member i draws its params (from PAIR_GRID every third member), its raw
-    weights, its outcome and its ``protocol.random_turn`` in that order;
-    the loop makes only those RNG calls, and its params are ``params_row``
-    rows.  Member i has 2 + i % 5 outcomes.  Where i % 4 = 0 and that count
-    is even the member is saturated: its p comes in equal pairs and its u
-    is +-1, so ``balance_weights`` returns q = +-p exactly.  Returns a
-    ``ParamsBlock``, the checked coefficient block (N, n, 4) with the POVM
-    residuals its check computed, the (N,) outcomes and the (N, 4) turns.
+    Member i is row i of a matrix of uniforms from stream [seed, 1], 18 per
+    member, so it depends on (seed, i) alone: h and k log-uniform on [0.25,
+    4) (PAIR_GRID every third member), 6 exponentials for Dirichlet p, 6 raw
+    u in [-1, 1), the outcome and the ``protocol.haar_turns`` turn.  Member
+    i has n = 2 + i % 5 outcomes.  Where i % 4 = 0 and n is even it is saturated: p comes in
+    equal pairs and u is +-1, so ``balance_weights`` returns q = +-p exactly.
+    Returns a ``ParamsBlock`` of ``params_row`` rows, the checked coefficient
+    block (N, 6, 4) with its POVM residuals, the (N,) outcomes and (N, 4) turns.
     """
-    rows, draws, outcomes, turns = [], [], [], []
-    for i in members:
-        rows.append(_PAIR_ROWS[(i // 3) % len(PAIR_GRID)] if i % 3 == 0 else _random_params(rng))
-        n = 2 + i % 5
-        if i % 4 == 0 and n % 2 == 0:
-            e = rng.standard_exponential(n // 2)
-            draws.append((np.repeat(e / (2.0 * e.sum()), 2), np.resize((1.0, -1.0), n)))
-        else:
-            draws.append(measurement.raw_draw(rng, n))
-        outcomes.append(int(rng.integers(n)))
-        turns.append(protocol.random_turn(rng))
-    coeffs, povm = measurement.draw_block(draws)
-    return ParamsBlock.of_rows(rows), coeffs, povm, np.array(outcomes), np.array(turns)
+    rng = np.random.default_rng([seed, 1])
+    rng.bit_generator.advance(18 * members.start)  # one output per double
+    u = rng.random((len(members), 18))
+    i = np.arange(members.start, members.stop)
+    n = 2 + i % 5
+    grid = np.array(PAIR_GRID)[(i // 3) % len(PAIR_GRID)]
+    hk = np.where((i % 3 == 0)[:, None], grid, np.exp(math.log(0.25) + math.log(16.0) * u[:, :2]))
+    rows = [params_row(h, k) for h, k in hk.tolist()]
+    saturated = ((i % 4 == 0) & (n % 2 == 0))[:, None]
+    e = -np.log1p(-u[:, 2:8])  # -log(1 - u): 0 at u = 0, where -log(u) is inf
+    e = np.where(np.arange(6) < n[:, None], np.where(saturated, e[:, [0, 0, 1, 1, 2, 2]], e), 0.0)
+    raw_u = np.where(saturated, np.resize((1.0, -1.0), 6), 2.0 * u[:, 8:14] - 1.0)
+    coeffs, povm = measurement.draw_block(e / e.sum(axis=1, keepdims=True), raw_u, n)
+    outcomes = np.floor(u[:, 14] * n).astype(int)
+    return ParamsBlock.of_rows(rows), coeffs, povm, outcomes, protocol.haar_turns(u[:, 15:])
 
 
 _OMEGA_GRID = np.linspace(0.0, math.pi, 256, endpoint=False)[:, None]
@@ -203,10 +199,9 @@ def ensemble_residuals(seed: int, size: int) -> dict[str, float]:
 
     Returns each check's maximum residual over all `size` members.
     """
-    rng = np.random.default_rng([seed, 1])
     worst: defaultdict[str, float] = defaultdict(float)
     for first in range(0, size, ENSEMBLE_BLOCK):
-        members = draw_members(rng, range(first, min(size, first + ENSEMBLE_BLOCK)))
+        members = draw_members(seed, range(first, min(size, first + ENSEMBLE_BLOCK)))
         for name, residuals in block_residuals(*members, first).items():
             worst[name] = _worst(worst[name], *residuals)
     return worst
@@ -252,7 +247,7 @@ def _check_ground_state() -> float:
 
 def _check_optimizer(seed: int, size: int) -> float:
     """The policy search against the closed maximum, on the ensemble's first ``size`` members."""
-    block, coeffs = draw_members(np.random.default_rng([seed, 1]), range(size))[:2]
+    block, coeffs = draw_members(seed, range(size))[:2]
     weights = measurement.weight_block(coeffs)
     closed = analytic.max_EB_closed(block, *weights)
     found = optimizer.maximize_over_policies(block, *weights)[0]

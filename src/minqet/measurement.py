@@ -24,8 +24,8 @@ makes the post-measurement state carry no interaction energy.
 
 The batched data is the coefficient block: the (m, l, alpha, delta) rows
 of N models as one (N, n, 4) array, zero-padded to the largest outcome
-count.  ``draw_block`` balances, maps and checks a block of random draws
-at once, and ``check_block`` holds every POVM constraint once per block.
+count.  ``draw_block`` balances, maps and checks a block of padded random
+draws at once, and ``check_block`` holds every POVM constraint once per block.
 ``MeasurementModel`` is one model's (n, 4) rows, checked once by
 ``check_block`` when it is built, and is the object of the JSON and CLI
 edge; ``MeasurementModel.from_weights`` (weights p, q through
@@ -175,17 +175,17 @@ def block_residuals(coeffs: np.ndarray) -> dict[str, np.ndarray]:
     }
 
 
-def check_block(coeffs: np.ndarray, tol: float = WEIGHT_TOL) -> dict[str, np.ndarray]:
+def check_block(coeffs: np.ndarray) -> dict[str, np.ndarray]:
     """Raise ``ConstraintViolation`` unless coefficient rows meet every POVM constraint.
 
     ``coeffs`` holds one model's rows (n, 4) or a block (N, n, 4), checked
     in one ``block_residuals`` call, whose residuals it returns; in a block
-    the message names the first failing member.  A NaN residual fails.  A
-    commutant residual raises the kind "completeness".
+    the message names the first failing member.  A residual over WEIGHT_TOL,
+    or a NaN one, fails; a commutant residual raises the kind "completeness".
     """
     with np.errstate(over="ignore", invalid="ignore"):  # an inf or NaN residual fails below
         residuals = block_residuals(coeffs)
-    ok = np.array(list(residuals.values())) <= tol
+    ok = np.array(list(residuals.values())) <= WEIGHT_TOL
     if ok.all():
         return residuals
     j, i = np.argwhere(~ok.reshape(len(residuals), -1))[0]
@@ -197,9 +197,9 @@ def check_block(coeffs: np.ndarray, tol: float = WEIGHT_TOL) -> dict[str, np.nda
     raise ConstraintViolation(name, residual, ", ".join(detail))
 
 
-def validate(model: MeasurementModel, tol: float = WEIGHT_TOL) -> MeasurementModel:
-    """Re-check a model's POVM constraints at ``tol``; kept as perfbench's self-test calls it."""
-    check_block(model.rows, tol)
+def validate(model: MeasurementModel) -> MeasurementModel:
+    """Re-check a model's POVM constraints; kept as perfbench's self-test calls it."""
+    check_block(model.rows)
     return model
 
 
@@ -258,20 +258,17 @@ def raw_draw(rng: np.random.Generator, n_outcomes: int) -> tuple[np.ndarray, np.
     return e * (1.0 / np.add.accumulate(e)[-1]), rng.uniform(-1.0, 1.0, size=n_outcomes)
 
 
-def draw_block(draws) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    """The checked coefficient block (N, n_max, 4) of raw draws [(p, u), ...], and its residuals.
+def draw_block(p: np.ndarray, u: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, dict]:
+    """The checked coefficient block (N, n, 4) of raw draws p, u (N, n), and its residuals.
 
-    Each outcome count's draws are balanced in one ``balance_weights`` call,
-    the block is mapped by ``canonical_coeffs`` and checked by
-    ``check_block``, whose residuals come with it; padding is zero.
+    Member i has ``counts[i]`` outcomes, with p zero past them.  Each count's
+    members are balanced in one ``balance_weights`` call, and the block is
+    mapped by ``canonical_coeffs`` and checked by ``check_block``.
     """
-    counts = [len(p) for p, _ in draws]
-    p = np.zeros((len(draws), max(counts)))
     q = np.zeros_like(p)
-    for n in sorted(set(counts)):
-        members = [i for i, count in enumerate(counts) if count == n]
-        p_n, u_n = (np.array([draws[i][j] for i in members]) for j in (0, 1))
-        p[members, :n], q[members, :n] = p_n, balance_weights(p_n, u_n)
+    for n in np.unique(counts):
+        rows = counts == n
+        q[rows, :n] = balance_weights(p[rows, :n], u[rows, :n])
     coeffs = canonical_coeffs(p, q)
     return coeffs, check_block(coeffs)
 
@@ -284,7 +281,8 @@ def random_measurement(seed, n_outcomes: int = 2) -> MeasurementModel:
     ``n_outcomes >= 2`` (a single outcome admits only the identity).
     """
     rng = np.random.default_rng(seed)  # a Generator passes through unchanged
-    return MeasurementModel(draw_block([raw_draw(rng, n_outcomes)])[0][0])
+    p, u = raw_draw(rng, n_outcomes)
+    return MeasurementModel(draw_block(p[None], u[None], np.full(1, n_outcomes))[0][0])
 
 
 def projective_pair() -> MeasurementModel:

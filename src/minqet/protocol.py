@@ -17,18 +17,19 @@ weights in the closed forms' (n, N) layout.  ``run_block`` rotates B by a
 policy table and returns per-case columns, and ``run_many`` computes them
 BLOCK cases at a time; ``evolve_series`` computes its (T,) columns BLOCK
 times at a time.  One case is a block of one, and an outcome-blind
-rotation W of B is the policy that applies W at every outcome.  Each
+rotation W of B, such as a ``haar_turns`` row, is the policy that
+applies W at every outcome.  Each
 rotation acts as a 2x2 block on the ket read as an (a, b) matrix, and
 every energy is a stacked ``qmath.expectation``: Tr[rho O] is its sum over
 the kets of rho.  Born's rule is ``entanglement.consumption_block``'s,
 computed once per ``MeasuredBlock``, so a second policy run on the same
 block diagonalizes nothing.
 
-Every run cross-checks its own arithmetic: the Tr[rho H] route must
-match the per-outcome scalar route (sum of Q / eps) and the closed form
-for E_A, and the final energy must respect H >= 0.  A failed cross-check
-is a bug, not a data error, so it raises RuntimeError naming the check and
-the case.
+Every run cross-checks its own arithmetic: E_B by Tr[rho H] must match the
+per-outcome rows' sum of prob (<H_B> + <V>) and the scalar route (sum of
+Q / eps), E_A its closed form, and the final energy must respect H >= 0.
+A failed cross-check is a bug, not a data error, so it raises RuntimeError
+naming the check and the case.
 """
 
 from __future__ import annotations
@@ -119,7 +120,7 @@ def _check(label: str, left, right, scale, first: int = 0) -> None:
 
 
 def _check_nonnegative(label: str, values: np.ndarray, scale, first: int) -> None:
-    """Raise unless values >= -CROSS_CHECK_TOL * scale in every case of a (B,) array (NaN fails)."""
+    """Raise unless values >= -CROSS_CHECK_TOL * scale in every case of a (B,) array; NaN fails."""
     negative = np.flatnonzero(~(values >= -CROSS_CHECK_TOL * np.asarray(scale)))
     if negative.size:
         i = negative[0]
@@ -206,7 +207,7 @@ def run_block(
     # rho = sum_mu |phi_mu><phi_mu|, so Tr[rho O] sums <phi_mu|O|phi_mu>
     total_final = qmath.expectation(phi, total).sum(axis=-1)
     e_b = e_a - total_final
-    e_b_local = -qmath.expectation(phi, (parts.h_b + parts.v)[:, None]).sum(axis=-1)
+    e_b_local = -(prob * (local[..., 1] + local[..., 2])).sum(axis=-1)
 
     e_a_closed = measurement.input_energy_closed(params, block.coeffs)
     _check("E_A closed form", e_a, e_a_closed, scale, first)
@@ -227,14 +228,18 @@ def run_block(
     )
 
 
-def random_turn(rng: np.random.Generator) -> tuple[float, float, float, float]:
-    """A Haar-distributed rotation of B (uniform over SU(2)) as its (omega, nx, ny, nz) row."""
-    quat = rng.normal(size=4)
-    quat /= math.sqrt(quat.dot(quat))  # np.linalg.norm's own sum, without its overhead
-    vec_norm = math.sqrt(quat[1:].dot(quat[1:]))
-    if vec_norm == 0.0:
-        return 0.0, 0.0, 1.0, 0.0  # the identity
-    return (math.atan2(vec_norm, float(quat[0])), *unit_axis(quat[1:]))
+def haar_turns(u: np.ndarray) -> np.ndarray:
+    """Haar rotations of B (uniform over SU(2)) of uniforms u (N, 3): rows (omega, nx, ny, nz).
+
+    Shoemake's quaternion, uniform on the 3-sphere for u in [0, 1); omega
+    lies in [0, pi], and the identity gets the y axis.
+    """
+    a, b = np.sqrt(1.0 - u[:, :1]), np.sqrt(u[:, :1])
+    turn_1, turn_2 = 2.0 * math.pi * u[:, 1:2], 2.0 * math.pi * u[:, 2:]
+    vec = np.concatenate([a * np.sin(turn_1), b * np.sin(turn_2), b * np.cos(turn_2)], -1)
+    norm = np.sqrt((vec * vec).sum(-1, keepdims=True))
+    axes = np.where(norm > 0.0, vec / np.where(norm > 0.0, norm, 1.0), analytic.Y_AXIS)
+    return np.concatenate([np.arctan2(norm, a * np.cos(turn_1)), axes], -1)
 
 
 def evolve_series(

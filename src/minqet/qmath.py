@@ -74,11 +74,11 @@ def hermiticity_defect(m: np.ndarray) -> float:
     return float(np.max(np.abs(m - np.swapaxes(m, -1, -2).conj())))
 
 
-def require_hermitian(m: np.ndarray, tol: float = HERMITIAN_TOL) -> np.ndarray:
+def require_hermitian(m: np.ndarray) -> np.ndarray:
     """Return the symmetrized copy (m + m^dag)/2, or raise ``NonHermitianInput``.
 
     ``m`` is a square matrix or a stack (..., d, d) of them; one defect over
-    tolerance anywhere in the stack rejects it.  A stack that equals its own
+    HERMITIAN_TOL anywhere in the stack rejects it.  A stack that equals its own
     conjugate transpose exactly, such as every ``build_hamiltonian`` operator,
     is returned as it is: symmetrizing it would give the same values.
     """
@@ -89,14 +89,14 @@ def require_hermitian(m: np.ndarray, tol: float = HERMITIAN_TOL) -> np.ndarray:
     if (m == adjoint).all():
         return m
     defect = hermiticity_defect(m)
-    if not defect <= tol:  # NaN fails
+    if not defect <= HERMITIAN_TOL:  # NaN fails
         raise NonHermitianInput(
-            f"matrix deviates from Hermiticity by {defect:.3e} (tolerance {tol:.0e})"
+            f"matrix deviates from Hermiticity by {defect:.3e} (tolerance {HERMITIAN_TOL:.0e})"
         )
     return 0.5 * (m + adjoint)
 
 
-def hermitian_eig(m: np.ndarray, tol: float = HERMITIAN_TOL) -> tuple[np.ndarray, np.ndarray]:
+def hermitian_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix by LAPACK (``numpy.linalg.eigh``).
 
     Returns ``(vals, vecs)`` with eigenvalues ascending and ``vecs[..., :, j]``
@@ -104,7 +104,7 @@ def hermitian_eig(m: np.ndarray, tol: float = HERMITIAN_TOL) -> tuple[np.ndarray
     matrix by matrix in one call.  The input is checked for Hermiticity and
     symmetrized first.
     """
-    return np.linalg.eigh(require_hermitian(m, tol))
+    return np.linalg.eigh(require_hermitian(m))
 
 
 def projector(psi: np.ndarray) -> np.ndarray:
@@ -132,7 +132,7 @@ def partial_trace(rho: np.ndarray, keep: str) -> np.ndarray:
     raise ValueError(f"keep must be 'A' or 'B', got {keep!r}")
 
 
-def expectation(kets: np.ndarray, op: np.ndarray, tol: float = HERMITIAN_TOL):
+def expectation(kets: np.ndarray, op: np.ndarray):
     """Real <psi|op|psi> of every ket psi of a stack (..., d).
 
     ``op`` is a Hermitian (d, d) matrix or a stack (..., d, d) that
@@ -141,7 +141,7 @@ def expectation(kets: np.ndarray, op: np.ndarray, tol: float = HERMITIAN_TOL):
     above 1e-12 raises ArithmeticError, and a smaller one is discarded.  A
     single ket gives a float, a stack an array of the broadcast leading shape.
     """
-    op = require_hermitian(op, tol)
+    op = require_hermitian(op)
     kets = np.asarray(kets, dtype=complex)
     raw = np.einsum("...i,...ij,...j->...", kets.conj(), op, kets)
     residue = float(np.max(np.abs(raw.imag), initial=0.0))

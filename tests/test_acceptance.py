@@ -111,28 +111,28 @@ def test_registry_is_complete():
 
 @pytest.mark.parametrize("seed", (0, 7, 26, 33))
 def test_block_draws_equal_one_random_measurement_per_member(seed):
-    # two full ensemble blocks and a partial one; member i of a block equals member i
-    # drawn alone, in draw_members' order, on its own generator, for every member kind
+    # two full ensemble blocks and a partial one; member i of a block equals
+    # draw_members(seed, range(i, i + 1)), bit for bit, for every member kind
     size = 2 * checks.ENSEMBLE_BLOCK + 40
-    block_rng, member_rng = np.random.default_rng([seed, 1]), np.random.default_rng([seed, 1])
     kinds = set()
     for first in range(0, size, checks.ENSEMBLE_BLOCK):
         members = range(first, min(size, first + checks.ENSEMBLE_BLOCK))
-        params, coeffs, _, outcomes, turns = checks.draw_members(block_rng, members)
+        params, coeffs, _, outcomes, turns = checks.draw_members(seed, members)
         assert coeffs.shape == (len(members), 6, 4)
         p, q = measurement.weight_block(coeffs)
         saturated = (np.abs(q) == p).all(axis=0)
         counts = []
         for j, i in enumerate(members):
             alone, alone_coeffs, _, alone_outcomes, alone_turns = checks.draw_members(
-                member_rng, range(i, i + 1)
+                seed, range(i, i + 1)
             )
-            n = alone_coeffs.shape[1]
+            n = np.count_nonzero(p[:, j])
+            assert n == 2 + i % 5
             # the block's row has the bits of the member's own params row
             assert [x[j] for x in vars(params).values()] == [x[0] for x in vars(alone).values()]
-            assert coeffs[j, :n].tobytes() == alone_coeffs[0].tobytes()
+            assert coeffs[j].tobytes() == alone_coeffs[0].tobytes()
             assert not coeffs[j, n:].any()
-            assert outcomes[j] == alone_outcomes[0]
+            assert 0 <= outcomes[j] == alone_outcomes[0] < n
             assert turns[j].tobytes() == alone_turns[0].tobytes()
             kinds.add((i % 3 == 0, n, bool(saturated[j])))
             counts.append(n)
@@ -145,6 +145,49 @@ def test_block_draws_equal_one_random_measurement_per_member(seed):
     # PAIR_GRID or drawn params, 2-6 outcomes, and saturated ones of 2, 4 and 6
     want = {(grid, n, False) for grid in (True, False) for n in range(2, 7)}
     assert kinds == want | {(grid, n, True) for grid in (True, False) for n in (2, 4, 6)}
+
+
+def member_bytes(members, start=0):
+    """Every array of a ``draw_members`` result from member ``start`` on, as bytes."""
+    params, coeffs, povm, outcomes, turns = members
+    arrays = [*vars(params).values(), coeffs, *povm.values(), outcomes, turns]
+    return [x[start:].tobytes() for x in arrays]
+
+
+@pytest.mark.parametrize("first, stop", [(0, 1), (1, 300), (256, 300), (299, 300)])
+def test_members_first_to_stop_are_those_rows_of_the_ensemble(first, stop):
+    whole = checks.draw_members(26, range(stop))
+    assert member_bytes(checks.draw_members(26, range(first, stop))) == member_bytes(whole, first)
+
+
+class FixedUniforms:
+    """A stand-in for ``np.random.default_rng``'s generator whose every member row is ``row``."""
+
+    def __init__(self, row):
+        self.row = row
+        self.bit_generator = types.SimpleNamespace(advance=lambda delta: None)
+
+    def random(self, shape):
+        return np.tile(self.row, (shape[0], 1))
+
+
+@pytest.mark.parametrize("edge", (0.0, 1.0 - 2.0**-53))
+def test_member_draws_stay_in_range_at_the_edges_of_the_uniforms(monkeypatch, edge):
+    # every uniform at an edge of [0, 1) but the exponentials other than the second, at
+    # 1/2 (with all of them at 0 a member's p would be 0 / 0)
+    row = np.full(18, edge)
+    row[[2, 4, 5, 6, 7]] = 0.5
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: FixedUniforms(row))
+    params, coeffs, _, outcomes, turns = checks.draw_members(0, range(20))
+    n = 2 + np.arange(20) % 5
+    p = measurement.weight_block(coeffs)[0]
+    # the second exponential is 0 at u = 0, and 36.7 at 1 - 2**-53: member 1's p stays finite
+    assert np.isfinite(coeffs).all()
+    assert (p[1, 1] == 0.0) == (edge == 0.0)
+    assert np.all(outcomes == (n - 1) * (edge > 0.0))
+    assert np.all((0.25 <= params.h) & (params.h < 4.0) & (0.25 <= params.k) & (params.k < 4.0))
+    assert np.isfinite(turns).all()
+    assert np.abs((turns[:, 1:] ** 2).sum(-1) - 1.0).max() <= 1e-15
 
 
 def test_ensemble_computes_each_blocks_povm_residuals_once(monkeypatch):
@@ -177,9 +220,7 @@ def test_ensemble_residuals_do_not_depend_on_the_block_size(monkeypatch, seed):
 
 def test_a_failed_cross_check_names_its_ensemble_member(monkeypatch):
     # member 266 is case 10 of the second block; the error counts from the ensemble's start
-    rng = np.random.default_rng([0, 1])
-    checks.draw_members(rng, range(checks.ENSEMBLE_BLOCK))
-    second = checks.draw_members(rng, range(checks.ENSEMBLE_BLOCK, 300))[0]
+    second = checks.draw_members(0, range(checks.ENSEMBLE_BLOCK, 300))[0]
     h = second.h[266 - checks.ENSEMBLE_BLOCK]
     assert np.count_nonzero(second.h == h) == 1
     original = analytic.Q_of
@@ -206,10 +247,7 @@ def test_ensemble_working_memory_does_not_grow_with_its_size():
 
 
 def test_a_corrupted_member_of_a_drawn_block_is_named():
-    rng = np.random.default_rng(5)
-    coeffs, residuals = measurement.draw_block(
-        [measurement.raw_draw(rng, n) for n in (2, 3, 4, 6) * 5]
-    )
+    coeffs, residuals = checks.draw_members(5, range(20))[1:3]
     # the drawn block passes, and its residuals are the check's
     for name, values in measurement.check_block(coeffs).items():
         assert values.tobytes() == residuals[name].tobytes()
@@ -227,10 +265,10 @@ def test_a_corrupted_member_of_a_drawn_block_is_named():
 @pytest.mark.parametrize(
     "seed, frozen",
     [
-        (0, ("5.329070518200751e-15", "1.145751370157183e-13")),
-        (7, ("5.329070518200751e-15", "1.2156222854562873e-13")),
-        (26, ("5.329070518200751e-15", "1.5129168090942347e-13")),
-        (33, ("6.217248937900877e-15", "7.857236095606436e-14")),
+        (0, ("5.329070518200751e-15", "3.791710470373987e-14")),
+        (7, ("7.105427357601002e-15", "1.336807009006506e-13")),
+        (26, ("5.329070518200751e-15", "7.688325471172681e-14")),
+        (33, ("5.329070518200751e-15", "3.6111524353191493e-14")),
     ],
 )
 def test_no_go_residuals_are_frozen(seed, frozen):

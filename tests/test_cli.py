@@ -154,8 +154,8 @@ def test_omega_maximum_at_zero_q_is_not_a_false_fail(capsys, monkeypatch):
     draw_block = measurement.draw_block
     drawn = []
 
-    def unbiased(draws):
-        drawn.append(draw_block([(p, np.zeros_like(u)) for p, u in draws]))
+    def unbiased(p, u, counts):
+        drawn.append(draw_block(p, np.zeros_like(u), counts))
         return drawn[-1]
 
     monkeypatch.setattr(measurement, "draw_block", unbiased)

@@ -1,15 +1,16 @@
 """Derivative-free search vs the closed forms it is meant to cross-check."""
 
 import hashlib
+import math
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from minqet import analytic, checks, measurement, optimizer, protocol
+from minqet import analytic, measurement, optimizer, protocol
 from minqet.measurement import MeasurementModel, weight_block
-from minqet.model import ModelParams, ParamsBlock
+from minqet.model import ModelParams, ParamsBlock, params_row
 
 from conftest import case_block, model_ensemble
 
@@ -177,14 +178,16 @@ def test_policy_search_keeps_its_frozen_bits():
     axis = np.geomspace(0.25, 4.0, 21)
     grid = ParamsBlock.of(ModelParams(h=float(h), k=float(k)) for h in axis for k in axis)
     rows = MeasurementModel.from_weights([0.43, 0.57], [0.21, -0.21]).rows
-    # each drawn case draws its params, its outcome count and its raw weights in that order
-    rng, params_rows, draws = np.random.default_rng([128, 3]), [], []
-    for _ in range(16):
-        params_rows.append(checks._random_params(rng))
-        draws.append(measurement.raw_draw(rng, int(rng.integers(2, 7))))
-    drawn = np.zeros((16, 6, 4))
-    coeffs = measurement.draw_block(draws)[0]
-    drawn[:, : coeffs.shape[1]] = coeffs
+    # each drawn case draws its log-uniform h and k, its outcome count and its raw
+    # weights in that order
+    rng, params_rows, counts = np.random.default_rng([128, 3]), [], []
+    p, u = np.zeros((16, 6)), np.zeros((16, 6))
+    for i in range(16):
+        h, k = np.exp(rng.uniform(math.log(0.25), math.log(4.0), size=2)).tolist()
+        params_rows.append(params_row(h, k))
+        counts.append(int(rng.integers(2, 7)))
+        p[i, : counts[i]], u[i, : counts[i]] = measurement.raw_draw(rng, counts[i])
+    drawn = measurement.draw_block(p, u, np.array(counts))[0]
     blocks = {
         "grid": (grid, np.broadcast_to(rows, (len(grid.h),) + rows.shape)),
         "drawn": (ParamsBlock.of_rows(params_rows), drawn),

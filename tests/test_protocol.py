@@ -69,11 +69,10 @@ def test_run_entropy_fields_delegate():
 
 
 def test_run_never_exceeds_input(small_ensemble):
+    # a Haar rotation per outcome, six rows per case
+    haar = protocol.haar_turns(np.random.default_rng(31).random((96, 3)))
     cases = [
-        (params, model, [
-            protocol.random_turn(np.random.default_rng(31 * i + mu))
-            for mu in range(model.n_outcomes)
-        ])
+        (params, model, haar[6 * i : 6 * i + model.n_outcomes].tolist())
         for i, (params, model) in enumerate(small_ensemble[:16])
     ]
     report = run_batch(cases)
@@ -202,7 +201,7 @@ def test_passive_identity_is_zero():
 
 
 def test_passive_random_unitaries_nonnegative():
-    turns = [protocol.random_turn(np.random.default_rng(seed)) for seed in range(200)]
+    turns = protocol.haar_turns(np.random.default_rng(0).random((200, 3))).tolist()
     cost = passive_cost([(UNIT, measurement.projective_pair(), turn) for turn in turns])
     assert np.all(cost >= -1e-10)
 
@@ -293,7 +292,7 @@ def test_report_bound_fields():
 # batched runs
 
 # outcome weights and Haar rotations drawn once (random_measurement with
-# seeds 31, 41, 61 and random_turn with seeds 0-4), written out so
+# seeds 31, 41, 61, and five seeded Haar rotations), written out so
 # that the frozen values below do not depend on the random generators
 W3 = (
     (0.38267351301974595, 0.18895151574267774),
@@ -324,10 +323,26 @@ TURNS = (
 )
 
 
-def test_random_turn_draws_the_frozen_turns():
-    # the (omega, axis) row keeps the draw's bits
-    for seed, turn in enumerate(TURNS):
-        assert protocol.random_turn(np.random.default_rng(seed)) == turn
+def test_haar_turns_keep_their_frozen_rows():
+    # the (omega, axis) rows of fixed uniforms keep their bits; (0, 0, u2) is the identity
+    uniforms = np.array([[0.0, 0.0, 0.3], [0.5, 0.25, 0.75], [0.1, 0.9, 0.4], [0.97, 0.6, 0.05]])
+    assert protocol.haar_turns(uniforms).tolist() == [
+        [0.0, 0.0, 1.0, 0.0],
+        [1.5707963267948966, 0.7071067811865476, -0.7071067811865476, -1.29893408435324e-16],
+        [0.6958627703955476, -0.8698602565346394, 0.2899534188448798, -0.3990866434768981],
+        [1.7113848482911618, -0.10282186337892206, 0.30737913819731105, 0.9460157133009814],
+    ]
+
+
+def test_haar_turns_are_unit_axes_and_haar_angles():
+    turns = protocol.haar_turns(np.random.default_rng(8).random((100_000, 3)))
+    omega, axes = turns[:, 0], turns[:, 1:]
+    assert np.all((0.0 <= omega) & (omega <= math.pi))
+    assert np.abs((axes * axes).sum(-1) - 1.0).max() <= 1e-15
+    # uniform on SU(2): each quaternion component (cos omega, sin omega n) has mean
+    # square 1/4, within ~6 standard errors (0.25 / sqrt(1e5)) of 1e5 draws
+    quaternion = np.column_stack([np.cos(omega), np.sin(omega)[:, None] * axes])
+    assert np.abs((quaternion**2).mean(0) - 0.25).max() <= 0.005
 
 
 def weights_model(pairs):

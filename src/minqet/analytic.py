@@ -10,8 +10,8 @@ Every closed form is one array kernel.  ``params`` is a ``ModelParams``
 other argument is a float or an array that broadcasts against its
 attributes.  Per-outcome arrays put the outcome axis first, (n,) for one
 case and (n, N) over a block, so the cases' parameters broadcast behind it
-and a sum over outcomes is a sum over axis 0.  A result without axes is a
-float.
+and a sum over outcomes is a sum over axis 0.  One case is a block of one:
+its result is a NumPy scalar or a 0-d array, from the same arithmetic.
 
 Per outcome with weights (p, q), a feedback rotation of qubit B about the
 unit axis n by angle omega changes the B-side energy by -Q/eps, where
@@ -80,13 +80,7 @@ def X_of(params: ModelParams, p: float, q: float, n: tuple[float, float, float])
     )
 
 
-def Q_of(
-    params: ModelParams,
-    p: float,
-    q: float,
-    omega: float,
-    n: tuple[float, float, float],
-) -> float:
+def Q_of(params: ModelParams, p, q, omega, n: tuple[float, float, float]):
     """Energy gain numerator Q for one outcome under rotation (omega, n).
 
     The caller guarantees |n| = 1; the teleported energy of a full policy is
@@ -95,10 +89,9 @@ def Q_of(
     x = X_of(params, p, q, n)
     # cos 2w - 1 = -2 sin^2 w, which keeps its digits where w is near 0 or pi
     sin_omega = np.sin(omega)
-    value = -2.0 * x * sin_omega * sin_omega - (
+    return -2.0 * x * sin_omega * sin_omega - (
         params.h * params.k * q * n[1] * np.sin(2.0 * omega)
     )
-    return float(value) if np.ndim(value) == 0 else value
 
 
 def _omega_peak(params: ModelParams, p, q, n) -> tuple:
@@ -120,9 +113,7 @@ def max_value_over_omega(params: ModelParams, p, q, n: tuple[float, float, float
     return _omega_peak(params, p, q, n)[2]
 
 
-def max_over_omega(
-    params: ModelParams, p: float, q: float, n: tuple[float, float, float]
-) -> tuple[float, float]:
+def max_over_omega(params: ModelParams, p, q, n: tuple[float, float, float]) -> tuple:
     """Maximum of Q over the rotation angle for a fixed axis, and its argmax.
 
     Q = X cos(2w) - G sin(2w) - X with G = h k q n_y, so the maximum is
@@ -138,24 +129,19 @@ def max_over_omega(
     """
     x, g, value = _omega_peak(params, p, q, n)
     omega = np.where((x == 0.0) & (g == 0.0), 0.0, 0.5 * np.arctan2(-g, x) % math.pi)
-    if value.ndim == 0:
-        return float(value), float(omega)
     return value, omega
 
 
-def abc_constants(params: ModelParams, p: float, q: float) -> tuple[float, float, float]:
+def abc_constants(params: ModelParams, p, q) -> tuple:
     """The per-outcome constants (a, b, c) of the envelope T(z)."""
     h, k = params.h, params.k
     a = p * (h * h + 2.0 * k * k)
     spread = np.hypot((h * h - 2.0 * k * k) * p, 3.0 * h * k * q)
     b = 0.5 * (a + spread)
-    c = (h * k * q) ** 2
-    if np.ndim(b) == 0:
-        return float(a), float(b), float(c)
-    return a, b, c
+    return a, b, (h * k * q) ** 2
 
 
-def min_X_over_psi(params: ModelParams, p: float, q: float, z: float) -> float:
+def min_X_over_psi(params: ModelParams, p, q, z):
     """Minimum of X over axes with n_x^2 + n_z^2 = z.
 
     Writing n_x = sqrt(z) cos(psi), n_z = sqrt(z) sin(psi), the psi-dependent
@@ -181,21 +167,21 @@ def t_witness(params: ModelParams, p: float, q: float, z):
     return 2.0 * b * T_profile(params, p, q, z) - c
 
 
-def t_sign_check(params: ModelParams, p: float, q: float, n_grid: int = 129) -> bool:
-    """Grid evidence that T peaks at z = 0: t(z) <= 0 and T(0) >= T(z).
+def t_sign_check(params: ModelParams, p, q):
+    """Grid evidence that T peaks at z = 0: t(z) <= 0 and T(0) >= T(z), on 129 points.
 
     Slack of 1e-12 relative to the outcome's energy scale absorbs rounding.
-    The verdict is a bool, or a bool array over arrays of outcomes.
+    The verdict is a bool array of the outcomes' broadcast shape.
     """
     a, _, c = abc_constants(params, p, q)
     scale = np.maximum(np.maximum(1.0, a), np.sqrt(c))
     t0 = T_profile(params, p, q, 0.0)
     # the grid runs along a leading axis, so the outcomes broadcast behind it
-    z = (np.arange(n_grid) / (n_grid - 1)).reshape((-1,) + (1,) * np.ndim(a))
+    z = (np.arange(129) / 128).reshape((-1,) + (1,) * np.ndim(a))
     bad = np.any(t_witness(params, p, q, z) > 1e-12 * scale * scale, axis=0) | np.any(
         T_profile(params, p, q, z) > t0 + 1e-12 * scale, axis=0
     )
-    return bool(~bad) if np.ndim(bad) == 0 else ~bad
+    return ~bad
 
 
 def f_E(params: ModelParams, x):
@@ -226,7 +212,7 @@ def f_I(params: ModelParams, x):
     return entropy[0] - entropy[1]
 
 
-def shannon_entropy(probs) -> float:
+def shannon_entropy(probs):
     """Shannon entropy in nats of a probability vector; 0 ln 0 = 0.
 
     A stack of vectors (..., n) gives one entropy per vector.
@@ -236,8 +222,7 @@ def shannon_entropy(probs) -> float:
     _require((probs >= -1e-12) & (probs <= 1.0 + 1e-12), probs, "probability out of range")
     positive = probs > 0.0
     terms = np.where(positive, probs * np.log(np.where(positive, probs, 1.0)), 0.0)
-    total = -terms.sum(axis=-1)
-    return float(total) if total.ndim == 0 else total
+    return -terms.sum(axis=-1)
 
 
 def _outcome_sum(kernel, params: ModelParams, p, q):

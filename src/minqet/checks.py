@@ -42,8 +42,8 @@ _PAIR_ROWS = [params_row(h, k) for h, k in PAIR_GRID]
 ENSEMBLE_BLOCK = 256
 
 
-def _golden_max(fun, lo, hi, iters: int = 80):
-    """Golden-section maxima of smooth unimodal functions, one per element of lo, hi.
+def _golden_max(fun, lo, hi):
+    """Golden-section maxima (80 steps) of smooth unimodal functions, one per element of lo, hi.
 
     ``fun`` maps an array of points to an array of values; every bracket
     shrinks in lockstep, each keeping the side ``np.where`` picks for it.
@@ -53,7 +53,7 @@ def _golden_max(fun, lo, hi, iters: int = 80):
     c = b - inv_phi * (b - a)
     d = a + inv_phi * (b - a)
     fc, fd = fun(c), fun(d)
-    for _ in range(iters):
+    for _ in range(80):
         left = fc > fd  # the maximum lies in [a, d]
         a, b = np.where(left, a, c), np.where(left, d, b)
         x = np.where(left, b - inv_phi * (b - a), a + inv_phi * (b - a))
@@ -229,7 +229,7 @@ def _check_eigensolver(seed: int, size: int) -> float:
 def _check_ground_state() -> float:
     """20x20 log grid over [0.1, 10]^2: H|g> = 0, zero part-wise energies, closed spectrum."""
     grid = np.geomspace(0.1, 10.0, 20).tolist()
-    block = ParamsBlock.of(ModelParams(h=h, k=k) for h in grid for k in grid)
+    block = ParamsBlock.of_rows([params_row(h, k) for h in grid for k in grid])
     parts = model.build_hamiltonian(block)
     g = model.ground_state(block)
     vals, _ = qmath.hermitian_eig(parts.total)

@@ -319,21 +319,18 @@ def cmd_optimize(args) -> int:
         if not args.povm:
             raise ValueError("optimize --over policy needs --povm")
         meas = resolve_povm(args.povm)
-        # the case as a block of one, its axes divided by their lengths row by row
+        # the case as a block of one, its axes divided by their lengths
         p, q = measurement.weight_block(meas.rows[None])
-        value, omega, axes, evaluations, converged = (
-            column.tolist()[0]
-            for column in optimizer.maximize_over_policies(ParamsBlock.of([params]), p, q)
-        )
+        columns = list(optimizer.maximize_over_policies(ParamsBlock.of([params]), p, q))
+        columns[2] = columns[2] / np.sqrt((columns[2] * columns[2]).sum(-1, keepdims=True))
+        value, omega, axes, evaluations, converged = (column.tolist()[0] for column in columns)
         payload = {
             "over": "policy",
             "params": {"h": params.h, "k": params.k},
             "povm": {"source": args.povm, "sha256": povm_sha256(measurement.to_json_obj(meas))},
             "best_value": value,
             "closed_form_max": analytic.max_EB_closed(params, p[:, 0], q[:, 0]),
-            "policy": [
-                {"omega": w, "n": list(protocol.unit_axis(n))} for w, n in zip(omega, axes)
-            ],
+            "policy": [{"omega": w, "n": n} for w, n in zip(omega, axes)],
             "evaluations": evaluations,
             "converged": converged,
         }

@@ -210,8 +210,7 @@ def input_energy_closed(params, coeffs: np.ndarray):
     block (N, n, 4) with a ``ParamsBlock``; the l^2 add in outcome order.
     """
     l = coeffs[..., 1]
-    value = 2.0 * params.h * params.h / params.eps * np.add.accumulate(l * l, axis=-1)[..., -1]
-    return float(value) if np.ndim(value) == 0 else value
+    return 2.0 * params.h * params.h / params.eps * np.add.accumulate(l * l, axis=-1)[..., -1]
 
 
 def balance_weights(p: np.ndarray, u: np.ndarray) -> np.ndarray:

@@ -48,21 +48,12 @@ CROSS_CHECK_TOL = 1e-10
 BLOCK = 64
 
 
-def unit_axis(n) -> tuple[float, float, float]:
-    """The three components of a nonzero axis n, divided by its length in float arithmetic."""
-    nx, ny, nz = (float(c) for c in n)
-    r = math.sqrt(nx * nx + ny * ny + nz * nz)
-    if r == 0.0:
-        raise ValueError("axis must be nonzero")
-    return nx / r, ny / r, nz / r
-
-
 def rotations(omega, axes) -> np.ndarray:
     """cos(omega) + i sin(omega) n . sigma for angles (...) and axes (..., 3): (..., 2, 2)."""
     nx, ny, nz = (np.asarray(axes, dtype=float)[..., i, None, None] for i in range(3))
     axis_dot_sigma = nx * qmath.pauli("x") + ny * qmath.pauli("y") + nz * qmath.pauli("z")
     omega = np.asarray(omega, dtype=float)[..., None, None]
-    return np.cos(omega) * qmath.identity(2) + (1j * np.sin(omega)) * axis_dot_sigma
+    return np.cos(omega) * qmath.identity() + (1j * np.sin(omega)) * axis_dot_sigma
 
 
 def rotate_b(kets: np.ndarray, u: np.ndarray) -> np.ndarray:

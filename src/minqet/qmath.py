@@ -44,8 +44,8 @@ def pauli(axis: str) -> np.ndarray:
         raise ValueError(f"unknown Pauli axis {axis!r}") from None
 
 
-def identity(dim: int = 2) -> np.ndarray:
-    return np.eye(dim, dtype=complex)
+def identity() -> np.ndarray:
+    return np.eye(2, dtype=complex)
 
 
 def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -138,8 +138,8 @@ def expectation(kets: np.ndarray, op: np.ndarray):
     ``op`` is a Hermitian (d, d) matrix or a stack (..., d, d) that
     broadcasts against the kets' leading axes.  The operator is checked for
     Hermiticity and symmetrized, so an imaginary residue is rounding only: one
-    above 1e-12 raises ArithmeticError, and a smaller one is discarded.  A
-    single ket gives a float, a stack an array of the broadcast leading shape.
+    above 1e-12 raises ArithmeticError, and a smaller one is discarded.  The
+    result has the broadcast leading shape; a single ket gives a NumPy scalar.
     """
     op = require_hermitian(op)
     kets = np.asarray(kets, dtype=complex)
@@ -147,4 +147,4 @@ def expectation(kets: np.ndarray, op: np.ndarray):
     residue = float(np.max(np.abs(raw.imag), initial=0.0))
     if not residue <= IMAG_TOL:  # NaN fails
         raise ArithmeticError(f"expectation value has imaginary residue {residue:.3e}")
-    return float(raw.real) if raw.ndim == 0 else raw.real
+    return raw.real

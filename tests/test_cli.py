@@ -12,7 +12,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from minqet import analytic, checks, cli, measurement, protocol
+from minqet import analytic, checks, cli, measurement, optimizer, protocol
+from minqet.model import ModelParams, ParamsBlock
 
 MAX_EB_UNIT = 0.11474763394014725
 GROUND_ENTROPY_UNIT = 0.4164955306996875
@@ -520,6 +521,33 @@ def test_optimize_policy_payload_is_frozen(capsys, tmp_path, povm, h, k, frozen)
     assert payload == frozen
     for turn in payload["policy"]:
         assert abs(math.sqrt(sum(c * c for c in turn["n"])) - 1.0) <= 1e-12
+
+
+# (h, k, outcomes of the 20 printed with the search's own axis, not the y axis)
+@pytest.mark.parametrize(
+    "h, k, searched", [("1e-6", "1", 11), ("1", "1e-6", 14), ("0.8", "2.1", 0)]
+)
+def test_optimize_prints_the_search_axes_divided_by_their_lengths(
+    capsys, tmp_path, h, k, searched
+):
+    own = 0
+    for n in range(2, 7):
+        meas = measurement.random_measurement(seed=0, n_outcomes=n)
+        path = tmp_path / f"povm-{n}.json"
+        path.write_text(json.dumps(measurement.to_json_obj(meas)))
+        code, out, err = run_cli(capsys, "optimize", "--h", h, "--k", k, "--povm", str(path))
+        assert (code, err) == (0, "")
+        printed = [turn["n"] for turn in json.loads(out)["policy"]]
+        block = ParamsBlock.of([ModelParams(h=float(h), k=float(k))])
+        weights = measurement.weight_block(meas.rows[None])
+        axes = optimizer.maximize_over_policies(block, *weights)[2]
+        # each component over the length, in Python float arithmetic
+        lengths = [math.sqrt(x * x + y * y + z * z) for x, y, z in axes[0].tolist()]
+        assert printed == [[c / r for c in axis] for axis, r in zip(axes[0].tolist(), lengths)]
+        for axis in printed:
+            assert abs(math.sqrt(sum(c * c for c in axis)) - 1.0) <= 4e-16
+        own += sum(axis != list(analytic.Y_AXIS) for axis in printed)
+    assert own == searched
 
 
 def test_optimize_weights_json(capsys):

@@ -22,16 +22,16 @@ measurement is given by weights alone is
 Every such Kraus operator commutes with the x-x coupling, which is what
 makes the post-measurement state carry no interaction energy.
 
-The batched data is the coefficient block: the (m, l, alpha, delta) rows
-of N models as one (N, n, 4) array, zero-padded to the largest outcome
-count.  ``draw_block`` balances, maps and checks a block of padded random
-draws at once, and ``check_block`` holds every POVM constraint once per block.
+The batched data is the coefficient block: the (m, l, alpha, delta) rows of N
+models as one (N, n, 4) array, zero-padded to the largest outcome count.
+``draw_block`` balances, maps and checks a block of padded random draws at
+once, and ``check_block`` holds every POVM constraint once per block.
 ``MeasurementModel`` is one model's (n, 4) rows, checked once by
-``check_block`` when it is built, and is the object of the JSON and CLI
-edge; ``MeasurementModel.from_weights`` (weights p, q through
-``canonical_coeffs``) and ``random_measurement`` (a one-member
-``draw_block``) build it by the same array path, and ``weight_block``
-reads its weights back.
+``check_block`` when it is built, and is the object of the JSON and CLI edge;
+``MeasurementModel.from_weights`` (weights p, q through ``canonical_coeffs``)
+and ``random_measurement`` (a one-member ``draw_block``) build it by the same
+array path, and ``weight_block`` reads its weights back.  Weights (n, ...)
+put the outcome axis first, as ``analytic`` and ``balance_weights`` take them.
 """
 
 from __future__ import annotations
@@ -167,11 +167,12 @@ def block_residuals(coeffs: np.ndarray) -> dict[str, np.ndarray]:
     m, l, alpha = coeffs[..., 0], coeffs[..., 1], coeffs[..., 2]
     ops = kraus_operators(coeffs)
     total = (np.swapaxes(ops.conj(), -1, -2) @ ops).sum(axis=-3)
+    # XX maps basis state i to 3 - i: ops @ XX reverses the columns of ops, XX @ ops its rows
     return {
         "normalization": np.abs((m * m + l * l).sum(axis=-1) - 1.0),
         "balance": np.abs((m * l * np.cos(alpha)).sum(axis=-1)),
         "completeness": np.abs(total - qmath.EYE4).max(axis=(-2, -1)),
-        "commutant": np.abs(ops @ qmath.XX - qmath.XX @ ops).max(axis=(-3, -2, -1)),
+        "commutant": np.abs(ops[..., ::-1] - ops[..., ::-1, :]).max(axis=(-3, -2, -1)),
     }
 
 
@@ -216,24 +217,24 @@ def input_energy_closed(params, coeffs: np.ndarray):
 def balance_weights(p: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Shift raw draws u so the balanced weights q = clip(u - s, -1, 1) * p sum to zero.
 
-    p and u are rows (..., n), each row balanced on its own.  R(s) =
+    p and u are (n, ...), outcome axis first: each column is balanced on
+    its own, and every sum over outcomes adds in outcome order.  R(s) =
     sum(clip(u - s, -1, 1) * p) is nonincreasing and linear between its 2n
     sorted knots u -+ 1.  The root is the first knot where R <= 0,
     interpolated back toward the previous knot where R < 0 there.  R = 0 at
     the knot takes the knot, also on a piece where R stays zero: only
     zero-mass outcomes are unclipped there, so every s on it gives the same q.
     """
-    knots = np.sort(np.concatenate((u - 1.0, u + 1.0), axis=-1), axis=-1)
-    # R at every knot from one (..., 2n, n) temporary, clipped and weighted in place
-    terms = u[..., None, :] - knots[..., None]
+    knots = np.sort(np.concatenate((u - 1.0, u + 1.0)), axis=0)
+    # R at every knot from one (n, 2n, ...) temporary, clipped and weighted in place
+    terms = u[:, None] - knots
     np.minimum(np.maximum(terms, -1.0, out=terms), 1.0, out=terms)
-    terms *= p[..., None, :]
-    r = terms.sum(axis=-1)
-    j = np.argmax(r <= 0.0, axis=-1)[..., None]
-    # the knot and R at j, and at the knot before it (j itself where j = 0), in one gather
-    at = np.concatenate((j, np.maximum(j - 1, 0)), axis=-1)[..., None, :]
-    found = np.take_along_axis(np.stack((knots, r), axis=-2), at, -1)
-    s, s_before, r_j, r_before = (found[..., a, b, None] for a in (0, 1) for b in (0, 1))
+    r = np.multiply(terms, p[:, None], out=terms).sum(axis=0)  # adds in outcome order
+    j = np.argmax(r <= 0.0, axis=0)
+    # flat indices of the knot at j and of the knot before it (j itself where j = 0)
+    at = j * j.size + np.arange(j.size).reshape(j.shape)
+    before = at - j.size * (j > 0)
+    s, s_before, r_j, r_before = (np.take(a, i) for a in (knots, r) for i in (at, before))
     back = (j > 0) & (r_j < 0.0)
     s = np.where(back, s + r_j * (s - s_before) / np.where(back, r_before - r_j, 1.0), s)
     return np.minimum(np.maximum(u - s, -1.0), 1.0) * p
@@ -267,7 +268,7 @@ def draw_block(p: np.ndarray, u: np.ndarray, counts: np.ndarray) -> tuple[np.nda
     q = np.zeros_like(p)
     for n in np.unique(counts):
         rows = counts == n
-        q[rows, :n] = balance_weights(p[rows, :n], u[rows, :n])
+        q[rows, :n] = balance_weights(p[rows, :n].T, u[rows, :n].T).T
     coeffs = canonical_coeffs(p, q)
     return coeffs, check_block(coeffs)
 

@@ -275,6 +275,19 @@ def test_constraint_residuals_structure():
     assert all(v <= 1e-12 for v in res.values())
 
 
+def test_an_operator_that_fails_to_commute_is_a_completeness_violation(monkeypatch):
+    # a sigma_A^z term turns every operator by the same unitary, so sum(M^dag M) = I
+    # still holds, but sigma_A^z anticommutes with the coupling sigma_A^x sigma_B^x
+    rows, kraus = measurement.weak_pair(0.3).rows, measurement.kraus_operators
+    turn = math.cos(0.1) * qmath.EYE4 + 1j * math.sin(0.1) * qmath.Z_A
+    monkeypatch.setattr(measurement, "kraus_operators", lambda coeffs: turn @ kraus(coeffs))
+    assert measurement.block_residuals(rows)["completeness"] <= measurement.WEIGHT_TOL
+    with pytest.raises(ConstraintViolation) as info:
+        measurement.check_block(rows)
+    assert info.value.kind == "completeness"
+    assert str(info.value).endswith(": operator fails to commute with the coupling")
+
+
 def test_weak_pair_and_limits():
     model = measurement.weak_pair(0.3)
     (p0, _), (q0, q1) = weight_block(model.rows)
@@ -400,7 +413,7 @@ def _assert_exact_root(p, u):
 
 @settings(max_examples=200, deadline=None)
 @given(
-    st.integers(min_value=2, max_value=8).flatmap(
+    st.integers(min_value=2, max_value=12).flatmap(
         lambda n: st.tuples(
             st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n).filter(
                 lambda raw: sum(raw) > 1e-6
@@ -436,10 +449,12 @@ def test_balance_weights_edge_cases(p, u):
 
 
 def test_balance_weights_balances_a_stack_row_by_row():
-    # random rows, some with zero-mass outcomes, and every edge case among
-    # rows of its own size: the stack gives each row's bits
+    # random columns, some with zero-mass outcomes, and every edge case among
+    # columns of its own size: the (n, R) stack, outcome axis first, gives
+    # each column's bits, also from 8 outcomes up, where only a sum in
+    # outcome order keeps a column's bits the same alone and in a stack
     rng = np.random.default_rng(4)
-    for n in (2, 3, 4, 6):
+    for n in (2, 3, 4, 6, 9, 24):
         p = rng.dirichlet(np.ones(n), size=60)
         p[::7, 0] = 0.0
         p /= p.sum(axis=1, keepdims=True)
@@ -449,13 +464,14 @@ def test_balance_weights_balances_a_stack_row_by_row():
         if edge:
             p = np.concatenate([p, [case[0] for case in edge]])
             u = np.concatenate([u, [case[1] for case in edge]])
+        p, u = p.T.copy(), u.T.copy()  # (n, R) columns
         stacked = measurement.balance_weights(p, u)
         assert stacked.shape == p.shape
-        rows = [measurement.balance_weights(p_row, u_row) for p_row, u_row in zip(p, u)]
-        assert stacked.tolist() == [row.tolist() for row in rows]
-        # a deeper stack (2, rows / 2, n) as well
-        half = len(p) // 2 * 2
+        columns = [measurement.balance_weights(p_col, u_col) for p_col, u_col in zip(p.T, u.T)]
+        assert stacked.T.tolist() == [column.tolist() for column in columns]
+        # a deeper stack (n, 2, R / 2) as well
+        half = p.shape[1] // 2 * 2
         deep = measurement.balance_weights(
-            p[:half].reshape(2, -1, n), u[:half].reshape(2, -1, n)
+            p[:, :half].reshape(n, 2, -1), u[:, :half].reshape(n, 2, -1)
         )
-        assert deep.reshape(-1, n).tolist() == stacked[:half].tolist()
+        assert deep.reshape(n, -1).tolist() == stacked[:, :half].tolist()

@@ -322,6 +322,21 @@ def test_weights_search_keeps_the_sequential_bits(hk, n, value, evaluations, con
     assert repr(tuple(w.tolist() for w in res.best_weights)) == repr(weights)
 
 
+# From 8 outcomes up every outcome sum of the search adds in outcome order, as
+# analytic's closed forms add; a last-axis NumPy sum adds pairwise there and
+# read 0.06586691651113395 at n = 9.  Frozen evaluations and best values.
+@pytest.mark.parametrize(
+    "n, value, evaluations",
+    [(9, "0.06586691651113394", 7348), (12, "0.06586691651113395", 9652)],
+)
+def test_weights_search_sums_in_outcome_order_from_8_outcomes(n, value, evaluations):
+    params = ModelParams(h=0.8, k=2.1)
+    res = optimizer.maximize_over_weights(params, n_outcomes=n)
+    assert (repr(res.best_value), res.evaluations, res.converged) == (value, evaluations, True)
+    limit = analytic.f_E(params, 1.0)
+    assert abs(res.best_value - limit) <= 1e-7 * limit
+
+
 # At UNIT with two outcomes the four starts need 36, 34, 68 and 72 polls and
 # start 0 is reported.  A start converges only if it sees step < TOL within
 # its REFINE_ITERS checks: budgets around start 0's and the slowest start's

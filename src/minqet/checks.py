@@ -162,7 +162,7 @@ def block_residuals(block, coeffs, povm, outcomes, turns, first: int = 0) -> dic
     closed_max, omega_star = analytic.max_over_omega(block, p, q, axis)
     x_coef = analytic.X_of(block, p, q, axis)
     g_coef = block.h * block.k * q * axis[1]
-    q_grid = -2.0 * x_coef * np.sin(_OMEGA_GRID) ** 2 - g_coef * np.sin(2.0 * _OMEGA_GRID)
+    q_grid = analytic.Q_of(block, p, q, _OMEGA_GRID, axis)
     refined = _golden_max(
         lambda om: analytic.Q_of(block, p, q, om, axis), omega_star - 0.1, omega_star + 0.1
     )

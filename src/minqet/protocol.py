@@ -25,11 +25,11 @@ the kets of rho.  Born's rule is ``entanglement.consumption_block``'s,
 computed once per ``MeasuredBlock``, so a second policy run on the same
 block diagonalizes nothing.
 
-Every run cross-checks its own arithmetic: E_B by Tr[rho H] must match the
-per-outcome rows' sum of prob (<H_B> + <V>) and the scalar route (sum of
-Q / eps), E_A its closed form, and the final energy must respect H >= 0.
-A failed cross-check is a bug, not a data error, so it raises RuntimeError
-naming the check and the case.
+Every run cross-checks its own arithmetic: E_A must match its closed form,
+E_B by Tr[rho H] the per-outcome rows' sum of prob (<H_B> + <V>) and the
+scalar route (sum of Q / eps), and the final energy must respect H >= 0.
+A failed check is a bug, not a data error: ``_check``, the one judge, raises
+RuntimeError naming the check, the case, its residual and its budget.
 """
 
 from __future__ import annotations
@@ -92,30 +92,20 @@ class ProtocolReport:
     reduced_eigenvalues: np.ndarray
 
 
-def _check(label: str, left, right, scale, first: int = 0) -> None:
-    """Raise unless |left - right| <= CROSS_CHECK_TOL * scale in every case.
+def _check(label: str, residual, budget, first: int = 0) -> None:
+    """Raise RuntimeError unless residual <= budget in every case; a NaN fails.
 
-    The arguments are floats or (B,) arrays; ``first`` is the index of the
-    block's first case among all cases.
+    Floats or (B,) arrays; the message names the label, the case ``first + i``
+    (``first`` numbers the block's first case), the residual and the budget.
     """
-    passed = np.abs(np.subtract(left, right)) <= CROSS_CHECK_TOL * np.asarray(scale)
+    passed = np.less_equal(residual, budget)
     if not passed.all():
         i = int(np.argmin(passed))
-        left, right, scale = (
-            float(np.broadcast_to(x, passed.shape).flat[i]) for x in (left, right, scale)
-        )
+        residual, budget = (np.broadcast_to(x, passed.shape).flat[i] for x in (residual, budget))
         raise RuntimeError(
-            f"internal cross-check failed: {label} differs in case {first + i} "
-            f"({left!r} vs {right!r}, scale {scale:g})"
+            f"internal cross-check failed: {label} in case {first + i} "
+            f"(residual {float(residual)!r}, budget {float(budget):g})"
         )
-
-
-def _check_nonnegative(label: str, values: np.ndarray, scale, first: int) -> None:
-    """Raise unless values >= -CROSS_CHECK_TOL * scale in every case of a (B,) array; NaN fails."""
-    negative = np.flatnonzero(~(values >= -CROSS_CHECK_TOL * np.asarray(scale)))
-    if negative.size:
-        i = negative[0]
-        raise RuntimeError(f"{label} in case {first + i}: {float(values[i])!r}")
 
 
 def run_many(
@@ -125,7 +115,7 @@ def run_many(
 
     ``coeffs`` is the coefficient block (N, n, 4) and (omega, axes) the
     policy table.  A failed internal identity (a bug, not a data error)
-    raises ``RuntimeError`` naming the check and the case.
+    raises ``_check``'s ``RuntimeError``.
     """
     blocks = []
     for i in range(0, len(coeffs), BLOCK):
@@ -185,7 +175,7 @@ def run_block(
 
     Every cross-check of the run holds; ``first`` numbers the block's cases in errors.
     """
-    params, parts, kets, e_a, scale = block.params, block.parts, block.kets, block.e_a, block.scale
+    params, parts, kets, e_a = block.params, block.parts, block.kets, block.e_a
     total = parts.total[:, None]  # against the outcome axis of the kets
     ent = block.ent
     prob = ent.probabilities  # Born's rule, 0 where an outcome is degenerate
@@ -201,12 +191,13 @@ def run_block(
     e_b_local = -(prob * (local[..., 1] + local[..., 2])).sum(axis=-1)
 
     e_a_closed = measurement.input_energy_closed(params, block.coeffs)
-    _check("E_A closed form", e_a, e_a_closed, scale, first)
-    _check("E_B local form", e_b, e_b_local, scale, first)
+    budget = CROSS_CHECK_TOL * block.scale
+    _check("E_A closed form differs", np.abs(e_a - e_a_closed), budget, first)
+    _check("E_B local form differs", np.abs(e_b - e_b_local), budget, first)
     # outcomes along the leading axis, so the (B,) parameters broadcast behind them
     q_sum = analytic.Q_of(params, block.p, block.q, omega.T, tuple(axes.T)).sum(axis=0)
-    _check("E_B per-outcome route", e_b, q_sum / params.eps, scale, first)
-    _check_nonnegative("final energy violates H >= 0", total_final, scale, first)
+    _check("E_B per-outcome route differs", np.abs(e_b - q_sum / params.eps), budget, first)
+    _check("final energy violates H >= 0", -total_final, budget, first)
 
     bound = analytic.bounds(params)
     max_eb = analytic.max_EB_closed(params, block.p, block.q)
@@ -247,8 +238,8 @@ def evolve_series(
 
         <H_B(t)> = (h^2 / eps) sum(l^2) (1 - cos 4 k t),    <V(t)> = 0.
 
-    Both identities are enforced to 1e-9 at every sample, and a NaN fails
-    them; a phase that overflows raises ``FloatingPointError``.
+    ``_check`` holds both to 1e-9 max(1, |closed|) at sample i (a NaN fails);
+    a phase that overflows raises ``FloatingPointError``.
     """
     parts = build_hamiltonian(params)
     g = ground_state(params)
@@ -270,13 +261,7 @@ def evolve_series(
         evolved = (phases[:, None, :] * kets) @ vecs.T
         expect = params.eps * qmath.expectation(evolved[..., None, :], ops).sum(axis=1)
         hb[part], v[part] = expect.T
-        scale = np.maximum(1.0, np.abs(closed[part]))
-        for label, residual in (
-            ("<H_B(t)> brute force - closed", hb[part] - closed[part]),
-            ("<V(t)>", v[part]),
-        ):
-            bad = np.flatnonzero(~(np.abs(residual) <= 1e-9 * scale))  # NaN fails too
-            if bad.size:
-                i = bad[0]
-                raise RuntimeError(f"{label} is {float(residual[i])!r} at t={float(t[i])}")
+        budget = 1e-9 * np.maximum(1.0, np.abs(closed[part]))
+        _check("<H_B(t)> closed form differs", np.abs(hb[part] - closed[part]), budget, first)
+        _check("<V(t)> differs from 0", np.abs(v[part]), budget, first)
     return times, hb, closed, v

@@ -4,6 +4,7 @@ import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import types
@@ -369,6 +370,30 @@ def test_sweep_rows_match_one_report_per_cell(tmp_path, capsys):
             code, out, _ = run_cli(capsys, "optimize", *cell)
             assert code == 0
             assert float(row["maxE_B_numeric"]) == json.loads(out)["best_value"]
+
+
+def test_report_and_sweep_refuse_when_the_routes_disagree(tmp_path, capsys, monkeypatch):
+    # the grid above; only row 67, in run_many's second block, sees a Q shifted by 1e-6
+    # in protocol's view
+    povm = "builtin:weak(0.7)"
+    h_range, k_range, row = "0.3:3:9:log", "0.4:2.5:8:log", 67
+    h, k = cli.parse_range(h_range)[row // 8], cli.parse_range(k_range)[row % 8]
+    shifted = types.SimpleNamespace(**vars(analytic))
+    shifted.Q_of = lambda params, *rest: analytic.Q_of(params, *rest) + 1e-6 * (
+        (params.h == h) & (params.k == k)
+    )
+    monkeypatch.setattr(protocol, "analytic", shifted)
+    report = ["report", "--h", cli.fmt(h), "--k", cli.fmt(k), "--povm", povm]
+    sweep = ["sweep", "--h", h_range, "--k", k_range, "--povm", povm, "--out", str(tmp_path)]
+    for argv, case in ((report, 0), (sweep, row)):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert re.fullmatch(
+            r"error: RuntimeError: internal cross-check failed: E_B per-outcome route differs"
+            rf" in case {case} \(residual \S+, budget \S+\)\n",
+            err,
+        ), err
+    assert not (tmp_path / "sweep.csv").exists()
 
 
 def test_sweep_jobs_changes_no_byte(tmp_path, capsys):

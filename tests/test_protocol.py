@@ -264,7 +264,9 @@ def test_evolution_names_the_failing_time(monkeypatch):
         measurement, "input_energy_closed", lambda *args: input_energy(*args) * (1.0 + 1e-6)
     )
     times = np.linspace(0.0, math.pi, 200)
-    with pytest.raises(RuntimeError, match=r"<H_B\(t\)> brute force - closed is .* at t="):
+    # sample 6, t = 0.0947..., is the first whose residual exceeds 1e-9
+    assert times[5] < 0.0947 < times[6] < 0.0948
+    with pytest.raises(RuntimeError, match=r"<H_B\(t\)> closed form differs in case 6 \(residual "):
         protocol.evolve_series(UNIT, measurement.weak_pair(0.3), times)
 
 
@@ -612,10 +614,46 @@ def test_batch_names_the_failing_check_and_case(monkeypatch):
         run_batch(mixed_batch())
 
 
+def test_a_nan_closed_input_energy_fails_its_identity(monkeypatch):
+    # only case 7 of the batch (h = 3.0) gets a NaN closed E_A
+    closed = measurement.input_energy_closed
+    monkeypatch.setattr(
+        measurement,
+        "input_energy_closed",
+        lambda params, coeffs: np.where(params.h == 3.0, math.nan, closed(params, coeffs)),
+    )
+    monkeypatch.setattr(protocol, "BLOCK", 2)
+    with pytest.raises(RuntimeError, match=r"E_A closed form differs in case 7 \(residual nan, "):
+        run_batch(mixed_batch())
+
+
+def test_a_nan_q_fails_the_per_outcome_route(monkeypatch):
+    # only case 7 of the batch (h = 3.0) sees a NaN Q in protocol's view
+    nan_q = types.SimpleNamespace(**vars(analytic))
+    nan_q.Q_of = lambda params, *rest: np.where(
+        params.h == 3.0, math.nan, analytic.Q_of(params, *rest)
+    )
+    monkeypatch.setattr(protocol, "analytic", nan_q)
+    monkeypatch.setattr(protocol, "BLOCK", 2)
+    with pytest.raises(
+        RuntimeError, match=r"E_B per-outcome route differs in case 7 \(residual nan, "
+    ):
+        run_batch(mixed_batch())
+
+
 def test_a_nan_final_energy_fails_the_energy_floor():
-    values = np.array([0.0, math.nan, -1.0])
-    with pytest.raises(RuntimeError, match=r"^final energy violates H >= 0 in case 6: nan$"):
-        protocol._check_nonnegative("final energy violates H >= 0", values, 1.0, 5)
+    # the floor's residual is -(final energy); a residual equal to its budget passes
+    label = "final energy violates H >= 0"
+    residual = np.array([1.0, -3.0, math.nan, 2.0])
+    passing = np.array([1.0, -3.0, 0.5, 0.0])  # each at or below either budget
+    for budget, printed in ((1.0, "1"), (np.array([1.0, 0.0, 0.5, 0.0]), "0.5")):
+        protocol._check(label, passing, budget, 5)
+        with pytest.raises(RuntimeError) as failed:
+            protocol._check(label, residual, budget, 5)
+        # the first failing case, counted from the block's first case 5
+        assert str(failed.value) == (
+            f"internal cross-check failed: {label} in case 7 (residual nan, budget {printed})"
+        )
 
 
 def passive_batch():

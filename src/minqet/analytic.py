@@ -153,33 +153,37 @@ def min_X_over_psi(params: ModelParams, p, q, z):
     return a - b * z
 
 
-def T_profile(params: ModelParams, p: float, q: float, z):
-    """Envelope of max-over-omega Q along the X-minimizing axis family, z in [0, 1]."""
-    z = _check_fraction(z)
-    a, b, c = abc_constants(params, p, q)
+def _envelope(abc: tuple, z):
+    """T(z) of the constants (a, b, c) at checked z: T_profile's one arithmetic."""
+    a, b, c = abc
     base = a - b * z
     return np.hypot(base, np.sqrt(np.maximum(c * (1.0 - z), 0.0))) - base
 
 
+def T_profile(params: ModelParams, p: float, q: float, z):
+    """Envelope of max-over-omega Q along the X-minimizing axis family, z in [0, 1]."""
+    return _envelope(abc_constants(params, p, q), _check_fraction(z))
+
+
 def t_witness(params: ModelParams, p: float, q: float, z):
     """Sign witness of T'(z): t(z) = 2 b T(z) - c, nonpositive on [0, 1]."""
-    _, b, c = abc_constants(params, p, q)
-    return 2.0 * b * T_profile(params, p, q, z) - c
+    abc = abc_constants(params, p, q)
+    return 2.0 * abc[1] * _envelope(abc, _check_fraction(z)) - abc[2]
 
 
 def t_sign_check(params: ModelParams, p, q):
     """Grid evidence that T peaks at z = 0: t(z) <= 0 and T(0) >= T(z), on 129 points.
 
-    Slack of 1e-12 relative to the outcome's energy scale absorbs rounding.
-    The verdict is a bool array of the outcomes' broadcast shape.
+    One T on the grid, from z = 0, gives both; the witness is t = 2 b T - c.  Slack of
+    1e-12 relative to the outcome's energy scale absorbs rounding.  The verdict is a bool
+    array of the outcomes' broadcast shape.
     """
-    a, _, c = abc_constants(params, p, q)
+    a, b, c = abc = abc_constants(params, p, q)
     scale = np.maximum(np.maximum(1.0, a), np.sqrt(c))
-    t0 = T_profile(params, p, q, 0.0)
-    # the grid runs along a leading axis, so the outcomes broadcast behind it
-    z = (np.arange(129) / 128).reshape((-1,) + (1,) * np.ndim(a))
-    bad = np.any(t_witness(params, p, q, z) > 1e-12 * scale * scale, axis=0) | np.any(
-        T_profile(params, p, q, z) > t0 + 1e-12 * scale, axis=0
+    # the grid runs along a leading axis, so the outcomes (b's shape) broadcast behind it
+    t = _envelope(abc, (np.arange(129) / 128).reshape((-1,) + (1,) * np.ndim(b)))
+    bad = np.any(2.0 * b * t - c > 1e-12 * scale * scale, axis=0) | np.any(
+        t > t[0] + 1e-12 * scale, axis=0
     )
     return ~bad
 

@@ -13,15 +13,12 @@ The random checks draw two streams: [seed, 2] for the eigensolver, and
 [seed, 1] for one ensemble of model members that every other random check
 scores, the policy search on its first members.  Member i is row i of one
 matrix of uniforms (``draw_members``), whatever the blocking.  The ensemble
-scores ``ENSEMBLE_BLOCK`` (256) members at a time on a ``ParamsBlock`` and
-a coefficient block checked by one ``measurement.draw_block`` call.
-The block is four times ``protocol.BLOCK`` because its fixed costs (an
-80-iteration golden-section refinement, one ``measured_block`` and two
-``run_block`` calls) outweigh its arrays; each residual is its member's
-own, so the block size changes no bit.  ``block_residuals`` reads the POVM
-residuals of the draw's own ``check_block``, runs each member's
-outcome-blind rotation as a second policy on the same ``MeasuredBlock``,
-and scores the equality case of bound-770 on the saturated members.
+scores ``ENSEMBLE_BLOCK`` (256) members at a time, so the fixed NumPy-call
+costs are paid per block, each once: one ``draw_block`` and its POVM
+residuals, one ``measured_block`` and ``run_block``, each member's
+outcome-blind rotation as a second policy on the same ``MeasuredBlock``
+(``protocol.teleported_energy``), and a 7-call parabolic refinement.  Each
+residual is its member's own, so the block size changes no bit.
 """
 
 from __future__ import annotations
@@ -42,30 +39,28 @@ _PAIR_ROWS = [params_row(h, k) for h, k in PAIR_GRID]
 ENSEMBLE_BLOCK = 256
 
 
-def _golden_max(fun, lo, hi):
-    """Golden-section maxima (80 steps) of smooth unimodal functions, one per element of lo, hi.
+def _parabolic_max(fun, lo, hi):
+    """Maxima of smooth unimodal functions, one per element of lo, hi, in 7 calls of ``fun``.
 
-    ``fun`` maps an array of points to an array of values; every bracket
-    shrinks in lockstep, each keeping the side ``np.where`` picks for it.
+    Successive parabolic interpolation in lockstep, as in Brent's method: from the bracket's
+    golden-section points and its end on the better one's side, whose span holds the maximum,
+    each of 4 steps moves the worst point to the vertex of the parabola through the three
+    (the best point where it is flat).  Returns the best values found.
     """
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
+    c, d = hi - inv_phi * (hi - lo), lo + inv_phi * (hi - lo)
     fc, fd = fun(c), fun(d)
-    for _ in range(80):
-        left = fc > fd  # the maximum lies in [a, d]
-        a, b = np.where(left, a, c), np.where(left, d, b)
-        x = np.where(left, b - inv_phi * (b - a), a + inv_phi * (b - a))
-        fx = fun(x)
-        c, d, fc, fd = (
-            np.where(left, x, d),
-            np.where(left, c, x),
-            np.where(left, fx, fd),
-            np.where(left, fc, fx),
-        )
-    mid = 0.5 * (a + b)
-    return np.maximum(np.maximum(fc, fd), fun(mid))
+    end = np.where(fc > fd, lo, hi)
+    x, f = np.stack([end, c, d]), np.stack([fun(end), fc, fd])
+    for _ in range(4):
+        (x0, x1, x2), (f0, f1, f2) = x, f
+        r, s = (x1 - x0) * (f1 - f2), (x1 - x2) * (f1 - f0)
+        flat = r == s
+        vertex = x1 - 0.5 * ((x1 - x0) * r - (x1 - x2) * s) / np.where(flat, 1.0, r - s)
+        vertex = np.where(flat, np.take_along_axis(x, f.argmax(0)[None], 0)[0], vertex)
+        worst = np.arange(3)[:, None] == f.argmin(0)
+        x, f = np.where(worst, vertex, x), np.where(worst, fun(vertex), f)
+    return f.max(axis=0)
 
 
 def _worst(*residuals) -> float:
@@ -151,7 +146,7 @@ def block_residuals(block, coeffs, povm, outcomes, turns, first: int = 0) -> dic
     # -E_B equals the direct routes <Wg|H_B + V|Wg> and <Wg|H|Wg>, and is >= 0
     n = coeffs.shape[1]
     turn_omega, turn_axes = np.repeat(turns[:, :1], n, 1), np.repeat(turns[:, None, 1:], n, 1)
-    cost = -protocol.run_block(measured, turn_omega, turn_axes, first).e_b
+    cost = -protocol.teleported_energy(measured, turn_omega, turn_axes, first)
     wg = protocol.rotate_b(measured.ground, protocol.rotations(turns[:, 0], turns[:, 1:]))
     local, total = (qmath.expectation(wg, op) for op in (parts.h_b + parts.v, parts.total))
     found["no-go-passive"] = [-cost, np.abs(local - total), np.abs(cost - local)]
@@ -163,7 +158,7 @@ def block_residuals(block, coeffs, povm, outcomes, turns, first: int = 0) -> dic
     x_coef = analytic.X_of(block, p, q, axis)
     g_coef = block.h * block.k * q * axis[1]
     q_grid = analytic.Q_of(block, p, q, _OMEGA_GRID, axis)
-    refined = _golden_max(
+    refined = _parabolic_max(
         lambda om: analytic.Q_of(block, p, q, om, axis), omega_star - 0.1, omega_star + 0.1
     )
     # relative to the maximum itself, so an error in a small Q shows,

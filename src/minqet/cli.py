@@ -17,6 +17,7 @@ import json
 import re
 import sys
 import time
+from contextlib import nullcontext
 from pathlib import Path
 
 import numpy as np
@@ -27,19 +28,8 @@ from . import analytic, checks, measurement, optimizer, protocol
 from .model import ModelParams, ParamsBlock, build_hamiltonian  # noqa: F401
 
 SWEEP_COLUMNS = [
-    "h",
-    "k",
-    "E_A",
-    "maxE_B_closed",
-    "maxE_B_numeric",
-    "delta_S",
-    "mutual_info",
-    "bound32_lhs",
-    "bound32_rhs",
-    "bound770_lhs",
-    "bound770_rhs",
-    "delta_S_bits",
-    "povm_sha256",
+    "h", "k", "E_A", "maxE_B_closed", "maxE_B_numeric", "delta_S", "mutual_info", "bound32_lhs",
+    "bound32_rhs", "bound770_lhs", "bound770_rhs", "delta_S_bits", "povm_sha256",
 ]
 
 EVOLVE_COLUMNS = ["t", "HB_bruteforce", "HB_closed", "V_expect"]
@@ -242,9 +232,7 @@ def cmd_sweep(args) -> int:
 
     csv_path = out_dir / "sweep.csv"
     with open(csv_path, "w", newline="", encoding="ascii") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SWEEP_COLUMNS)
-        writer.writerows(rows)
+        csv.writer(fh).writerows([SWEEP_COLUMNS, *rows])
 
     # relative to the closed value; absolute where that is 0
     worst_gap = float(np.max(np.abs(numeric - closed) / np.where(closed != 0.0, closed, 1.0)))
@@ -283,16 +271,11 @@ def cmd_evolve(args) -> int:
     # one row per time, in EVOLVE_COLUMNS order
     columns = protocol.evolve_series(params, meas, times)
     rows = [[fmt(x) for x in row] for row in zip(*(c.tolist() for c in columns))]
+    with (open(args.out, "w", newline="", encoding="ascii") if args.out
+          else nullcontext(sys.stdout)) as fh:
+        csv.writer(fh).writerows([EVOLVE_COLUMNS, *rows])
     if args.out:
-        with open(args.out, "w", newline="", encoding="ascii") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(EVOLVE_COLUMNS)
-            writer.writerows(rows)
         print(f"wrote {len(rows)} rows to {args.out}")
-    else:
-        writer = csv.writer(sys.stdout)
-        writer.writerow(EVOLVE_COLUMNS)
-        writer.writerows(rows)
     return 0
 
 

@@ -17,18 +17,19 @@ weights in the closed forms' (n, N) layout.  ``run_block`` rotates B by a
 policy table and returns per-case columns, and ``run_many`` computes them
 BLOCK cases at a time; ``evolve_series`` computes its (T,) columns BLOCK
 times at a time.  One case is a block of one, and an outcome-blind
-rotation W of B, such as a ``haar_turns`` row, is the policy that
-applies W at every outcome.  Each
-rotation acts as a 2x2 block on the ket read as an (a, b) matrix, and
-every energy is a stacked ``qmath.expectation``: Tr[rho O] is its sum over
-the kets of rho.  Born's rule is ``entanglement.consumption_block``'s,
-computed once per ``MeasuredBlock``, so a second policy run on the same
-block diagonalizes nothing.
+rotation W of B, such as a ``haar_turns`` row, is the policy that applies W
+at every outcome.  Each rotation acts as a 2x2 block on the ket read as an
+(a, b) matrix, and every energy is a stacked ``qmath.expectation``:
+Tr[rho O] is its sum over the kets of rho.  Born's rule is
+``entanglement.consumption_block``'s, computed once per ``MeasuredBlock``.
 
 Every run cross-checks its own arithmetic: E_A must match its closed form,
 E_B by Tr[rho H] the per-outcome rows' sum of prob (<H_B> + <V>) and the
 scalar route (sum of Q / eps), and the final energy must respect H >= 0.
-A failed check is a bug, not a data error: ``_check``, the one judge, raises
+A second policy on a block that ``run_block`` ran needs only E_B:
+``teleported_energy`` computes it by the same arithmetic, with the three
+checks that depend on the policy and no closed-form columns.  A failed
+check is a bug, not a data error: ``_check``, the one judge, raises
 RuntimeError naming the check, the case, its residual and its budget.
 """
 
@@ -168,6 +169,36 @@ def optimal_table(params, p, q) -> tuple[np.ndarray, np.ndarray]:
     return omega, np.broadcast_to(analytic.Y_AXIS, omega.shape + (3,))
 
 
+def _feedback(block: MeasuredBlock, omega, axes, local_ops: tuple, first: int) -> tuple:
+    """Rotate B by (omega, axes) after ``block`` and check E_B's policy-dependent identities.
+
+    Returns each outcome's <O> on its normalized post-feedback state, (B, n, m) for
+    the m ``local_ops`` (B, 4, 4) ending in H_B and V, then Tr[rho H] and E_B, both (B,).
+    """
+    params, prob = block.params, block.ent.probabilities  # Born's rule, 0 where degenerate
+    live = prob > 0.0
+    phi = np.where(live[..., None], rotate_b(block.kets, rotations(omega, axes)), 0.0)  # fed back
+    chi = phi / np.sqrt(np.where(live, prob, 1.0))[..., None]  # normalized
+    local = qmath.expectation(chi[..., None, :], np.stack(local_ops, axis=1)[:, None])
+    # rho = sum_mu |phi_mu><phi_mu|, so Tr[rho O] sums <phi_mu|O|phi_mu>
+    total_final = qmath.expectation(phi, block.parts.total[:, None]).sum(axis=-1)
+    e_b = block.e_a - total_final
+    e_b_local = -(prob * (local[..., -2] + local[..., -1])).sum(axis=-1)
+
+    budget = CROSS_CHECK_TOL * block.scale
+    _check("E_B local form differs", np.abs(e_b - e_b_local), budget, first)
+    # outcomes along the leading axis, so the (B,) parameters broadcast behind them
+    q_sum = analytic.Q_of(params, block.p, block.q, omega.T, tuple(axes.T)).sum(axis=0)
+    _check("E_B per-outcome route differs", np.abs(e_b - q_sum / params.eps), budget, first)
+    _check("final energy violates H >= 0", -total_final, budget, first)
+    return local, total_final, e_b
+
+
+def teleported_energy(block: MeasuredBlock, omega, axes, first: int) -> np.ndarray:
+    """``run_block``'s E_B column alone, checked by the identities that depend on the policy."""
+    return _feedback(block, omega, axes, (block.parts.h_b, block.parts.v), first)[2]
+
+
 def run_block(
     block: MeasuredBlock, omega: np.ndarray, axes: np.ndarray, first: int = 0
 ) -> ProtocolReport:
@@ -175,34 +206,16 @@ def run_block(
 
     Every cross-check of the run holds; ``first`` numbers the block's cases in errors.
     """
-    params, parts, kets, e_a = block.params, block.parts, block.kets, block.e_a
-    total = parts.total[:, None]  # against the outcome axis of the kets
-    ent = block.ent
-    prob = ent.probabilities  # Born's rule, 0 where an outcome is degenerate
-    live = prob > 0.0
-
-    phi = np.where(live[..., None], rotate_b(kets, rotations(omega, axes)), 0.0)  # fed back
-    chi = phi / np.sqrt(np.where(live, prob, 1.0))[..., None]  # normalized
-    local_ops = np.stack([parts.h_a, parts.h_b, parts.v], axis=1)
-    local = qmath.expectation(chi[..., None, :], local_ops[:, None])  # (B, n, 3)
-    # rho = sum_mu |phi_mu><phi_mu|, so Tr[rho O] sums <phi_mu|O|phi_mu>
-    total_final = qmath.expectation(phi, total).sum(axis=-1)
-    e_b = e_a - total_final
-    e_b_local = -(prob * (local[..., 1] + local[..., 2])).sum(axis=-1)
-
+    params, parts, e_a, ent = block.params, block.parts, block.e_a, block.ent
     e_a_closed = measurement.input_energy_closed(params, block.coeffs)
     budget = CROSS_CHECK_TOL * block.scale
     _check("E_A closed form differs", np.abs(e_a - e_a_closed), budget, first)
-    _check("E_B local form differs", np.abs(e_b - e_b_local), budget, first)
-    # outcomes along the leading axis, so the (B,) parameters broadcast behind them
-    q_sum = analytic.Q_of(params, block.p, block.q, omega.T, tuple(axes.T)).sum(axis=0)
-    _check("E_B per-outcome route differs", np.abs(e_b - q_sum / params.eps), budget, first)
-    _check("final energy violates H >= 0", -total_final, budget, first)
+    local, total_final, e_b = _feedback(block, omega, axes, (parts.h_a, parts.h_b, parts.v), first)
 
     bound = analytic.bounds(params)
     max_eb = analytic.max_EB_closed(params, block.p, block.q)
     total_local = (local[..., 0] + local[..., 1] + local[..., 2])[..., None]
-    per_outcome = np.concatenate([prob[..., None], local, total_local], axis=-1)
+    per_outcome = np.concatenate([ent.probabilities[..., None], local, total_local], axis=-1)
     return ProtocolReport(
         e_a, e_a_closed, e_b, total_final, per_outcome, ent.s_ground, ent.delta_s,
         ent.mutual_info, max_eb, bound.c32 * max_eb / params.eps, bound.c770 * ent.delta_s,

@@ -17,6 +17,7 @@ are frozen from independent oracle routes:
 """
 
 import dataclasses
+import functools
 import tracemalloc
 import types
 from collections import Counter
@@ -286,6 +287,48 @@ def test_a_c770_off_by_a_millionth_fails_the_equality_case(monkeypatch):
 
     monkeypatch.setattr(analytic, "bounds", shifted)
     assert checks.ensemble_residuals(0, 300)["bound-770-equality"] > BUDGETS["bound-770-equality"]
+
+
+def spot_check(seed, members):
+    """The omega-maximum spot check's Q(omega), closed maximum, argmax and value scale."""
+    block, coeffs, _, outcomes, turns = checks.draw_members(seed, members)
+    p, q = (w[outcomes, np.arange(len(members))] for w in measurement.weight_block(coeffs))
+    axis = tuple(turns[:, 1:].T)
+    closed_max, omega_star = analytic.max_over_omega(block, p, q, axis)
+    parts = abs(analytic.X_of(block, p, q, axis)) + abs(block.h * block.k * q * axis[1])
+    value_scale = np.maximum(closed_max, np.finfo(float).eps * parts)
+    q_of = functools.partial(analytic.Q_of, block, p, q, n=axis)
+    return q_of, closed_max, omega_star, value_scale
+
+
+def test_the_omega_refinement_searches_its_bracket(monkeypatch):
+    # with its bracket off centre, the refinement still reaches the closed maximum; at
+    # +-0.05 a search that halves its points' span lands on omega_star, at 0.0371 it does not
+    q_of, closed_max, omega_star, value_scale = spot_check(0, range(256))
+    calls = []
+
+    def counted(omega):
+        calls.append(omega)
+        return q_of(omega)
+
+    for shift in (-0.05, 0.05, 0.0371):
+        calls.clear()
+        lo, hi = omega_star - 0.1 + shift, omega_star + 0.1 + shift
+        refined = checks._parabolic_max(counted, lo, hi)
+        assert len(calls) == 7
+        assert np.max(np.abs(refined - closed_max) / value_scale) <= 1e-15
+    # a closed value off by 1e-8 in the check's view fails the refinement's own residual
+    members = checks.draw_members(0, range(256))
+    assert np.max(checks.block_residuals(*members)["omega-maximum"][1]) <= 1e-15
+    faulty = types.SimpleNamespace(**vars(analytic))
+
+    def off(*args):
+        value, omega = analytic.max_over_omega(*args)
+        return value * (1.0 + 1e-8), omega
+
+    faulty.max_over_omega = off
+    monkeypatch.setattr(checks, "analytic", faulty)
+    assert np.max(checks.block_residuals(*members)["omega-maximum"][1]) > 1e-9
 
 
 def test_a_fault_in_the_no_go_direct_route_alone_fails_no_go_passive(monkeypatch):

@@ -13,7 +13,7 @@ import types
 import numpy as np
 import pytest
 
-from minqet import analytic, entanglement, measurement, protocol, qmath
+from minqet import analytic, checks, entanglement, measurement, protocol, qmath
 from minqet.measurement import MeasurementModel, weight_block
 from minqet.model import ModelParams, ParamsBlock, build_hamiltonian, ground_state
 
@@ -702,3 +702,41 @@ def test_passive_runs_name_the_failing_route_and_case(monkeypatch):
     with pytest.raises(RuntimeError, match=r"E_B local form differs in case 3 "):
         passive_cost(passive_batch())
 
+
+def turn_tables(turns, n):
+    """Each member's turn (omega, nx, ny, nz) applied at all n outcomes: angles and axes."""
+    return np.repeat(turns[:, :1], n, 1), np.repeat(turns[:, None, 1:], n, 1)
+
+
+@pytest.mark.parametrize("seed", (0, 7))
+@pytest.mark.parametrize("first", (0, 256))
+def test_the_turn_run_gives_run_blocks_e_b(monkeypatch, seed, first):
+    block, coeffs, _, _, turns = checks.draw_members(seed, range(first, first + 256))
+    measured = protocol.measured_block(block, coeffs)
+    optimal = protocol.optimal_table(block, measured.p, measured.q)
+    tables = (turn_tables(turns, coeffs.shape[1]), optimal)
+    want = [protocol.run_block(measured, *table, first).e_b for table in tables]
+    # the turn run computes no closed-form column and leaves E_A's identity to run_block
+    lean = types.SimpleNamespace(**vars(analytic))
+    lean.bounds = lean.max_EB_closed = None
+    monkeypatch.setattr(protocol, "analytic", lean)
+    monkeypatch.setattr(measurement, "input_energy_closed", None)
+    for table, e_b in zip(tables, want):
+        assert protocol.teleported_energy(measured, *table, first).tobytes() == e_b.tobytes()
+
+
+def test_a_nan_q_fails_the_turn_runs_per_outcome_route(monkeypatch):
+    # member 266, case 10 of the block from member 256, is the only one with its h
+    block, coeffs, _, _, turns = checks.draw_members(0, range(256, 300))
+    measured = protocol.measured_block(block, coeffs)
+    h = block.h[10]
+    assert np.count_nonzero(block.h == h) == 1
+    nan_q = types.SimpleNamespace(**vars(analytic))
+    nan_q.Q_of = lambda params, *rest: np.where(
+        params.h == h, math.nan, analytic.Q_of(params, *rest)
+    )
+    monkeypatch.setattr(protocol, "analytic", nan_q)
+    with pytest.raises(
+        RuntimeError, match=r"E_B per-outcome route differs in case 266 \(residual nan, "
+    ):
+        protocol.teleported_energy(measured, *turn_tables(turns, coeffs.shape[1]), 256)

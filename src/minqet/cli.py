@@ -4,13 +4,13 @@ Exit codes: 0 success; 1 no verified number (a failed verify check, or an
 arithmetic error, internal cross-check failure or running out of memory,
 reported as one ``error:`` line on stderr); 2 usage or I/O error.
 All floats in CSV output are printed with 17 significant digits so that
-parsing them back gives bit-identical values.
+parsing them back gives bit-identical values.  ``write_csv`` formats each CSV row
+with one ``%``; no field needs quoting, so the bytes are ``csv.writer``'s.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import hashlib
 import json
@@ -25,7 +25,7 @@ import numpy as np
 from . import __version__
 from . import analytic, checks, measurement, optimizer, protocol
 # build_hamiltonian stays importable here: perfbench's tracer self-test reads cli.build_hamiltonian
-from .model import ModelParams, ParamsBlock, build_hamiltonian  # noqa: F401
+from .model import ModelParams, ParamsBlock, build_hamiltonian, params_row  # noqa: F401
 
 SWEEP_COLUMNS = [
     "h", "k", "E_A", "maxE_B_closed", "maxE_B_numeric", "delta_S", "mutual_info", "bound32_lhs",
@@ -40,6 +40,18 @@ PER_OUTCOME_KEYS = ("probability", "H_A", "H_B", "V", "total")
 
 def fmt(x: float) -> str:
     return f"{x:.16e}"
+
+
+def write_csv(fh, header: list[str], columns, tail: str) -> int:
+    """Write ``header``, then a line per row of float ``columns``: ``fmt`` fields and ``tail``.
+
+    Each line is one ``%`` format ending in CRLF; a hex ``tail`` needs no quoting, and ""
+    adds no field.  The text goes out in one write.  Returns the row count.
+    """
+    line = ",".join(["%.16e"] * len(columns) + [tail] * bool(tail)) + "\r\n"
+    rows = [line % row for row in zip(*(c.tolist() for c in columns))]
+    fh.write(",".join(header) + "\r\n" + "".join(rows))
+    return len(rows)
 
 
 def povm_sha256(obj: dict) -> str:
@@ -76,12 +88,12 @@ def resolve_povm(text: str) -> measurement.MeasurementModel:
 
 
 def parse_range(text: str) -> np.ndarray:
-    """Parse MIN:MAX:N[:log] (or a bare value) into a grid of positives."""
+    """Parse MIN:MAX:N[:log] (or a bare value) into a grid of positive, finite values."""
     parts = text.split(":")
     if len(parts) == 1:
         value = float(parts[0])
-        if value <= 0.0:
-            raise ValueError(f"grid values must be positive, got {value}")
+        if not 0.0 < value < np.inf:
+            raise ValueError(f"grid values must be positive and finite, got {value}")
         return np.array([value])
     if len(parts) not in (3, 4):
         raise ValueError(f"range {text!r} is not MIN:MAX:N or MIN:MAX:N:log")
@@ -91,8 +103,8 @@ def parse_range(text: str) -> np.ndarray:
         raise ValueError(f"range scale must be 'linear' or 'log', got {scale!r}")
     if n < 1:
         raise ValueError(f"range needs at least one point, got {n}")
-    if not 0.0 < lo <= hi:
-        raise ValueError(f"range bounds must satisfy 0 < MIN <= MAX, got {text!r}")
+    if not 0.0 < lo <= hi < np.inf:
+        raise ValueError(f"range bounds must satisfy 0 < MIN <= MAX < inf, got {text!r}")
     if scale == "log":
         return np.geomspace(lo, hi, n)
     return np.linspace(lo, hi, n)
@@ -209,14 +221,14 @@ def cmd_sweep(args) -> int:
     start = time.perf_counter()
     if args.jobs < 1:
         raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
-    h_values = parse_range(args.h)
-    k_values = parse_range(args.k)
+    h_values, k_values = parse_range(args.h).tolist(), parse_range(args.k).tolist()
     meas = resolve_povm(args.povm)
     sha = povm_sha256(measurement.to_json_obj(meas))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    block = ParamsBlock.of(ModelParams(h=float(h), k=float(k)) for h in h_values for k in k_values)
+    # parse_range's values are positive and finite: the rows need no ModelParams check
+    block = ParamsBlock.of_rows([params_row(h, k) for h in h_values for k in k_values])
     coeffs = np.broadcast_to(meas.rows, (len(block.h),) + meas.rows.shape)
     weights = measurement.weight_block(coeffs)
     # one policy search and one batched run for the whole grid
@@ -228,11 +240,9 @@ def cmd_sweep(args) -> int:
         block.h, block.k, run.e_a, closed, numeric, delta_s, run.mutual_info, delta_s,
         run.bound32_rhs, closed, run.bound770_rhs, analytic.nats_to_bits(delta_s),
     )
-    rows = [[fmt(x) for x in row] + [sha] for row in zip(*(c.tolist() for c in columns))]
-
     csv_path = out_dir / "sweep.csv"
     with open(csv_path, "w", newline="", encoding="ascii") as fh:
-        csv.writer(fh).writerows([SWEEP_COLUMNS, *rows])
+        rows = write_csv(fh, SWEEP_COLUMNS, columns, sha)
 
     # relative to the closed value; absolute where that is 0
     worst_gap = float(np.max(np.abs(numeric - closed) / np.where(closed != 0.0, closed, 1.0)))
@@ -241,7 +251,7 @@ def cmd_sweep(args) -> int:
         "k_range": args.k,
         "povm_source": args.povm,
         "povm_sha256": sha,
-        "rows": len(rows),
+        "rows": rows,
         "columns": SWEEP_COLUMNS,
         "seedless": True,
         "minqet_version": __version__,
@@ -252,7 +262,7 @@ def cmd_sweep(args) -> int:
     with open(out_dir / "metadata.json", "w", encoding="ascii") as fh:
         json.dump(meta, fh, indent=2)
         fh.write("\n")
-    print(f"wrote {len(rows)} rows to {csv_path}")
+    print(f"wrote {rows} rows to {csv_path}")
     return 0
 
 
@@ -270,12 +280,11 @@ def cmd_evolve(args) -> int:
     times = np.linspace(0.0, args.t_max, args.points)
     # one row per time, in EVOLVE_COLUMNS order
     columns = protocol.evolve_series(params, meas, times)
-    rows = [[fmt(x) for x in row] for row in zip(*(c.tolist() for c in columns))]
     with (open(args.out, "w", newline="", encoding="ascii") if args.out
           else nullcontext(sys.stdout)) as fh:
-        csv.writer(fh).writerows([EVOLVE_COLUMNS, *rows])
+        rows = write_csv(fh, EVOLVE_COLUMNS, columns, "")
     if args.out:
-        print(f"wrote {len(rows)} rows to {args.out}")
+        print(f"wrote {rows} rows to {args.out}")
     return 0
 
 

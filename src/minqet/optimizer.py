@@ -115,10 +115,10 @@ def _nelder_mead(
     Every row takes the standard reflect/expand/contract/shrink moves on its
     own simplex and stops when its diameter drops below TOL.  The simplices
     are one (theta, phi, value) by vertex by row array, (3, 3, rows): a move
-    is elementwise on (rows,) arrays, and one stable argsort and one gather
-    order every row's vertices.  An iteration scores, by value alone, only
-    the points some row's move reads: every row's reflected point, then one
-    second point per row (the expansion if the reflection beat the best
+    is elementwise on (rows,) arrays, and one stable argsort and one flat
+    take order every row's vertices.  An iteration scores, by value alone,
+    only the points some row's move reads: every row's reflected point, then
+    one second point per row (the expansion if the reflection beat the best
     vertex, else the outside or the inside contraction), then the two shrunk
     vertices of the rows that shrink.  Stopped rows are masked, not removed.
     Returns each row's best angles (2, rows), evaluation count and flag.
@@ -128,9 +128,10 @@ def _nelder_mead(
     simplex = np.concatenate((angles, _value(args, angles)[None]))
     evaluations = np.full(len(table), 3)
     active = np.ones(len(table), dtype=bool)
+    lanes = np.arange(len(table))
     for _ in range(REFINE_ITERS):
         order = np.argsort(-simplex[2], axis=0, kind="stable")
-        simplex = np.take_along_axis(simplex, order[None], axis=1)
+        simplex = simplex.reshape(3, -1).take(order * len(table) + lanes, axis=1)
         angles, values = simplex[:2], simplex[2]
         diameter = np.abs(angles[:, 1:] - angles[:, :1]).max(axis=(0, 1))
         spread = values[0] - values[2]

@@ -1,6 +1,8 @@
 """Command-line front end: exit codes, output contracts, round trips."""
 
 import csv
+import hashlib
+import io
 import json
 import math
 import os
@@ -417,6 +419,92 @@ def test_sweep_unwritable_output(capsys):
         "--povm", "builtin:projective", "--out", "/proc/nowhere/sub",
     )
     assert code == 2
+
+
+# a non-finite value or bound is a usage error before any NumPy arithmetic runs
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "flag, text, message",
+    [
+        ("--h", "inf", "grid values must be positive and finite, got inf"),
+        ("--h", "nan", "grid values must be positive and finite, got nan"),
+        ("--h", "1:inf:3", "range bounds must satisfy 0 < MIN <= MAX < inf, got '1:inf:3'"),
+        ("--k", "0.5:inf:2:log",
+         "range bounds must satisfy 0 < MIN <= MAX < inf, got '0.5:inf:2:log'"),
+    ],
+    ids=["h-inf", "h-nan", "h-linear-inf", "k-log-inf"],
+)
+def test_sweep_rejects_a_non_finite_grid(tmp_path, capsys, flag, text, message):
+    grid = {"--h": "1", "--k": "1", flag: text}
+    argv = ["sweep", "--h", grid["--h"], "--k", grid["--k"], "--povm", "builtin:projective"]
+    code, out, err = run_cli(capsys, *argv, "--out", str(tmp_path / "s"))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    assert not (tmp_path / "s").exists()
+
+
+CSV_SPECIALS = [math.inf, -math.inf, math.nan, -0.0, 5e-324, 1.7976931348623157e308, 0.1, -2.5]
+
+
+@pytest.mark.parametrize("tail", ["", "9f" * 32], ids=["no-tail", "hex-tail"])
+def test_write_csv_writes_what_csv_writer_writes(tail):
+    columns = (
+        np.array(CSV_SPECIALS),
+        np.array(CSV_SPECIALS[::-1]),
+        np.array([1.0, 0.0, 1e-300, 3e300, -1e-17, 42.0, math.pi, -math.e]),
+    )
+    header = ["a", "b", "c"] + ["sha"] * bool(tail)
+    expected = io.StringIO()
+    rows = [[cli.fmt(x) for x in row] + [tail] * bool(tail) for row in zip(*columns)]
+    csv.writer(expected).writerows([header, *rows])
+    written = io.StringIO()
+    assert cli.write_csv(written, header, columns, tail) == len(CSV_SPECIALS)
+    assert written.getvalue() == expected.getvalue()
+
+
+# a three-outcome POVM with phases: the third alpha makes the q weights sum to zero
+PHASED_POVM_3 = {
+    "outcomes": [
+        {"m": 0.5, "l": 0.2, "alpha": 0.3, "delta": 0.4},
+        {"m": 0.6, "l": 0.3, "alpha": 2.5, "delta": 1.1},
+        {"m": 0.5, "l": 0.1, "alpha": 0.23097332453062439, "delta": -0.7},
+    ]
+}
+
+
+# the sha256 of the bytes that sweep and evolve wrote through csv.writer
+def test_sweep_and_evolve_csv_bytes_are_frozen(tmp_path, capsys):
+    povm = tmp_path / "phased3.json"
+    povm.write_text(json.dumps(PHASED_POVM_3))
+    sweep = ["sweep", "--h", "0.3:3:5:log", "--k", "0.4:2.5:4:log", "--povm", str(povm)]
+    assert run_cli(capsys, *sweep, "--out", str(tmp_path / "s"))[0] == 0
+    text = (tmp_path / "s" / "sweep.csv").read_bytes()
+    assert hashlib.sha256(text).hexdigest() == (
+        "455fc864c9164836c92e741f9d945954d0ae23c82212f22b524546a86ec0fdb5"
+    )
+    evolve = ["evolve", "--h", "0.8", "--k", "2.1", "--povm", str(povm), "--t-max", "3"]
+    code, out, err = run_cli(capsys, *evolve, "--points", "100")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode("ascii")).hexdigest() == (
+        "ed161f8bfe516ecfdf6bffe1b2402d60bf03c7b46d6dfdba127531512c716ca3"
+    )
+
+
+def test_sweep_grid_block_is_the_model_params_block(tmp_path, capsys, monkeypatch):
+    # the search is the first to see the grid's block; stop the sweep there
+    seen = []
+
+    def spy(params, p, q):
+        seen.append(params)
+        raise RuntimeError("grid seen")
+
+    monkeypatch.setattr(optimizer, "maximize_over_policies", spy)
+    grid = "1e-150:1e150:31:log"
+    argv = ["sweep", "--h", grid, "--k", grid, "--povm", "builtin:weak(0.3)"]
+    assert run_cli(capsys, *argv, "--out", str(tmp_path))[0] == 1
+    values = cli.parse_range(grid).tolist()
+    expected = ParamsBlock.of(ModelParams(h, k) for h in values for k in values)
+    for name, column in vars(expected).items():
+        assert getattr(seen[0], name).tobytes() == column.tobytes(), name
 
 
 def test_evolve_stdout_contract(capsys):

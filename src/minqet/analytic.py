@@ -254,8 +254,8 @@ def delta_S_closed(params: ModelParams, p, q):
 def lambda_pm(params: ModelParams, p, q):
     """Eigenvalue pair of either reduced post-measurement state, per outcome (p, q)."""
     p, q = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
-    _require(~(p <= 0.0), p, "outcome weight p must be positive")
-    _require(~(np.abs(q) > p * (1.0 + 1e-12)), np.abs(q) - p, "|q| exceeds p: |q| - p")
+    _require(p > 0.0, p, "outcome weight p must be positive")  # NaN fails
+    _require(np.abs(q) <= p * (1.0 + 1e-12), np.abs(q) - p, "|q| exceeds p: |q| - p")
     ratio2 = np.minimum((q / p) ** 2, 1.0)
     y = np.sqrt(np.minimum(params.cos_sigma**2 + ratio2 * params.sin_sigma**2, 1.0))
     return (1.0 + y) / 2.0, (1.0 - y) / 2.0

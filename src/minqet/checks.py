@@ -14,8 +14,8 @@ The random checks draw two streams: [seed, 2] for the eigensolver, and
 scores, the policy search on its first members.  Member i is row i of one
 matrix of uniforms (``draw_members``), whatever the blocking.  The ensemble
 scores ``ENSEMBLE_BLOCK`` (256) members at a time, so the fixed NumPy-call
-costs are paid per block, each once: one ``draw_block`` and its POVM
-residuals, one ``measured_block`` and ``run_block``, each member's
+costs are paid per block, each once: one ``draw_block`` and one ``check_block``
+of its POVM residuals, one ``measured_block`` and ``run_block``, each member's
 outcome-blind rotation as a second policy on the same ``MeasuredBlock``
 (``protocol.teleported_energy``), and a 7-call parabolic refinement.  Each
 residual is its member's own, so the block size changes no bit.
@@ -78,8 +78,8 @@ def draw_members(seed: int, members: range) -> tuple:
     u in [-1, 1), the outcome and the ``protocol.haar_turns`` turn.  Member
     i has n = 2 + i % 5 outcomes.  Where i % 4 = 0 and n is even it is saturated: p comes in
     equal pairs and u is +-1, so ``balance_weights`` returns q = +-p exactly.
-    Returns a ``ParamsBlock`` of ``params_row`` rows, the checked coefficient
-    block (N, 6, 4) with its POVM residuals, the (N,) outcomes and (N, 4) turns.
+    Returns a ``ParamsBlock`` of ``params_row`` rows, the coefficient block (N, 6, 4)
+    with its POVM residuals from one ``check_block``, the (N,) outcomes and (N, 4) turns.
     """
     rng = np.random.default_rng([seed, 1])
     rng.bit_generator.advance(18 * members.start)  # one output per double
@@ -93,8 +93,9 @@ def draw_members(seed: int, members: range) -> tuple:
     e = -np.log1p(-u[:, 2:8])  # -log(1 - u): 0 at u = 0, where -log(u) is inf
     e = np.where(np.arange(6) < n[:, None], np.where(saturated, e[:, [0, 0, 1, 1, 2, 2]], e), 0.0)
     raw_u = np.where(saturated, np.resize((1.0, -1.0), 6), 2.0 * u[:, 8:14] - 1.0)
-    coeffs, povm = measurement.draw_block(e / e.sum(axis=1, keepdims=True), raw_u, n)
+    coeffs = measurement.draw_block(e / e.sum(axis=1, keepdims=True), raw_u, n)
     outcomes = np.floor(u[:, 14] * n).astype(int)
+    povm = measurement.check_block(coeffs)
     return ParamsBlock.of_rows(rows), coeffs, povm, outcomes, protocol.haar_turns(u[:, 15:])
 
 

@@ -1,11 +1,12 @@
 """Command-line front end: verify, report, sweep, evolve, optimize.
 
 Exit codes: 0 success; 1 no verified number (a failed verify check, or an
-arithmetic error, internal cross-check failure or running out of memory,
-reported as one ``error:`` line on stderr); 2 usage or I/O error.
+arithmetic error, a non-finite result, internal cross-check failure or running
+out of memory, reported as one ``error:`` line on stderr); 2 usage or I/O error.
 All floats in CSV output are printed with 17 significant digits so that
 parsing them back gives bit-identical values.  ``write_csv`` formats each CSV row
 with one ``%``; no field needs quoting, so the bytes are ``csv.writer``'s.
+``write_json`` writes every JSON document, as RFC 8259 has it: no NaN or Infinity.
 """
 
 from __future__ import annotations
@@ -38,12 +39,8 @@ EVOLVE_COLUMNS = ["t", "HB_bruteforce", "HB_closed", "V_expect"]
 PER_OUTCOME_KEYS = ("probability", "H_A", "H_B", "V", "total")
 
 
-def fmt(x: float) -> str:
-    return f"{x:.16e}"
-
-
 def write_csv(fh, header: list[str], columns, tail: str) -> int:
-    """Write ``header``, then a line per row of float ``columns``: ``fmt`` fields and ``tail``.
+    """Write ``header``, then a line per row of float ``columns``: ``%.16e`` fields and ``tail``.
 
     Each line is one ``%`` format ending in CRLF; a hex ``tail`` needs no quoting, and ""
     adds no field.  The text goes out in one write.  Returns the row count.
@@ -52,6 +49,19 @@ def write_csv(fh, header: list[str], columns, tail: str) -> int:
     rows = [line % row for row in zip(*(c.tolist() for c in columns))]
     fh.write(",".join(header) + "\r\n" + "".join(rows))
     return len(rows)
+
+
+def write_json(fh, obj) -> None:
+    """Write ``obj`` as JSON indented by 2, and a newline, in one write.
+
+    JSON (RFC 8259) has no NaN or Infinity: a non-finite number writes nothing and
+    raises ``ArithmeticError``, so the command exits 1 with no verified number.
+    """
+    try:
+        text = json.dumps(obj, indent=2, allow_nan=False)
+    except ValueError:  # json's own error would read as a usage error, exit 2
+        raise ArithmeticError("a result is not finite; JSON has no NaN or Infinity") from None
+    fh.write(text + "\n")
 
 
 def povm_sha256(obj: dict) -> str:
@@ -139,7 +149,8 @@ def cmd_verify(args) -> int:
             else:
                 residual = found[name] if isinstance(found, dict) else found
                 tail = f"residual {residual:.3e}  budget {budget:.1e}"
-                failure = {"residual": residual, "budget": budget}
+                shown = residual if np.isfinite(residual) else repr(residual)  # JSON has no NaN
+                failure = {"residual": shown, "budget": budget}
                 if residual <= budget:
                     failure = None
             print(f"{'PASS' if failure is None else 'FAIL'} {name:32s} {tail}")
@@ -151,7 +162,7 @@ def cmd_verify(args) -> int:
         f"{len(failures)} failed, {n_skip} skipped (seed {seed}, ensemble {ensemble})"
     )
     if failures:
-        print(json.dumps({"failures": failures}), file=sys.stderr)
+        print(json.dumps({"failures": failures}, allow_nan=False), file=sys.stderr)
         return 1
     return 0
 
@@ -209,7 +220,7 @@ def cmd_report(args) -> int:
         "policy": [{"omega": w, "n": n} for w, n in zip(omega[0].tolist(), axes[0].tolist())],
         "per_outcome": [dict(zip(PER_OUTCOME_KEYS, row)) for row in case["per_outcome"]],
     }
-    print(json.dumps(payload, indent=2))
+    write_json(sys.stdout, payload)
     return 0
 
 
@@ -240,6 +251,8 @@ def cmd_sweep(args) -> int:
         block.h, block.k, run.e_a, closed, numeric, delta_s, run.mutual_info, delta_s,
         run.bound32_rhs, closed, run.bound770_rhs, analytic.nats_to_bits(delta_s),
     )
+    if not np.isfinite(columns).all():
+        raise ArithmeticError("a sweep result is not finite; neither file is written")
     csv_path = out_dir / "sweep.csv"
     with open(csv_path, "w", newline="", encoding="ascii") as fh:
         rows = write_csv(fh, SWEEP_COLUMNS, columns, sha)
@@ -260,8 +273,7 @@ def cmd_sweep(args) -> int:
         "wall_s": time.perf_counter() - start,
     }
     with open(out_dir / "metadata.json", "w", encoding="ascii") as fh:
-        json.dump(meta, fh, indent=2)
-        fh.write("\n")
+        write_json(fh, meta)
     print(f"wrote {rows} rows to {csv_path}")
     return 0
 
@@ -326,7 +338,7 @@ def cmd_optimize(args) -> int:
             "evaluations": evaluations,
             "converged": converged,
         }
-    print(json.dumps(payload, indent=2))
+    write_json(sys.stdout, payload)
     return 0
 
 

@@ -24,14 +24,15 @@ makes the post-measurement state carry no interaction energy.
 
 The batched data is the coefficient block: the (m, l, alpha, delta) rows of N
 models as one (N, n, 4) array, zero-padded to the largest outcome count.
-``draw_block`` balances, maps and checks a block of padded random draws at
-once, and ``check_block`` holds every POVM constraint once per block.
-``MeasurementModel`` is one model's (n, 4) rows, checked once by
-``check_block`` when it is built, and is the object of the JSON and CLI edge;
-``MeasurementModel.from_weights`` (weights p, q through ``canonical_coeffs``)
-and ``random_measurement`` (a one-member ``draw_block``) build it by the same
-array path, and ``weight_block`` reads its weights back.  Weights (n, ...)
-put the outcome axis first, as ``analytic`` and ``balance_weights`` take them.
+``draw_block`` balances and maps a block of padded random draws at once but
+does not judge it: its consumer calls ``check_block``, which holds every POVM
+constraint, once per block.  ``MeasurementModel`` is one model's (n, 4) rows,
+checked once by ``check_block`` when it is built, and is the object of the
+JSON and CLI edge; ``MeasurementModel.from_weights`` (weights p, q through
+``canonical_coeffs``) and ``random_measurement`` (a one-member ``draw_block``)
+build it by the same array path, and ``weight_block`` reads its weights back.
+Weights (n, ...) put the outcome axis first, as ``analytic`` and
+``balance_weights`` take them.
 """
 
 from __future__ import annotations
@@ -258,31 +259,30 @@ def raw_draw(rng: np.random.Generator, n_outcomes: int) -> tuple[np.ndarray, np.
     return e * (1.0 / np.add.accumulate(e)[-1]), rng.uniform(-1.0, 1.0, size=n_outcomes)
 
 
-def draw_block(p: np.ndarray, u: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, dict]:
-    """The checked coefficient block (N, n, 4) of raw draws p, u (N, n), and its residuals.
+def draw_block(p: np.ndarray, u: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The coefficient block (N, n, 4) of raw draws p, u (N, n), not yet checked.
 
     Member i has ``counts[i]`` outcomes, with p zero past them.  Each count's
     members are balanced in one ``balance_weights`` call, and the block is
-    mapped by ``canonical_coeffs`` and checked by ``check_block``.
+    mapped by ``canonical_coeffs``; its consumer checks it once, with ``check_block``.
     """
     q = np.zeros_like(p)
     for n in np.unique(counts):
         rows = counts == n
         q[rows, :n] = balance_weights(p[rows, :n].T, u[rows, :n].T).T
-    coeffs = canonical_coeffs(p, q)
-    return coeffs, check_block(coeffs)
+    return canonical_coeffs(p, q)
 
 
 def random_measurement(seed, n_outcomes: int = 2) -> MeasurementModel:
     """Draw a valid measurement uniformly-ish: Dirichlet p, balanced bounded q.
 
     ``seed`` may be an integer or a ``numpy.random.Generator``; the model is
-    the one-member ``draw_block`` of ``raw_draw``.  Requires
-    ``n_outcomes >= 2`` (a single outcome admits only the identity).
+    the one-member ``draw_block`` of ``raw_draw``, checked once as it is built.
+    Requires ``n_outcomes >= 2`` (a single outcome admits only the identity).
     """
     rng = np.random.default_rng(seed)  # a Generator passes through unchanged
     p, u = raw_draw(rng, n_outcomes)
-    return MeasurementModel(draw_block(p[None], u[None], np.full(1, n_outcomes))[0][0])
+    return MeasurementModel(draw_block(p[None], u[None], np.full(1, n_outcomes))[0])
 
 
 def projective_pair() -> MeasurementModel:

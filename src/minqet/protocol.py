@@ -54,7 +54,7 @@ def rotations(omega, axes) -> np.ndarray:
     nx, ny, nz = (np.asarray(axes, dtype=float)[..., i, None, None] for i in range(3))
     axis_dot_sigma = nx * qmath.pauli("x") + ny * qmath.pauli("y") + nz * qmath.pauli("z")
     omega = np.asarray(omega, dtype=float)[..., None, None]
-    return np.cos(omega) * qmath.identity() + (1j * np.sin(omega)) * axis_dot_sigma
+    return np.cos(omega) * qmath.pauli("i") + (1j * np.sin(omega)) * axis_dot_sigma
 
 
 def rotate_b(kets: np.ndarray, u: np.ndarray) -> np.ndarray:

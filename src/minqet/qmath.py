@@ -44,10 +44,6 @@ def pauli(axis: str) -> np.ndarray:
         raise ValueError(f"unknown Pauli axis {axis!r}") from None
 
 
-def identity() -> np.ndarray:
-    return np.eye(2, dtype=complex)
-
-
 def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product with the A-major index convention."""
     return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))

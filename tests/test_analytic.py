@@ -486,6 +486,14 @@ def test_lambda_pm_domain():
         analytic.lambda_pm(UNIT, 0.2, 0.3)
 
 
+def test_lambda_pm_refuses_nan():
+    # NaN fails both guards' in-range tests, as it fails f_E's, f_I's and T_profile's
+    with pytest.raises(DomainError, match="^outcome weight p must be positive, got nan$"):
+        analytic.lambda_pm(UNIT, math.nan, 0.0)
+    with pytest.raises(DomainError, match=r"^\|q\| exceeds p: \|q\| - p, got nan$"):
+        analytic.lambda_pm(UNIT, 0.5, math.nan)
+
+
 def test_bound_coefficients_unit_point():
     b = analytic.bounds(UNIT)
     assert abs(b.c32 - C32_UNIT) <= 1e-14

@@ -264,6 +264,20 @@ def test_raw_draw_equals_numpys_dirichlet_and_uniform():
             assert u.tobytes() == twin.uniform(-1.0, 1.0, n).tobytes()
 
 
+def test_random_measurement_is_judged_once(monkeypatch):
+    # draw_block balances and maps; the MeasurementModel built from its block is the one judge
+    check_block, judged = measurement.check_block, []
+
+    def spy(coeffs):
+        judged.append(coeffs.shape)
+        return check_block(coeffs)
+
+    monkeypatch.setattr(measurement, "check_block", spy)
+    for n in range(2, 7):
+        measurement.random_measurement(seed=n, n_outcomes=n)
+    assert judged == [(n, 4) for n in range(2, 7)]
+
+
 def test_random_measurement_needs_two_outcomes():
     with pytest.raises(ValueError):
         measurement.random_measurement(seed=0, n_outcomes=1)

@@ -187,7 +187,7 @@ def test_policy_search_keeps_its_frozen_bits():
         params_rows.append(params_row(h, k))
         counts.append(int(rng.integers(2, 7)))
         p[i, : counts[i]], u[i, : counts[i]] = measurement.raw_draw(rng, counts[i])
-    drawn = measurement.draw_block(p, u, np.array(counts))[0]
+    drawn = measurement.draw_block(p, u, np.array(counts))
     blocks = {
         "grid": (grid, np.broadcast_to(rows, (len(grid.h),) + rows.shape)),
         "drawn": (ParamsBlock.of_rows(params_rows), drawn),

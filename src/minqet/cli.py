@@ -235,8 +235,6 @@ def cmd_sweep(args) -> int:
     h_values, k_values = parse_range(args.h).tolist(), parse_range(args.k).tolist()
     meas = resolve_povm(args.povm)
     sha = povm_sha256(measurement.to_json_obj(meas))
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     # parse_range's values are positive and finite: the rows need no ModelParams check
     block = ParamsBlock.of_rows([params_row(h, k) for h in h_values for k in k_values])
@@ -253,6 +251,8 @@ def cmd_sweep(args) -> int:
     )
     if not np.isfinite(columns).all():
         raise ArithmeticError("a sweep result is not finite; neither file is written")
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "sweep.csv"
     with open(csv_path, "w", newline="", encoding="ascii") as fh:
         rows = write_csv(fh, SWEEP_COLUMNS, columns, sha)

@@ -25,7 +25,8 @@ Two searches, both deterministic (no RNG):
   four starts run in one lockstep poll, every live start's compass points
   scored in one call, each start on the path it takes alone.  Points and
   weights are columns, outcome axis first.  The optimum saturates |q| = p
-  on every outcome.
+  on every outcome, where balancing clips the value flat nearby, so a start
+  stops after STALL_POLLS failed polls in a row as well as on its step.
 
 A search that runs out of refinement iterations reports converged=False on
 its result rather than raising.
@@ -51,6 +52,7 @@ SCAN_BLOCK = 32  # (rows, 256) lattice values
 POLISH_BLOCK = 1024  # (3, 3, rows) simplices and (2, rows) candidates
 POLL_BLOCK = 128  # (n, 2n, columns) weight-balancing temporaries of a compass poll
 TOL = 1e-10
+STALL_POLLS = 3  # failed polls in a row (steps s, s/2, s/4) that end a weights-search start
 TIE_RTOL = 1e-8  # see maximize_over_policies
 
 
@@ -243,12 +245,13 @@ def maximize_over_weights(params: ModelParams, n_outcomes: int = 2) -> WeightsRe
 
     Deterministic compass search in 2n coordinates (raw p, raw u), with
     every point projected onto balanced weights (p, q): four starts in one
-    lockstep poll.  Each round polls, for every start whose step is not yet
-    below TOL, all 4n points one step away along a coordinate, both ways;
-    they are projected POLL_BLOCK columns at a time and scored in one
-    ``analytic.max_EB_closed`` call.  Each start moves to its first best
-    poll point if that beats its value and halves its step otherwise, the
-    path it takes alone.  A start converges once it sees its step below TOL
+    lockstep poll.  Each round polls, for every start not yet stopped, all 4n
+    points one step away along a coordinate, both ways; they are projected
+    POLL_BLOCK columns at a time and scored in one ``analytic.max_EB_closed``
+    call.  Each start moves to its first best poll point if that beats its
+    value and halves its step otherwise, the path it takes alone.  A start
+    stops once its step is below TOL or its last STALL_POLLS polls all failed
+    (a move resets the count), and it converges if it sees itself stopped
     within REFINE_ITERS rounds; the first start with the largest value is
     reported.  The maximum saturates |q| = p on every outcome, where the
     value equals the projective pair's.
@@ -265,9 +268,9 @@ def maximize_over_weights(params: ModelParams, n_outcomes: int = 2) -> WeightsRe
     value = analytic.max_EB_closed(params, p, q)
     step, evaluations = np.full(len(value), 0.25), len(value)
     poll = np.concatenate([np.eye(2 * n), -np.eye(2 * n)], axis=1)[:, None]  # (2n, 1, 4n) moves
-    live = np.ones(len(value), dtype=bool)
+    live, stalls = np.ones(len(value), dtype=bool), np.zeros(len(value), dtype=int)
     for _ in range(REFINE_ITERS):
-        live = step >= TOL
+        live = (step >= TOL) & (stalls < STALL_POLLS)
         if not live.any():
             break
         starts = np.flatnonzero(live)
@@ -286,6 +289,7 @@ def maximize_over_weights(params: ModelParams, n_outcomes: int = 2) -> WeightsRe
         value[moved], point[:, moved] = top[better], candidates[:, column]
         p[:, moved], q[:, moved] = cp[:, column], cq[:, column]
         step[starts[~better]] *= 0.5
+        stalls[starts] = np.where(better, 0, stalls[starts] + 1)
     best = int(np.argmax(value))  # the first start with the largest value
     if live[best]:
         warnings.warn("weight search exhausted its refinement budget", NoConvergence)

@@ -1,6 +1,7 @@
 """Derivative-free search vs the closed forms it is meant to cross-check."""
 
 import hashlib
+import itertools
 import math
 import tracemalloc
 import warnings
@@ -265,7 +266,8 @@ def test_weights_search_flags_exhausted_budget(monkeypatch):
 # Frozen outputs of maximize_over_weights as its four starts ran one after
 # another (commit fac021b), captured before they ran in one lockstep poll:
 # (h, k), n, best_value, evaluations, converged, then the weights (p, q).
-# Lockstep must leave every start's path, and so every bit, as it was.
+# Lockstep must leave every start's path, and so every bit, as it was.  Each
+# start then ran until its step fell below TOL.
 SIXTH = 0.16666666666666669
 HALVES = ([0.5, 0.5], [0.5, -0.5])
 QUARTERS = ([0.25] * 4, [0.25, -0.25] * 2)
@@ -309,38 +311,54 @@ SEQUENTIAL_WEIGHTS_SEARCH = [
     ((3.3, 0.4), 5, 0.023298794543301773, 3724, True, QUARTERS_AND_EMPTY),
     ((3.3, 0.4), 6, 0.023298794543301776, 5548, True, SIXTHS),
 ]
+# The evaluations of each case at n = 2 to 6 since a start also stops after
+# STALL_POLLS failed polls in a row.  Every value and weight bit stayed.
+STALL_STOP_EVALUATIONS = {
+    (1.0, 1.0): [1220, 2800, 708, 1204, 1252],
+    (0.8, 2.1): [1220, 2764, 708, 1204, 1252],
+    (0.25, 4.0): [1220, 2800, 708, 2224, 1252],
+    (3.3, 0.4): [1220, 2800, 708, 1184, 1252],
+}
 
 
 @pytest.mark.parametrize(
-    "hk, n, value, evaluations, converged, weights", SEQUENTIAL_WEIGHTS_SEARCH
+    "hk, n, value, step_stop_evaluations, converged, weights", SEQUENTIAL_WEIGHTS_SEARCH
 )
-def test_weights_search_keeps_the_sequential_bits(hk, n, value, evaluations, converged, weights):
+def test_weights_search_keeps_the_sequential_bits(
+    hk, n, value, step_stop_evaluations, converged, weights
+):
     res = optimizer.maximize_over_weights(ModelParams(*hk), n_outcomes=n)
     assert repr(res.best_value) == repr(value)
+    evaluations = STALL_STOP_EVALUATIONS[hk][n - 2]
     assert (res.evaluations, res.converged) == (evaluations, converged)
+    assert evaluations < step_stop_evaluations
     # repr tells -0.0 from 0.0
     assert repr(tuple(w.tolist() for w in res.best_weights)) == repr(weights)
 
 
 # From 8 outcomes up every outcome sum of the search adds in outcome order, as
 # analytic's closed forms add; a last-axis NumPy sum adds pairwise there and
-# read 0.06586691651113395 at n = 9.  Frozen evaluations and best values.
+# read 0.06586691651113395 at n = 9.  Frozen best values, and the evaluations
+# with the step stop alone and with the STALL_POLLS stop too.
 @pytest.mark.parametrize(
-    "n, value, evaluations",
+    "n, value, step_stop_evaluations",
     [(9, "0.06586691651113394", 7348), (12, "0.06586691651113395", 9652)],
 )
-def test_weights_search_sums_in_outcome_order_from_8_outcomes(n, value, evaluations):
+def test_weights_search_sums_in_outcome_order_from_8_outcomes(n, value, step_stop_evaluations):
     params = ModelParams(h=0.8, k=2.1)
     res = optimizer.maximize_over_weights(params, n_outcomes=n)
+    evaluations = {9: 2524, 12: 4084}[n]
     assert (repr(res.best_value), res.evaluations, res.converged) == (value, evaluations, True)
+    assert evaluations < step_stop_evaluations
     limit = analytic.f_E(params, 1.0)
     assert abs(res.best_value - limit) <= 1e-7 * limit
 
 
-# At UNIT with two outcomes the four starts need 36, 34, 68 and 72 polls and
-# start 0 is reported.  A start converges only if it sees step < TOL within
-# its REFINE_ITERS checks: budgets around start 0's and the slowest start's
-# needs, with the sequential search's frozen evaluations and flags.
+# At UNIT with two outcomes the four starts need 36, 34, 68 and 72 polls to
+# see step < TOL, and start 0 is reported.  A start converges only if it sees
+# itself stopped within its REFINE_ITERS checks: budgets around start 0's and
+# the slowest start's needs, with the stall stop out of reach, and the
+# sequential search's frozen evaluations and flags.
 @pytest.mark.parametrize(
     "budget, converged, evaluations",
     [
@@ -349,6 +367,26 @@ def test_weights_search_sums_in_outcome_order_from_8_outcomes(n, value, evaluati
     ],
 )
 def test_weights_search_budget_edge(monkeypatch, budget, converged, evaluations):
+    monkeypatch.setattr(optimizer, "STALL_POLLS", math.inf)
+    check_budget_edge(monkeypatch, budget, converged, evaluations)
+
+
+# With the stall stop the four starts need 7, 5, 68 and 72 polls: start 0
+# stalls after 4 moves, and starts 2 and 3 keep moving until step < TOL.
+@pytest.mark.parametrize(
+    "budget, converged, evaluations",
+    [
+        (6, False, 188), (7, False, 212), (8, True, 228),
+        (71, True, 1212), (72, True, 1220), (73, True, 1220),
+    ],
+)
+def test_weights_search_budget_edge_with_the_stall_stop(
+    monkeypatch, budget, converged, evaluations
+):
+    check_budget_edge(monkeypatch, budget, converged, evaluations)
+
+
+def check_budget_edge(monkeypatch, budget, converged, evaluations):
     monkeypatch.setattr(optimizer, "REFINE_ITERS", budget)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -360,11 +398,53 @@ def test_weights_search_budget_edge(monkeypatch, budget, converged, evaluations)
 
 def test_weights_search_ties_go_to_the_first_start():
     # no coupling to speak of: every start and every poll point scores 0.0,
-    # so no start moves and each halves its step 32 times, 4 * (1 + 8 * 32)
+    # so no start moves and each stops after STALL_POLLS polls, 4 * (1 + 8 * 3)
     res = optimizer.maximize_over_weights(ModelParams(h=1.0, k=1e-320), n_outcomes=2)
     assert res.best_value == 0.0
-    assert (res.evaluations, res.converged) == (1028, True)
+    assert (res.evaluations, res.converged) == (100, True)
     assert [w.tolist() for w in res.best_weights] == [[0.5, 0.5], [0.25, -0.25]]  # start 0
+
+
+def scores(improving):
+    """A stand-in for ``analytic.max_EB_closed``: every point scores 0.0, except
+    that on the polls numbered in ``improving`` every point scores that number."""
+    polls = itertools.count()  # the first call scores the starts
+
+    def score(params, p, q):
+        poll = next(polls)
+        return np.full(np.shape(p)[1:], float(poll) if poll in improving else 0.0)
+
+    return score
+
+
+@pytest.mark.parametrize("stall_polls", [1, optimizer.STALL_POLLS, 5])
+@pytest.mark.parametrize("n", [2, 5])
+def test_a_start_that_never_improves_stops_after_stall_polls(monkeypatch, n, stall_polls):
+    monkeypatch.setattr(optimizer, "STALL_POLLS", stall_polls)
+    monkeypatch.setattr(analytic, "max_EB_closed", scores(()))
+    res = optimizer.maximize_over_weights(UNIT, n_outcomes=n)
+    assert (res.evaluations, res.converged) == (4 * (1 + 4 * n * stall_polls), True)
+
+
+def test_a_move_resets_the_stall_count(monkeypatch):
+    # polls 2 and 4 move every start, so the three failed polls in a row
+    # that stop it are polls 5, 6 and 7
+    monkeypatch.setattr(analytic, "max_EB_closed", scores((2, 4)))
+    res = optimizer.maximize_over_weights(UNIT, n_outcomes=2)
+    assert (res.best_value, res.evaluations, res.converged) == (4.0, 4 * (1 + 8 * 7), True)
+
+
+def test_weights_search_reaches_the_projective_limit_across_decades():
+    # h and k log-uniform over six decades, 2 to 12 outcomes: each search
+    # converges and stops within 1e-10 of the projective limit (the worst of
+    # 300 such searches at seed 29, n up to 24, sat at 5.4e-11)
+    rng = np.random.default_rng(3)
+    for _ in range(40):
+        params = ModelParams(*(10.0 ** rng.uniform(-3.0, 3.0, size=2)))
+        res = optimizer.maximize_over_weights(params, n_outcomes=int(rng.integers(2, 13)))
+        limit = analytic.f_E(params, 1.0)
+        assert res.converged
+        assert abs(res.best_value - limit) <= 1e-10 * limit
 
 
 def test_weights_search_memory_stays_bounded():

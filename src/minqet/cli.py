@@ -1,8 +1,9 @@
 """Command-line front end: verify, report, sweep, evolve, optimize.
 
 Exit codes: 0 success; 1 no verified number (a failed verify check, or an
-arithmetic error, a non-finite result, internal cross-check failure or running
-out of memory, reported as one ``error:`` line on stderr); 2 usage or I/O error.
+arithmetic error, a non-finite result, internal cross-check failure, a numeric
+maximum off its closed value or running out of memory, reported as one
+``error:`` line on stderr); 2 usage or I/O error.
 All floats in CSV output are printed with 17 significant digits so that
 parsing them back gives bit-identical values.  ``write_csv`` formats each CSV row
 with one ``%``; no field needs quoting, so the bytes are ``csv.writer``'s.
@@ -118,6 +119,24 @@ def parse_range(text: str) -> np.ndarray:
     if scale == "log":
         return np.geomspace(lo, hi, n)
     return np.linspace(lo, hi, n)
+
+
+def judge_maximum(numeric, closed, h, k) -> float:
+    """The worst ``checks.maximum_gap`` of numeric maxima (N,) to their closed values (N,).
+
+    Over ``checks.OPTIMIZER_BUDGET`` it raises ``RuntimeError`` naming the worst case, its
+    h and k, the gap and the budget.  A case with a non-finite value is left to the
+    caller's own refusal.
+    """
+    finite = np.isfinite(numeric) & np.isfinite(closed)
+    gap = np.where(finite, checks.maximum_gap(numeric, closed), 0.0)
+    case = int(np.argmax(gap))
+    if gap[case] > checks.OPTIMIZER_BUDGET:
+        raise RuntimeError(
+            f"numeric maximum differs from its closed value in case {case} at h {float(h[case])}"
+            f", k {float(k[case])} (gap {float(gap[case])}, budget {checks.OPTIMIZER_BUDGET})"
+        )
+    return float(gap[case])
 
 
 # ---------------------------------------------------------------------------
@@ -251,14 +270,13 @@ def cmd_sweep(args) -> int:
     )
     if not np.isfinite(columns).all():
         raise ArithmeticError("a sweep result is not finite; neither file is written")
+    worst_gap = judge_maximum(numeric, closed, block.h, block.k)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "sweep.csv"
     with open(csv_path, "w", newline="", encoding="ascii") as fh:
         rows = write_csv(fh, SWEEP_COLUMNS, columns, sha)
 
-    # relative to the closed value; absolute where that is 0
-    worst_gap = float(np.max(np.abs(numeric - closed) / np.where(closed != 0.0, closed, 1.0)))
     meta = {
         "h_range": args.h,
         "k_range": args.k,
@@ -338,6 +356,8 @@ def cmd_optimize(args) -> int:
             "evaluations": evaluations,
             "converged": converged,
         }
+    closed = payload["closed_form_max" if args.over == "policy" else "projective_limit"]
+    judge_maximum(np.array([payload["best_value"]]), np.array([closed]), [params.h], [params.k])
     write_json(sys.stdout, payload)
     return 0
 

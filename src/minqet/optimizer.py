@@ -10,14 +10,14 @@ Two searches, both deterministic (no RNG):
   maximum over the rotation axis and the kernel f_E that follows from it.
   Every outcome of every case is one row of a single lockstep search: a
   Fibonacci axis lattice scan, then a simplex in spherical angles polishing
-  each row's best lattice point, never starting at the y axis.  Both steps
-  score candidate axes by ``analytic.max_value_over_omega``, the value
-  alone; angles are computed only for the axes reported.  A simplex
-  iteration scores only the points some row's move reads, and its arrays
-  put the row axis last, so each NumPy call runs along the rows.  Both
-  steps run over fixed blocks of rows, so their arrays keep one size
-  however many rows there are.  ``minqet sweep`` runs it once per grid, and
-  ``minqet optimize --over policy`` on a block of one.
+  each row's best lattice point (never the y axis) until its vertex values
+  agree to 1e-9 relative to its best one.  Both steps score candidate axes
+  by ``analytic.max_value_over_omega``, the value alone; angles are computed
+  only for the axes reported.  A simplex iteration scores only the points
+  some row's move reads, and its arrays put the row axis last, so each NumPy
+  call runs along the rows.  Both steps run over fixed blocks of rows, so
+  their arrays keep one size however many rows there are.  ``minqet sweep``
+  runs it once per grid, and ``minqet optimize --over policy`` on a block of one.
 
 * ``maximize_over_weights`` searches the measurement design space itself:
   outcome weights (p, q) on the simplex with sum(q) = 0 and |q| <= p,
@@ -28,8 +28,9 @@ Two searches, both deterministic (no RNG):
   on every outcome, where balancing clips the value flat nearby, so a start
   stops after STALL_POLLS failed polls in a row as well as on its step.
 
-A search that runs out of refinement iterations reports converged=False on
-its result rather than raising.
+Each search stops on its own rule, never on the answer it is checked against:
+``converged`` says the rule fired within REFINE_ITERS iterations, else the result
+reports converged=False rather than raising.
 """
 
 from __future__ import annotations
@@ -51,17 +52,17 @@ REFINE_ITERS = 200
 SCAN_BLOCK = 32  # (rows, 256) lattice values
 POLISH_BLOCK = 1024  # (3, 3, rows) simplices and (2, rows) candidates
 POLL_BLOCK = 128  # (n, 2n, columns) weight-balancing temporaries of a compass poll
-TOL = 1e-10
+TOL = 1e-10  # the step below which a weights-search start stops
 STALL_POLLS = 3  # failed polls in a row (steps s, s/2, s/4) that end a weights-search start
 TIE_RTOL = 1e-8  # see maximize_over_policies
 
 
 class NoConvergence(RuntimeWarning):
-    """Refinement budget ran out before the step size dropped below tol.
+    """A search ran REFINE_ITERS iterations without its own stop rule firing.
 
-    The search result is still returned (with converged=False); this warning
-    exists so callers who care can promote it to an error with the warnings
-    filter machinery.
+    The rules: simplex values agreeing to 1e-9 relative to the best one, and a
+    weights-search step below TOL or STALL_POLLS failed polls in a row.  The
+    result is still returned with converged=False; a warnings filter can make this an error.
     """
 
 
@@ -115,15 +116,17 @@ def _nelder_mead(
     """Lockstep simplex maximization in (theta, phi), one simplex per row.
 
     Every row takes the standard reflect/expand/contract/shrink moves on its
-    own simplex and stops when its diameter drops below TOL.  The simplices
-    are one (theta, phi, value) by vertex by row array, (3, 3, rows): a move
-    is elementwise on (rows,) arrays, and one stable argsort and one flat
-    take order every row's vertices.  An iteration scores, by value alone,
-    only the points some row's move reads: every row's reflected point, then
-    one second point per row (the expansion if the reflection beat the best
-    vertex, else the outside or the inside contraction), then the two shrunk
-    vertices of the rows that shrink.  Stopped rows are masked, not removed.
-    Returns each row's best angles (2, rows), evaluation count and flag.
+    own simplex and stops once its vertex values agree to 1e-9 relative to its
+    best value; with no absolute floor, a row scaled by 2^j takes the same
+    path.  The simplices are one (theta, phi, value) by vertex by row array,
+    (3, 3, rows): a move is elementwise on (rows,) arrays, and one stable
+    argsort and one flat take order every row's vertices.  An iteration
+    scores, by value alone, only the points some row's move reads: every
+    row's reflected point, then one second point per row (the expansion if
+    the reflection beat the best vertex, else the outside or the inside
+    contraction), then the two shrunk vertices of the rows that shrink.
+    Stopped rows are masked, not removed.
+    Returns each row's best angles (2, rows), evaluation count and stop flag.
     """
     args = _rows(table)
     angles = start[:, None] + np.array([[0.0, step, 0.0], [0.0, 0.0, step]])[..., None]
@@ -135,12 +138,8 @@ def _nelder_mead(
         order = np.argsort(-simplex[2], axis=0, kind="stable")
         simplex = simplex.reshape(3, -1).take(order * len(table) + lanes, axis=1)
         angles, values = simplex[:2], simplex[2]
-        diameter = np.abs(angles[:, 1:] - angles[:, :1]).max(axis=(0, 1))
         spread = values[0] - values[2]
-        # Flat directions (an outcome with q near 0 is axis-independent) keep
-        # the diameter from ever shrinking, so converging in value counts too.
-        flat = spread <= 1e-9 * np.maximum(np.abs(values[0]), 1e-12)
-        active &= ~((diameter < TOL) | flat)
+        active &= spread > 1e-9 * np.abs(values[0])  # a NaN spread stops its row too
         if not active.any():
             break
         best, worst = angles[:, 0], angles[:, 2]

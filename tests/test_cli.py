@@ -647,13 +647,15 @@ def test_optimize_policy_payload_is_frozen(capsys, tmp_path, povm, h, k, frozen)
         assert abs(math.sqrt(sum(c * c for c in turn["n"])) - 1.0) <= 1e-12
 
 
-# (h, k, outcomes of the 20 printed with the search's own axis, not the y axis)
+# (h, k, outcomes of the 20 printed with the search's own axis, not the y axis); with the
+# tie rule off, the y axis replaces only a search axis of exactly its value
 @pytest.mark.parametrize(
-    "h, k, searched", [("1e-6", "1", 11), ("1", "1e-6", 14), ("0.8", "2.1", 0)]
+    "h, k, searched", [("1e-6", "1", 20), ("1", "1e-6", 20), ("0.8", "2.1", 20)]
 )
 def test_optimize_prints_the_search_axes_divided_by_their_lengths(
-    capsys, tmp_path, h, k, searched
+    capsys, tmp_path, monkeypatch, h, k, searched
 ):
+    monkeypatch.setattr(optimizer, "TIE_RTOL", 0.0)
     own = 0
     for n in range(2, 7):
         meas = measurement.random_measurement(seed=0, n_outcomes=n)
@@ -736,6 +738,76 @@ def test_a_non_finite_result_exits_one_with_no_output(capsys, recwarn, tmp_path,
     assert (code, out) == (1, "")
     assert re.fullmatch(r"error: ArithmeticError: [^\n]* not finite[^\n]*\n", err), err
     assert all(issubclass(w.category, RuntimeWarning) for w in recwarn.list)
+    assert not out_dir.exists()
+
+
+def test_optimize_meets_the_closed_maximum_at_a_small_scale(capsys):
+    argv = "optimize --over policy --h 1e-8 --k 1e-8 --povm builtin:weak(0.3)"
+    code, out, err = run_cli(capsys, *argv.split())
+    assert (code, err) == (0, "")
+    payload = strict_json(out)
+    closed = payload["closed_form_max"]
+    assert abs(payload["best_value"] - closed) <= 1e-7 * closed
+
+
+def test_sweep_meets_the_closed_maximum_at_a_small_scale(tmp_path, capsys):
+    grid = "1e-10:1e-9:3:log"
+    argv = ["sweep", "--h", grid, "--k", grid, "--povm", "builtin:weak(0.3)", "--out", tmp_path]
+    code, _, err = run_cli(capsys, *map(str, argv))
+    assert (code, err) == (0, "")
+    with open(tmp_path / "sweep.csv", newline="", encoding="ascii") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 9
+    for row in rows:
+        closed = float(row["maxE_B_closed"])
+        assert abs(float(row["maxE_B_numeric"]) - closed) <= 1e-7 * closed, row
+
+
+# a numeric maximum off its closed value by more than the budget is no verified number:
+# at h = k = 1e-100 the search's value underflows to 0.0 (gap 1.0)
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "optimize --over policy --h 1e-100 --k 1e-100 --povm builtin:weak(0.3)",
+        "sweep --h 1e-100 --k 1e-100 --povm builtin:weak(0.3) --out {out}",
+    ],
+    ids=["optimize", "sweep"],
+)
+def test_a_maximum_off_its_closed_value_exits_one_with_no_output(capsys, recwarn, tmp_path, argv):
+    out_dir = tmp_path / "refused"
+    code, out, err = run_cli(capsys, *argv.format(out=out_dir).split())
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: RuntimeError: numeric maximum differs from its closed value in case 0"
+        " at h 1e-100, k 1e-100 (gap 1.0, budget 1e-07)\n"
+    )
+    assert not recwarn.list, [str(w.message) for w in recwarn.list]
+    assert not out_dir.exists()
+
+
+def test_sweep_refuses_a_search_value_off_by_a_millionth(tmp_path, capsys, monkeypatch):
+    # only row 67 of the grid sees its search value scaled by 1 + 1e-6
+    h_range, k_range, row = "0.3:3:9:log", "0.4:2.5:8:log", 67
+    h, k = cli.parse_range(h_range)[row // 8], cli.parse_range(k_range)[row % 8]
+    search = optimizer.maximize_over_policies
+
+    def scaled(block, p, q):
+        value, *rest = search(block, p, q)
+        return (value * np.where((block.h == h) & (block.k == k), 1.0 + 1e-6, 1.0), *rest)
+
+    monkeypatch.setattr(optimizer, "maximize_over_policies", scaled)
+    out_dir = tmp_path / "refused"
+    argv = ["sweep", "--h", h_range, "--k", k_range, "--povm", "builtin:weak(0.7)", "--out"]
+    code, out, err = run_cli(capsys, *argv, str(out_dir))
+    assert (code, out) == (1, "")
+    named = re.fullmatch(
+        r"error: RuntimeError: numeric maximum differs from its closed value in case 67"
+        rf" at h {re.escape(repr(float(h)))}, k {re.escape(repr(float(k)))}"
+        r" \(gap (\S+), budget 1e-07\)\n",
+        err,
+    )
+    assert named, err
+    assert abs(float(named.group(1)) - 1e-6) <= 1e-8
     assert not out_dir.exists()
 
 

@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from minqet import analytic, measurement, optimizer, protocol
+from minqet import analytic, checks, measurement, optimizer, protocol
 from minqet.measurement import MeasurementModel, weight_block
 from minqet.model import ModelParams, ParamsBlock, params_row
 
@@ -197,6 +197,42 @@ def test_policy_search_keeps_its_frozen_bits():
         columns = optimizer.maximize_over_policies(params, *weight_block(coeffs))
         digests = [hashlib.sha256(column.tobytes()).hexdigest() for column in columns]
         assert digests == FROZEN_SEARCH_DIGESTS[name], name
+
+
+def test_policy_search_is_covariant_under_power_of_two_scaling():
+    # the simplex stops on its values relative to the best one, so a search at
+    # (2^j h, 2^j k) takes every step it takes at (h, k): its value is exactly
+    # 2^j times as large and its other four columns are bit-equal
+    block, coeffs = checks.draw_members(3, range(60))[:2]
+    weights = weight_block(coeffs)
+    base = optimizer.maximize_over_policies(block, *weights)
+    hk = list(zip(block.h.tolist(), block.k.tolist()))
+    for j in range(-240, 241, 20):
+        scaled = ParamsBlock.of_rows([params_row(h * 2.0**j, k * 2.0**j) for h, k in hk])
+        columns = optimizer.maximize_over_policies(scaled, *weights)
+        assert np.array_equal(columns[0], base[0] * 2.0**j), j
+        for got, want in zip(columns[1:], base[1:]):
+            assert np.array_equal(got, want), j
+
+
+def test_policy_search_meets_the_closed_maximum_across_the_wide_domain():
+    # 500 drawn cases: h/k log-uniform on [1e-8, 1e8], the overall scale on
+    # [1e-30, 1e30], 2-6 outcomes
+    rng, size = np.random.default_rng([30, 1]), 500
+    ratio = np.exp(rng.uniform(math.log(1e-8), math.log(1e8), size)).tolist()
+    scale = np.exp(rng.uniform(math.log(1e-30), math.log(1e30), size)).tolist()
+    counts = rng.integers(2, 7, size)
+    p, u = np.zeros((size, 6)), np.zeros((size, 6))
+    for i, n in enumerate(counts.tolist()):
+        p[i, :n], u[i, :n] = measurement.raw_draw(rng, n)
+    block = ParamsBlock.of_rows(
+        [params_row(s * math.sqrt(r), s / math.sqrt(r)) for s, r in zip(scale, ratio)]
+    )
+    weights = weight_block(measurement.draw_block(p, u, counts))
+    found = optimizer.maximize_over_policies(block, *weights)[0]
+    closed = analytic.max_EB_closed(block, *weights)
+    gap = np.abs(found - closed) / closed
+    assert gap.max() <= 1e-7, (gap.argmax(), gap.max())
 
 
 def test_policy_batch_memory_stays_bounded():

@@ -100,17 +100,10 @@ def _omega_peak(params: ModelParams, p, q, n) -> tuple:
     g = params.h * params.k * q * n[1]
     radius = np.hypot(x, g)
     # For X > 0 the difference sqrt(X^2 + G^2) - X cancels when |G| << X.
+    # g (g / (radius + x)) rather than g g / (radius + x): g g over- or underflows at
+    # scales where the quotient does not.
     positive = x > 0.0
-    return x, g, np.where(positive, g * g / np.where(positive, radius + x, 1.0), radius - x)
-
-
-def max_value_over_omega(params: ModelParams, p, q, n: tuple[float, float, float]):
-    """``max_over_omega``'s value without its argmax, from the same code.
-
-    The policy optimizer scores candidate axes by it and computes angles
-    only for the axes it reports.  Arrays in, an array out.
-    """
-    return _omega_peak(params, p, q, n)[2]
+    return x, g, np.where(positive, g * (g / np.where(positive, radius + x, 1.0)), radius - x)
 
 
 def max_over_omega(params: ModelParams, p, q, n: tuple[float, float, float]) -> tuple:
@@ -119,10 +112,8 @@ def max_over_omega(params: ModelParams, p, q, n: tuple[float, float, float]) -> 
     Q = X cos(2w) - G sin(2w) - X with G = h k q n_y, so the maximum is
     sqrt(X^2 + G^2) - X at 2w = atan2(-G, X).  The angle is reported in
     [0, pi) since Q is pi-periodic, and is 0 where X = G = 0.  This is the
-    package's one formula for the omega-maximum, value and angle: the value
-    is ``max_value_over_omega``'s, the same code.  At ``Y_AXIS`` it gives
-    ``protocol.optimal_table``'s angles, and the policy optimizer searches
-    the axis over its value.
+    package's one formula for the omega-maximum, value and angle.  At
+    ``Y_AXIS`` it gives ``protocol.optimal_table``'s angles.
 
     It reads only ``params.h`` and ``params.k``, so any object with those
     two attributes will do.

@@ -11,8 +11,8 @@ once, so a check and its budget mean the same thing wherever they are run.
 
 The random checks draw two streams: [seed, 2] for the eigensolver, and
 [seed, 1] for one ensemble of model members that every other random check
-scores, the policy search on its first members.  Member i is row i of one
-matrix of uniforms (``draw_members``), whatever the blocking.  The ensemble
+scores, the eigen maximum over policies on its first members.  Member i is
+row i of one matrix of uniforms (``draw_members``), whatever the blocking.  The ensemble
 scores ``ENSEMBLE_BLOCK`` (256) members at a time, so the fixed NumPy-call
 costs are paid per block, each once: one ``draw_block`` and one ``check_block``
 of its POVM residuals, one ``measured_block`` and ``run_block``, each member's
@@ -37,7 +37,10 @@ _PAIR_ROWS = [params_row(h, k) for h, k in PAIR_GRID]
 # ensemble members drawn and scored per block: the checks' fixed NumPy-call
 # costs are paid per block, while its arrays stay bounded whatever the size
 ENSEMBLE_BLOCK = 256
-# the largest ``maximum_gap`` of a numeric maximum to its closed value, here and in the CLI
+# the largest ``maximum_gap`` of a numeric maximum to its closed value in the CLI.  The
+# weights search shares it: over 60 of its searches (default_rng(29), h and k log-uniform
+# on [1e-3, 1e3], n = 2-8) the worst gap to ``projective_limit`` was 5.4e-11, so it stays
+# at 1e-7; optimizer-vs-closed holds the eigen maximum over policies to 1e-11.
 OPTIMIZER_BUDGET = 1e-7
 
 
@@ -249,11 +252,10 @@ def maximum_gap(found, closed):
 
 
 def _check_optimizer(seed: int, size: int) -> float:
-    """The policy search against the closed maximum, on the ensemble's first ``size`` members."""
+    """The eigen maximum over policies against the closed one, on the first ``size`` members."""
     block, coeffs = draw_members(seed, range(size))[:2]
-    weights = measurement.weight_block(coeffs)
-    closed = analytic.max_EB_closed(block, *weights)
-    found = optimizer.maximize_over_policies(block, *weights)[0]
+    closed = analytic.max_EB_closed(block, *measurement.weight_block(coeffs))
+    found = optimizer.maximize_over_policies(block, coeffs)[0]
     return float(np.max(maximum_gap(found, closed)))
 
 
@@ -333,5 +335,5 @@ CHECKS = (
         math.inf,
     ),
     (_check_eigensolver, {"eigensolver-reconstruction": 1e-12}, 200),
-    (_check_optimizer, {"optimizer-vs-closed": OPTIMIZER_BUDGET}, 5),
+    (_check_optimizer, {"optimizer-vs-closed": 1e-11}, 64),
 )

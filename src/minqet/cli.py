@@ -259,8 +259,8 @@ def cmd_sweep(args) -> int:
     block = ParamsBlock.of_rows([params_row(h, k) for h in h_values for k in k_values])
     coeffs = np.broadcast_to(meas.rows, (len(block.h),) + meas.rows.shape)
     weights = measurement.weight_block(coeffs)
-    # one policy search and one batched run for the whole grid
-    numeric = optimizer.maximize_over_policies(block, *weights)[0]
+    # one eigen maximum over policies and one batched run for the whole grid
+    numeric = optimizer.maximize_over_policies(block, coeffs)[0]
     run = protocol.run_many(block, coeffs, *protocol.optimal_table(block, *weights))
     closed, delta_s = run.max_eb_closed, run.delta_s
     # one row per cell, in SWEEP_COLUMNS order
@@ -341,20 +341,17 @@ def cmd_optimize(args) -> int:
         if not args.povm:
             raise ValueError("optimize --over policy needs --povm")
         meas = resolve_povm(args.povm)
-        # the case as a block of one, its axes divided by their lengths
-        p, q = measurement.weight_block(meas.rows[None])
-        columns = list(optimizer.maximize_over_policies(ParamsBlock.of([params]), p, q))
-        columns[2] = columns[2] / np.sqrt((columns[2] * columns[2]).sum(-1, keepdims=True))
-        value, omega, axes, evaluations, converged = (column.tolist()[0] for column in columns)
+        # the case as a block of one
+        columns = optimizer.maximize_over_policies(ParamsBlock.of([params]), meas.rows[None])
+        value, omega, axes = (column.tolist()[0] for column in columns)
+        p, q = measurement.weight_block(meas.rows)
         payload = {
             "over": "policy",
             "params": {"h": params.h, "k": params.k},
             "povm": {"source": args.povm, "sha256": povm_sha256(measurement.to_json_obj(meas))},
             "best_value": value,
-            "closed_form_max": analytic.max_EB_closed(params, p[:, 0], q[:, 0]),
+            "closed_form_max": analytic.max_EB_closed(params, p, q),
             "policy": [{"omega": w, "n": n} for w, n in zip(omega, axes)],
-            "evaluations": evaluations,
-            "converged": converged,
         }
     closed = payload["closed_form_max" if args.over == "policy" else "projective_limit"]
     judge_maximum(np.array([payload["best_value"]]), np.array([closed]), [params.h], [params.k])

@@ -1,22 +1,12 @@
-"""Derivative-free maximization of the teleported energy.
+"""Maximization of the teleported energy: over Bob's feedback turns, and over weights.
 
-Two searches, both deterministic (no RNG):
-
-* ``maximize_over_policies`` finds the best feedback rotation per outcome
-  for a whole block of cases at once, as a policy table.  It takes the
-  maximum of Q over the rotation angle at a fixed axis from
-  ``analytic.max_over_omega`` (verify's ``omega-maximum`` check tests that
-  step on its own) and checks the rest of the closed-form chain: the
-  maximum over the rotation axis and the kernel f_E that follows from it.
-  Every outcome of every case is one row of a single lockstep search: a
-  Fibonacci axis lattice scan, then a simplex in spherical angles polishing
-  each row's best lattice point (never the y axis) until its vertex values
-  agree to 1e-9 relative to its best one.  Both steps score candidate axes
-  by ``analytic.max_value_over_omega``, the value alone; angles are computed
-  only for the axes reported.  A simplex iteration scores only the points
-  some row's move reads, and its arrays put the row axis last, so each NumPy
-  call runs along the rows.  Both steps run over fixed blocks of rows, so
-  their arrays keep one size however many rows there are.  ``minqet sweep``
+* ``maximize_over_policies`` is exact and does not iterate.  Bob's turn on an
+  outcome is a unit 4-vector a = (cos omega, sin omega n), and the energy it
+  extracts is a^T D a with ``protocol.turn_gains``' D, built from the kets
+  M_A(mu)|++>, h, k and sigma, and no closed form.  So the best turn of each outcome is
+  D's top eigenvector and the maximum over policies is the sum of the outcomes'
+  top eigenvalues (Davenport's q-method for Wahba's problem): one 4x4
+  eigenproblem per outcome, protocol.BLOCK cases at a time.  ``minqet sweep``
   runs it once per grid, and ``minqet optimize --over policy`` on a block of one.
 
 * ``maximize_over_weights`` searches the measurement design space itself:
@@ -27,41 +17,37 @@ Two searches, both deterministic (no RNG):
   weights are columns, outcome axis first.  The optimum saturates |q| = p
   on every outcome, where balancing clips the value flat nearby, so a start
   stops after STALL_POLLS failed polls in a row as well as on its step.
-
-Each search stops on its own rule, never on the answer it is checked against:
-``converged`` says the rule fired within REFINE_ITERS iterations, else the result
-reports converged=False rather than raising.
+  It stops on its own rule, never on the answer it is checked against:
+  ``converged`` says the rule fired within REFINE_ITERS polls, else the result
+  reports converged=False rather than raising.
 """
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
-from types import SimpleNamespace
 
 import numpy as np
 
-from . import analytic, measurement
+from . import analytic, measurement, protocol
 from .model import ModelParams, ParamsBlock
 
-GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
-SPHERE_POINTS = 256
 REFINE_ITERS = 200
-# rows per block, which bounds the search's arrays whatever the number of rows
-SCAN_BLOCK = 32  # (rows, 256) lattice values
-POLISH_BLOCK = 1024  # (3, 3, rows) simplices and (2, rows) candidates
 POLL_BLOCK = 128  # (n, 2n, columns) weight-balancing temporaries of a compass poll
 TOL = 1e-10  # the step below which a weights-search start stops
 STALL_POLLS = 3  # failed polls in a row (steps s, s/2, s/4) that end a weights-search start
-TIE_RTOL = 1e-8  # see maximize_over_policies
+# D's rows and columns as (1, sigma_y, sigma_x, sigma_z): the Kraus operators commute with
+# O, so D depends on an outcome only through p + q sigma_x^A and splits into a {1, sigma_y}
+# and a {sigma_x, sigma_z} block, and in this order LAPACK's tridiagonal reduction keeps
+# them apart.  A top eigenvalue far below D's norm (h/k far from 1) then keeps its
+# relative digits.  The order is its own inverse.
+_EIGEN_ORDER = [0, 2, 1, 3]
 
 
 class NoConvergence(RuntimeWarning):
-    """A search ran REFINE_ITERS iterations without its own stop rule firing.
+    """The weights search ran REFINE_ITERS polls without its own stop rule firing.
 
-    The rules: simplex values agreeing to 1e-9 relative to the best one, and a
-    weights-search step below TOL or STALL_POLLS failed polls in a row.  The
+    The rule: a start's step below TOL, or STALL_POLLS failed polls in a row.  The
     result is still returned with converged=False; a warnings filter can make this an error.
     """
 
@@ -74,160 +60,35 @@ class WeightsResult:
     converged: bool
 
 
-def fibonacci_sphere(n: int) -> np.ndarray:
-    """n nearly-uniform unit vectors: z stratified, azimuth by the golden angle."""
-    i = np.arange(n)
-    z = 1.0 - (2.0 * i + 1.0) / n
-    r = np.sqrt(np.clip(1.0 - z * z, 0.0, None))
-    phi = i * GOLDEN_ANGLE
-    return np.column_stack([r * np.cos(phi), r * np.sin(phi), z])
+def maximize_over_policies(params: ParamsBlock, coeffs: np.ndarray) -> tuple:
+    """The maximum of E_B over per-outcome feedback turns, for N cases, and its turns.
 
-
-def _axis_from_angles(theta, phi):
-    sin_t = np.sin(theta)
-    return (sin_t * np.cos(phi), sin_t * np.sin(phi), np.cos(theta))
-
-
-def _rows(table: np.ndarray) -> tuple:
-    """``analytic``'s (params, p, q) arguments of rows (..., 4) of (h, k, p, q), each (...)."""
-    h, k, p, q = (table[..., i] for i in range(4))
-    return SimpleNamespace(h=h, k=k), p, q
-
-
-def _value(args: tuple, angles: np.ndarray) -> np.ndarray:
-    """``analytic.max_value_over_omega`` on ``_rows`` args at axes (theta, phi), (2, ..., rows)."""
-    return analytic.max_value_over_omega(*args, _axis_from_angles(*angles))
-
-
-def _scan_lattice(table: np.ndarray) -> np.ndarray:
-    """Index of each row's best Fibonacci lattice axis, SCAN_BLOCK rows at a time."""
-    lattice = tuple(fibonacci_sphere(SPHERE_POINTS).T)
-    best = np.empty(len(table), dtype=int)
-    for first in range(0, len(table), SCAN_BLOCK):
-        block = slice(first, first + SCAN_BLOCK)
-        values = analytic.max_value_over_omega(*_rows(table[block, None]), lattice)
-        best[block] = np.argmax(values, axis=1)
-    return best
-
-
-def _nelder_mead(
-    table: np.ndarray, start: np.ndarray, step: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Lockstep simplex maximization in (theta, phi), one simplex per row.
-
-    Every row takes the standard reflect/expand/contract/shrink moves on its
-    own simplex and stops once its vertex values agree to 1e-9 relative to its
-    best value; with no absolute floor, a row scaled by 2^j takes the same
-    path.  The simplices are one (theta, phi, value) by vertex by row array,
-    (3, 3, rows): a move is elementwise on (rows,) arrays, and one stable
-    argsort and one flat take order every row's vertices.  An iteration
-    scores, by value alone, only the points some row's move reads: every
-    row's reflected point, then one second point per row (the expansion if
-    the reflection beat the best vertex, else the outside or the inside
-    contraction), then the two shrunk vertices of the rows that shrink.
-    Stopped rows are masked, not removed.
-    Returns each row's best angles (2, rows), evaluation count and stop flag.
+    ``coeffs`` is the coefficient block (N, n, 4).  Each outcome with p >
+    DEGENERATE_PROB adds the top eigenvalue of its ``protocol.turn_gains`` D and
+    turns by its top eigenvector a, signed so that a_0 >= 0: omega =
+    atan2(|a_vec|, a_0) in [0, pi/2] about n = a_vec / |a_vec|.  At |q| = p the
+    best turns form a whole family with one eigenvalue, and the turn is the
+    eigenvector ``numpy.linalg.eigh`` returns; there is no tie rule.  Other
+    outcomes, and a top eigenvector with a_vec = 0, keep the identity about
+    ``analytic.Y_AXIS``.  Returns the columns (best_value, omega, axes): values
+    summed in outcome order (N,), and the policy table (N, n) and (N, n, 3).
     """
-    args = _rows(table)
-    angles = start[:, None] + np.array([[0.0, step, 0.0], [0.0, 0.0, step]])[..., None]
-    simplex = np.concatenate((angles, _value(args, angles)[None]))
-    evaluations = np.full(len(table), 3)
-    active = np.ones(len(table), dtype=bool)
-    lanes = np.arange(len(table))
-    for _ in range(REFINE_ITERS):
-        order = np.argsort(-simplex[2], axis=0, kind="stable")
-        simplex = simplex.reshape(3, -1).take(order * len(table) + lanes, axis=1)
-        angles, values = simplex[:2], simplex[2]
-        spread = values[0] - values[2]
-        active &= spread > 1e-9 * np.abs(values[0])  # a NaN spread stops its row too
-        if not active.any():
-            break
-        best, worst = angles[:, 0], angles[:, 2]
-        centroid = (best + angles[:, 1]) / 2.0
-        reflected = centroid + (centroid - worst)
-        f_reflected = _value(args, reflected)
-        expand = f_reflected > values[0]
-        contract = ~expand & ~(f_reflected > values[1])
-        second = np.where(
-            expand,
-            centroid + 2.0 * (centroid - worst),
-            np.where(
-                f_reflected > values[2],
-                centroid + 0.5 * (reflected - centroid),  # outside contraction
-                centroid - 0.5 * (centroid - worst),  # inside contraction
-            ),
-        )
-        f_second = _value(args, second)
-        shrink = active & contract & ~(f_second > np.minimum(f_reflected, values[2]))
-        evaluations += active * (1 + expand + contract + 2 * shrink)
-        # a live row that does not shrink replaces its worst vertex; the
-        # reflection stays unless the expansion beat it or the row contracted
-        take_second = np.where(expand, f_second > f_reflected, contract)
-        move = active & ~shrink
-        angles[:, 2, move] = np.where(take_second, second, reflected)[:, move]
-        values[2, move] = np.where(take_second, f_second, f_reflected)[move]
-        shrinking = np.flatnonzero(shrink)
-        if len(shrinking):
-            # a shrink keeps the best vertex and halves the way to the other two
-            toward = best[:, None, shrinking]
-            shrunk = toward + 0.5 * (angles[:, 1:, shrinking] - toward)
-            simplex[:2, 1:, shrinking] = shrunk
-            values[1:, shrinking] = _value(_rows(table[shrinking]), shrunk)
-    top = np.argmax(simplex[2], axis=0)
-    return np.take_along_axis(simplex[:2], top[None, None], axis=1)[:, 0], evaluations, ~active
-
-
-def maximize_over_policies(params: ParamsBlock, p: np.ndarray, q: np.ndarray) -> tuple:
-    """Numerically maximize E_B over per-outcome feedback rotations, for N cases.
-
-    p, q are the weights (n, N).  Every outcome with p > DEGENERATE_PROB
-    becomes one row of a single lockstep search: a lattice scan, a simplex
-    polish, then the y-axis tie rule.  At |q| = p the maximizing axis is a
-    whole degenerate family, so the y-axis rotation is reported instead of
-    the search's own axis whenever the two values agree to TIE_RTOL
-    relative; the y axis is never a start point, and a search that falls
-    short of it by more keeps its own answer.  Returns the columns
-    (best_value, omega, axes, evaluations, converged): values summed in
-    outcome order (N,), the policy table (N, n) and (N, n, 3) with the
-    identity at the other outcomes, and counts and flags (N,).
-    """
-    live = (p > measurement.DEGENERATE_PROB).T  # (N, n)
-    case = np.nonzero(live)[0]  # rows case by case, outcomes in order
-    table = np.column_stack([params.h[case], params.k[case], p.T[live], q.T[live]])
-    nx, ny, nz = fibonacci_sphere(SPHERE_POINTS)[_scan_lattice(table)].T
-    start = np.stack([np.arccos(nz), np.arctan2(ny, nx)])  # (2, rows)
-    angles = np.empty_like(start)
-    evaluations = np.empty(len(table), dtype=int)
-    converged = np.empty(len(table), dtype=bool)
-    for first in range(0, len(table), POLISH_BLOCK):
-        block = slice(first, first + POLISH_BLOCK)
-        angles[:, block], evaluations[block], converged[block] = _nelder_mead(
-            table[block], start[:, block], math.pi / math.sqrt(SPHERE_POINTS)
-        )
-    axes, args = np.column_stack(_axis_from_angles(*angles)), _rows(table)
-    value, omega = analytic.max_over_omega(*args, tuple(axes.T))
-    y_value, y_omega = analytic.max_over_omega(*args, analytic.Y_AXIS)
-    scale = np.maximum(np.abs(value), np.abs(y_value))
-    tie = np.abs(value - y_value) <= TIE_RTOL * scale
-    value = np.where(tie, y_value, value) / params.eps[case]
-    omega = np.where(tie, y_omega, omega)
-    axes[tie] = analytic.Y_AXIS
-    if not converged.all():
-        warnings.warn("policy search exhausted its refinement budget", NoConvergence)
-    return (
-        np.add.accumulate(_per_outcome(live, value, 0.0), axis=1)[:, -1],
-        _per_outcome(live, omega, 0.0),
-        _per_outcome(live, axes, analytic.Y_AXIS),
-        _per_outcome(live, evaluations + SPHERE_POINTS + 2, 0).sum(axis=1),
-        _per_outcome(live, converged, True).all(axis=1),
-    )
-
-
-def _per_outcome(live: np.ndarray, rows: np.ndarray, fill) -> np.ndarray:
-    """The search rows back on the (N, n) outcome grid of ``live``, ``fill`` elsewhere."""
-    table = np.full(live.shape + np.shape(fill), fill, dtype=rows.dtype)
-    table[live] = rows
-    return table
+    live = (measurement.weight_block(coeffs)[0] > measurement.DEGENERATE_PROB).T  # (N, n)
+    top, turn = np.empty(live.shape), np.empty(live.shape + (4,))
+    for first in range(0, len(coeffs), protocol.BLOCK):
+        block = slice(first, first + protocol.BLOCK)
+        gains = protocol.turn_gains(params[block], coeffs[block])[..., _EIGEN_ORDER, :]
+        gains = gains[..., _EIGEN_ORDER]
+        values, vectors = np.linalg.eigh(gains)
+        top[block], turn[block] = values[..., -1], vectors[..., _EIGEN_ORDER, -1]
+    turn = np.where(live[..., None], turn, (1.0, 0.0, 0.0, 0.0))
+    turn = np.where(turn[..., :1] < 0.0, -turn, turn) + 0.0  # a_0 >= 0, and no -0.0 printed
+    sin_omega = np.sqrt((turn[..., 1:] * turn[..., 1:]).sum(axis=-1))
+    turning = (sin_omega > 0.0)[..., None]
+    axes = np.where(turning, turn[..., 1:] / np.where(turning, sin_omega[..., None], 1.0),
+                    analytic.Y_AXIS)
+    value = np.add.accumulate(np.where(live, top, 0.0), axis=1)[:, -1]
+    return value, np.arctan2(sin_omega, turn[..., 0]), axes
 
 
 def _project_weights(raw_p: np.ndarray, raw_u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -22,6 +22,8 @@ at every outcome.  Each rotation acts as a 2x2 block on the ket read as an
 (a, b) matrix, and every energy is a stacked ``qmath.expectation``:
 Tr[rho O] is its sum over the kets of rho.  Born's rule is
 ``entanglement.consumption_block``'s, computed once per ``MeasuredBlock``.
+``turn_gains`` gives each outcome's 4x4 matrix D of Bob's turns, whose top
+eigenpair ``optimizer.maximize_over_policies`` reads as the best turn.
 
 Every run cross-checks its own arithmetic: E_A must match its closed form,
 E_B by Tr[rho H] the per-outcome rows' sum of prob (<H_B> + <V>) and the
@@ -35,6 +37,7 @@ RuntimeError naming the check, the case, its residual and its budget.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -60,6 +63,68 @@ def rotations(omega, axes) -> np.ndarray:
 def rotate_b(kets: np.ndarray, u: np.ndarray) -> np.ndarray:
     """(I (x) u) psi for kets (B, ..., 4) and u (B, ..., 2, 2) on B: psi[a, b] -> psi u^T."""
     return (kets.reshape(kets.shape[:-1] + (2, 2)) @ np.swapaxes(u, -1, -2)).reshape(kets.shape)
+
+
+def measured_kets(ground: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """The unnormalized kets M_A(mu)|g> of grounds (B, 4), or one (1, 4), and coeffs (B, n, 4)."""
+    return (measurement.kraus_operators(coeffs) @ ground[:, None, :, None])[..., 0]
+
+
+# XX (1 x i sigma_a) XX = s_a (1 x i sigma_a) for a = (1, x, y, z); an entry (a, b) of D
+# is flipped where s_a s_b = -1
+_XX_SIGNS = np.array([1.0, 1.0, -1.0, -1.0])
+_FLIPPED = (np.outer(_XX_SIGNS, _XX_SIGNS) < 0.0).ravel()
+
+
+@functools.cache
+def gain_maps() -> np.ndarray:
+    """The real (32, 64) map from [Re, Im] of u^* (x) u to Re<u|A_ab|u> and Re<u|A_ab|XX u>.
+
+    A turn is U = sum_a a_a B_a with B = (1, i sigma_x, i sigma_y, i sigma_z) on B, so
+    <U phi|O|U phi> = sum_ab a_a a_b <phi|B_a^dag O B_b|phi>.  A_ab is the Hermitian part
+    of O_ab = delta_ab O - B_a^dag O B_b, and Re<u|M|u> = sum_ij Re M_ij Re(u_i^* u_j) -
+    Im M_ij Im(u_i^* u_j) reads each 16 columns: M = A_ab for Z_B and for 2 XX, then
+    M = A_ab XX for both.  Built on first use, since only the eigen route reads it.
+    """
+    turns = [qmath.pauli("i")] + [1j * qmath.pauli(axis) for axis in "xyz"]
+    b = np.stack([qmath.tensor(qmath.pauli("i"), turn) for turn in turns])
+    herms = []
+    for op in (qmath.Z_B, 2.0 * qmath.XX):
+        o_ab = np.eye(4)[:, :, None, None] * op - np.einsum("aji,jk,bkl->abil", b.conj(), op, b)
+        herms.append(0.5 * (o_ab + np.swapaxes(o_ab, 0, 1)))
+    columns = []
+    for right in (np.eye(4), qmath.XX):
+        for herm in herms:
+            m = (herm @ right).reshape(16, 16)
+            columns.append(np.concatenate([m.real.T, -m.imag.T]))
+    maps = np.concatenate(columns, axis=1)
+    maps.setflags(write=False)
+    return maps
+
+
+def turn_gains(params: ParamsBlock, coeffs: np.ndarray) -> np.ndarray:
+    """Each outcome's D, (B, n, 4, 4) of a coefficient block (B, n, 4): a turn a takes a^T D a.
+
+    Bob's turn U = cos(omega) + i sin(omega) n . sigma on B is the unit 4-vector
+    a = (cos omega, sin omega n).  With O = h Z_B + 2 k XX (H_A commutes with U, and the
+    identity offsets cancel), the energy the turn extracts from phi = M_A(mu)|g> is
+    <phi|O|phi> - <U phi|O|U phi> = a^T D a, D_ab = Re <phi|delta_ab O - B_a^dag O B_b|phi>.
+
+    D is read from the kets u = M_A(mu)|++> through ``gain_maps``, not from phi itself.
+    |g> = g0|++> + g3|--> with g0^2 = (1 - cos sigma)/2, g3^2 = (1 + cos sigma)/2 and
+    2 g0 g3 = -sin sigma, and M_A(mu) commutes with XX, so phi = g0 u + g3 XX u and
+    D = g0^2 D[u] + g3^2 D[XX u] - sin sigma D[u, XX u].  XX O_ab(h, k) XX is
+    s_a s_b O_ab(-h, k), so the first two terms are D[u]'s entries times 1 or
+    -cos sigma, exactly.  h/eps thus enters as a factor, never as the difference
+    g0^2 - g3^2 of two numbers near 1/2 that phi's own entries would give.
+    """
+    u = measured_kets(np.eye(4)[:1], coeffs)
+    own = (u.conj()[..., :, None] * u[..., None, :]).reshape(u.shape[:-1] + (16,))
+    d = np.concatenate([own.real, own.imag], axis=-1) @ gain_maps()
+    h, k, _, cos, sin = (np.asarray(x)[:, None, None] for x in vars(params).values())
+    z_part = np.where(_FLIPPED, 1.0, -cos) * d[..., :16] - sin * d[..., 32:48]
+    xx_part = np.where(_FLIPPED, -cos, 1.0) * d[..., 16:32] - sin * d[..., 48:]
+    return (h * z_part + k * xx_part).reshape(u.shape + (4,))
 
 
 @dataclass(frozen=True)
@@ -152,7 +217,7 @@ def measured_block(params: ParamsBlock, coeffs: np.ndarray) -> MeasuredBlock:
     """The ``MeasuredBlock`` of a ``ParamsBlock`` and a coefficient block (B, n, 4)."""
     parts = build_hamiltonian(params)
     g = ground_state(params)
-    kets = (measurement.kraus_operators(coeffs) @ g[:, None, :, None])[..., 0]
+    kets = measured_kets(g, coeffs)
     e_a = qmath.expectation(kets, parts.total[:, None]).sum(axis=-1)
     scale = np.maximum(1.0, np.maximum(np.abs(e_a), np.abs(parts.total).max(axis=(-2, -1))))
     p, q = measurement.weight_block(coeffs)

@@ -3,8 +3,8 @@
 Each of the 22 names in ``checks.CHECKS`` is one test that asserts its
 residual is within the registry's budget.  The capped routines run once per
 module at sizes above verify's caps: 10^4 ensemble members, each with its
-outcome-blind rotation and 1500 of them saturated, 100 policy searches on
-the ensemble's first members, and 200 random Hermitian matrices.
+outcome-blind rotation and 1500 of them saturated, the eigen maximum over
+policies on the ensemble's first 100 members, and 200 random Hermitian matrices.
 
 Two claims verify does not make stay as hand-written tests: the frozen unit
 constants, and the curvature signs of the rescaled kernels.  The constants
@@ -344,8 +344,8 @@ def test_a_fault_in_the_no_go_direct_route_alone_fails_no_go_passive(monkeypatch
 def test_frozen_unit_constants():
     projective = np.array([0.5, 0.5]), np.array([0.5, -0.5])
     closed_unit = analytic.max_EB_closed(UNIT, *projective)
-    weights = measurement.weight_block(measurement.projective_pair().rows[None])
-    numeric_unit = optimizer.maximize_over_policies(ParamsBlock.of([UNIT]), *weights)[0][0]
+    coeffs = measurement.projective_pair().rows[None]
+    numeric_unit = optimizer.maximize_over_policies(ParamsBlock.of([UNIT]), coeffs)[0][0]
     assert abs(closed_unit - MAX_EB_UNIT) <= 1e-6
     assert abs(numeric_unit - MAX_EB_UNIT) <= 1e-6
     assert abs(closed_unit - numeric_unit) <= 1e-8

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from minqet import analytic, checks, measurement, optimizer
+from minqet import analytic, checks, measurement
 from minqet.analytic import Y_AXIS, DomainError
 from minqet.measurement import weight_block
 from minqet.model import ModelParams, ParamsBlock
@@ -97,19 +97,28 @@ def test_q_of_keeps_its_digits_near_pi():
     assert abs(got - WEAK_Q_AT_OMEGA) <= 1e-14 * WEAK_Q_AT_OMEGA
 
 
-def test_max_value_over_omega_is_max_over_omega_value_bit_for_bit():
-    # rows (h, k, p, q) against 64 lattice axes and one in the x-z plane
+def test_max_over_omega_is_q_at_its_angle_on_every_branch():
+    # rows (h, k, p, q) against 64 axes spread over the sphere (z stratified, azimuth
+    # by the golden angle) and one in the x-z plane
     params = types.SimpleNamespace(
         h=np.array([[1.5], [0.8], [1.0]]),
         k=np.array([[1.0], [2.1], [1.0]]),
     )
     p, q = np.array([[0.5], [0.43], [0.0]]), np.array([[0.5], [-0.21], [0.0]])
-    axes = np.vstack([optimizer.fibonacci_sphere(64), [[math.sqrt(0.5), 0.0, math.sqrt(0.5)]]])
-    n = tuple(axes.T)
+    i = np.arange(64)
+    z, azimuth = 1.0 - (2.0 * i + 1.0) / 64, i * math.pi * (3.0 - math.sqrt(5.0))
+    r = np.sqrt(1.0 - z * z)
+    n = (
+        np.append(r * np.cos(azimuth), math.sqrt(0.5)),
+        np.append(r * np.sin(azimuth), 0.0),
+        np.append(z, math.sqrt(0.5)),
+    )
     x, g = analytic.X_of(params, p, q, n), params.h * params.k * q * n[1]
     assert (x < 0.0).any() and (x > 0.0).any() and ((x == 0.0) & (g == 0.0)).any()
-    value = analytic.max_value_over_omega(params, p, q, n)
-    assert value.tobytes() == analytic.max_over_omega(params, p, q, n)[0].tobytes()
+    value, omega = analytic.max_over_omega(params, p, q, n)
+    assert np.all(value >= 0.0)
+    at_omega = analytic.Q_of(params, p, q, omega, n)
+    assert np.all(np.abs(value - at_omega) <= 1e-15 * (np.abs(x) + np.abs(g)))
 
 
 @settings(max_examples=60, deadline=None)

@@ -10,6 +10,7 @@ import re
 import subprocess
 import sys
 import types
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -177,7 +178,7 @@ def test_omega_maximum_at_zero_q_is_not_a_false_fail(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "verify", "--seed", "0", "--ensemble", "24")
     # drawn through the patch: the ensemble and optimizer-vs-closed; the
     # saturated members get q = 0 too, so bound-770-equality scores none
-    assert [len(coeffs) for coeffs in drawn] == [24, 5]
+    assert [len(coeffs) for coeffs in drawn] == [24, 24]
     assert all(np.all(measurement.weight_block(coeffs)[1] == 0.0) for coeffs in drawn)
     (line,) = [ln for ln in out.splitlines() if ln.split()[1:2] == ["omega-maximum"]]
     assert line.startswith("PASS"), line
@@ -379,7 +380,7 @@ def test_sweep_rows_match_one_report_per_cell(tmp_path, capsys):
         for name in ("bound32", "bound770"):
             assert float(row[f"{name}_lhs"]) == bounds[name]["lhs"]
             assert float(row[f"{name}_rhs"]) == bounds[name]["rhs"]
-        if i % 9 == 0:  # the grid's search column is the one-case search
+        if i % 9 == 0:  # the grid's maximum column is the one-case maximum
             code, out, _ = run_cli(capsys, "optimize", *cell)
             assert code == 0
             assert float(row["maxE_B_numeric"]) == strict_json(out)["best_value"]
@@ -489,8 +490,9 @@ def test_sweep_and_evolve_csv_bytes_are_frozen(tmp_path, capsys):
     sweep = ["sweep", "--h", "0.3:3:5:log", "--k", "0.4:2.5:4:log", "--povm", str(povm)]
     assert run_cli(capsys, *sweep, "--out", str(tmp_path / "s"))[0] == 0
     text = (tmp_path / "s" / "sweep.csv").read_bytes()
+    # re-recorded (was 455fc864...) when maxE_B_numeric became the eigen maximum
     assert hashlib.sha256(text).hexdigest() == (
-        "455fc864c9164836c92e741f9d945954d0ae23c82212f22b524546a86ec0fdb5"
+        "e2a52e150b63ec7d79e96c1feae2242aa44a8cfc8eb7998a08a78b2de8adcd1e"
     )
     evolve = ["evolve", "--h", "0.8", "--k", "2.1", "--povm", str(povm), "--t-max", "3"]
     code, out, err = run_cli(capsys, *evolve, "--points", "100")
@@ -501,10 +503,10 @@ def test_sweep_and_evolve_csv_bytes_are_frozen(tmp_path, capsys):
 
 
 def test_sweep_grid_block_is_the_model_params_block(tmp_path, capsys, monkeypatch):
-    # the search is the first to see the grid's block; stop the sweep there
+    # the eigen maximum is the first to see the grid's block; stop the sweep there
     seen = []
 
-    def spy(params, p, q):
+    def spy(params, coeffs):
         seen.append(params)
         raise RuntimeError("grid seen")
 
@@ -558,29 +560,35 @@ def test_optimize_policy_json(capsys):
     )
     assert code == 0
     payload = strict_json(out)
-    assert abs(payload["best_value"] - MAX_EB_UNIT) <= 1e-7
+    assert abs(payload["best_value"] - MAX_EB_UNIT) <= 1e-15
     assert abs(payload["closed_form_max"] - MAX_EB_UNIT) <= 1e-12
-    assert payload["converged"] is True
+    # nothing iterates, so there is no evaluation count and no convergence flag
+    assert sorted(payload) == ["best_value", "closed_form_max", "over", "params", "policy", "povm"]
     assert len(payload["policy"]) == 2
 
 
-def y_turns(*omegas):
-    """A policy payload of turns about the y axis."""
-    return [{"omega": w, "n": [0.0, 1.0, 0.0]} for w in omegas]
+def turns(*rows):
+    """A policy payload of turns given as (omega, nx, ny, nz) rows."""
+    return [{"omega": w, "n": list(n)} for w, *n in rows]
 
 
-# optimize --over policy payloads frozen from the object-based search it
-# replaced (commit 9a5f913): (POVM, h, k, payload without povm.source); a
-# "weights" POVM is written to a file first
+# optimize --over policy payloads of the eigen route: (POVM, h, k, payload without
+# povm.source); a "weights" POVM is written to a file first.  They were recorded when
+# the route replaced the policy search, whose payloads printed turns about the y axis
+# with an evaluation count and a convergence flag (best_value 0.11474763394014711,
+# 0.005970165909301643, 0.06884858036408827 and 0.021042960957275023).
 OPTIMIZE_POLICY_FROZEN = (
     (
         "builtin:projective", "1", "1",
         {
             "over": "policy", "params": {"h": 1.0, "k": 1.0},
             "povm": {"sha256": "72aba9966ce12bababec98dc8cd14dd151ff6c128776230690fecb77d98e9642"},
-            "best_value": 0.11474763394014711, "closed_form_max": 0.11474763394014707,
-            "policy": y_turns(2.980717376391472, 0.1608752771983211),
-            "evaluations": 602, "converged": True,
+            "best_value": 0.1147476339401472, "closed_form_max": 0.11474763394014707,
+            # at |q| = p the printed turn is one member of a degenerate family
+            "policy": turns(
+                (1.5707963267948966, -0.8112421851755609, 0.0, -0.584710284663765),
+                (1.5707963267948966, -0.8112421851755609, 0.0, 0.584710284663765),
+            ),
         },
     ),
     (
@@ -588,9 +596,10 @@ OPTIMIZE_POLICY_FROZEN = (
         {
             "over": "policy", "params": {"h": 0.8, "k": 2.1},
             "povm": {"sha256": "578b88be729304c8272efacea5f6bcce341b293f8c90587e8569922706665c89"},
-            "best_value": 0.005970165909301643, "closed_form_max": 0.005970165909301644,
-            "policy": y_turns(3.114979336805358, 0.026613316784435077),
-            "evaluations": 619, "converged": True,
+            "best_value": 0.005970165909301646, "closed_form_max": 0.005970165909301644,
+            "policy": turns(
+                (0.026613316784435084, 0.0, -1.0, 0.0), (0.026613316784435084, 0.0, 1.0, 0.0)
+            ),
         },
     ),
     (
@@ -599,9 +608,11 @@ OPTIMIZE_POLICY_FROZEN = (
         {
             "over": "policy", "params": {"h": 1.0, "k": 1.0},
             "povm": {"sha256": "31c45ee21a93a7d14f08f8aba77d910f631b472b3d11bb91f0fe4f61ec089398"},
-            "best_value": 0.06884858036408827, "closed_form_max": 0.06884858036408825,
-            "policy": y_turns(2.980717376391472, 0.0, 0.0, 0.1608752771983211),
-            "evaluations": 863, "converged": True,
+            "best_value": 0.06884858036408828, "closed_form_max": 0.06884858036408825,
+            "policy": turns(
+                (0.1608752771983211, 0.0, -1.0, 0.0), (0.0, 0.0, 1.0, 0.0),
+                (0.0, 0.0, 1.0, 0.0), (0.1608752771983211, 0.0, 1.0, 0.0),
+            ),
         },
     ),
     (
@@ -620,12 +631,15 @@ OPTIMIZE_POLICY_FROZEN = (
         {
             "over": "policy", "params": {"h": 0.8, "k": 2.1},
             "povm": {"sha256": "e01696ca25911ddb65738f1915719163a3062175f6c88187c5837f8532477795"},
-            "best_value": 0.021042960957275023, "closed_form_max": 0.021042960957275026,
-            "policy": y_turns(
-                3.126498490939776, 3.0649515230194027, 0.021647230338661366,
-                0.034259111466404236, 3.0537139279873564, 0.041821801145413104,
+            "best_value": 0.021042960957275036, "closed_form_max": 0.021042960957275026,
+            "policy": turns(
+                (0.015094162650017144, 0.0, -1.0, 0.0),
+                (0.07664113057039054, 0.0, -1.0, 0.0),
+                (0.021647230338661366, 0.0, 1.0, 0.0),
+                (0.03425911146640425, 0.0, 1.0, 0.0),
+                (0.08787872560243672, 0.0, -1.0, 0.0),
+                (0.041821801145413104, 0.0, 1.0, 0.0),
             ),
-            "evaluations": 1843, "converged": True,
         },
     ),
 )
@@ -647,33 +661,32 @@ def test_optimize_policy_payload_is_frozen(capsys, tmp_path, povm, h, k, frozen)
         assert abs(math.sqrt(sum(c * c for c in turn["n"])) - 1.0) <= 1e-12
 
 
-# (h, k, outcomes of the 20 printed with the search's own axis, not the y axis); with the
-# tie rule off, the y axis replaces only a search axis of exactly its value
-@pytest.mark.parametrize(
-    "h, k, searched", [("1e-6", "1", 20), ("1", "1e-6", 20), ("0.8", "2.1", 20)]
-)
-def test_optimize_prints_the_search_axes_divided_by_their_lengths(
-    capsys, tmp_path, monkeypatch, h, k, searched
-):
-    monkeypatch.setattr(optimizer, "TIE_RTOL", 0.0)
-    own = 0
-    for n in range(2, 7):
-        meas = measurement.random_measurement(seed=0, n_outcomes=n)
-        path = tmp_path / f"povm-{n}.json"
+# at |q| = p the best turns form a family, and optimize prints one member of it with no
+# tie rule: each printed turn a = (cos omega, sin omega n) attains its outcome's top
+# eigenvalue of D to rounding
+@pytest.mark.parametrize("h, k", [("1e-6", "1"), ("1", "1e-6"), ("0.8", "2.1"), ("1", "1")])
+def test_optimize_prints_turns_that_attain_the_top_eigenvalue(capsys, tmp_path, h, k):
+    weights = ([0.3, 0.0, 0.4, 0.3], [0.3, 0.0, 0.0, -0.3])  # |q| = p, zero mass and q = 0
+    models = [measurement.MeasurementModel.from_weights(*weights), measurement.projective_pair()]
+    models += [measurement.random_measurement(seed=0, n_outcomes=n) for n in range(2, 7)]
+    for i, meas in enumerate(models):
+        path = tmp_path / f"povm-{i}.json"
         path.write_text(json.dumps(measurement.to_json_obj(meas)))
         code, out, err = run_cli(capsys, "optimize", "--h", h, "--k", k, "--povm", str(path))
         assert (code, err) == (0, "")
-        printed = [turn["n"] for turn in strict_json(out)["policy"]]
+        policy = strict_json(out)["policy"]
+        omega = np.array([turn["omega"] for turn in policy])
+        a = np.column_stack([np.cos(omega), np.sin(omega)[:, None] * [t["n"] for t in policy]])
         block = ParamsBlock.of([ModelParams(h=float(h), k=float(k))])
-        weights = measurement.weight_block(meas.rows[None])
-        axes = optimizer.maximize_over_policies(block, *weights)[2]
-        # each component over the length, in Python float arithmetic
-        lengths = [math.sqrt(x * x + y * y + z * z) for x, y, z in axes[0].tolist()]
-        assert printed == [[c / r for c in axis] for axis, r in zip(axes[0].tolist(), lengths)]
-        for axis in printed:
-            assert abs(math.sqrt(sum(c * c for c in axis)) - 1.0) <= 4e-16
-        own += sum(axis != list(analytic.Y_AXIS) for axis in printed)
-    assert own == searched
+        gains = protocol.turn_gains(block, meas.rows[None])[0]
+        attained = np.einsum("ma,mab,mb->m", a, gains, a)
+        top = np.linalg.eigvalsh(gains)[:, -1]
+        scale = np.abs(gains).max(axis=(-2, -1))
+        assert np.all(np.abs(attained - top) <= 1e-15 * scale), (i, attained - top, scale)
+        for turn in policy:
+            assert abs(math.sqrt(sum(c * c for c in turn["n"])) - 1.0) <= 4e-16
+            assert 0.0 <= turn["omega"] <= math.pi / 2.0
+            assert all(math.copysign(1.0, c) > 0.0 for c in turn["n"] if c == 0.0)  # no -0.0
 
 
 def test_optimize_weights_json(capsys):
@@ -721,23 +734,32 @@ def test_numeric_failure_exits_one_without_traceback(capsys, recwarn, tmp_path, 
     assert not recwarn.list, [str(w.message) for w in recwarn.list]
 
 
-# a policy search or a sweep column that overflows to inf is no verified number: exit 1,
-# one error line, nothing on stdout and no file written.  NumPy's overflow warnings from
-# analytic._omega_peak on the way are tolerated; that overflow is an open item of its own.
+# a maximum or a sweep column that is not finite is no verified number: exit 1, one
+# error line, nothing on stdout and no file written.  The eigen maximum is finite wherever
+# the run is, so the fault is injected: the maximum of the last case times inf.
 @pytest.mark.parametrize(
     "argv",
     [
-        "optimize --over policy --h 1e78 --k 1e78 --povm builtin:weak(0.3)",
-        "sweep --h 1e100 --k 1e100 --povm builtin:weak(0.3) --out {out}",
+        "optimize --over policy --h 0.8 --k 2.1 --povm builtin:weak(0.3)",
+        "sweep --h 0.3:3:3:log --k 0.8 --povm builtin:weak(0.3) --out {out}",
     ],
     ids=["optimize", "sweep"],
 )
-def test_a_non_finite_result_exits_one_with_no_output(capsys, recwarn, tmp_path, argv):
+def test_a_non_finite_result_exits_one_with_no_output(
+    capsys, recwarn, monkeypatch, tmp_path, argv
+):
+    route = optimizer.maximize_over_policies
+
+    def overflowing(block, coeffs):
+        value, *table = route(block, coeffs)
+        return (value * np.where(block.h == block.h[-1], np.inf, 1.0), *table)
+
+    monkeypatch.setattr(optimizer, "maximize_over_policies", overflowing)
     out_dir = tmp_path / "nonfinite"
     code, out, err = run_cli(capsys, *argv.format(out=out_dir).split())
     assert (code, out) == (1, "")
     assert re.fullmatch(r"error: ArithmeticError: [^\n]* not finite[^\n]*\n", err), err
-    assert all(issubclass(w.category, RuntimeWarning) for w in recwarn.list)
+    assert not recwarn.list, [str(w.message) for w in recwarn.list]
     assert not out_dir.exists()
 
 
@@ -763,36 +785,70 @@ def test_sweep_meets_the_closed_maximum_at_a_small_scale(tmp_path, capsys):
         assert abs(float(row["maxE_B_numeric"]) - closed) <= 1e-7 * closed, row
 
 
-# a numeric maximum off its closed value by more than the budget is no verified number:
-# at h = k = 1e-100 the search's value underflows to 0.0 (gap 1.0)
+# a numeric maximum off its closed value by more than the budget is no verified number.
+# The eigen maximum meets the closed one wherever both are finite, so the fault is
+# injected: the maximum of the last case doubled, a gap of 1.
 @pytest.mark.parametrize(
-    "argv",
+    "argv, case",
     [
-        "optimize --over policy --h 1e-100 --k 1e-100 --povm builtin:weak(0.3)",
-        "sweep --h 1e-100 --k 1e-100 --povm builtin:weak(0.3) --out {out}",
+        ("optimize --over policy --h 0.8 --k 2.1 --povm builtin:weak(0.3)", "case 0 at h 0.8"),
+        ("sweep --h 0.3:3:3:log --k 2.1 --povm builtin:weak(0.3) --out {out}", "case 2 at h 3.0"),
     ],
     ids=["optimize", "sweep"],
 )
-def test_a_maximum_off_its_closed_value_exits_one_with_no_output(capsys, recwarn, tmp_path, argv):
+def test_a_maximum_off_its_closed_value_exits_one_with_no_output(
+    capsys, recwarn, monkeypatch, tmp_path, argv, case
+):
+    route = optimizer.maximize_over_policies
+
+    def doubled(block, coeffs):
+        value, *table = route(block, coeffs)
+        return (value * np.where(block.h == block.h[-1], 2.0, 1.0), *table)
+
+    monkeypatch.setattr(optimizer, "maximize_over_policies", doubled)
     out_dir = tmp_path / "refused"
     code, out, err = run_cli(capsys, *argv.format(out=out_dir).split())
     assert (code, out) == (1, "")
-    assert err == (
-        "error: RuntimeError: numeric maximum differs from its closed value in case 0"
-        " at h 1e-100, k 1e-100 (gap 1.0, budget 1e-07)\n"
+    named = re.fullmatch(
+        r"error: RuntimeError: numeric maximum differs from its closed value in "
+        + case + r", k 2.1 \(gap (\S+), budget 1e-07\)\n",
+        err,
     )
+    assert named, err
+    assert abs(float(named.group(1)) - 1.0) <= 1e-14
     assert not recwarn.list, [str(w.message) for w in recwarn.list]
     assert not out_dir.exists()
 
 
+# with every warning an error, optimize, sweep and report answer at h = k from 1e-150 to
+# 1e150 and at h << k, and the eigen maximum meets the closed one to 1e-15 relative
+@pytest.mark.parametrize(
+    "h, k", [(f"1e{e}", f"1e{e}") for e in (-150, -100, -80, 0, 78, 100, 150)]
+    + [("1e-9", "1"), ("1e-12", "1")],
+)
+def test_every_command_answers_without_a_warning_across_the_scales(capsys, tmp_path, h, k):
+    cell = ["--h", h, "--k", k, "--povm", "builtin:weak(0.3)"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        optimized = run_cli(capsys, "optimize", "--over", "policy", *cell)
+        swept = run_cli(capsys, "sweep", *cell, "--out", str(tmp_path / "sweep"))
+        reported = run_cli(capsys, "report", *cell)
+    for code, _, err in (optimized, swept, reported):
+        assert (code, err) == (0, "")
+    payload = strict_json(optimized[1])
+    closed = payload["closed_form_max"]
+    assert abs(payload["best_value"] - closed) <= 1e-15 * closed
+    assert strict_json(reported[1])["energies"]["maxE_B_closed"] == closed
+
+
 def test_sweep_refuses_a_search_value_off_by_a_millionth(tmp_path, capsys, monkeypatch):
-    # only row 67 of the grid sees its search value scaled by 1 + 1e-6
+    # only row 67 of the grid sees its maximum scaled by 1 + 1e-6
     h_range, k_range, row = "0.3:3:9:log", "0.4:2.5:8:log", 67
     h, k = cli.parse_range(h_range)[row // 8], cli.parse_range(k_range)[row % 8]
     search = optimizer.maximize_over_policies
 
-    def scaled(block, p, q):
-        value, *rest = search(block, p, q)
+    def scaled(block, coeffs):
+        value, *rest = search(block, coeffs)
         return (value * np.where((block.h == h) & (block.k == k), 1.0 + 1e-6, 1.0), *rest)
 
     monkeypatch.setattr(optimizer, "maximize_over_policies", scaled)
@@ -846,7 +902,7 @@ def test_unknown_subcommand(capsys):
 
 # in this order in one process, each call prints what it prints as the first
 # call of a fresh interpreter: a report, a usage error, a 6-outcome weights
-# search, the default 2 outcomes back, a policy search with no --povm, a verify
+# search, the default 2 outcomes back, a policy maximum with no --povm, a verify
 REUSE_CALLS = [
     "report --h 0.8 --k 2.1 --povm builtin:weak(0.3)",
     "report --h 0.8 --k 2.1",

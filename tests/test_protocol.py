@@ -58,6 +58,22 @@ def test_run_optimal_projective_unit_point():
     assert report.total_final_energy >= -1e-10
 
 
+def test_turn_gains_is_the_form_of_the_measured_kets():
+    # D_ab = Re<phi|delta_ab O - B_a^dag O B_b|phi>, O = h Z_B + 2 k XX, on the kets
+    # phi = M_A(mu)|g> themselves, with the operators built here
+    block, coeffs = checks.draw_members(5, range(40))[:2]
+    phi = protocol.measured_kets(ground_state(block), coeffs)
+    turns = [np.eye(4)] + [qmath.tensor(qmath.pauli("i"), 1j * qmath.pauli(a)) for a in "xyz"]
+    o = block.h[:, None, None, None] * qmath.Z_B + 2.0 * block.k[:, None, None, None] * qmath.XX
+    direct = np.empty(phi.shape[:-1] + (4, 4))
+    for a in range(4):
+        for b in range(4):
+            op = (a == b) * o - turns[a].conj().T @ o @ turns[b]
+            direct[..., a, b] = (phi.conj()[..., None, :] @ op @ phi[..., None])[..., 0, 0].real
+    gains = protocol.turn_gains(block, coeffs)
+    assert np.abs(gains - direct).max() <= 1e-14 * np.abs(direct).max()
+
+
 def test_run_entropy_fields_delegate():
     model = measurement.projective_pair()
     report = run_batch([(UNIT, model, [Y_TURN] * 2)])

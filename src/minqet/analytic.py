@@ -40,7 +40,6 @@ import numpy as np
 from .measurement import DEGENERATE_PROB
 from .model import ModelParams
 
-LN2 = math.log(2.0)
 # the rotation axis of every outcome's closed-form maximum (z = 0)
 Y_AXIS = (0.0, 1.0, 0.0)
 
@@ -94,18 +93,6 @@ def Q_of(params: ModelParams, p, q, omega, n: tuple[float, float, float]):
     )
 
 
-def _omega_peak(params: ModelParams, p, q, n) -> tuple:
-    """X, G = h k q n_y and the maximum of Q over omega, sqrt(X^2 + G^2) - X."""
-    x = X_of(params, p, q, n)
-    g = params.h * params.k * q * n[1]
-    radius = np.hypot(x, g)
-    # For X > 0 the difference sqrt(X^2 + G^2) - X cancels when |G| << X.
-    # g (g / (radius + x)) rather than g g / (radius + x): g g over- or underflows at
-    # scales where the quotient does not.
-    positive = x > 0.0
-    return x, g, np.where(positive, g * (g / np.where(positive, radius + x, 1.0)), radius - x)
-
-
 def max_over_omega(params: ModelParams, p, q, n: tuple[float, float, float]) -> tuple:
     """Maximum of Q over the rotation angle for a fixed axis, and its argmax.
 
@@ -118,7 +105,14 @@ def max_over_omega(params: ModelParams, p, q, n: tuple[float, float, float]) -> 
     It reads only ``params.h`` and ``params.k``, so any object with those
     two attributes will do.
     """
-    x, g, value = _omega_peak(params, p, q, n)
+    x = X_of(params, p, q, n)
+    g = params.h * params.k * q * n[1]
+    radius = np.hypot(x, g)
+    # For X > 0 the difference sqrt(X^2 + G^2) - X cancels when |G| << X.
+    # g (g / (radius + x)) rather than g g / (radius + x): g g over- or underflows at
+    # scales where the quotient does not.
+    positive = x > 0.0
+    value = np.where(positive, g * (g / np.where(positive, radius + x, 1.0)), radius - x)
     omega = np.where((x == 0.0) & (g == 0.0), 0.0, 0.5 * np.arctan2(-g, x) % math.pi)
     return value, omega
 
@@ -303,6 +297,3 @@ def weak_limit_ratio(params: ModelParams, u):
     x = u * u
     return params.eps * f_I(params, x) / f_E(params, x)
 
-
-def nats_to_bits(value: float) -> float:
-    return value / LN2

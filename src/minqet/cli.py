@@ -16,6 +16,7 @@ import argparse
 import functools
 import hashlib
 import json
+import math
 import re
 import sys
 import time
@@ -258,15 +259,14 @@ def cmd_sweep(args) -> int:
     # parse_range's values are positive and finite: the rows need no ModelParams check
     block = ParamsBlock.of_rows([params_row(h, k) for h in h_values for k in k_values])
     coeffs = np.broadcast_to(meas.rows, (len(block.h),) + meas.rows.shape)
-    weights = measurement.weight_block(coeffs)
-    # one eigen maximum over policies and one batched run for the whole grid
-    numeric = optimizer.maximize_over_policies(block, coeffs)[0]
-    run = protocol.run_many(block, coeffs, *protocol.optimal_table(block, *weights))
+    # one eigen maximum over policies, and one batched run of its turns, for the whole grid
+    numeric, *policy = optimizer.maximize_over_policies(block, coeffs)
+    run = protocol.run_many(block, coeffs, *policy)
     closed, delta_s = run.max_eb_closed, run.delta_s
     # one row per cell, in SWEEP_COLUMNS order
     columns = (
         block.h, block.k, run.e_a, closed, numeric, delta_s, run.mutual_info, delta_s,
-        run.bound32_rhs, closed, run.bound770_rhs, analytic.nats_to_bits(delta_s),
+        run.bound32_rhs, closed, run.bound770_rhs, delta_s / math.log(2.0),
     )
     if not np.isfinite(columns).all():
         raise ArithmeticError("a sweep result is not finite; neither file is written")

@@ -19,8 +19,9 @@ The work is done on stacks: ``consumption_block`` takes the ground kets and
 post-measurement kets of N cases at once, diagonalizes every reduced state
 of the batch in one call, and returns its entropies as columns.
 ``protocol.measured_block`` feeds it the kets it has just built, and one
-case is a block of one.  ``reduced_post_states``, ``pointer_state_dense``
-and the scalar entropies are reference routes the tests compare it with.
+case is a block of one.  ``reduced_post_states``, which builds its kets by
+``measurement.measured_kets``, ``pointer_state_dense`` and the scalar
+entropies are reference routes the tests compare it with.
 """
 
 from __future__ import annotations
@@ -86,7 +87,7 @@ def entropy_of_entanglement(psi: np.ndarray) -> float:
     norm = float(np.linalg.norm(psi))
     if abs(norm - 1.0) > 1e-10:
         raise measurement.NotNormalized(f"ket norm is {norm!r}, expected 1")
-    rho_b = qmath.partial_trace(qmath.projector(psi), keep="B")
+    rho_b = qmath.partial_trace(qmath.projector(psi))
     return von_neumann_entropy(rho_b)
 
 
@@ -105,7 +106,7 @@ def _post_states(kets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     prob = np.einsum("...i,...i->...", kets.conj(), kets).real
     live = prob >= measurement.DEGENERATE_PROB
-    rho_b = qmath.partial_trace(qmath.projector(kets), keep="B")
+    rho_b = qmath.partial_trace(qmath.projector(kets))
     rho_b /= np.where(live, prob, 1.0)[..., None, None]
     rho_b[~live] = 0.0
     return np.where(live, prob, 0.0), rho_b
@@ -123,7 +124,7 @@ def consumption_block(ground: np.ndarray, kets: np.ndarray) -> EntanglementRepor
     size = len(ground)
     prob, rho_b = _post_states(kets)
     live = prob > 0.0
-    rho_ground = qmath.partial_trace(qmath.projector(ground), keep="B")
+    rho_ground = qmath.partial_trace(qmath.projector(ground))
     phi_b = np.einsum("...m,...mij->...ij", prob, rho_b)
     vals, _ = qmath.hermitian_eig(np.concatenate([rho_ground, phi_b, rho_b[live]]))
     entropies = _spectrum_entropy(vals)
@@ -143,7 +144,7 @@ def reduced_post_states(
     params: model.ModelParams, meas: measurement.MeasurementModel
 ) -> list[tuple[float, np.ndarray | None]]:
     """Per outcome, the Born probability and reduced state of B (None if degenerate)."""
-    prob, rho_b = _post_states(measurement.kraus_operators(meas.rows) @ model.ground_state(params))
+    prob, rho_b = _post_states(measurement.measured_kets(model.ground_state(params), meas.rows))
     return [(p, rho) if p > 0.0 else (0.0, None) for p, rho in zip(prob.tolist(), rho_b)]
 
 

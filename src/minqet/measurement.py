@@ -30,9 +30,9 @@ constraint, once per block.  ``MeasurementModel`` is one model's (n, 4) rows,
 checked once by ``check_block`` when it is built, and is the object of the
 JSON and CLI edge; ``MeasurementModel.from_weights`` (weights p, q through
 ``canonical_coeffs``) and ``random_measurement`` (a one-member ``draw_block``)
-build it by the same array path, and ``weight_block`` reads its weights back.
-Weights (n, ...) put the outcome axis first, as ``analytic`` and
-``balance_weights`` take them.
+build it by the same array path, ``weight_block`` reads its weights back and
+``measured_kets`` applies it to kets.  Weights (n, ...) put the outcome axis
+first, as ``analytic`` and ``balance_weights`` take them.
 """
 
 from __future__ import annotations
@@ -156,6 +156,14 @@ def kraus_operators(coeffs: np.ndarray) -> np.ndarray:
     """M_A(mu) tensored with identity on B for coefficient rows (..., 4): shape (..., 4, 4)."""
     m, l, alpha, delta = (coeffs[..., i, None, None] for i in range(4))
     return np.exp(1j * delta) * (m * qmath.EYE4 + l * np.exp(1j * alpha) * qmath.X_A)
+
+
+def measured_kets(ket: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """The unnormalized kets M_A(mu)|psi>, (..., n, 4), of kets (..., 4) and rows (..., n, 4).
+
+    One ket (4,) takes one model's rows (n, 4), and kets (B, 4) a coefficient block (B, n, 4).
+    """
+    return (kraus_operators(coeffs) @ ket[..., None, :, None])[..., 0]
 
 
 def block_residuals(coeffs: np.ndarray) -> dict[str, np.ndarray]:

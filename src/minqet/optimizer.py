@@ -65,13 +65,13 @@ def maximize_over_policies(params: ParamsBlock, coeffs: np.ndarray) -> tuple:
 
     ``coeffs`` is the coefficient block (N, n, 4).  Each outcome with p >
     DEGENERATE_PROB adds the top eigenvalue of its ``protocol.turn_gains`` D and
-    turns by its top eigenvector a, signed so that a_0 >= 0: omega =
-    atan2(|a_vec|, a_0) in [0, pi/2] about n = a_vec / |a_vec|.  At |q| = p the
-    best turns form a whole family with one eigenvalue, and the turn is the
-    eigenvector ``numpy.linalg.eigh`` returns; there is no tie rule.  Other
-    outcomes, and a top eigenvector with a_vec = 0, keep the identity about
-    ``analytic.Y_AXIS``.  Returns the columns (best_value, omega, axes): values
-    summed in outcome order (N,), and the policy table (N, n) and (N, n, 3).
+    turns by its top eigenvector a, signed so that a_0 >= 0 and read by
+    ``protocol.turn_policy``: omega = atan2(|a_vec|, a_0) in [0, pi/2] about
+    n = a_vec / |a_vec|.  At |q| = p the best turns form a whole family with one
+    eigenvalue, and the turn is the eigenvector ``numpy.linalg.eigh`` returns; there
+    is no tie rule.  Other outcomes, and a top eigenvector with a_vec = 0, keep the
+    identity about ``analytic.Y_AXIS``.  Returns the columns (best_value, omega, axes):
+    values summed in outcome order (N,), and the policy table (N, n) and (N, n, 3).
     """
     live = (measurement.weight_block(coeffs)[0] > measurement.DEGENERATE_PROB).T  # (N, n)
     top, turn = np.empty(live.shape), np.empty(live.shape + (4,))
@@ -83,12 +83,8 @@ def maximize_over_policies(params: ParamsBlock, coeffs: np.ndarray) -> tuple:
         top[block], turn[block] = values[..., -1], vectors[..., _EIGEN_ORDER, -1]
     turn = np.where(live[..., None], turn, (1.0, 0.0, 0.0, 0.0))
     turn = np.where(turn[..., :1] < 0.0, -turn, turn) + 0.0  # a_0 >= 0, and no -0.0 printed
-    sin_omega = np.sqrt((turn[..., 1:] * turn[..., 1:]).sum(axis=-1))
-    turning = (sin_omega > 0.0)[..., None]
-    axes = np.where(turning, turn[..., 1:] / np.where(turning, sin_omega[..., None], 1.0),
-                    analytic.Y_AXIS)
     value = np.add.accumulate(np.where(live, top, 0.0), axis=1)[:, -1]
-    return value, np.arctan2(sin_omega, turn[..., 0]), axes
+    return (value, *protocol.turn_policy(turn))
 
 
 def _project_weights(raw_p: np.ndarray, raw_u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -10,20 +10,23 @@ in is E_A = sum_mu <g| M^dag H M |g>; the energy extracted at B is
 E_B = E_A - Tr[rho H] = -Tr[rho (H_B + V)].
 
 A policy is a table: angles omega (N, n) and axes (N, n, 3), one row per
-case, such as ``optimal_table``'s.  Every run starts from ``measured_block``
-on a ``ParamsBlock`` and a coefficient block (N, n, 4): the kets M_A(mu)|g>
-as one (N, n, 4) array, zero-padded to the largest outcome count, with the
-weights in the closed forms' (n, N) layout.  ``run_block`` rotates B by a
-policy table and returns per-case columns, and ``run_many`` computes them
-BLOCK cases at a time; ``evolve_series`` computes its (T,) columns BLOCK
-times at a time.  One case is a block of one, and an outcome-blind
-rotation W of B, such as a ``haar_turns`` row, is the policy that applies W
-at every outcome.  Each rotation acts as a 2x2 block on the ket read as an
+case, such as ``optimal_table``'s.  A turn is also a unit 4-vector
+a = (cos omega, sin omega n), and ``turn_policy`` is the one reading of such
+vectors as a table.  Every run starts from ``measured_block`` on a
+``ParamsBlock`` and a coefficient block (N, n, 4): the kets M_A(mu)|g>
+(``measurement.measured_kets``) as one (N, n, 4) array, zero-padded to the
+largest outcome count, with the weights in the closed forms' (n, N) layout.
+``run_block`` rotates B by a policy table and returns per-case columns, and
+``run_many`` computes them BLOCK cases at a time; ``evolve_series`` computes
+its (T,) columns BLOCK times at a time.  One case is a block of one, and an
+outcome-blind rotation W of B, such as a ``haar_turns`` row, is the policy
+that applies W at every outcome.  Each rotation acts as a 2x2 block on the ket read as an
 (a, b) matrix, and every energy is a stacked ``qmath.expectation``:
 Tr[rho O] is its sum over the kets of rho.  Born's rule is
 ``entanglement.consumption_block``'s, computed once per ``MeasuredBlock``.
 ``turn_gains`` gives each outcome's 4x4 matrix D of Bob's turns, whose top
-eigenpair ``optimizer.maximize_over_policies`` reads as the best turn.
+eigenpair ``optimizer.maximize_over_policies`` reads as the best turn; ``minqet
+sweep`` runs that turn's table through ``run_many``.
 
 Every run cross-checks its own arithmetic: E_A must match its closed form,
 E_B by Tr[rho H] the per-outcome rows' sum of prob (<H_B> + <V>) and the
@@ -65,9 +68,16 @@ def rotate_b(kets: np.ndarray, u: np.ndarray) -> np.ndarray:
     return (kets.reshape(kets.shape[:-1] + (2, 2)) @ np.swapaxes(u, -1, -2)).reshape(kets.shape)
 
 
-def measured_kets(ground: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """The unnormalized kets M_A(mu)|g> of grounds (B, 4), or one (1, 4), and coeffs (B, n, 4)."""
-    return (measurement.kraus_operators(coeffs) @ ground[:, None, :, None])[..., 0]
+def turn_policy(turns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The angles (...) and axes (..., 3) of turns a = (cos omega, sin omega n), unit (..., 4).
+
+    omega = atan2(|a_vec|, a_0) about n = a_vec / |a_vec|; a turn with a_vec = 0 gets
+    ``analytic.Y_AXIS``.
+    """
+    sin_omega = np.sqrt((turns[..., 1:] * turns[..., 1:]).sum(axis=-1, keepdims=True))
+    turning = sin_omega > 0.0
+    axes = np.where(turning, turns[..., 1:] / np.where(turning, sin_omega, 1.0), analytic.Y_AXIS)
+    return np.arctan2(sin_omega[..., 0], turns[..., 0]), axes
 
 
 # XX (1 x i sigma_a) XX = s_a (1 x i sigma_a) for a = (1, x, y, z); an entry (a, b) of D
@@ -118,7 +128,7 @@ def turn_gains(params: ParamsBlock, coeffs: np.ndarray) -> np.ndarray:
     -cos sigma, exactly.  h/eps thus enters as a factor, never as the difference
     g0^2 - g3^2 of two numbers near 1/2 that phi's own entries would give.
     """
-    u = measured_kets(np.eye(4)[:1], coeffs)
+    u = measurement.measured_kets(np.eye(4)[0], coeffs)
     own = (u.conj()[..., :, None] * u[..., None, :]).reshape(u.shape[:-1] + (16,))
     d = np.concatenate([own.real, own.imag], axis=-1) @ gain_maps()
     h, k, _, cos, sin = (np.asarray(x)[:, None, None] for x in vars(params).values())
@@ -217,7 +227,7 @@ def measured_block(params: ParamsBlock, coeffs: np.ndarray) -> MeasuredBlock:
     """The ``MeasuredBlock`` of a ``ParamsBlock`` and a coefficient block (B, n, 4)."""
     parts = build_hamiltonian(params)
     g = ground_state(params)
-    kets = measured_kets(g, coeffs)
+    kets = measurement.measured_kets(g, coeffs)
     e_a = qmath.expectation(kets, parts.total[:, None]).sum(axis=-1)
     scale = np.maximum(1.0, np.maximum(np.abs(e_a), np.abs(parts.total).max(axis=(-2, -1))))
     p, q = measurement.weight_block(coeffs)
@@ -291,15 +301,14 @@ def run_block(
 def haar_turns(u: np.ndarray) -> np.ndarray:
     """Haar rotations of B (uniform over SU(2)) of uniforms u (N, 3): rows (omega, nx, ny, nz).
 
-    Shoemake's quaternion, uniform on the 3-sphere for u in [0, 1); omega
-    lies in [0, pi], and the identity gets the y axis.
+    Shoemake's quaternion, uniform on the 3-sphere for u in [0, 1), as ``turn_policy``
+    reads it: omega lies in [0, pi], and the identity gets the y axis.
     """
     a, b = np.sqrt(1.0 - u[:, :1]), np.sqrt(u[:, :1])
     turn_1, turn_2 = 2.0 * math.pi * u[:, 1:2], 2.0 * math.pi * u[:, 2:]
-    vec = np.concatenate([a * np.sin(turn_1), b * np.sin(turn_2), b * np.cos(turn_2)], -1)
-    norm = np.sqrt((vec * vec).sum(-1, keepdims=True))
-    axes = np.where(norm > 0.0, vec / np.where(norm > 0.0, norm, 1.0), analytic.Y_AXIS)
-    return np.concatenate([np.arctan2(norm, a * np.cos(turn_1)), axes], -1)
+    quaternion = [a * np.cos(turn_1), a * np.sin(turn_1), b * np.sin(turn_2), b * np.cos(turn_2)]
+    omega, axes = turn_policy(np.concatenate(quaternion, -1))
+    return np.concatenate([omega[:, None], axes], -1)
 
 
 def evolve_series(
@@ -309,7 +318,7 @@ def evolve_series(
 
     Returns the columns t, <H_B(t)> by brute force, <H_B(t)> in closed form
     and <V(t)>, each (T,), with no feedback applied.  The brute-force route
-    propagates each post-measurement ket, ``measurement.kraus_operators`` of
+    propagates each post-measurement ket, ``measurement.measured_kets`` of
     the rows on |g>, with the full Hamiltonian's eigendecomposition, BLOCK
     times at a time, in units of eps (not through ``measured_block``, whose
     E_A has an absolute residue budget); the closed form is
@@ -322,7 +331,7 @@ def evolve_series(
     parts = build_hamiltonian(params)
     g = ground_state(params)
     vals, vecs = qmath.hermitian_eig(parts.total)
-    kets = (measurement.kraus_operators(meas.rows) @ g) @ vecs.conj()  # in the energy eigenbasis
+    kets = measurement.measured_kets(g, meas.rows) @ vecs.conj()  # in the energy eigenbasis
     # in units of eps, so that expectation's imaginary-residue budget is relative
     ops = np.stack([parts.h_b, parts.v]) / params.eps
     amp = 0.5 * measurement.input_energy_closed(params, meas.rows)  # E_A / 2

@@ -112,20 +112,13 @@ def projector(psi: np.ndarray) -> np.ndarray:
     return psi[..., :, None] * psi.conj()[..., None, :]
 
 
-def partial_trace(rho: np.ndarray, keep: str) -> np.ndarray:
-    """Trace out one qubit of a 4x4 two-qubit density matrix, or of a stack of them.
-
-    ``keep`` names the subsystem that survives: ``"A"`` or ``"B"``.
-    """
+def partial_trace(rho: np.ndarray) -> np.ndarray:
+    """The reduced state of B: trace out A of a 4x4 two-qubit density matrix, or of a stack."""
     rho = np.asarray(rho, dtype=complex)
     if rho.shape[-2:] != (4, 4):
         raise ValueError(f"expected 4x4 density matrices, got shape {rho.shape}")
     blocks = rho.reshape(rho.shape[:-2] + (2, 2, 2, 2))  # indices: a, b, a', b'
-    if keep == "A":
-        return np.einsum("...abcb->...ac", blocks)
-    if keep == "B":
-        return np.einsum("...abad->...bd", blocks)
-    raise ValueError(f"keep must be 'A' or 'B', got {keep!r}")
+    return np.einsum("...abad->...bd", blocks)
 
 
 def expectation(kets: np.ndarray, op: np.ndarray):

@@ -545,7 +545,6 @@ def test_weak_limit_ratio_converges():
 def test_shannon_entropy_and_units():
     assert abs(analytic.shannon_entropy([0.5, 0.5]) - math.log(2.0)) <= 1e-15
     assert analytic.shannon_entropy([1.0, 0.0]) == 0.0
-    assert abs(analytic.nats_to_bits(math.log(2.0)) - 1.0) <= 1e-15
 
 
 def test_shannon_entropy_rejects_nan():

@@ -502,6 +502,32 @@ def test_sweep_and_evolve_csv_bytes_are_frozen(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize("povm", ["builtin:projective", "builtin:weak(0.3)", "phased3"])
+def test_sweep_runs_the_turns_of_its_eigen_maximum(tmp_path, capsys, monkeypatch, povm):
+    # the brute-force run replays the (omega, n) table behind maxE_B_numeric, bit for bit
+    if povm == "phased3":
+        povm = tmp_path / "phased3.json"
+        povm.write_text(json.dumps(PHASED_POVM_3))
+    run, seen = protocol.run_many, []
+
+    def spy(params, coeffs, omega, axes):
+        seen.append((omega, axes))
+        return run(params, coeffs, omega, axes)
+
+    monkeypatch.setattr(protocol, "run_many", spy)
+    grid = ["--h", "0.3:3:9:log", "--k", "0.4:2.5:8:log"]
+    argv = ["sweep", *grid, "--povm", str(povm), "--out", str(tmp_path / "s")]
+    assert run_cli(capsys, *argv)[0] == 0
+    values = [cli.parse_range(text).tolist() for text in grid[1::2]]
+    block = ParamsBlock.of(ModelParams(h, k) for h in values[0] for k in values[1])
+    rows = cli.resolve_povm(str(povm)).rows
+    coeffs = np.broadcast_to(rows, (len(block.h),) + rows.shape)
+    _, omega, axes = optimizer.maximize_over_policies(block, coeffs)
+    ((seen_omega, seen_axes),) = seen
+    assert seen_omega.tobytes() == omega.tobytes()
+    assert seen_axes.tobytes() == axes.tobytes()
+
+
 def test_sweep_grid_block_is_the_model_params_block(tmp_path, capsys, monkeypatch):
     # the eigen maximum is the first to see the grid's block; stop the sweep there
     seen = []

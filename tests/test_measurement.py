@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from minqet import measurement, protocol, qmath
+from minqet import checks, measurement, protocol, qmath
 from minqet.measurement import (
     ConstraintViolation, MeasurementModel, kraus_operators, weight_block,
 )
@@ -139,6 +139,19 @@ def test_kraus_stack_matches_kron_oracle():
             m2 = m * one + l * np.exp(1j * alpha) * sx
             oracle = np.exp(1j * delta) * np.kron(m2, one)
             assert float(np.max(np.abs(op - oracle))) <= 1e-15
+
+
+def test_measured_kets_are_the_kraus_operators_on_the_ket():
+    # one ket with one model's rows, and a block of grounds with a coefficient block,
+    # give the bits of the Kraus operators applied ket by ket
+    block, coeffs = checks.draw_members(6, range(30))[:2]
+    grounds = ground_state(block)
+    kets = measurement.measured_kets(grounds, coeffs)
+    assert kets.shape == coeffs.shape
+    for ground, rows, ket in zip(grounds, coeffs, kets):
+        one = kraus_operators(rows) @ ground
+        assert measurement.measured_kets(ground, rows).tobytes() == one.tobytes()
+        assert ket.tobytes() == one.tobytes()
 
 
 def test_kraus_index_out_of_range():

@@ -13,7 +13,7 @@ import types
 import numpy as np
 import pytest
 
-from minqet import analytic, checks, entanglement, measurement, protocol, qmath
+from minqet import analytic, checks, entanglement, measurement, optimizer, protocol, qmath
 from minqet.measurement import MeasurementModel, weight_block
 from minqet.model import ModelParams, ParamsBlock, build_hamiltonian, ground_state
 
@@ -62,7 +62,7 @@ def test_turn_gains_is_the_form_of_the_measured_kets():
     # D_ab = Re<phi|delta_ab O - B_a^dag O B_b|phi>, O = h Z_B + 2 k XX, on the kets
     # phi = M_A(mu)|g> themselves, with the operators built here
     block, coeffs = checks.draw_members(5, range(40))[:2]
-    phi = protocol.measured_kets(ground_state(block), coeffs)
+    phi = measurement.measured_kets(ground_state(block), coeffs)
     turns = [np.eye(4)] + [qmath.tensor(qmath.pauli("i"), 1j * qmath.pauli(a)) for a in "xyz"]
     o = block.h[:, None, None, None] * qmath.Z_B + 2.0 * block.k[:, None, None, None] * qmath.XX
     direct = np.empty(phi.shape[:-1] + (4, 4))
@@ -350,6 +350,48 @@ def test_haar_turns_keep_their_frozen_rows():
         [0.6958627703955476, -0.8698602565346394, 0.2899534188448798, -0.3990866434768981],
         [1.7113848482911618, -0.10282186337892206, 0.30737913819731105, 0.9460157133009814],
     ]
+
+
+def quaternion_unitary(turns):
+    """a_0 1 + i (a_1 sigma_x + a_2 sigma_y + a_3 sigma_z) of 4-vectors (..., 4): (..., 2, 2)."""
+    a = turns[..., :, None, None]
+    return a[..., 0, :, :] * qmath.pauli("i") + 1j * sum(
+        a[..., i, :, :] * qmath.pauli(axis) for i, axis in enumerate("xyz", start=1)
+    )
+
+
+def test_turn_policy_reads_the_haar_and_eigen_turns_back(monkeypatch):
+    # the (omega, n) table that turn_policy gives each 4-vector rotates by that vector,
+    # for the quaternions haar_turns draws and the top eigenvectors of the eigen route
+    block, coeffs = checks.draw_members(32, range(200))[:2]
+    read, seen = protocol.turn_policy, []
+
+    def spy(turns):
+        seen.append(turns)
+        return read(turns)
+
+    monkeypatch.setattr(protocol, "turn_policy", spy)
+    haar = protocol.haar_turns(np.random.default_rng(32).random((500, 3)))
+    _, omega, axes = optimizer.maximize_over_policies(block, coeffs)
+    assert len(seen) == 2
+    for (angles, turn_axes), turns in zip([(haar[:, 0], haar[:, 1:]), (omega, axes)], seen):
+        assert np.abs((turns * turns).sum(-1) - 1.0).max() <= 1e-15
+        error = np.abs(protocol.rotations(angles, turn_axes) - quaternion_unitary(turns)).max()
+        assert error <= 1e-15
+    assert np.all((0.0 <= omega) & (omega <= math.pi / 2.0))
+
+
+def test_the_identity_turn_gets_the_y_axis():
+    omega, axes = protocol.turn_policy(np.array([[1.0, 0.0, 0.0, 0.0], [1.0, -0.0, 0.0, -0.0]]))
+    assert omega.tolist() == [0.0, 0.0]
+    assert axes.tolist() == [list(analytic.Y_AXIS)] * 2
+    # an outcome of probability 0, here a padding row, keeps the identity about y
+    models = [measurement.projective_pair(), measurement.random_measurement(3, n_outcomes=3)]
+    block = ParamsBlock.of([UNIT, UNIT])
+    _, omega, axes = optimizer.maximize_over_policies(
+        block, measurement.coefficient_block(models)
+    )
+    assert (omega[0, 2], axes[0, 2].tolist()) == (0.0, list(analytic.Y_AXIS))
 
 
 def test_haar_turns_are_unit_axes_and_haar_angles():

@@ -122,13 +122,13 @@ def test_eig_orthonormal_columns(seed):
 def test_partial_trace_product_state():
     plus_plus = np.zeros(4)
     plus_plus[0] = 1.0
-    rho_b = qmath.partial_trace(qmath.projector(plus_plus), "B")
+    rho_b = qmath.partial_trace(qmath.projector(plus_plus))
     assert np.allclose(rho_b, np.diag([1.0, 0.0]), atol=1e-14)
 
 
 def test_partial_trace_ground_state_eigenvalues():
     g = ground_state(ModelParams(h=1.0, k=1.0))
-    rho_b = qmath.partial_trace(qmath.projector(g), "B")
+    rho_b = qmath.partial_trace(qmath.projector(g))
     vals = np.sort(np.linalg.eigvalsh(rho_b))
     lam_minus = (1.0 - 1.0 / math.sqrt(2.0)) / 2.0
     lam_plus = (1.0 + 1.0 / math.sqrt(2.0)) / 2.0
@@ -138,8 +138,8 @@ def test_partial_trace_ground_state_eigenvalues():
 
 
 def test_partial_trace_maximally_mixed():
-    rho_a = qmath.partial_trace(np.eye(4) / 4.0, "A")
-    assert np.allclose(rho_a, np.eye(2) / 2.0, atol=1e-14)
+    rho_b = qmath.partial_trace(np.eye(4) / 4.0)
+    assert np.allclose(rho_b, np.eye(2) / 2.0, atol=1e-14)
 
 
 def test_partial_trace_preserves_trace():
@@ -147,8 +147,7 @@ def test_partial_trace_preserves_trace():
         m = random_hermitian(RNG)
         rho = m @ m.conj().T
         rho /= np.trace(rho).real
-        for keep in ("A", "B"):
-            assert abs(np.trace(qmath.partial_trace(rho, keep)).real - 1.0) <= 1e-12
+        assert abs(np.trace(qmath.partial_trace(rho)).real - 1.0) <= 1e-12
 
 
 def test_expectation_values():
@@ -217,8 +216,8 @@ def test_eig_projector_and_partial_trace_take_stacks():
     with pytest.raises(qmath.NonHermitianInput):
         qmath.hermitian_eig(np.concatenate([herm, raw[:1]]))
     kets = rng.normal(size=(2, 3, 4)) + 1j * rng.normal(size=(2, 3, 4))
-    stacked = qmath.partial_trace(qmath.projector(kets), keep="B")
+    stacked = qmath.partial_trace(qmath.projector(kets))
     assert stacked.shape == (2, 3, 2, 2)
     for ket, rho_b in zip(kets.reshape(-1, 4), stacked.reshape(-1, 2, 2)):
-        one = qmath.partial_trace(np.outer(ket, ket.conj()), keep="B")
+        one = qmath.partial_trace(np.outer(ket, ket.conj()))
         assert np.allclose(rho_b, one, rtol=0.0, atol=1e-14)

@@ -153,7 +153,10 @@ def weight_block(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def kraus_operators(coeffs: np.ndarray) -> np.ndarray:
-    """M_A(mu) tensored with identity on B for coefficient rows (..., 4): shape (..., 4, 4)."""
+    """M_A(mu) tensored with identity on B for coefficient rows (..., 4): shape (..., 4, 4).
+
+    The operators ``block_residuals`` checks; ``measured_kets`` applies M_A(mu) without them.
+    """
     m, l, alpha, delta = (coeffs[..., i, None, None] for i in range(4))
     return np.exp(1j * delta) * (m * qmath.EYE4 + l * np.exp(1j * alpha) * qmath.X_A)
 
@@ -162,8 +165,14 @@ def measured_kets(ket: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     """The unnormalized kets M_A(mu)|psi>, (..., n, 4), of kets (..., 4) and rows (..., n, 4).
 
     One ket (4,) takes one model's rows (n, 4), and kets (B, 4) a coefficient block (B, n, 4).
+    sigma_A^x swaps the halves of a ket, so M_A(mu)|psi> = d psi + o psi[[2, 3, 0, 1]] with
+    d = e^{i delta} m and o = e^{i delta} (l e^{i alpha}), the factors associated as
+    ``kraus_operators`` associates them; no (..., n, 4, 4) operator is built.
     """
-    return (kraus_operators(coeffs) @ ket[..., None, :, None])[..., 0]
+    m, l, alpha, delta = (coeffs[..., i, None] for i in range(4))
+    phase = np.exp(1j * delta)
+    ket = ket[..., None, :]
+    return phase * (m + 0j) * ket + phase * (l * np.exp(1j * alpha)) * ket[..., [2, 3, 0, 1]]
 
 
 def block_residuals(coeffs: np.ndarray) -> dict[str, np.ndarray]:

@@ -5,9 +5,10 @@
   extracts is a^T D a with ``protocol.turn_gains``' D, built from the kets
   M_A(mu)|++>, h, k and sigma, and no closed form.  So the best turn of each outcome is
   D's top eigenvector and the maximum over policies is the sum of the outcomes'
-  top eigenvalues (Davenport's q-method for Wahba's problem): one 4x4
-  eigenproblem per outcome, protocol.BLOCK cases at a time.  ``minqet sweep``
-  runs it once per grid, and ``minqet optimize --over policy`` on a block of one.
+  top eigenvalues (Davenport's q-method for Wahba's problem).  D is two 2x2 blocks,
+  each solved in closed form, with no LAPACK call, protocol.BLOCK cases at a time.
+  ``minqet sweep`` runs it once per grid, and ``minqet optimize --over policy`` on a
+  block of one.
 
 * ``maximize_over_weights`` searches the measurement design space itself:
   outcome weights (p, q) on the simplex with sum(q) = 0 and |q| <= p,
@@ -36,13 +37,6 @@ REFINE_ITERS = 200
 POLL_BLOCK = 128  # (n, 2n, columns) weight-balancing temporaries of a compass poll
 TOL = 1e-10  # the step below which a weights-search start stops
 STALL_POLLS = 3  # failed polls in a row (steps s, s/2, s/4) that end a weights-search start
-# D's rows and columns as (1, sigma_y, sigma_x, sigma_z): the Kraus operators commute with
-# O, so D depends on an outcome only through p + q sigma_x^A and splits into a {1, sigma_y}
-# and a {sigma_x, sigma_z} block, and in this order LAPACK's tridiagonal reduction keeps
-# them apart.  A top eigenvalue far below D's norm (h/k far from 1) then keeps its
-# relative digits.  The order is its own inverse.
-_EIGEN_ORDER = [0, 2, 1, 3]
-
 
 class NoConvergence(RuntimeWarning):
     """The weights search ran REFINE_ITERS polls without its own stop rule firing.
@@ -64,27 +58,52 @@ def maximize_over_policies(params: ParamsBlock, coeffs: np.ndarray) -> tuple:
     """The maximum of E_B over per-outcome feedback turns, for N cases, and its turns.
 
     ``coeffs`` is the coefficient block (N, n, 4).  Each outcome with p >
-    DEGENERATE_PROB adds the top eigenvalue of its ``protocol.turn_gains`` D and
-    turns by its top eigenvector a, signed so that a_0 >= 0 and read by
-    ``protocol.turn_policy``: omega = atan2(|a_vec|, a_0) in [0, pi/2] about
-    n = a_vec / |a_vec|.  At |q| = p the best turns form a whole family with one
-    eigenvalue, and the turn is the eigenvector ``numpy.linalg.eigh`` returns; there
-    is no tie rule.  Other outcomes, and a top eigenvector with a_vec = 0, keep the
-    identity about ``analytic.Y_AXIS``.  Returns the columns (best_value, omega, axes):
-    values summed in outcome order (N,), and the policy table (N, n) and (N, n, 3).
+    DEGENERATE_PROB adds the top eigenvalue of its ``protocol.turn_gains`` D and turns
+    by its top eigenvector a, read by ``protocol.turn_policy``: omega = atan2(|a_vec|,
+    a_0) in [0, pi/2] about n = a_vec / |a_vec|.  The Kraus operators commute with O, so
+    D depends on an outcome only through p + q sigma_x^A and splits into a {1, sigma_y}
+    block (rows 0, 2) and a {sigma_x, sigma_z} block (rows 1, 3); ``protocol._check``
+    holds the entries between them to CROSS_CHECK_TOL max |D| per case.  Each block
+    [[x, b], [b, z]] is solved in closed form: lambda_max = mid + hypot(half, b) with mid
+    = (x + z)/2 and half = (x - z)/2, or det / L = x (z / L) - b (b / L), L = mid - hypot,
+    where mid < 0 and the sum cancels (no product of two entries, so no overflow), and
+    its eigenvector is (cos theta, sin theta), theta = atan2(b, half) / 2.
+    The larger lambda_max wins, and an exact tie goes to the {1, sigma_y} block: the
+    turn is a = (cos theta, 0, sin theta, 0), about the y axis with a_0 >= 0, or a =
+    (0, cos theta, 0, sin theta), a half turn about an axis in the x-z plane.  At |q| = p
+    both blocks share one lambda_max in exact arithmetic, the best turns form a whole
+    family, and the printed turn is that of the block whose value rounds larger, the
+    {1, sigma_y} one on an exact tie.  Other outcomes keep the identity about
+    ``analytic.Y_AXIS``.  Returns the columns (best_value, omega, axes): values summed
+    in outcome order (N,), and the policy table (N, n) and (N, n, 3).
     """
     live = (measurement.weight_block(coeffs)[0] > measurement.DEGENERATE_PROB).T  # (N, n)
-    top, turn = np.empty(live.shape), np.empty(live.shape + (4,))
+    top, turn = np.empty(live.shape), np.empty(live.shape + (2, 2))
     for first in range(0, len(coeffs), protocol.BLOCK):
         block = slice(first, first + protocol.BLOCK)
-        gains = protocol.turn_gains(params[block], coeffs[block])[..., _EIGEN_ORDER, :]
-        gains = gains[..., _EIGEN_ORDER]
-        values, vectors = np.linalg.eigh(gains)
-        top[block], turn[block] = values[..., -1], vectors[..., _EIGEN_ORDER, -1]
-    turn = np.where(live[..., None], turn, (1.0, 0.0, 0.0, 0.0))
-    turn = np.where(turn[..., :1] < 0.0, -turn, turn) + 0.0  # a_0 >= 0, and no -0.0 printed
+        gains = protocol.turn_gains(params[block], coeffs[block])
+        magnitude = np.abs(gains)
+        # rows (0, 2) with columns (1, 3), and back: the entries between the two blocks
+        cross = np.maximum(magnitude[..., ::2, 1::2], magnitude[..., 1::2, ::2])
+        budget = protocol.CROSS_CHECK_TOL * magnitude.max(axis=(-3, -2, -1))
+        protocol._check("D couples its two blocks", cross.max(axis=(-3, -2, -1)), budget, first)
+        # the two blocks side by side, {1, sigma_y} first: (B, n, 2)
+        diagonal = np.diagonal(gains, axis1=-2, axis2=-1)
+        x, z, b = diagonal[..., :2], diagonal[..., 2:], gains[..., [0, 1], [2, 3]]
+        mid, half = 0.5 * (x + z), 0.5 * (x - z)
+        radius = np.hypot(half, b)
+        falling = mid < 0.0
+        low = np.where(falling, mid - radius, 1.0)
+        pair = np.where(falling, x * (z / low) - b * (b / low), mid + radius)
+        xz_wins = pair[..., 1] > pair[..., 0]
+        top[block] = np.where(xz_wins, pair[..., 1], pair[..., 0])
+        # the winner's (cos theta, sin theta) as turn[k, j] = a_{2k + j}, block j = 0 or 1
+        angle = 0.5 * np.arctan2(b, half)
+        winner = np.stack([~xz_wins, xz_wins], axis=-1)[..., None, :]
+        turn[block] = np.stack([np.cos(angle), np.sin(angle)], axis=-2) * winner
+    turn = np.where(live[..., None], turn.reshape(live.shape + (4,)), (1.0, 0.0, 0.0, 0.0))
     value = np.add.accumulate(np.where(live, top, 0.0), axis=1)[:, -1]
-    return (value, *protocol.turn_policy(turn))
+    return (value, *protocol.turn_policy(turn + 0.0))  # + 0.0: no -0.0 printed
 
 
 def _project_weights(raw_p: np.ndarray, raw_u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -358,15 +358,15 @@ def test_sweep_parallel_matches_serial(tmp_path, capsys):
 
 
 def test_sweep_rows_match_one_report_per_cell(tmp_path, capsys):
-    # 72 cells: more than one block of run_many, in three chunks with --jobs 3
+    # 143 cells: more than one block of run_many, in three chunks with --jobs 3
     povm = "builtin:weak(0.7)"
-    args = ["sweep", "--h", "0.3:3:9:log", "--k", "0.4:2.5:8:log", "--povm", povm]
+    args = ["sweep", "--h", "0.3:3:13:log", "--k", "0.4:2.5:11:log", "--povm", povm]
     run_cli(capsys, *args, "--out", str(tmp_path / "serial"))
     run_cli(capsys, *args, "--out", str(tmp_path / "pool"), "--jobs", "3")
     text = (tmp_path / "serial" / "sweep.csv").read_text()
     assert (tmp_path / "pool" / "sweep.csv").read_text() == text
     rows = list(csv.DictReader(text.splitlines()))
-    assert len(rows) == 72 > protocol.BLOCK
+    assert len(rows) == 143 > protocol.BLOCK
     for i, row in enumerate(rows):
         cell = ("--h", row["h"], "--k", row["k"], "--povm", povm)
         code, out, _ = run_cli(capsys, "report", *cell)
@@ -387,11 +387,11 @@ def test_sweep_rows_match_one_report_per_cell(tmp_path, capsys):
 
 
 def test_report_and_sweep_refuse_when_the_routes_disagree(tmp_path, capsys, monkeypatch):
-    # the grid above; only row 67, in run_many's second block, sees a Q shifted by 1e-6
+    # the grid above; only row 137, in run_many's second block, sees a Q shifted by 1e-6
     # in protocol's view
     povm = "builtin:weak(0.7)"
-    h_range, k_range, row = "0.3:3:9:log", "0.4:2.5:8:log", 67
-    h, k = cli.parse_range(h_range)[row // 8], cli.parse_range(k_range)[row % 8]
+    h_range, k_range, row = "0.3:3:13:log", "0.4:2.5:11:log", 137
+    h, k = cli.parse_range(h_range)[row // 11], cli.parse_range(k_range)[row % 11]
     shifted = types.SimpleNamespace(**vars(analytic))
     shifted.Q_of = lambda params, *rest: analytic.Q_of(params, *rest) + 1e-6 * (
         (params.h == h) & (params.k == k)
@@ -490,9 +490,11 @@ def test_sweep_and_evolve_csv_bytes_are_frozen(tmp_path, capsys):
     sweep = ["sweep", "--h", "0.3:3:5:log", "--k", "0.4:2.5:4:log", "--povm", str(povm)]
     assert run_cli(capsys, *sweep, "--out", str(tmp_path / "s"))[0] == 0
     text = (tmp_path / "s" / "sweep.csv").read_bytes()
-    # re-recorded (was 455fc864...) when maxE_B_numeric became the eigen maximum
+    # re-recorded (was 455fc864...) when maxE_B_numeric became the eigen maximum, and
+    # (was e2a52e15...) when the 2x2 eigenproblems went closed-form: maxE_B_numeric and
+    # the entropy columns moved in their last bits
     assert hashlib.sha256(text).hexdigest() == (
-        "e2a52e150b63ec7d79e96c1feae2242aa44a8cfc8eb7998a08a78b2de8adcd1e"
+        "19fbabe7c97cd0f8927826221032944c38a38a9d4480d63b4fd50b1ba4dea60d"
     )
     evolve = ["evolve", "--h", "0.8", "--k", "2.1", "--povm", str(povm), "--t-max", "3"]
     code, out, err = run_cli(capsys, *evolve, "--points", "100")
@@ -526,6 +528,50 @@ def test_sweep_runs_the_turns_of_its_eigen_maximum(tmp_path, capsys, monkeypatch
     ((seen_omega, seen_axes),) = seen
     assert seen_omega.tobytes() == omega.tobytes()
     assert seen_axes.tobytes() == axes.tobytes()
+
+
+@pytest.mark.parametrize("command", ["sweep", "report"])
+def test_sweep_and_report_run_no_numpy_eigensolver(tmp_path, capsys, monkeypatch, command):
+    # every eigenproblem of both commands is a 2x2 block solved in closed form
+    def refused(*args, **kwargs):
+        raise AssertionError("a NumPy eigensolver ran")
+
+    for name in ("eig", "eigh", "eigvals", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, refused)
+    povm = tmp_path / "phased3.json"
+    povm.write_text(json.dumps(PHASED_POVM_3))
+    argv = {
+        "sweep": ["--h", "0.3:3:13:log", "--k", "0.4:2.5:11:log", "--out", str(tmp_path / "s")],
+        "report": ["--h", "0.8", "--k", "2.1"],
+    }[command]
+    code, _, err = run_cli(capsys, command, *argv, "--povm", str(povm))
+    assert (code, err) == (0, "")
+
+
+# the eight entries of D between rows and columns (0, 2) and (1, 3)
+CROSS_ENTRIES = [(r, c) for r in range(4) for c in range(4) if (r - c) % 2]
+
+
+@pytest.mark.parametrize("row, column", CROSS_ENTRIES)
+def test_a_cross_block_entry_of_d_fails_the_policy_maximum(capsys, monkeypatch, row, column):
+    # the closed form solves D's {1, sigma_y} and {sigma_x, sigma_z} blocks and drops the
+    # entries between them: one of them at 1e-6 max |D| exits 1 with one error line
+    gains = protocol.turn_gains
+
+    def coupled(params, coeffs):
+        d = gains(params, coeffs)
+        d[..., row, column] += 1e-6 * np.abs(d).max()
+        return d
+
+    monkeypatch.setattr(protocol, "turn_gains", coupled)
+    argv = ["optimize", "--h", "0.8", "--k", "2.1", "--povm", "builtin:weak(0.3)"]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert re.fullmatch(
+        r"error: RuntimeError: internal cross-check failed: D couples its two blocks in case 0"
+        r" \(residual \S+, budget \S+\)\n",
+        err,
+    ), err
 
 
 def test_sweep_grid_block_is_the_model_params_block(tmp_path, capsys, monkeypatch):
@@ -602,7 +648,12 @@ def turns(*rows):
 # povm.source); a "weights" POVM is written to a file first.  They were recorded when
 # the route replaced the policy search, whose payloads printed turns about the y axis
 # with an evaluation count and a convergence flag (best_value 0.11474763394014711,
-# 0.005970165909301643, 0.06884858036408827 and 0.021042960957275023).
+# 0.005970165909301643, 0.06884858036408827 and 0.021042960957275023).  The first and
+# the last were re-recorded when D's two 2x2 blocks went closed-form, with the same
+# best_value: the projective case prints the other sign of its degenerate family (its
+# axes were (-0.8112421851755609, 0.0, -+0.584710284663765)), and four angles of the
+# last moved in their last bits (0.015094162650017144, 0.07664113057039054,
+# 0.08787872560243672 and 0.041821801145413104).
 OPTIMIZE_POLICY_FROZEN = (
     (
         "builtin:projective", "1", "1",
@@ -612,8 +663,8 @@ OPTIMIZE_POLICY_FROZEN = (
             "best_value": 0.1147476339401472, "closed_form_max": 0.11474763394014707,
             # at |q| = p the printed turn is one member of a degenerate family
             "policy": turns(
-                (1.5707963267948966, -0.8112421851755609, 0.0, -0.584710284663765),
-                (1.5707963267948966, -0.8112421851755609, 0.0, 0.584710284663765),
+                (1.5707963267948966, 0.8112421851755609, 0.0, 0.584710284663765),
+                (1.5707963267948966, 0.8112421851755609, 0.0, -0.584710284663765),
             ),
         },
     ),
@@ -659,12 +710,12 @@ OPTIMIZE_POLICY_FROZEN = (
             "povm": {"sha256": "e01696ca25911ddb65738f1915719163a3062175f6c88187c5837f8532477795"},
             "best_value": 0.021042960957275036, "closed_form_max": 0.021042960957275026,
             "policy": turns(
-                (0.015094162650017144, 0.0, -1.0, 0.0),
-                (0.07664113057039054, 0.0, -1.0, 0.0),
+                (0.015094162650017142, 0.0, -1.0, 0.0),
+                (0.07664113057039056, 0.0, -1.0, 0.0),
                 (0.021647230338661366, 0.0, 1.0, 0.0),
                 (0.03425911146640425, 0.0, 1.0, 0.0),
-                (0.08787872560243672, 0.0, -1.0, 0.0),
-                (0.041821801145413104, 0.0, 1.0, 0.0),
+                (0.0878787256024367, 0.0, -1.0, 0.0),
+                (0.04182180114541311, 0.0, 1.0, 0.0),
             ),
         },
     ),

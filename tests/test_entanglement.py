@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from minqet import analytic, entanglement, measurement, qmath
+from minqet import analytic, checks, entanglement, measurement, qmath
 from minqet.measurement import MeasurementModel, weight_block
-from minqet.model import ModelParams
+from minqet.model import ModelParams, ground_state
 
 from conftest import case_block, consumption_columns
 
@@ -27,8 +27,6 @@ def test_bell_state_is_maximal():
 
 
 def test_ground_state_entropy_unit_point():
-    from minqet.model import ground_state
-
     s = entanglement.entropy_of_entanglement(ground_state(UNIT))
     assert abs(s - GROUND_ENTROPY_UNIT) <= 1e-14
     assert abs(entanglement.ground_entropy(UNIT) - GROUND_ENTROPY_UNIT) <= 1e-14
@@ -188,3 +186,79 @@ def test_consumption_block_equals_one_call_per_case(small_ensemble):
             assert getattr(block, field)[i] == getattr(one, field)[0]
         for field in ("probabilities", "s_post", "reduced_eigenvalues"):
             assert getattr(block, field)[i, :n].tobytes() == getattr(one, field)[0].tobytes()
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_consumption_spectra_meet_the_lapack_route(seed):
+    # the closed-form 2x2 spectra against numpy.linalg.eigh of the same reduced states
+    block, coeffs = checks.draw_members(seed, range(1000))[:2]
+    ground = ground_state(block)
+    kets = measurement.measured_kets(ground, coeffs)
+    report = entanglement.consumption_block(ground, kets)
+    live = report.probabilities > 0.0
+    rho = np.zeros(kets.shape[:-1] + (2, 2), dtype=complex)
+    rho[live] = qmath.partial_trace(qmath.projector(kets[live]))
+    rho[live] /= report.probabilities[live][:, None, None]
+    vals = qmath.hermitian_eig(rho[live])[0]
+    assert np.abs(report.reduced_eigenvalues[live] - vals).max() <= 2e-15
+    assert np.abs(report.s_post[live] - entanglement.von_neumann_entropy(rho[live])).max() <= 1e-14
+    rho_ground = qmath.partial_trace(qmath.projector(ground))
+    assert np.abs(report.s_ground - entanglement.von_neumann_entropy(rho_ground)).max() <= 1e-14
+    # I(pointer : B) = S(Phi_B) - sum_mu p_mu S(rho_B(mu)), with Phi_B = sum_mu p_mu rho_B(mu)
+    phi_b = np.einsum("nm,nmij->nij", report.probabilities, rho)
+    s_phi_b = report.mutual_info + (report.probabilities * report.s_post).sum(axis=1)
+    assert np.abs(s_phi_b - entanglement.von_neumann_entropy(phi_b)).max() <= 1e-14
+
+
+def _cancellation_free_ground(h, k):
+    """The ground ket with 1 - cos sigma = k^2 / (eps (eps + h)), which keeps its digits."""
+    eps = math.hypot(h, k)
+    low = k * k / (eps * (eps + h))
+    return np.array([math.sqrt(0.5 * low), 0.0, 0.0, -math.sqrt(0.5 * (2.0 - low))], complex)
+
+
+PHASED_ROWS = [[0.5, 0.2, 0.3, 0.4], [0.6, 0.3, 2.5, 1.1], [0.5, 0.1, 0.23097332453062439, -0.7]]
+
+# (ground ket, POVM rows, the ground's entropy, each outcome's (lambda_min, lambda_max,
+# entropy)) of B's reduced states in nats, from 40-digit mpmath on the float kets read
+# exactly and normalized there.  At h/k = 1e8 model.ground_state's 1 - h/eps rounds to 0,
+# a product state; the cancellation-free ket keeps lambda_min = 2.5e-17.  h/k = 1e-8 is
+# nearly maximally mixed; weak(1e-6) at h = k = 1 and the phased POVM at (0.8, 2.1) give
+# mixed post-measurement states.
+MPMATH_SPECTRA = [
+    (
+        _cancellation_free_ground(1e8, 1.0), [[1.0, 0.0, 0.0, 0.0]], "9.8069139622561555486e-16",
+        [("2.5000000000000000421e-17", "0.999999999999999975", "9.8069139622561555486e-16")],
+    ),
+    (
+        _cancellation_free_ground(1e-8, 1.0), [[1.0, 0.0, 0.0, 0.0]], "0.69314718055994525942",
+        [("0.49999999500000005694", "0.50000000499999994306", "0.69314718055994525942")],
+    ),
+    (
+        ground_state(UNIT), measurement.weak_pair(1e-6).rows, "0.41649553069968753465",
+        [("0.14644660940654950183", "0.85355339059345049817", "0.4164955306993759099")] * 2,
+    ),
+    (
+        ground_state(ModelParams(0.8, 2.1)), PHASED_ROWS, "0.62836955960830580743",
+        [
+            ("0.14439958463895472301", "0.85560041536104527699", "0.41287031716450564582"),
+            ("0.15163009899387823597", "0.84836990100612176403", "0.42552626967194512172"),
+            ("0.25042824145126392104", "0.74957175854873607896", "0.56280512708368150687"),
+        ],
+    ),
+]
+
+
+def test_consumption_spectra_meet_frozen_mpmath_values():
+    # the four cases in one block, padded to three outcomes; every eigenvalue and entropy
+    # within 2e-15 relative, lambda_min = 2.5e-17 included
+    ground = np.array([case[0] for case in MPMATH_SPECTRA])
+    kets = np.zeros((len(ground), 3, 4), dtype=complex)
+    for i, (g, rows, _, _) in enumerate(MPMATH_SPECTRA):
+        kets[i, : len(rows)] = measurement.measured_kets(g, np.array(rows))
+    report = entanglement.consumption_block(ground, kets)
+    for i, (_, _, s_ground, posts) in enumerate(MPMATH_SPECTRA):
+        assert abs(report.s_ground[i] / float(s_ground) - 1.0) <= 2e-15, i
+        for mu, frozen in enumerate(posts):
+            found = np.append(report.reduced_eigenvalues[i, mu], report.s_post[i, mu])
+            assert np.all(np.abs(found / np.array(frozen, float) - 1.0) <= 2e-15), (i, mu, found)

@@ -152,6 +152,11 @@ def test_measured_kets_are_the_kraus_operators_on_the_ket():
         one = kraus_operators(rows) @ ground
         assert measurement.measured_kets(ground, rows).tobytes() == one.tobytes()
         assert ket.tobytes() == one.tobytes()
+    # and with phases alpha and delta, whose factors associate as the operators' do
+    rows = np.array([[0.5, 0.2, 0.3, 0.4], [0.6, 0.3, 2.5, 1.1], [0.5, 0.1, 0.23, -0.7]])
+    for ground in grounds[:5]:
+        one = kraus_operators(rows) @ ground
+        assert measurement.measured_kets(ground, rows).tobytes() == one.tobytes()
 
 
 def test_kraus_index_out_of_range():

@@ -39,6 +39,20 @@ def test_policy_search_projective_unit_point():
     assert abs(protocol.run_many(block, coeffs, omega, axes).e_b[0] - value[0]) <= 1e-15
 
 
+def test_an_exact_tie_of_the_two_blocks_goes_to_the_y_block(monkeypatch):
+    # D's {1, sigma_y} and {sigma_x, sigma_z} blocks equal: the printed turn is about y,
+    # by theta = atan2(b, half) / 2, and not a half turn in the x-z plane
+    pair = np.array([[0.0, 0.3], [0.3, -1.0]])
+    gains = np.zeros((1, 1, 4, 4))
+    gains[..., ::2, ::2], gains[..., 1::2, 1::2] = pair, pair
+    monkeypatch.setattr(protocol, "turn_gains", lambda params, coeffs: gains.copy())
+    rows = measurement.identity_measurement().rows[None]
+    value, omega, axes = optimizer.maximize_over_policies(ParamsBlock.of([UNIT]), rows)
+    assert abs(value[0] - np.linalg.eigvalsh(pair)[-1]) <= 1e-16
+    assert axes[0, 0].tolist() == list(analytic.Y_AXIS)
+    assert omega[0, 0] == 0.5 * math.atan2(0.3, 0.5)
+
+
 def test_policy_search_matches_closed_form_ensemble():
     members = model_ensemble(30, seed0=500)
     block, coeffs = case_block(members)
@@ -136,6 +150,19 @@ def test_policy_search_is_covariant_under_power_of_two_scaling():
         assert np.array_equal(columns[0], base[0] * 2.0**j), j
         for got, want in zip(columns[1:], base[1:]):
             assert np.array_equal(got, want), j
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-160, 1e160, 1e300])
+def test_policy_search_keeps_its_digits_at_extreme_scales(scale):
+    # where mid < 0, lambda_max = det / L is formed as x (z / L) - b (b / L): no product
+    # of two entries of D overflows or underflows, as (x z - b^2) / L would past ~1e154
+    block, coeffs = checks.draw_members(3, range(60))[:2]
+    hk = zip(block.h.tolist(), block.k.tolist())
+    scaled = ParamsBlock.of_rows([params_row(h * scale, k * scale) for h, k in hk])
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        found = optimizer.maximize_over_policies(scaled, coeffs)[0]
+    closed = analytic.max_EB_closed(scaled, *weight_block(coeffs))
+    assert checks.maximum_gap(found, closed).max() <= 1e-14
 
 
 def test_policy_search_meets_the_closed_maximum_across_the_wide_domain():

@@ -11,14 +11,16 @@ once, so a check and its budget mean the same thing wherever they are run.
 
 The random checks draw two streams: [seed, 2] for the eigensolver, and
 [seed, 1] for one ensemble of model members that every other random check
-scores, the eigen maximum over policies on its first members.  Member i is
-row i of one matrix of uniforms (``draw_members``), whatever the blocking.  The ensemble
-scores ``ENSEMBLE_BLOCK`` (256) members at a time, so the fixed NumPy-call
-costs are paid per block, each once: one ``draw_block`` and one ``check_block``
-of its POVM residuals, one ``measured_block`` and ``run_block``, each member's
-outcome-blind rotation as a second policy on the same ``MeasuredBlock``
-(``protocol.teleported_energy``), and a 7-call parabolic refinement.  Each
-residual is its member's own, so the block size changes no bit.
+scores.  Member i is row i of one matrix of uniforms (``draw_members``),
+whatever the blocking.  The ensemble scores ``ENSEMBLE_BLOCK`` (256) members
+at a time, so the fixed NumPy-call costs are paid per block, each once: one
+``draw_block`` and one ``check_block`` of its POVM residuals, one
+``measured_block`` and ``run_block``, and a 7-call parabolic refinement.  Bob's
+turn gains D (``protocol.turn_gains``), built per protocol.BLOCK members, give
+each member's exact maximum over policies (``optimizer.best_turns``) and the
+energy w^T (sum_mu D_mu) w of its outcome-blind turn w, next to the most any
+such turn extracts.  Each residual is its member's own, so the block size
+changes no bit.
 """
 
 from __future__ import annotations
@@ -148,18 +150,31 @@ def block_residuals(block, coeffs, povm, outcomes, turns, first: int = 0) -> dic
     )
     found["reduced-eigenvalues"] = [np.abs(brute - np.stack([lam_minus, lam_plus], -1))[live]]
 
-    # each member's turn W as the policy that applies it at every outcome: its cost
-    # -E_B equals the direct routes <Wg|H_B + V|Wg> and <Wg|H|Wg>, and is >= 0
-    n = coeffs.shape[1]
-    turn_omega, turn_axes = np.repeat(turns[:, :1], n, 1), np.repeat(turns[:, None, 1:], n, 1)
-    cost = -protocol.teleported_energy(measured, turn_omega, turn_axes, first)
+    # Bob's turn gains D, protocol.BLOCK members at a time: each member's exact maximum
+    # over policies, and sum_mu D_mu, the gains of one turn at every outcome
+    best, summed = np.empty(len(turns)), np.empty((len(turns), 4, 4))
+    for start in range(0, len(turns), protocol.BLOCK):
+        part = slice(start, start + protocol.BLOCK)
+        gains = protocol.turn_gains(block[part], coeffs[part])
+        best[part] = optimizer.best_turns(gains, measured.p[:, part], first + start)[0]
+        summed[part] = gains.sum(axis=1)
+    found["optimizer-vs-closed"] = [maximum_gap(best, max_eb)]
+
+    # each member's turn W at every outcome extracts w^T (sum_mu D_mu) w, w = (cos omega,
+    # sin omega n): minus the direct routes <Wg|H_B + V|Wg> and <Wg|H|Wg>, and sum Q / eps;
+    # it is <= 0, as is the most any outcome-blind turn extracts, lambda_max(sum_mu D_mu)
+    w = np.concatenate([np.cos(turns[:, :1]), np.sin(turns[:, :1]) * turns[:, 1:]], axis=1)
+    blind = np.einsum("bi,bij,bj->b", w, summed, w)
     wg = protocol.rotate_b(measured.ground, protocol.rotations(turns[:, 0], turns[:, 1:]))
     local, total = (qmath.expectation(wg, op) for op in (parts.h_b + parts.v, parts.total))
-    found["no-go-passive"] = [-cost, np.abs(local - total), np.abs(cost - local)]
+    axis = tuple(turns[:, 1:].T)
+    q_sum = analytic.Q_of(block, measured.p, measured.q, turns[:, 0], axis).sum(axis=0)
+    routes = (np.abs(local - total), np.abs(blind + local), np.abs(blind - q_sum / block.eps))
+    exact = optimizer.best_turns(summed[:, None], 1.0, first)[0]  # one outcome of weight 1
+    found["no-go-passive"] = [blind, *routes, exact]
 
     # scalar objective spot checks, on one random outcome and the turn's axis per member
-    p, q = (w[outcomes, np.arange(len(outcomes))] for w in (measured.p, measured.q))
-    axis = tuple(turns[:, 1:].T)
+    p, q = (x[outcomes, np.arange(len(outcomes))] for x in (measured.p, measured.q))
     closed_max, omega_star = analytic.max_over_omega(block, p, q, axis)
     x_coef = analytic.X_of(block, p, q, axis)
     g_coef = block.h * block.k * q * axis[1]
@@ -251,14 +266,6 @@ def maximum_gap(found, closed):
     return np.abs(found - closed) / np.where(closed != 0.0, np.abs(closed), 1.0)
 
 
-def _check_optimizer(seed: int, size: int) -> float:
-    """The eigen maximum over policies against the closed one, on the first ``size`` members."""
-    block, coeffs = draw_members(seed, range(size))[:2]
-    closed = analytic.max_EB_closed(block, *measurement.weight_block(coeffs))
-    found = optimizer.maximize_over_policies(block, coeffs)[0]
-    return float(np.max(maximum_gap(found, closed)))
-
-
 def _check_time_evolution() -> float:
     """<H_B(t)> on its closed curve and <V(t)> = 0 over half a period; the peak is E_A."""
     worst = 0.0
@@ -331,9 +338,9 @@ CHECKS = (
             "axis-minimum": 1e-9,
             "envelope-peak": 1e-9,
             "no-go-passive": 1e-10,
+            "optimizer-vs-closed": 1e-11,
         },
         math.inf,
     ),
     (_check_eigensolver, {"eigensolver-reconstruction": 1e-12}, 200),
-    (_check_optimizer, {"optimizer-vs-closed": 1e-11}, 64),
 )

@@ -20,21 +20,19 @@ largest outcome count, with the weights in the closed forms' (n, N) layout.
 ``run_many`` computes them BLOCK cases at a time; ``evolve_series`` computes
 its (T,) columns BLOCK times at a time.  One case is a block of one, and an
 outcome-blind rotation W of B, such as a ``haar_turns`` row, is the policy
-that applies W at every outcome.  Each rotation acts as a 2x2 block on the ket read as an
-(a, b) matrix, and every energy is a stacked ``qmath.expectation``:
+that applies W at every outcome.  Each rotation acts as a 2x2 block on the ket
+read as an (a, b) matrix, and every energy is a stacked ``qmath.expectation``:
 Tr[rho O] is its sum over the kets of rho.  Born's rule is
 ``entanglement.consumption_block``'s, computed once per ``MeasuredBlock``.
-``turn_gains`` gives each outcome's 4x4 matrix D of Bob's turns, whose top
-eigenpair ``optimizer.maximize_over_policies`` reads as the best turn; ``minqet
-sweep`` runs that turn's table through ``run_many``.
+``turn_gains`` gives each outcome's 4x4 matrix D of Bob's turns: a turn a at
+outcome mu extracts a^T D_mu a, whose maximum ``optimizer.best_turns`` solves
+for, and one turn w at every outcome extracts w^T (sum_mu D_mu) w.  ``minqet
+sweep`` runs the best turns' table through ``run_many``.
 
 Every run cross-checks its own arithmetic: E_A must match its closed form,
 E_B by Tr[rho H] the per-outcome rows' sum of prob (<H_B> + <V>) and the
 scalar route (sum of Q / eps), and the final energy must respect H >= 0.
-A second policy on a block that ``run_block`` ran needs only E_B:
-``teleported_energy`` computes it by the same arithmetic, with the three
-checks that depend on the policy and no closed-form columns.  A failed
-check is a bug, not a data error: ``_check``, the one judge, raises
+A failed check is a bug, not a data error: ``_check``, the one judge, raises
 RuntimeError naming the check, the case, its residual and its budget.
 """
 
@@ -250,36 +248,6 @@ def optimal_table(params, p, q) -> tuple[np.ndarray, np.ndarray]:
     return omega, np.broadcast_to(analytic.Y_AXIS, omega.shape + (3,))
 
 
-def _feedback(block: MeasuredBlock, omega, axes, local_ops: tuple, first: int) -> tuple:
-    """Rotate B by (omega, axes) after ``block`` and check E_B's policy-dependent identities.
-
-    Returns each outcome's <O> on its normalized post-feedback state, (B, n, m) for
-    the m ``local_ops`` (B, 4, 4) ending in H_B and V, then Tr[rho H] and E_B, both (B,).
-    """
-    params, prob = block.params, block.ent.probabilities  # Born's rule, 0 where degenerate
-    live = prob > 0.0
-    phi = np.where(live[..., None], rotate_b(block.kets, rotations(omega, axes)), 0.0)  # fed back
-    chi = phi / np.sqrt(np.where(live, prob, 1.0))[..., None]  # normalized
-    local = qmath.expectation(chi[..., None, :], np.stack(local_ops, axis=1)[:, None])
-    # rho = sum_mu |phi_mu><phi_mu|, so Tr[rho O] sums <phi_mu|O|phi_mu>
-    total_final = qmath.expectation(phi, block.parts.total[:, None]).sum(axis=-1)
-    e_b = block.e_a - total_final
-    e_b_local = -(prob * (local[..., -2] + local[..., -1])).sum(axis=-1)
-
-    budget = CROSS_CHECK_TOL * block.scale
-    _check("E_B local form differs", np.abs(e_b - e_b_local), budget, first)
-    # outcomes along the leading axis, so the (B,) parameters broadcast behind them
-    q_sum = analytic.Q_of(params, block.p, block.q, omega.T, tuple(axes.T)).sum(axis=0)
-    _check("E_B per-outcome route differs", np.abs(e_b - q_sum / params.eps), budget, first)
-    _check("final energy violates H >= 0", -total_final, budget, first)
-    return local, total_final, e_b
-
-
-def teleported_energy(block: MeasuredBlock, omega, axes, first: int) -> np.ndarray:
-    """``run_block``'s E_B column alone, checked by the identities that depend on the policy."""
-    return _feedback(block, omega, axes, (block.parts.h_b, block.parts.v), first)[2]
-
-
 def run_block(
     block: MeasuredBlock, omega: np.ndarray, axes: np.ndarray, first: int = 0
 ) -> ProtocolReport:
@@ -291,12 +259,26 @@ def run_block(
     e_a_closed = measurement.input_energy_closed(params, block.coeffs)
     budget = CROSS_CHECK_TOL * block.scale
     _check("E_A closed form differs", np.abs(e_a - e_a_closed), budget, first)
-    local, total_final, e_b = _feedback(block, omega, axes, (parts.h_a, parts.h_b, parts.v), first)
+
+    prob = ent.probabilities  # Born's rule, 0 where degenerate
+    live = prob > 0.0
+    phi = np.where(live[..., None], rotate_b(block.kets, rotations(omega, axes)), 0.0)  # fed back
+    chi = phi[..., None, :] / np.sqrt(np.where(live, prob, 1.0))[..., None, None]  # normalized
+    # each outcome's <H_A>, <H_B> and <V> on its normalized post-feedback state: (B, n, 3)
+    local = qmath.expectation(chi, np.stack([parts.h_a, parts.h_b, parts.v], 1)[:, None])
+    # rho = sum_mu |phi_mu><phi_mu|, so Tr[rho O] sums <phi_mu|O|phi_mu>
+    total_final = qmath.expectation(phi, parts.total[:, None]).sum(axis=-1)
+    e_b = e_a - total_final
+    e_b_local = -(prob * (local[..., 1] + local[..., 2])).sum(axis=-1)
+    _check("E_B local form differs", np.abs(e_b - e_b_local), budget, first)
+    # outcomes along the leading axis, so the (B,) parameters broadcast behind them
+    q_sum = analytic.Q_of(params, block.p, block.q, omega.T, tuple(axes.T)).sum(axis=0)
+    _check("E_B per-outcome route differs", np.abs(e_b - q_sum / params.eps), budget, first)
+    _check("final energy violates H >= 0", -total_final, budget, first)
 
     bound = analytic.bounds(params)
     max_eb = analytic.max_EB_closed(params, block.p, block.q)
-    total_local = (local[..., 0] + local[..., 1] + local[..., 2])[..., None]
-    per_outcome = np.concatenate([ent.probabilities[..., None], local, total_local], axis=-1)
+    per_outcome = np.concatenate([prob[..., None], local, local.sum(-1, keepdims=True)], -1)
     return ProtocolReport(
         e_a, e_a_closed, e_b, total_final, per_outcome, ent.s_ground, ent.delta_s,
         ent.mutual_info, max_eb, bound.c32 * max_eb / params.eps, bound.c770 * ent.delta_s,

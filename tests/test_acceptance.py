@@ -3,8 +3,8 @@
 Each of the 22 names in ``checks.CHECKS`` is one test that asserts its
 residual is within the registry's budget.  The capped routines run once per
 module at sizes above verify's caps: 10^4 ensemble members, each with its
-outcome-blind rotation and 1500 of them saturated, the eigen maximum over
-policies on the ensemble's first 100 members, and 200 random Hermitian matrices.
+outcome-blind rotation and its eigen maximum over policies, 1500 of them
+saturated, and 200 random Hermitian matrices.
 
 Two claims verify does not make stay as hand-written tests: the frozen unit
 constants, and the curvature signs of the rescaled kernels.  The constants
@@ -42,7 +42,6 @@ GATE_SEED = 0
 GATE_SIZES = {
     "measurement-completeness": 10_000,
     "eigensolver-reconstruction": 200,
-    "optimizer-vs-closed": 100,
 }
 
 NAMES = [name for _, budgets, _ in checks.CHECKS for name in budgets]
@@ -96,8 +95,8 @@ def test_registry_is_complete():
         "axis-minimum",
         "envelope-peak",
         "no-go-passive",
-        "eigensolver-reconstruction",
         "optimizer-vs-closed",
+        "eigensolver-reconstruction",
     ]
     (mark,) = [m for m in test_check.pytestmark if m.name == "parametrize"]
     assert Counter(mark.args[1]) == Counter(NAMES)
@@ -266,18 +265,20 @@ def test_a_corrupted_member_of_a_drawn_block_is_named():
 @pytest.mark.parametrize(
     "seed, frozen",
     [
-        (0, ("5.329070518200751e-15", "3.410973772626401e-14")),
-        (7, ("5.329070518200751e-15", "1.336807009006506e-13")),
-        (26, ("5.329070518200751e-15", "7.688325471172681e-14")),
-        (33, ("4.440892098500626e-15", "3.357079623123997e-14")),
+        (0, ("7.105427357601002e-15", "3.410973772626401e-14")),
+        (7, ("7.105427357601002e-15", "1.336807009006506e-13")),
+        (26, ("6.217248937900877e-15", "7.688325471172681e-14")),
+        (33, ("7.105427357601002e-15", "3.357079623123997e-14")),
     ],
 )
 def test_no_go_residuals_are_frozen(seed, frozen):
     # the outcome-blind rotations' and the saturated members' residuals at 1000 members;
     # re-recorded when the reduced spectra went closed-form (bound-770-equality read
-    # 3.791710470373987e-14 at seed 0 and 3.6111524353191493e-14 at seed 33) and B's
+    # 3.791710470373987e-14 at seed 0 and 3.6111524353191493e-14 at seed 33), when B's
     # turn was written out elementwise (no-go-passive read 7.105427357601002e-15 at
-    # seed 7 and 5.329070518200751e-15 at seed 33)
+    # seed 7 and 5.329070518200751e-15 at seed 33), and when each turn's E_B became
+    # w^T (sum_mu D_mu) w, also held to sum Q / eps (no-go-passive read
+    # 5.329070518200751e-15 at seeds 0, 7 and 26 and 4.440892098500626e-15 at seed 33)
     worst = checks.ensemble_residuals(seed, 1000)
     assert (repr(worst["no-go-passive"]), repr(worst["bound-770-equality"])) == frozen
 
@@ -343,6 +344,29 @@ def test_a_fault_in_the_no_go_direct_route_alone_fails_no_go_passive(monkeypatch
     monkeypatch.setattr(checks, "protocol", shifted)
     worst = checks.ensemble_residuals(0, 300)
     assert [name for name in worst if not worst[name] <= BUDGETS[name]] == ["no-go-passive"]
+
+
+def test_a_positive_direction_of_the_summed_gains_fails_no_go_passive(monkeypatch):
+    # +1e-6 along the identity turn (1, 0, 0, 0), where sum_mu D_mu is 0, in padding
+    # outcome 5 of every member with fewer than 6 outcomes, and a half turn about y,
+    # w = (0, 0, 1, 0) to rounding, for every member: no live outcome's D and no
+    # w^T (sum_mu D_mu) w moves, so only the exact route lambda_max(sum_mu D_mu) sees it
+    def tilted(params, coeffs):
+        gains = protocol.turn_gains(params, coeffs)
+        gains[:, 5, 0, 0] += 1e-6 * ~coeffs[:, 5].any(axis=-1)
+        return gains
+
+    shifted = types.SimpleNamespace(**vars(protocol))
+    shifted.turn_gains = tilted
+    monkeypatch.setattr(checks, "protocol", shifted)
+    block, coeffs, povm, outcomes, turns = checks.draw_members(0, range(checks.ENSEMBLE_BLOCK))
+    turns = np.broadcast_to((0.5 * np.pi, 0.0, 1.0, 0.0), turns.shape)
+    found = checks.block_residuals(block, coeffs, povm, outcomes, turns)
+    assert [name for name in found if not checks._worst(*found[name]) <= BUDGETS[name]] == [
+        "no-go-passive"
+    ]
+    *routes, exact = found["no-go-passive"]
+    assert checks._worst(*routes) <= BUDGETS["no-go-passive"] < checks._worst(exact) <= 1e-6
 
 
 def test_frozen_unit_constants():

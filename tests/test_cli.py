@@ -137,29 +137,49 @@ def test_verify_reports_a_raising_routine_once_per_name(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "verify", "--ensemble", "3")
     assert code == 1
     names = next(b for r, b, _ in table if r is boom)
-    assert len(names) == 15
+    assert len(names) == 16
     failed = [ln.split()[1] for ln in out.splitlines() if ln.startswith("FAIL")]
     assert failed == list(names)
     failures = strict_json(err)["failures"]
     assert [f["check"] for f in failures] == list(names)
     assert all(f["error"] == "ZeroDivisionError" for f in failures)
-    # the other seven checks still ran
-    assert sum(ln.startswith("PASS") for ln in out.splitlines()) == 7
+    # the other six checks still ran
+    assert sum(ln.startswith("PASS") for ln in out.splitlines()) == 6
+
+
+def test_a_fault_in_one_members_maximum_fails_optimizer_vs_closed(capsys, monkeypatch):
+    # member 500's eigen maximum is 1 + 1e-6 times too large; optimizer-vs-closed
+    # scores every member of the ensemble, so it sees the fault at 1000 members
+    route = optimizer.best_turns
+
+    def faulty(gains, live, first):
+        value, turns = route(gains, live, first)
+        return value * (1.0 + 1e-6 * (np.arange(first, first + len(value)) == 500)), turns
+
+    monkeypatch.setattr(optimizer, "best_turns", faulty)
+    code, out, err = run_cli(capsys, "verify", "--seed", "0", "--ensemble", "1000")
+    assert code == 1
+    failed = [ln.split()[1] for ln in out.splitlines() if ln.startswith("FAIL")]
+    assert failed == ["optimizer-vs-closed"]
+    (failure,) = strict_json(err)["failures"]
+    assert 0.5e-6 < failure["residual"] < 2e-6
 
 
 def test_omega_maximum_is_judged_relative_to_its_value(capsys, monkeypatch):
     # every omega maximum seed 0 draws is below 0.1, so an absolute 1e-10
     # error in Q is over the 1e-9 budget only relative to the value itself.
     # Only verify's view of analytic is shifted: protocol.run_block's own
-    # cross-check would otherwise raise first and fail all 15 names.
+    # cross-check would otherwise raise first and fail all 16 names.  no-go-passive
+    # holds each turn's E_B to sum Q / eps at an absolute 1e-10, so it fails too.
     shifted = types.SimpleNamespace(**vars(analytic))
     shifted.Q_of = lambda *args: analytic.Q_of(*args) + 1e-10
     monkeypatch.setattr(checks, "analytic", shifted)
     code, out, err = run_cli(capsys, "verify", "--seed", "0", "--ensemble", "24")
     assert code == 1
     failed = [ln.split()[1] for ln in out.splitlines() if ln.startswith("FAIL")]
-    assert failed == ["omega-maximum"]
-    (failure,) = strict_json(err)["failures"]
+    assert failed == ["omega-maximum", "no-go-passive"]
+    failure, _ = strict_json(err)["failures"]
+    assert failure["check"] == "omega-maximum"
     assert failure["residual"] > failure["budget"] == 1e-9
 
 
@@ -176,9 +196,9 @@ def test_omega_maximum_at_zero_q_is_not_a_false_fail(capsys, monkeypatch):
 
     monkeypatch.setattr(measurement, "draw_block", unbiased)
     code, out, err = run_cli(capsys, "verify", "--seed", "0", "--ensemble", "24")
-    # drawn through the patch: the ensemble and optimizer-vs-closed; the
-    # saturated members get q = 0 too, so bound-770-equality scores none
-    assert [len(coeffs) for coeffs in drawn] == [24, 24]
+    # drawn through the patch: the ensemble, whose members optimizer-vs-closed
+    # scores too; the saturated members get q = 0, so bound-770-equality scores none
+    assert [len(coeffs) for coeffs in drawn] == [24]
     assert all(np.all(measurement.weight_block(coeffs)[1] == 0.0) for coeffs in drawn)
     (line,) = [ln for ln in out.splitlines() if ln.split()[1:2] == ["omega-maximum"]]
     assert line.startswith("PASS"), line

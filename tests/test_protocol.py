@@ -768,19 +768,16 @@ def turn_tables(turns, n):
 
 @pytest.mark.parametrize("seed", (0, 7))
 @pytest.mark.parametrize("first", (0, 256))
-def test_the_turn_run_gives_run_blocks_e_b(monkeypatch, seed, first):
+def test_the_d_form_of_a_turn_gives_run_blocks_e_b(seed, first):
+    # a turn w = (cos omega, sin omega n) applied at every outcome extracts
+    # w^T (sum_mu D_mu) w, the E_B of run_block on the same table
     block, coeffs, _, _, turns = checks.draw_members(seed, range(first, first + 256))
     measured = protocol.measured_block(block, coeffs)
-    optimal = protocol.optimal_table(block, measured.p, measured.q)
-    tables = (turn_tables(turns, coeffs.shape[1]), optimal)
-    want = [protocol.run_block(measured, *table, first).e_b for table in tables]
-    # the turn run computes no closed-form column and leaves E_A's identity to run_block
-    lean = types.SimpleNamespace(**vars(analytic))
-    lean.bounds = lean.max_EB_closed = None
-    monkeypatch.setattr(protocol, "analytic", lean)
-    monkeypatch.setattr(measurement, "input_energy_closed", None)
-    for table, e_b in zip(tables, want):
-        assert protocol.teleported_energy(measured, *table, first).tobytes() == e_b.tobytes()
+    e_b = protocol.run_block(measured, *turn_tables(turns, coeffs.shape[1]), first).e_b
+    w = np.concatenate([np.cos(turns[:, :1]), np.sin(turns[:, :1]) * turns[:, 1:]], axis=1)
+    summed = protocol.turn_gains(block, coeffs).sum(axis=1)
+    d_form = np.einsum("bi,bij,bj->b", w, summed, w)
+    assert np.all(np.abs(d_form - e_b) <= 1e-15 * measured.scale)
 
 
 def test_a_nan_q_fails_the_turn_runs_per_outcome_route(monkeypatch):
@@ -797,4 +794,4 @@ def test_a_nan_q_fails_the_turn_runs_per_outcome_route(monkeypatch):
     with pytest.raises(
         RuntimeError, match=r"E_B per-outcome route differs in case 266 \(residual nan, "
     ):
-        protocol.teleported_energy(measured, *turn_tables(turns, coeffs.shape[1]), 256)
+        protocol.run_block(measured, *turn_tables(turns, coeffs.shape[1]), 256)

@@ -32,7 +32,6 @@ f_E and the teleported-energy maximum used everywhere else.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,10 +96,10 @@ def max_over_omega(params: ModelParams, p, q, n: tuple[float, float, float]) -> 
     """Maximum of Q over the rotation angle for a fixed axis, and its argmax.
 
     Q = X cos(2w) - G sin(2w) - X with G = h k q n_y, so the maximum is
-    sqrt(X^2 + G^2) - X at 2w = atan2(-G, X).  The angle is reported in
-    [0, pi) since Q is pi-periodic, and is 0 where X = G = 0.  This is the
-    package's one formula for the omega-maximum, value and angle.  At
-    ``Y_AXIS`` it gives ``protocol.optimal_table``'s angles.
+    sqrt(X^2 + G^2) - X at 2w = atan2(-G, X).  Q is pi-periodic; the angle is in
+    (-pi/2, pi/2], so a small turn either way keeps its digits, and it is 0 where
+    G = 0 <= X.  This is the package's one formula for the omega-maximum, value and
+    angle.  At ``Y_AXIS`` it gives ``protocol.optimal_table``'s angles.
 
     It reads only ``params.h`` and ``params.k``, so any object with those
     two attributes will do.
@@ -113,7 +112,8 @@ def max_over_omega(params: ModelParams, p, q, n: tuple[float, float, float]) -> 
     # scales where the quotient does not.
     positive = x > 0.0
     value = np.where(positive, g * (g / np.where(positive, radius + x, 1.0)), radius - x)
-    omega = np.where((x == 0.0) & (g == 0.0), 0.0, 0.5 * np.arctan2(-g, x) % math.pi)
+    # 0.0 - g reads a zero G as +0: omega is never -0.0, and -pi/2 goes to pi/2
+    omega = np.where((x == 0.0) & (g == 0.0), 0.0, 0.5 * np.arctan2(0.0 - g, x))
     return value, omega
 
 

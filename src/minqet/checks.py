@@ -15,12 +15,12 @@ scores.  Member i is row i of one matrix of uniforms (``draw_members``),
 whatever the blocking.  The ensemble scores ``ENSEMBLE_BLOCK`` (256) members
 at a time, so the fixed NumPy-call costs are paid per block, each once: one
 ``draw_block`` and one ``check_block`` of its POVM residuals, one
-``measured_block`` and ``run_block``, and a 7-call parabolic refinement.  Bob's
-turn gains D (``protocol.turn_gains``), built per protocol.BLOCK members, give
-each member's exact maximum over policies (``optimizer.best_turns``) and the
-energy w^T (sum_mu D_mu) w of its outcome-blind turn w, next to the most any
-such turn extracts.  Each residual is its member's own, so the block size
-changes no bit.
+``measured_block``, one ``turn_gains`` of Bob's turn gains D and one
+``best_turns`` of it, one ``run_block`` on the turns it solves, and a 7-call
+parabolic refinement.  D gives each member's exact maximum over policies, whose
+turns the run replays by brute force, and the energy w^T (sum_mu D_mu) w of its
+outcome-blind turn w, next to the most any such turn extracts.  Each residual
+is its member's own, so the block size changes no bit.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from collections import defaultdict
 
 import numpy as np
 
-from . import analytic, measurement, model, optimizer, protocol, qmath
+from . import analytic, measurement, model, protocol, qmath
 from .model import ModelParams, ParamsBlock, params_row
 
 PAIR_GRID = [(hh, kk) for hh in (0.5, 1.0, 2.0) for kk in (0.5, 1.0, 2.0)]
@@ -116,8 +116,10 @@ def block_residuals(block, coeffs, povm, outcomes, turns, first: int = 0) -> dic
     Each name maps to a list of residual arrays (or floats) whose maximum is the check's value.
     """
     measured = protocol.measured_block(block, coeffs)
-    omega, axes = protocol.optimal_table(block, measured.p, measured.q)
-    run = protocol.run_block(measured, omega, axes, first)
+    # Bob's turn gains D, solved for each member's maximum over policies and the turns run
+    gains = protocol.turn_gains(block, coeffs)
+    best, solved = protocol.best_turns(gains, measured.p, first)
+    run = protocol.run_block(measured, *protocol.turn_policy(solved), first)
     parts, kets = measured.parts, measured.kets
     found: dict[str, list] = {"measurement-completeness": list(povm.values())}
     # <H_B> and <V> of the post-measurement state sum over its kets: (B, 2)
@@ -128,6 +130,7 @@ def block_residuals(block, coeffs, povm, outcomes, turns, first: int = 0) -> dic
     delta_closed = analytic.delta_S_closed(block, measured.p, measured.q)
     found["input-energy"] = [np.abs(run.e_a - run.e_a_closed)]
     found["teleported-energy-routes"] = [np.abs(run.e_b - max_eb)]
+    found["optimizer-vs-closed"] = [maximum_gap(best, max_eb)]
     found["entanglement-consumption"] = [np.abs(delta_s - delta_closed)]
     found["mutual-information"] = [np.abs(run.mutual_info - delta_s)]
     found["entanglement-nonnegative"] = [-delta_s]
@@ -150,27 +153,18 @@ def block_residuals(block, coeffs, povm, outcomes, turns, first: int = 0) -> dic
     )
     found["reduced-eigenvalues"] = [np.abs(brute - np.stack([lam_minus, lam_plus], -1))[live]]
 
-    # Bob's turn gains D, protocol.BLOCK members at a time: each member's exact maximum
-    # over policies, and sum_mu D_mu, the gains of one turn at every outcome
-    best, summed = np.empty(len(turns)), np.empty((len(turns), 4, 4))
-    for start in range(0, len(turns), protocol.BLOCK):
-        part = slice(start, start + protocol.BLOCK)
-        gains = protocol.turn_gains(block[part], coeffs[part])
-        best[part] = optimizer.best_turns(gains, measured.p[:, part], first + start)[0]
-        summed[part] = gains.sum(axis=1)
-    found["optimizer-vs-closed"] = [maximum_gap(best, max_eb)]
-
     # each member's turn W at every outcome extracts w^T (sum_mu D_mu) w, w = (cos omega,
     # sin omega n): minus the direct routes <Wg|H_B + V|Wg> and <Wg|H|Wg>, and sum Q / eps;
     # it is <= 0, as is the most any outcome-blind turn extracts, lambda_max(sum_mu D_mu)
     w = np.concatenate([np.cos(turns[:, :1]), np.sin(turns[:, :1]) * turns[:, 1:]], axis=1)
+    summed = gains.sum(axis=1)
     blind = np.einsum("bi,bij,bj->b", w, summed, w)
     wg = protocol.rotate_b(measured.ground, protocol.rotations(turns[:, 0], turns[:, 1:]))
     local, total = (qmath.expectation(wg, op) for op in (parts.h_b + parts.v, parts.total))
     axis = tuple(turns[:, 1:].T)
     q_sum = analytic.Q_of(block, measured.p, measured.q, turns[:, 0], axis).sum(axis=0)
     routes = (np.abs(local - total), np.abs(blind + local), np.abs(blind - q_sum / block.eps))
-    exact = optimizer.best_turns(summed[:, None], 1.0, first)[0]  # one outcome of weight 1
+    exact = protocol.best_turns(summed[:, None], 1.0, first)[0]  # one outcome of weight 1
     found["no-go-passive"] = [blind, *routes, exact]
 
     # scalar objective spot checks, on one random outcome and the turn's axis per member

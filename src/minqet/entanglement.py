@@ -178,9 +178,8 @@ def consumption_block(ground: np.ndarray, kets: np.ndarray) -> EntanglementRepor
     spectra[live], s_pure[live] = vals[:-size], entropies[:-size]
     prob, s_ground, s_post = np.where(live, weight, 0.0)[:, 1:], s_pure[:, 0], s_pure[:, 1:]
     avg_post = (prob * s_post).sum(axis=-1)
-    # I(pointer : B) = S(Phi_A) + S(Phi_B) - S(Phi), using the block structure
-    s_pointer = shannon_entropy(prob)
-    mutual = s_pointer + entropies[-size:] - (s_pointer + avg_post)
+    # I(pointer : B) = S(Phi_A) + S(Phi_B) - S(Phi), and by blocks S(Phi) = S(Phi_A) + avg_post
+    mutual = entropies[-size:] - avg_post
     return EntanglementReport(s_ground, prob, s_post, s_ground - avg_post, mutual, spectra[:, 1:])
 
 

@@ -6,9 +6,9 @@
   M_A(mu)|++>, h, k and sigma, and no closed form.  So the best turn of each outcome is
   D's top eigenvector and the maximum over policies is the sum of the outcomes'
   top eigenvalues (Davenport's q-method for Wahba's problem).  D is two 2x2 blocks,
-  each solved in closed form by ``best_turns``, which ``minqet verify`` also calls.
-  ``minqet sweep`` runs it once per grid, and ``minqet optimize --over policy`` on a
-  block of one.
+  each solved in closed form by ``protocol.best_turns``, which ``minqet verify`` also
+  calls on its ensemble's D.  ``minqet sweep`` runs it once per grid, and ``minqet
+  optimize --over policy`` on a block of one.
 
 * ``maximize_over_weights`` searches the measurement design space itself:
   outcome weights (p, q) on the simplex with sum(q) = 0 and |q| <= p,
@@ -54,65 +54,21 @@ class WeightsResult:
     converged: bool
 
 
-def best_turns(gains: np.ndarray, p, first: int) -> tuple:
-    """The summed maximum of a^T D a over each outcome's turn a of a gains block, and the turns.
-
-    ``gains`` is a (B, n, 4, 4) block of ``protocol.turn_gains``' D and ``p`` the weights
-    (n, B), or a value that broadcasts to them: sum_mu D_mu is one outcome of weight 1.
-    Each outcome with p > DEGENERATE_PROB turns; the others keep the identity and add 0.
-    D splits into a {1, sigma_y} block (rows 0, 2) and a {sigma_x, sigma_z} block (rows
-    1, 3), since the Kraus operators commute with O and D depends on an outcome only
-    through p + q sigma_x^A; ``protocol._check`` holds the entries between them to
-    CROSS_CHECK_TOL max |D| per case, numbered from ``first``.  Each block [[x, b], [b, z]]
-    is solved in closed form: lambda_max = mid + hypot(half, b) with mid = (x + z)/2 and
-    half = (x - z)/2, or det / L = x (z / L) - b (b / L), L = mid - hypot, where mid < 0
-    and the sum cancels (no product of two entries, so no overflow), and its eigenvector
-    is (cos theta, sin theta), theta = atan2(b, half) / 2.  The larger lambda_max wins,
-    and an exact tie goes to the {1, sigma_y} block: the turn is a = (cos theta, 0, sin
-    theta, 0), about the y axis with a_0 >= 0, or a = (0, cos theta, 0, sin theta), a half
-    turn about an axis in the x-z plane.  At |q| = p both blocks share one lambda_max in
-    exact arithmetic and the best turns form a family: the turn is that of the block whose
-    value rounds larger.  Returns the values summed in outcome order (B,) and the turns
-    (B, n, 4).
-    """
-    live = (np.asarray(p) > measurement.DEGENERATE_PROB).T  # (B, n)
-    magnitude = np.abs(gains)
-    # rows (0, 2) with columns (1, 3), and back: the entries between the two blocks
-    cross = np.maximum(magnitude[..., ::2, 1::2], magnitude[..., 1::2, ::2])
-    budget = protocol.CROSS_CHECK_TOL * magnitude.max(axis=(-3, -2, -1))
-    protocol._check("D couples its two blocks", cross.max(axis=(-3, -2, -1)), budget, first)
-    # the two blocks side by side, {1, sigma_y} first: (B, n, 2)
-    diagonal = np.diagonal(gains, axis1=-2, axis2=-1)
-    x, z, b = diagonal[..., :2], diagonal[..., 2:], gains[..., [0, 1], [2, 3]]
-    mid, half = 0.5 * (x + z), 0.5 * (x - z)
-    radius = np.hypot(half, b)
-    low = np.where(mid < 0.0, mid - radius, 1.0)  # negative where mid + radius cancels
-    pair = np.where(low < 0.0, x * (z / low) - b * (b / low), mid + radius)
-    xz_wins = pair[..., 1] > pair[..., 0]
-    top = np.where(live, np.where(xz_wins, pair[..., 1], pair[..., 0]), 0.0)
-    # the winner's (cos theta, sin theta) as turn[k, j] = a_{2k + j}, block j = 0 or 1
-    angle = 0.5 * np.arctan2(b, half)
-    winner = np.stack([~xz_wins, xz_wins], axis=-1)[..., None, :]
-    turn = (np.stack([np.cos(angle), np.sin(angle)], axis=-2) * winner).reshape(gains.shape[:-1])
-    turn = np.where(live[..., None], turn, (1.0, 0.0, 0.0, 0.0))
-    return np.add.accumulate(top, axis=1)[:, -1], turn
-
-
 def maximize_over_policies(params: ParamsBlock, coeffs: np.ndarray) -> tuple:
     """The maximum of E_B over per-outcome feedback turns, for N cases, and its turns.
 
-    ``best_turns`` solves the ``protocol.turn_gains`` of the coefficient block (N, n, 4),
-    protocol.BLOCK cases at a time, and ``protocol.turn_policy`` reads each turn a as omega
-    = atan2(|a_vec|, a_0) in [0, pi/2] about n = a_vec / |a_vec|, and the identity as
-    ``analytic.Y_AXIS``.  Returns the columns (best_value, omega, axes): (N,), and the
-    policy table (N, n) and (N, n, 3).
+    ``protocol.best_turns`` solves the ``protocol.turn_gains`` of the coefficient block
+    (N, n, 4), protocol.BLOCK cases at a time, and ``protocol.turn_policy`` reads each turn
+    a as omega = atan2(|a_vec|, a_0) in [0, pi/2] about n = a_vec / |a_vec|, and the
+    identity as ``analytic.Y_AXIS``.  Returns the columns (best_value, omega, axes): (N,),
+    and the policy table (N, n) and (N, n, 3).
     """
     p = measurement.weight_block(coeffs)[0]
     value, turn = np.empty(len(coeffs)), np.empty(coeffs.shape)
     for first in range(0, len(coeffs), protocol.BLOCK):
         block = slice(first, first + protocol.BLOCK)
         gains = protocol.turn_gains(params[block], coeffs[block])
-        value[block], turn[block] = best_turns(gains, p[:, block], first)
+        value[block], turn[block] = protocol.best_turns(gains, p[:, block], first)
     return (value, *protocol.turn_policy(turn + 0.0))  # + 0.0: no -0.0 printed
 
 

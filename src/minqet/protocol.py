@@ -25,9 +25,10 @@ read as an (a, b) matrix, and every energy is a stacked ``qmath.expectation``:
 Tr[rho O] is its sum over the kets of rho.  Born's rule is
 ``entanglement.consumption_block``'s, computed once per ``MeasuredBlock``.
 ``turn_gains`` gives each outcome's 4x4 matrix D of Bob's turns: a turn a at
-outcome mu extracts a^T D_mu a, whose maximum ``optimizer.best_turns`` solves
-for, and one turn w at every outcome extracts w^T (sum_mu D_mu) w.  ``minqet
-sweep`` runs the best turns' table through ``run_many``.
+outcome mu extracts a^T D_mu a, whose maximum and best turns ``best_turns``
+solves for, and one turn w at every outcome extracts w^T (sum_mu D_mu) w.
+``minqet sweep`` and ``minqet verify`` run the best turns, and ``minqet
+report`` runs ``optimal_table``'s closed-form ones.
 
 Every run cross-checks its own arithmetic: E_A must match its closed form,
 E_B by Tr[rho H] the per-outcome rows' sum of prob (<H_B> + <V>) and the
@@ -139,6 +140,50 @@ def turn_gains(params: ParamsBlock, coeffs: np.ndarray) -> np.ndarray:
     z_part = np.where(_FLIPPED, 1.0, -cos) * d[..., :16] - sin * d[..., 32:48]
     xx_part = np.where(_FLIPPED, -cos, 1.0) * d[..., 16:32] - sin * d[..., 48:]
     return (h * z_part + k * xx_part).reshape(u.shape + (4,))
+
+
+def best_turns(gains: np.ndarray, p, first: int) -> tuple:
+    """The summed maximum of a^T D a over each outcome's turn a of a gains block, and the turns.
+
+    ``gains`` is a (B, n, 4, 4) block of ``turn_gains``' D and ``p`` the weights
+    (n, B), or a value that broadcasts to them: sum_mu D_mu is one outcome of weight 1.
+    Each outcome with p > DEGENERATE_PROB turns; the others keep the identity and add 0.
+    D splits into a {1, sigma_y} block (rows 0, 2) and a {sigma_x, sigma_z} block (rows
+    1, 3), since the Kraus operators commute with O and D depends on an outcome only
+    through p + q sigma_x^A; ``_check`` holds the entries between them to
+    CROSS_CHECK_TOL max |D| per case, numbered from ``first``.  Each block [[x, b], [b, z]]
+    is solved in closed form: lambda_max = mid + hypot(half, b) with mid = (x + z)/2 and
+    half = (x - z)/2, or det / L = x (z / L) - b (b / L), L = mid - hypot, where mid < 0
+    and the sum cancels (no product of two entries, so no overflow), and its eigenvector
+    is (cos theta, sin theta), theta = atan2(b, half) / 2.  The larger lambda_max wins,
+    and an exact tie goes to the {1, sigma_y} block: the turn is a = (cos theta, 0, sin
+    theta, 0), about the y axis with a_0 >= 0, or a = (0, cos theta, 0, sin theta), a half
+    turn about an axis in the x-z plane.  At |q| = p both blocks share one lambda_max in
+    exact arithmetic and the best turns form a family: the turn is that of the block whose
+    value rounds larger.  Returns the values summed in outcome order (B,) and the turns
+    (B, n, 4).
+    """
+    live = (np.asarray(p) > measurement.DEGENERATE_PROB).T  # (B, n)
+    magnitude = np.abs(gains)
+    # rows (0, 2) with columns (1, 3), and back: the entries between the two blocks
+    cross = np.maximum(magnitude[..., ::2, 1::2], magnitude[..., 1::2, ::2])
+    budget = CROSS_CHECK_TOL * magnitude.max(axis=(-3, -2, -1))
+    _check("D couples its two blocks", cross.max(axis=(-3, -2, -1)), budget, first)
+    # the two blocks side by side, {1, sigma_y} first: (B, n, 2)
+    diagonal = np.diagonal(gains, axis1=-2, axis2=-1)
+    x, z, b = diagonal[..., :2], diagonal[..., 2:], gains[..., [0, 1], [2, 3]]
+    mid, half = 0.5 * (x + z), 0.5 * (x - z)
+    radius = np.hypot(half, b)
+    low = np.where(mid < 0.0, mid - radius, 1.0)  # negative where mid + radius cancels
+    pair = np.where(low < 0.0, x * (z / low) - b * (b / low), mid + radius)
+    xz_wins = pair[..., 1] > pair[..., 0]
+    top = np.where(live, np.where(xz_wins, pair[..., 1], pair[..., 0]), 0.0)
+    # the winner's (cos theta, sin theta) as turn[k, j] = a_{2k + j}, block j = 0 or 1
+    angle = 0.5 * np.arctan2(b, half)
+    winner = np.stack([~xz_wins, xz_wins], axis=-1)[..., None, :]
+    turn = (np.stack([np.cos(angle), np.sin(angle)], axis=-2) * winner).reshape(gains.shape[:-1])
+    turn = np.where(live[..., None], turn, (1.0, 0.0, 0.0, 0.0))
+    return np.add.accumulate(top, axis=1)[:, -1], turn
 
 
 @dataclass(frozen=True)

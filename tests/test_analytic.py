@@ -38,7 +38,7 @@ WEAK_P = 0.952626887361273
 WEAK_Q = 1.9144983737149932e-05
 WEAK_PARAMS = ModelParams(h=0.7468337987663782, k=3.2601258359281653)
 WEAK_MAX_OVER_EPS = 1.563095872966533e-11
-# Q on the y axis at max_over_omega's argmax for that outcome (omega near pi),
+# Q on the y axis at pi plus max_over_omega's argmax for that outcome (omega near pi),
 # from a 50-digit mpmath evaluation of X (cos 2w - 1) - hkq sin 2w.
 WEAK_OMEGA = 3.1415915320538104
 WEAK_Q_AT_OMEGA = 5.2278912060423020941e-11

@@ -150,19 +150,42 @@ def test_verify_reports_a_raising_routine_once_per_name(capsys, monkeypatch):
 def test_a_fault_in_one_members_maximum_fails_optimizer_vs_closed(capsys, monkeypatch):
     # member 500's eigen maximum is 1 + 1e-6 times too large; optimizer-vs-closed
     # scores every member of the ensemble, so it sees the fault at 1000 members
-    route = optimizer.best_turns
+    route = protocol.best_turns
 
     def faulty(gains, live, first):
         value, turns = route(gains, live, first)
         return value * (1.0 + 1e-6 * (np.arange(first, first + len(value)) == 500)), turns
 
-    monkeypatch.setattr(optimizer, "best_turns", faulty)
+    monkeypatch.setattr(protocol, "best_turns", faulty)
     code, out, err = run_cli(capsys, "verify", "--seed", "0", "--ensemble", "1000")
     assert code == 1
     failed = [ln.split()[1] for ln in out.splitlines() if ln.startswith("FAIL")]
     assert failed == ["optimizer-vs-closed"]
     (failure,) = strict_json(err)["failures"]
     assert 0.5e-6 < failure["residual"] < 2e-6
+
+
+def test_a_tilt_of_one_members_solved_turns_fails_teleported_energy_routes(capsys, monkeypatch):
+    # member 500's solved turns go 1e-3 rad further inside their D blocks, its value kept:
+    # the ensemble runs the solved turns, so only their E_B, held to the closed maximum, drops
+    route = protocol.best_turns
+    cos, sin = math.cos(1e-3), math.sin(1e-3)
+
+    def tilted(gains, live, first):
+        value, turns = route(gains, live, first)
+        # each block's pair, (a_0, a_2) and (a_1, a_3), turned by 1e-3 rad
+        low, high = turns[..., :2], turns[..., 2:]
+        turned = np.concatenate([cos * low - sin * high, sin * low + cos * high], axis=-1)
+        member = (np.arange(first, first + len(value)) == 500)[:, None, None]
+        return value, np.where(member, turned, turns)
+
+    monkeypatch.setattr(protocol, "best_turns", tilted)
+    code, out, err = run_cli(capsys, "verify", "--seed", "0", "--ensemble", "1000")
+    assert code == 1
+    failed = [ln.split()[1] for ln in out.splitlines() if ln.startswith("FAIL")]
+    assert failed == ["teleported-energy-routes"]
+    (failure,) = strict_json(err)["failures"]
+    assert 1e-6 < failure["residual"] < 1e-5
 
 
 def test_omega_maximum_is_judged_relative_to_its_value(capsys, monkeypatch):
@@ -510,11 +533,12 @@ def test_sweep_and_evolve_csv_bytes_are_frozen(tmp_path, capsys):
     sweep = ["sweep", "--h", "0.3:3:5:log", "--k", "0.4:2.5:4:log", "--povm", str(povm)]
     assert run_cli(capsys, *sweep, "--out", str(tmp_path / "s"))[0] == 0
     text = (tmp_path / "s" / "sweep.csv").read_bytes()
-    # re-recorded (was 455fc864...) when maxE_B_numeric became the eigen maximum, and
+    # re-recorded (was 455fc864...) when maxE_B_numeric became the eigen maximum,
     # (was e2a52e15...) when the 2x2 eigenproblems went closed-form: maxE_B_numeric and
-    # the entropy columns moved in their last bits
+    # the entropy columns moved in their last bits, and (was 19fbabe7...) when the
+    # pointer entropy left mutual_info, which moved in its last bits in 16 of 20 rows
     assert hashlib.sha256(text).hexdigest() == (
-        "19fbabe7c97cd0f8927826221032944c38a38a9d4480d63b4fd50b1ba4dea60d"
+        "56633c652ce03e18d26f0734397e92defaac07e70fe391353a9d44c775c4ad99"
     )
     evolve = ["evolve", "--h", "0.8", "--k", "2.1", "--povm", str(povm), "--t-max", "3"]
     code, out, err = run_cli(capsys, *evolve, "--points", "100")
@@ -965,10 +989,12 @@ def test_sweep_refuses_a_search_value_off_by_a_millionth(tmp_path, capsys, monke
 
 
 # sha256 of stdout as print(json.dumps(payload, indent=2)) wrote it; write_json keeps each byte
-# (optimize's was re-recorded when the weights search's "evaluations" went 2564 -> 708)
+# (optimize's was re-recorded when the weights search's "evaluations" went 2564 -> 708;
+# report's, 0985d2cc..., when outcome 0's omega went 3.114979336805358 -> its pi-shifted
+# image -0.026613316784435077 and mutual_info 0.04172400901127493 -> 0.04172400901127504)
 FROZEN_JSON_STDOUT = {
     "report --h 0.8 --k 2.1 --povm builtin:weak(0.3)":
-        "0985d2cc2f6d06e9429eb5939d7d16114702ccfc2c56f6f67782525296bd9276",
+        "08d5efae03d2ab5ba9a80c0e8d8a54a49c695ed4cea21304c51107e2853d3641",
     "optimize --h 0.8 --k 2.1 --over weights --n-outcomes 4":
         "fe9f3a2f436ddaf5ce3aa32cacc2e1a01dc659cd5134f67771286535cfe04957",
 }

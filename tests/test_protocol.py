@@ -144,7 +144,9 @@ def test_optimal_table_equals_one_call_per_case(small_ensemble):
 
 # optimal_table's angles on edge weights, frozen bit for bit: (h, k) from
 # 1e-8 to 1e8, each with the outcomes |q| = p, q = +0.0, q = -0.0 and a
-# zero-padding row, then a generic pair padded by three zero rows
+# zero-padding row, then a generic pair padded by three zero rows.  Re-recorded
+# when the angles left [0, pi) for (-pi/2, pi/2]: each negative angle w read
+# pi + w, rounded, which was 3.141592653589793 for the four w of size ~1e-17
 EDGE_HK = [
     (1e-8, 1e-8), (1e-8, 1e8), (1e8, 1e-8), (1e8, 1e8), (1e-8, 1.0), (1.0, 1e-8), (0.8, 2.1)
 ]
@@ -153,20 +155,20 @@ EDGE_WEIGHTS = [
     [(0.43, 0.21), (0.57, -0.21), (0.0, 0.0), (0.0, 0.0), (0.0, 0.0)],
 ]
 EDGE_OMEGA = [
-    [2.980717376391472, 0.1608752771983211],
-    [3.0609050983794472, 0.061097585345677524],
-    [3.141592653589793, 2.5e-17],
-    [3.141592653589793, 9.210526315789473e-18],
-    [3.141592653589793, 5e-17],
-    [3.141592653589793, 1.8421052631578946e-17],
-    [2.980717376391472, 0.1608752771983211],
-    [3.0609050983794472, 0.06109758534567753],
-    [3.141592651089793, 2.5e-09],
-    [3.141592652368863, 9.210526315789473e-10],
-    [3.141592648589793, 4.999999999999999e-09],
-    [3.1415926511479326, 1.8421052631578943e-09],
-    [3.0537139279873564, 0.08787872560243666],
-    [3.098335933197022, 0.03266735903182121],
+    [-0.1608752771983211, 0.1608752771983211],
+    [-0.08068755521034572, 0.061097585345677524],
+    [-2.5e-17, 2.5e-17],
+    [-1.2209302325581395e-17, 9.210526315789473e-18],
+    [-5e-17, 5e-17],
+    [-2.441860465116279e-17, 1.8421052631578946e-17],
+    [-0.1608752771983211, 0.1608752771983211],
+    [-0.08068755521034573, 0.06109758534567753],
+    [-2.5e-09, 2.5e-09],
+    [-1.2209302325581394e-09, 9.210526315789473e-10],
+    [-4.999999999999999e-09, 4.999999999999999e-09],
+    [-2.441860465116278e-09, 1.8421052631578943e-09],
+    [-0.08787872560243666, 0.08787872560243666],
+    [-0.04325672039277124, 0.03266735903182121],
 ]
 
 

@@ -325,17 +325,14 @@ def cmd_evolve(args) -> int:
 def cmd_optimize(args) -> int:
     params = ModelParams(h=args.h, k=args.k)
     if args.over == "weights":
-        result = optimizer.maximize_over_weights(params, n_outcomes=args.n_outcomes)
+        value, p, q = optimizer.maximize_over_weights(params, n_outcomes=args.n_outcomes)
         payload = {
             "over": "weights",
             "params": {"h": params.h, "k": params.k},
-            "best_value": result.best_value,
+            "best_value": value,
             "projective_limit": analytic.f_E(params, 1.0),
-            "weights": [
-                {"p": p, "q": q} for p, q in zip(*(w.tolist() for w in result.best_weights))
-            ],
-            "evaluations": result.evaluations,
-            "converged": result.converged,
+            "weights": [{"p": p_mu, "q": q_mu} for p_mu, q_mu in zip(p.tolist(), q.tolist())],
+            "converged": True,  # always: the eigen maximum is exact and has no iteration
         }
     else:
         if not args.povm:

@@ -10,48 +10,28 @@
   calls on its ensemble's D.  ``minqet sweep`` runs it once per grid, and ``minqet
   optimize --over policy`` on a block of one.
 
-* ``maximize_over_weights`` searches the measurement design space itself:
-  outcome weights (p, q) on the simplex with sum(q) = 0 and |q| <= p,
-  scoring each candidate by the closed-form maximum teleported energy.  Its
-  four starts run in one lockstep poll, every live start's compass points
-  scored in one call, each start on the path it takes alone.  Points and
-  weights are columns, outcome axis first.  The optimum saturates |q| = p
-  on every outcome, where balancing clips the value flat nearby, so a start
-  stops after STALL_POLLS failed polls in a row as well as on its step.
-  It stops on its own rule, never on the answer it is checked against:
-  ``converged`` says the rule fired within REFINE_ITERS polls, else the result
-  reports converged=False rather than raising.
+* ``maximize_over_weights`` is exact too, and searches nothing.  M_A(mu) commutes
+  with sigma_A^x, so an outcome's D is p D[1] + q D[X_A], linear in its weights
+  (p, q).  lambda_max is convex and positively homogeneous, so the maximum over
+  policies is sum_mu p_mu lambda(q_mu / p_mu) with lambda(t) = lambda_max(D[1] +
+  t D[X_A]) convex on [-1, 1]; balance, sum_mu q_mu = 0, puts every design under
+  lambda's chord, (lambda(1) + lambda(-1)) / 2, the projective pair's maximum, and
+  every saturated balanced design (|q| = p on each outcome) attains it.  (A convex
+  function's maximum over a polytope is at a vertex: Rockafellar, Convex Analysis,
+  section 32.)  It returns one stated saturated design and its eigen maximum, built
+  from kets, h and k and no closed form, which ``minqet optimize --over weights``
+  then holds to the closed projective limit f_E(1).
+
+This stays a module of its own: it is the optimizer layer that ``perfbench`` times and
+counts by name (``minqet.optimizer``, ``optimizer.py``).
 """
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass
-
 import numpy as np
 
-from . import analytic, measurement, protocol
+from . import measurement, protocol
 from .model import ModelParams, ParamsBlock
-
-REFINE_ITERS = 200
-POLL_BLOCK = 128  # (n, 2n, columns) weight-balancing temporaries of a compass poll
-TOL = 1e-10  # the step below which a weights-search start stops
-STALL_POLLS = 3  # failed polls in a row (steps s, s/2, s/4) that end a weights-search start
-
-class NoConvergence(RuntimeWarning):
-    """The weights search ran REFINE_ITERS polls without its own stop rule firing.
-
-    The rule: a start's step below TOL, or STALL_POLLS failed polls in a row.  The
-    result is still returned with converged=False; a warnings filter can make this an error.
-    """
-
-
-@dataclass(frozen=True)
-class WeightsResult:
-    best_weights: tuple[np.ndarray, np.ndarray]  # p and q, each (n,)
-    best_value: float
-    evaluations: int
-    converged: bool
 
 
 def maximize_over_policies(params: ParamsBlock, coeffs: np.ndarray) -> tuple:
@@ -72,71 +52,20 @@ def maximize_over_policies(params: ParamsBlock, coeffs: np.ndarray) -> tuple:
     return (value, *protocol.turn_policy(turn + 0.0))  # + 0.0: no -0.0 printed
 
 
-def _project_weights(raw_p: np.ndarray, raw_u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Map unconstrained columns (n, ...) onto the feasible weight set: p and q, each (n, ...)."""
-    p = np.maximum(raw_p, 0.0)
-    mass = p.sum(axis=0)
-    empty = mass < 1e-12
-    p = np.where(empty, 1.0 / len(p), p / np.where(empty, 1.0, mass))
-    return p, measurement.balance_weights(p, np.minimum(np.maximum(raw_u, -1.0), 1.0))
+def maximize_over_weights(params: ModelParams, n_outcomes: int = 2) -> tuple:
+    """The maximum of E_B over every n-outcome design, on a stated saturated design.
 
-
-def maximize_over_weights(params: ModelParams, n_outcomes: int = 2) -> WeightsResult:
-    """Numerically maximize the closed-form maxE_B over the weight space.
-
-    Deterministic compass search in 2n coordinates (raw p, raw u), with
-    every point projected onto balanced weights (p, q): four starts in one
-    lockstep poll.  Each round polls, for every start not yet stopped, all 4n
-    points one step away along a coordinate, both ways; they are projected
-    POLL_BLOCK columns at a time and scored in one ``analytic.max_EB_closed``
-    call.  Each start moves to its first best poll point if that beats its
-    value and halves its step otherwise, the path it takes alone.  A start
-    stops once its step is below TOL or its last STALL_POLLS polls all failed
-    (a move resets the count), and it converges if it sees itself stopped
-    within REFINE_ITERS rounds; the first start with the largest value is
-    reported.  The maximum saturates |q| = p on every outcome, where the
-    value equals the projective pair's.
+    Outcome mu has q = +p for even mu and q = -p for odd mu; the ceil(n/2) "+" outcomes
+    share mass 1/2 equally and the floor(n/2) "-" outcomes the other 1/2, so every p is
+    1/n for even n.  ``MeasurementModel.from_weights`` checks the design's rows, and
+    ``maximize_over_policies`` gives its value, which no design exceeds.  Returns
+    (best_value, p, q), p and q (n,).
     """
     if n_outcomes < 2:
         raise ValueError(f"need at least 2 outcomes, got {n_outcomes}")
-    n = n_outcomes
-    ramp = np.arange(1.0, n + 1.0)
-    even = np.full(n, 1.0 / n)
-    raw_p = np.stack([even, even, ramp / ramp.sum(), ramp[::-1] / ramp.sum()], axis=1)
-    raw_u = np.outer(np.resize([1.0, -1.0], n), [0.5, -0.95, 0.7, 0.2])  # signs alternate
-    point = np.concatenate([raw_p, raw_u])  # (2n, 4), one column per start
-    p, q = _project_weights(raw_p, raw_u)
-    value = analytic.max_EB_closed(params, p, q)
-    step, evaluations = np.full(len(value), 0.25), len(value)
-    poll = np.concatenate([np.eye(2 * n), -np.eye(2 * n)], axis=1)[:, None]  # (2n, 1, 4n) moves
-    live, stalls = np.ones(len(value), dtype=bool), np.zeros(len(value), dtype=int)
-    for _ in range(REFINE_ITERS):
-        live = (step >= TOL) & (stalls < STALL_POLLS)
-        if not live.any():
-            break
-        starts = np.flatnonzero(live)
-        candidates = (point[:, starts, None] + step[starts, None] * poll).reshape(2 * n, -1)
-        cp, cq = np.empty((2, n, candidates.shape[1]))
-        for first in range(0, candidates.shape[1], POLL_BLOCK):
-            block = slice(first, first + POLL_BLOCK)
-            raw = candidates[:, block]
-            cp[:, block], cq[:, block] = _project_weights(raw[:n], raw[n:])
-        values = analytic.max_EB_closed(params, cp, cq).reshape(len(starts), 4 * n)
-        evaluations += values.size
-        best = np.argmax(values, axis=1)  # ties go to the first poll point
-        top = values[np.arange(len(starts)), best]
-        better = top > value[starts]
-        moved, column = starts[better], (np.arange(len(starts)) * 4 * n + best)[better]
-        value[moved], point[:, moved] = top[better], candidates[:, column]
-        p[:, moved], q[:, moved] = cp[:, column], cq[:, column]
-        step[starts[~better]] *= 0.5
-        stalls[starts] = np.where(better, 0, stalls[starts] + 1)
-    best = int(np.argmax(value))  # the first start with the largest value
-    if live[best]:
-        warnings.warn("weight search exhausted its refinement budget", NoConvergence)
-    return WeightsResult(
-        best_weights=(p[:, best], q[:, best]),
-        best_value=float(value[best]),
-        evaluations=evaluations,
-        converged=not live[best],
-    )
+    sign = np.resize([1.0, -1.0], n_outcomes)
+    p = np.where(sign > 0.0, 0.5 / ((n_outcomes + 1) // 2), 0.5 / (n_outcomes // 2))
+    q = sign * p
+    meas = measurement.MeasurementModel.from_weights(p, q)
+    value = maximize_over_policies(ParamsBlock.of([params]), meas.rows[None])[0]
+    return float(value[0]), p, q

@@ -822,6 +822,11 @@ def test_optimize_weights_json(capsys):
         assert abs(abs(w["q"]) - w["p"]) <= 1e-6
 
 
+def test_optimize_weights_needs_two_outcomes(capsys):
+    argv = ["optimize", "--h", "1", "--k", "1", "--over", "weights", "--n-outcomes", "1"]
+    assert run_cli(capsys, *argv) == (2, "", "error: need at least 2 outcomes, got 1\n")
+
+
 # a two-outcome POVM with phases (m, l and delta per outcome, alpha = pi/2)
 PHASED_POVM = {
     "outcomes": [
@@ -908,37 +913,39 @@ def test_sweep_meets_the_closed_maximum_at_a_small_scale(tmp_path, capsys):
 
 # a numeric maximum off its closed value by more than the budget is no verified number.
 # The eigen maximum meets the closed one wherever both are finite, so the fault is
-# injected: the maximum of the last case doubled, a gap of 1.
+# injected: the maximum of the last case doubled, a gap of 1, or scaled by 1 + 1e-9.
 @pytest.mark.parametrize(
     "argv, case",
     [
         ("optimize --over policy --h 0.8 --k 2.1 --povm builtin:weak(0.3)", "case 0 at h 0.8"),
         ("sweep --h 0.3:3:3:log --k 2.1 --povm builtin:weak(0.3) --out {out}", "case 2 at h 3.0"),
+        ("optimize --over weights --h 0.8 --k 2.1 --n-outcomes 4", "case 0 at h 0.8"),
     ],
-    ids=["optimize", "sweep"],
+    ids=["optimize", "sweep", "optimize-weights"],
 )
 def test_a_maximum_off_its_closed_value_exits_one_with_no_output(
     capsys, recwarn, monkeypatch, tmp_path, argv, case
 ):
     route = optimizer.maximize_over_policies
+    for factor in (2.0, 1.0 + 1e-9):
 
-    def doubled(block, coeffs):
-        value, *table = route(block, coeffs)
-        return (value * np.where(block.h == block.h[-1], 2.0, 1.0), *table)
+        def scaled(block, coeffs):
+            value, *table = route(block, coeffs)
+            return (value * np.where(block.h == block.h[-1], factor, 1.0), *table)
 
-    monkeypatch.setattr(optimizer, "maximize_over_policies", doubled)
-    out_dir = tmp_path / "refused"
-    code, out, err = run_cli(capsys, *argv.format(out=out_dir).split())
-    assert (code, out) == (1, "")
-    named = re.fullmatch(
-        r"error: RuntimeError: numeric maximum differs from its closed value in "
-        + case + r", k 2.1 \(gap (\S+), budget 1e-07\)\n",
-        err,
-    )
-    assert named, err
-    assert abs(float(named.group(1)) - 1.0) <= 1e-14
-    assert not recwarn.list, [str(w.message) for w in recwarn.list]
-    assert not out_dir.exists()
+        monkeypatch.setattr(optimizer, "maximize_over_policies", scaled)
+        out_dir = tmp_path / "refused"
+        code, out, err = run_cli(capsys, *argv.format(out=out_dir).split())
+        assert (code, out) == (1, "")
+        named = re.fullmatch(
+            r"error: RuntimeError: numeric maximum differs from its closed value in "
+            + case + r", k 2.1 \(gap (\S+), budget 1e-11\)\n",
+            err,
+        )
+        assert named, err
+        assert abs(float(named.group(1)) - (factor - 1.0)) <= 1e-14
+        assert not recwarn.list, [str(w.message) for w in recwarn.list]
+        assert not out_dir.exists()
 
 
 # with every warning an error, optimize, sweep and report answer at h = k from 1e-150 to
@@ -980,7 +987,7 @@ def test_sweep_refuses_a_search_value_off_by_a_millionth(tmp_path, capsys, monke
     named = re.fullmatch(
         r"error: RuntimeError: numeric maximum differs from its closed value in case 67"
         rf" at h {re.escape(repr(float(h)))}, k {re.escape(repr(float(k)))}"
-        r" \(gap (\S+), budget 1e-07\)\n",
+        r" \(gap (\S+), budget 1e-11\)\n",
         err,
     )
     assert named, err
@@ -989,14 +996,16 @@ def test_sweep_refuses_a_search_value_off_by_a_millionth(tmp_path, capsys, monke
 
 
 # sha256 of stdout as print(json.dumps(payload, indent=2)) wrote it; write_json keeps each byte
-# (optimize's was re-recorded when the weights search's "evaluations" went 2564 -> 708;
+# (optimize's was re-recorded when the weights search's "evaluations" went 2564 -> 708,
+# and again, e437..., when the eigen maximum of the stated design replaced the search:
+# best_value 0.06586691651113394 -> 0.06586691651113397 and "evaluations" gone;
 # report's, 0985d2cc..., when outcome 0's omega went 3.114979336805358 -> its pi-shifted
 # image -0.026613316784435077 and mutual_info 0.04172400901127493 -> 0.04172400901127504)
 FROZEN_JSON_STDOUT = {
     "report --h 0.8 --k 2.1 --povm builtin:weak(0.3)":
         "08d5efae03d2ab5ba9a80c0e8d8a54a49c695ed4cea21304c51107e2853d3641",
     "optimize --h 0.8 --k 2.1 --over weights --n-outcomes 4":
-        "fe9f3a2f436ddaf5ce3aa32cacc2e1a01dc659cd5134f67771286535cfe04957",
+        "e4373346216b1b0ddf53faa5a04f68e0c7ee04e6ccf5837130873e86398fb26c",
 }
 
 
@@ -1025,7 +1034,7 @@ def test_unknown_subcommand(capsys):
 
 # in this order in one process, each call prints what it prints as the first
 # call of a fresh interpreter: a report, a usage error, a 6-outcome weights
-# search, the default 2 outcomes back, a policy maximum with no --povm, a verify
+# maximum, the default 2 outcomes back, a policy maximum with no --povm, a verify
 REUSE_CALLS = [
     "report --h 0.8 --k 2.1 --povm builtin:weak(0.3)",
     "report --h 0.8 --k 2.1",

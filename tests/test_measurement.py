@@ -461,7 +461,7 @@ def test_balance_weights_exact_root(raw_and_u):
 
 
 BALANCE_EDGE_CASES = [
-    # zero-mass outcomes, as the weights search makes by clipping raw p
+    # zero-mass outcomes, which draw_members' exponentials give where a uniform is 0
     ([0.0, 0.6, 0.0, 0.4], [0.9, 0.2, -0.7, -0.5]),
     ([0.5, 0.0, 0.5], [0.3, 0.3, -0.8]),
     # all u equal: the root is that u and every q is zero

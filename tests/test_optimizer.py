@@ -231,6 +231,38 @@ def test_weights_search_outcome_count_irrelevant():
         assert abs(optimizer.maximize_over_weights(UNIT, n_outcomes=n)[0] - two) <= 1e-15
 
 
+# From 8 outcomes up a last-axis NumPy sum adds pairwise, while the value adds the
+# outcomes' maxima in outcome order, as analytic's closed forms add.  Each case is n and
+# the best value and evaluations of the compass search this route replaced (commit
+# fac021b, STALL_POLLS stop); the exact route meets that value to rounding in one solve.
+@pytest.mark.parametrize(
+    "n, value, step_stop_evaluations",
+    [(9, "0.06586691651113394", 7348), (12, "0.06586691651113395", 9652)],
+)
+def test_weights_search_sums_in_outcome_order_from_8_outcomes(n, value, step_stop_evaluations):
+    params = ModelParams(h=0.8, k=2.1)
+    best, p, q = optimizer.maximize_over_weights(params, n_outcomes=n)
+    coeffs = MeasurementModel.from_weights(p, q).rows[None]
+    gains = protocol.turn_gains(ParamsBlock.of([params]), coeffs)
+    ordered = 0.0
+    for mu in range(n):
+        ordered += float(protocol.best_turns(gains[:, [mu]], p[mu], 0)[0][0])
+    assert repr(best) == repr(ordered)
+    assert abs(best - float(value)) <= 1e-15 * best
+    limit = analytic.f_E(params, 1.0)
+    assert abs(best - limit) <= 1e-13 * limit
+
+
+def test_weights_search_ties_go_to_the_first_start():
+    # no coupling to speak of: every design scores 0.0, and the route still returns
+    # its stated design, with no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        best, p, q = optimizer.maximize_over_weights(ModelParams(h=1.0, k=1e-320), n_outcomes=2)
+    assert best == 0.0
+    assert [p.tolist(), q.tolist()] == [[0.5, 0.5], [0.5, -0.5]]
+
+
 def test_weights_search_reaches_the_projective_limit_across_decades():
     # h/k from 1e-14 to 1e14 at overall scales 1e-150, 1 and 1e150, n = 2, 6, 13 and 24,
     # every warning an error: the worst gap to f_E(1) measured 4.5e-15

@@ -156,23 +156,6 @@ def t_witness(params: ModelParams, p: float, q: float, z):
     return 2.0 * abc[1] * _envelope(abc, _check_fraction(z)) - abc[2]
 
 
-def t_sign_check(params: ModelParams, p, q):
-    """Grid evidence that T peaks at z = 0: t(z) <= 0 and T(0) >= T(z), on 129 points.
-
-    One T on the grid, from z = 0, gives both; the witness is t = 2 b T - c.  Slack of
-    1e-12 relative to the outcome's energy scale absorbs rounding.  The verdict is a bool
-    array of the outcomes' broadcast shape.
-    """
-    a, b, c = abc = abc_constants(params, p, q)
-    scale = np.maximum(np.maximum(1.0, a), np.sqrt(c))
-    # the grid runs along a leading axis, so the outcomes (b's shape) broadcast behind it
-    t = _envelope(abc, (np.arange(129) / 128).reshape((-1,) + (1,) * np.ndim(b)))
-    bad = np.any(2.0 * b * t - c > 1e-12 * scale * scale, axis=0) | np.any(
-        t > t[0] + 1e-12 * scale, axis=0
-    )
-    return ~bad
-
-
 def f_E(params: ModelParams, x):
     """Per-outcome teleported-energy kernel at x = (q/p)^2, in energy units.
 

@@ -16,11 +16,12 @@ whatever the blocking.  The ensemble scores ``ENSEMBLE_BLOCK`` (256) members
 at a time, so the fixed NumPy-call costs are paid per block, each once: one
 ``draw_block`` and one ``check_block`` of its POVM residuals, one
 ``measured_block``, one ``turn_gains`` of Bob's turn gains D and one
-``best_turns`` of it, one ``run_block`` on the turns it solves, and a 7-call
-parabolic refinement.  D gives each member's exact maximum over policies, whose
-turns the run replays by brute force, and the energy w^T (sum_mu D_mu) w of its
-outcome-blind turn w, next to the most any such turn extracts.  Each residual
-is its member's own, so the block size changes no bit.
+``best_turns`` of it, and one ``run_block`` on the turns it solves.  D gives
+each member's exact maximum over policies, whose turns the run replays by
+brute force, the energy w^T (sum_mu D_mu) w of its outcome-blind turn w, next
+to the most any such turn extracts, and each step of the closed maximization
+chain (omega, then the axis, then z) at one outcome.  Each residual is its
+member's own, so the block size changes no bit.
 """
 
 from __future__ import annotations
@@ -44,30 +45,6 @@ ENSEMBLE_BLOCK = 256
 # to ``max_EB_closed`` over weak_pair(u), u from 1e-8 to 1 and h/k from 1e-8 to 1e8, and
 # 4.5e-15 of the weights maximum (n = 2-24) to ``projective_limit``, h/k 1e-14 to 1e14
 OPTIMIZER_BUDGET = 1e-11
-
-
-def _parabolic_max(fun, lo, hi):
-    """Maxima of smooth unimodal functions, one per element of lo, hi, in 7 calls of ``fun``.
-
-    Successive parabolic interpolation in lockstep, as in Brent's method: from the bracket's
-    golden-section points and its end on the better one's side, whose span holds the maximum,
-    each of 4 steps moves the worst point to the vertex of the parabola through the three
-    (the best point where it is flat).  Returns the best values found.
-    """
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    c, d = hi - inv_phi * (hi - lo), lo + inv_phi * (hi - lo)
-    fc, fd = fun(c), fun(d)
-    end = np.where(fc > fd, lo, hi)
-    x, f = np.stack([end, c, d]), np.stack([fun(end), fc, fd])
-    for _ in range(4):
-        (x0, x1, x2), (f0, f1, f2) = x, f
-        r, s = (x1 - x0) * (f1 - f2), (x1 - x2) * (f1 - f0)
-        flat = r == s
-        vertex = x1 - 0.5 * ((x1 - x0) * r - (x1 - x2) * s) / np.where(flat, 1.0, r - s)
-        vertex = np.where(flat, np.take_along_axis(x, f.argmax(0)[None], 0)[0], vertex)
-        worst = np.arange(3)[:, None] == f.argmin(0)
-        x, f = np.where(worst, vertex, x), np.where(worst, fun(vertex), f)
-    return f.max(axis=0)
 
 
 def _worst(*residuals) -> float:
@@ -104,10 +81,6 @@ def draw_members(seed: int, members: range) -> tuple:
     outcomes = np.floor(u[:, 14] * n).astype(int)
     povm = measurement.check_block(coeffs)
     return ParamsBlock.of_rows(rows), coeffs, povm, outcomes, protocol.haar_turns(u[:, 15:])
-
-
-_OMEGA_GRID = np.linspace(0.0, math.pi, 256, endpoint=False)[:, None]
-_PSI_GRID = np.linspace(0.0, math.pi, 64, endpoint=False)[:, None]
 
 
 def block_residuals(block, coeffs, povm, outcomes, turns, first: int = 0) -> dict[str, list]:
@@ -167,39 +140,49 @@ def block_residuals(block, coeffs, povm, outcomes, turns, first: int = 0) -> dic
     exact = protocol.best_turns(summed[:, None], 1.0, first)[0]  # one outcome of weight 1
     found["no-go-passive"] = [blind, *routes, exact]
 
-    # scalar objective spot checks, on one random outcome and the turn's axis per member
+    # the maximization chain on one random outcome and the turn's axis n per member, against
+    # that outcome's D: a = (cos omega, sin omega n) takes a^T D a = Q / eps, so the omega
+    # maximum on n is eps lambda_max on span{1, n}, X(n) = -(eps/2) n^T D n, and T peaks at
+    # z = 0 as D's {1, sigma_y} block beats its {sigma_x, sigma_z} block (indices 0-3 are
+    # 1, sigma_x, sigma_y, sigma_z; these forms read the entries between the two blocks as
+    # 0, which ``best_turns`` held them to)
     p, q = (x[outcomes, np.arange(len(outcomes))] for x in (measured.p, measured.q))
+    d, n = gains[np.arange(len(outcomes)), outcomes], turns[:, 1:]
     closed_max, omega_star = analytic.max_over_omega(block, p, q, axis)
     x_coef = analytic.X_of(block, p, q, axis)
     g_coef = block.h * block.k * q * axis[1]
-    q_grid = analytic.Q_of(block, p, q, _OMEGA_GRID, axis)
-    refined = _parabolic_max(
-        lambda om: analytic.Q_of(block, p, q, om, axis), omega_star - 0.1, omega_star + 0.1
-    )
+    spin = np.einsum("bi,bij,bj->b", n, d[:, 1:, 1:], n)
+    top, theta = protocol.top_eigen(d[:, 0, 0], spin, (d[:, 0, 1:] * n).sum(axis=1))
     # relative to the maximum itself, so an error in a small Q shows,
     # floored at the rounding level of Q's parts (Q's maximum is 0 at q = 0)
     value_scale = np.maximum(closed_max, sys.float_info.epsilon * (abs(x_coef) + abs(g_coef)))
+    off = (theta - omega_star) % math.pi  # a turn is a ray: omega and omega + pi are one
     found["omega-maximum"] = [
-        (q_grid.max(axis=0) - closed_max) / value_scale,
-        abs(refined - closed_max) / value_scale,
+        abs(block.eps * top - closed_max) / value_scale,
         abs(analytic.Q_of(block, p, q, omega_star, axis) - closed_max) / value_scale,
+        np.minimum(off, math.pi - off),
     ]
 
     scale = np.maximum(1.0, abs(x_coef) + abs(g_coef))
-    found["axis-minimum"] = []
-    for z in (0.0, 0.37, 1.0):
-        closed_min = analytic.min_X_over_psi(block, p, q, z)
-        root_z = math.sqrt(z)
-        psi_axes = (root_z * np.cos(_PSI_GRID), 0.0, root_z * np.sin(_PSI_GRID))
-        x_vals = analytic.X_of(block, p, q, psi_axes)
-        found["axis-minimum"].append((closed_min - x_vals.min(axis=0)) / scale)
+    z = np.array([[0.0], [0.37], [1.0]])
+    # the most n^T D n over the axes (sqrt(z) cos psi, sqrt(1 - z), sqrt(z) sin psi)
+    top_xz = protocol.top_eigen(d[:, 1, 1], d[:, 3, 3], d[:, 1, 3])[0]
+    spin_z = (1.0 - z) * d[:, 2, 2] + z * top_xz
+    x_min = analytic.min_X_over_psi(block, p, q, z)
+    found["axis-minimum"] = [abs(x_min + 0.5 * block.eps * spin_z) / scale]
 
-    # T(0) against eps p f_E((q/p)^2): f_E reaches it through the sigma angles
+    # T(z) / eps is the most a^T D a over those axes' spans with 1: at z = 0 the {1, sigma_y}
+    # block's, which wins unless the {sigma_x, sigma_z} block's tops it; T(0) also meets
+    # eps p f_E((q/p)^2), which reaches it through the sigma angles
+    envelope = protocol.top_eigen(d[:, 0, 0], spin_z, np.sqrt(1.0 - z) * d[:, 0, 2])[0]
+    t_closed = analytic.T_profile(block, p, q, z)
     a, _, _ = analytic.abc_constants(block, p, q)
     kernel = analytic.f_E(block, (q / np.where(p > 0.0, p, 1.0)) ** 2)
+    peak_scale = np.maximum(1.0, a)
     found["envelope-peak"] = [
-        abs(analytic.T_profile(block, p, q, 0.0) - block.eps * p * kernel) / np.maximum(1.0, a),
-        np.where(analytic.t_sign_check(block, p, q), 0.0, 1.0),
+        abs(t_closed[0] - block.eps * p * kernel) / peak_scale,
+        abs(t_closed - block.eps * envelope) / peak_scale,
+        np.maximum(top_xz - envelope[0], 0.0) * block.eps / peak_scale,
     ]
     return found
 

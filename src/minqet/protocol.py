@@ -142,6 +142,21 @@ def turn_gains(params: ParamsBlock, coeffs: np.ndarray) -> np.ndarray:
     return (h * z_part + k * xx_part).reshape(u.shape + (4,))
 
 
+def top_eigen(x, z, b) -> tuple:
+    """lambda_max and the eigenvector angle theta of [[x, b], [b, z]], element by element.
+
+    lambda_max = mid + hypot(half, b) with mid = (x + z)/2 and half = (x - z)/2, or
+    det / L = x (z / L) - b (b / L), L = mid - hypot, where mid < 0 and the sum cancels (no
+    product of two entries, so no overflow); the eigenvector is (cos theta, sin theta),
+    theta = atan2(b, half) / 2 in (-pi/2, pi/2].
+    """
+    mid, half = 0.5 * (x + z), 0.5 * (x - z)
+    radius = np.hypot(half, b)
+    low = np.where(mid < 0.0, mid - radius, 1.0)  # negative where mid + radius cancels
+    top = np.where(low < 0.0, x * (z / low) - b * (b / low), mid + radius)
+    return top, 0.5 * np.arctan2(b, half)
+
+
 def best_turns(gains: np.ndarray, p, first: int) -> tuple:
     """The summed maximum of a^T D a over each outcome's turn a of a gains block, and the turns.
 
@@ -151,11 +166,8 @@ def best_turns(gains: np.ndarray, p, first: int) -> tuple:
     D splits into a {1, sigma_y} block (rows 0, 2) and a {sigma_x, sigma_z} block (rows
     1, 3), since the Kraus operators commute with O and D depends on an outcome only
     through p + q sigma_x^A; ``_check`` holds the entries between them to
-    CROSS_CHECK_TOL max |D| per case, numbered from ``first``.  Each block [[x, b], [b, z]]
-    is solved in closed form: lambda_max = mid + hypot(half, b) with mid = (x + z)/2 and
-    half = (x - z)/2, or det / L = x (z / L) - b (b / L), L = mid - hypot, where mid < 0
-    and the sum cancels (no product of two entries, so no overflow), and its eigenvector
-    is (cos theta, sin theta), theta = atan2(b, half) / 2.  The larger lambda_max wins,
+    CROSS_CHECK_TOL max |D| per case, numbered from ``first``.  Each block is solved by
+    ``top_eigen``, and its eigenvector is (cos theta, sin theta).  The larger lambda_max wins,
     and an exact tie goes to the {1, sigma_y} block: the turn is a = (cos theta, 0, sin
     theta, 0), about the y axis with a_0 >= 0, or a = (0, cos theta, 0, sin theta), a half
     turn about an axis in the x-z plane.  At |q| = p both blocks share one lambda_max in
@@ -171,15 +183,10 @@ def best_turns(gains: np.ndarray, p, first: int) -> tuple:
     _check("D couples its two blocks", cross.max(axis=(-3, -2, -1)), budget, first)
     # the two blocks side by side, {1, sigma_y} first: (B, n, 2)
     diagonal = np.diagonal(gains, axis1=-2, axis2=-1)
-    x, z, b = diagonal[..., :2], diagonal[..., 2:], gains[..., [0, 1], [2, 3]]
-    mid, half = 0.5 * (x + z), 0.5 * (x - z)
-    radius = np.hypot(half, b)
-    low = np.where(mid < 0.0, mid - radius, 1.0)  # negative where mid + radius cancels
-    pair = np.where(low < 0.0, x * (z / low) - b * (b / low), mid + radius)
+    pair, angle = top_eigen(diagonal[..., :2], diagonal[..., 2:], gains[..., [0, 1], [2, 3]])
     xz_wins = pair[..., 1] > pair[..., 0]
     top = np.where(live, np.where(xz_wins, pair[..., 1], pair[..., 0]), 0.0)
     # the winner's (cos theta, sin theta) as turn[k, j] = a_{2k + j}, block j = 0 or 1
-    angle = 0.5 * np.arctan2(b, half)
     winner = np.stack([~xz_wins, xz_wins], axis=-1)[..., None, :]
     turn = (np.stack([np.cos(angle), np.sin(angle)], axis=-2) * winner).reshape(gains.shape[:-1])
     turn = np.where(live[..., None], turn, (1.0, 0.0, 0.0, 0.0))

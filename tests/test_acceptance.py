@@ -17,7 +17,6 @@ are frozen from independent oracle routes:
 """
 
 import dataclasses
-import functools
 import tracemalloc
 import types
 from collections import Counter
@@ -26,7 +25,7 @@ import numpy as np
 import pytest
 
 from minqet import analytic, checks, entanglement, measurement, optimizer, protocol
-from minqet.model import ModelParams, ParamsBlock
+from minqet.model import ModelParams, ParamsBlock, params_row
 
 
 UNIT = ModelParams(h=1.0, k=1.0)
@@ -294,37 +293,29 @@ def test_a_c770_off_by_a_millionth_fails_the_equality_case(monkeypatch):
     assert checks.ensemble_residuals(0, 300)["bound-770-equality"] > BUDGETS["bound-770-equality"]
 
 
-def spot_check(seed, members):
-    """The omega-maximum spot check's Q(omega), closed maximum, argmax and value scale."""
-    block, coeffs, _, outcomes, turns = checks.draw_members(seed, members)
-    p, q = (w[outcomes, np.arange(len(members))] for w in measurement.weight_block(coeffs))
-    axis = tuple(turns[:, 1:].T)
-    closed_max, omega_star = analytic.max_over_omega(block, p, q, axis)
-    parts = abs(analytic.X_of(block, p, q, axis)) + abs(block.h * block.k * q * axis[1])
-    value_scale = np.maximum(closed_max, np.finfo(float).eps * parts)
-    q_of = functools.partial(analytic.Q_of, block, p, q, n=axis)
-    return q_of, closed_max, omega_star, value_scale
+def weak_members(seed):
+    """``block_residuals``' arguments for weak_pair(u) members at random (h, k) and turns.
+
+    Forty members per u in (1, 1e-2, 1e-4, 1e-6, 1e-8, 0), each scored at a random outcome.
+    """
+    rng = np.random.default_rng(seed)
+    strengths = np.repeat([1.0, 1e-2, 1e-4, 1e-6, 1e-8, 0.0], 40)
+    hk = np.exp(rng.uniform(np.log(0.25), np.log(4.0), size=(len(strengths), 2)))
+    block = ParamsBlock.of_rows([params_row(h, k) for h, k in hk.tolist()])
+    coeffs = measurement.coefficient_block([measurement.weak_pair(u) for u in strengths])
+    povm = measurement.check_block(coeffs)
+    outcomes = rng.integers(0, 2, size=len(strengths))
+    return block, coeffs, povm, outcomes, protocol.haar_turns(rng.random((len(strengths), 3)))
 
 
-def test_the_omega_refinement_searches_its_bracket(monkeypatch):
-    # with its bracket off centre, the refinement still reaches the closed maximum; at
-    # +-0.05 a search that halves its points' span lands on omega_star, at 0.0371 it does not
-    q_of, closed_max, omega_star, value_scale = spot_check(0, range(256))
-    calls = []
-
-    def counted(omega):
-        calls.append(omega)
-        return q_of(omega)
-
-    for shift in (-0.05, 0.05, 0.0371):
-        calls.clear()
-        lo, hi = omega_star - 0.1 + shift, omega_star + 0.1 + shift
-        refined = checks._parabolic_max(counted, lo, hi)
-        assert len(calls) == 7
-        assert np.max(np.abs(refined - closed_max) / value_scale) <= 1e-15
-    # a closed value off by 1e-8 in the check's view fails the refinement's own residual
-    members = checks.draw_members(0, range(256))
-    assert np.max(checks.block_residuals(*members)["omega-maximum"][1]) <= 1e-15
+@pytest.mark.parametrize("seed", (0, 1))
+def test_the_omega_maximum_meets_d_on_weak_outcomes(monkeypatch, seed):
+    # eps lambda_max of D on span{1, n}, Q at the closed argmax, and that argmax against
+    # D's eigenvector angle, from a maximum of order 1 down to 1e-16 and exactly 0 at u = 0
+    members = weak_members(seed)
+    for component in checks.block_residuals(*members)["omega-maximum"]:
+        assert np.max(component) <= 1e-13
+    # a closed value off by 1e-8 in the check's view fails both value residuals
     faulty = types.SimpleNamespace(**vars(analytic))
 
     def off(*args):
@@ -333,7 +324,57 @@ def test_the_omega_refinement_searches_its_bracket(monkeypatch):
 
     faulty.max_over_omega = off
     monkeypatch.setattr(checks, "analytic", faulty)
-    assert np.max(checks.block_residuals(*members)["omega-maximum"][1]) > 1e-9
+    by_d, at_argmax, angle = checks.block_residuals(*members)["omega-maximum"]
+    assert min(np.max(by_d), np.max(at_argmax)) > BUDGETS["omega-maximum"]
+    assert np.max(angle) <= 1e-13
+
+
+def _scaled(factor, index=None):
+    """A fault: the function's value times factor, or only its entry ``index``."""
+
+    def fault(original):
+        def shifted(*args):
+            value = original(*args)
+            if index is None:
+                return value * factor
+            return tuple(v * factor if i == index else v for i, v in enumerate(value))
+
+        return shifted
+
+    return fault
+
+
+@pytest.mark.parametrize(
+    "module, name, fault, failed",
+    [
+        (analytic, "max_over_omega", _scaled(1.0 + 1e-8, 0), {"omega-maximum"}),
+        (analytic, "max_over_omega", _scaled(1.0 + 1e-8, 1), {"omega-maximum"}),
+        (analytic, "max_over_omega", _scaled(1.0 + 1e-6, 1), {"omega-maximum"}),
+        (analytic, "abc_constants", _scaled(1.0 + 1e-8, 0), {"axis-minimum", "envelope-peak"}),
+        (analytic, "abc_constants", _scaled(1.0 + 1e-8, 1), {"axis-minimum", "envelope-peak"}),
+        (analytic, "abc_constants", _scaled(1.0 + 1e-6, 2), {"envelope-peak"}),
+        (analytic, "min_X_over_psi", _scaled(1.0 + 1e-8), {"axis-minimum"}),
+        (analytic, "T_profile", _scaled(1.0 + 1e-6), {"envelope-peak"}),
+        (
+            analytic,
+            "f_E",
+            _scaled(1.0 + 1e-8),
+            {"teleported-energy-routes", "optimizer-vs-closed", "bound-770-equality"},
+        ),
+        (
+            protocol,
+            "turn_gains",
+            _scaled(1.0 + 1e-8),
+            {"optimizer-vs-closed", "no-go-passive", "omega-maximum", "axis-minimum"},
+        ),
+    ],
+)
+def test_a_relative_fault_in_the_chain_fails_its_checks(monkeypatch, module, name, fault, failed):
+    # each closed form of the maximization chain, its argmax and D, off by a relative 1e-8
+    # or 1e-6 in the whole package: the 300-member ensemble fails exactly these names
+    monkeypatch.setattr(module, name, fault(getattr(module, name)))
+    worst = checks.ensemble_residuals(0, 300)
+    assert {check for check in worst if not worst[check] <= BUDGETS[check]} == failed
 
 
 def test_a_fault_in_the_no_go_direct_route_alone_fails_no_go_passive(monkeypatch):

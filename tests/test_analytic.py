@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from minqet import analytic, checks, measurement
+from minqet import analytic, measurement
 from minqet.analytic import Y_AXIS, DomainError
 from minqet.measurement import weight_block
 from minqet.model import ModelParams, ParamsBlock
@@ -212,7 +212,6 @@ def test_closed_forms_broadcast_over_outcomes():
         "abc": np.array(analytic.abc_constants(block, p, q)).T,
         "Q": analytic.Q_of(block, p, q, omega, axis),
         "T0": analytic.T_profile(block, p, q, 0.0),
-        "sign": analytic.t_sign_check(block, p, q),
     }
     for i, one in enumerate(params):
         args = (one, float(p[i]), float(q[i]))
@@ -220,55 +219,9 @@ def test_closed_forms_broadcast_over_outcomes():
             "abc": analytic.abc_constants(*args),
             "Q": analytic.Q_of(*args, float(omega[i]), tuple(float(c[i]) for c in axis)),
             "T0": analytic.T_profile(*args, 0.0),
-            "sign": analytic.t_sign_check(*args),
         }
         for name, value in scalars.items():
             assert np.array_equal(arrays[name][i], value), (name, i)
-    assert arrays["sign"].dtype == bool and arrays["sign"].all()
-
-
-def old_t_sign_check(params, p, q):
-    """``t_sign_check``'s verdicts from ``t_witness`` and ``T_profile``: T on the grid twice."""
-    a, _, c = analytic.abc_constants(params, p, q)
-    scale = np.maximum(np.maximum(1.0, a), np.sqrt(c))
-    t0 = analytic.T_profile(params, p, q, 0.0)
-    z = (np.arange(129) / 128).reshape((-1,) + (1,) * np.ndim(a))
-    bad = np.any(analytic.t_witness(params, p, q, z) > 1e-12 * scale * scale, axis=0) | np.any(
-        analytic.T_profile(params, p, q, z) > t0 + 1e-12 * scale, axis=0
-    )
-    return ~bad
-
-
-@pytest.mark.parametrize("seed", (0, 7, 26))
-def test_t_sign_check_reads_t_on_its_grid_once(monkeypatch, seed):
-    block, coeffs = checks.draw_members(seed, range(256))[:2]
-    p, q = weight_block(coeffs)  # every outcome, with the zero padding
-    # drawn weights, the edges q = 0 and |q| = p, and |q| = 3p beyond the domain, where
-    # the grid evidence fails for some outcomes
-    cases = {"drawn": (p, q), "q = 0": (p, 0.0 * q), "q = p": (p, p), "q = -p": (p, -p)}
-    cases["q = 3p"] = (p, 3.0 * p)
-    counted = {"abc_constants": 0, "_envelope": 0}
-    for name in counted:
-        original = getattr(analytic, name)
-
-        def count(*args, name=name, original=original):
-            counted[name] += 1
-            return original(*args)
-
-        monkeypatch.setattr(analytic, name, count)
-    for name, (p_case, q_case) in cases.items():
-        counted.update(dict.fromkeys(counted, 0))
-        verdict = analytic.t_sign_check(block, p_case, q_case)
-        assert counted == {"abc_constants": 1, "_envelope": 1}, name
-        assert verdict.dtype == bool and verdict.shape == p.shape
-        assert np.array_equal(verdict, old_t_sign_check(block, p_case, q_case)), name
-        assert verdict.all() == (name != "q = 3p"), name
-    # a scalar p against a row of q: one verdict per q, also at 129 of them, the grid's size
-    q_row = np.full(129, 0.3)
-    q_row[:5] = 5.0
-    monkeypatch.undo()
-    one_by_one = [analytic.t_sign_check(UNIT, 0.5, float(q_mu)) for q_mu in q_row]
-    assert analytic.t_sign_check(UNIT, 0.5, q_row).tolist() == one_by_one
 
 
 def test_closed_forms_take_a_zero_padded_block():
@@ -322,9 +275,13 @@ def test_t_profile_peaks_at_zero():
         params = ModelParams(h=rng.uniform(0.25, 4), k=rng.uniform(0.25, 4))
         p = rng.uniform(0.05, 1.0)
         q = rng.uniform(-p, p)
-        assert analytic.t_sign_check(params, p, q)
+        a, _, c = analytic.abc_constants(params, p, q)
+        scale = max(1.0, a, math.sqrt(c))
         t0 = analytic.T_profile(params, p, q, 0.0)
-        grid = [analytic.T_profile(params, p, q, z) for z in np.linspace(0, 1, 128)]
+        zs = np.linspace(0, 1, 128)
+        # the sign witness t = 2 b T - c of T' is nonpositive, so T falls from z = 0
+        assert analytic.t_witness(params, p, q, zs).max() <= 1e-12 * scale * scale
+        grid = [analytic.T_profile(params, p, q, z) for z in zs]
         assert max(grid) <= t0 + 1e-12 * max(1.0, t0)
 
 

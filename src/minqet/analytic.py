@@ -17,7 +17,10 @@ Per outcome with weights (p, q), a feedback rotation of qubit B about the
 unit axis n by angle omega changes the B-side energy by -Q/eps, where
 
     Q(omega, n) = X (cos 2 omega - 1) - h k q n_y sin 2 omega
-    X(n) = p [h^2 (1 - n_z^2) + 2 k^2 (1 - n_x^2)] - 3 h k q n_x n_z.
+    X(n) = p [h^2 (n_x^2 + n_y^2) + 2 k^2 (n_y^2 + n_z^2)] - 3 h k q n_x n_z.
+
+X is quadratic in n, so for the turn's unit 4-vector a = (cos omega, sin omega n),
+Q = -2 X(a_vec) - 2 h k q a_0 a_y, with no angle left.
 
 Maximizing Q over omega, then over the rotation axis, collapses to a
 one-parameter family indexed by z = n_x^2 + n_z^2:
@@ -70,26 +73,26 @@ def _check_fraction(x):
 
 
 def X_of(params: ModelParams, p: float, q: float, n: tuple[float, float, float]) -> float:
-    """The omega-independent coefficient X for one outcome and one axis."""
+    """The omega-independent coefficient X for one outcome and one axis n.
+
+    Homogeneous in n: |n|^2 X(n / |n|), with no 1 - n_z^2 or 1 - n_x^2 to cancel near a pole.
+    """
     h, k = params.h, params.k
-    nx, _, nz = n
-    return p * (h * h * (1.0 - nz * nz) + 2.0 * k * k * (1.0 - nx * nx)) - (
+    nx, ny, nz = n
+    return p * (h * h * (nx * nx + ny * ny) + 2.0 * k * k * (ny * ny + nz * nz)) - (
         3.0 * h * k * q * nx * nz
     )
 
 
-def Q_of(params: ModelParams, p, q, omega, n: tuple[float, float, float]):
-    """Energy gain numerator Q for one outcome under rotation (omega, n).
+def Q_of(params: ModelParams, p, q, turn):
+    """Energy gain numerator Q for one outcome under the turn a = (cos omega, sin omega n).
 
-    The caller guarantees |n| = 1; the teleported energy of a full policy is
-    sum(Q) / eps.
+    ``turn`` holds a's components first, (4, ...), and the caller guarantees |a| = 1.
+    X(cos 2 omega - 1) = -2 X(a_vec) and n_y sin 2 omega = 2 a_0 a_y, so no angle is
+    left.  The teleported energy of a full policy is sum(Q) / eps.
     """
-    x = X_of(params, p, q, n)
-    # cos 2w - 1 = -2 sin^2 w, which keeps its digits where w is near 0 or pi
-    sin_omega = np.sin(omega)
-    return -2.0 * x * sin_omega * sin_omega - (
-        params.h * params.k * q * n[1] * np.sin(2.0 * omega)
-    )
+    a0, _, ay, _ = turn
+    return -2.0 * X_of(params, p, q, turn[1:]) - 2.0 * params.h * params.k * q * a0 * ay
 
 
 def max_over_omega(params: ModelParams, p, q, n: tuple[float, float, float]) -> tuple:
@@ -106,15 +109,21 @@ def max_over_omega(params: ModelParams, p, q, n: tuple[float, float, float]) -> 
     """
     x = X_of(params, p, q, n)
     g = params.h * params.k * q * n[1]
-    radius = np.hypot(x, g)
-    # For X > 0 the difference sqrt(X^2 + G^2) - X cancels when |G| << X.
-    # g (g / (radius + x)) rather than g g / (radius + x): g g over- or underflows at
-    # scales where the quotient does not.
-    positive = x > 0.0
-    value = np.where(positive, g * (g / np.where(positive, radius + x, 1.0)), radius - x)
     # 0.0 - g reads a zero G as +0: omega is never -0.0, and -pi/2 goes to pi/2
     omega = np.where((x == 0.0) & (g == 0.0), 0.0, 0.5 * np.arctan2(0.0 - g, x))
-    return value, omega
+    return _hypot_excess(x, g), omega
+
+
+def _hypot_excess(base, root):
+    """sqrt(base^2 + root^2) - base, element by element, with no cancellation.
+
+    Where base > 0 it is root (root / (radius + base)): the difference would cancel for
+    |root| << base, and root root over- or underflows at scales where the quotient does not.
+    """
+    radius = np.hypot(base, root)
+    positive = base > 0.0
+    excess = root * (root / np.where(positive, radius + base, 1.0))
+    return np.where(positive, excess, radius - base)
 
 
 def abc_constants(params: ModelParams, p, q) -> tuple:
@@ -141,8 +150,7 @@ def min_X_over_psi(params: ModelParams, p, q, z):
 def _envelope(abc: tuple, z):
     """T(z) of the constants (a, b, c) at checked z: T_profile's one arithmetic."""
     a, b, c = abc
-    base = a - b * z
-    return np.hypot(base, np.sqrt(np.maximum(c * (1.0 - z), 0.0))) - base
+    return _hypot_excess(a - b * z, np.sqrt(np.maximum(c * (1.0 - z), 0.0)))
 
 
 def T_profile(params: ModelParams, p: float, q: float, z):

@@ -63,7 +63,8 @@ def draw_members(seed: int, members: range) -> tuple:
     i has n = 2 + i % 5 outcomes.  Where i % 4 = 0 and n is even it is saturated: p comes in
     equal pairs and u is +-1, so ``balance_weights`` returns q = +-p exactly.
     Returns a ``ParamsBlock`` of ``params_row`` rows, the coefficient block (N, 6, 4)
-    with its POVM residuals from one ``check_block``, the (N,) outcomes and (N, 4) turns.
+    with its POVM residuals from one ``check_block``, the (N,) outcomes and (N, 4) turns,
+    each a unit 4-vector that the checks apply at every outcome.
     """
     rng = np.random.default_rng([seed, 1])
     rng.bit_generator.advance(18 * members.start)  # one output per double
@@ -92,7 +93,7 @@ def block_residuals(block, coeffs, povm, outcomes, turns, first: int = 0) -> dic
     # Bob's turn gains D, solved for each member's maximum over policies and the turns run
     gains = protocol.turn_gains(block, coeffs)
     best, solved = protocol.best_turns(gains, measured.p, first)
-    run = protocol.run_block(measured, *protocol.turn_policy(solved), first)
+    run = protocol.run_block(measured, solved, first)
     parts, kets = measured.parts, measured.kets
     found: dict[str, list] = {"measurement-completeness": list(povm.values())}
     # <H_B> and <V> of the post-measurement state sum over its kets: (B, 2)
@@ -126,28 +127,27 @@ def block_residuals(block, coeffs, povm, outcomes, turns, first: int = 0) -> dic
     )
     found["reduced-eigenvalues"] = [np.abs(brute - np.stack([lam_minus, lam_plus], -1))[live]]
 
-    # each member's turn W at every outcome extracts w^T (sum_mu D_mu) w, w = (cos omega,
-    # sin omega n): minus the direct routes <Wg|H_B + V|Wg> and <Wg|H|Wg>, and sum Q / eps;
-    # it is <= 0, as is the most any outcome-blind turn extracts, lambda_max(sum_mu D_mu)
-    w = np.concatenate([np.cos(turns[:, :1]), np.sin(turns[:, :1]) * turns[:, 1:]], axis=1)
+    # each member's turn w at every outcome extracts w^T (sum_mu D_mu) w: minus the direct
+    # routes <Wg|H_B + V|Wg> and <Wg|H|Wg>, and sum Q / eps; it is <= 0, as is the most any
+    # outcome-blind turn extracts, lambda_max(sum_mu D_mu)
     summed = gains.sum(axis=1)
-    blind = np.einsum("bi,bij,bj->b", w, summed, w)
-    wg = protocol.rotate_b(measured.ground, protocol.rotations(turns[:, 0], turns[:, 1:]))
+    blind = np.einsum("bi,bij,bj->b", turns, summed, turns)
+    wg = protocol.rotate_b(measured.ground, protocol.rotations(turns))
     local, total = (qmath.expectation(wg, op) for op in (parts.h_b + parts.v, parts.total))
-    axis = tuple(turns[:, 1:].T)
-    q_sum = analytic.Q_of(block, measured.p, measured.q, turns[:, 0], axis).sum(axis=0)
+    q_sum = analytic.Q_of(block, measured.p, measured.q, turns.T).sum(axis=0)
     routes = (np.abs(local - total), np.abs(blind + local), np.abs(blind - q_sum / block.eps))
     exact = protocol.best_turns(summed[:, None], 1.0, first)[0]  # one outcome of weight 1
     found["no-go-passive"] = [blind, *routes, exact]
 
-    # the maximization chain on one random outcome and the turn's axis n per member, against
-    # that outcome's D: a = (cos omega, sin omega n) takes a^T D a = Q / eps, so the omega
-    # maximum on n is eps lambda_max on span{1, n}, X(n) = -(eps/2) n^T D n, and T peaks at
-    # z = 0 as D's {1, sigma_y} block beats its {sigma_x, sigma_z} block (indices 0-3 are
-    # 1, sigma_x, sigma_y, sigma_z; these forms read the entries between the two blocks as
-    # 0, which ``best_turns`` held them to)
+    # the maximization chain on one random outcome and the unit axis n of the member's turn,
+    # against that outcome's D: a = (cos omega, sin omega n) takes a^T D a = Q / eps, so the
+    # omega maximum on n is eps lambda_max on span{1, n}, X(n) = -(eps/2) n^T D n, and T
+    # peaks at z = 0 as D's {1, sigma_y} block beats its {sigma_x, sigma_z} block (indices
+    # 0-3 are 1, sigma_x, sigma_y, sigma_z; these forms read the entries between the two
+    # blocks as 0, which ``best_turns`` held them to)
     p, q = (x[outcomes, np.arange(len(outcomes))] for x in (measured.p, measured.q))
-    d, n = gains[np.arange(len(outcomes)), outcomes], turns[:, 1:]
+    d, n = gains[np.arange(len(outcomes)), outcomes], protocol.turn_policy(turns)[1]
+    axis = tuple(n.T)
     closed_max, omega_star = analytic.max_over_omega(block, p, q, axis)
     x_coef = analytic.X_of(block, p, q, axis)
     g_coef = block.h * block.k * q * axis[1]
@@ -157,9 +157,10 @@ def block_residuals(block, coeffs, povm, outcomes, turns, first: int = 0) -> dic
     # floored at the rounding level of Q's parts (Q's maximum is 0 at q = 0)
     value_scale = np.maximum(closed_max, sys.float_info.epsilon * (abs(x_coef) + abs(g_coef)))
     off = (theta - omega_star) % math.pi  # a turn is a ray: omega and omega + pi are one
+    a_star = (np.cos(omega_star), *np.sin(omega_star) * n.T)  # the turn of the maximum
     found["omega-maximum"] = [
         abs(block.eps * top - closed_max) / value_scale,
-        abs(analytic.Q_of(block, p, q, omega_star, axis) - closed_max) / value_scale,
+        abs(analytic.Q_of(block, p, q, a_star) - closed_max) / value_scale,
         np.minimum(off, math.pi - off),
     ]
 

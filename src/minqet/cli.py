@@ -197,9 +197,11 @@ def cmd_report(args) -> int:
     povm = measurement.to_json_obj(meas)
     # the case as a block of one: its weights serve the policy, the run and the payload
     block = protocol.measured_block(ParamsBlock.of([params]), meas.rows[None])
-    omega, axes = protocol.optimal_table(params, block.p, block.q)
-    report = protocol.run_block(block, omega, axes)
+    turns = protocol.optimal_table(params, block.p, block.q)
+    report = protocol.run_block(block, turns)
     case = {name: value.tolist()[0] for name, value in vars(report).items()}
+    # printed as optimize prints its turns: omega in [0, pi/2] about a unit axis
+    omega, axes = protocol.turn_policy(turns[0] + 0.0)
     p, q = block.p[:, 0], block.q[:, 0]
     max_eb = case["max_eb_closed"]
     payload = {
@@ -237,7 +239,7 @@ def cmd_report(args) -> int:
                 "slack": max_eb - case["bound770_rhs"],
             },
         },
-        "policy": [{"omega": w, "n": n} for w, n in zip(omega[0].tolist(), axes[0].tolist())],
+        "policy": [{"omega": w, "n": n} for w, n in zip(omega.tolist(), axes.tolist())],
         "per_outcome": [dict(zip(PER_OUTCOME_KEYS, row)) for row in case["per_outcome"]],
     }
     write_json(sys.stdout, payload)
@@ -260,8 +262,8 @@ def cmd_sweep(args) -> int:
     block = ParamsBlock.of_rows([params_row(h, k) for h in h_values for k in k_values])
     coeffs = np.broadcast_to(meas.rows, (len(block.h),) + meas.rows.shape)
     # one eigen maximum over policies, and one batched run of its turns, for the whole grid
-    numeric, *policy = optimizer.maximize_over_policies(block, coeffs)
-    run = protocol.run_many(block, coeffs, *policy)
+    numeric, turns = optimizer.maximize_over_policies(block, coeffs)
+    run = protocol.run_many(block, coeffs, turns)
     closed, delta_s = run.max_eb_closed, run.delta_s
     # one row per cell, in SWEEP_COLUMNS order
     columns = (
@@ -339,16 +341,16 @@ def cmd_optimize(args) -> int:
             raise ValueError("optimize --over policy needs --povm")
         meas = resolve_povm(args.povm)
         # the case as a block of one
-        columns = optimizer.maximize_over_policies(ParamsBlock.of([params]), meas.rows[None])
-        value, omega, axes = (column.tolist()[0] for column in columns)
+        value, turns = optimizer.maximize_over_policies(ParamsBlock.of([params]), meas.rows[None])
+        omega, axes = protocol.turn_policy(turns[0] + 0.0)  # + 0.0: no -0.0 printed
         p, q = measurement.weight_block(meas.rows)
         payload = {
             "over": "policy",
             "params": {"h": params.h, "k": params.k},
             "povm": {"source": args.povm, "sha256": povm_sha256(measurement.to_json_obj(meas))},
-            "best_value": value,
+            "best_value": value.tolist()[0],
             "closed_form_max": analytic.max_EB_closed(params, p, q),
-            "policy": [{"omega": w, "n": n} for w, n in zip(omega, axes)],
+            "policy": [{"omega": w, "n": n} for w, n in zip(omega.tolist(), axes.tolist())],
         }
     closed = payload["closed_form_max" if args.over == "policy" else "projective_limit"]
     judge_maximum(np.array([payload["best_value"]]), np.array([closed]), [params.h], [params.k])

@@ -38,18 +38,17 @@ def maximize_over_policies(params: ParamsBlock, coeffs: np.ndarray) -> tuple:
     """The maximum of E_B over per-outcome feedback turns, for N cases, and its turns.
 
     ``protocol.best_turns`` solves the ``protocol.turn_gains`` of the coefficient block
-    (N, n, 4), protocol.BLOCK cases at a time, and ``protocol.turn_policy`` reads each turn
-    a as omega = atan2(|a_vec|, a_0) in [0, pi/2] about n = a_vec / |a_vec|, and the
-    identity as ``analytic.Y_AXIS``.  Returns the columns (best_value, omega, axes): (N,),
-    and the policy table (N, n) and (N, n, 3).
+    (N, n, 4), protocol.BLOCK cases at a time.  Returns (best_value, turns): the values
+    (N,) and each outcome's best turn, a unit 4-vector with a_0 >= 0, (N, n, 4), which
+    ``protocol.run_many`` runs as they are.
     """
     p = measurement.weight_block(coeffs)[0]
-    value, turn = np.empty(len(coeffs)), np.empty(coeffs.shape)
+    value, turns = np.empty(len(coeffs)), np.empty(coeffs.shape)
     for first in range(0, len(coeffs), protocol.BLOCK):
         block = slice(first, first + protocol.BLOCK)
         gains = protocol.turn_gains(params[block], coeffs[block])
-        value[block], turn[block] = protocol.best_turns(gains, p[:, block], first)
-    return (value, *protocol.turn_policy(turn + 0.0))  # + 0.0: no -0.0 printed
+        value[block], turns[block] = protocol.best_turns(gains, p[:, block], first)
+    return value, turns
 
 
 def maximize_over_weights(params: ModelParams, n_outcomes: int = 2) -> tuple:

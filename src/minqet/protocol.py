@@ -9,14 +9,14 @@ rotation of qubit B chosen per outcome.  The energy the measurement pumps
 in is E_A = sum_mu <g| M^dag H M |g>; the energy extracted at B is
 E_B = E_A - Tr[rho H] = -Tr[rho (H_B + V)].
 
-A policy is a table: angles omega (N, n) and axes (N, n, 3), one row per
-case, such as ``optimal_table``'s.  A turn is also a unit 4-vector
-a = (cos omega, sin omega n), and ``turn_policy`` is the one reading of such
-vectors as a table.  Every run starts from ``measured_block`` on a
+A policy is one turn of B per outcome, each the unit 4-vector a = (cos omega,
+sin omega n) of U_B = a_0 + i a_vec . sigma_B, as turns (N, n, 4), such as
+``best_turns``' or ``optimal_table``'s; ``turn_policy`` reads them as (omega, n)
+where a turn is printed.  Every run starts from ``measured_block`` on a
 ``ParamsBlock`` and a coefficient block (N, n, 4): the kets M_A(mu)|g>
 (``measurement.measured_kets``) as one (N, n, 4) array, zero-padded to the
 largest outcome count, with the weights in the closed forms' (n, N) layout.
-``run_block`` rotates B by a policy table and returns per-case columns, and
+``run_block`` turns B by a policy's turns and returns per-case columns, and
 ``run_many`` computes them BLOCK cases at a time; ``evolve_series`` computes
 its (T,) columns BLOCK times at a time.  One case is a block of one, and an
 outcome-blind rotation W of B, such as a ``haar_turns`` row, is the policy
@@ -55,12 +55,11 @@ CROSS_CHECK_TOL = 1e-10
 BLOCK = 128
 
 
-def rotations(omega, axes) -> np.ndarray:
-    """cos(omega) + i sin(omega) n . sigma for angles (...) and axes (..., 3): (..., 2, 2)."""
-    nx, ny, nz = (np.asarray(axes, dtype=float)[..., i, None, None] for i in range(3))
-    axis_dot_sigma = nx * qmath.pauli("x") + ny * qmath.pauli("y") + nz * qmath.pauli("z")
-    omega = np.asarray(omega, dtype=float)[..., None, None]
-    return np.cos(omega) * qmath.pauli("i") + (1j * np.sin(omega)) * axis_dot_sigma
+def rotations(turns) -> np.ndarray:
+    """a_0 + i (a_x sigma_x + a_y sigma_y + a_z sigma_z) for turns a (..., 4): (..., 2, 2)."""
+    a0, ax, ay, az = (np.asarray(turns, dtype=float)[..., i, None, None] for i in range(4))
+    axis_dot_sigma = ax * qmath.pauli("x") + ay * qmath.pauli("y") + az * qmath.pauli("z")
+    return a0 * qmath.pauli("i") + 1j * axis_dot_sigma
 
 
 def rotate_b(kets: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -76,8 +75,9 @@ def rotate_b(kets: np.ndarray, u: np.ndarray) -> np.ndarray:
 def turn_policy(turns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The angles (...) and axes (..., 3) of turns a = (cos omega, sin omega n), unit (..., 4).
 
-    omega = atan2(|a_vec|, a_0) about n = a_vec / |a_vec|; a turn with a_vec = 0 gets
-    ``analytic.Y_AXIS``.
+    omega = atan2(|a_vec|, a_0) about n = a_vec / |a_vec|, so omega lies in [0, pi], and
+    in [0, pi/2] where a_0 >= 0; a turn with a_vec = 0 gets ``analytic.Y_AXIS``.  Only
+    printed turns are read this way: every run takes the 4-vectors themselves.
     """
     sin_omega = np.sqrt((turns[..., 1:] * turns[..., 1:]).sum(axis=-1, keepdims=True))
     turning = sin_omega > 0.0
@@ -240,19 +240,17 @@ def _check(label: str, residual, budget, first: int = 0) -> None:
         )
 
 
-def run_many(
-    params: ParamsBlock, coeffs: np.ndarray, omega: np.ndarray, axes: np.ndarray
-) -> ProtocolReport:
+def run_many(params: ParamsBlock, coeffs: np.ndarray, turns: np.ndarray) -> ProtocolReport:
     """``run_block``'s columns for N cases, computed BLOCK cases at a time.
 
-    ``coeffs`` is the coefficient block (N, n, 4) and (omega, axes) the
-    policy table.  A failed internal identity (a bug, not a data error)
-    raises ``_check``'s ``RuntimeError``.
+    ``coeffs`` is the coefficient block (N, n, 4) and ``turns`` the policy, one unit
+    4-vector per outcome (N, n, 4).  A failed internal identity (a bug, not a data
+    error) raises ``_check``'s ``RuntimeError``.
     """
     blocks = []
     for i in range(0, len(coeffs), BLOCK):
         block = measured_block(params[i : i + BLOCK], coeffs[i : i + BLOCK])
-        blocks.append(run_block(block, omega[i : i + BLOCK], axes[i : i + BLOCK], i))
+        blocks.append(run_block(block, turns[i : i + BLOCK], i))
     return ProtocolReport(*map(np.concatenate, zip(*(vars(b).values() for b in blocks))))
 
 
@@ -291,19 +289,18 @@ def measured_block(params: ParamsBlock, coeffs: np.ndarray) -> MeasuredBlock:
     return MeasuredBlock(params, coeffs, parts, g, kets, p, q, e_a, scale, ent)
 
 
-def optimal_table(params, p, q) -> tuple[np.ndarray, np.ndarray]:
-    """The closed-form maximizing policy of weights p, q (n, B): angles (B, n), axes (B, n, 3).
+def optimal_table(params, p, q) -> np.ndarray:
+    """The closed-form maximizing turns of weights p, q (n, B): (B, n, 4).
 
-    Every axis is ``analytic.Y_AXIS`` and every angle ``analytic.max_over_omega``'s there.
+    Each turn is (cos omega, sin omega n) with n = ``analytic.Y_AXIS`` and omega
+    ``analytic.max_over_omega``'s angle there, in (-pi/2, pi/2].
     """
-    omega = analytic.max_over_omega(params, p, q, analytic.Y_AXIS)[1].T
-    return omega, np.broadcast_to(analytic.Y_AXIS, omega.shape + (3,))
+    omega = analytic.max_over_omega(params, p, q, analytic.Y_AXIS)[1].T[..., None]
+    return np.cos(omega) * (1.0, 0.0, 0.0, 0.0) + np.sin(omega) * (0.0, *analytic.Y_AXIS)
 
 
-def run_block(
-    block: MeasuredBlock, omega: np.ndarray, axes: np.ndarray, first: int = 0
-) -> ProtocolReport:
-    """The ``ProtocolReport`` columns of rotating B by (omega, axes) after a ``MeasuredBlock``.
+def run_block(block: MeasuredBlock, turns: np.ndarray, first: int = 0) -> ProtocolReport:
+    """The ``ProtocolReport`` columns of turning B by turns (B, n, 4) after a ``MeasuredBlock``.
 
     Every cross-check of the run holds; ``first`` numbers the block's cases in errors.
     """
@@ -314,7 +311,7 @@ def run_block(
 
     prob = ent.probabilities  # Born's rule, 0 where degenerate
     live = prob > 0.0
-    phi = np.where(live[..., None], rotate_b(block.kets, rotations(omega, axes)), 0.0)  # fed back
+    phi = np.where(live[..., None], rotate_b(block.kets, rotations(turns)), 0.0)  # fed back
     chi = phi[..., None, :] / np.sqrt(np.where(live, prob, 1.0))[..., None, None]  # normalized
     # each outcome's <H_A>, <H_B> and <V> on its normalized post-feedback state: (B, n, 3)
     local = qmath.expectation(chi, np.stack([parts.h_a, parts.h_b, parts.v], 1)[:, None])
@@ -324,7 +321,7 @@ def run_block(
     e_b_local = -(prob * (local[..., 1] + local[..., 2])).sum(axis=-1)
     _check("E_B local form differs", np.abs(e_b - e_b_local), budget, first)
     # outcomes along the leading axis, so the (B,) parameters broadcast behind them
-    q_sum = analytic.Q_of(params, block.p, block.q, omega.T, tuple(axes.T)).sum(axis=0)
+    q_sum = analytic.Q_of(params, block.p, block.q, turns.T).sum(axis=0)
     _check("E_B per-outcome route differs", np.abs(e_b - q_sum / params.eps), budget, first)
     _check("final energy violates H >= 0", -total_final, budget, first)
 
@@ -339,16 +336,14 @@ def run_block(
 
 
 def haar_turns(u: np.ndarray) -> np.ndarray:
-    """Haar rotations of B (uniform over SU(2)) of uniforms u (N, 3): rows (omega, nx, ny, nz).
+    """Haar rotations of B (uniform over SU(2)) of uniforms u (N, 3): unit 4-vectors (N, 4).
 
-    Shoemake's quaternion, uniform on the 3-sphere for u in [0, 1), as ``turn_policy``
-    reads it: omega lies in [0, pi], and the identity gets the y axis.
+    Shoemake's quaternion, uniform on the 3-sphere for u in [0, 1).
     """
     a, b = np.sqrt(1.0 - u[:, :1]), np.sqrt(u[:, :1])
     turn_1, turn_2 = 2.0 * math.pi * u[:, 1:2], 2.0 * math.pi * u[:, 2:]
     quaternion = [a * np.cos(turn_1), a * np.sin(turn_1), b * np.sin(turn_2), b * np.cos(turn_2)]
-    omega, axes = turn_policy(np.concatenate(quaternion, -1))
-    return np.concatenate([omega[:, None], axes], -1)
+    return np.concatenate(quaternion, -1)
 
 
 def evolve_series(

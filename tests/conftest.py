@@ -22,21 +22,27 @@ def case_block(cases):
     return ParamsBlock.of(params), coefficient_block(models)
 
 
+def turn_vectors(omega, axes):
+    """The unit 4-vectors a = (cos omega, sin omega n) of angles (...) and axes (..., 3)."""
+    omega = np.asarray(omega, dtype=float)[..., None]
+    return np.concatenate([np.cos(omega), np.sin(omega) * np.asarray(axes, dtype=float)], -1)
+
+
 def policy_table(policies, n):
-    """Angles (N, n) and axes (N, n, 3) of policies given as (omega, nx, ny, nz) rows.
+    """The turns (N, n, 4) of policies given as (omega, nx, ny, nz) rows.
 
     Each policy is padded to n outcomes with the identity, no turn about the y axis.
     """
     pad = [(0.0, 0.0, 1.0, 0.0)]
     table = np.array([list(rows) + pad * (n - len(rows)) for rows in policies], dtype=float)
-    return table[..., 0], table[..., 1:]
+    return turn_vectors(table[..., 0], table[..., 1:])
 
 
 def run_batch(cases):
     """``run_many``'s columns for (params, model, policy rows) cases."""
     block, coeffs = case_block(cases)
-    table = policy_table([case[2] for case in cases], coeffs.shape[1])
-    return protocol.run_many(block, coeffs, *table)
+    turns = policy_table([case[2] for case in cases], coeffs.shape[1])
+    return protocol.run_many(block, coeffs, turns)
 
 
 def case_report(columns, i, n):

@@ -27,6 +27,8 @@ import pytest
 from minqet import analytic, checks, entanglement, measurement, optimizer, protocol
 from minqet.model import ModelParams, ParamsBlock, params_row
 
+from conftest import turn_vectors
+
 
 UNIT = ModelParams(h=1.0, k=1.0)
 
@@ -186,7 +188,8 @@ def test_member_draws_stay_in_range_at_the_edges_of_the_uniforms(monkeypatch, ed
     assert np.all(outcomes == (n - 1) * (edge > 0.0))
     assert np.all((0.25 <= params.h) & (params.h < 4.0) & (0.25 <= params.k) & (params.k < 4.0))
     assert np.isfinite(turns).all()
-    assert np.abs((turns[:, 1:] ** 2).sum(-1) - 1.0).max() <= 1e-15
+    assert np.abs((turns**2).sum(-1) - 1.0).max() <= 1e-15
+    assert np.abs((protocol.turn_policy(turns)[1] ** 2).sum(-1) - 1.0).max() <= 1e-15
 
 
 def test_ensemble_computes_each_blocks_povm_residuals_once(monkeypatch):
@@ -264,10 +267,10 @@ def test_a_corrupted_member_of_a_drawn_block_is_named():
 @pytest.mark.parametrize(
     "seed, frozen",
     [
-        (0, ("7.105427357601002e-15", "3.410973772626401e-14")),
-        (7, ("7.105427357601002e-15", "1.336807009006506e-13")),
-        (26, ("6.217248937900877e-15", "7.688325471172681e-14")),
-        (33, ("7.105427357601002e-15", "3.357079623123997e-14")),
+        (0, ("5.329070518200751e-15", "3.410973772626401e-14")),
+        (7, ("5.329070518200751e-15", "1.336807009006506e-13")),
+        (26, ("5.329070518200751e-15", "7.688325471172681e-14")),
+        (33, ("5.329070518200751e-15", "3.357079623123997e-14")),
     ],
 )
 def test_no_go_residuals_are_frozen(seed, frozen):
@@ -277,7 +280,10 @@ def test_no_go_residuals_are_frozen(seed, frozen):
     # turn was written out elementwise (no-go-passive read 7.105427357601002e-15 at
     # seed 7 and 5.329070518200751e-15 at seed 33), and when each turn's E_B became
     # w^T (sum_mu D_mu) w, also held to sum Q / eps (no-go-passive read
-    # 5.329070518200751e-15 at seeds 0, 7 and 26 and 4.440892098500626e-15 at seed 33)
+    # 5.329070518200751e-15 at seeds 0, 7 and 26 and 4.440892098500626e-15 at seed 33),
+    # and when the checks took each drawn quaternion as the turn w itself, with no
+    # (omega, n) round trip (no-go-passive read 7.105427357601002e-15 at seeds 0, 7 and
+    # 33 and 6.217248937900877e-15 at seed 26)
     worst = checks.ensemble_residuals(seed, 1000)
     assert (repr(worst["no-go-passive"]), repr(worst["bound-770-equality"])) == frozen
 
@@ -381,7 +387,12 @@ def test_a_fault_in_the_no_go_direct_route_alone_fails_no_go_passive(monkeypatch
     # only the ensemble's view of protocol turns B by 1e-6 more, so the runs, and the
     # direct routes' agreement with each other, stay as they are
     shifted = types.SimpleNamespace(**vars(protocol))
-    shifted.rotations = lambda omega, axes: protocol.rotations(omega * (1.0 + 1e-6), axes)
+
+    def further(turns):
+        omega, axes = protocol.turn_policy(turns)
+        return protocol.rotations(turn_vectors(omega * (1.0 + 1e-6), axes))
+
+    shifted.rotations = further
     monkeypatch.setattr(checks, "protocol", shifted)
     worst = checks.ensemble_residuals(0, 300)
     assert [name for name in worst if not worst[name] <= BUDGETS[name]] == ["no-go-passive"]
@@ -401,7 +412,7 @@ def test_a_positive_direction_of_the_summed_gains_fails_no_go_passive(monkeypatc
     shifted.turn_gains = tilted
     monkeypatch.setattr(checks, "protocol", shifted)
     block, coeffs, povm, outcomes, turns = checks.draw_members(0, range(checks.ENSEMBLE_BLOCK))
-    turns = np.broadcast_to((0.5 * np.pi, 0.0, 1.0, 0.0), turns.shape)
+    turns = np.broadcast_to(turn_vectors(0.5 * np.pi, analytic.Y_AXIS), turns.shape)
     found = checks.block_residuals(block, coeffs, povm, outcomes, turns)
     assert [name for name in found if not checks._worst(*found[name]) <= BUDGETS[name]] == [
         "no-go-passive"

@@ -12,10 +12,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from minqet import analytic, measurement
+from minqet import analytic, measurement, protocol
 from minqet.analytic import Y_AXIS, DomainError
 from minqet.measurement import weight_block
-from minqet.model import ModelParams, ParamsBlock
+from minqet.model import ModelParams, ParamsBlock, params_row
 
 from conftest import consumption_columns
 
@@ -49,18 +49,36 @@ def unit_axis(rng):
     return tuple(v / np.linalg.norm(v))
 
 
+def q_at(params, p, q, omega, n):
+    """``Q_of`` at the turn a = (cos omega, sin omega n), its components first."""
+    sin = np.sin(omega)
+    return analytic.Q_of(params, p, q, (np.cos(omega), *(sin * c for c in n)))
+
+
+def paper_q(params, p, q, omega, n):
+    """The paper's Q(omega, n) = X (cos 2 omega - 1) - h k q n_y sin 2 omega for a unit axis n.
+
+    With X(n) = p [h^2 (1 - n_z^2) + 2 k^2 (1 - n_x^2)] - 3 h k q n_x n_z.
+    """
+    h, k = params.h, params.k
+    nx, ny, nz = n
+    x = p * (h * h * (1.0 - nz * nz) + 2.0 * k * k * (1.0 - nx * nx)) - 3.0 * h * k * q * nx * nz
+    return x * (np.cos(2.0 * omega) - 1.0) - h * k * q * ny * np.sin(2.0 * omega)
+
+
 def test_q_of_vanishes_at_zero_angle():
     rng = np.random.default_rng(11)
     for _ in range(25):
         p = rng.uniform(0.05, 1.0)
         q = rng.uniform(-p, p)
-        assert analytic.Q_of(UNIT, p, q, 0.0, unit_axis(rng)) == pytest.approx(0.0, abs=1e-14)
+        assert q_at(UNIT, p, q, 0.0, unit_axis(rng)) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_q_of_without_correlation_never_positive():
     for omega in np.linspace(0.0, math.pi, 64):
-        val = analytic.Q_of(UNIT, 0.4, 0.0, float(omega), Y_AXIS)
+        val = q_at(UNIT, 0.4, 0.0, float(omega), Y_AXIS)
         assert val <= 1e-14
+        assert abs(val - paper_q(UNIT, 0.4, 0.0, float(omega), Y_AXIS)) <= 1e-14
 
 
 def test_max_over_omega_no_correlation():
@@ -74,7 +92,8 @@ def test_max_over_omega_unit_projective():
     assert abs(value - MAX_OVER_OMEGA_UNIT) <= 1e-15
     assert abs(value - 0.081139) <= 1e-6
     # the reported angle actually attains the value
-    assert analytic.Q_of(UNIT, 0.5, 0.5, omega, Y_AXIS) == pytest.approx(value, abs=1e-12)
+    assert q_at(UNIT, 0.5, 0.5, omega, Y_AXIS) == pytest.approx(value, abs=1e-12)
+    assert paper_q(UNIT, 0.5, 0.5, omega, Y_AXIS) == pytest.approx(value, abs=1e-12)
 
 
 def test_max_over_omega_off_axis():
@@ -93,7 +112,7 @@ def test_weak_outcome_keeps_its_digits():
 
 
 def test_q_of_keeps_its_digits_near_pi():
-    got = analytic.Q_of(WEAK_PARAMS, WEAK_P, WEAK_Q, WEAK_OMEGA, Y_AXIS)
+    got = q_at(WEAK_PARAMS, WEAK_P, WEAK_Q, WEAK_OMEGA, Y_AXIS)
     assert abs(got - WEAK_Q_AT_OMEGA) <= 1e-14 * WEAK_Q_AT_OMEGA
 
 
@@ -117,8 +136,15 @@ def test_max_over_omega_is_q_at_its_angle_on_every_branch():
     assert (x < 0.0).any() and (x > 0.0).any() and ((x == 0.0) & (g == 0.0)).any()
     value, omega = analytic.max_over_omega(params, p, q, n)
     assert np.all(value >= 0.0)
-    at_omega = analytic.Q_of(params, p, q, omega, n)
+    # the paper's Q at the angle, of the same X and G
+    at_omega = x * (np.cos(2.0 * omega) - 1.0) - g * np.sin(2.0 * omega)
     assert np.all(np.abs(value - at_omega) <= 1e-15 * (np.abs(x) + np.abs(g)))
+    # Q_of at the turn (cos omega, sin omega n) forms X of sin omega n on its own, so it
+    # meets them to the rounding of X's terms, not of X itself where those terms cancel
+    h, k = params.h, params.k
+    terms = p * (h * h * (n[0] ** 2 + n[1] ** 2) + 2.0 * k * k * (n[1] ** 2 + n[2] ** 2))
+    terms = terms + np.abs(3.0 * h * k * q * n[0] * n[2])
+    assert np.all(np.abs(q_at(params, p, q, omega, n) - at_omega) <= 1e-15 * (terms + np.abs(g)))
 
 
 @settings(max_examples=60, deadline=None)
@@ -134,14 +160,14 @@ def test_max_over_omega_dominates_grid(seed, h, k):
     q = rng.uniform(-p, p)
     n = unit_axis(rng)
     best, _ = analytic.max_over_omega(params, p, q, n)
-    grid = [
-        analytic.Q_of(params, p, q, w, n) for w in np.linspace(0.0, math.pi, 256)
-    ]
-    scale = max(1.0, abs(best), max(abs(v) for v in grid))
-    assert best >= max(grid) - 1e-9 * scale
+    omegas = np.linspace(0.0, math.pi, 256)
+    grid = q_at(params, p, q, omegas, n)
+    scale = max(1.0, abs(best), np.abs(grid).max())
+    assert best >= grid.max() - 1e-9 * scale
+    assert np.abs(grid - paper_q(params, p, q, omegas, n)).max() <= 1e-9 * scale
     # and the closed maximum is attained somewhere (finer probe near optimum)
     value, omega = analytic.max_over_omega(params, p, q, n)
-    assert analytic.Q_of(params, p, q, omega, n) >= value - 1e-9 * scale
+    assert q_at(params, p, q, omega, n) >= value - 1e-9 * scale
 
 
 def test_min_x_at_zero_z():
@@ -206,18 +232,19 @@ def test_closed_forms_broadcast_over_outcomes():
     p = rng.uniform(0.05, 1.0, size=12)
     q = p * rng.uniform(-1.0, 1.0, size=12)
     q[3] = 0.0
-    omega, axis = rng.uniform(0.0, math.pi, size=12), tuple(rng.normal(size=(3, 12)))
+    omega, axis = rng.uniform(0.0, math.pi, size=12), rng.normal(size=(3, 12))
+    turn = (np.cos(omega), *(np.sin(omega) * axis))
     block = ParamsBlock.of(params)
     arrays = {
         "abc": np.array(analytic.abc_constants(block, p, q)).T,
-        "Q": analytic.Q_of(block, p, q, omega, axis),
+        "Q": analytic.Q_of(block, p, q, turn),
         "T0": analytic.T_profile(block, p, q, 0.0),
     }
     for i, one in enumerate(params):
         args = (one, float(p[i]), float(q[i]))
         scalars = {
             "abc": analytic.abc_constants(*args),
-            "Q": analytic.Q_of(*args, float(omega[i]), tuple(float(c[i]) for c in axis)),
+            "Q": analytic.Q_of(*args, tuple(float(c[i]) for c in turn)),
             "T0": analytic.T_profile(*args, 0.0),
         }
         for name, value in scalars.items():
@@ -304,6 +331,26 @@ def test_degenerate_axis_family_at_saturation():
     assert t1 < t0
 
 
+@pytest.mark.parametrize("u", [1.0, 1e-2, 1e-4, 1e-6])
+def test_envelope_meets_the_d_route_on_weak_outcomes(u):
+    # T(z) / eps is lambda_max of D on span{1, sqrt(1 - z) sigma_y + sqrt(z) m}, m the best
+    # axis of D's {sigma_x, sigma_z} block: [[d00, sqrt(1 - z) d02], [., (1 - z) d22 +
+    # z lambda_xz]].  Both outcomes of weak_pair(u) at 400 (h, k) log-uniform on [1e-3, 1e3];
+    # T(z) = hypot(base, root) - base would cancel where base = a - b z >> root
+    rng = np.random.default_rng(40)
+    hk = np.exp(rng.uniform(math.log(1e-3), math.log(1e3), size=(400, 2)))
+    block = ParamsBlock.of_rows([params_row(h, k) for h, k in hk.tolist()])
+    coeffs = np.broadcast_to(measurement.weak_pair(u).rows, (400, 2, 4))
+    p, q = weight_block(coeffs)
+    d = np.moveaxis(protocol.turn_gains(block, coeffs), 1, 0)  # outcomes first, as p and q
+    top_xz = protocol.top_eigen(d[..., 1, 1], d[..., 3, 3], d[..., 1, 3])[0]
+    for z in (0.37, 0.9):
+        spin, mixed = (1.0 - z) * d[..., 2, 2] + z * top_xz, math.sqrt(1.0 - z) * d[..., 0, 2]
+        by_d = block.eps * protocol.top_eigen(d[..., 0, 0], spin, mixed)[0]
+        closed = analytic.T_profile(block, p, q, z)
+        assert np.all(np.abs(closed - by_d) <= 1e-13 * by_d), np.max(np.abs(closed / by_d - 1.0))
+
+
 def test_omega_maximum_on_y_axis_reaches_envelope():
     assert Y_AXIS == (0.0, 1.0, 0.0)
     rng = np.random.default_rng(7)
@@ -312,7 +359,7 @@ def test_omega_maximum_on_y_axis_reaches_envelope():
         p = rng.uniform(0.05, 1.0)
         q = rng.uniform(-p, p)
         _, omega = analytic.max_over_omega(params, p, q, Y_AXIS)
-        attained = analytic.Q_of(params, p, q, omega, Y_AXIS)
+        attained = q_at(params, p, q, omega, Y_AXIS)
         target = analytic.T_profile(params, p, q, 0.0)
         assert abs(attained - target) <= 1e-12 * max(1.0, target)
 

@@ -550,15 +550,15 @@ def test_sweep_and_evolve_csv_bytes_are_frozen(tmp_path, capsys):
 
 @pytest.mark.parametrize("povm", ["builtin:projective", "builtin:weak(0.3)", "phased3"])
 def test_sweep_runs_the_turns_of_its_eigen_maximum(tmp_path, capsys, monkeypatch, povm):
-    # the brute-force run replays the (omega, n) table behind maxE_B_numeric, bit for bit
+    # the brute-force run replays the turns behind maxE_B_numeric, bit for bit
     if povm == "phased3":
         povm = tmp_path / "phased3.json"
         povm.write_text(json.dumps(PHASED_POVM_3))
     run, seen = protocol.run_many, []
 
-    def spy(params, coeffs, omega, axes):
-        seen.append((omega, axes))
-        return run(params, coeffs, omega, axes)
+    def spy(params, coeffs, turns):
+        seen.append(turns)
+        return run(params, coeffs, turns)
 
     monkeypatch.setattr(protocol, "run_many", spy)
     grid = ["--h", "0.3:3:9:log", "--k", "0.4:2.5:8:log"]
@@ -568,10 +568,8 @@ def test_sweep_runs_the_turns_of_its_eigen_maximum(tmp_path, capsys, monkeypatch
     block = ParamsBlock.of(ModelParams(h, k) for h in values[0] for k in values[1])
     rows = cli.resolve_povm(str(povm)).rows
     coeffs = np.broadcast_to(rows, (len(block.h),) + rows.shape)
-    _, omega, axes = optimizer.maximize_over_policies(block, coeffs)
-    ((seen_omega, seen_axes),) = seen
-    assert seen_omega.tobytes() == omega.tobytes()
-    assert seen_axes.tobytes() == axes.tobytes()
+    turns = optimizer.maximize_over_policies(block, coeffs)[1]
+    assert [seen_turns.tobytes() for seen_turns in seen] == [turns.tobytes()]
 
 
 @pytest.mark.parametrize("command", ["sweep", "report"])
@@ -780,6 +778,31 @@ def test_optimize_policy_payload_is_frozen(capsys, tmp_path, povm, h, k, frozen)
     assert payload == frozen
     for turn in payload["policy"]:
         assert abs(math.sqrt(sum(c * c for c in turn["n"])) - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("povm", ["builtin:weak(0.3)", "random4"])
+def test_report_and_optimize_print_the_same_unique_turns(capsys, tmp_path, povm):
+    # with 0 < |q| < p at every outcome the best turn is unique, and report's closed turns
+    # and optimize's eigen turns print it alike: omega in [0, pi/2] about +y or -y.  The
+    # 4-outcome POVM is random_measurement(4, 4) as weights, as the CI policy step has it
+    if povm == "random4":
+        p, q = measurement.weight_block(measurement.random_measurement(4, n_outcomes=4).rows)
+        assert np.all((0.0 < np.abs(q)) & (np.abs(q) < p))
+        path = tmp_path / "policy-povm.json"
+        weights = [{"p": p_mu, "q": q_mu} for p_mu, q_mu in zip(p.tolist(), q.tolist())]
+        path.write_text(json.dumps({"weights": weights}))
+        povm = str(path)
+    printed = []
+    for command in ("report", "optimize"):
+        code, out, err = run_cli(capsys, command, "--h", "0.8", "--k", "2.1", "--povm", povm)
+        assert (code, err) == (0, "")
+        printed.append(strict_json(out)["policy"])
+    report, optimize = printed
+    assert len(report) == len(optimize) > 0
+    for by_report, by_optimize in zip(report, optimize):
+        assert abs(by_report["omega"] - by_optimize["omega"]) <= 1e-15
+        assert by_report["n"] == by_optimize["n"]
+        assert 0.0 <= by_report["omega"] <= math.pi / 2.0
 
 
 # at |q| = p the best turns form a family, and optimize prints one member of it with no
@@ -1000,10 +1023,12 @@ def test_sweep_refuses_a_search_value_off_by_a_millionth(tmp_path, capsys, monke
 # and again, e437..., when the eigen maximum of the stated design replaced the search:
 # best_value 0.06586691651113394 -> 0.06586691651113397 and "evaluations" gone;
 # report's, 0985d2cc..., when outcome 0's omega went 3.114979336805358 -> its pi-shifted
-# image -0.026613316784435077 and mutual_info 0.04172400901127493 -> 0.04172400901127504)
+# image -0.026613316784435077 and mutual_info 0.04172400901127493 -> 0.04172400901127504,
+# and again, 08d5efae..., when report printed its turns as optimize does: outcome 0's
+# policy went from omega -0.026613316784435077 about +y to 0.026613316784435077 about -y)
 FROZEN_JSON_STDOUT = {
     "report --h 0.8 --k 2.1 --povm builtin:weak(0.3)":
-        "08d5efae03d2ab5ba9a80c0e8d8a54a49c695ed4cea21304c51107e2853d3641",
+        "48bbfffe9b4b9f0a7363363d16383192b9a0c5fb1172baf7b42fbbf555848189",
     "optimize --h 0.8 --k 2.1 --over weights --n-outcomes 4":
         "e4373346216b1b0ddf53faa5a04f68e0c7ee04e6ccf5837130873e86398fb26c",
 }

@@ -184,9 +184,8 @@ def test_measure_projective_probabilities():
 
 def test_measure_probabilities_match_weights(small_ensemble):
     block, coeffs = case_block(small_ensemble[:12])
-    omega = np.zeros(coeffs.shape[:2])  # the identity: no turn about the y axis
-    axes = np.broadcast_to((0.0, 1.0, 0.0), omega.shape + (3,))
-    columns = protocol.run_many(block, coeffs, omega, axes)
+    identity = np.broadcast_to((1.0, 0.0, 0.0, 0.0), coeffs.shape)  # no turn at any outcome
+    columns = protocol.run_many(block, coeffs, identity)
     for (_, model), probabilities in zip(small_ensemble, columns.per_outcome[..., 0].tolist()):
         total = 0.0
         for p, probability in zip(weight_block(model.rows)[0].tolist(), probabilities):

@@ -26,17 +26,17 @@ def search(cases):
 def test_policy_search_trivial_model():
     # q = 0: no turn extracts energy, and the maximum is 0 up to rounding
     model = MeasurementModel.from_weights([0.5, 0.5], [0.0, 0.0])
-    value, omega, axes = search([(UNIT, model)])
+    value, turns = search([(UNIT, model)])
     assert abs(value[0]) <= 1e-15
-    assert np.all(omega[0] <= 1e-7)
+    assert np.all(protocol.turn_policy(turns)[0][0] <= 1e-7)
 
 
 def test_policy_search_projective_unit_point():
     # |q| = p: the best turns form a family; the printed ones replay the maximum
     block, coeffs = case_block([(UNIT, measurement.projective_pair())])
-    value, omega, axes = optimizer.maximize_over_policies(block, coeffs)
+    value, turns = optimizer.maximize_over_policies(block, coeffs)
     assert abs(value[0] - MAX_EB_UNIT) <= 1e-15
-    assert abs(protocol.run_many(block, coeffs, omega, axes).e_b[0] - value[0]) <= 1e-15
+    assert abs(protocol.run_many(block, coeffs, turns).e_b[0] - value[0]) <= 1e-15
 
 
 def test_an_exact_tie_of_the_two_blocks_goes_to_the_y_block(monkeypatch):
@@ -47,7 +47,8 @@ def test_an_exact_tie_of_the_two_blocks_goes_to_the_y_block(monkeypatch):
     gains[..., ::2, ::2], gains[..., 1::2, 1::2] = pair, pair
     monkeypatch.setattr(protocol, "turn_gains", lambda params, coeffs: gains.copy())
     rows = measurement.identity_measurement().rows[None]
-    value, omega, axes = optimizer.maximize_over_policies(ParamsBlock.of([UNIT]), rows)
+    value, turns = optimizer.maximize_over_policies(ParamsBlock.of([UNIT]), rows)
+    omega, axes = protocol.turn_policy(turns)
     assert abs(value[0] - np.linalg.eigvalsh(pair)[-1]) <= 1e-16
     assert axes[0, 0].tolist() == list(analytic.Y_AXIS)
     assert omega[0, 0] == 0.5 * math.atan2(0.3, 0.5)
@@ -82,7 +83,7 @@ def test_policy_search_canonical_axis():
     # 0 < |q| < p: the best turn is about the y axis alone.  At |q| = p the best turns
     # form a family (four outcomes here), and the printed turn is one eigenvector of D.
     members = model_ensemble(20, seed0=900)
-    _, _, axes = search(members)
+    axes = protocol.turn_policy(search(members)[1])[1]
     saturated = 0
     for (_, model), case_axes in zip(members, axes):
         for p, q, axis in zip(*(w.tolist() for w in weight_block(model.rows)), case_axes):
@@ -95,15 +96,15 @@ def test_policy_search_canonical_axis():
 def test_policy_search_result_replays():
     model = measurement.random_measurement(seed=77, n_outcomes=3)
     block, coeffs = case_block([(UNIT, model)])
-    value, omega, axes = optimizer.maximize_over_policies(block, coeffs)
-    replay = protocol.run_many(block, coeffs, omega, axes).e_b
+    value, turns = optimizer.maximize_over_policies(block, coeffs)
+    replay = protocol.run_many(block, coeffs, turns).e_b
     assert abs(replay[0] - value[0]) <= 1e-12
 
 
 def test_policy_search_deterministic():
     model = measurement.random_measurement(seed=5, n_outcomes=4)
     a, b = search([(UNIT, model)]), search([(UNIT, model)])
-    # value and policy table, bit for bit
+    # value and turns, bit for bit
     assert [column.tobytes() for column in a] == [column.tobytes() for column in b]
 
 
@@ -120,27 +121,27 @@ def test_policy_batch_matches_one_call_per_case(monkeypatch):
     with monkeypatch.context() as patch:
         # blocks that split cases must not change any case's bits
         patch.setattr(protocol, "BLOCK", 2)
-        value, omega, axes = search(cases)
-    assert value.shape == (len(cases),)
-    assert omega.shape == (len(cases), 6) and axes.shape == (len(cases), 6, 3)
-    assert (omega[0, 1], tuple(axes[0, 1])) == (0.0, analytic.Y_AXIS)  # the identity
+        value, turns = search(cases)
+    assert value.shape == (len(cases),) and turns.shape == (len(cases), 6, 4)
+    identity = [1.0, 0.0, 0.0, 0.0]
+    assert turns[0, 1].tolist() == identity  # the zero-mass outcome
     for i, case in enumerate(cases):
         # a block of N is N blocks of one, bit for bit
         alone = search([case])
         n = case[1].n_outcomes
         assert value[i] == alone[0][0]
-        assert omega[i, :n].tobytes() == alone[1][0].tobytes()
-        assert axes[i, :n].tobytes() == alone[2][0].tobytes()
-        assert not omega[i, n:].any()  # padding: the identity
-    # every axis row of a live outcome has unit length
+        assert turns[i, :n].tobytes() == alone[1][0].tobytes()
+        assert (turns[i, n:] == identity).all()  # padding: the identity
+    # every turn of a live outcome, and the axis it is printed with, has unit length
     live = (weight_block(case_block(cases)[1])[0] > measurement.DEGENERATE_PROB).T
-    lengths = np.sqrt(np.sum(axes[live] ** 2, axis=-1))
-    assert live.sum() == 20 and np.all(np.abs(lengths - 1.0) <= 1e-15)
+    assert live.sum() == 20
+    for vectors in (turns[live], protocol.turn_policy(turns)[1][live]):
+        assert np.all(np.abs(np.sqrt(np.sum(vectors**2, axis=-1)) - 1.0) <= 1e-15)
 
 
 def test_policy_search_is_covariant_under_power_of_two_scaling():
     # D scales exactly with h and k, so at (2^j h, 2^j k) the maximum is exactly 2^j
-    # times as large and the policy table is bit-equal
+    # times as large and the turns are bit-equal
     block, coeffs = checks.draw_members(3, range(60))[:2]
     base = optimizer.maximize_over_policies(block, coeffs)
     hk = list(zip(block.h.tolist(), block.k.tolist()))

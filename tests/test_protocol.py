@@ -1,8 +1,9 @@
 """Full protocol runs: feedback energetics, the no-go check, free evolution.
 
 A policy is given as one (omega, nx, ny, nz) row per outcome; ``policy_table``
-pads it with the identity, so an empty policy is the identity policy.  A
-single case runs as a block of one.
+pads it with the identity, so an empty policy is the identity policy, and runs
+each row as its turn a = (cos omega, sin omega n).  A single case runs as a
+block of one.
 """
 
 import dataclasses
@@ -17,7 +18,7 @@ from minqet import analytic, checks, entanglement, measurement, optimizer, proto
 from minqet.measurement import MeasurementModel, weight_block
 from minqet.model import ModelParams, ParamsBlock, build_hamiltonian, ground_state
 
-from conftest import case_block, case_report, policy_table, run_batch
+from conftest import case_block, case_report, run_batch, turn_vectors
 
 UNIT = ModelParams(h=1.0, k=1.0)
 MAX_EB_UNIT = 0.11474763394014725
@@ -25,19 +26,31 @@ E_A_PROJECTIVE_UNIT = 0.7071067811865475
 Y_TURN = (0.0, 0.0, 1.0, 0.0)  # the identity: no turn about the y axis
 
 
+def closed_turns(params, model):
+    """The closed-form turns (n, 4) of one case: its block of one's ``optimal_table`` row."""
+    return protocol.optimal_table(ParamsBlock.of([params]), *weight_block(model.rows[None]))[0]
+
+
 def optimal_rows(params, model):
-    """The closed-form policy of one case: its block of one's ``optimal_table`` row."""
-    omega, axes = protocol.optimal_table(ParamsBlock.of([params]), *weight_block(model.rows[None]))
-    return np.column_stack([omega[0], axes[0]]).tolist()
+    """``closed_turns`` as (omega, 0, 1, 0) rows: each turn is (cos omega, 0, sin omega, 0)."""
+    turns = closed_turns(params, model).tolist()
+    return [(math.atan2(a_y, a_0), *analytic.Y_AXIS) for a_0, _, a_y, _ in turns]
+
+
+def haar_rows(seed, size):
+    """(omega, nx, ny, nz) rows of the ``haar_turns`` of ``size`` seeded uniform triples."""
+    turns = protocol.haar_turns(np.random.default_rng(seed).random((size, 3)))
+    omega, axes = protocol.turn_policy(turns)
+    return np.column_stack([omega, axes]).tolist()
 
 
 def matrix(turn):
     """The 2x2 unitary of an (omega, nx, ny, nz) row."""
-    return protocol.rotations(turn[0], turn[1:])
+    return protocol.rotations(turn_vectors(turn[0], turn[1:]))
 
 
 def test_local_unitary_matrix_is_unitary():
-    u = protocol.rotations(0.7, (0.0, 1.0, 0.0))
+    u = matrix((0.7, 0.0, 1.0, 0.0))
     assert float(np.max(np.abs(u @ u.conj().T - np.eye(2)))) <= 1e-12
 
 
@@ -86,9 +99,9 @@ def test_run_entropy_fields_delegate():
 
 def test_run_never_exceeds_input(small_ensemble):
     # a Haar rotation per outcome, six rows per case
-    haar = protocol.haar_turns(np.random.default_rng(31).random((96, 3)))
+    haar = haar_rows(31, 96)
     cases = [
-        (params, model, haar[6 * i : 6 * i + model.n_outcomes].tolist())
+        (params, model, haar[6 * i : 6 * i + model.n_outcomes])
         for i, (params, model) in enumerate(small_ensemble[:16])
     ]
     report = run_batch(cases)
@@ -134,15 +147,16 @@ def test_optimal_table_equals_one_call_per_case(small_ensemble):
     # a block of 12 cases, row for row the 12 blocks of one, bit for bit
     params, models = zip(*small_ensemble[:12])
     coeffs = measurement.coefficient_block(models)
-    omega, axes = protocol.optimal_table(ParamsBlock.of(params), *measurement.weight_block(coeffs))
-    assert omega.shape == (12, 6) and axes.shape == (12, 6, 3)
+    turns = protocol.optimal_table(ParamsBlock.of(params), *measurement.weight_block(coeffs))
+    assert turns.shape == (12, 6, 4)
     for row, (p, model) in enumerate(zip(params, models)):
         n = model.n_outcomes
-        assert np.column_stack([omega[row, :n], axes[row, :n]]).tolist() == optimal_rows(p, model)
-        assert not omega[row, n:].any()  # padding: the identity
+        assert turns[row, :n].tobytes() == closed_turns(p, model).tobytes()
+        assert (turns[row, n:] == (1.0, 0.0, 0.0, 0.0)).all()  # padding: the identity
 
 
-# optimal_table's angles on edge weights, frozen bit for bit: (h, k) from
+# optimal_table's angles on edge weights, frozen bit for bit, and its turns
+# (cos omega, 0, sin omega, 0) of them: (h, k) from
 # 1e-8 to 1e8, each with the outcomes |q| = p, q = +0.0, q = -0.0 and a
 # zero-padding row, then a generic pair padded by three zero rows.  Re-recorded
 # when the angles left [0, pi) for (-pi/2, pi/2]: each negative angle w read
@@ -176,12 +190,13 @@ def test_optimal_table_edge_weights_are_frozen():
     cases = [(hk, weights) for hk in EDGE_HK for weights in EDGE_WEIGHTS]
     block = ParamsBlock.of([ModelParams(*hk) for hk, _ in cases])
     p, q = np.array([weights for _, weights in cases]).transpose(2, 1, 0)
-    omega, axes = protocol.optimal_table(block, p, q)
+    omega = analytic.max_over_omega(block, p, q, analytic.Y_AXIS)[1].T
     frozen = np.zeros((len(cases), 5))
     frozen[:, :2] = EDGE_OMEGA
     assert omega.tobytes() == frozen.tobytes()  # the zeros' signs too
-    assert axes.shape == (len(cases), 5, 3)
-    assert (axes == (0.0, 1.0, 0.0)).all()
+    zero = np.zeros_like(frozen)
+    turns = np.stack([np.cos(frozen), zero, np.sin(frozen), zero], axis=-1)
+    assert protocol.optimal_table(block, p, q).tobytes() == turns.tobytes()
 
 
 def test_optimal_policy_beats_a_grid():
@@ -219,8 +234,8 @@ def test_passive_identity_is_zero():
 
 
 def test_passive_random_unitaries_nonnegative():
-    turns = protocol.haar_turns(np.random.default_rng(0).random((200, 3))).tolist()
-    cost = passive_cost([(UNIT, measurement.projective_pair(), turn) for turn in turns])
+    model = measurement.projective_pair()
+    cost = passive_cost([(UNIT, model, turn) for turn in haar_rows(0, 200)])
     assert np.all(cost >= -1e-10)
 
 
@@ -344,42 +359,33 @@ TURNS = (
 
 
 def test_haar_turns_keep_their_frozen_rows():
-    # the (omega, axis) rows of fixed uniforms keep their bits; (0, 0, u2) is the identity
+    # the quaternions of fixed uniforms keep their bits; (0, 0, u2) is the identity.
+    # Re-recorded when haar_turns stopped reading them as (omega, axis) rows, which were
+    # (0, 0, 1, 0), (1.5707963267948966, 0.7071067811865476, -0.7071067811865476,
+    # -1.29893408435324e-16), (0.6958627703955476, -0.8698602565346394,
+    # 0.2899534188448798, -0.3990866434768981) and (1.7113848482911618,
+    # -0.10282186337892206, 0.30737913819731105, 0.9460157133009814)
     uniforms = np.array([[0.0, 0.0, 0.3], [0.5, 0.25, 0.75], [0.1, 0.9, 0.4], [0.97, 0.6, 0.05]])
     assert protocol.haar_turns(uniforms).tolist() == [
-        [0.0, 0.0, 1.0, 0.0],
-        [1.5707963267948966, 0.7071067811865476, -0.7071067811865476, -1.29893408435324e-16],
-        [0.6958627703955476, -0.8698602565346394, 0.2899534188448798, -0.3990866434768981],
-        [1.7113848482911618, -0.10282186337892206, 0.30737913819731105, 0.9460157133009814],
+        [1.0, 0.0, 0.0, -0.0],
+        [4.329780281177467e-17, 0.7071067811865476, -0.7071067811865476, -1.29893408435324e-16],
+        [0.767500910402539, -0.5576220516902769, 0.18587401723009228, -0.25583363680084636],
+        [-0.14012585384440746, -0.10180739209102546, 0.30434644359372837, 0.9366820390462547],
     ]
 
 
-def quaternion_unitary(turns):
-    """a_0 1 + i (a_1 sigma_x + a_2 sigma_y + a_3 sigma_z) of 4-vectors (..., 4): (..., 2, 2)."""
-    a = turns[..., :, None, None]
-    return a[..., 0, :, :] * qmath.pauli("i") + 1j * sum(
-        a[..., i, :, :] * qmath.pauli(axis) for i, axis in enumerate("xyz", start=1)
-    )
-
-
-def test_turn_policy_reads_the_haar_and_eigen_turns_back(monkeypatch):
-    # the (omega, n) table that turn_policy gives each 4-vector rotates by that vector,
-    # for the quaternions haar_turns draws and the top eigenvectors of the eigen route
+def test_turn_policy_reads_the_haar_and_eigen_turns_back():
+    # the (omega, n) that turn_policy gives each 4-vector, rebuilt as (cos omega,
+    # sin omega n), is that vector, for the quaternions haar_turns draws and the top
+    # eigenvectors of the eigen route
     block, coeffs = checks.draw_members(32, range(200))[:2]
-    read, seen = protocol.turn_policy, []
-
-    def spy(turns):
-        seen.append(turns)
-        return read(turns)
-
-    monkeypatch.setattr(protocol, "turn_policy", spy)
     haar = protocol.haar_turns(np.random.default_rng(32).random((500, 3)))
-    _, omega, axes = optimizer.maximize_over_policies(block, coeffs)
-    assert len(seen) == 2
-    for (angles, turn_axes), turns in zip([(haar[:, 0], haar[:, 1:]), (omega, axes)], seen):
+    eigen = optimizer.maximize_over_policies(block, coeffs)[1]
+    for turns in (haar, eigen):
         assert np.abs((turns * turns).sum(-1) - 1.0).max() <= 1e-15
-        error = np.abs(protocol.rotations(angles, turn_axes) - quaternion_unitary(turns)).max()
-        assert error <= 1e-15
+        omega, axes = protocol.turn_policy(turns)
+        assert np.abs(turn_vectors(omega, axes) - turns).max() <= 1e-15
+    omega = protocol.turn_policy(eigen)[0]
     assert np.all((0.0 <= omega) & (omega <= math.pi / 2.0))
 
 
@@ -390,20 +396,18 @@ def test_the_identity_turn_gets_the_y_axis():
     # an outcome of probability 0, here a padding row, keeps the identity about y
     models = [measurement.projective_pair(), measurement.random_measurement(3, n_outcomes=3)]
     block = ParamsBlock.of([UNIT, UNIT])
-    _, omega, axes = optimizer.maximize_over_policies(
-        block, measurement.coefficient_block(models)
-    )
-    assert (omega[0, 2], axes[0, 2].tolist()) == (0.0, list(analytic.Y_AXIS))
+    turns = optimizer.maximize_over_policies(block, measurement.coefficient_block(models))[1]
+    assert turns[0, 2].tolist() == [1.0, 0.0, 0.0, 0.0]
 
 
 def test_haar_turns_are_unit_axes_and_haar_angles():
-    turns = protocol.haar_turns(np.random.default_rng(8).random((100_000, 3)))
-    omega, axes = turns[:, 0], turns[:, 1:]
+    quaternion = protocol.haar_turns(np.random.default_rng(8).random((100_000, 3)))
+    assert np.abs((quaternion * quaternion).sum(-1) - 1.0).max() <= 1e-15
+    omega, axes = protocol.turn_policy(quaternion)
     assert np.all((0.0 <= omega) & (omega <= math.pi))
     assert np.abs((axes * axes).sum(-1) - 1.0).max() <= 1e-15
     # uniform on SU(2): each quaternion component (cos omega, sin omega n) has mean
     # square 1/4, within ~6 standard errors (0.25 / sqrt(1e5)) of 1e5 draws
-    quaternion = np.column_stack([np.cos(omega), np.sin(omega)[:, None] * axes])
     assert np.abs((quaternion**2).mean(0) - 0.25).max() <= 0.005
 
 
@@ -649,11 +653,11 @@ def test_batch_working_memory_is_bounded():
         params = ModelParams(*(float(x) for x in rng.uniform(0.3, 3.0, size=2)))
         cases.append((params, measurement.random_measurement(rng, (2, 3, 4, 6)[i % 4])))
     block, coeffs = case_block(cases)
-    table = protocol.optimal_table(block, *measurement.weight_block(coeffs))
-    protocol.run_many(block[:4], coeffs[:4], *(x[:4] for x in table))
+    turns = protocol.optimal_table(block, *measurement.weight_block(coeffs))
+    protocol.run_many(block[:4], coeffs[:4], turns[:4])
     tracemalloc.start()
     try:
-        columns = protocol.run_many(block, coeffs, *table)
+        columns = protocol.run_many(block, coeffs, turns)
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -764,19 +768,18 @@ def test_passive_runs_name_the_failing_route_and_case(monkeypatch):
 
 
 def turn_tables(turns, n):
-    """Each member's turn (omega, nx, ny, nz) applied at all n outcomes: angles and axes."""
-    return np.repeat(turns[:, :1], n, 1), np.repeat(turns[:, None, 1:], n, 1)
+    """Each member's turn, a unit 4-vector (cos omega, sin omega n), at all n outcomes."""
+    return np.repeat(turns[:, None], n, 1)
 
 
 @pytest.mark.parametrize("seed", (0, 7))
 @pytest.mark.parametrize("first", (0, 256))
 def test_the_d_form_of_a_turn_gives_run_blocks_e_b(seed, first):
     # a turn w = (cos omega, sin omega n) applied at every outcome extracts
-    # w^T (sum_mu D_mu) w, the E_B of run_block on the same table
-    block, coeffs, _, _, turns = checks.draw_members(seed, range(first, first + 256))
+    # w^T (sum_mu D_mu) w, the E_B of run_block on the same turns
+    block, coeffs, _, _, w = checks.draw_members(seed, range(first, first + 256))
     measured = protocol.measured_block(block, coeffs)
-    e_b = protocol.run_block(measured, *turn_tables(turns, coeffs.shape[1]), first).e_b
-    w = np.concatenate([np.cos(turns[:, :1]), np.sin(turns[:, :1]) * turns[:, 1:]], axis=1)
+    e_b = protocol.run_block(measured, turn_tables(w, coeffs.shape[1]), first).e_b
     summed = protocol.turn_gains(block, coeffs).sum(axis=1)
     d_form = np.einsum("bi,bij,bj->b", w, summed, w)
     assert np.all(np.abs(d_form - e_b) <= 1e-15 * measured.scale)
@@ -796,4 +799,4 @@ def test_a_nan_q_fails_the_turn_runs_per_outcome_route(monkeypatch):
     with pytest.raises(
         RuntimeError, match=r"E_B per-outcome route differs in case 266 \(residual nan, "
     ):
-        protocol.run_block(measured, *turn_tables(turns, coeffs.shape[1]), 256)
+        protocol.run_block(measured, turn_tables(turns, coeffs.shape[1]), 256)

@@ -90,9 +90,13 @@ def Q_of(params: ModelParams, p, q, turn):
     ``turn`` holds a's components first, (4, ...), and the caller guarantees |a| = 1.
     X(cos 2 omega - 1) = -2 X(a_vec) and n_y sin 2 omega = 2 a_0 a_y, so no angle is
     left.  The teleported energy of a full policy is sum(Q) / eps.
+
+    X(a_vec) is evaluated in np.longdouble: where X's terms cancel, their rounding in
+    double, not that of a_vec itself, would part it from sin^2 omega X(n).
     """
     a0, _, ay, _ = turn
-    return -2.0 * X_of(params, p, q, turn[1:]) - 2.0 * params.h * params.k * q * a0 * ay
+    x = X_of(params, p, q, np.asarray(turn[1:], dtype=np.longdouble))
+    return (-2.0 * x - 2.0 * params.h * params.k * q * a0 * ay).astype(float)
 
 
 def max_over_omega(params: ModelParams, p, q, n: tuple[float, float, float]) -> tuple:

@@ -157,7 +157,7 @@ def block_residuals(block, coeffs, povm, outcomes, turns, first: int = 0) -> dic
     # floored at the rounding level of Q's parts (Q's maximum is 0 at q = 0)
     value_scale = np.maximum(closed_max, sys.float_info.epsilon * (abs(x_coef) + abs(g_coef)))
     off = (theta - omega_star) % math.pi  # a turn is a ray: omega and omega + pi are one
-    a_star = (np.cos(omega_star), *np.sin(omega_star) * n.T)  # the turn of the maximum
+    a_star = protocol.turn_vectors(omega_star, n).T  # the turn of the maximum
     found["omega-maximum"] = [
         abs(block.eps * top - closed_max) / value_scale,
         abs(analytic.Q_of(block, p, q, a_star) - closed_max) / value_scale,

@@ -11,15 +11,15 @@ E_B = E_A - Tr[rho H] = -Tr[rho (H_B + V)].
 
 A policy is one turn of B per outcome, each the unit 4-vector a = (cos omega,
 sin omega n) of U_B = a_0 + i a_vec . sigma_B, as turns (N, n, 4), such as
-``best_turns``' or ``optimal_table``'s; ``turn_policy`` reads them as (omega, n)
-where a turn is printed.  Every run starts from ``measured_block`` on a
-``ParamsBlock`` and a coefficient block (N, n, 4): the kets M_A(mu)|g>
-(``measurement.measured_kets``) as one (N, n, 4) array, zero-padded to the
-largest outcome count, with the weights in the closed forms' (n, N) layout.
-``run_block`` turns B by a policy's turns and returns per-case columns, and
-``run_many`` computes them BLOCK cases at a time; ``evolve_series`` computes
-its (T,) columns BLOCK times at a time.  One case is a block of one, and an
-outcome-blind rotation W of B, such as a ``haar_turns`` row, is the policy
+``best_turns``' or ``optimal_table``'s; ``turn_vectors`` builds them from (omega, n),
+and ``turn_policy`` reads them back where a turn is printed.  Every run starts
+from ``measured_block`` on a ``ParamsBlock`` and a coefficient block (N, n, 4):
+the kets M_A(mu)|g> (``measurement.measured_kets``) as one (N, n, 4) array,
+zero-padded to the largest outcome count, with the weights in the closed forms'
+(n, N) layout.  ``run_block`` turns B by a policy's turns and returns per-case
+columns, and ``run_many`` computes them BLOCK cases at a time; ``evolve_series``
+computes its (T,) columns BLOCK times at a time.  One case is a block of one, and
+an outcome-blind rotation W of B, such as a ``haar_turns`` row, is the policy
 that applies W at every outcome.  Each rotation acts as a 2x2 block on the ket
 read as an (a, b) matrix, and every energy is a stacked ``qmath.expectation``:
 Tr[rho O] is its sum over the kets of rho.  Born's rule is
@@ -70,6 +70,14 @@ def rotate_b(kets: np.ndarray, u: np.ndarray) -> np.ndarray:
     psi = kets.reshape(kets.shape[:-1] + (2, 2))
     turned = psi[..., :, None, 0] * u[..., None, :, 0] + psi[..., :, None, 1] * u[..., None, :, 1]
     return turned.reshape(kets.shape)
+
+
+def turn_vectors(omega, axes) -> np.ndarray:
+    """The unit 4-vectors a = (cos omega, sin omega n) of angles (...) and unit axes (..., 3).
+
+    ``turn_policy``'s inverse; a zero component is +0.0.
+    """
+    return np.concatenate([np.cos(omega)[..., None], np.sin(omega)[..., None] * axes + 0.0], -1)
 
 
 def turn_policy(turns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -292,11 +300,11 @@ def measured_block(params: ParamsBlock, coeffs: np.ndarray) -> MeasuredBlock:
 def optimal_table(params, p, q) -> np.ndarray:
     """The closed-form maximizing turns of weights p, q (n, B): (B, n, 4).
 
-    Each turn is (cos omega, sin omega n) with n = ``analytic.Y_AXIS`` and omega
-    ``analytic.max_over_omega``'s angle there, in (-pi/2, pi/2].
+    Each turn is ``turn_vectors`` of ``analytic.max_over_omega``'s angle at n =
+    ``analytic.Y_AXIS``, in (-pi/2, pi/2].
     """
-    omega = analytic.max_over_omega(params, p, q, analytic.Y_AXIS)[1].T[..., None]
-    return np.cos(omega) * (1.0, 0.0, 0.0, 0.0) + np.sin(omega) * (0.0, *analytic.Y_AXIS)
+    omega = analytic.max_over_omega(params, p, q, analytic.Y_AXIS)[1].T
+    return turn_vectors(omega, analytic.Y_AXIS)
 
 
 def run_block(block: MeasuredBlock, turns: np.ndarray, first: int = 0) -> ProtocolReport:

@@ -22,12 +22,6 @@ def case_block(cases):
     return ParamsBlock.of(params), coefficient_block(models)
 
 
-def turn_vectors(omega, axes):
-    """The unit 4-vectors a = (cos omega, sin omega n) of angles (...) and axes (..., 3)."""
-    omega = np.asarray(omega, dtype=float)[..., None]
-    return np.concatenate([np.cos(omega), np.sin(omega) * np.asarray(axes, dtype=float)], -1)
-
-
 def policy_table(policies, n):
     """The turns (N, n, 4) of policies given as (omega, nx, ny, nz) rows.
 
@@ -35,7 +29,7 @@ def policy_table(policies, n):
     """
     pad = [(0.0, 0.0, 1.0, 0.0)]
     table = np.array([list(rows) + pad * (n - len(rows)) for rows in policies], dtype=float)
-    return turn_vectors(table[..., 0], table[..., 1:])
+    return protocol.turn_vectors(table[..., 0], table[..., 1:])
 
 
 def run_batch(cases):

@@ -27,8 +27,6 @@ import pytest
 from minqet import analytic, checks, entanglement, measurement, optimizer, protocol
 from minqet.model import ModelParams, ParamsBlock, params_row
 
-from conftest import turn_vectors
-
 
 UNIT = ModelParams(h=1.0, k=1.0)
 
@@ -390,7 +388,7 @@ def test_a_fault_in_the_no_go_direct_route_alone_fails_no_go_passive(monkeypatch
 
     def further(turns):
         omega, axes = protocol.turn_policy(turns)
-        return protocol.rotations(turn_vectors(omega * (1.0 + 1e-6), axes))
+        return protocol.rotations(protocol.turn_vectors(omega * (1.0 + 1e-6), axes))
 
     shifted.rotations = further
     monkeypatch.setattr(checks, "protocol", shifted)
@@ -412,7 +410,7 @@ def test_a_positive_direction_of_the_summed_gains_fails_no_go_passive(monkeypatc
     shifted.turn_gains = tilted
     monkeypatch.setattr(checks, "protocol", shifted)
     block, coeffs, povm, outcomes, turns = checks.draw_members(0, range(checks.ENSEMBLE_BLOCK))
-    turns = np.broadcast_to(turn_vectors(0.5 * np.pi, analytic.Y_AXIS), turns.shape)
+    turns = np.broadcast_to(protocol.turn_vectors(0.5 * np.pi, analytic.Y_AXIS), turns.shape)
     found = checks.block_residuals(block, coeffs, povm, outcomes, turns)
     assert [name for name in found if not checks._worst(*found[name]) <= BUDGETS[name]] == [
         "no-go-passive"

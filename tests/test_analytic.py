@@ -50,9 +50,9 @@ def unit_axis(rng):
 
 
 def q_at(params, p, q, omega, n):
-    """``Q_of`` at the turn a = (cos omega, sin omega n), its components first."""
-    sin = np.sin(omega)
-    return analytic.Q_of(params, p, q, (np.cos(omega), *(sin * c for c in n)))
+    """``Q_of`` at the turn (cos omega, sin omega n) of angles omega and a unit axis n."""
+    turn = protocol.turn_vectors(omega, np.stack(np.broadcast_arrays(*n), axis=-1))
+    return analytic.Q_of(params, p, q, np.moveaxis(turn, -1, 0))
 
 
 def paper_q(params, p, q, omega, n):
@@ -136,15 +136,10 @@ def test_max_over_omega_is_q_at_its_angle_on_every_branch():
     assert (x < 0.0).any() and (x > 0.0).any() and ((x == 0.0) & (g == 0.0)).any()
     value, omega = analytic.max_over_omega(params, p, q, n)
     assert np.all(value >= 0.0)
-    # the paper's Q at the angle, of the same X and G
+    # the paper's Q at the angle, of the same X and G, and Q_of at the turn of the angle
     at_omega = x * (np.cos(2.0 * omega) - 1.0) - g * np.sin(2.0 * omega)
-    assert np.all(np.abs(value - at_omega) <= 1e-15 * (np.abs(x) + np.abs(g)))
-    # Q_of at the turn (cos omega, sin omega n) forms X of sin omega n on its own, so it
-    # meets them to the rounding of X's terms, not of X itself where those terms cancel
-    h, k = params.h, params.k
-    terms = p * (h * h * (n[0] ** 2 + n[1] ** 2) + 2.0 * k * k * (n[1] ** 2 + n[2] ** 2))
-    terms = terms + np.abs(3.0 * h * k * q * n[0] * n[2])
-    assert np.all(np.abs(q_at(params, p, q, omega, n) - at_omega) <= 1e-15 * (terms + np.abs(g)))
+    for got in (at_omega, q_at(params, p, q, omega, n)):
+        assert np.all(np.abs(value - got) <= 1e-15 * (np.abs(x) + np.abs(g)))
 
 
 @settings(max_examples=60, deadline=None)
@@ -233,7 +228,7 @@ def test_closed_forms_broadcast_over_outcomes():
     q = p * rng.uniform(-1.0, 1.0, size=12)
     q[3] = 0.0
     omega, axis = rng.uniform(0.0, math.pi, size=12), rng.normal(size=(3, 12))
-    turn = (np.cos(omega), *(np.sin(omega) * axis))
+    turn = protocol.turn_vectors(omega, axis.T).T
     block = ParamsBlock.of(params)
     arrays = {
         "abc": np.array(analytic.abc_constants(block, p, q)).T,

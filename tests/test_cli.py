@@ -820,7 +820,7 @@ def test_optimize_prints_turns_that_attain_the_top_eigenvalue(capsys, tmp_path, 
         assert (code, err) == (0, "")
         policy = strict_json(out)["policy"]
         omega = np.array([turn["omega"] for turn in policy])
-        a = np.column_stack([np.cos(omega), np.sin(omega)[:, None] * [t["n"] for t in policy]])
+        a = protocol.turn_vectors(omega, [turn["n"] for turn in policy])
         block = ParamsBlock.of([ModelParams(h=float(h), k=float(k))])
         gains = protocol.turn_gains(block, meas.rows[None])[0]
         attained = np.einsum("ma,mab,mb->m", a, gains, a)

@@ -18,7 +18,7 @@ from minqet import analytic, checks, entanglement, measurement, optimizer, proto
 from minqet.measurement import MeasurementModel, weight_block
 from minqet.model import ModelParams, ParamsBlock, build_hamiltonian, ground_state
 
-from conftest import case_block, case_report, run_batch, turn_vectors
+from conftest import case_block, case_report, run_batch
 
 UNIT = ModelParams(h=1.0, k=1.0)
 MAX_EB_UNIT = 0.11474763394014725
@@ -46,7 +46,7 @@ def haar_rows(seed, size):
 
 def matrix(turn):
     """The 2x2 unitary of an (omega, nx, ny, nz) row."""
-    return protocol.rotations(turn_vectors(turn[0], turn[1:]))
+    return protocol.rotations(protocol.turn_vectors(turn[0], turn[1:]))
 
 
 def test_local_unitary_matrix_is_unitary():
@@ -384,7 +384,7 @@ def test_turn_policy_reads_the_haar_and_eigen_turns_back():
     for turns in (haar, eigen):
         assert np.abs((turns * turns).sum(-1) - 1.0).max() <= 1e-15
         omega, axes = protocol.turn_policy(turns)
-        assert np.abs(turn_vectors(omega, axes) - turns).max() <= 1e-15
+        assert np.abs(protocol.turn_vectors(omega, axes) - turns).max() <= 1e-15
     omega = protocol.turn_policy(eigen)[0]
     assert np.all((0.0 <= omega) & (omega <= math.pi / 2.0))
 
